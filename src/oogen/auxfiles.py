@@ -42,8 +42,7 @@ def render_makefile(pkg: ir.PackageTree, target: str, with_doc_rule: bool) -> Re
     main = pkg.main_module
     if main is None:
         raise NoMainModule(f"a {target} makefile needs a module with a main function")
-    files = backends.get_backend(target).render_package(pkg)
-    sources = [f.path for f in files if f.file_type != FileType.HEADER]
+    sources = [path for _, path in backends.get_backend(target).source_files(pkg)]
 
     if target == "python":
         blocks = [

@@ -17,19 +17,7 @@ import math as _math
 from .. import builders as bd
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import (
-    BLANK,
-    Doc,
-    EMPTY,
-    FileType,
-    RenderedFile,
-    indent,
-    join_blocks,
-    needs_parens,
-    text,
-    vcat,
-    wrap,
-)
+from ..layout import EMPTY, Doc, RenderedFile, join_blocks, needs_parens, vcat, wrap
 
 BIN_TOKENS = {
     "#+": "+", "#-": "-", "#*": "*", "#/": "/",
@@ -51,6 +39,11 @@ def escape_string(value: str) -> str:
     return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
+def comment_doc(marker: str, value: str) -> Doc:
+    """One comment line per line of `value`, so none of it escapes the comment."""
+    return Doc(tuple(f"{marker} {line}" for line in value.splitlines() or [""]))
+
+
 def escape_char(value: str) -> str:
     out = value.replace("\\", "\\\\").replace("'", "\\'")
     return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
@@ -65,7 +58,6 @@ class Renderer:
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
         self._list_depth = 0
-        self._module: ir.ModuleRepr | None = None
 
     # -- precedence -------------------------------------------------------
 
@@ -276,15 +268,21 @@ class Renderer:
     def method_doc(self, m: ir.MethodRepr) -> Doc:  # pragma: no cover
         raise NotImplementedError
 
+    def source_files(self, pkg: ir.PackageTree) -> list[tuple[ir.ModuleRepr, str]]:
+        """(module, source path) for each module that renders to a file, in
+        render order. Empty modules (no functions, no classes) get no file;
+        C++ headers are not listed. The Makefile names its sources from here
+        without rendering."""
+        return [(m, f"{m.name}{self.extension}") for m in pkg.modules if not m.is_empty]
+
     def render_package(self, pkg: ir.PackageTree) -> list[RenderedFile]:
         files: list[RenderedFile] = []
-        for module in pkg.modules:
-            if module.is_empty:
-                continue  # no functions, no classes: no file at all
-            files.extend(type(self)().module_files(module))
+        for module, path in self.source_files(pkg):
+            files.extend(type(self)().module_files(module, path))
         return files
 
-    def module_files(self, module: ir.ModuleRepr) -> list[RenderedFile]:  # pragma: no cover
+    def module_files(self, module: ir.ModuleRepr,
+                     path: str) -> list[RenderedFile]:  # pragma: no cover
         raise NotImplementedError
 
     # -- documentation comments ---------------------------------------------

@@ -11,7 +11,7 @@ from .. import ir
 from .. import patterns as pt
 from ..errors import UnsupportedConstruct
 from ..layout import Doc, EMPTY, indent, text, vcat
-from .base import Renderer
+from .base import Renderer, comment_doc
 
 
 class CFamilyRenderer(Renderer):
@@ -50,7 +50,7 @@ class CFamilyRenderer(Renderer):
         if isinstance(s, ir.Free):
             return self.free_doc(s.var)
         if isinstance(s, ir.CommentStmt):
-            return text(f"// {s.text}")
+            return comment_doc("//", s.text)
         if isinstance(s, ir.Break):
             return text("break;")
         if isinstance(s, ir.Continue):

@@ -24,6 +24,7 @@ from ..layout import (
     text,
     vcat,
 )
+from .base import escape_string
 from .cfamily import CFamilyRenderer
 
 
@@ -132,7 +133,7 @@ class CppRenderer(CFamilyRenderer):
 
     def throw_text(self, message: str) -> str:
         self.needs.add("stdexcept")
-        return f'throw std::runtime_error("{message}");'
+        return f'throw std::runtime_error("{escape_string(message)}");'
 
     def catch_header(self) -> str:
         return "catch (...) {"
@@ -266,8 +267,7 @@ class CppRenderer(CFamilyRenderer):
         ])
         return join_blocks([defs] + [self.method_doc(m) for m in c.methods])
 
-    def module_files(self, module: ir.ModuleRepr) -> list[RenderedFile]:
-        self._module = module
+    def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         plain = [f for f in module.functions if not f.is_main]
         mains = [f for f in module.functions if f.is_main]
         has_header = bool(module.classes) or bool(plain)
@@ -290,9 +290,7 @@ class CppRenderer(CFamilyRenderer):
             + [text(f"#include <{inc}>") for inc in sorted(src_needs)]
         )
         src_content = join_blocks([self.doc_comment(module.doc), own, other, *src_docs])
-        files = [
-            RenderedFile(f"{name}{self.extension}", FileType.SOURCE, extract(src_content))
-        ]
+        files = [RenderedFile(path, FileType.SOURCE, extract(src_content))]
 
         if has_header:
             guard = f"{name}_HPP"

@@ -18,6 +18,7 @@ from ..layout import (
     text,
     vcat,
 )
+from .base import escape_string
 from .cfamily import CFamilyRenderer
 
 _MATH = {"sin": "Sin", "cos": "Cos", "tan": "Tan", "sqrt": "Sqrt", "abs": "Abs",
@@ -104,7 +105,7 @@ class CSharpRenderer(CFamilyRenderer):
 
     def throw_text(self, message: str) -> str:
         self.needs.add("System")
-        return f'throw new Exception("{message}");'
+        return f'throw new Exception("{escape_string(message)}");'
 
     def catch_header(self) -> str:
         self.needs.add("System")
@@ -183,8 +184,7 @@ class CSharpRenderer(CFamilyRenderer):
         ])
         return vcat([comment, self.braced(header, members)])
 
-    def module_files(self, module: ir.ModuleRepr) -> list[RenderedFile]:
-        self._module = module
+    def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         pieces: list[Doc] = []
         if module.functions:
             plain = [self.method_doc(f) for f in module.functions if not f.is_main]
@@ -197,4 +197,4 @@ class CSharpRenderer(CFamilyRenderer):
         usings = sorted(set(module.imports) | self.needs)
         using_doc = vcat([text(f"using {name};") for name in usings])
         content = join_blocks([self.doc_comment(module.doc), using_doc, *pieces])
-        return [RenderedFile(f"{module.name}.cs", FileType.COMBINED, extract(content))]
+        return [RenderedFile(path, FileType.COMBINED, extract(content))]

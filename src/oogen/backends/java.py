@@ -10,17 +10,8 @@ procedures return an Object[] that call sites unpack with boxed casts.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import (
-    Doc,
-    EMPTY,
-    FileType,
-    RenderedFile,
-    extract,
-    indent,
-    join_blocks,
-    text,
-    vcat,
-)
+from ..layout import Doc, FileType, RenderedFile, extract, join_blocks, text, vcat
+from .base import escape_string
 from .cfamily import CFamilyRenderer
 
 _BOXED = {"bool": "Boolean", "int": "Integer", "float": "Double",
@@ -110,7 +101,7 @@ class JavaRenderer(CFamilyRenderer):
         return f"{t} {name} = new {t}(0);"
 
     def throw_text(self, message: str) -> str:
-        return f'throw new Exception("{message}");'
+        return f'throw new Exception("{escape_string(message)}");'
 
     def for_each_header(self, s: ir.ForEach) -> str:
         return f"for ({self.type_text(s.var.type)} {s.var.name} : {self.expr(s.iterable)}) {{"
@@ -187,8 +178,7 @@ class JavaRenderer(CFamilyRenderer):
         ])
         return vcat([comment, self.braced(header, members)])
 
-    def module_files(self, module: ir.ModuleRepr) -> list[RenderedFile]:
-        self._module = module
+    def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         pieces: list[Doc] = []
         if module.functions:
             plain = [self.method_doc(f) for f in module.functions if not f.is_main]
@@ -204,4 +194,4 @@ class JavaRenderer(CFamilyRenderer):
         imports = sorted(set(module.imports) | self.needs)
         import_doc = vcat([text(f"import {name};") for name in imports])
         content = join_blocks([self.doc_comment(module.doc), import_doc, *pieces])
-        return [RenderedFile(f"{module.name}.java", FileType.COMBINED, extract(content))]
+        return [RenderedFile(path, FileType.COMBINED, extract(content))]

@@ -12,8 +12,8 @@ from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, FileType, RenderedFile, indent, join_blocks, text, vcat
-from .base import Renderer
+from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, indent, join_blocks, text, vcat
+from .base import Renderer, comment_doc, escape_string
 
 
 class PythonRenderer(Renderer):
@@ -139,11 +139,11 @@ class PythonRenderer(Renderer):
         if isinstance(s, ir.Return):
             return text(f"return {self.expr(s.value)}")
         if isinstance(s, ir.Throw):
-            return text(f'raise Exception("{s.message}")')
+            return text(f'raise Exception("{escape_string(s.message)}")')
         if isinstance(s, ir.Free):
             return text(f"del {self.var_ref(s.var)}")
         if isinstance(s, ir.CommentStmt):
-            return text(f"# {s.text}")
+            return comment_doc("#", s.text)
         if isinstance(s, ir.Break):
             return text("break")
         if isinstance(s, ir.Continue):
@@ -286,8 +286,7 @@ class PythonRenderer(Renderer):
             methods = text("pass")
         return vcat([comment, header, indent(methods)])
 
-    def module_files(self, module: ir.ModuleRepr) -> list[RenderedFile]:
-        self._module = module
+    def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         functions = [self.method_doc(f) for f in module.functions if not f.is_main]
         classes = [self.class_doc(c) for c in module.classes]
         mains = [self.method_doc(f) for f in module.functions if f.is_main]
@@ -296,6 +295,4 @@ class PythonRenderer(Renderer):
         pieces = join_blocks([
             self.doc_comment(module.doc), import_doc, *functions, *classes, *mains,
         ])
-        from ..layout import extract
-
-        return [RenderedFile(f"{module.name}.py", FileType.COMBINED, extract(pieces))]
+        return [RenderedFile(path, FileType.COMBINED, extract(pieces))]

@@ -12,8 +12,9 @@ verify renders, compiles, and runs the package on every requested target
 whose toolchain is installed, then diffs normalized stdout across targets.
 
 Exit codes: 0 success; 1 verify disagreement or runtime failure; 2 bad
-input (malformed JSON, unknown example); 3 construct unsupported by a
-backend; 4 compile failure during verify.
+input (malformed JSON, unknown example, a package the request cannot use,
+such as --makefile without a main module); 3 construct unsupported by a
+backend; 4 compile failure (or compile timeout) during verify.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 from . import gallery, ir, jsonio, verify
 from .backends import TARGETS, assemble_package
-from .errors import DecodeError, UnsupportedConstruct
+from .errors import BuildError, DecodeError, UnsupportedConstruct
 
 _VERIFY_HELP = """\
 toolchains are probed on PATH and can be overridden by environment
@@ -158,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     opts = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[opts.command](opts)
-    except DecodeError as exc:
+    except (DecodeError, BuildError) as exc:
         print(f"oogen: {exc}", file=sys.stderr)
         return 2
     except UnsupportedConstruct as exc:

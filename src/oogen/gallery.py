@@ -8,14 +8,13 @@ in normalized form (booleans lowercase).
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import builders as bd
 from . import ir
 from . import patterns as pt
+from ._record import record
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class GalleryEntry:
     name: str
     description: str

@@ -1,8 +1,9 @@
 """Language-agnostic IR for object-oriented programs.
 
-Values are immutable after construction (frozen dataclasses over tuples),
-so sharing subtrees between programs is safe and structural equality is
-the equality. Construction goes through `oogen.builders` / `oogen.patterns`,
+Values are immutable records over tuples (`oogen._record.record`: a
+frozen-dataclass contract with only `__init__` generated per class), so
+sharing subtrees between programs is safe and structural equality is the
+equality. Construction goes through `oogen.builders` / `oogen.patterns`,
 which validate; the classes here deliberately do not.
 
 Shape of a program:
@@ -16,8 +17,9 @@ blocks in every target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+
+from ._record import record
 
 ATOMIC_PRECEDENCE = 100
 
@@ -53,7 +55,7 @@ class VarForm(str, Enum):
 # Types
 
 
-@dataclass(frozen=True)
+@record
 class TypeRepr:
     """A common-subset type. kind is one of bool, int, float, char, string,
     infile, outfile, list, object. `elem` is set only for lists, `class_name`
@@ -94,7 +96,7 @@ def obj_of(class_name: str) -> TypeRepr:
 # Operators
 
 
-@dataclass(frozen=True)
+@record
 class OperatorSpec:
     """Catalog entry for a unary/binary operator.
 
@@ -138,7 +140,7 @@ INLINE_IF_PRECEDENCE = 1
 # Variables and expressions
 
 
-@dataclass(frozen=True)
+@record
 class VariableRepr:
     name: str
     type: TypeRepr
@@ -147,7 +149,7 @@ class VariableRepr:
     owner: str | None = None  # class / object / library per form
 
 
-@dataclass(frozen=True)
+@record
 class ExprRepr:
     """Base expression node. Every node knows its IR type and its
     precedence; parenthesization never re-inspects children."""
@@ -161,7 +163,7 @@ class ExprRepr:
         return ATOMIC_PRECEDENCE
 
 
-@dataclass(frozen=True)
+@record
 class Lit(ExprRepr):
     kind: str  # bool int float char string
     value: object
@@ -171,7 +173,7 @@ class Lit(ExprRepr):
         return TypeRepr(self.kind)
 
 
-@dataclass(frozen=True)
+@record
 class ValueOf(ExprRepr):
     var: VariableRepr
 
@@ -180,7 +182,7 @@ class ValueOf(ExprRepr):
         return self.var.type
 
 
-@dataclass(frozen=True)
+@record
 class Unary(ExprRepr):
     op: OperatorSpec
     operand: ExprRepr
@@ -195,7 +197,7 @@ class Unary(ExprRepr):
         return self.op.precedence
 
 
-@dataclass(frozen=True)
+@record
 class Binary(ExprRepr):
     op: OperatorSpec
     left: ExprRepr
@@ -211,7 +213,7 @@ class Binary(ExprRepr):
         return self.op.precedence
 
 
-@dataclass(frozen=True)
+@record
 class InlineIf(ExprRepr):
     cond: ExprRepr
     then: ExprRepr
@@ -233,7 +235,7 @@ class CallForm(str, Enum):
     METHOD = "method"
 
 
-@dataclass(frozen=True)
+@record
 class Call(ExprRepr):
     """Any kind of application. `receiver` is set for METHOD calls,
     `library` for EXTERNAL ones. Constructors type as the built object."""
@@ -250,7 +252,7 @@ class Call(ExprRepr):
         return self.return_type
 
 
-@dataclass(frozen=True)
+@record
 class MathCall(ExprRepr):
     """sin/cos/... lowered to the target's math namespace."""
 
@@ -263,14 +265,14 @@ class MathCall(ExprRepr):
         return self.result
 
 
-@dataclass(frozen=True)
+@record
 class ArgsList(ExprRepr):
     @property
     def type(self) -> TypeRepr:
         return list_of(STRING)
 
 
-@dataclass(frozen=True)
+@record
 class ArgAt(ExprRepr):
     """Index 0 is the first user argument in every target; backends add
     the program-name offset where the native vector includes it."""
@@ -282,7 +284,7 @@ class ArgAt(ExprRepr):
         return STRING
 
 
-@dataclass(frozen=True)
+@record
 class ArgExists(ExprRepr):
     index: ExprRepr
 
@@ -291,7 +293,7 @@ class ArgExists(ExprRepr):
         return BOOL
 
 
-@dataclass(frozen=True)
+@record
 class ListAccess(ExprRepr):
     lst: ExprRepr
     index: ExprRepr
@@ -301,7 +303,7 @@ class ListAccess(ExprRepr):
         return self.lst.type.elem
 
 
-@dataclass(frozen=True)
+@record
 class ListSize(ExprRepr):
     lst: ExprRepr
 
@@ -310,7 +312,7 @@ class ListSize(ExprRepr):
         return INT
 
 
-@dataclass(frozen=True)
+@record
 class ListAppend(ExprRepr):
     lst: ExprRepr
     value: ExprRepr
@@ -320,7 +322,7 @@ class ListAppend(ExprRepr):
         return self.lst.type
 
 
-@dataclass(frozen=True)
+@record
 class ListIndexExists(ExprRepr):
     lst: ExprRepr
     index: ExprRepr
@@ -330,7 +332,7 @@ class ListIndexExists(ExprRepr):
         return BOOL
 
 
-@dataclass(frozen=True)
+@record
 class ListIndexOf(ExprRepr):
     lst: ExprRepr
     value: ExprRepr
@@ -344,7 +346,7 @@ class ListIndexOf(ExprRepr):
 # Statements
 
 
-@dataclass(frozen=True)
+@record
 class StatementRepr:
     pass
 
@@ -357,94 +359,94 @@ class AssignMode(str, Enum):
     DEC = "dec"
 
 
-@dataclass(frozen=True)
+@record
 class VarDec(StatementRepr):
     var: VariableRepr
 
 
-@dataclass(frozen=True)
+@record
 class VarDecDef(StatementRepr):
     var: VariableRepr
     value: ExprRepr
 
 
-@dataclass(frozen=True)
+@record
 class Assign(StatementRepr):
     mode: AssignMode
     var: VariableRepr
     value: ExprRepr | None  # None for INC/DEC
 
 
-@dataclass(frozen=True)
+@record
 class ListSet(StatementRepr):
     lst: ExprRepr
     index: ExprRepr
     value: ExprRepr
 
 
-@dataclass(frozen=True)
+@record
 class Return(StatementRepr):
     value: ExprRepr
 
 
-@dataclass(frozen=True)
+@record
 class Throw(StatementRepr):
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class Free(StatementRepr):
     """del / delete on manual-memory targets; nothing on GC targets."""
 
     var: VariableRepr
 
 
-@dataclass(frozen=True)
+@record
 class CommentStmt(StatementRepr):
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Break(StatementRepr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Continue(StatementRepr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ExprStmt(StatementRepr):
     """Evaluate for effect; result discarded."""
 
     expr: ExprRepr
 
 
-@dataclass(frozen=True)
+@record
 class BlockRepr(StatementRepr):
     statements: tuple[StatementRepr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class BodyRepr:
     blocks: tuple[BlockRepr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class If(StatementRepr):
     branches: tuple[tuple[ExprRepr, BodyRepr], ...]
     else_body: BodyRepr | None
 
 
-@dataclass(frozen=True)
+@record
 class Switch(StatementRepr):
     value: ExprRepr
     cases: tuple[tuple[Lit, BodyRepr], ...]
     default: BodyRepr | None
 
 
-@dataclass(frozen=True)
+@record
 class For(StatementRepr):
     init: StatementRepr
     cond: ExprRepr
@@ -452,7 +454,7 @@ class For(StatementRepr):
     body: BodyRepr
 
 
-@dataclass(frozen=True)
+@record
 class ForRange(StatementRepr):
     """Counted loop; `end` is inclusive in every target."""
 
@@ -463,26 +465,26 @@ class ForRange(StatementRepr):
     body: BodyRepr
 
 
-@dataclass(frozen=True)
+@record
 class ForEach(StatementRepr):
     var: VariableRepr
     iterable: ExprRepr
     body: BodyRepr
 
 
-@dataclass(frozen=True)
+@record
 class While(StatementRepr):
     cond: ExprRepr
     body: BodyRepr
 
 
-@dataclass(frozen=True)
+@record
 class TryCatch(StatementRepr):
     try_body: BodyRepr
     catch_body: BodyRepr
 
 
-@dataclass(frozen=True)
+@record
 class Print(StatementRepr):
     """List-typed payloads lower to the bracket/loop idiom on targets
     without native list printing."""
@@ -491,13 +493,13 @@ class Print(StatementRepr):
     newline: bool
 
 
-@dataclass(frozen=True)
+@record
 class Read(StatementRepr):
     var: VariableRepr
     parse_int: bool
 
 
-@dataclass(frozen=True)
+@record
 class ListSlice(StatementRepr):
     """target = source[start:end:step]; missing bounds default to the ends,
     missing step to 1. `end` is exclusive."""
@@ -509,14 +511,14 @@ class ListSlice(StatementRepr):
     step: ExprRepr | None
 
 
-@dataclass(frozen=True)
+@record
 class InOutSpec:
     ins: tuple[VariableRepr, ...]
     outs: tuple[VariableRepr, ...]
     inouts: tuple[VariableRepr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class InOutCall(StatementRepr):
     name: str
     ins: tuple[ExprRepr, ...]
@@ -527,19 +529,19 @@ class InOutCall(StatementRepr):
 OBSERVER_LIST_NAME = "observerList"
 
 
-@dataclass(frozen=True)
+@record
 class ObserverInit(StatementRepr):
     elem_type: TypeRepr
     init_values: tuple[ExprRepr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ObserverAdd(StatementRepr):
     value: ExprRepr
     elem_type: TypeRepr
 
 
-@dataclass(frozen=True)
+@record
 class ObserverNotify(StatementRepr):
     method: str
     elem_type: TypeRepr
@@ -549,7 +551,7 @@ class ObserverNotify(StatementRepr):
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class DocSpec:
     """Doxygen-style documentation attached to a module/class/function."""
 
@@ -558,12 +560,12 @@ class DocSpec:
     return_desc: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ParamRepr:
     variable: VariableRepr
 
 
-@dataclass(frozen=True)
+@record
 class MethodRepr:
     """A free function (containing_class None) or a method.
 
@@ -584,7 +586,7 @@ class MethodRepr:
     inout: InOutSpec | None = None
 
 
-@dataclass(frozen=True)
+@record
 class StateVarRepr:
     scope: Scope
     binding: Binding
@@ -592,7 +594,7 @@ class StateVarRepr:
     is_const: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class ClassDeclRepr:
     name: str
     parent: str | None
@@ -602,7 +604,7 @@ class ClassDeclRepr:
     doc: DocSpec | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ModuleRepr:
     name: str
     imports: tuple[str, ...]
@@ -619,13 +621,13 @@ class ModuleRepr:
         return not self.functions and not self.classes
 
 
-@dataclass(frozen=True)
+@record
 class AuxFileSpec:
     kind: str  # "makefile" | "doxygen"
     with_doc_rule: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class PackageTree:
     name: str
     modules: tuple[ModuleRepr, ...]

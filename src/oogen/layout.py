@@ -8,13 +8,14 @@ blocks vanish without leaving a separator behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ._record import record
 
 INDENT = "    "
 
 
-@dataclass(frozen=True)
+@record
 class Doc:
     lines: tuple[str, ...]
 
@@ -95,14 +96,14 @@ class FileType(str, Enum):
     AUX = "aux"
 
 
-@dataclass(frozen=True)
+@record
 class RenderedFile:
     path: str
     file_type: FileType
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class FileSet:
     files: tuple[RenderedFile, ...]
 

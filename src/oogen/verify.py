@@ -28,11 +28,11 @@ import os
 import re
 import shutil
 import subprocess
-from dataclasses import dataclass, field
-
 from . import ir
+from ._record import record
 from .backends import TARGETS, get_backend
 from .errors import NoMainModule
+from .layout import FileType
 
 # (env override, default candidates) per tool; a target is available only
 # when every one of its tools resolves.
@@ -72,7 +72,7 @@ def find_toolchain(target: str) -> tuple[str, ...] | None:
     return tuple(resolved)
 
 
-@dataclass(frozen=True)
+@record
 class ToolReport:
     """Outcome of one target's render/compile/run attempt."""
 
@@ -82,7 +82,7 @@ class ToolReport:
     stdout: str | None = None  # normalized; only for status "ok"
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     runs: tuple[ToolReport, ...]
 
@@ -153,32 +153,34 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
         with open(path, "w") as fh:
             fh.write(f.text)
 
+    sources = sorted(f.path for f in files if f.file_type is not FileType.HEADER)
+    compile_argv = None
     if target == "python":
         run_argv = [tools[0], f"{main.name}.py", *args]
     elif target == "java":
         javac, java = tools
-        sources = sorted(f.path for f in files if f.path.endswith(".java"))
-        compiled = _run_step([javac, *sources], workdir)
-        if compiled.returncode != 0:
-            return ToolReport(target, "compile-error", detail=compiled.stderr)
+        compile_argv = [javac, *sources]
         run_argv = [java, main.name, *args]
     elif target == "csharp":
         csc, mono = tools
-        sources = sorted(f.path for f in files if f.path.endswith(".cs"))
         exe = f"{pkg.name}.exe"
-        compiled = _run_step([csc, f"-out:{exe}", *sources], workdir)
-        if compiled.returncode != 0:
-            return ToolReport(target, "compile-error",
-                              detail=compiled.stdout + compiled.stderr)
+        compile_argv = [csc, f"-out:{exe}", *sources]
         run_argv = [mono, exe, *args]
     elif target == "cpp":
-        sources = sorted(f.path for f in files if f.path.endswith(".cpp"))
-        compiled = _run_step([tools[0], "-o", "prog", *sources], workdir)
-        if compiled.returncode != 0:
-            return ToolReport(target, "compile-error", detail=compiled.stderr)
+        compile_argv = [tools[0], "-o", "prog", *sources]
         run_argv = [os.path.join(workdir, "prog"), *args]
     else:
         raise ValueError(f"unknown target {target!r}")
+
+    if compile_argv is not None:
+        try:
+            compiled = _run_step(compile_argv, workdir)
+        except subprocess.TimeoutExpired:
+            return ToolReport(target, "compile-error", detail="timed out")
+        if compiled.returncode != 0:
+            # mcs reports errors on stdout, javac and g++ on stderr
+            return ToolReport(target, "compile-error",
+                              detail=compiled.stdout + compiled.stderr)
 
     try:
         ran = _run_step(run_argv, workdir, stdin=stdin)

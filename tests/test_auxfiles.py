@@ -3,7 +3,7 @@
 import pytest
 
 from oogen import auxfiles, builders as bd, gallery, ir, patterns as pt
-from oogen.backends import get_backend
+from oogen.backends import assemble_package, get_backend
 from oogen.errors import NoMainModule, UnsupportedConstruct
 from oogen.layout import FileType, extract
 
@@ -157,3 +157,40 @@ def test_documented_function_counts_in_rendered_output():
         assert blob.count("\\param") == 2, target
         assert blob.count("\\return") == 1, target
         assert blob.count("\\brief") == 1, target
+
+
+def _lib_empty_main_package():
+    lib = bd.build_module("Lib", [], [bd.function(
+        "f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [],
+        bd.one_liner(pt.print_str_ln("x")))], [])
+    empty = bd.build_module("Empty", [], [], [])
+    main = bd.build_module("Main", [], [bd.main_function(
+        bd.one_liner(pt.print_str_ln("y")))], [])
+    return bd.package(bd.prog("p", [lib, empty, main]), [ir.AuxFileSpec("makefile")])
+
+
+@pytest.mark.parametrize("target", ["java", "csharp", "cpp"])
+def test_makefile_lists_the_rendered_sources(target):
+    pkg = _lib_empty_main_package()
+    rendered = [f.path for f in get_backend(target).render_package(pkg)
+                if f.file_type is not FileType.HEADER]
+    ext = get_backend(target).extension
+    assert rendered == [f"Lib{ext}", f"Main{ext}"]
+    text = auxfiles.render_makefile(pkg, target, with_doc_rule=False).text
+    assert " ".join(rendered) + "\n" in text
+
+
+@pytest.mark.parametrize("target", ["python", "java", "csharp", "cpp"])
+def test_assemble_with_makefile_renders_once(target, monkeypatch):
+    renderer = type(get_backend(target))
+    real = renderer.render_package
+    calls = []
+
+    def counted(self, pkg):
+        calls.append(pkg.name)
+        return real(self, pkg)
+
+    monkeypatch.setattr(renderer, "render_package", counted)
+    files = assemble_package(_lib_empty_main_package(), target)
+    assert "Makefile" in files.paths()
+    assert calls == ["p"]

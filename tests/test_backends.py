@@ -326,3 +326,26 @@ def test_state_vars_render_before_methods():
     files = _render("fooClassGetSet", "java")
     text = _only(files, ".java").text
     assert text.index("private int foo;") < text.index("public int getFoo()")
+
+
+# -- text that must stay inside its literal or comment ---------------------------
+
+
+@pytest.mark.parametrize("target,expected", [
+    ("python", 'raise Exception("bad \\"q\\"")'),
+    ("java", 'throw new Exception("bad \\"q\\"");'),
+    ("csharp", 'throw new Exception("bad \\"q\\"");'),
+    ("cpp", 'throw std::runtime_error("bad \\"q\\"");'),
+])
+def test_throw_message_is_escaped(target, expected):
+    assert get_backend(target).render_stmt(bd.throw('bad "q"')) == expected
+
+
+@pytest.mark.parametrize("target,marker", [
+    ("python", "#"), ("java", "//"), ("csharp", "//"), ("cpp", "//"),
+])
+def test_multiline_comment_comments_every_line(target, marker):
+    render = get_backend(target).render_stmt
+    assert render(bd.comment("a\nb = 1")) == f"{marker} a\n{marker} b = 1"
+    assert render(bd.comment("a\r\nb\rc")) == f"{marker} a\n{marker} b\n{marker} c"
+    assert render(bd.comment("one line")) == f"{marker} one line"

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from oogen import cli, gallery, jsonio
+import oogen
+from oogen import builders as bd, cli, gallery, ir, jsonio, patterns as pt, verify
 from oogen.errors import UnsupportedConstruct
 
 
@@ -144,3 +147,41 @@ def test_verify_passes_program_args(tmp_path, capsys):
                    "--target", "python", "--args", "hello",
                    "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_build_error_exits_2_without_traceback(tmp_path, capsys):
+    lib = bd.build_module("Lib", [], [bd.function(
+        "f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [],
+        bd.one_liner(pt.print_str_ln("x")))], [])
+    src = tmp_path / "lib.json"
+    src.write_text(jsonio.dumps(bd.prog("p", [lib])))
+    rc = cli.main(["render", "--input", str(src), "--target", "java",
+                   "--makefile", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oogen: ") and "main" in err
+    assert "Traceback" not in err
+
+
+def test_verify_compile_timeout_exits_4(tmp_path, capsys, monkeypatch):
+    def timeout(argv, cwd, stdin=""):
+        raise subprocess.TimeoutExpired(argv, 60)
+
+    monkeypatch.setenv("OOGEN_CXX", sys.executable)  # any executable will do
+    monkeypatch.setattr(verify, "_run_step", timeout)
+    rc = cli.main(["verify", "--input", "example:helloWorld", "--target", "cpp",
+                   "--out", str(tmp_path)])
+    assert rc == 4
+    assert "compile-error (timed out)" in capsys.readouterr().out
+
+
+def test_cli_import_loads_the_benchmarked_modules():
+    """`bench/run.py` reports the import self time of these modules from a
+    fresh `import oogen.cli`; a module loaded lazily would read as zero."""
+    src = os.path.dirname(os.path.dirname(oogen.__file__))
+    code = "import sys, oogen.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    loaded = set(done.stdout.split())
+    for name in ("ir", "builders", "jsonio", "verify", "gallery", "backends"):
+        assert f"oogen.{name}" in loaded

@@ -1,9 +1,13 @@
 """Builder validation: anything that builds must be renderable everywhere,
 so the checks all fire at construction time."""
 
+import dataclasses
+import enum
+
 import pytest
 
-from oogen import builders as bd, ir, patterns as pt
+from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
+from oogen._record import record
 from oogen.errors import (
     BuildError,
     ConstAssignment,
@@ -291,3 +295,104 @@ def test_observer_list_var_is_shared_constant():
     t = ir.obj_of("Observer")
     assert pt.observer_list_var(t).name == ir.OBSERVER_LIST_NAME
     assert pt.observer_list_var(t).type == ir.list_of(t)
+
+
+# -- the record contract: what @dataclass(frozen=True) gave the IR ------------
+
+
+def test_every_ir_class_is_a_record():
+    classes = [c for c in vars(ir).values()
+               if isinstance(c, type) and c.__module__ == ir.__name__
+               and not issubclass(c, enum.Enum)]
+    assert len(classes) == 56
+    others = [layout.Doc, layout.RenderedFile, layout.FileSet,
+              verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
+    for cls in classes + others:
+        assert dataclasses.is_dataclass(cls), cls
+
+
+def test_records_are_frozen():
+    t = ir.TypeRepr("int")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.kind = "float"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.kind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.extra = 1
+    assert t == ir.INT
+
+
+def test_record_equality_is_structural_within_one_class():
+    xs = bd.var("xs", ir.list_of(ir.INT))
+    assert ir.TypeRepr("int") == ir.INT and ir.TypeRepr("int") is not ir.INT
+    assert ir.TypeRepr("int") != ir.FLOAT
+    assert ir.Break() == ir.Break()
+    assert ir.Break() != ir.Continue()
+    # the same field names and values, another class
+    assert ir.ArgAt(_i()) != ir.ArgExists(_i())
+    assert ir.ListAccess(bd.value_of(xs), _i()) != ir.ListIndexExists(bd.value_of(xs), _i())
+    assert ir.INT != ("int", None, None)
+
+
+def test_record_hash_is_the_hash_of_its_field_tuple():
+    x = bd.var("x", ir.INT)
+    assert hash(ir.INT) == hash(("int", None, None))
+    assert hash(x) == hash(("x", ir.INT, ir.Binding.DYNAMIC, ir.VarForm.PLAIN, None))
+    assert hash(ir.Return(_i())) == hash((_i(),))
+    assert hash(ir.Break()) == hash(())
+    assert len({ir.INT, ir.TypeRepr("int"), ir.FLOAT}) == 2
+
+
+def test_record_defaults():
+    assert ir.TypeRepr("list", ir.INT) == ir.TypeRepr("list", elem=ir.INT, class_name=None)
+    assert ir.AuxFileSpec("makefile").with_doc_rule is False
+    assert ir.DocSpec("d") == ir.DocSpec("d", (), None)
+    with pytest.raises(TypeError):
+        ir.TypeRepr()
+    with pytest.raises(TypeError):
+        ir.TypeRepr("int", nosuch=1)
+
+
+def test_record_field_order_with_inheritance():
+    @record
+    class Base:
+        a: int
+        b: int = 2
+
+    @record
+    class Sub(Base):
+        c: int = 3
+        a: int = 1  # re-declared: keeps its place, gains a default
+
+    assert [f.name for f in dataclasses.fields(Sub)] == ["a", "b", "c"]
+    assert Sub() == Sub(1, 2, 3)
+    assert Sub(5, c=7) == Sub(a=5, b=2, c=7)
+    assert Sub(1, 2, 3) != Base(1, 2)
+    assert [f.name for f in dataclasses.fields(ir.Lit)] == ["kind", "value"]
+    assert [f.name for f in dataclasses.fields(ir.MethodRepr)] == [
+        "name", "scope", "binding", "return_type", "params", "body",
+        "containing_class", "is_main", "doc", "inout"]
+    with pytest.raises(TypeError, match="non-default argument 'c'"):
+        @record
+        class Bad(Base):
+            c: int
+
+
+def test_records_work_with_dataclasses_functions():
+    assert dataclasses.is_dataclass(ir.INT) and dataclasses.is_dataclass(ir.TypeRepr)
+    assert not dataclasses.is_dataclass(ir.Binding)
+    fields = dataclasses.fields(ir.TypeRepr)
+    assert [(f.name, f.default) for f in fields] == [
+        ("kind", dataclasses.MISSING), ("elem", None), ("class_name", None)]
+    assert dataclasses.replace(ir.INT, kind="float") == ir.FLOAT
+    assert dataclasses.replace(ir.list_of(ir.INT), elem=ir.FLOAT) == ir.list_of(ir.FLOAT)
+    assert dataclasses.astuple(ir.INT) == ("int", None, None)
+
+
+def test_record_repr_of_a_nested_node():
+    e = bd.value_of(bd.var("xs", ir.list_of(ir.INT)))
+    assert repr(e) == (
+        "ValueOf(var=VariableRepr(name='xs', type=TypeRepr(kind='list', "
+        "elem=TypeRepr(kind='int', elem=None, class_name=None), class_name=None), "
+        "binding=<Binding.DYNAMIC: 'dynamic'>, form=<VarForm.PLAIN: 'plain'>, owner=None))")
+    assert repr(ir.Break()) == "Break()"

@@ -2,6 +2,7 @@
 and honest status reporting for compile/runtime/disagreement failures."""
 
 import dataclasses
+import subprocess
 import sys
 
 import pytest
@@ -162,3 +163,36 @@ def test_all_skipped_summary_is_explicit(tmp_path, monkeypatch):
     report = verify.verify_package(_hello(), root_dir=str(tmp_path))
     assert report.agree  # vacuously; nothing ran
     assert "nothing executed" in report.summary()
+
+
+def test_compile_timeout_is_a_compile_error(tmp_path, monkeypatch):
+    def timeout(argv, cwd, stdin=""):
+        raise subprocess.TimeoutExpired(argv, 60)
+
+    monkeypatch.setenv("OOGEN_CXX", sys.executable)  # any executable will do
+    monkeypatch.setattr(verify, "_run_step", timeout)
+    report = verify.run_target(_hello(), "cpp", str(tmp_path))
+    assert (report.status, report.detail) == ("compile-error", "timed out")
+
+
+def test_multiline_comment_stays_a_comment_everywhere(tmp_path):
+    main = bd.main_function(bd.body_statements([
+        bd.comment('a\nprint("leak")\nSystem.out.println("leak");'),
+        pt.print_str_ln("done"),
+    ]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"done"}
+
+
+def test_quoted_throw_message_reaches_stderr_everywhere(tmp_path):
+    main = bd.main_function(bd.one_liner(bd.throw('bad "q"')))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    for run in report.runs:
+        if run.status != "skipped":
+            assert run.status == "runtime-error", run.detail
+            assert 'bad "q"' in run.detail
