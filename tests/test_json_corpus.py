@@ -1,0 +1,99 @@
+"""Single mutations of package JSON: every one decodes or raises DecodeError.
+
+The mutations are: delete each key; add an unknown key to each object; set
+each value to null, 1, "x", [], {}, true and 2.5; replace the first element
+of each array with {}. The outcome of every mutation of the all-tags
+package is recorded in decode_corpus.txt, one `mutation<TAB>outcome` line
+each, values with the same outcome at one place sharing a line. After a
+deliberate change to the decoder's messages, rewrite it with
+
+    PYTHONPATH=src python tests/test_json_corpus.py
+
+and review its diff.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import all_tags
+from oogen import gallery, jsonio
+from oogen.errors import DecodeError
+
+FIXTURE = Path(__file__).with_name("decode_corpus.txt")
+VALUES = (None, 1, "x", [], {}, True, 2.5)
+_DELETE = object()
+
+
+def _where(steps) -> str:
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+
+
+def mutations(doc):
+    """(steps, value) for every single mutation of `doc`: set the item at
+    `steps` to `value`, or delete it when `value` is _DELETE."""
+    def walk(node, steps):
+        if isinstance(node, dict):
+            yield steps + ["extra"], 1
+            for key, value in node.items():
+                here = steps + [key]
+                yield here, _DELETE
+                for v in VALUES:
+                    yield here, v
+                yield from walk(value, here)
+        elif isinstance(node, list):
+            if node:
+                yield steps + [0], {}
+            for i, item in enumerate(node):
+                yield from walk(item, steps + [i])
+
+    return list(walk(doc, []))
+
+
+def outcome(text: str, steps, value) -> str:
+    """Decode the document in `text` after one mutation: "ok" or the
+    DecodeError text. Any other exception propagates."""
+    doc = json.loads(text)
+    node = doc
+    for step in steps[:-1]:
+        node = node[step]
+    if value is _DELETE:
+        del node[steps[-1]]
+    else:
+        node[steps[-1]] = value
+    try:
+        jsonio.decode_package(doc)
+    except DecodeError as exc:
+        return str(exc)
+    return "ok"
+
+
+def corpus_lines(pkg) -> list[str]:
+    """One line per deletion, and one per set of values that give the same
+    outcome at one place: `$.a.b = null|1<TAB>outcome`."""
+    text = json.dumps(jsonio.encode_package(pkg))
+    groups: dict[tuple[str, str], list[str]] = {}
+    for steps, value in mutations(json.loads(text)):
+        result = outcome(text, steps, value)
+        if value is _DELETE:
+            groups[(f"del {_where(steps)}", result)] = []
+        else:
+            groups.setdefault((f"{_where(steps)} =", result), []).append(json.dumps(value))
+    return [f"{label}{' ' + '|'.join(values) if values else ''}\t{result}"
+            for (label, result), values in groups.items()]
+
+
+def test_all_tags_mutations_match_recorded_outcomes():
+    assert corpus_lines(all_tags.package()) == FIXTURE.read_text().splitlines()
+
+
+@pytest.mark.parametrize("entry", gallery.ENTRIES, ids=lambda e: e.name)
+def test_gallery_mutations_raise_only_decode_error(entry):
+    text = json.dumps(jsonio.encode_package(entry.package))
+    for steps, value in mutations(json.loads(text)):
+        outcome(text, steps, value)
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text("\n".join(corpus_lines(all_tags.package())) + "\n")
