@@ -125,7 +125,7 @@ def _cmd_examples(opts: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"oogen: {exc.args[0]}", file=sys.stderr)
         return 2
-    sys.stdout.write(jsonio.dumps(entry.package))
+    sys.stdout.write(jsonio.dumps(entry.package, indent=2))
     return 0
 
 

@@ -2,7 +2,17 @@
 
 The document shape is {"version": 1, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
-{"stmt": ..., fields}; bodies are lists of blocks, blocks lists of statements.
+{"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
+statements, and a block used as a statement is {"stmt": "block",
+"statements": [...]}.
+
+The table at the end of this module is the schema: one row per IR class
+(and per pair inside `if` and `switch`), holding its tag and its fields as
+(json key, attribute, field kind, default). One generic encoder (`_encode`)
+and one generic decoder (`_decode`) walk it. A field with a default is left
+out of the encoding when it equals that default, and may be absent when
+decoding; where the default is None, null reads as absent too. Rules that
+span fields are small checks hung on their rows.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure only: tags, enum spellings, field
@@ -15,6 +25,7 @@ reject; backends render those like any other well-shaped tree.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 from . import ir
 from .errors import DecodeError
@@ -22,342 +33,257 @@ from .patterns import MATH_FNS
 
 SCHEMA_VERSION = 1
 
-_SCALAR_KINDS = ("bool", "int", "float", "char", "string", "infile", "outfile",
-                 "void")
+_REQUIRED = object()
+_MISSING = object()
+_ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# Field kinds: how a field's value is encoded (`enc`, None to keep it as it
+# is) and decoded (`dec(raw, path of the owning object, key)`). A path is "$"
+# or (parent path, key or index); it is spelled out only for an error.
 
 
-def _enc_type(t: ir.TypeRepr) -> object:
+def _where(path) -> str:
+    steps = []
+    while type(path) is tuple:
+        path, step = path
+        steps.append(f"[{step}]" if type(step) is int else f".{step}")
+    return path + "".join(reversed(steps))
+
+
+def _fail(message: str, path):
+    raise DecodeError(message, _where(path))
+
+
+def _array(data, path) -> list:
+    if not isinstance(data, list):
+        _fail(f"expected an array, got {type(data).__name__}", path)
+    return data
+
+
+class _Kind:
+    def __init__(self, enc, dec):
+        self.enc, self.dec = enc, dec
+
+
+def _leaf(test, what: str) -> _Kind:
+    def dec(raw, path, key):
+        return raw if test(raw) else _fail(f"field {key!r} must be {what}", path)
+    return _Kind(None, dec)
+
+
+_STR = _leaf(lambda v: isinstance(v, str), "a string")
+_BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
+_ANY = _Kind(None, lambda raw, path, key: raw)
+
+
+def _enum(cls) -> _Kind:
+    members = {m.value: m for m in cls}
+    allowed = ", ".join(members)
+
+    def dec(raw, path, key):
+        member = members.get(raw) if isinstance(raw, str) else None
+        return member or _fail(f"field {key!r} must be one of: {allowed}", path)
+    return _Kind(attrgetter("value"), dec)
+
+
+def _choice(values, noun: str, enc=None) -> _Kind:
+    """A string among `values`; a dict `values` maps it to what it decodes to."""
+    values = values if isinstance(values, dict) else {v: v for v in values}
+
+    def dec(raw, path, key):
+        value = values.get(_STR.dec(raw, path, key), _MISSING)
+        return value if value is not _MISSING else _fail(f"unknown {noun} {raw!r}", path)
+    return _Kind(enc, dec)
+
+
+def _operator(arity: int, noun: str) -> _Kind:
+    ops = {name: op for name, op in ir.OPERATORS.items() if op.arity == arity}
+    return _choice(ops, noun, attrgetter("name"))
+
+
+def _list(item: _Kind, wrap=None) -> _Kind:
+    """A JSON array of `item`s <-> a tuple, or the one-field record `wrap`
+    holding that tuple (a block's statements, a body's blocks)."""
+    unwrap = attrgetter(wrap.__match_args__[0]) if wrap else (lambda v: v)
+    item_enc, item_dec = item.enc or (lambda v: v), item.dec
+
+    def dec(raw, path, key):
+        here = (path, key)
+        values = tuple([item_dec(x, here, i) for i, x in enumerate(_array(raw, here))])
+        return wrap(values) if wrap else values
+    return _Kind(lambda value: [item_enc(x) for x in unwrap(value)], dec)
+
+
+def _param_doc(raw, path, index):
+    pair = _array(raw, (path, index))
+    if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
+        _fail("param doc must be a [name, description] pair", (path, index))
+    return (pair[0], pair[1])
+
+
+_SCALAR_TYPES = {kind: ir.TypeRepr(kind) for kind in
+                 ("bool", "int", "float", "char", "string", "infile", "outfile", "void")}
+
+
+def _encode_type(t: ir.TypeRepr) -> object:
     if t.kind == "list":
-        return {"kind": "list", "elem": _enc_type(t.elem)}
+        return {"kind": "list", "elem": _encode_type(t.elem)}
     if t.kind == "object":
         return {"kind": "object", "class": t.class_name}
     return t.kind
 
 
-def _enc_var(v: ir.VariableRepr) -> dict:
-    out: dict = {"name": v.name, "type": _enc_type(v.type)}
-    if v.binding is not ir.Binding.DYNAMIC:
-        out["binding"] = v.binding.value
-    if v.form is not ir.VarForm.PLAIN:
-        out["form"] = v.form.value
-    if v.owner is not None:
-        out["owner"] = v.owner
-    return out
+def _decode_type(raw, path, key) -> ir.TypeRepr:
+    """A scalar kind's name, or an object tagged by "kind" (see the table)."""
+    if isinstance(raw, str):
+        return _SCALAR_TYPES.get(raw) or _fail(f"unknown type kind {raw!r}", (path, key))
+    return _decode(_TYPE_OBJECT, raw, (path, key))
 
 
-def _enc_expr(e: ir.ExprRepr) -> dict:
-    if isinstance(e, ir.Lit):
-        return {"op": "lit", "kind": e.kind, "value": e.value}
-    if isinstance(e, ir.ValueOf):
-        return {"op": "var", "var": _enc_var(e.var)}
-    if isinstance(e, ir.Unary):
-        return {"op": "unary", "name": e.op.name,
-                "operand": _enc_expr(e.operand), "type": _enc_type(e.result)}
-    if isinstance(e, ir.Binary):
-        return {"op": "binary", "name": e.op.name, "left": _enc_expr(e.left),
-                "right": _enc_expr(e.right), "type": _enc_type(e.result)}
-    if isinstance(e, ir.InlineIf):
-        return {"op": "inlineIf", "cond": _enc_expr(e.cond),
-                "then": _enc_expr(e.then), "else": _enc_expr(e.other)}
-    if isinstance(e, ir.Call):
-        out = {"op": "call", "form": e.form.value, "name": e.name,
-               "args": [_enc_expr(a) for a in e.args],
-               "returnType": _enc_type(e.return_type)}
-        if e.receiver is not None:
-            out["receiver"] = _enc_expr(e.receiver)
-        if e.library is not None:
-            out["library"] = e.library
-        return out
-    if isinstance(e, ir.MathCall):
-        return {"op": "math", "fn": e.fn, "arg": _enc_expr(e.arg),
-                "type": _enc_type(e.result)}
-    if isinstance(e, ir.ArgsList):
-        return {"op": "argsList"}
-    if isinstance(e, ir.ArgAt):
-        return {"op": "argAt", "index": _enc_expr(e.index)}
-    if isinstance(e, ir.ArgExists):
-        return {"op": "argExists", "index": _enc_expr(e.index)}
-    if isinstance(e, ir.ListAccess):
-        return {"op": "listAccess", "list": _enc_expr(e.lst),
-                "index": _enc_expr(e.index)}
-    if isinstance(e, ir.ListSize):
-        return {"op": "listSize", "list": _enc_expr(e.lst)}
-    if isinstance(e, ir.ListAppend):
-        return {"op": "listAppend", "list": _enc_expr(e.lst),
-                "value": _enc_expr(e.value)}
-    if isinstance(e, ir.ListIndexExists):
-        return {"op": "listIndexExists", "list": _enc_expr(e.lst),
-                "index": _enc_expr(e.index)}
-    if isinstance(e, ir.ListIndexOf):
-        return {"op": "listIndexOf", "list": _enc_expr(e.lst),
-                "value": _enc_expr(e.value)}
-    raise TypeError(f"cannot encode expression {type(e).__name__}")
-
-
-def _enc_body(b: ir.BodyRepr) -> list:
-    return [[_enc_stmt(s) for s in block.statements] for block in b.blocks]
-
-
-def _enc_stmt(s: ir.StatementRepr) -> dict:
-    if isinstance(s, ir.VarDec):
-        return {"stmt": "varDec", "var": _enc_var(s.var)}
-    if isinstance(s, ir.VarDecDef):
-        return {"stmt": "varDecDef", "var": _enc_var(s.var),
-                "value": _enc_expr(s.value)}
-    if isinstance(s, ir.Assign):
-        out = {"stmt": "assign", "mode": s.mode.value, "var": _enc_var(s.var)}
-        if s.value is not None:
-            out["value"] = _enc_expr(s.value)
-        return out
-    if isinstance(s, ir.ListSet):
-        return {"stmt": "listSet", "list": _enc_expr(s.lst),
-                "index": _enc_expr(s.index), "value": _enc_expr(s.value)}
-    if isinstance(s, ir.Return):
-        return {"stmt": "return", "value": _enc_expr(s.value)}
-    if isinstance(s, ir.Throw):
-        return {"stmt": "throw", "message": s.message}
-    if isinstance(s, ir.Free):
-        return {"stmt": "free", "var": _enc_var(s.var)}
-    if isinstance(s, ir.CommentStmt):
-        return {"stmt": "comment", "text": s.text}
-    if isinstance(s, ir.Break):
-        return {"stmt": "break"}
-    if isinstance(s, ir.Continue):
-        return {"stmt": "continue"}
-    if isinstance(s, ir.ExprStmt):
-        return {"stmt": "expr", "expr": _enc_expr(s.expr)}
-    if isinstance(s, ir.If):
-        out = {"stmt": "if",
-               "branches": [{"cond": _enc_expr(c), "body": _enc_body(b)}
-                            for c, b in s.branches]}
-        if s.else_body is not None:
-            out["else"] = _enc_body(s.else_body)
-        return out
-    if isinstance(s, ir.Switch):
-        out = {"stmt": "switch", "value": _enc_expr(s.value),
-               "cases": [{"match": _enc_expr(lit), "body": _enc_body(b)}
-                         for lit, b in s.cases]}
-        if s.default is not None:
-            out["default"] = _enc_body(s.default)
-        return out
-    if isinstance(s, ir.For):
-        return {"stmt": "for", "init": _enc_stmt(s.init),
-                "cond": _enc_expr(s.cond), "update": _enc_stmt(s.update),
-                "body": _enc_body(s.body)}
-    if isinstance(s, ir.ForRange):
-        return {"stmt": "forRange", "var": _enc_var(s.var),
-                "start": _enc_expr(s.start), "end": _enc_expr(s.end),
-                "step": _enc_expr(s.step), "body": _enc_body(s.body)}
-    if isinstance(s, ir.ForEach):
-        return {"stmt": "forEach", "var": _enc_var(s.var),
-                "iterable": _enc_expr(s.iterable), "body": _enc_body(s.body)}
-    if isinstance(s, ir.While):
-        return {"stmt": "while", "cond": _enc_expr(s.cond),
-                "body": _enc_body(s.body)}
-    if isinstance(s, ir.TryCatch):
-        return {"stmt": "tryCatch", "try": _enc_body(s.try_body),
-                "catch": _enc_body(s.catch_body)}
-    if isinstance(s, ir.Print):
-        return {"stmt": "print", "expr": _enc_expr(s.expr),
-                "newline": s.newline}
-    if isinstance(s, ir.Read):
-        return {"stmt": "read", "var": _enc_var(s.var),
-                "parseInt": s.parse_int}
-    if isinstance(s, ir.ListSlice):
-        out = {"stmt": "listSlice", "target": _enc_var(s.target),
-               "source": _enc_expr(s.source)}
-        for key, bound in (("start", s.start), ("end", s.end), ("step", s.step)):
-            if bound is not None:
-                out[key] = _enc_expr(bound)
-        return out
-    if isinstance(s, ir.InOutCall):
-        return {"stmt": "inOutCall", "name": s.name,
-                "ins": [_enc_expr(e) for e in s.ins],
-                "outs": [_enc_var(v) for v in s.outs],
-                "inouts": [_enc_var(v) for v in s.inouts]}
-    if isinstance(s, ir.ObserverInit):
-        return {"stmt": "observerInit", "elemType": _enc_type(s.elem_type),
-                "init": [_enc_expr(e) for e in s.init_values]}
-    if isinstance(s, ir.ObserverAdd):
-        return {"stmt": "observerAdd", "value": _enc_expr(s.value),
-                "elemType": _enc_type(s.elem_type)}
-    if isinstance(s, ir.ObserverNotify):
-        return {"stmt": "observerNotify", "method": s.method,
-                "elemType": _enc_type(s.elem_type)}
-    raise TypeError(f"cannot encode statement {type(s).__name__}")
-
-
-def _enc_doc(d: ir.DocSpec) -> dict:
-    out: dict = {"description": d.description}
-    if d.param_descs:
-        out["params"] = [[name, desc] for name, desc in d.param_descs]
-    if d.return_desc is not None:
-        out["returns"] = d.return_desc
-    return out
-
-
-def _enc_method(m: ir.MethodRepr) -> dict:
-    out: dict = {"name": m.name, "scope": m.scope.value,
-                 "binding": m.binding.value,
-                 "returnType": _enc_type(m.return_type),
-                 "params": [_enc_var(p.variable) for p in m.params],
-                 "body": _enc_body(m.body)}
-    if m.containing_class is not None:
-        out["class"] = m.containing_class
-    if m.is_main:
-        out["main"] = True
-    if m.doc is not None:
-        out["doc"] = _enc_doc(m.doc)
-    if m.inout is not None:
-        out["inout"] = {"ins": [_enc_var(v) for v in m.inout.ins],
-                        "outs": [_enc_var(v) for v in m.inout.outs],
-                        "inouts": [_enc_var(v) for v in m.inout.inouts]}
-    return out
-
-
-def _enc_class(c: ir.ClassDeclRepr) -> dict:
-    out: dict = {"name": c.name, "scope": c.scope.value,
-                 "stateVars": [_enc_state_var(sv) for sv in c.state_vars],
-                 "methods": [_enc_method(m) for m in c.methods]}
-    if c.parent is not None:
-        out["parent"] = c.parent
-    if c.doc is not None:
-        out["doc"] = _enc_doc(c.doc)
-    return out
-
-
-def _enc_state_var(sv: ir.StateVarRepr) -> dict:
-    out: dict = {"scope": sv.scope.value, "binding": sv.binding.value,
-                 "var": _enc_var(sv.variable)}
-    if sv.is_const:
-        out["const"] = True
-    return out
-
-
-def _enc_module(m: ir.ModuleRepr) -> dict:
-    out: dict = {"name": m.name, "imports": list(m.imports),
-                 "functions": [_enc_method(f) for f in m.functions],
-                 "classes": [_enc_class(c) for c in m.classes]}
-    if m.doc is not None:
-        out["doc"] = _enc_doc(m.doc)
-    return out
-
-
-def encode_package(pkg: ir.PackageTree) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "program": {"name": pkg.name,
-                    "modules": [_enc_module(m) for m in pkg.modules]},
-        "aux": [_enc_aux(a) for a in pkg.aux],
-    }
-
-
-def _enc_aux(a: ir.AuxFileSpec) -> dict:
-    out: dict = {"kind": a.kind}
-    if a.with_doc_rule:
-        out["docRule"] = True
-    return out
-
-
-def dumps(pkg: ir.PackageTree, indent: int | None = 2) -> str:
-    return json.dumps(encode_package(pkg), indent=indent) + "\n"
+_TYPE = _Kind(_encode_type, _decode_type)
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# Rows, and the generic encoder and decoder that walk them
 
 
-def _obj(data: object, path: str) -> dict:
+class _Shape(_Kind):
+    """A JSON object: one row, or a union of rows told apart by a tag."""
+
+    def __init__(self, enc=None):
+        super().__init__(enc or _encode, lambda raw, path, key: _decode(self, raw, (path, key)))
+
+
+def _field(key: str, kind: _Kind, attr: str | int | None = None, default=_REQUIRED):
+    return (key, key if attr is None else attr, kind, default)
+
+
+class _Row(_Shape):
+    """One IR record class <-> one JSON object. `cls` may instead be a
+    function of the field values in order (the attributes are then indices),
+    or `tuple` for a pair in `if` and `switch`. `check(node, path)` returns
+    the node, or raises for a rule that spans fields."""
+
+    def __init__(self, cls, *fields, check=None):
+        if hasattr(cls, "__record_values__"):
+            super().__init__()
+            self.values = cls.__record_values__
+            positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
+            _ROW_OF[cls] = self
+        else:
+            super().__init__(lambda value: _encode(value, self))
+            self.values = lambda value: value
+            positions = [attr for _, attr, _, _ in fields]
+        self.make = (lambda *values: values) if cls is tuple else cls
+        self.check, self.head = check, {}
+        self.keys = frozenset(key for key, _, _, _ in fields)
+        self.defaults = [None] * len(fields)
+        for (_, _, _, default), pos in zip(fields, positions):
+            self.defaults[pos] = default
+        self.encoders = [(key, pos, kind.enc, default)
+                         for (key, _, kind, default), pos in zip(fields, positions)]
+        self.decoders = [(key, pos, kind if isinstance(kind, _Shape) else None, kind.dec, default)
+                         for (key, _, kind, default), pos in zip(fields, positions)]
+
+
+class _Union(_Shape):
+    def __init__(self, key: str, noun: str):
+        super().__init__()
+        self.key, self.rows = key, {}
+        self.tags = _choice(self.rows, noun)
+
+    def define(self, rows: dict[str, _Row]) -> None:
+        for tag, row in rows.items():
+            row.head = {self.key: tag}
+            row.keys = row.keys | {self.key}
+        self.rows.update(rows)
+
+
+def _encode(node, row: _Row | None = None) -> dict:
+    if row is None:
+        row = _ROW_OF.get(type(node))
+        if row is None:
+            raise TypeError(f"cannot encode {type(node).__name__}")
+    out = row.head.copy()
+    values = row.values(node)
+    for key, pos, enc, default in row.encoders:
+        value = values[pos]
+        if default is _REQUIRED or not (value is default or value == default):
+            out[key] = value if enc is None else enc(value)
+    return out
+
+
+def _decode(shape: _Shape, data, path):
     if not isinstance(data, dict):
-        raise DecodeError(f"expected an object, got {type(data).__name__}", path)
-    return data
+        _fail(f"expected an object, got {type(data).__name__}", path)
+    row, seen = shape, 0
+    if type(shape) is _Union:
+        if shape.key not in data:
+            _fail(f"missing required field {shape.key!r}", path)
+        row, seen = shape.tags.dec(data[shape.key], path, shape.key), 1
+    args = list(row.defaults)
+    for key, pos, sub, dec, default in row.decoders:
+        raw = data.get(key, _MISSING)
+        if raw is _MISSING:
+            if default is _REQUIRED:
+                _fail(f"missing required field {key!r}", path)
+            continue
+        seen += 1
+        if raw is not None or default is not None:
+            # A nested object costs one call per level, not two.
+            args[pos] = _decode(sub, raw, (path, key)) if sub else dec(raw, path, key)
+    if seen != len(data):
+        extra = sorted(set(data).difference(row.keys))
+        _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
+    node = row.make(*args)
+    return node if row.check is None else row.check(node, path)
 
 
-def _arr(data: object, path: str) -> list:
-    if not isinstance(data, list):
-        raise DecodeError(f"expected an array, got {type(data).__name__}", path)
-    return data
+# ---------------------------------------------------------------------------
+# The table, and the rules that span fields. A field is F(json key, kind[,
+# attribute][, default]); the attribute is the json key unless given.
 
 
-_MISSING = object()
+def _owner_given(v: ir.VariableRepr, path):
+    if v.owner is None and v.form not in (ir.VarForm.PLAIN, ir.VarForm.SELF):
+        _fail(f"form {v.form.value!r} requires an 'owner'", path)
+    return v
 
 
-def _field(obj: dict, key: str, path: str) -> object:
-    value = obj.get(key, _MISSING)
-    if value is _MISSING:
-        raise DecodeError(f"missing required field {key!r}", path)
-    return value
+def _call_target_given(c: ir.Call, path):
+    if c.form is ir.CallForm.METHOD and c.receiver is None:
+        _fail("method call requires a 'receiver'", path)
+    if c.form is ir.CallForm.EXTERNAL and c.library is None:
+        _fail("external call requires a 'library'", path)
+    return c
 
 
-def _str_field(obj: dict, key: str, path: str) -> str:
-    value = _field(obj, key, path)
-    if not isinstance(value, str):
-        raise DecodeError(f"field {key!r} must be a string", path)
-    return value
+def _value_fits_mode(s: ir.Assign, path):
+    needs_value = s.mode not in (ir.AssignMode.INC, ir.AssignMode.DEC)
+    if needs_value and s.value is None:
+        _fail(f"assign mode {s.mode.value!r} requires a 'value'", path)
+    if not needs_value and s.value is not None:
+        _fail(f"assign mode {s.mode.value!r} takes no 'value'", path)
+    return s
 
 
-def _bool_field(obj: dict, key: str, path: str) -> bool:
-    value = _field(obj, key, path)
-    if not isinstance(value, bool):
-        raise DecodeError(f"field {key!r} must be a boolean", path)
-    return value
+def _has_branch(s: ir.If, path):
+    return s if s.branches else _fail("'if' requires at least one branch", path)
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
-    extra = sorted(set(obj) - set(allowed))
-    if extra:
-        raise DecodeError(f"unknown field(s) {', '.join(map(repr, extra))}", path)
+def _match_is_literal(case: tuple, path):
+    return case if isinstance(case[0], ir.Lit) else _fail(
+        "switch case 'match' must be a literal", path)
 
 
-def _enum_field(obj: dict, key: str, enum_cls, path: str, default=_MISSING):
-    raw = obj.get(key, _MISSING)
-    if raw is _MISSING:
-        if default is _MISSING:
-            raise DecodeError(f"missing required field {key!r}", path)
-        return default
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise DecodeError(f"field {key!r} must be one of: {allowed}", path) from None
-
-
-def _dec_type(data: object, path: str) -> ir.TypeRepr:
-    if isinstance(data, str):
-        if data not in _SCALAR_KINDS:
-            raise DecodeError(f"unknown type kind {data!r}", path)
-        return ir.TypeRepr(data)
-    obj = _obj(data, path)
-    kind = _str_field(obj, "kind", path)
-    if kind == "list":
-        _check_keys(obj, ("kind", "elem"), path)
-        return ir.TypeRepr("list", elem=_dec_type(_field(obj, "elem", path), f"{path}.elem"))
-    if kind == "object":
-        _check_keys(obj, ("kind", "class"), path)
-        return ir.TypeRepr("object", class_name=_str_field(obj, "class", path))
-    if kind in _SCALAR_KINDS:
-        _check_keys(obj, ("kind",), path)
-        return ir.TypeRepr(kind)
-    raise DecodeError(f"unknown type kind {kind!r}", path)
-
-
-def _dec_var(data: object, path: str) -> ir.VariableRepr:
-    obj = _obj(data, path)
-    _check_keys(obj, ("name", "type", "binding", "form", "owner"), path)
-    name = _str_field(obj, "name", path)
-    type_ = _dec_type(_field(obj, "type", path), f"{path}.type")
-    binding = _enum_field(obj, "binding", ir.Binding, path, ir.Binding.DYNAMIC)
-    form = _enum_field(obj, "form", ir.VarForm, path, ir.VarForm.PLAIN)
-    owner = obj.get("owner")
-    if owner is not None and not isinstance(owner, str):
-        raise DecodeError("field 'owner' must be a string", path)
-    if form is not ir.VarForm.PLAIN and form is not ir.VarForm.SELF and owner is None:
-        raise DecodeError(f"form {form.value!r} requires an 'owner'", path)
-    return ir.VariableRepr(name, type_, binding, form, owner)
+def _aux_kinds_unique(pkg: ir.PackageTree, path):
+    kinds = [spec.kind for spec in pkg.aux]
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            _fail(f"aux file kind {kind!r} listed twice", ((path, "aux"), i))
+    return pkg
 
 
 _LIT_CHECKS = {
@@ -369,394 +295,150 @@ _LIT_CHECKS = {
 }
 
 
-def _dec_lit(obj: dict, path: str) -> ir.Lit:
-    _check_keys(obj, ("op", "kind", "value"), path)
-    kind = _str_field(obj, "kind", path)
-    if kind not in _LIT_CHECKS:
-        raise DecodeError(f"unknown literal kind {kind!r}", path)
-    value = _field(obj, "value", path)
-    if not _LIT_CHECKS[kind](value):
-        raise DecodeError(f"value does not fit literal kind {kind!r}", path)
-    if kind == "float":
-        value = float(value)
-    return ir.Lit(kind, value)
+def _value_fits_kind(lit: ir.Lit, path):
+    if not _LIT_CHECKS[lit.kind](lit.value):
+        _fail(f"value does not fit literal kind {lit.kind!r}", path)
+    if lit.kind == "float" and type(lit.value) is not float:
+        return ir.Lit("float", float(lit.value))
+    return lit
 
 
-def _dec_operator(obj: dict, arity: int, path: str) -> ir.OperatorSpec:
-    name = _str_field(obj, "name", path)
-    op = ir.OPERATORS.get(name)
-    if op is None or op.arity != arity:
-        kind = "unary" if arity == 1 else "binary"
-        raise DecodeError(f"unknown {kind} operator {name!r}", path)
-    return op
+F = _field
+_TYPE_OBJECT = _Union("kind", "type kind")
+_TYPE_OBJECT.define({
+    "list": _Row(lambda elem: ir.TypeRepr("list", elem=elem), F("elem", _TYPE, 0)),
+    "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", _STR, 0)),
+    **{kind: _Row(lambda t=t: t) for kind, t in _SCALAR_TYPES.items()},
+})
+_EXPR = _Union("op", "expression tag")
+_STMT = _Union("stmt", "statement tag")
+_EXPRS = _list(_EXPR)
+_BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
+_VAR = _Row(ir.VariableRepr, F("name", _STR), F("type", _TYPE),
+            F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
+            F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
+            F("owner", _STR, default=None), check=_owner_given)
+_VARS = _list(_VAR)
+
+_EXPR.define({
+    "lit": _Row(ir.Lit, F("kind", _choice(_LIT_CHECKS.keys(), "literal kind")), F("value", _ANY),
+                check=_value_fits_kind),
+    "var": _Row(ir.ValueOf, F("var", _VAR)),
+    "unary": _Row(ir.Unary, F("name", _operator(1, "unary operator"), "op"), F("operand", _EXPR),
+                  F("type", _TYPE, "result")),
+    "binary": _Row(ir.Binary, F("name", _operator(2, "binary operator"), "op"), F("left", _EXPR),
+                   F("right", _EXPR), F("type", _TYPE, "result")),
+    "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
+    "call": _Row(ir.Call, F("form", _enum(ir.CallForm)), F("name", _STR), F("args", _EXPRS),
+                 F("returnType", _TYPE, "return_type"), F("receiver", _EXPR, default=None),
+                 F("library", _STR, default=None), check=_call_target_given),
+    "math": _Row(ir.MathCall, F("fn", _choice(MATH_FNS, "math function")), F("arg", _EXPR),
+                 F("type", _TYPE, "result")),
+    "argsList": _Row(ir.ArgsList),
+    "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
+    "argExists": _Row(ir.ArgExists, F("index", _EXPR)),
+    "listAccess": _Row(ir.ListAccess, F("list", _EXPR, "lst"), F("index", _EXPR)),
+    "listSize": _Row(ir.ListSize, F("list", _EXPR, "lst")),
+    "listAppend": _Row(ir.ListAppend, F("list", _EXPR, "lst"), F("value", _EXPR)),
+    "listIndexExists": _Row(ir.ListIndexExists, F("list", _EXPR, "lst"), F("index", _EXPR)),
+    "listIndexOf": _Row(ir.ListIndexOf, F("list", _EXPR, "lst"), F("value", _EXPR)),
+})
+
+_STMT.define({
+    "varDec": _Row(ir.VarDec, F("var", _VAR)),
+    "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
+    "assign": _Row(ir.Assign, F("mode", _enum(ir.AssignMode)), F("var", _VAR),
+                   F("value", _EXPR, default=None), check=_value_fits_mode),
+    "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
+    "return": _Row(ir.Return, F("value", _EXPR)),
+    "throw": _Row(ir.Throw, F("message", _STR)),
+    "free": _Row(ir.Free, F("var", _VAR)),
+    "comment": _Row(ir.CommentStmt, F("text", _STR)),
+    "break": _Row(ir.Break),
+    "continue": _Row(ir.Continue),
+    "expr": _Row(ir.ExprStmt, F("expr", _EXPR)),
+    "block": _Row(ir.BlockRepr, F("statements", _list(_STMT))),
+    "if": _Row(ir.If, F("branches", _list(_Row(tuple, F("cond", _EXPR, 0), F("body", _BODY, 1)))),
+               F("else", _BODY, "else_body", None), check=_has_branch),
+    "switch": _Row(ir.Switch, F("value", _EXPR),
+                   F("cases", _list(_Row(tuple, F("match", _EXPR, 0), F("body", _BODY, 1),
+                                         check=_match_is_literal))),
+                   F("default", _BODY, default=None)),
+    "for": _Row(ir.For, F("init", _STMT), F("cond", _EXPR), F("update", _STMT),
+                F("body", _BODY)),
+    "forRange": _Row(ir.ForRange, F("var", _VAR), F("start", _EXPR), F("end", _EXPR),
+                     F("step", _EXPR), F("body", _BODY)),
+    "forEach": _Row(ir.ForEach, F("var", _VAR), F("iterable", _EXPR), F("body", _BODY)),
+    "while": _Row(ir.While, F("cond", _EXPR), F("body", _BODY)),
+    "tryCatch": _Row(ir.TryCatch, F("try", _BODY, "try_body"), F("catch", _BODY, "catch_body")),
+    "print": _Row(ir.Print, F("expr", _EXPR), F("newline", _BOOL)),
+    "read": _Row(ir.Read, F("var", _VAR), F("parseInt", _BOOL, "parse_int")),
+    "listSlice": _Row(ir.ListSlice, F("target", _VAR), F("source", _EXPR),
+                      F("start", _EXPR, default=None), F("end", _EXPR, default=None),
+                      F("step", _EXPR, default=None)),
+    "inOutCall": _Row(ir.InOutCall, F("name", _STR), F("ins", _EXPRS), F("outs", _VARS),
+                      F("inouts", _VARS)),
+    "observerInit": _Row(ir.ObserverInit, F("elemType", _TYPE, "elem_type"),
+                         F("init", _EXPRS, "init_values")),
+    "observerAdd": _Row(ir.ObserverAdd, F("value", _EXPR), F("elemType", _TYPE, "elem_type")),
+    "observerNotify": _Row(ir.ObserverNotify, F("method", _STR),
+                           F("elemType", _TYPE, "elem_type")),
+})
+
+_SCOPE, _BINDING = _enum(ir.Scope), _enum(ir.Binding)
+_DOC = _Row(ir.DocSpec, F("description", _STR),
+            F("params", _list(_Kind(list, _param_doc)), "param_descs", ()),
+            F("returns", _STR, "return_desc", None))
+# A parameter is written as its variable.
+_PARAM = _Kind(lambda p: _encode(p.variable),
+               lambda raw, path, key: ir.ParamRepr(_decode(_VAR, raw, (path, key))))
+_METHOD = _Row(ir.MethodRepr, F("name", _STR), F("scope", _SCOPE), F("binding", _BINDING),
+               F("returnType", _TYPE, "return_type"), F("params", _list(_PARAM)),
+               F("body", _BODY), F("class", _STR, "containing_class", None),
+               F("main", _BOOL, "is_main", False), F("doc", _DOC, default=None),
+               F("inout", _Row(ir.InOutSpec, F("ins", _VARS), F("outs", _VARS),
+                               F("inouts", _VARS)), default=None))
+_STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
+                  F("var", _VAR, "variable"), F("const", _BOOL, "is_const", False))
+_CLASS = _Row(ir.ClassDeclRepr, F("name", _STR), F("scope", _SCOPE),
+              F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
+              F("parent", _STR, default=None), F("doc", _DOC, default=None))
+_IMPORT = _Kind(None, lambda raw, path, i: raw if isinstance(raw, str) else _fail(
+    "imports must be strings", (path, i)))
+_MODULE = _Row(ir.ModuleRepr, F("name", _STR), F("imports", _list(_IMPORT)),
+               F("functions", _list(_METHOD)), F("classes", _list(_CLASS)),
+               F("doc", _DOC, default=None))
+_PROGRAM = _Row(tuple, F("name", _STR, 0), F("modules", _list(_MODULE), 1))
+_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
+                    F("docRule", _BOOL, "with_doc_rule", False)))
+# The document itself; encode_package writes "aux" even when it is empty.
+_VERSION = _Kind(None, lambda raw, path, key: raw if raw == SCHEMA_VERSION else _fail(
+    f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}", (path, key)))
+_DOCUMENT = _Row(lambda version, program, aux: ir.PackageTree(*program, aux),
+                 F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2, ()),
+                 check=_aux_kinds_unique)
+del F
 
 
-def _dec_expr(data: object, path: str) -> ir.ExprRepr:
-    obj = _obj(data, path)
-    tag = _str_field(obj, "op", path)
-    if tag == "lit":
-        return _dec_lit(obj, path)
-    if tag == "var":
-        _check_keys(obj, ("op", "var"), path)
-        return ir.ValueOf(_dec_var(_field(obj, "var", path), f"{path}.var"))
-    if tag == "unary":
-        _check_keys(obj, ("op", "name", "operand", "type"), path)
-        return ir.Unary(_dec_operator(obj, 1, path),
-                        _dec_expr(_field(obj, "operand", path), f"{path}.operand"),
-                        _dec_type(_field(obj, "type", path), f"{path}.type"))
-    if tag == "binary":
-        _check_keys(obj, ("op", "name", "left", "right", "type"), path)
-        return ir.Binary(_dec_operator(obj, 2, path),
-                         _dec_expr(_field(obj, "left", path), f"{path}.left"),
-                         _dec_expr(_field(obj, "right", path), f"{path}.right"),
-                         _dec_type(_field(obj, "type", path), f"{path}.type"))
-    if tag == "inlineIf":
-        _check_keys(obj, ("op", "cond", "then", "else"), path)
-        return ir.InlineIf(_dec_expr(_field(obj, "cond", path), f"{path}.cond"),
-                           _dec_expr(_field(obj, "then", path), f"{path}.then"),
-                           _dec_expr(_field(obj, "else", path), f"{path}.else"))
-    if tag == "call":
-        _check_keys(obj, ("op", "form", "name", "args", "returnType",
-                          "receiver", "library"), path)
-        form = _enum_field(obj, "form", ir.CallForm, path)
-        receiver = None
-        if "receiver" in obj:
-            receiver = _dec_expr(obj["receiver"], f"{path}.receiver")
-        library = obj.get("library")
-        if library is not None and not isinstance(library, str):
-            raise DecodeError("field 'library' must be a string", path)
-        if form is ir.CallForm.METHOD and receiver is None:
-            raise DecodeError("method call requires a 'receiver'", path)
-        if form is ir.CallForm.EXTERNAL and library is None:
-            raise DecodeError("external call requires a 'library'", path)
-        return ir.Call(form, _str_field(obj, "name", path),
-                       tuple(_dec_expr(a, f"{path}.args[{i}]")
-                             for i, a in enumerate(_arr(_field(obj, "args", path), path))),
-                       _dec_type(_field(obj, "returnType", path), f"{path}.returnType"),
-                       receiver, library)
-    if tag == "math":
-        _check_keys(obj, ("op", "fn", "arg", "type"), path)
-        fn = _str_field(obj, "fn", path)
-        if fn not in MATH_FNS:
-            raise DecodeError(f"unknown math function {fn!r}", path)
-        return ir.MathCall(fn, _dec_expr(_field(obj, "arg", path), f"{path}.arg"),
-                           _dec_type(_field(obj, "type", path), f"{path}.type"))
-    if tag == "argsList":
-        _check_keys(obj, ("op",), path)
-        return ir.ArgsList()
-    if tag == "argAt":
-        _check_keys(obj, ("op", "index"), path)
-        return ir.ArgAt(_dec_expr(_field(obj, "index", path), f"{path}.index"))
-    if tag == "argExists":
-        _check_keys(obj, ("op", "index"), path)
-        return ir.ArgExists(_dec_expr(_field(obj, "index", path), f"{path}.index"))
-    if tag == "listAccess":
-        _check_keys(obj, ("op", "list", "index"), path)
-        return ir.ListAccess(_dec_expr(_field(obj, "list", path), f"{path}.list"),
-                             _dec_expr(_field(obj, "index", path), f"{path}.index"))
-    if tag == "listSize":
-        _check_keys(obj, ("op", "list"), path)
-        return ir.ListSize(_dec_expr(_field(obj, "list", path), f"{path}.list"))
-    if tag == "listAppend":
-        _check_keys(obj, ("op", "list", "value"), path)
-        return ir.ListAppend(_dec_expr(_field(obj, "list", path), f"{path}.list"),
-                             _dec_expr(_field(obj, "value", path), f"{path}.value"))
-    if tag == "listIndexExists":
-        _check_keys(obj, ("op", "list", "index"), path)
-        return ir.ListIndexExists(_dec_expr(_field(obj, "list", path), f"{path}.list"),
-                                  _dec_expr(_field(obj, "index", path), f"{path}.index"))
-    if tag == "listIndexOf":
-        _check_keys(obj, ("op", "list", "value"), path)
-        return ir.ListIndexOf(_dec_expr(_field(obj, "list", path), f"{path}.list"),
-                              _dec_expr(_field(obj, "value", path), f"{path}.value"))
-    raise DecodeError(f"unknown expression tag {tag!r}", path)
+# ---------------------------------------------------------------------------
+# Documents
 
 
-def _dec_body(data: object, path: str) -> ir.BodyRepr:
-    blocks = []
-    for i, raw_block in enumerate(_arr(data, path)):
-        stmts = tuple(_dec_stmt(raw, f"{path}[{i}][{j}]")
-                      for j, raw in enumerate(_arr(raw_block, f"{path}[{i}]")))
-        blocks.append(ir.BlockRepr(stmts))
-    return ir.BodyRepr(tuple(blocks))
+def encode_package(pkg: ir.PackageTree) -> dict:
+    return {
+        "version": SCHEMA_VERSION,
+        "program": {"name": pkg.name, "modules": [_encode(m) for m in pkg.modules]},
+        "aux": [_encode(a) for a in pkg.aux],
+    }
 
 
-def _dec_stmt(data: object, path: str) -> ir.StatementRepr:
-    obj = _obj(data, path)
-    tag = _str_field(obj, "stmt", path)
-    if tag == "varDec":
-        _check_keys(obj, ("stmt", "var"), path)
-        return ir.VarDec(_dec_var(_field(obj, "var", path), f"{path}.var"))
-    if tag == "varDecDef":
-        _check_keys(obj, ("stmt", "var", "value"), path)
-        return ir.VarDecDef(_dec_var(_field(obj, "var", path), f"{path}.var"),
-                            _dec_expr(_field(obj, "value", path), f"{path}.value"))
-    if tag == "assign":
-        _check_keys(obj, ("stmt", "mode", "var", "value"), path)
-        mode = _enum_field(obj, "mode", ir.AssignMode, path)
-        value = None
-        if "value" in obj:
-            value = _dec_expr(obj["value"], f"{path}.value")
-        needs_value = mode not in (ir.AssignMode.INC, ir.AssignMode.DEC)
-        if needs_value and value is None:
-            raise DecodeError(f"assign mode {mode.value!r} requires a 'value'", path)
-        if not needs_value and value is not None:
-            raise DecodeError(f"assign mode {mode.value!r} takes no 'value'", path)
-        return ir.Assign(mode, _dec_var(_field(obj, "var", path), f"{path}.var"), value)
-    if tag == "listSet":
-        _check_keys(obj, ("stmt", "list", "index", "value"), path)
-        return ir.ListSet(_dec_expr(_field(obj, "list", path), f"{path}.list"),
-                          _dec_expr(_field(obj, "index", path), f"{path}.index"),
-                          _dec_expr(_field(obj, "value", path), f"{path}.value"))
-    if tag == "return":
-        _check_keys(obj, ("stmt", "value"), path)
-        return ir.Return(_dec_expr(_field(obj, "value", path), f"{path}.value"))
-    if tag == "throw":
-        _check_keys(obj, ("stmt", "message"), path)
-        return ir.Throw(_str_field(obj, "message", path))
-    if tag == "free":
-        _check_keys(obj, ("stmt", "var"), path)
-        return ir.Free(_dec_var(_field(obj, "var", path), f"{path}.var"))
-    if tag == "comment":
-        _check_keys(obj, ("stmt", "text"), path)
-        return ir.CommentStmt(_str_field(obj, "text", path))
-    if tag == "break":
-        _check_keys(obj, ("stmt",), path)
-        return ir.Break()
-    if tag == "continue":
-        _check_keys(obj, ("stmt",), path)
-        return ir.Continue()
-    if tag == "expr":
-        _check_keys(obj, ("stmt", "expr"), path)
-        return ir.ExprStmt(_dec_expr(_field(obj, "expr", path), f"{path}.expr"))
-    if tag == "if":
-        _check_keys(obj, ("stmt", "branches", "else"), path)
-        branches = []
-        for i, raw in enumerate(_arr(_field(obj, "branches", path), path)):
-            bpath = f"{path}.branches[{i}]"
-            bobj = _obj(raw, bpath)
-            _check_keys(bobj, ("cond", "body"), bpath)
-            branches.append((_dec_expr(_field(bobj, "cond", bpath), f"{bpath}.cond"),
-                             _dec_body(_field(bobj, "body", bpath), f"{bpath}.body")))
-        if not branches:
-            raise DecodeError("'if' requires at least one branch", path)
-        else_body = None
-        if "else" in obj:
-            else_body = _dec_body(obj["else"], f"{path}.else")
-        return ir.If(tuple(branches), else_body)
-    if tag == "switch":
-        _check_keys(obj, ("stmt", "value", "cases", "default"), path)
-        cases = []
-        for i, raw in enumerate(_arr(_field(obj, "cases", path), path)):
-            cpath = f"{path}.cases[{i}]"
-            cobj = _obj(raw, cpath)
-            _check_keys(cobj, ("match", "body"), cpath)
-            match = _dec_expr(_field(cobj, "match", cpath), f"{cpath}.match")
-            if not isinstance(match, ir.Lit):
-                raise DecodeError("switch case 'match' must be a literal", cpath)
-            cases.append((match, _dec_body(_field(cobj, "body", cpath), f"{cpath}.body")))
-        default = None
-        if "default" in obj:
-            default = _dec_body(obj["default"], f"{path}.default")
-        return ir.Switch(_dec_expr(_field(obj, "value", path), f"{path}.value"),
-                         tuple(cases), default)
-    if tag == "for":
-        _check_keys(obj, ("stmt", "init", "cond", "update", "body"), path)
-        return ir.For(_dec_stmt(_field(obj, "init", path), f"{path}.init"),
-                      _dec_expr(_field(obj, "cond", path), f"{path}.cond"),
-                      _dec_stmt(_field(obj, "update", path), f"{path}.update"),
-                      _dec_body(_field(obj, "body", path), f"{path}.body"))
-    if tag == "forRange":
-        _check_keys(obj, ("stmt", "var", "start", "end", "step", "body"), path)
-        return ir.ForRange(_dec_var(_field(obj, "var", path), f"{path}.var"),
-                           _dec_expr(_field(obj, "start", path), f"{path}.start"),
-                           _dec_expr(_field(obj, "end", path), f"{path}.end"),
-                           _dec_expr(_field(obj, "step", path), f"{path}.step"),
-                           _dec_body(_field(obj, "body", path), f"{path}.body"))
-    if tag == "forEach":
-        _check_keys(obj, ("stmt", "var", "iterable", "body"), path)
-        return ir.ForEach(_dec_var(_field(obj, "var", path), f"{path}.var"),
-                          _dec_expr(_field(obj, "iterable", path), f"{path}.iterable"),
-                          _dec_body(_field(obj, "body", path), f"{path}.body"))
-    if tag == "while":
-        _check_keys(obj, ("stmt", "cond", "body"), path)
-        return ir.While(_dec_expr(_field(obj, "cond", path), f"{path}.cond"),
-                        _dec_body(_field(obj, "body", path), f"{path}.body"))
-    if tag == "tryCatch":
-        _check_keys(obj, ("stmt", "try", "catch"), path)
-        return ir.TryCatch(_dec_body(_field(obj, "try", path), f"{path}.try"),
-                           _dec_body(_field(obj, "catch", path), f"{path}.catch"))
-    if tag == "print":
-        _check_keys(obj, ("stmt", "expr", "newline"), path)
-        return ir.Print(_dec_expr(_field(obj, "expr", path), f"{path}.expr"),
-                        _bool_field(obj, "newline", path))
-    if tag == "read":
-        _check_keys(obj, ("stmt", "var", "parseInt"), path)
-        return ir.Read(_dec_var(_field(obj, "var", path), f"{path}.var"),
-                       _bool_field(obj, "parseInt", path))
-    if tag == "listSlice":
-        _check_keys(obj, ("stmt", "target", "source", "start", "end", "step"), path)
-        bounds = []
-        for key in ("start", "end", "step"):
-            bounds.append(_dec_expr(obj[key], f"{path}.{key}") if key in obj else None)
-        return ir.ListSlice(_dec_var(_field(obj, "target", path), f"{path}.target"),
-                            _dec_expr(_field(obj, "source", path), f"{path}.source"),
-                            *bounds)
-    if tag == "inOutCall":
-        _check_keys(obj, ("stmt", "name", "ins", "outs", "inouts"), path)
-        return ir.InOutCall(
-            _str_field(obj, "name", path),
-            tuple(_dec_expr(e, f"{path}.ins[{i}]")
-                  for i, e in enumerate(_arr(_field(obj, "ins", path), path))),
-            tuple(_dec_var(v, f"{path}.outs[{i}]")
-                  for i, v in enumerate(_arr(_field(obj, "outs", path), path))),
-            tuple(_dec_var(v, f"{path}.inouts[{i}]")
-                  for i, v in enumerate(_arr(_field(obj, "inouts", path), path))))
-    if tag == "observerInit":
-        _check_keys(obj, ("stmt", "elemType", "init"), path)
-        return ir.ObserverInit(
-            _dec_type(_field(obj, "elemType", path), f"{path}.elemType"),
-            tuple(_dec_expr(e, f"{path}.init[{i}]")
-                  for i, e in enumerate(_arr(_field(obj, "init", path), path))))
-    if tag == "observerAdd":
-        _check_keys(obj, ("stmt", "value", "elemType"), path)
-        return ir.ObserverAdd(_dec_expr(_field(obj, "value", path), f"{path}.value"),
-                              _dec_type(_field(obj, "elemType", path), f"{path}.elemType"))
-    if tag == "observerNotify":
-        _check_keys(obj, ("stmt", "method", "elemType"), path)
-        return ir.ObserverNotify(_str_field(obj, "method", path),
-                                 _dec_type(_field(obj, "elemType", path), f"{path}.elemType"))
-    raise DecodeError(f"unknown statement tag {tag!r}", path)
-
-
-def _dec_doc(data: object, path: str) -> ir.DocSpec:
-    obj = _obj(data, path)
-    _check_keys(obj, ("description", "params", "returns"), path)
-    params = []
-    for i, raw in enumerate(_arr(obj.get("params", []), f"{path}.params")):
-        ppath = f"{path}.params[{i}]"
-        pair = _arr(raw, ppath)
-        if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-            raise DecodeError("param doc must be a [name, description] pair", ppath)
-        params.append((pair[0], pair[1]))
-    returns = obj.get("returns")
-    if returns is not None and not isinstance(returns, str):
-        raise DecodeError("field 'returns' must be a string", path)
-    return ir.DocSpec(_str_field(obj, "description", path), tuple(params), returns)
-
-
-def _dec_method(data: object, path: str) -> ir.MethodRepr:
-    obj = _obj(data, path)
-    _check_keys(obj, ("name", "scope", "binding", "returnType", "params",
-                      "body", "class", "main", "doc", "inout"), path)
-    params = tuple(ir.ParamRepr(_dec_var(v, f"{path}.params[{i}]"))
-                   for i, v in enumerate(_arr(_field(obj, "params", path), path)))
-    containing = obj.get("class")
-    if containing is not None and not isinstance(containing, str):
-        raise DecodeError("field 'class' must be a string", path)
-    is_main = obj.get("main", False)
-    if not isinstance(is_main, bool):
-        raise DecodeError("field 'main' must be a boolean", path)
-    doc = _dec_doc(obj["doc"], f"{path}.doc") if "doc" in obj else None
-    inout = None
-    if "inout" in obj:
-        ipath = f"{path}.inout"
-        iobj = _obj(obj["inout"], ipath)
-        _check_keys(iobj, ("ins", "outs", "inouts"), ipath)
-        groups = []
-        for key in ("ins", "outs", "inouts"):
-            groups.append(tuple(_dec_var(v, f"{ipath}.{key}[{i}]")
-                                for i, v in enumerate(_arr(_field(iobj, key, ipath), ipath))))
-        inout = ir.InOutSpec(*groups)
-    return ir.MethodRepr(
-        _str_field(obj, "name", path),
-        _enum_field(obj, "scope", ir.Scope, path),
-        _enum_field(obj, "binding", ir.Binding, path),
-        _dec_type(_field(obj, "returnType", path), f"{path}.returnType"),
-        params,
-        _dec_body(_field(obj, "body", path), f"{path}.body"),
-        containing, is_main, doc, inout)
-
-
-def _dec_state_var(data: object, path: str) -> ir.StateVarRepr:
-    obj = _obj(data, path)
-    _check_keys(obj, ("scope", "binding", "var", "const"), path)
-    is_const = obj.get("const", False)
-    if not isinstance(is_const, bool):
-        raise DecodeError("field 'const' must be a boolean", path)
-    return ir.StateVarRepr(_enum_field(obj, "scope", ir.Scope, path),
-                           _enum_field(obj, "binding", ir.Binding, path),
-                           _dec_var(_field(obj, "var", path), f"{path}.var"),
-                           is_const)
-
-
-def _dec_class(data: object, path: str) -> ir.ClassDeclRepr:
-    obj = _obj(data, path)
-    _check_keys(obj, ("name", "scope", "stateVars", "methods", "parent", "doc"), path)
-    parent = obj.get("parent")
-    if parent is not None and not isinstance(parent, str):
-        raise DecodeError("field 'parent' must be a string", path)
-    doc = _dec_doc(obj["doc"], f"{path}.doc") if "doc" in obj else None
-    return ir.ClassDeclRepr(
-        _str_field(obj, "name", path), parent,
-        _enum_field(obj, "scope", ir.Scope, path),
-        tuple(_dec_state_var(sv, f"{path}.stateVars[{i}]")
-              for i, sv in enumerate(_arr(_field(obj, "stateVars", path), path))),
-        tuple(_dec_method(m, f"{path}.methods[{i}]")
-              for i, m in enumerate(_arr(_field(obj, "methods", path), path))),
-        doc)
-
-
-def _dec_module(data: object, path: str) -> ir.ModuleRepr:
-    obj = _obj(data, path)
-    _check_keys(obj, ("name", "imports", "functions", "classes", "doc"), path)
-    imports = []
-    for i, raw in enumerate(_arr(_field(obj, "imports", path), path)):
-        if not isinstance(raw, str):
-            raise DecodeError("imports must be strings", f"{path}.imports[{i}]")
-        imports.append(raw)
-    doc = _dec_doc(obj["doc"], f"{path}.doc") if "doc" in obj else None
-    return ir.ModuleRepr(
-        _str_field(obj, "name", path), tuple(imports),
-        tuple(_dec_method(f, f"{path}.functions[{i}]")
-              for i, f in enumerate(_arr(_field(obj, "functions", path), path))),
-        tuple(_dec_class(c, f"{path}.classes[{i}]")
-              for i, c in enumerate(_arr(_field(obj, "classes", path), path))),
-        doc)
-
-
-def _dec_aux(data: object, path: str) -> ir.AuxFileSpec:
-    obj = _obj(data, path)
-    _check_keys(obj, ("kind", "docRule"), path)
-    kind = _str_field(obj, "kind", path)
-    if kind not in ("makefile", "doxygen"):
-        raise DecodeError(f"unknown aux file kind {kind!r}", path)
-    doc_rule = obj.get("docRule", False)
-    if not isinstance(doc_rule, bool):
-        raise DecodeError("field 'docRule' must be a boolean", path)
-    return ir.AuxFileSpec(kind, doc_rule)
+def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
+    """Compact by default; indent=2 gives the listing meant to be read."""
+    return json.dumps(encode_package(pkg), indent=indent) + "\n"
 
 
 def decode_package(data: object) -> ir.PackageTree:
-    obj = _obj(data, "$")
-    _check_keys(obj, ("version", "program", "aux"), "$")
-    version = _field(obj, "version", "$")
-    if version != SCHEMA_VERSION:
-        raise DecodeError(f"unsupported version {version!r}; this reader handles "
-                          f"version {SCHEMA_VERSION}", "$.version")
-    prog = _obj(_field(obj, "program", "$"), "$.program")
-    _check_keys(prog, ("name", "modules"), "$.program")
-    modules = tuple(
-        _dec_module(m, f"$.program.modules[{i}]")
-        for i, m in enumerate(_arr(_field(prog, "modules", "$.program"), "$.program.modules")))
-    aux = tuple(_dec_aux(a, f"$.aux[{i}]")
-                for i, a in enumerate(_arr(obj.get("aux", []), "$.aux")))
-    seen: set[str] = set()
-    for i, spec in enumerate(aux):
-        if spec.kind in seen:
-            raise DecodeError(f"aux file kind {spec.kind!r} listed twice", f"$.aux[{i}]")
-        seen.add(spec.kind)
-    return ir.PackageTree(_str_field(prog, "name", "$.program"), modules, aux)
+    return _decode(_DOCUMENT, data, "$")
 
 
 def loads(text: str) -> ir.PackageTree:

@@ -88,6 +88,8 @@ def _main(swap: ir.MethodRepr) -> ir.MethodRepr:
             pt.init_observer_list(ir.obj_of("Obs"), [_at(o)]),
             pt.add_observer(_at(o)),
             pt.notify_observers("update", ir.obj_of("Obs")),
+            pt.run_strategy("fast", {"fast": bd.one_liner(bd.inc(n)),
+                                     "slow": bd.one_liner(bd.dec(n))}),
         ]),
     ]))
 

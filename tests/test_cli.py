@@ -71,6 +71,15 @@ def test_examples_emit_produces_loadable_json(capsys):
     json.loads(out)  # plain JSON, no trailing junk
 
 
+@pytest.mark.parametrize("entry", gallery.ENTRIES, ids=lambda e: e.name)
+def test_examples_emit_is_the_indented_listing(entry, capsys):
+    # dumps is compact by default; --emit stays the listing a person reads
+    assert cli.main(["examples", "--emit", entry.name]) == 0
+    indented = json.dumps(jsonio.encode_package(entry.package), indent=2) + "\n"
+    assert capsys.readouterr().out == indented
+    assert jsonio.dumps(entry.package) == json.dumps(jsonio.encode_package(entry.package)) + "\n"
+
+
 def test_examples_emit_unknown_name_exits_2(capsys):
     assert cli.main(["examples", "--emit", "nosuch"]) == 2
     assert "nosuch" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import all_tags
 from oogen import builders as bd, gallery, ir, jsonio, patterns as pt
 from oogen.errors import DecodeError
 
@@ -19,6 +20,48 @@ def test_dumps_is_stable(entry):
     once = jsonio.dumps(entry.package)
     again = jsonio.dumps(jsonio.loads(once))
     assert once == again
+
+
+def _concrete_nodes():
+    bases = (ir.ExprRepr, ir.StatementRepr)
+    return [cls for cls in vars(ir).values()
+            if isinstance(cls, type) and issubclass(cls, bases) and cls not in bases]
+
+
+@pytest.mark.parametrize("cls", _concrete_nodes(), ids=lambda c: c.__name__)
+def test_every_node_class_has_exactly_one_row(cls):
+    rows = [row for union in (jsonio._EXPR, jsonio._STMT) for row in union.rows.values()
+            if row.make is cls]
+    assert len(rows) == 1
+    # the row names every field of the class
+    assert len(rows[0].decoders) == len(cls.__match_args__)
+
+
+def test_all_tags_package_uses_every_tag_and_roundtrips():
+    pkg = all_tags.package()
+    assert all_tags.tags(jsonio.encode_package(pkg)) == (
+        set(jsonio._EXPR.rows) | set(jsonio._STMT.rows))
+    assert len(set(jsonio._EXPR.rows) | set(jsonio._STMT.rows)) == 41
+    for indent in (None, 2):
+        assert jsonio.loads(jsonio.dumps(pkg, indent=indent)) == pkg
+
+
+def test_nested_block_statement_roundtrips_and_renders_the_same():
+    from oogen.backends import TARGETS, get_backend
+    n = bd.var("n", ir.INT)
+    strategy = pt.run_strategy("fast", {"fast": bd.one_liner(bd.inc(n)),
+                                        "slow": bd.one_liner(bd.dec(n))})
+    main = bd.main_function(bd.body_statements([
+        bd.var_dec_def(n, bd.lit_int(1)), strategy, pt.print_ln(bd.value_of(n))]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    text = jsonio.dumps(pkg)
+    assert '{"stmt": "block", "statements": [' in text
+    decoded = jsonio.loads(text)
+    assert decoded == pkg
+    for target in TARGETS:
+        backend = get_backend(target)
+        assert ([(f.path, f.text) for f in backend.render_package(decoded)]
+                == [(f.path, f.text) for f in backend.render_package(pkg)])
 
 
 def test_roundtrip_keeps_aux_specs():
