@@ -9,6 +9,7 @@ requirement, not a style choice.
 from __future__ import annotations
 
 from . import ir
+from .backends.base import comment_doc
 from .errors import NoMainModule, UnsupportedConstruct
 from .layout import EMPTY, Doc, FileType, RenderedFile, extract, join_blocks, text, vcat
 
@@ -24,7 +25,8 @@ def doc_comment_doc(doc: ir.DocSpec | None, target: str) -> Doc:
     if doc.return_desc is not None:
         fields.append(("\\return", doc.return_desc))
     if target == "python":
-        return vcat([text(f"# {tag} {value}") for tag, value in fields])
+        # Every line of a field stays behind "#", so no text becomes code.
+        return vcat([comment_doc("#", f"{tag} {value}") for tag, value in fields])
     tag, value = fields[0]
     lines = [f"/** {tag} {value}"]
     lines += [f"    {tag} {value}" for tag, value in fields[1:]]

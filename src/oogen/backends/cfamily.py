@@ -50,7 +50,7 @@ class CFamilyRenderer(Renderer):
         if isinstance(s, ir.Free):
             return self.free_doc(s.var)
         if isinstance(s, ir.CommentStmt):
-            return comment_doc("//", s.text)
+            return comment_doc("//", self.comment_text(s.text))
         if isinstance(s, ir.Break):
             return text("break;")
         if isinstance(s, ir.Continue):
@@ -129,6 +129,11 @@ class CFamilyRenderer(Renderer):
 
     def throw_text(self, message: str) -> str:  # pragma: no cover
         raise NotImplementedError
+
+    def comment_text(self, text: str) -> str:
+        """Comment text that the target's lexer cannot read past; C#'s lexer
+        has no such trap, so it is returned as it is."""
+        return text
 
     def free_doc(self, v: ir.VariableRepr) -> Doc:
         return EMPTY  # garbage-collected targets drop Free entirely

@@ -135,6 +135,12 @@ class CppRenderer(CFamilyRenderer):
         self.needs.add("stdexcept")
         return f'throw std::runtime_error("{escape_string(message)}");'
 
+    def comment_text(self, text: str) -> str:
+        # A backslash at the end of a line (blanks after it included) splices
+        # the next source line into the comment; end such a line with a ".".
+        return "\n".join(line.rstrip() + "." if line.rstrip().endswith("\\") else line
+                         for line in text.splitlines())
+
     def catch_header(self) -> str:
         return "catch (...) {"
 

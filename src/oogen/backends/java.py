@@ -103,6 +103,11 @@ class JavaRenderer(CFamilyRenderer):
     def throw_text(self, message: str) -> str:
         return f'throw new Exception("{escape_string(message)}");'
 
+    def comment_text(self, text: str) -> str:
+        # javac decodes \uXXXX escapes before it finds comments; a doubled
+        # backslash cannot start one.
+        return text.replace("\\", "\\\\")
+
     def for_each_header(self, s: ir.ForEach) -> str:
         return f"for ({self.type_text(s.var.type)} {s.var.name} : {self.expr(s.iterable)}) {{"
 

@@ -125,6 +125,11 @@ def test_doc_comment_python_uses_hash_lines():
     )
 
 
+def test_doc_comment_python_keeps_every_line_behind_hash():
+    doc = extract(auxfiles.doc_comment_doc(bd.doc_spec('adds\nprint("leak")'), "python"))
+    assert doc == '# \\brief adds\n# print("leak")\n'
+
+
 def test_doc_comment_absent_renders_nothing():
     assert auxfiles.doc_comment_doc(None, "java").is_empty
 

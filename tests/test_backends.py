@@ -349,3 +349,16 @@ def test_multiline_comment_comments_every_line(target, marker):
     assert render(bd.comment("a\nb = 1")) == f"{marker} a\n{marker} b = 1"
     assert render(bd.comment("a\r\nb\rc")) == f"{marker} a\n{marker} b\n{marker} c"
     assert render(bd.comment("one line")) == f"{marker} one line"
+
+
+@pytest.mark.parametrize("target,expected", [
+    ("python", ["# path C:\\", "# see C:\\users"]),
+    # javac would read \u as the start of a unicode escape
+    ("java", ["// path C:\\\\", "// see C:\\\\users"]),
+    ("csharp", ["// path C:\\", "// see C:\\users"]),
+    # a line ending in a backslash would splice the next line into the comment
+    ("cpp", ["// path C:\\.", "// see C:\\users"]),
+])
+def test_comment_backslashes_stay_inside_the_comment(target, expected):
+    render = get_backend(target).render_stmt
+    assert [render(bd.comment(t)) for t in ("path C:\\", "see C:\\users")] == expected

@@ -187,6 +187,30 @@ def test_multiline_comment_stays_a_comment_everywhere(tmp_path):
     assert {r.stdout for r in report.executed} == {"done"}
 
 
+def test_backslashes_in_comments_stay_in_the_comment_everywhere(tmp_path):
+    main = bd.main_function(bd.body_statements([
+        bd.comment("path C:\\"),  # C++ splices a line that ends in a backslash
+        pt.print_str_ln("first"),
+        bd.comment("see C:\\users"),  # javac: illegal unicode escape
+        bd.comment('x \\u000a System.out.println("leak");'),  # javac: a line break
+        pt.print_str_ln("done"),
+    ]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"first\ndone"}
+
+
+def test_doc_text_stays_a_comment_everywhere(tmp_path):
+    main = bd.main_function(bd.one_liner(pt.print_str_ln("hi")))
+    module = bd.doc_mod('adds\nprint("leak")', bd.build_module("Main", [], [main], []))
+    report = verify.verify_package(bd.prog("p", [module]), targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"hi"}
+
+
 def test_quoted_throw_message_reaches_stderr_everywhere(tmp_path):
     main = bd.main_function(bd.one_liner(bd.throw('bad "q"')))
     pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
