@@ -178,7 +178,7 @@ class _Row(_Shape):
             positions = [attr for _, attr, _, _ in fields]
         self.make = (lambda *values: values) if cls is tuple else cls
         self.check, self.head = check, {}
-        self.keys = frozenset(key for key, _, _, _ in fields)
+        self.keys = {key for key, _, _, _ in fields}
         self.defaults = [None] * len(fields)
         for (_, _, _, default), pos in zip(fields, positions):
             self.defaults[pos] = default
