@@ -16,7 +16,14 @@ What a record keeps of the dataclass contract:
 * assigning or deleting an attribute raises `dataclasses.FrozenInstanceError`;
 * `__post_init__` runs after `__init__` when the class defines one;
 * `__dataclass_fields__` holds `dataclasses.Field` objects, so
-  `dataclasses.fields`, `replace` and `is_dataclass` accept records.
+  `dataclasses.fields`, `replace`, `is_dataclass` and `astuple` accept
+  records, and `dataclasses.MISSING` marks a field without a default.
+
+`dataclasses` (which imports `inspect`, `ast` and `dis`) is not imported
+with this module. It is imported the first time a record's
+`__dataclass_fields__` is read, which only `dataclasses` functions do, or
+when a frozen guard raises `FrozenInstanceError`. oogen itself copies
+records with `replace` below, which needs neither.
 
 Every annotation in the class body is a field (no `ClassVar`, no
 `field(default_factory=...)`).
@@ -24,10 +31,9 @@ Every annotation in the class body is a field (no `ClassVar`, no
 
 from __future__ import annotations
 
-import dataclasses
 from operator import attrgetter
 
-_MISSING = dataclasses.MISSING
+_MISSING = object()  # default of a field that has none
 
 
 def _eq(self, other):
@@ -48,10 +54,12 @@ def _repr(self):
 
 
 def _setattr(self, name, value):
+    import dataclasses
     raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _delattr(self, name):
+    import dataclasses
     raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -66,36 +74,68 @@ def _values_getter(names: tuple[str, ...]):
     return lambda self: ()
 
 
+class _DataclassFields:
+    """A record's `__dataclass_fields__`: its `dataclasses.Field` objects,
+    built from the record's field specs when first read."""
+
+    def __init__(self, specs: dict[str, tuple[object, object]]):
+        self.specs = specs
+        self.fields = None
+
+    def __get__(self, instance, owner):
+        if self.fields is None:
+            import dataclasses
+
+            fields = {}
+            for name, (annotation, default) in self.specs.items():
+                if default is _MISSING:
+                    default = dataclasses.MISSING
+                f = dataclasses.field(default=default, kw_only=False)
+                f.name, f.type, f._field_type = name, annotation, dataclasses._FIELD
+                fields[name] = f
+            self.fields = fields
+        return self.fields
+
+
+def replace(obj, **changes):
+    """A copy of record `obj` with `changes` applied, built through its
+    `__init__` (so `__post_init__` runs), like `dataclasses.replace`. An
+    unknown field name raises `TypeError`."""
+    cls = obj.__class__
+    values = dict(zip(cls.__match_args__, cls.__record_values__(obj)))
+    values.update(changes)
+    return cls(**values)
+
+
 def record(cls):
     """Class decorator: make `cls` a frozen record (see the module docstring)."""
-    fields: dict[str, dataclasses.Field] = {}
+    specs: dict[str, tuple[object, object]] = {}  # name -> (annotation, default)
     for base in cls.__mro__[-1:0:-1]:
-        fields.update(getattr(base, "__dataclass_fields__", {}))
+        specs.update(getattr(base, "__record_specs__", {}))
     for name, annotation in cls.__dict__.get("__annotations__", {}).items():
-        f = dataclasses.field(default=cls.__dict__.get(name, _MISSING), kw_only=False)
-        f.name, f.type, f._field_type = name, annotation, dataclasses._FIELD
-        fields[name] = f
+        specs[name] = (annotation, cls.__dict__.get(name, _MISSING))
 
     params, lines = ["self"], []
     env = {"__name__": cls.__module__, "_set": object.__setattr__}
-    for f in fields.values():
-        if f.default is _MISSING:
+    for name, (_, default) in specs.items():
+        if default is _MISSING:
             if "=" in params[-1]:
-                raise TypeError(f"non-default argument {f.name!r} follows default argument")
-            params.append(f.name)
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+            params.append(name)
         else:
-            env[f"_dflt_{f.name}"] = f.default
-            params.append(f"{f.name}=_dflt_{f.name}")
-        lines.append(f"    _set(self, {f.name!r}, {f.name})")
+            env[f"_dflt_{name}"] = default
+            params.append(f"{name}=_dflt_{name}")
+        lines.append(f"    _set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n" + ("\n".join(lines) or "    pass"), env)
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
 
-    names = tuple(fields)
+    names = tuple(specs)
     cls.__init__ = init
-    cls.__dataclass_fields__ = fields
+    cls.__record_specs__ = specs
+    cls.__dataclass_fields__ = _DataclassFields(specs)
     cls.__match_args__ = names
     cls.__record_values__ = _values_getter(names)
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr

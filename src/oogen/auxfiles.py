@@ -27,6 +27,8 @@ def doc_comment_doc(doc: ir.DocSpec | None, target: str) -> Doc:
     if target == "python":
         # Every line of a field stays behind "#", so no text becomes code.
         return vcat([comment_doc("#", f"{tag} {value}") for tag, value in fields])
+    # "*/" in a text would end the block early; "*\/" reads the same.
+    fields = [(tag, value.replace("*/", "*\\/")) for tag, value in fields]
     tag, value = fields[0]
     lines = [f"/** {tag} {value}"]
     lines += [f"    {tag} {value}" for tag, value in fields[1:]]

@@ -16,6 +16,40 @@ from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, indent, join_b
 from .base import Renderer, comment_doc, escape_string
 
 
+def _indented(rendered: Doc) -> Doc:
+    """`rendered` as an indented suite, with an explicit pass when no line
+    is code (the suite is empty or holds only comments)."""
+    for line in rendered.lines:
+        if line.lstrip()[:1] not in ("", "#"):
+            return indent(rendered)
+    return indent(vcat([rendered, text("pass")]))
+
+
+def _update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyRepr:
+    """Loop body `b` with `update` placed before each of its `continue`s.
+    A nested loop's `continue` belongs to that loop and is left alone."""
+
+    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
+        if isinstance(s, ir.Continue):
+            return ir.BlockRepr((update, s))
+        if isinstance(s, ir.BlockRepr):
+            return ir.BlockRepr(tuple(map(stmt, s.statements)))
+        if isinstance(s, ir.If):
+            return ir.If(tuple((cond, body(branch)) for cond, branch in s.branches),
+                         None if s.else_body is None else body(s.else_body))
+        if isinstance(s, ir.Switch):
+            return ir.Switch(s.value, tuple((label, body(case)) for label, case in s.cases),
+                             None if s.default is None else body(s.default))
+        if isinstance(s, ir.TryCatch):
+            return ir.TryCatch(body(s.try_body), body(s.catch_body))
+        return s
+
+    def body(b: ir.BodyRepr) -> ir.BodyRepr:
+        return ir.BodyRepr(tuple(stmt(blk) for blk in b.blocks))
+
+    return body(b)
+
+
 class PythonRenderer(Renderer):
     target = "python"
     extension = ".py"
@@ -117,11 +151,7 @@ class PythonRenderer(Renderer):
     # -- statements -----------------------------------------------------------
 
     def suite(self, b: ir.BodyRepr) -> Doc:
-        """An indented body; empty bodies need an explicit pass."""
-        rendered = self.body(b)
-        if rendered.is_empty:
-            rendered = text("pass")
-        return indent(rendered)
+        return _indented(self.body(b))
 
     def stmt(self, s: ir.StatementRepr) -> Doc:
         if isinstance(s, ir.VarDec):
@@ -157,11 +187,13 @@ class PythonRenderer(Renderer):
         if isinstance(s, ir.Switch):
             return self.switch_doc(s)
         if isinstance(s, ir.For):
-            # No three-part loop in the grammar: init, then a while.
+            # No three-part loop in the grammar: init, then a while whose
+            # body ends with the update, which also runs before a continue.
+            body = _update_before_continue(s.body, s.update)
             return vcat([
                 self.stmt(s.init),
                 text(f"while {self.expr(s.cond)}:"),
-                indent(vcat([self.body(s.body), self.stmt(s.update)])),
+                _indented(vcat([self.body(body), self.stmt(s.update)])),
             ])
         if isinstance(s, ir.ForRange):
             return self.for_range_doc(s)

@@ -7,10 +7,10 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from . import ir
+from ._record import replace
 from .errors import (
     BuildError,
     DuplicateMethod,
@@ -461,7 +461,7 @@ def build_class(name: str, parent: str | None, scope: ir.Scope,
     # Methods built standalone adopt the class; a mismatch is a build bug.
     placed = tuple(
         m if m.containing_class == name
-        else dataclasses.replace(m, containing_class=name)
+        else replace(m, containing_class=name)
         for m in methods
     )
     const_names = {sv.variable.name for sv in state_vars if sv.is_const}
@@ -499,7 +499,7 @@ def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTre
     kinds = [spec.kind for spec in aux]
     if len(kinds) != len(set(kinds)):
         raise BuildError("package lists an auxiliary file kind twice")
-    return dataclasses.replace(program, aux=tuple(aux))
+    return replace(program, aux=tuple(aux))
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +519,12 @@ def doc_func(description: str, param_descs: list[tuple[str, str]],
             raise UnknownParamDoc(f"{method_.name} has no parameter {name!r}")
     # \param lines come out in declaration order no matter how they were given.
     ordered = tuple(sorted(param_descs, key=lambda nd: order[nd[0]]))
-    return dataclasses.replace(
-        method_, doc=ir.DocSpec(description, ordered, return_desc)
-    )
+    return replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
 
 
 def doc_class(description: str, class_: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
-    return dataclasses.replace(class_, doc=ir.DocSpec(description))
+    return replace(class_, doc=ir.DocSpec(description))
 
 
 def doc_mod(description: str, module: ir.ModuleRepr) -> ir.ModuleRepr:
-    return dataclasses.replace(module, doc=ir.DocSpec(description))
+    return replace(module, doc=ir.DocSpec(description))

@@ -15,11 +15,14 @@ decoding; where the default is None, null reads as absent too. Rules that
 span fields are small checks hung on their rows.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
-produce. Decoding validates structure only: tags, enum spellings, field
+produce. Decoding validates structure: tags, enum spellings, field
 types, literal payload shapes, and operator names, each failure reported
-with the JSON path of the offending node. It does not re-run the builders'
-semantic checks, so hand-written JSON can express trees the builders would
-reject; backends render those like any other well-shaped tree.
+with the JSON path of the offending node. The names of the program and of
+every module, class, method and variable must also pass the builders'
+`check_identifier`, so none can become a path outside the output directory
+or code. Other semantic checks of the builders are not re-run, so
+hand-written JSON can express trees the builders would reject; backends
+render those like any other well-shaped tree.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import json
 from operator import attrgetter
 
 from . import ir
-from .errors import DecodeError
+from .builders import check_identifier
+from .errors import DecodeError, InvalidIdentifier
 from .patterns import MATH_FNS
 
 SCHEMA_VERSION = 1
@@ -76,6 +80,18 @@ def _leaf(test, what: str) -> _Kind:
 _STR = _leaf(lambda v: isinstance(v, str), "a string")
 _BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
 _ANY = _Kind(None, lambda raw, path, key: raw)
+
+
+def _name_dec(raw, path, key):
+    if type(raw) is not str:
+        raw = _STR.dec(raw, path, key)
+    try:
+        return check_identifier(raw)
+    except InvalidIdentifier as exc:
+        _fail(str(exc), (path, key))
+
+
+_NAME = _Kind(None, _name_dec)  # a string the builders accept as a name
 
 
 def _enum(cls) -> _Kind:
@@ -314,7 +330,7 @@ _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
-_VAR = _Row(ir.VariableRepr, F("name", _STR), F("type", _TYPE),
+_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
             F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
             F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
             F("owner", _STR, default=None), check=_owner_given)
@@ -392,7 +408,7 @@ _DOC = _Row(ir.DocSpec, F("description", _STR),
 # A parameter is written as its variable.
 _PARAM = _Kind(lambda p: _encode(p.variable),
                lambda raw, path, key: ir.ParamRepr(_decode(_VAR, raw, (path, key))))
-_METHOD = _Row(ir.MethodRepr, F("name", _STR), F("scope", _SCOPE), F("binding", _BINDING),
+_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
                F("returnType", _TYPE, "return_type"), F("params", _list(_PARAM)),
                F("body", _BODY), F("class", _STR, "containing_class", None),
                F("main", _BOOL, "is_main", False), F("doc", _DOC, default=None),
@@ -400,15 +416,15 @@ _METHOD = _Row(ir.MethodRepr, F("name", _STR), F("scope", _SCOPE), F("binding", 
                                F("inouts", _VARS)), default=None))
 _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
                   F("var", _VAR, "variable"), F("const", _BOOL, "is_const", False))
-_CLASS = _Row(ir.ClassDeclRepr, F("name", _STR), F("scope", _SCOPE),
+_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
               F("parent", _STR, default=None), F("doc", _DOC, default=None))
 _IMPORT = _Kind(None, lambda raw, path, i: raw if isinstance(raw, str) else _fail(
     "imports must be strings", (path, i)))
-_MODULE = _Row(ir.ModuleRepr, F("name", _STR), F("imports", _list(_IMPORT)),
+_MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)),
                F("doc", _DOC, default=None))
-_PROGRAM = _Row(tuple, F("name", _STR, 0), F("modules", _list(_MODULE), 1))
+_PROGRAM = _Row(tuple, F("name", _NAME, 0), F("modules", _list(_MODULE), 1))
 _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
                     F("docRule", _BOOL, "with_doc_rule", False)))
 # The document itself; encode_package writes "aux" even when it is empty.

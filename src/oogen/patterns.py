@@ -8,10 +8,9 @@ lower idiomatically.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import builders as bd
 from . import ir
+from ._record import replace
 from .errors import (
     DuplicateStateLabel,
     SignatureMismatch,
@@ -171,7 +170,7 @@ def in_out_func(name: str, scope: ir.Scope, binding: ir.Binding,
         raise SignatureMismatch(f"inOutFunc {name!r} declares no outputs")
     params = [bd.param(v) for v in spec.inouts + spec.ins + spec.outs]
     base = bd.function(name, scope, binding, ir.VOID, params, body_)
-    return dataclasses.replace(base, inout=spec)
+    return replace(base, inout=spec)
 
 
 def in_out_call(func: ir.MethodRepr, ins: list[ir.ExprRepr],

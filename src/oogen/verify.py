@@ -23,11 +23,9 @@ are rewritten to Python's shortest round-trip form.
 
 from __future__ import annotations
 
-import difflib
 import os
 import re
-import shutil
-import subprocess
+
 from . import ir
 from ._record import record
 from .backends import TARGETS, get_backend
@@ -62,6 +60,8 @@ def normalize_stdout(text: str) -> str:
 
 def find_toolchain(target: str) -> tuple[str, ...] | None:
     """Resolved executable paths for `target`, or None if any tool is absent."""
+    import shutil
+
     resolved = []
     for env, defaults in _TOOL_SPECS[target]:
         candidates = (os.environ[env],) if os.environ.get(env) else defaults
@@ -103,6 +103,8 @@ class VerifyReport:
         return any(r.status == "runtime-error" for r in self.runs)
 
     def diffs(self) -> list[str]:
+        import difflib
+
         texts = []
         baseline = None
         for report in self.executed:
@@ -132,6 +134,8 @@ class VerifyReport:
 
 
 def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.CompletedProcess:
+    import subprocess
+
     return subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True,
                           text=True, timeout=_STEP_TIMEOUT)
 
@@ -139,6 +143,8 @@ def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.Complete
 def run_target(pkg: ir.PackageTree, target: str, workdir: str,
                args: tuple[str, ...] = (), stdin: str = "") -> ToolReport:
     """Render `pkg` for one target into `workdir`, compile, and execute."""
+    import subprocess
+
     tools = find_toolchain(target)
     if tools is None:
         names = ", ".join(" or ".join(defaults) for _, defaults in _TOOL_SPECS[target])
@@ -200,6 +206,7 @@ def verify_package(pkg: ir.PackageTree, targets: tuple[str, ...] = TARGETS,
     Each target gets its own subdirectory of `root_dir` (a fresh temp dir
     when None), so renders never collide.
     """
+    import shutil
     import tempfile
 
     own_root = root_dir is None

@@ -130,6 +130,14 @@ def test_doc_comment_python_keeps_every_line_behind_hash():
     assert doc == '# \\brief adds\n# print("leak")\n'
 
 
+@pytest.mark.parametrize("target", ["java", "csharp", "cpp"])
+def test_doc_comment_text_cannot_close_the_block(target):
+    spec = bd.doc_spec("ends here */ int x = 1; /* more", [("x", "a*/")], "**/")
+    doc = extract(auxfiles.doc_comment_doc(spec, target))
+    assert doc == ("/** \\brief ends here *\\/ int x = 1; /* more\n"
+                   "    \\param x a*\\/\n    \\return **\\/\n*/\n")
+
+
 def test_doc_comment_absent_renders_nothing():
     assert auxfiles.doc_comment_doc(None, "java").is_empty
 

@@ -1,7 +1,11 @@
 """Per-target rendering: idiom spellings, module assembly, file pairing."""
 
+import subprocess
+import sys
+
 import pytest
 
+import all_tags
 from oogen import builders as bd, gallery, ir, patterns as pt
 from oogen.backends import TARGETS, get_backend
 from oogen.layout import FileType
@@ -362,3 +366,49 @@ def test_multiline_comment_comments_every_line(target, marker):
 def test_comment_backslashes_stay_inside_the_comment(target, expected):
     render = get_backend(target).render_stmt
     assert [render(bd.comment(t)) for t in ("path C:\\", "see C:\\users")] == expected
+
+
+# -- Python suites: comment-only bodies, continue in a lowered for loop -----------
+
+
+I_VAR = bd.var("i", ir.INT)
+
+
+def _count_to_3(body_: ir.BodyRepr) -> ir.For:
+    return bd.for_loop(bd.var_dec_def(I_VAR, bd.lit_int(0)),
+                       bd.apply_binary("?<", bd.value_of(I_VAR), bd.lit_int(3)),
+                       bd.inc(I_VAR), body_)
+
+
+def test_python_suite_of_only_comments_gets_pass():
+    only = bd.one_liner(bd.comment("only"))
+    rendered = get_backend("python").render_stmt(bd.if_cond([(bd.lit_bool(True), only)], only))
+    assert rendered == "if True:\n    # only\n    pass\nelse:\n    # only\n    pass"
+    compile(rendered, "<if>", "exec")
+
+
+def test_python_continue_in_a_for_loop_runs_the_update_first():
+    render = get_backend("python").render_stmt
+    assert render(_count_to_3(bd.one_liner(bd.continue_stmt()))) == (
+        "i = 0\nwhile i < 3:\n    i = i + 1\n    continue\n    i = i + 1")
+    # a nested loop's continue belongs to that loop
+    ok = bd.var("ok", ir.BOOL)
+    loop = _count_to_3(bd.body_statements([
+        bd.while_loop(bd.value_of(ok), bd.one_liner(bd.continue_stmt())),
+        bd.if_cond([(bd.value_of(ok), bd.one_liner(bd.continue_stmt()))]),
+    ]))
+    assert render(loop) == (
+        "i = 0\nwhile i < 3:\n"
+        "    while ok:\n        continue\n"
+        "    if ok:\n        i = i + 1\n        continue\n"
+        "    i = i + 1")
+
+
+def test_all_tags_python_compiles_and_its_for_loop_ends():
+    pkg = all_tags.package()
+    python = get_backend("python")
+    for f in python.render_package(pkg):
+        compile(f.text, f.path, "exec")
+    main = next(m for m in pkg.modules[0].functions if m.is_main)
+    loop = next(s for blk in main.body.blocks for s in blk.statements if isinstance(s, ir.For))
+    subprocess.run([sys.executable, "-c", python.render_stmt(loop)], check=True, timeout=30)

@@ -194,3 +194,34 @@ def test_cli_import_loads_the_benchmarked_modules():
     loaded = set(done.stdout.split())
     for name in ("ir", "builders", "jsonio", "verify", "gallery", "backends"):
         assert f"oogen.{name}" in loaded
+
+
+def test_cli_import_leaves_out_what_render_never_runs():
+    """`import oogen.cli` is most of an `oogen render` run: it must not load
+    dataclasses (and with it inspect) or verify's subprocess and difflib.
+    `site` loads different modules on different machines, so a bare
+    interpreter in the same environment is the baseline."""
+    src = os.path.dirname(os.path.dirname(oogen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def modules(code: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", f"import sys{code}; print(*sys.modules)"],
+                              capture_output=True, text=True, check=True, env=env)
+        return set(done.stdout.split())
+
+    loaded = modules(", oogen.cli") - modules("")
+    assert "oogen.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "subprocess", "difflib"}), loaded
+
+
+def test_render_rejects_a_module_name_that_leaves_the_output_directory(tmp_path, capsys):
+    doc = jsonio.encode_package(gallery.get("helloWorld").package)
+    doc["program"]["modules"][0]["name"] = "../../evil"
+    src = tmp_path / "evil.json"
+    src.write_text(json.dumps(doc))
+    rc = cli.main(["render", "--input", str(src), "--target", "python",
+                   "--out", str(tmp_path / "a" / "b")])
+    assert rc == 2
+    assert "$.program.modules[0].name: not a legal identifier: '../../evil'" in (
+        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.rglob("*")] == ["evil.json"]

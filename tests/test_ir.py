@@ -7,7 +7,7 @@ import enum
 import pytest
 
 from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
-from oogen._record import record
+from oogen._record import record, replace
 from oogen.errors import (
     BuildError,
     ConstAssignment,
@@ -396,3 +396,36 @@ def test_record_repr_of_a_nested_node():
         "elem=TypeRepr(kind='int', elem=None, class_name=None), class_name=None), "
         "binding=<Binding.DYNAMIC: 'dynamic'>, form=<VarForm.PLAIN: 'plain'>, owner=None))")
     assert repr(ir.Break()) == "Break()"
+
+
+# -- _record.replace: dataclasses.replace without importing dataclasses -------
+
+
+def _method():
+    return bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [],
+                       bd.one_liner(bd.return_stmt(_i())))
+
+
+@pytest.mark.parametrize("node,changes", [
+    (ir.INT, {"kind": "float"}),
+    (ir.list_of(ir.INT), {"elem": ir.FLOAT}),
+    (bd.var("x", ir.INT), {"name": "y", "owner": "Obs"}),
+    (_method(), {"containing_class": "C", "doc": ir.DocSpec("d")}),
+    (ir.Break(), {}),
+])
+def test_record_replace_matches_dataclasses_replace(node, changes):
+    replaced = replace(node, **changes)
+    assert replaced == dataclasses.replace(node, **changes)
+    assert type(replaced) is type(node) and replaced is not node
+
+
+def test_record_replace_runs_post_init_again():
+    one = layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n")
+    files = layout.FileSet((one,))
+    with pytest.raises(ValueError, match="duplicate path"):
+        replace(files, files=(one, one))
+
+
+def test_record_replace_rejects_an_unknown_field():
+    with pytest.raises(TypeError):
+        replace(ir.INT, nosuch=1)

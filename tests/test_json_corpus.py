@@ -95,5 +95,23 @@ def test_gallery_mutations_raise_only_decode_error(entry):
         outcome(text, steps, value)
 
 
+NAME_STEPS = [
+    ["program", "name"],
+    ["program", "modules", 0, "name"],
+    ["program", "modules", 0, "classes", 0, "name"],
+    ["program", "modules", 0, "functions", 0, "name"],
+    ["program", "modules", 0, "functions", 0, "params", 0, "name"],
+    ["program", "modules", 0, "classes", 0, "stateVars", 0, "var", "name"],
+]
+
+
+@pytest.mark.parametrize("steps", NAME_STEPS, ids=_where)
+@pytest.mark.parametrize("name", ["../../evil", "x = 1\nimport os", "", "2x"])
+def test_names_the_builders_reject_do_not_decode(steps, name):
+    text = json.dumps(jsonio.encode_package(all_tags.package()))
+    assert outcome(text, steps, "y") == "ok"
+    assert outcome(text, steps, name) == f"{_where(steps)}: not a legal identifier: {name!r}"
+
+
 if __name__ == "__main__":
     FIXTURE.write_text("\n".join(corpus_lines(all_tags.package())) + "\n")

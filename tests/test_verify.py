@@ -220,3 +220,54 @@ def test_quoted_throw_message_reaches_stderr_everywhere(tmp_path):
         if run.status != "skipped":
             assert run.status == "runtime-error", run.detail
             assert 'bad "q"' in run.detail
+
+
+def test_doc_text_cannot_close_the_doc_block_anywhere(tmp_path):
+    x = bd.var("x", ir.INT)
+    twice = bd.function("twice", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [bd.param(x)],
+                        bd.one_liner(bd.return_stmt(
+                            bd.apply_binary("#*", bd.value_of(x), bd.lit_int(2)))))
+    twice = bd.doc_func("a */ b", [("x", "c */ d")], "e */ f", twice)
+    main = bd.main_function(bd.one_liner(pt.print_ln(bd.func_app("twice", ir.INT,
+                                                                  [bd.lit_int(4)]))))
+    module = bd.doc_mod("ends here */ int x = 1; /* more",
+                        bd.build_module("Main", [], [twice, main], []))
+    report = verify.verify_package(bd.prog("p", [module]), targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"8"}
+
+
+def test_comment_only_bodies_run_everywhere(tmp_path):
+    only = bd.one_liner(bd.comment("only"))
+    i = bd.var("i", ir.INT)
+    main = bd.main_function(bd.body_statements([
+        bd.if_cond([(bd.lit_bool(True), only)], only),
+        bd.for_range(i, bd.lit_int(0), bd.lit_int(2), bd.lit_int(1), only),
+        bd.try_catch(only, only),
+        pt.print_str_ln("done"),
+    ]))
+    report = verify.verify_package(bd.prog("p", [bd.build_module("Main", [], [main], [])]),
+                                   targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"done"}
+
+
+def test_continue_in_a_for_loop_skips_only_the_rest_of_its_body(tmp_path):
+    i, j = bd.var("i", ir.INT), bd.var("j", ir.INT)
+
+    def skip_when(v, n):
+        return bd.if_cond([(bd.apply_binary("?==", bd.value_of(v), bd.lit_int(n)),
+                            bd.one_liner(bd.continue_stmt()))])
+
+    # the inner loop's continue must not run the outer loop's update
+    inner = bd.for_range(j, bd.lit_int(0), bd.lit_int(1), bd.lit_int(1), bd.body_statements([
+        skip_when(j, 0), pt.print_ln(bd.value_of(j))]))
+    loop = bd.for_loop(bd.var_dec_def(i, bd.lit_int(0)),
+                       bd.apply_binary("?<", bd.value_of(i), bd.lit_int(3)), bd.inc(i),
+                       bd.body_statements([skip_when(i, 1), inner, pt.print_ln(bd.value_of(i))]))
+    main = bd.main_function(bd.one_liner(loop))
+    report = verify.verify_package(bd.prog("p", [bd.build_module("Main", [], [main], [])]),
+                                   targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"1\n0\n1\n2"}
