@@ -1,13 +1,24 @@
-"""Shared rendering machinery.
+"""Shared rendering machinery: dispatch by table.
 
 One renderer instance is created per module render; it owns the mutable
 accumulators (imports needed, list-print nesting depth, C++ iterator
 variables), so concurrent renders of different modules never share state.
 
+Every IR node is rendered by one dict lookup on its class. A renderer
+class lists its handlers in `expr_handlers` (here, for every target) and
+`stmt_handlers` (in `CFamilyRenderer` and `PythonRenderer`): each maps a
+node class to the name of the method that renders it, or to a function
+`(renderer, node)` for a one-line rendering. `__init_subclass__` resolves
+the names against each class, so a target overrides a handler by
+defining the method. `expr` and `stmt` look the node's class up; a class
+with no handler raises `UnsupportedConstruct` naming the target.
+
 Expression rendering is string-based and precedence-driven: a child is
 parenthesized exactly when `layout.needs_parens` says so, using the
-*target's* view of precedence (`prec_of`), which defaults to the catalog
-values and deviates only where a target's grammar genuinely differs.
+*target's* view of precedence (`prec_of`). That is the catalog value of
+the node, except where `op_precedence` (operator name -> precedence)
+overrides it because the target's grammar differs. `op_tokens` maps each
+operator name to its spelling in the target.
 """
 
 from __future__ import annotations
@@ -17,13 +28,18 @@ import math as _math
 from .. import builders as bd
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import EMPTY, Doc, RenderedFile, join_blocks, needs_parens, vcat, wrap
+from ..layout import EMPTY, Doc, RenderedFile, needs_parens, vcat, wrap
 
-BIN_TOKENS = {
-    "#+": "+", "#-": "-", "#*": "*", "#/": "/",
-    "?<": "<", "?<=": "<=", "?>": ">", "?>=": ">=",
-    "?==": "==", "?!=": "!=",
+# Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
+# for an operator node, which takes its operator's precedence.
+_NODE_PRECEDENCE: dict[type, float | None] = {
+    ir.Unary: None,
+    ir.Binary: None,
+    ir.InlineIf: ir.INLINE_IF_PRECEDENCE,
+    ir.ArgExists: 5,  # every target renders these two as a > comparison
+    ir.ListIndexExists: 5,
 }
+_MATH_OPS = {"#/^": "sqrt", "#|": "abs"}  # unary operators rendered as math calls
 
 
 def fmt_float(value: float) -> str:
@@ -49,69 +65,76 @@ def escape_char(value: str) -> str:
     return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
+def _resolve(cls, handlers: dict) -> dict:
+    return {node: getattr(cls, h) if type(h) is str else h for node, h in handlers.items()}
+
+
 class Renderer:
     """Base renderer; subclasses fill in the per-target hooks."""
 
     target = "?"
     extension = "?"
+    op_precedence: dict[str, float] = {}
+    op_tokens = {
+        "?!": "!", "#~": "-", "?&&": "&&", "?||": "||",
+        "#+": "+", "#-": "-", "#*": "*", "#/": "/",
+        "?<": "<", "?<=": "<=", "?>": ">", "?>=": ">=", "?==": "==", "?!=": "!=",
+    }
+    expr_handlers = {
+        ir.Lit: "lit", ir.ValueOf: "value_of", ir.Unary: "unary", ir.Binary: "binary",
+        ir.InlineIf: "inline_if", ir.Call: "call", ir.MathCall: "math_call",
+        ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
+        ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
+        ir.ListIndexExists: "list_index_exists", ir.ListIndexOf: "list_index_of",
+    }
+    stmt_handlers: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._expr_table = _resolve(cls, cls.expr_handlers)
+        cls._stmt_table = _resolve(cls, cls.stmt_handlers)
 
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
         self._list_depth = 0
 
+    # -- dispatch -------------------------------------------------------------
+
+    def _unsupported(self, kind: str, node: object) -> UnsupportedConstruct:
+        return UnsupportedConstruct(
+            f"{self.target} backend cannot render {kind} {type(node).__name__}")
+
+    def expr(self, e: ir.ExprRepr) -> str:
+        try:
+            handler = self._expr_table[type(e)]
+        except KeyError:
+            raise self._unsupported("expression", e) from None
+        return handler(self, e)
+
+    def stmt(self, s: ir.StatementRepr) -> Doc:
+        try:
+            handler = self._stmt_table[type(s)]
+        except KeyError:
+            raise self._unsupported("statement", s) from None
+        return handler(self, s)
+
     # -- precedence -------------------------------------------------------
 
     def prec_of(self, e: ir.ExprRepr) -> float:
-        if isinstance(e, (ir.ArgExists, ir.ListIndexExists)):
-            return 5.0  # every target renders these as a > comparison
-        return e.precedence
+        prec = _NODE_PRECEDENCE.get(type(e), ir.ATOMIC_PRECEDENCE)
+        if prec is None:
+            op = e.op
+            return self.op_precedence.get(op.name, op.precedence)
+        return prec
 
     def assoc_of(self, op: ir.OperatorSpec) -> str:
         return op.assoc
 
-    def child(self, e: ir.ExprRepr, parent_prec: float, assoc: str, side: str) -> str:
-        return wrap(self.expr(e), needs_parens(parent_prec, assoc, side, self.prec_of(e)))
-
-    # -- expression dispatch ----------------------------------------------
-
-    def expr(self, e: ir.ExprRepr) -> str:
-        if isinstance(e, ir.Lit):
-            return self.lit(e)
-        if isinstance(e, ir.ValueOf):
-            return self.var_ref(e.var)
-        if isinstance(e, ir.Unary):
-            return self.unary(e)
-        if isinstance(e, ir.Binary):
-            return self.binary(e)
-        if isinstance(e, ir.InlineIf):
-            return self.inline_if(e)
-        if isinstance(e, ir.Call):
-            return self.call(e)
-        if isinstance(e, ir.MathCall):
-            return self.math_call(e.fn, e.arg)
-        if isinstance(e, ir.ArgsList):
-            return self.args_list()
-        if isinstance(e, ir.ArgAt):
-            return self.arg_at(e.index)
-        if isinstance(e, ir.ArgExists):
-            return self.arg_exists(e.index)
-        if isinstance(e, ir.ListAccess):
-            return self.list_access(e.lst, e.index)
-        if isinstance(e, ir.ListSize):
-            return self.list_size(e.lst)
-        if isinstance(e, ir.ListAppend):
-            return self.list_append(e.lst, e.value)
-        if isinstance(e, ir.ListIndexExists):
-            return self.list_index_exists(e.lst, e.index)
-        if isinstance(e, ir.ListIndexOf):
-            return self.list_index_of(e.lst, e.value)
-        raise UnsupportedConstruct(
-            f"{self.target} backend cannot render expression {type(e).__name__}"
-        )
-
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""
         return wrap(self.expr(e), self.prec_of(e) < ir.ATOMIC_PRECEDENCE)
+
+    # -- expressions ----------------------------------------------------------
 
     def lit(self, e: ir.Lit) -> str:
         if e.kind == "bool":
@@ -136,39 +159,29 @@ class Renderer:
     def string_lit(self, value: str) -> str:
         return f'"{escape_string(value)}"'
 
+    def value_of(self, e: ir.ValueOf) -> str:
+        return self.var_ref(e.var)
+
     def unary(self, e: ir.Unary) -> str:
-        if e.op.name == "#/^":
-            return self.math_call("sqrt", e.operand)
-        if e.op.name == "#|":
-            return self.math_call("abs", e.operand)
-        token = self.not_token() if e.op.name == "?!" else "-"
-        parent = self.prec_of(e)
+        name = e.op.name
+        if name in _MATH_OPS:
+            return self.math_call(ir.MathCall(_MATH_OPS[name], e.operand, e.result))
+        token = self.op_tokens[name]
         # Equal precedence wraps too: `--a` and `not not a` read as other tokens.
-        operand = wrap(self.expr(e.operand), self.prec_of(e.operand) <= parent)
+        operand = wrap(self.expr(e.operand), self.prec_of(e.operand) <= self.prec_of(e))
         sep = " " if token[-1].isalpha() else ""
         return f"{token}{sep}{operand}"
 
-    def not_token(self) -> str:
-        return "!"
-
     def binary(self, e: ir.Binary) -> str:
-        if e.op.name == "#^":
+        op = e.op
+        if op.name == "#^":
             return self.power(e)
-        if e.op.name in ("?&&", "?||"):
-            token = self.and_token() if e.op.name == "?&&" else self.or_token()
-        else:
-            token = BIN_TOKENS[e.op.name]
         parent = self.prec_of(e)
-        assoc = self.assoc_of(e.op)
-        left = self.child(e.left, parent, assoc, "left")
-        right = self.child(e.right, parent, assoc, "right")
-        return f"{left} {token} {right}"
-
-    def and_token(self) -> str:
-        return "&&"
-
-    def or_token(self) -> str:
-        return "||"
+        assoc = self.assoc_of(op)
+        left = wrap(self.expr(e.left), needs_parens(parent, assoc, "left", self.prec_of(e.left)))
+        right = wrap(self.expr(e.right),
+                     needs_parens(parent, assoc, "right", self.prec_of(e.right)))
+        return f"{left} {self.op_tokens[op.name]} {right}"
 
     def power(self, e: ir.Binary) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -210,49 +223,54 @@ class Renderer:
     def var_ref(self, v: ir.VariableRepr) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def math_call(self, fn: str, arg: ir.ExprRepr) -> str:  # pragma: no cover
+    def math_call(self, e: ir.MathCall) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def args_list(self) -> str:  # pragma: no cover
+    def args_list(self, e: ir.ArgsList) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def arg_at(self, index: ir.ExprRepr) -> str:  # pragma: no cover
+    def arg_at(self, e: ir.ArgAt) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def arg_exists(self, index: ir.ExprRepr) -> str:  # pragma: no cover
+    def arg_exists(self, e: ir.ArgExists) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_access(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:  # pragma: no cover
+    def list_access(self, e: ir.ListAccess) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_size(self, lst: ir.ExprRepr) -> str:  # pragma: no cover
+    def list_size(self, e: ir.ListSize) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_append(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:  # pragma: no cover
+    def list_append(self, e: ir.ListAppend) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_index_exists(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:  # pragma: no cover
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_index_of(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:  # pragma: no cover
+    def list_index_of(self, e: ir.ListIndexOf) -> str:  # pragma: no cover
         raise NotImplementedError
 
     # -- helpers shared by all statement renderers --------------------------
 
     def literal_plus_one(self, index: ir.ExprRepr) -> str:
         """index+1 with constant folding, for arg vectors led by the program name."""
-        if isinstance(index, ir.Lit) and index.kind == "int":
+        if type(index) is ir.Lit and index.kind == "int":
             return str(index.value + 1)
         return self.expr(bd.apply_binary("#+", index, bd.lit_int(1)))
 
     def body(self, b: ir.BodyRepr) -> Doc:
-        return join_blocks([self.block(blk) for blk in b.blocks])
+        """The blocks' lines, non-empty blocks separated by one blank line."""
+        lines: list[str] = []
+        for blk in b.blocks:
+            block = [line for s in blk.statements for line in self.stmt(s).lines]
+            if block:
+                if lines:
+                    lines.append("")
+                lines += block
+        return Doc(tuple(lines))
 
     def block(self, blk: ir.BlockRepr) -> Doc:
         return vcat([self.stmt(s) for s in blk.statements])
-
-    def stmt(self, s: ir.StatementRepr) -> Doc:  # pragma: no cover
-        raise NotImplementedError
 
     # -- fragment APIs used by tests and documentation ----------------------
 

@@ -10,17 +10,18 @@ from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, indent, text, vcat
+from ..layout import Doc, EMPTY, hang, text, vcat
 from .base import Renderer, comment_doc
 
 
 class CFamilyRenderer(Renderer):
     switch_strings_as_chain = False
+    op_precedence = {"#^": ir.ATOMIC_PRECEDENCE}  # every target renders it as a call
 
     # -- small helpers -------------------------------------------------------
 
     def braced(self, header: str, body_doc: Doc) -> Doc:
-        return vcat([text(header), indent(body_doc), text("}")])
+        return hang(header, body_doc, "}")
 
     def type_text(self, t: ir.TypeRepr) -> str:  # pragma: no cover
         raise NotImplementedError
@@ -34,71 +35,39 @@ class CFamilyRenderer(Renderer):
 
     # -- statement dispatch ---------------------------------------------------
 
-    def stmt(self, s: ir.StatementRepr) -> Doc:
-        if isinstance(s, ir.VarDec):
-            return self.var_dec_doc(s.var)
-        if isinstance(s, ir.VarDecDef):
-            return text(f"{self.type_text(s.var.type)} {s.var.name} = {self.expr(s.value)};")
-        if isinstance(s, ir.Assign):
-            return self.assign_doc(s)
-        if isinstance(s, ir.ListSet):
-            return text(self.list_set_text(s) + ";")
-        if isinstance(s, ir.Return):
-            return text(f"return {self.expr(s.value)};")
-        if isinstance(s, ir.Throw):
-            return text(self.throw_text(s.message))
-        if isinstance(s, ir.Free):
-            return self.free_doc(s.var)
-        if isinstance(s, ir.CommentStmt):
-            return comment_doc("//", self.comment_text(s.text))
-        if isinstance(s, ir.Break):
-            return text("break;")
-        if isinstance(s, ir.Continue):
-            return text("continue;")
-        if isinstance(s, ir.ExprStmt):
-            return text(f"{self.expr(s.expr)};")
-        if isinstance(s, ir.BlockRepr):
-            return self.block(s)
-        if isinstance(s, ir.If):
-            return self.if_doc(s)
-        if isinstance(s, ir.Switch):
-            return self.switch_doc(s)
-        if isinstance(s, ir.For):
-            header = (
-                f"for ({self.inline_stmt(s.init)}; {self.expr(s.cond)};"
-                f" {self.inline_stmt(s.update)}) {{"
-            )
-            return self.braced(header, self.body(s.body))
-        if isinstance(s, ir.ForRange):
-            return self.for_range_doc(s)
-        if isinstance(s, ir.ForEach):
-            return self.for_each_doc(s)
-        if isinstance(s, ir.While):
-            return self.braced(f"while ({self.expr(s.cond)}) {{", self.body(s.body))
-        if isinstance(s, ir.TryCatch):
-            return vcat([
-                self.braced("try {", self.body(s.try_body)),
-                self.braced(self.catch_header(), self.body(s.catch_body)),
-            ])
-        if isinstance(s, ir.Print):
-            if s.expr.type.is_list:
-                return self.print_list_doc(s)
-            return self.print_scalar_doc(s)
-        if isinstance(s, ir.Read):
-            return self.read_doc(s)
-        if isinstance(s, ir.ListSlice):
-            return self.slice_doc(s)
-        if isinstance(s, ir.InOutCall):
-            return self.in_out_call_doc(s)
-        if isinstance(s, ir.ObserverInit):
-            return self.observer_init_doc(s)
-        if isinstance(s, ir.ObserverAdd):
-            return self.stmt(self._observer_add_stmt(s))
-        if isinstance(s, ir.ObserverNotify):
-            return self.stmt(self._observer_notify_stmt(s))
-        raise UnsupportedConstruct(
-            f"{self.target} backend cannot render statement {type(s).__name__}"
-        )
+    stmt_handlers = {
+        ir.VarDec: lambda self, s: self.var_dec_doc(s.var),
+        ir.VarDecDef: lambda self, s: text(
+            f"{self.type_text(s.var.type)} {s.var.name} = {self.expr(s.value)};"),
+        ir.Assign: "assign_doc",
+        ir.ListSet: lambda self, s: text(self.list_set_text(s) + ";"),
+        ir.Return: lambda self, s: text(f"return {self.expr(s.value)};"),
+        ir.Throw: lambda self, s: text(self.throw_text(s.message)),
+        ir.Free: lambda self, s: self.free_doc(s.var),
+        ir.CommentStmt: lambda self, s: comment_doc("//", self.comment_text(s.text)),
+        ir.Break: lambda self, s: text("break;"),
+        ir.Continue: lambda self, s: text("continue;"),
+        ir.ExprStmt: lambda self, s: text(f"{self.expr(s.expr)};"),
+        ir.BlockRepr: "block",
+        ir.If: "if_doc",
+        ir.Switch: "switch_doc",
+        ir.For: "for_doc",
+        ir.ForRange: "for_range_doc",
+        ir.ForEach: "for_each_doc",
+        ir.While: lambda self, s: self.braced(f"while ({self.expr(s.cond)}) {{", self.body(s.body)),
+        ir.TryCatch: lambda self, s: vcat([
+            self.braced("try {", self.body(s.try_body)),
+            self.braced(self.catch_header(), self.body(s.catch_body)),
+        ]),
+        ir.Print: lambda self, s: (
+            self.print_list_doc(s) if s.expr.type.is_list else self.print_scalar_doc(s)),
+        ir.Read: "read_doc",
+        ir.ListSlice: "slice_doc",
+        ir.InOutCall: "in_out_call_doc",
+        ir.ObserverInit: "observer_init_doc",
+        ir.ObserverAdd: lambda self, s: self.stmt(self._observer_add_stmt(s)),
+        ir.ObserverNotify: lambda self, s: self.stmt(self._observer_notify_stmt(s)),
+    }
 
     # -- declarations ---------------------------------------------------------
 
@@ -158,15 +127,18 @@ class CFamilyRenderer(Renderer):
                 (bd.apply_binary("?==", s.value, label), branch) for label, branch in s.cases
             )
             return self.if_doc(ir.If(branches, s.default))
-        pieces: list[Doc] = [text(f"switch ({self.expr(s.value)}) {{")]
-        for label, branch in s.cases:
-            pieces.append(indent(text(f"case {self.lit(label)}:")))
-            pieces.append(indent(indent(vcat([self.body(branch), text("break;")]))))
+        cases = [hang(f"case {self.lit(label)}:", vcat([self.body(branch), text("break;")]))
+                 for label, branch in s.cases]
         if s.default is not None:
-            pieces.append(indent(text("default:")))
-            pieces.append(indent(indent(self.body(s.default))))
-        pieces.append(text("}"))
-        return vcat(pieces)
+            cases.append(hang("default:", self.body(s.default)))
+        return hang(f"switch ({self.expr(s.value)}) {{", vcat(cases), "}")
+
+    def for_doc(self, s: ir.For) -> Doc:
+        header = (
+            f"for ({self.inline_stmt(s.init)}; {self.expr(s.cond)};"
+            f" {self.inline_stmt(s.update)}) {{"
+        )
+        return self.braced(header, self.body(s.body))
 
     def for_range_doc(self, s: ir.ForRange) -> Doc:
         name = s.var.name
@@ -228,7 +200,7 @@ class CFamilyRenderer(Renderer):
     def slice_doc(self, s: ir.ListSlice) -> Doc:
         elem = s.target.type.elem
         start = s.start if s.start is not None else bd.lit_int(0)
-        end_text = self.expr(s.end) if s.end is not None else self.list_size(s.source)
+        end_text = self.expr(s.end if s.end is not None else ir.ListSize(s.source))
         if s.step is None or (isinstance(s.step, ir.Lit) and s.step.value == 1):
             update = "i_temp++"
         else:

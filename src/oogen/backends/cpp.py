@@ -19,7 +19,7 @@ from ..layout import (
     FileType,
     RenderedFile,
     extract,
-    indent,
+    hang,
     join_blocks,
     text,
     vcat,
@@ -37,11 +37,6 @@ class CppRenderer(CFamilyRenderer):
     def __init__(self) -> None:
         super().__init__()
         self._iter_vars: set[str] = set()
-
-    def prec_of(self, e: ir.ExprRepr) -> float:
-        if isinstance(e, ir.Binary) and e.op.name == "#^":
-            return ir.ATOMIC_PRECEDENCE  # renders as pow(...)
-        return super().prec_of(e)
 
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "float":
@@ -73,15 +68,16 @@ class CppRenderer(CFamilyRenderer):
             return f"{v.owner}::{v.name}"
         return v.name
 
-    def math_call(self, fn: str, arg: ir.ExprRepr) -> str:
+    def math_call(self, e: ir.MathCall) -> str:
         # C's abs truncates; doubles need fabs, ints keep abs from stdlib.h.
+        fn = e.fn
         if fn == "abs":
-            if arg.type.kind == "int":
+            if e.arg.type.kind == "int":
                 self.needs.add("stdlib.h")
-                return f"abs({self.expr(arg)})"
+                return f"abs({self.expr(e.arg)})"
             fn = "fabs"
         self.needs.add("math.h")
-        return f"{fn}({self.expr(arg)})"
+        return f"{fn}({self.expr(e.arg)})"
 
     def power(self, e: ir.Binary) -> str:
         self.needs.add("math.h")
@@ -99,33 +95,33 @@ class CppRenderer(CFamilyRenderer):
             return f"{receiver.var.name}->{name}({args})"
         return f"{self.atom(receiver)}.{name}({args})"
 
-    def args_list(self) -> str:
+    def args_list(self, e: ir.ArgsList) -> str:
         return "argv"
 
-    def arg_at(self, index: ir.ExprRepr) -> str:
-        return f"argv[{self.literal_plus_one(index)}]"  # argv[0] is the program
+    def arg_at(self, e: ir.ArgAt) -> str:
+        return f"argv[{self.literal_plus_one(e.index)}]"  # argv[0] is the program
 
-    def arg_exists(self, index: ir.ExprRepr) -> str:
-        return f"argc > {self.literal_plus_one(index)}"
+    def arg_exists(self, e: ir.ArgExists) -> str:
+        return f"argc > {self.literal_plus_one(e.index)}"
 
-    def list_access(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.at({self.expr(index)})"
+    def list_access(self, e: ir.ListAccess) -> str:
+        return f"{self.atom(e.lst)}.at({self.expr(e.index)})"
 
-    def list_size(self, lst: ir.ExprRepr) -> str:
-        return f"(int)({self.atom(lst)}.size())"
+    def list_size(self, e: ir.ListSize) -> str:
+        return f"(int)({self.atom(e.lst)}.size())"
 
-    def list_append(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.push_back({self.expr(value)})"
+    def list_append(self, e: ir.ListAppend) -> str:
+        return f"{self.atom(e.lst)}.push_back({self.expr(e.value)})"
 
-    def list_index_exists(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"(int)({self.atom(lst)}.size()) > {self.expr(index)}"
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:
+        return f"(int)({self.atom(e.lst)}.size()) > {self.expr(e.index)}"
 
-    def list_index_of(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
+    def list_index_of(self, e: ir.ListIndexOf) -> str:
         self.needs.add("algorithm")
-        seq = self.atom(lst)
+        seq = self.atom(e.lst)
         return (
             f"(int)(std::find({seq}.begin(), {seq}.end(),"
-            f" {self.expr(value)}) - {seq}.begin())"
+            f" {self.expr(e.value)}) - {seq}.begin())"
         )
 
     def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:
@@ -254,14 +250,8 @@ class CppRenderer(CFamilyRenderer):
                 self.state_var_decl(sv) for sv in c.state_vars if sv.scope == scope
             )
             if members:
-                sections.append(vcat([text(label), indent(vcat(members))]))
-        body = vcat(sections) if sections else EMPTY
-        return vcat([
-            self.doc_comment(c.doc),
-            text(f"class {c.name}{parent} {{"),
-            indent(body),
-            text("};"),
-        ])
+                sections.append(hang(label, vcat(members)))
+        return vcat([self.doc_comment(c.doc), hang(f"class {c.name}{parent} {{", vcat(sections), "};")])
 
     def class_defs_doc(self, c: ir.ClassDeclRepr) -> Doc:
         # static members declared in the class still need one definition

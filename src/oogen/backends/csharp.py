@@ -29,11 +29,6 @@ class CSharpRenderer(CFamilyRenderer):
     target = "csharp"
     extension = ".cs"
 
-    def prec_of(self, e: ir.ExprRepr) -> float:
-        if isinstance(e, ir.Binary) and e.op.name == "#^":
-            return ir.ATOMIC_PRECEDENCE  # renders as Math.Pow(...)
-        return super().prec_of(e)
-
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "bool":
             self.needs.add("System")
@@ -64,9 +59,9 @@ class CSharpRenderer(CFamilyRenderer):
             return f"{v.owner}.{v.name}"
         return v.name
 
-    def math_call(self, fn: str, arg: ir.ExprRepr) -> str:
+    def math_call(self, e: ir.MathCall) -> str:
         self.needs.add("System")
-        return f"Math.{_MATH[fn]}({self.expr(arg)})"
+        return f"Math.{_MATH[e.fn]}({self.expr(e.arg)})"
 
     def power(self, e: ir.Binary) -> str:
         self.needs.add("System")
@@ -75,29 +70,29 @@ class CSharpRenderer(CFamilyRenderer):
     def constructor_call(self, class_name: str, args: str) -> str:
         return f"new {class_name}({args})"
 
-    def args_list(self) -> str:
+    def args_list(self, e: ir.ArgsList) -> str:
         return "args"
 
-    def arg_at(self, index: ir.ExprRepr) -> str:
-        return f"args[{self.expr(index)}]"
+    def arg_at(self, e: ir.ArgAt) -> str:
+        return f"args[{self.expr(e.index)}]"
 
-    def arg_exists(self, index: ir.ExprRepr) -> str:
-        return f"args.Length > {self.expr(index)}"
+    def arg_exists(self, e: ir.ArgExists) -> str:
+        return f"args.Length > {self.expr(e.index)}"
 
-    def list_access(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}[{self.expr(index)}]"
+    def list_access(self, e: ir.ListAccess) -> str:
+        return f"{self.atom(e.lst)}[{self.expr(e.index)}]"
 
-    def list_size(self, lst: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.Count"
+    def list_size(self, e: ir.ListSize) -> str:
+        return f"{self.atom(e.lst)}.Count"
 
-    def list_append(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.Add({self.expr(value)})"
+    def list_append(self, e: ir.ListAppend) -> str:
+        return f"{self.atom(e.lst)}.Add({self.expr(e.value)})"
 
-    def list_index_exists(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.Count > {self.expr(index)}"
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:
+        return f"{self.atom(e.lst)}.Count > {self.expr(e.index)}"
 
-    def list_index_of(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.IndexOf({self.expr(value)})"
+    def list_index_of(self, e: ir.ListIndexOf) -> str:
+        return f"{self.atom(e.lst)}.IndexOf({self.expr(e.value)})"
 
     def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:
         t = self.type_text(ir.list_of(elem))

@@ -22,11 +22,6 @@ class JavaRenderer(CFamilyRenderer):
     target = "java"
     extension = ".java"
 
-    def prec_of(self, e: ir.ExprRepr) -> float:
-        if isinstance(e, ir.Binary) and e.op.name == "#^":
-            return ir.ATOMIC_PRECEDENCE  # renders as Math.pow(...)
-        return super().prec_of(e)
-
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "bool":
             return "boolean"
@@ -60,8 +55,8 @@ class JavaRenderer(CFamilyRenderer):
             return f"{v.owner}.{v.name}"
         return v.name
 
-    def math_call(self, fn: str, arg: ir.ExprRepr) -> str:
-        return f"Math.{fn}({self.expr(arg)})"
+    def math_call(self, e: ir.MathCall) -> str:
+        return f"Math.{e.fn}({self.expr(e.arg)})"
 
     def power(self, e: ir.Binary) -> str:
         return f"Math.pow({self.expr(e.left)}, {self.expr(e.right)})"
@@ -69,29 +64,29 @@ class JavaRenderer(CFamilyRenderer):
     def constructor_call(self, class_name: str, args: str) -> str:
         return f"new {class_name}({args})"
 
-    def args_list(self) -> str:
+    def args_list(self, e: ir.ArgsList) -> str:
         return "args"
 
-    def arg_at(self, index: ir.ExprRepr) -> str:
-        return f"args[{self.expr(index)}]"
+    def arg_at(self, e: ir.ArgAt) -> str:
+        return f"args[{self.expr(e.index)}]"
 
-    def arg_exists(self, index: ir.ExprRepr) -> str:
-        return f"args.length > {self.expr(index)}"
+    def arg_exists(self, e: ir.ArgExists) -> str:
+        return f"args.length > {self.expr(e.index)}"
 
-    def list_access(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.get({self.expr(index)})"
+    def list_access(self, e: ir.ListAccess) -> str:
+        return f"{self.atom(e.lst)}.get({self.expr(e.index)})"
 
-    def list_size(self, lst: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.size()"
+    def list_size(self, e: ir.ListSize) -> str:
+        return f"{self.atom(e.lst)}.size()"
 
-    def list_append(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.add({self.expr(value)})"
+    def list_append(self, e: ir.ListAppend) -> str:
+        return f"{self.atom(e.lst)}.add({self.expr(e.value)})"
 
-    def list_index_exists(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.size() > {self.expr(index)}"
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:
+        return f"{self.atom(e.lst)}.size() > {self.expr(e.index)}"
 
-    def list_index_of(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.indexOf({self.expr(value)})"
+    def list_index_of(self, e: ir.ListIndexOf) -> str:
+        return f"{self.atom(e.lst)}.indexOf({self.expr(e.value)})"
 
     def list_set_text(self, s: ir.ListSet) -> str:
         return f"{self.atom(s.lst)}.set({self.expr(s.index)}, {self.expr(s.value)})"

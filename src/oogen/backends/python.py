@@ -11,41 +11,42 @@ from __future__ import annotations
 from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
-from ..errors import UnsupportedConstruct
-from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, indent, join_blocks, text, vcat
+from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import Renderer, comment_doc, escape_string
 
 
-def _indented(rendered: Doc) -> Doc:
-    """`rendered` as an indented suite, with an explicit pass when no line
-    is code (the suite is empty or holds only comments)."""
+def _suite(header: str, rendered: Doc) -> Doc:
+    """`header` over `rendered` as an indented suite, with an explicit pass
+    when no line is code (the suite is empty or holds only comments)."""
     for line in rendered.lines:
         if line.lstrip()[:1] not in ("", "#"):
-            return indent(rendered)
-    return indent(vcat([rendered, text("pass")]))
+            return hang(header, rendered)
+    return hang(header, Doc(rendered.lines + ("pass",)))
 
 
 def _update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyRepr:
     """Loop body `b` with `update` placed before each of its `continue`s.
     A nested loop's `continue` belongs to that loop and is left alone."""
 
-    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
-        if isinstance(s, ir.Continue):
-            return ir.BlockRepr((update, s))
-        if isinstance(s, ir.BlockRepr):
-            return ir.BlockRepr(tuple(map(stmt, s.statements)))
-        if isinstance(s, ir.If):
-            return ir.If(tuple((cond, body(branch)) for cond, branch in s.branches),
-                         None if s.else_body is None else body(s.else_body))
-        if isinstance(s, ir.Switch):
-            return ir.Switch(s.value, tuple((label, body(case)) for label, case in s.cases),
-                             None if s.default is None else body(s.default))
-        if isinstance(s, ir.TryCatch):
-            return ir.TryCatch(body(s.try_body), body(s.catch_body))
-        return s
-
     def body(b: ir.BodyRepr) -> ir.BodyRepr:
         return ir.BodyRepr(tuple(stmt(blk) for blk in b.blocks))
+
+    def opt(b: ir.BodyRepr | None) -> ir.BodyRepr | None:
+        return None if b is None else body(b)
+
+    rewrites = {  # node class -> the node with the update placed
+        ir.Continue: lambda s: ir.BlockRepr((update, s)),
+        ir.BlockRepr: lambda s: ir.BlockRepr(tuple(map(stmt, s.statements))),
+        ir.If: lambda s: ir.If(tuple((c, body(branch)) for c, branch in s.branches),
+                               opt(s.else_body)),
+        ir.Switch: lambda s: ir.Switch(
+            s.value, tuple((label, body(case)) for label, case in s.cases), opt(s.default)),
+        ir.TryCatch: lambda s: ir.TryCatch(body(s.try_body), body(s.catch_body)),
+    }
+
+    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
+        rewrite = rewrites.get(type(s))
+        return s if rewrite is None else rewrite(s)
 
     return body(b)
 
@@ -57,12 +58,8 @@ class PythonRenderer(Renderer):
     # Target grammar deviations from the catalog: `not` binds between `and`
     # and the comparisons, and ==/!= sit *at* comparison level and chain,
     # so equal-precedence comparison children get wrapped on both sides.
-    def prec_of(self, e: ir.ExprRepr) -> float:
-        if isinstance(e, ir.Unary) and e.op.name == "?!":
-            return 3.5
-        if isinstance(e, ir.Binary) and e.op.name in ("?==", "?!="):
-            return 5
-        return super().prec_of(e)
+    op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
+    op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
 
     def assoc_of(self, op: ir.OperatorSpec) -> str:
         if op.precedence in (4, 5):  # comparisons and equality: never chain
@@ -75,15 +72,6 @@ class PythonRenderer(Renderer):
     def false_token(self) -> str:
         return "False"
 
-    def not_token(self) -> str:
-        return "not"
-
-    def and_token(self) -> str:
-        return "and"
-
-    def or_token(self) -> str:
-        return "or"
-
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
 
@@ -93,7 +81,7 @@ class PythonRenderer(Renderer):
     def power(self, e: ir.Binary) -> str:
         # ** binds tighter than a leading unary minus, so a unary left
         # operand is wrapped even though the catalog ranks unary higher.
-        left_wrap = self.prec_of(e.left) <= 8 or isinstance(e.left, ir.Unary)
+        left_wrap = self.prec_of(e.left) <= 8 or type(e.left) is ir.Unary
         left = f"({self.expr(e.left)})" if left_wrap else self.expr(e.left)
         right = f"({self.expr(e.right)})" if self.prec_of(e.right) < 8 else self.expr(e.right)
         return f"{left} ** {right}"
@@ -108,11 +96,11 @@ class PythonRenderer(Renderer):
             return f"{v.owner}.{v.name}"
         return v.name
 
-    def math_call(self, fn: str, arg: ir.ExprRepr) -> str:
-        if fn == "abs":
-            return f"abs({self.expr(arg)})"
+    def math_call(self, e: ir.MathCall) -> str:
+        if e.fn == "abs":
+            return f"abs({self.expr(e.arg)})"
         self.needs.add("math")
-        return f"math.{fn}({self.expr(arg)})"
+        return f"math.{e.fn}({self.expr(e.arg)})"
 
     def external_call(self, library: str, name: str, args: str) -> str:
         self.needs.add(library)
@@ -121,128 +109,101 @@ class PythonRenderer(Renderer):
     def constructor_call(self, class_name: str, args: str) -> str:
         return f"{class_name}({args})"
 
-    def args_list(self) -> str:
+    def args_list(self, e: ir.ArgsList) -> str:
         self.needs.add("sys")
         return "sys.argv"
 
-    def arg_at(self, index: ir.ExprRepr) -> str:
+    def arg_at(self, e: ir.ArgAt) -> str:
         self.needs.add("sys")
-        return f"sys.argv[{self.literal_plus_one(index)}]"
+        return f"sys.argv[{self.literal_plus_one(e.index)}]"
 
-    def arg_exists(self, index: ir.ExprRepr) -> str:
+    def arg_exists(self, e: ir.ArgExists) -> str:
         self.needs.add("sys")
-        return f"len(sys.argv) > {self.literal_plus_one(index)}"
+        return f"len(sys.argv) > {self.literal_plus_one(e.index)}"
 
-    def list_access(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}[{self.expr(index)}]"
+    def list_access(self, e: ir.ListAccess) -> str:
+        return f"{self.atom(e.lst)}[{self.expr(e.index)}]"
 
-    def list_size(self, lst: ir.ExprRepr) -> str:
-        return f"len({self.expr(lst)})"
+    def list_size(self, e: ir.ListSize) -> str:
+        return f"len({self.expr(e.lst)})"
 
-    def list_append(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.append({self.expr(value)})"
+    def list_append(self, e: ir.ListAppend) -> str:
+        return f"{self.atom(e.lst)}.append({self.expr(e.value)})"
 
-    def list_index_exists(self, lst: ir.ExprRepr, index: ir.ExprRepr) -> str:
-        return f"len({self.expr(lst)}) > {self.expr(index)}"
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:
+        return f"len({self.expr(e.lst)}) > {self.expr(e.index)}"
 
-    def list_index_of(self, lst: ir.ExprRepr, value: ir.ExprRepr) -> str:
-        return f"{self.atom(lst)}.index({self.expr(value)})"
+    def list_index_of(self, e: ir.ListIndexOf) -> str:
+        return f"{self.atom(e.lst)}.index({self.expr(e.value)})"
 
     # -- statements -----------------------------------------------------------
 
-    def suite(self, b: ir.BodyRepr) -> Doc:
-        return _indented(self.body(b))
+    def suite(self, header: str, b: ir.BodyRepr) -> Doc:
+        return _suite(header, self.body(b))
 
-    def stmt(self, s: ir.StatementRepr) -> Doc:
-        if isinstance(s, ir.VarDec):
-            # Scalars and objects bind at first assignment; lists must exist
-            # before an append can run.
-            if s.var.type.is_list:
-                return text(f"{s.var.name} = []")
-            return EMPTY
-        if isinstance(s, ir.VarDecDef):
-            return text(f"{s.var.name} = {self.expr(s.value)}")
-        if isinstance(s, ir.Assign):
-            return self.assign_doc(s)
-        if isinstance(s, ir.ListSet):
-            return text(f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}")
-        if isinstance(s, ir.Return):
-            return text(f"return {self.expr(s.value)}")
-        if isinstance(s, ir.Throw):
-            return text(f'raise Exception("{escape_string(s.message)}")')
-        if isinstance(s, ir.Free):
-            return text(f"del {self.var_ref(s.var)}")
-        if isinstance(s, ir.CommentStmt):
-            return comment_doc("#", s.text)
-        if isinstance(s, ir.Break):
-            return text("break")
-        if isinstance(s, ir.Continue):
-            return text("continue")
-        if isinstance(s, ir.ExprStmt):
-            return text(self.expr(s.expr))
-        if isinstance(s, ir.BlockRepr):
-            return self.block(s)
-        if isinstance(s, ir.If):
-            return self.if_doc(s)
-        if isinstance(s, ir.Switch):
-            return self.switch_doc(s)
-        if isinstance(s, ir.For):
-            # No three-part loop in the grammar: init, then a while whose
-            # body ends with the update, which also runs before a continue.
-            body = _update_before_continue(s.body, s.update)
-            return vcat([
-                self.stmt(s.init),
-                text(f"while {self.expr(s.cond)}:"),
-                _indented(vcat([self.body(body), self.stmt(s.update)])),
-            ])
-        if isinstance(s, ir.ForRange):
-            return self.for_range_doc(s)
-        if isinstance(s, ir.ForEach):
-            return vcat([
-                text(f"for {s.var.name} in {self.expr(s.iterable)}:"),
-                self.suite(s.body),
-            ])
-        if isinstance(s, ir.While):
-            return vcat([text(f"while {self.expr(s.cond)}:"), self.suite(s.body)])
-        if isinstance(s, ir.TryCatch):
-            return vcat([
-                text("try:"), self.suite(s.try_body),
-                text("except Exception:"), self.suite(s.catch_body),
-            ])
-        if isinstance(s, ir.Print):
-            if s.newline:
-                return text(f"print({self.expr(s.expr)})")
-            return text(f'print({self.expr(s.expr)}, end="")')
-        if isinstance(s, ir.Read):
-            reader = "int(input())" if s.parse_int else "input()"
-            return text(f"{self.var_ref(s.var)} = {reader}")
-        if isinstance(s, ir.ListSlice):
-            start = self.expr(s.start) if s.start is not None else ""
-            end = self.expr(s.end) if s.end is not None else ""
-            step = self.expr(s.step) if s.step is not None else ""
-            return text(f"{s.target.name} = {self.atom(s.source)}[{start}:{end}:{step}]")
-        if isinstance(s, ir.InOutCall):
-            targets = ", ".join(v.name for v in s.inouts + s.outs)
-            args = [self.var_ref(v) for v in s.inouts] + [self.expr(e) for e in s.ins]
-            return text(f"{targets} = {s.name}({', '.join(args)})")
-        if isinstance(s, ir.ObserverInit):
-            lst = pt.observer_list_var(s.elem_type)
-            docs = [text(f"{lst.name} = []")]
-            for value in s.init_values:
-                docs.append(text(f"{lst.name}.append({self.expr(value)})"))
-            return vcat(docs)
-        if isinstance(s, ir.ObserverAdd):
-            lst = pt.observer_list_var(s.elem_type)
-            return text(f"{lst.name}.append({self.expr(s.value)})")
-        if isinstance(s, ir.ObserverNotify):
-            lst = pt.observer_list_var(s.elem_type)
-            return vcat([
-                text(f"for observer in {lst.name}:"),
-                indent(text(f"observer.{s.method}()")),
-            ])
-        raise UnsupportedConstruct(
-            f"python backend cannot render statement {type(s).__name__}"
-        )
+    stmt_handlers = {
+        # Scalars and objects bind at first assignment; lists must exist
+        # before an append can run.
+        ir.VarDec: lambda self, s: text(f"{s.var.name} = []") if s.var.type.is_list else EMPTY,
+        ir.VarDecDef: lambda self, s: text(f"{s.var.name} = {self.expr(s.value)}"),
+        ir.Assign: "assign_doc",
+        ir.ListSet: lambda self, s: text(
+            f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}"),
+        ir.Return: lambda self, s: text(f"return {self.expr(s.value)}"),
+        ir.Throw: lambda self, s: text(f'raise Exception("{escape_string(s.message)}")'),
+        ir.Free: lambda self, s: text(f"del {self.var_ref(s.var)}"),
+        ir.CommentStmt: lambda self, s: comment_doc("#", s.text),
+        ir.Break: lambda self, s: text("break"),
+        ir.Continue: lambda self, s: text("continue"),
+        ir.ExprStmt: lambda self, s: text(self.expr(s.expr)),
+        ir.BlockRepr: "block",
+        ir.If: "if_doc",
+        ir.Switch: "switch_doc",
+        ir.For: "for_doc",
+        ir.ForRange: "for_range_doc",
+        ir.ForEach: lambda self, s: self.suite(
+            f"for {s.var.name} in {self.expr(s.iterable)}:", s.body),
+        ir.While: lambda self, s: self.suite(f"while {self.expr(s.cond)}:", s.body),
+        ir.TryCatch: lambda self, s: vcat([
+            self.suite("try:", s.try_body), self.suite("except Exception:", s.catch_body)]),
+        ir.Print: lambda self, s: text(
+            f"print({self.expr(s.expr)})" if s.newline else f'print({self.expr(s.expr)}, end="")'),
+        ir.Read: lambda self, s: text(
+            f"{self.var_ref(s.var)} = {'int(input())' if s.parse_int else 'input()'}"),
+        ir.ListSlice: "slice_doc",
+        ir.InOutCall: "in_out_call_doc",
+        ir.ObserverInit: "observer_init_doc",
+        ir.ObserverAdd: lambda self, s: text(
+            f"{pt.observer_list_var(s.elem_type).name}.append({self.expr(s.value)})"),
+        ir.ObserverNotify: lambda self, s: hang(
+            f"for observer in {pt.observer_list_var(s.elem_type).name}:",
+            text(f"observer.{s.method}()")),
+    }
+
+    def for_doc(self, s: ir.For) -> Doc:
+        # No three-part loop in the grammar: init, then a while whose
+        # body ends with the update, which also runs before a continue.
+        body = _update_before_continue(s.body, s.update)
+        return vcat([
+            self.stmt(s.init),
+            _suite(f"while {self.expr(s.cond)}:", vcat([self.body(body), self.stmt(s.update)])),
+        ])
+
+    def slice_doc(self, s: ir.ListSlice) -> Doc:
+        start = self.expr(s.start) if s.start is not None else ""
+        end = self.expr(s.end) if s.end is not None else ""
+        step = self.expr(s.step) if s.step is not None else ""
+        return text(f"{s.target.name} = {self.atom(s.source)}[{start}:{end}:{step}]")
+
+    def in_out_call_doc(self, s: ir.InOutCall) -> Doc:
+        targets = ", ".join(v.name for v in s.inouts + s.outs)
+        args = [self.var_ref(v) for v in s.inouts] + [self.expr(e) for e in s.ins]
+        return text(f"{targets} = {s.name}({', '.join(args)})")
+
+    def observer_init_doc(self, s: ir.ObserverInit) -> Doc:
+        name = pt.observer_list_var(s.elem_type).name
+        return vcat([text(f"{name} = []")]
+                    + [text(f"{name}.append({self.expr(value)})") for value in s.init_values])
 
     def assign_doc(self, s: ir.Assign) -> Doc:
         target = self.var_ref(s.var)
@@ -260,11 +221,9 @@ class PythonRenderer(Renderer):
         docs: list[Doc] = []
         for i, (cond, branch) in enumerate(s.branches):
             keyword = "if" if i == 0 else "elif"
-            docs.append(text(f"{keyword} {self.expr(cond)}:"))
-            docs.append(self.suite(branch))
+            docs.append(self.suite(f"{keyword} {self.expr(cond)}:", branch))
         if s.else_body is not None:
-            docs.append(text("else:"))
-            docs.append(self.suite(s.else_body))
+            docs.append(self.suite("else:", s.else_body))
         return vcat(docs)
 
     def switch_doc(self, s: ir.Switch) -> Doc:
@@ -283,7 +242,7 @@ class PythonRenderer(Renderer):
             header = f"for {s.var.name} in range({start}, {stop}):"
         else:
             header = f"for {s.var.name} in range({start}, {stop}, {self.expr(s.step)}):"
-        return vcat([text(header), self.suite(s.body)])
+        return self.suite(header, s.body)
 
     # -- declarations -----------------------------------------------------------
 
@@ -297,7 +256,7 @@ class PythonRenderer(Renderer):
             header = f"def {m.name}({', '.join(names)}):"
             returns = ", ".join(v.name for v in spec.inouts + spec.outs)
             suite = join_blocks([self.body(m.body), text(f"return {returns}")])
-            return vcat([comment, text(header), indent(suite)])
+            return vcat([comment, hang(header, suite)])
         params = [p.variable.name for p in m.params]
         decorators: list[Doc] = []
         if m.containing_class is not None:
@@ -306,17 +265,17 @@ class PythonRenderer(Renderer):
             else:
                 params = ["self"] + params
         header = f"def {m.name}({', '.join(params)}):"
-        return vcat([comment, *decorators, text(header), self.suite(m.body)])
+        return vcat([comment, *decorators, self.suite(header, m.body)])
 
     def class_doc(self, c: ir.ClassDeclRepr) -> Doc:
         comment = self.doc_comment(c.doc)
         parent = f"({c.parent})" if c.parent else ""
-        header = text(f"class {c.name}{parent}:")
+        header = f"class {c.name}{parent}:"
         # State variables bind at first instance assignment; only methods render.
         methods = join_blocks([self.method_doc(m) for m in c.methods])
         if methods.is_empty:
             methods = text("pass")
-        return vcat([comment, header, indent(methods)])
+        return vcat([comment, hang(header, methods)])
 
     def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         functions = [self.method_doc(f) for f in module.functions if not f.is_main]

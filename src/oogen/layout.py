@@ -1,7 +1,8 @@
 """Layout primitives shared by every backend.
 
 A Doc is just an immutable stack of lines; the operations are vertical
-concatenation, one-level (4-space) indentation, and blank-line separation.
+concatenation, one-level (4-space) indentation (`hang` puts an indented
+body under a header line in one step), and blank-line separation.
 Bodies render as their blocks joined by exactly one blank line; empty
 blocks vanish without leaving a separator behind.
 """
@@ -41,7 +42,17 @@ def vcat(docs: list[Doc]) -> Doc:
 
 
 def indent(doc: Doc) -> Doc:
-    return Doc(tuple(INDENT + line if line else line for line in doc.lines))
+    return Doc(tuple([INDENT + line if line else line for line in doc.lines]))
+
+
+def hang(head: str, body: Doc, tail: str | None = None) -> Doc:
+    """`head`, then `body` indented one level, then `tail` if given, built
+    as one Doc: a braced block, or a Python suite under its header."""
+    lines = [head]
+    lines += [INDENT + line if line else line for line in body.lines]
+    if tail is not None:
+        lines.append(tail)
+    return Doc(tuple(lines))
 
 
 def join_blocks(docs: list[Doc]) -> Doc:

@@ -1,4 +1,5 @@
-"""Rendering of the all-tags package, pinned byte for byte.
+"""Rendering by table: every IR node class has one handler per target,
+and the all-tags package renders byte for byte as recorded.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
 `tests/all_tags.py` for each target, Makefile and Doxygen config included,
@@ -12,10 +13,15 @@ and review its diff.
 
 from pathlib import Path
 
+import pytest
+
 import all_tags
-from oogen.backends import TARGETS, assemble_package
+from oogen import ir
+from oogen.backends import TARGETS, assemble_package, get_backend
+from oogen.errors import UnsupportedConstruct
 
 FIXTURE = Path(__file__).with_name("all_tags_rendered.txt")
+NODE_BASES = (ir.ExprRepr, ir.StatementRepr)
 
 
 def rendered_listing(pkg) -> str:
@@ -25,6 +31,50 @@ def rendered_listing(pkg) -> str:
 
 def test_all_tags_renders_as_recorded():
     assert rendered_listing(all_tags.package()) == FIXTURE.read_text()
+
+
+def _concrete_nodes():
+    return [cls for cls in vars(ir).values()
+            if isinstance(cls, type) and issubclass(cls, NODE_BASES) and cls not in NODE_BASES]
+
+
+def _tables(target):
+    renderer = type(get_backend(target))
+    return renderer._expr_table, renderer._stmt_table
+
+
+@pytest.mark.parametrize("cls", _concrete_nodes(), ids=lambda c: c.__name__)
+def test_every_node_class_has_exactly_one_handler(cls):
+    table_index = 0 if issubclass(cls, ir.ExprRepr) else 1
+    for target in TARGETS:
+        tables = _tables(target)
+        assert [cls in table for table in tables].count(True) == 1, target
+        assert callable(tables[table_index][cls])
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_handler_tables_hold_only_node_classes(target):
+    expr_table, stmt_table = _tables(target)
+    assert set(expr_table) | set(stmt_table) == set(_concrete_nodes())
+
+
+class Strange(ir.ExprRepr):
+    pass
+
+
+class Odd(ir.StatementRepr):
+    pass
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_unknown_node_names_the_target_and_the_class(target):
+    backend = get_backend(target)
+    with pytest.raises(UnsupportedConstruct) as expr_error:
+        backend.render_expr(Strange())
+    assert str(expr_error.value) == f"{target} backend cannot render expression Strange"
+    with pytest.raises(UnsupportedConstruct) as stmt_error:
+        backend.render_stmt(Odd())
+    assert str(stmt_error.value) == f"{target} backend cannot render statement Odd"
 
 
 if __name__ == "__main__":
