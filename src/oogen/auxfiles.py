@@ -27,6 +27,10 @@ def doc_comment_doc(doc: ir.DocSpec | None, target: str) -> Doc:
     if target == "python":
         # Every line of a field stays behind "#", so no text becomes code.
         return vcat([comment_doc("#", f"{tag} {value}") for tag, value in fields])
+    if target == "java":
+        # javac decodes \uXXXX escapes before it finds comments, so a
+        # \u002a/ would end the block; a doubled backslash starts no escape.
+        fields = [(tag, value.replace("\\", "\\\\")) for tag, value in fields]
     # "*/" in a text would end the block early; "*\/" reads the same.
     fields = [(tag, value.replace("*/", "*\\/")) for tag, value in fields]
     tag, value = fields[0]

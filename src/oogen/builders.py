@@ -23,12 +23,20 @@ from .errors import (
     UnknownParamDoc,
 )
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 def check_identifier(name: str) -> str:
-    if not _IDENT.match(name or ""):
+    if not _IDENT.fullmatch(name or ""):
         raise InvalidIdentifier(f"not a legal identifier: {name!r}")
+    return name
+
+
+def check_dotted_name(name: str) -> str:
+    """An import: identifiers joined by '.' (`java.util.ArrayList`)."""
+    if not _DOTTED.fullmatch(name or ""):
+        raise InvalidIdentifier(f"not a legal dotted name: {name!r}")
     return name
 
 
@@ -473,6 +481,8 @@ def build_class(name: str, parent: str | None, scope: ir.Scope,
 def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],
                  classes: list[ir.ClassDeclRepr], doc: ir.DocSpec | None = None) -> ir.ModuleRepr:
     check_identifier(name)
+    for imp in imports:
+        check_dotted_name(imp)
     seen: set[str] = set()
     for f in functions:
         if f.name in seen:

@@ -65,20 +65,8 @@ class NoMainModule(BuildError):
 
 
 class UnsupportedConstruct(Exception):
-    """A backend cannot express the given IR node.
-
-    Carries enough context (module, item) to point at the offending input.
-    """
-
-    def __init__(self, message: str, *, module: str | None = None, item: str | None = None):
-        self.module = module
-        self.item = item
-        where = "".join(
-            f" [{label} {name}]"
-            for label, name in (("module", module), ("in", item))
-            if name
-        )
-        super().__init__(message + where)
+    """A backend cannot express the given IR node; the message names the
+    target and the node's class."""
 
 
 class DecodeError(ValueError):

@@ -17,10 +17,12 @@ span fields are small checks hung on their rows.
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure: tags, enum spellings, field
 types, literal payload shapes, and operator names, each failure reported
-with the JSON path of the offending node. The names of the program and of
-every module, class, method and variable must also pass the builders'
-`check_identifier`, so none can become a path outside the output directory
-or code. Other semantic checks of the builders are not re-run, so
+with the JSON path of the offending node. Every name must also pass the
+builders' `check_identifier` (program, module, class and parent class,
+method and its class, variable and its owner, call and library, in/out
+call, observer method, object type), and every import their
+`check_dotted_name`, so none can become a path outside the output
+directory or code. Other semantic checks of the builders are not re-run, so
 hand-written JSON can express trees the builders would reject; backends
 render those like any other well-shaped tree.
 """
@@ -31,7 +33,7 @@ import json
 from operator import attrgetter
 
 from . import ir
-from .builders import check_identifier
+from .builders import check_dotted_name, check_identifier
 from .errors import DecodeError, InvalidIdentifier
 from .patterns import MATH_FNS
 
@@ -82,16 +84,21 @@ _BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
 _ANY = _Kind(None, lambda raw, path, key: raw)
 
 
-def _name_dec(raw, path, key):
-    if type(raw) is not str:
-        raw = _STR.dec(raw, path, key)
-    try:
-        return check_identifier(raw)
-    except InvalidIdentifier as exc:
-        _fail(str(exc), (path, key))
+def _name(check, not_a_string) -> _Kind:
+    """A string that passes the builders' `check`."""
+    def dec(raw, path, key):
+        if type(raw) is not str:
+            not_a_string(raw, path, key)
+        try:
+            return check(raw)
+        except InvalidIdentifier as exc:
+            _fail(str(exc), (path, key))
+    return _Kind(None, dec)
 
 
-_NAME = _Kind(None, _name_dec)  # a string the builders accept as a name
+_NAME = _name(check_identifier, _STR.dec)
+_IMPORT = _name(check_dotted_name,
+                lambda raw, path, i: _fail("imports must be strings", (path, i)))
 
 
 def _enum(cls) -> _Kind:
@@ -323,7 +330,7 @@ F = _field
 _TYPE_OBJECT = _Union("kind", "type kind")
 _TYPE_OBJECT.define({
     "list": _Row(lambda elem: ir.TypeRepr("list", elem=elem), F("elem", _TYPE, 0)),
-    "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", _STR, 0)),
+    "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", _NAME, 0)),
     **{kind: _Row(lambda t=t: t) for kind, t in _SCALAR_TYPES.items()},
 })
 _EXPR = _Union("op", "expression tag")
@@ -333,7 +340,7 @@ _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
             F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
             F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
-            F("owner", _STR, default=None), check=_owner_given)
+            F("owner", _NAME, default=None), check=_owner_given)
 _VARS = _list(_VAR)
 
 _EXPR.define({
@@ -345,9 +352,9 @@ _EXPR.define({
     "binary": _Row(ir.Binary, F("name", _operator(2, "binary operator"), "op"), F("left", _EXPR),
                    F("right", _EXPR), F("type", _TYPE, "result")),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _enum(ir.CallForm)), F("name", _STR), F("args", _EXPRS),
+    "call": _Row(ir.Call, F("form", _enum(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "return_type"), F("receiver", _EXPR, default=None),
-                 F("library", _STR, default=None), check=_call_target_given),
+                 F("library", _NAME, default=None), check=_call_target_given),
     "math": _Row(ir.MathCall, F("fn", _choice(MATH_FNS, "math function")), F("arg", _EXPR),
                  F("type", _TYPE, "result")),
     "argsList": _Row(ir.ArgsList),
@@ -392,12 +399,12 @@ _STMT.define({
     "listSlice": _Row(ir.ListSlice, F("target", _VAR), F("source", _EXPR),
                       F("start", _EXPR, default=None), F("end", _EXPR, default=None),
                       F("step", _EXPR, default=None)),
-    "inOutCall": _Row(ir.InOutCall, F("name", _STR), F("ins", _EXPRS), F("outs", _VARS),
+    "inOutCall": _Row(ir.InOutCall, F("name", _NAME), F("ins", _EXPRS), F("outs", _VARS),
                       F("inouts", _VARS)),
     "observerInit": _Row(ir.ObserverInit, F("elemType", _TYPE, "elem_type"),
                          F("init", _EXPRS, "init_values")),
     "observerAdd": _Row(ir.ObserverAdd, F("value", _EXPR), F("elemType", _TYPE, "elem_type")),
-    "observerNotify": _Row(ir.ObserverNotify, F("method", _STR),
+    "observerNotify": _Row(ir.ObserverNotify, F("method", _NAME),
                            F("elemType", _TYPE, "elem_type")),
 })
 
@@ -410,7 +417,7 @@ _PARAM = _Kind(lambda p: _encode(p.variable),
                lambda raw, path, key: ir.ParamRepr(_decode(_VAR, raw, (path, key))))
 _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
                F("returnType", _TYPE, "return_type"), F("params", _list(_PARAM)),
-               F("body", _BODY), F("class", _STR, "containing_class", None),
+               F("body", _BODY), F("class", _NAME, "containing_class", None),
                F("main", _BOOL, "is_main", False), F("doc", _DOC, default=None),
                F("inout", _Row(ir.InOutSpec, F("ins", _VARS), F("outs", _VARS),
                                F("inouts", _VARS)), default=None))
@@ -418,9 +425,7 @@ _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
                   F("var", _VAR, "variable"), F("const", _BOOL, "is_const", False))
 _CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
-              F("parent", _STR, default=None), F("doc", _DOC, default=None))
-_IMPORT = _Kind(None, lambda raw, path, i: raw if isinstance(raw, str) else _fail(
-    "imports must be strings", (path, i)))
+              F("parent", _NAME, default=None), F("doc", _DOC, default=None))
 _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)),
                F("doc", _DOC, default=None))

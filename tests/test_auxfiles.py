@@ -138,6 +138,14 @@ def test_doc_comment_text_cannot_close_the_block(target):
                    "    \\param x a*\\/\n    \\return **\\/\n*/\n")
 
 
+def test_java_doc_comment_doubles_backslashes_before_escaping_the_end():
+    spec = bd.doc_spec("x \\u002a/ y */ z \\")
+    assert extract(auxfiles.doc_comment_doc(spec, "java")) == (
+        "/** \\brief x \\\\u002a/ y *\\/ z \\\\\n*/\n")
+    assert extract(auxfiles.doc_comment_doc(spec, "cpp")) == (
+        "/** \\brief x \\u002a/ y *\\/ z \\\n*/\n")
+
+
 def test_doc_comment_absent_renders_nothing():
     assert auxfiles.doc_comment_doc(None, "java").is_empty
 

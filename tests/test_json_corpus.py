@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 import all_tags
-from oogen import gallery, jsonio
-from oogen.errors import DecodeError
+from oogen import builders as bd, gallery, jsonio
+from oogen.errors import DecodeError, InvalidIdentifier
 
 FIXTURE = Path(__file__).with_name("decode_corpus.txt")
 VALUES = (None, 1, "x", [], {}, True, 2.5)
@@ -95,22 +95,44 @@ def test_gallery_mutations_raise_only_decode_error(entry):
         outcome(text, steps, value)
 
 
+_MAIN = ["program", "modules", 0, "functions", 2]
+_USE = _MAIN + ["body", 0, 1, "expr"]  # the call use(...) in all_tags
 NAME_STEPS = [
     ["program", "name"],
     ["program", "modules", 0, "name"],
     ["program", "modules", 0, "classes", 0, "name"],
+    ["program", "modules", 0, "classes", 0, "parent"],
+    ["program", "modules", 0, "classes", 0, "methods", 0, "class"],
     ["program", "modules", 0, "functions", 0, "name"],
     ["program", "modules", 0, "functions", 0, "params", 0, "name"],
     ["program", "modules", 0, "classes", 0, "stateVars", 0, "var", "name"],
+    _USE + ["name"],
+    _USE + ["args", 6, "library"],
+    _USE + ["args", 10, "list", "var", "owner"],
+    _MAIN + ["body", 0, 0, "var", "type", "class"],
+    _MAIN + ["body", 1, 13, "name"],
+    _MAIN + ["body", 1, 16, "method"],
 ]
+BAD_NAMES = ["../../evil", "x = 1\nimport os", "", "2x", "x\n",
+             '__import__("os").getcwd', "os; import sys"]
 
 
 @pytest.mark.parametrize("steps", NAME_STEPS, ids=_where)
-@pytest.mark.parametrize("name", ["../../evil", "x = 1\nimport os", "", "2x"])
+@pytest.mark.parametrize("name", BAD_NAMES)
 def test_names_the_builders_reject_do_not_decode(steps, name):
     text = json.dumps(jsonio.encode_package(all_tags.package()))
     assert outcome(text, steps, "y") == "ok"
     assert outcome(text, steps, name) == f"{_where(steps)}: not a legal identifier: {name!r}"
+
+
+@pytest.mark.parametrize("name", BAD_NAMES + ["a..b", "a.", ".a", "a.2b"])
+def test_imports_must_be_dotted_names(name):
+    text = json.dumps(jsonio.encode_package(all_tags.package()))
+    steps = ["program", "modules", 0, "imports", 0]
+    assert outcome(text, steps, "java.util.ArrayList") == "ok"
+    assert outcome(text, steps, name) == f"{_where(steps)}: not a legal dotted name: {name!r}"
+    with pytest.raises(InvalidIdentifier):
+        bd.build_module("M", [name], [], [])
 
 
 if __name__ == "__main__":

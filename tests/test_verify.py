@@ -238,6 +238,16 @@ def test_doc_text_cannot_close_the_doc_block_anywhere(tmp_path):
     assert {r.stdout for r in report.executed} == {"8"}
 
 
+def test_unicode_escape_in_doc_text_cannot_close_the_doc_block(tmp_path):
+    main = bd.main_function(bd.one_liner(pt.print_ln(bd.lit_int(8))))
+    module = bd.doc_mod("x \\u002a/ int y = 1; /* z",
+                        bd.build_module("Main", [], [main], []))
+    report = verify.verify_package(bd.prog("p", [module]), targets=("java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"8"}
+
+
 def test_comment_only_bodies_run_everywhere(tmp_path):
     only = bd.one_liner(bd.comment("only"))
     i = bd.var("i", ir.INT)
