@@ -1,8 +1,9 @@
 """Layout primitives shared by every backend.
 
 A Doc is just an immutable stack of lines; the operations are vertical
-concatenation, one-level (4-space) indentation (`hang` puts an indented
-body under a header line in one step), and blank-line separation.
+concatenation, one-level (4-space) indentation of a body under its header
+line (`hang`, one Doc per braced block or suite), and blank-line
+separation.
 Bodies render as their blocks joined by exactly one blank line; empty
 blocks vanish without leaving a separator behind.
 """
@@ -39,10 +40,6 @@ def vcat(docs: list[Doc]) -> Doc:
     for d in docs:
         lines.extend(d.lines)
     return Doc(tuple(lines))
-
-
-def indent(doc: Doc) -> Doc:
-    return Doc(tuple([INDENT + line if line else line for line in doc.lines]))
 
 
 def hang(head: str, body: Doc, tail: str | None = None) -> Doc:

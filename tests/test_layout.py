@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oogen.layout import (
-    BLANK, EMPTY, Doc, FileSet, FileType, RenderedFile, extract, indent,
+    BLANK, EMPTY, Doc, FileSet, FileType, RenderedFile, extract, hang,
     join_blocks, needs_parens, text, vcat, wrap,
 )
 
@@ -17,9 +17,10 @@ def test_text_splits_embedded_newlines():
     assert text("a").lines == ("a",)
 
 
-def test_indent_prefixes_nonempty_lines_with_four_spaces():
+def test_hang_prefixes_nonempty_body_lines_with_four_spaces():
     doc = Doc(("x", "", "y"))
-    assert indent(doc).lines == ("    x", "", "    y")
+    assert hang("h", doc).lines == ("h", "    x", "", "    y")
+    assert hang("h {", doc, "}").lines == ("h {", "    x", "", "    y", "}")
 
 
 @given(docs, docs, docs)
