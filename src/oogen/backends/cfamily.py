@@ -54,7 +54,8 @@ class CFamilyRenderer(Renderer):
         ir.For: "for_doc",
         ir.ForRange: "for_range_doc",
         ir.ForEach: "for_each_doc",
-        ir.While: lambda self, s: self.braced(f"while ({self.expr(s.cond)}) {{", self.body(s.body)),
+        ir.While: lambda self, s: self.braced(
+            f"while ({self.expr(s.cond)}) {{", self.body(s.body)),
         ir.TryCatch: lambda self, s: vcat([
             self.braced("try {", self.body(s.try_body)),
             self.braced(self.catch_header(), self.body(s.catch_body)),

@@ -251,7 +251,8 @@ class CppRenderer(CFamilyRenderer):
             )
             if members:
                 sections.append(hang(label, vcat(members)))
-        return vcat([self.doc_comment(c.doc), hang(f"class {c.name}{parent} {{", vcat(sections), "};")])
+        header = f"class {c.name}{parent} {{"
+        return vcat([self.doc_comment(c.doc), hang(header, vcat(sections), "};")])
 
     def class_defs_doc(self, c: ir.ClassDeclRepr) -> Doc:
         # static members declared in the class still need one definition
