@@ -1,11 +1,20 @@
 """Frozen records: the value classes of the IR, the renderers and verify.
 
 `@record` turns a class with annotated fields into an immutable value, as
-`@dataclass(frozen=True)` would, but generates only `__init__` (one `exec`
-per class). Equality, hashing, `repr` and the frozen guards are shared
-functions that read the fields through a per-class `operator.attrgetter`.
-Generating six methods per class used to be most of the time `import oogen`
-spent in `oogen.ir`.
+`@dataclass(frozen=True, slots=True)` would, but generates only `__init__`
+(one `exec` per class). Equality, hashing, `repr`, pickling and the frozen
+guards are shared functions that read the fields through a per-class
+`operator.attrgetter`. Generating six methods per class used to be most of
+the time `import oogen` spent in `oogen.ir`.
+
+The decorator rebuilds the class with `__slots__` holding the fields no
+base record slots already, so an instance has no `__dict__`. Defaults leave
+the class namespace and live in `__init__` only, which stores each field
+through its slot's pre-bound setter (`member_descriptor.__set__`), past the
+frozen `__setattr__`. `__reduce__` returns the class and the field values,
+so `pickle` and `copy` rebuild a record through `__init__` (`__post_init__`
+runs again). A method using `super()` or `__class__` would keep the class
+from before the rebuild, so the decorator rejects it with `TypeError`.
 
 What a record keeps of the dataclass contract:
 
@@ -15,6 +24,7 @@ What a record keeps of the dataclass contract:
   `hash(x) == hash(tuple_of_fields)`; `repr` is `Cls(a=1, b='x')`;
 * assigning or deleting an attribute raises `dataclasses.FrozenInstanceError`;
 * `__post_init__` runs after `__init__` when the class defines one;
+* the record's own fields are its slots; an unknown attribute cannot be set;
 * `__dataclass_fields__` holds `dataclasses.Field` objects, so
   `dataclasses.fields`, `replace`, `is_dataclass` and `astuple` accept
   records, and `dataclasses.MISSING` marks a field without a default.
@@ -32,8 +42,10 @@ Every annotation in the class body is a field (no `ClassVar`, no
 from __future__ import annotations
 
 from operator import attrgetter
+from types import FunctionType
 
 _MISSING = object()  # default of a field that has none
+_WRAPPERS = (classmethod, staticmethod)
 
 
 def _eq(self, other):
@@ -61,6 +73,10 @@ def _setattr(self, name, value):
 def _delattr(self, name):
     import dataclasses
     raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _reduce(self):
+    return self.__class__, self.__class__.__record_values__(self)
 
 
 def _values_getter(names: tuple[str, ...]):
@@ -108,15 +124,33 @@ def replace(obj, **changes):
 
 
 def record(cls):
-    """Class decorator: make `cls` a frozen record (see the module docstring)."""
+    """Class decorator: make `cls` a frozen record (see the module docstring).
+    It runs for every record class on each `import oogen`, so it keeps to
+    statements where a function call would do the same."""
     specs: dict[str, tuple[object, object]] = {}  # name -> (annotation, default)
     for base in cls.__mro__[-1:0:-1]:
         specs.update(getattr(base, "__record_specs__", {}))
-    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
-        specs[name] = (annotation, cls.__dict__.get(name, _MISSING))
+    namespace = dict(cls.__dict__)
+    slots = ()  # the fields no base record slots already
+    for name, annotation in namespace.get("__annotations__", {}).items():
+        if name not in specs:
+            slots += (name,)
+        specs[name] = (annotation, namespace.pop(name, _MISSING))
+    for name in namespace:  # a method's `__class__` cell would keep the old class
+        f = namespace[name]
+        f = f.fget if type(f) is property else f.__func__ if type(f) in _WRAPPERS else f
+        if type(f) is FunctionType and "__class__" in f.__code__.co_freevars:
+            raise TypeError(f"record {cls.__qualname__}: {name} uses super() or __class__")
+    for name in ("__dict__", "__weakref__"):
+        if name in namespace:
+            del namespace[name]
+    namespace["__slots__"] = slots
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    cls.__qualname__ = qualname
 
     params, lines = ["self"], []
-    env = {"__name__": cls.__module__, "_set": object.__setattr__}
+    env = {"__name__": cls.__module__}
     for name, (_, default) in specs.items():
         if default is _MISSING:
             if "=" in params[-1]:
@@ -125,12 +159,14 @@ def record(cls):
         else:
             env[f"_dflt_{name}"] = default
             params.append(f"{name}=_dflt_{name}")
-        lines.append(f"    _set(self, {name!r}, {name})")
+        slot = cls.__dict__[name] if name in slots else getattr(cls, name)
+        env[f"_set_{name}"] = slot.__set__
+        lines.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")
     exec(f"def __init__({', '.join(params)}):\n" + ("\n".join(lines) or "    pass"), env)
     init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__qualname__ = f"{qualname}.__init__"
 
     names = tuple(specs)
     cls.__init__ = init
@@ -139,5 +175,5 @@ def record(cls):
     cls.__match_args__ = names
     cls.__record_values__ = _values_getter(names)
     cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
-    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    cls.__setattr__, cls.__delattr__, cls.__reduce__ = _setattr, _delattr, _reduce
     return cls

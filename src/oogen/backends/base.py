@@ -13,12 +13,15 @@ the names against each class, so a target overrides a handler by
 defining the method. `expr` and `stmt` look the node's class up; a class
 with no handler raises `UnsupportedConstruct` naming the target.
 
-Expression rendering is string-based and precedence-driven: a child is
-parenthesized exactly when `layout.needs_parens` says so, using the
+Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence (`prec_of`). That is the catalog value of
 the node, except where `op_precedence` (operator name -> precedence)
-overrides it because the target's grammar differs. `op_tokens` maps each
-operator name to its spelling in the target.
+overrides it because the target's grammar differs; `op_assoc` likewise
+overrides an operator's associativity. `binary` holds the parenthesis
+rule: it wraps a child that binds looser than its parent, or equally on
+the side the parent's associativity does not absorb ("none" absorbs
+neither side). `op_tokens` maps each operator name to its spelling in the
+target.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math as _math
 from .. import builders as bd
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import EMPTY, Doc, RenderedFile, needs_parens, vcat, wrap
+from ..layout import EMPTY, Doc, RenderedFile, vcat, wrap
 
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
@@ -75,6 +78,7 @@ class Renderer:
     target = "?"
     extension = "?"
     op_precedence: dict[str, float] = {}
+    op_assoc: dict[str, str] = {}
     op_tokens = {
         "?!": "!", "#~": "-", "?&&": "&&", "?||": "||",
         "#+": "+", "#-": "-", "#*": "*", "#/": "/",
@@ -127,9 +131,6 @@ class Renderer:
             return self.op_precedence.get(op.name, op.precedence)
         return prec
 
-    def assoc_of(self, op: ir.OperatorSpec) -> str:
-        return op.assoc
-
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""
         return wrap(self.expr(e), self.prec_of(e) < ir.ATOMIC_PRECEDENCE)
@@ -174,14 +175,19 @@ class Renderer:
 
     def binary(self, e: ir.Binary) -> str:
         op = e.op
-        if op.name == "#^":
+        name = op.name
+        if name == "#^":
             return self.power(e)
-        parent = self.prec_of(e)
-        assoc = self.assoc_of(op)
-        left = wrap(self.expr(e.left), needs_parens(parent, assoc, "left", self.prec_of(e.left)))
-        right = wrap(self.expr(e.right),
-                     needs_parens(parent, assoc, "right", self.prec_of(e.right)))
-        return f"{left} {self.op_tokens[op.name]} {right}"
+        parent = self.op_precedence.get(name, op.precedence)
+        assoc = self.op_assoc.get(name, op.assoc)
+        left, right = self.expr(e.left), self.expr(e.right)
+        child = self.prec_of(e.left)
+        if child < parent or child == parent and assoc != "left":
+            left = f"({left})"
+        child = self.prec_of(e.right)
+        if child < parent or child == parent and assoc != "right":
+            right = f"({right})"
+        return f"{left} {self.op_tokens[name]} {right}"
 
     def power(self, e: ir.Binary) -> str:  # pragma: no cover - overridden
         raise NotImplementedError

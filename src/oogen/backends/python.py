@@ -59,12 +59,8 @@ class PythonRenderer(Renderer):
     # and the comparisons, and ==/!= sit *at* comparison level and chain,
     # so equal-precedence comparison children get wrapped on both sides.
     op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
+    op_assoc = {name: "none" for name, op in ir.OPERATORS.items() if op.precedence in (4, 5)}
     op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
-
-    def assoc_of(self, op: ir.OperatorSpec) -> str:
-        if op.precedence in (4, 5):  # comparisons and equality: never chain
-            return "none"
-        return op.assoc
 
     def true_token(self) -> str:
         return "True"

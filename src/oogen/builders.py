@@ -7,6 +7,7 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 
 from __future__ import annotations
 
+import keyword
 import re
 
 from . import ir
@@ -25,12 +26,41 @@ from .errors import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+# Reserved words of the targets: Python, then Java, C# and C++ keywords
+# (contextual keywords such as C#'s `value` or Java's `var` stay legal).
+_RESERVED = frozenset(keyword.kwlist) | frozenset("""
+    _ abstract assert boolean break byte case catch char class const continue default do
+    double else enum extends false final finally float for goto if implements import
+    instanceof int interface long native new null package private protected public return
+    short static strictfp super switch synchronized this throw throws transient true try void
+    volatile while
+    as base bool checked decimal delegate event explicit extern fixed foreach implicit in
+    internal is lock namespace object operator out override params readonly ref sbyte sealed
+    sizeof stackalloc string struct typeof uint ulong unchecked unsafe ushort using virtual
+    alignas alignof and and_eq asm auto bitand bitor char8_t char16_t char32_t compl concept
+    consteval constexpr constinit const_cast co_await co_return co_yield decltype delete
+    dynamic_cast export friend inline mutable noexcept not not_eq nullptr or or_eq register
+    reinterpret_cast requires signed static_assert static_cast template thread_local typedef
+    typeid typename union unsigned wchar_t xor xor_eq
+""".split())
 
 
 def check_identifier(name: str) -> str:
-    if not _IDENT.fullmatch(name or ""):
+    """`name`, if it is an identifier and no target's reserved word."""
+    if not _IDENT.fullmatch(name or "") or name in _RESERVED:
         raise InvalidIdentifier(f"not a legal identifier: {name!r}")
     return name
+
+
+def check_type(type_: ir.TypeRepr) -> ir.TypeRepr:
+    """`type_`, once every object class name in it (through list element
+    types too) has passed `check_identifier`."""
+    t = type_
+    while t is not None:
+        if t.class_name is not None:
+            check_identifier(t.class_name)
+        t = t.elem
+    return type_
 
 
 def check_dotted_name(name: str) -> str:
@@ -45,30 +75,31 @@ def check_dotted_name(name: str) -> str:
 
 
 def var(name: str, type_: ir.TypeRepr, binding: ir.Binding = ir.Binding.DYNAMIC) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), type_, binding)
+    return ir.VariableRepr(check_identifier(name), check_type(type_), binding)
 
 
 def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), type_, ir.Binding.DYNAMIC, ir.VarForm.SELF)
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
+                           ir.VarForm.SELF)
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), type_, ir.Binding.STATIC, ir.VarForm.CLASS_MEMBER,
+        check_identifier(name), check_type(type_), ir.Binding.STATIC, ir.VarForm.CLASS_MEMBER,
         owner=check_identifier(class_name),
     )
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), type_, ir.Binding.DYNAMIC, ir.VarForm.OBJECT_MEMBER,
+        check_identifier(name), check_type(type_), ir.Binding.DYNAMIC, ir.VarForm.OBJECT_MEMBER,
         owner=check_identifier(owner),
     )
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), type_, ir.Binding.STATIC, ir.VarForm.EXTERNAL,
+        check_identifier(name), check_type(type_), ir.Binding.STATIC, ir.VarForm.EXTERNAL,
         owner=check_identifier(library),
     )
 

@@ -73,14 +73,14 @@ class _Kind:
         self.enc, self.dec = enc, dec
 
 
-def _leaf(test, what: str) -> _Kind:
+def _leaf(cls: type, what: str) -> _Kind:
     def dec(raw, path, key):
-        return raw if test(raw) else _fail(f"field {key!r} must be {what}", path)
+        return raw if isinstance(raw, cls) else _fail(f"field {key!r} must be {what}", path)
     return _Kind(None, dec)
 
 
-_STR = _leaf(lambda v: isinstance(v, str), "a string")
-_BOOL = _leaf(lambda v: isinstance(v, bool), "a boolean")
+_STR = _leaf(str, "a string")
+_BOOL = _leaf(bool, "a boolean")
 _ANY = _Kind(None, lambda raw, path, key: raw)
 
 
@@ -116,7 +116,9 @@ def _choice(values, noun: str, enc=None) -> _Kind:
     values = values if isinstance(values, dict) else {v: v for v in values}
 
     def dec(raw, path, key):
-        value = values.get(_STR.dec(raw, path, key), _MISSING)
+        if not isinstance(raw, str):
+            _STR.dec(raw, path, key)  # raises
+        value = values.get(raw, _MISSING)
         return value if value is not _MISSING else _fail(f"unknown {noun} {raw!r}", path)
     return _Kind(enc, dec)
 
@@ -131,10 +133,14 @@ def _list(item: _Kind, wrap=None) -> _Kind:
     holding that tuple (a block's statements, a body's blocks)."""
     unwrap = attrgetter(wrap.__match_args__[0]) if wrap else (lambda v: v)
     item_enc, item_dec = item.enc or (lambda v: v), item.dec
+    shape = item if isinstance(item, _Shape) else None
 
     def dec(raw, path, key):
         here = (path, key)
-        values = tuple([item_dec(x, here, i) for i, x in enumerate(_array(raw, here))])
+        if shape is not None:  # one call per item, not two
+            values = tuple([_decode(shape, x, (here, i)) for i, x in enumerate(_array(raw, here))])
+        else:
+            values = tuple([item_dec(x, here, i) for i, x in enumerate(_array(raw, here))])
         return wrap(values) if wrap else values
     return _Kind(lambda value: [item_enc(x) for x in unwrap(value)], dec)
 
@@ -243,9 +249,13 @@ def _decode(shape: _Shape, data, path):
         _fail(f"expected an object, got {type(data).__name__}", path)
     row, seen = shape, 0
     if type(shape) is _Union:
-        if shape.key not in data:
+        tag = data.get(shape.key, _MISSING)
+        if tag is _MISSING:
             _fail(f"missing required field {shape.key!r}", path)
-        row, seen = shape.tags.dec(data[shape.key], path, shape.key), 1
+        row = shape.rows.get(tag) if isinstance(tag, str) else None
+        if row is None:
+            shape.tags.dec(tag, path, shape.key)  # raises
+        seen = 1
     args = list(row.defaults)
     for key, pos, sub, dec, default in row.decoders:
         raw = data.get(key, _MISSING)
@@ -432,9 +442,18 @@ _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
 _PROGRAM = _Row(tuple, F("name", _NAME, 0), F("modules", _list(_MODULE), 1))
 _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
                     F("docRule", _BOOL, "with_doc_rule", False)))
+
+
+def _version(raw, path, key):
+    """Exactly the integer SCHEMA_VERSION: `true` and `1.0` equal 1 in Python."""
+    if _LIT_CHECKS["int"](raw) and raw == SCHEMA_VERSION:
+        return raw
+    _fail(f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}",
+          (path, key))
+
+
+_VERSION = _Kind(None, _version)
 # The document itself; encode_package writes "aux" even when it is empty.
-_VERSION = _Kind(None, lambda raw, path, key: raw if raw == SCHEMA_VERSION else _fail(
-    f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}", (path, key)))
 _DOCUMENT = _Row(lambda version, program, aux: ir.PackageTree(*program, aux),
                  F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2, ()),
                  check=_aux_kinds_unique)
@@ -455,7 +474,8 @@ def encode_package(pkg: ir.PackageTree) -> dict:
 
 def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
     """Compact by default; indent=2 gives the listing meant to be read."""
-    return json.dumps(encode_package(pkg), indent=indent) + "\n"
+    # encode_package builds a fresh tree, which has no cycles to look for.
+    return json.dumps(encode_package(pkg), indent=indent, check_circular=False) + "\n"
 
 
 def decode_package(data: object) -> ir.PackageTree:

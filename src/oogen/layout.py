@@ -75,20 +75,6 @@ def extract(doc: Doc) -> str:
 # Parenthesis elision
 
 
-def needs_parens(parent_prec: float, parent_assoc: str, side: str, child_prec: float) -> bool:
-    """Wrap iff the child binds looser, or equally on the side the parent's
-    associativity does not absorb ("none" absorbs neither side)."""
-    if child_prec < parent_prec:
-        return True
-    if child_prec == parent_prec:
-        if parent_assoc == "left":
-            return side == "right"
-        if parent_assoc == "right":
-            return side == "left"
-        return True
-    return False
-
-
 def wrap(child_text: str, wanted: bool) -> str:
     return f"({child_text})" if wanted else child_text
 
@@ -118,6 +104,8 @@ class FileSet:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for f in self.files:
+            if not f.path or "/" in f.path or "\\" in f.path or ".." in f.path:
+                raise ValueError(f"file set path must be a plain file name: {f.path!r}")
             if f.path in seen:
                 raise ValueError(f"duplicate path in file set: {f.path}")
             seen.add(f.path)

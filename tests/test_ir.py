@@ -1,8 +1,11 @@
 """Builder validation: anything that builds must be renderable everywhere,
 so the checks all fire at construction time."""
 
+import copy
 import dataclasses
 import enum
+import pickle
+import types
 
 import pytest
 
@@ -29,6 +32,37 @@ from oogen.errors import (
 def test_bad_identifiers_rejected(name):
     with pytest.raises(InvalidIdentifier):
         bd.var(name, ir.INT)
+
+
+# One reserved word of each target, and words only a few targets reserve.
+@pytest.mark.parametrize("name", ["class", "lambda", "None", "boolean", "instanceof",
+                                  "string", "out", "delete", "nullptr", "and"])
+def test_reserved_words_are_not_identifiers(name):
+    with pytest.raises(InvalidIdentifier, match="not a legal identifier"):
+        bd.var(name, ir.INT)
+    with pytest.raises(InvalidIdentifier):
+        bd.function(name, ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [], bd.body([]))
+    assert bd.var(name + "_", ir.INT).name == name + "_"
+    assert bd.check_dotted_name(f"lib.{name}") == f"lib.{name}"  # imports stay as they are
+
+
+_VAR_MAKERS = {
+    "var": lambda t: bd.var("o", t),
+    "self_var": lambda t: bd.self_var("o", t),
+    "class_var": lambda t: bd.class_var("C", "o", t),
+    "obj_var": lambda t: bd.obj_var("c", "o", t),
+    "ext_var": lambda t: bd.ext_var("lib", "o", t),
+}
+
+
+@pytest.mark.parametrize("make", _VAR_MAKERS.values(), ids=_VAR_MAKERS.keys())
+@pytest.mark.parametrize("wrap", [lambda t: t, ir.list_of, lambda t: ir.list_of(ir.list_of(t))],
+                         ids=["direct", "in_list", "in_list_of_list"])
+def test_variable_types_check_their_class_names(make, wrap):
+    assert make(wrap(ir.obj_of("Foo"))).type == wrap(ir.obj_of("Foo"))
+    for bad in ("Foo o; int x", "a b", "class"):
+        with pytest.raises(InvalidIdentifier):
+            make(wrap(ir.obj_of(bad)))
 
 
 def test_char_literal_is_one_character():
@@ -429,3 +463,88 @@ def test_record_replace_runs_post_init_again():
 def test_record_replace_rejects_an_unknown_field():
     with pytest.raises(TypeError):
         replace(ir.INT, nosuch=1)
+
+
+# -- the slotted layout ---------------------------------------------------------
+
+
+def _record_classes():
+    return [c for c in vars(ir).values() if isinstance(c, type) and hasattr(c, "__record_specs__")]
+
+
+def test_records_have_no_instance_dict():
+    for node in (ir.INT, bd.var("x", ir.INT), ir.Break(), _method(), layout.Doc(("a",))):
+        assert not hasattr(node, "__dict__"), type(node)
+
+
+def test_record_slots_hold_only_their_own_fields():
+    for cls in _record_classes() + [layout.Doc, layout.FileSet, gallery.GalleryEntry]:
+        inherited = {name for base in cls.__mro__[1:] for name in getattr(base, "__slots__", ())}
+        assert set(cls.__slots__) == set(cls.__match_args__) - inherited, cls
+    assert ir.ExprRepr.__slots__ == () and ir.Lit.__slots__ == ("kind", "value")
+
+
+def test_redeclared_field_keeps_its_base_slot():
+    @record
+    class Base:
+        a: int
+        b: int = 2
+
+    @record
+    class Sub(Base):
+        c: int = 3
+        a: int = 1
+
+    assert Base.__slots__ == ("a", "b") and Sub.__slots__ == ("c",)
+    assert not hasattr(Sub(), "__dict__")
+    assert (Sub().a, Sub(4).a) == (1, 4)
+    # defaults live in __init__ only: the class holds slots, not values
+    assert "a" not in vars(Sub) and isinstance(vars(Base)["b"], types.MemberDescriptorType)
+
+
+@pytest.mark.parametrize("copier", [
+    lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_records_pickle_and_copy(copier):
+    tree = gallery.get("patternTest").package
+    assert copier(tree) == tree
+    assert copier(ir.Break()) == ir.Break()
+    files = layout.FileSet((layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n"),))
+    assert copier(files) == files
+
+
+def test_unpickling_runs_post_init_again(monkeypatch):
+    one = layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n")
+    data = pickle.dumps(layout.FileSet((one,)))
+    calls = []
+    monkeypatch.setattr(layout.FileSet, "__post_init__", lambda self: calls.append(self))
+    # __init__ was generated to call self.__post_init__(), so the patch is seen
+    restored = pickle.loads(data)
+    assert calls == [restored]
+    copy.deepcopy(restored)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("node", [ir.INT, ir.Break(), layout.Doc(("a",))], ids=repr)
+def test_unknown_attributes_stay_frozen(node):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.nosuch = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(node, "nosuch", 1)  # past the guard: no __dict__ to hold it
+
+
+def test_record_methods_may_not_use_the_class_cell():
+    with pytest.raises(TypeError, match="super"):
+        @record
+        class Child(ir.Lit):
+            def describe(self):
+                return super().__repr__()
+
+    with pytest.raises(TypeError, match="super"):
+        @record
+        class Other:
+            x: int
+
+            @property
+            def me(self):
+                return __class__

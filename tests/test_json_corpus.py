@@ -118,7 +118,7 @@ BAD_NAMES = ["../../evil", "x = 1\nimport os", "", "2x", "x\n",
 
 
 @pytest.mark.parametrize("steps", NAME_STEPS, ids=_where)
-@pytest.mark.parametrize("name", BAD_NAMES)
+@pytest.mark.parametrize("name", BAD_NAMES + ["class"])  # a reserved word is no name
 def test_names_the_builders_reject_do_not_decode(steps, name):
     text = json.dumps(jsonio.encode_package(all_tags.package()))
     assert outcome(text, steps, "y") == "ok"

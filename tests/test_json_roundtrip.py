@@ -94,6 +94,46 @@ def test_version_field_checked():
     _expect_error(doc, "$.version", "version")
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 0])
+def test_version_must_be_the_integer_one(version):
+    doc = _doc()
+    doc["version"] = version
+    _expect_error(doc, "$.version", f"unsupported version {version!r}")
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# Fields whose strings may be a str subclass: tags, enums, choices, texts
+# (a name must be exactly a str).
+_STR_KEYS = {"op", "stmt", "kind", "form", "mode", "scope", "binding", "fn", "text"}
+
+
+def _subclassed(node):
+    """The same JSON value with every object and array a subclass, and
+    every key and every string under _STR_KEYS a str subclass."""
+    if isinstance(node, dict):
+        return _Dict({_Str(k): _Str(v) if k in _STR_KEYS and isinstance(v, str)
+                      else _subclassed(v) for k, v in node.items()})
+    if isinstance(node, list):
+        return _List(_subclassed(x) for x in node)
+    return node
+
+
+def test_decode_accepts_dict_list_and_str_subclasses():
+    pkg = all_tags.package()
+    assert jsonio.decode_package(_subclassed(jsonio.encode_package(pkg))) == pkg
+
+
 def test_unknown_top_level_key_rejected():
     doc = _doc()
     doc["extra"] = 1

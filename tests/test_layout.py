@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oogen import builders as bd, ir
+from oogen.backends import TARGETS, get_backend
 from oogen.layout import (
     BLANK, EMPTY, Doc, FileSet, FileType, RenderedFile, extract, hang,
-    join_blocks, needs_parens, text, vcat, wrap,
+    join_blocks, text, vcat, wrap,
 )
 
 docs = st.lists(st.text(alphabet="ab \n", max_size=8), max_size=4).map(
@@ -53,24 +55,41 @@ def test_blank_is_one_empty_line():
     assert BLANK.lines == ("",)
 
 
-# precedence: (parent, assoc, side, child) -> wrap?
-@pytest.mark.parametrize(
-    "parent,assoc,side,child,wanted",
-    [
-        (7, "left", "left", 6, True),    # (a + b) * c
-        (6, "left", "left", 7, False),   # a * b + c
-        (6, "left", "right", 6, True),   # a - (b + c)
-        (6, "left", "left", 6, False),   # a + b - c
-        (8, "right", "left", 8, True),   # (a ^ b) ^ c
-        (8, "right", "right", 8, False),  # a ^ b ^ c
-        (5, "none", "left", 5, True),    # non-associative comparisons chain never
-        (5, "none", "right", 5, True),
-        (9, "left", "unary", 6, True),   # !(a + b)
-        (9, "left", "unary", 100, False),
-    ],
-)
-def test_needs_parens_table(parent, assoc, side, child, wanted):
-    assert needs_parens(parent, assoc, side, child) is wanted
+def _v(name, type_=ir.INT):
+    return bd.value_of(bd.var(name, type_))
+
+
+def _op(name, left, right):
+    return bd.apply_binary(name, left, right)
+
+
+_A, _B, _C, _P = _v("a"), _v("b"), _v("c"), _v("p", ir.BOOL)
+_POW = {"java": "Math.pow", "csharp": "Math.Pow", "cpp": "pow"}
+
+
+# Parenthesis elision, one row per case of the rule: (tree, its Python
+# rendering, its C-family rendering where that differs; {pow} stands for
+# the target's power function).
+_PARENS = [
+    (_op("#*", _op("#+", _A, _B), _C), "(a + b) * c", None),  # looser child
+    (_op("#+", _op("#*", _A, _B), _C), "a * b + c", None),  # tighter child
+    (_op("#-", _A, _op("#+", _B, _C)), "a - (b + c)", None),  # equal, right of left-assoc
+    (_op("#-", _op("#+", _A, _B), _C), "a + b - c", None),  # equal, left of left-assoc
+    (_op("#^", _op("#^", _A, _B), _C), "(a ** b) ** c", "{pow}({pow}(a, b), c)"),
+    (_op("#^", _A, _op("#^", _B, _C)), "a ** b ** c", "{pow}(a, {pow}(b, c))"),
+    # Python comparisons never chain: equal precedence wraps on both sides
+    (_op("?==", _op("?<", _A, _B), _P), "(a < b) == p", "a < b == p"),
+    (_op("?==", _P, _op("?<", _A, _B)), "p == (a < b)", "p == a < b"),
+    (bd.apply_unary("#~", _op("#+", _A, _B)), "-(a + b)", None),
+    (bd.apply_unary("#~", _A), "-a", None),
+]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("tree,python,cfamily", _PARENS, ids=[row[1] for row in _PARENS])
+def test_parens_table(tree, python, cfamily, target):
+    wanted = python if target == "python" else (cfamily or python).format(pow=_POW.get(target))
+    assert get_backend(target).render_expr(tree) == wanted
 
 
 def test_wrap():
@@ -82,6 +101,12 @@ def test_file_set_rejects_duplicate_paths():
     f = RenderedFile("A.py", FileType.COMBINED, "pass\n")
     with pytest.raises(ValueError, match="duplicate path"):
         FileSet((f, f))
+
+
+@pytest.mark.parametrize("path", ["", "../x.py", "sub/x.py", "sub\\x.py", "..", "a..py", "/x.py"])
+def test_file_set_rejects_paths_that_are_not_plain_file_names(path):
+    with pytest.raises(ValueError, match="plain file name"):
+        FileSet((RenderedFile(path, FileType.SOURCE, "pass\n"),))
 
 
 def test_file_set_iterates_in_order():
