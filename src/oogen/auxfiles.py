@@ -1,4 +1,4 @@
-"""Non-code package artifacts: doc comments, Makefile, Doxygen config.
+"""Non-code package artifacts: Makefile and Doxygen config.
 
 The Makefile shape is one canonical compiler invocation per target with the
 command names lifted into variables so callers can override them the usual
@@ -9,35 +9,10 @@ requirement, not a style choice.
 from __future__ import annotations
 
 from . import ir
-from .backends.base import comment_doc
 from .errors import NoMainModule, UnsupportedConstruct
-from .layout import EMPTY, Doc, FileType, RenderedFile, extract, join_blocks, text, vcat
+from .layout import Doc, FileType, RenderedFile, extract, join_blocks, text, vcat
 
 DOX_CONFIG_NAME = "doxConfig"
-
-
-def doc_comment_doc(doc: ir.DocSpec | None, target: str) -> Doc:
-    """Doxygen-style comment block; Python gets the same fields behind #."""
-    if doc is None:
-        return EMPTY
-    fields: list[tuple[str, str]] = [("\\brief", doc.description)]
-    fields += [("\\param", f"{name} {desc}") for name, desc in doc.param_descs]
-    if doc.return_desc is not None:
-        fields.append(("\\return", doc.return_desc))
-    if target == "python":
-        # Every line of a field stays behind "#", so no text becomes code.
-        return vcat([comment_doc("#", f"{tag} {value}") for tag, value in fields])
-    if target == "java":
-        # javac decodes \uXXXX escapes before it finds comments, so a
-        # \u002a/ would end the block; a doubled backslash starts no escape.
-        fields = [(tag, value.replace("\\", "\\\\")) for tag, value in fields]
-    # "*/" in a text would end the block early; "*\/" reads the same.
-    fields = [(tag, value.replace("*/", "*\\/")) for tag, value in fields]
-    tag, value = fields[0]
-    lines = [f"/** {tag} {value}"]
-    lines += [f"    {tag} {value}" for tag, value in fields[1:]]
-    lines.append("*/")
-    return vcat([text(line) for line in lines])
 
 
 def _rule(name: str, commands: list[str], dep: str = "") -> Doc:

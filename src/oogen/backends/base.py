@@ -6,12 +6,19 @@ variables), so concurrent renders of different modules never share state.
 
 Every IR node is rendered by one dict lookup on its class. A renderer
 class lists its handlers in `expr_handlers` (here, for every target) and
-`stmt_handlers` (in `CFamilyRenderer` and `PythonRenderer`): each maps a
-node class to the name of the method that renders it, or to a function
-`(renderer, node)` for a one-line rendering. `__init_subclass__` resolves
-the names against each class, so a target overrides a handler by
-defining the method. `expr` and `stmt` look the node's class up; a class
-with no handler raises `UnsupportedConstruct` naming the target.
+`stmt_handlers` (here those every target shares, the rest in
+`CFamilyRenderer` and `PythonRenderer`): each maps a node class to the
+name of the method that renders it, or to a function `(renderer, node)`
+for a one-line rendering. `__init_subclass__` resolves the names against
+each class, so a target overrides a handler by defining the method.
+`expr` and `stmt` look the node's class up; a class with no handler
+raises `UnsupportedConstruct` naming the target.
+
+Patterns are lowered once, here, to core IR built through the builders,
+so every target accepts or refuses the same trees: an Observer list is a
+list variable that adding appends to and notifying loops over, and
+`switch_as_if` turns a switch into an if-chain for targets that cannot
+switch on its value.
 
 Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence (`prec_of`). That is the catalog value of
@@ -30,8 +37,9 @@ import math as _math
 
 from .. import builders as bd
 from .. import ir
+from .. import patterns as pt
 from ..errors import UnsupportedConstruct
-from ..layout import EMPTY, Doc, RenderedFile, vcat, wrap
+from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
@@ -68,6 +76,38 @@ def escape_char(value: str) -> str:
     return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
+def doc_fields(doc: ir.DocSpec) -> list[tuple[str, str]]:
+    """(Doxygen tag, text) for each line of a doc comment, in order."""
+    fields = [("\\brief", doc.description)]
+    fields += [("\\param", f"{name} {desc}") for name, desc in doc.param_descs]
+    if doc.return_desc is not None:
+        fields.append(("\\return", doc.return_desc))
+    return fields
+
+
+def switch_as_if(s: ir.Switch) -> ir.If:
+    """The switch as an if/else-if chain of `==` tests, for targets (or
+    scrutinee types) without a native switch."""
+    branches = tuple((bd.apply_binary("?==", s.value, label), branch) for label, branch in s.cases)
+    return ir.If(branches, s.default)
+
+
+def _observer_append(elem_type: ir.TypeRepr, value: ir.ExprRepr) -> ir.ExprStmt:
+    return bd.call_stmt(pt.list_append(bd.value_of(pt.observer_list_var(elem_type)), value))
+
+
+def _observer_init(s: ir.ObserverInit) -> ir.BlockRepr:
+    appends = [_observer_append(s.elem_type, value) for value in s.init_values]
+    return bd.block([bd.var_dec(pt.observer_list_var(s.elem_type)), *appends])
+
+
+def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
+    lst = pt.observer_list_var(s.elem_type)
+    each = bd.var("observer", s.elem_type)
+    call = bd.method_call(bd.value_of(each), s.method, ir.VOID, [])
+    return bd.for_each(each, bd.value_of(lst), bd.one_liner(bd.call_stmt(call)))
+
+
 def _resolve(cls, handlers: dict) -> dict:
     return {node: getattr(cls, h) if type(h) is str else h for node, h in handlers.items()}
 
@@ -77,6 +117,8 @@ class Renderer:
 
     target = "?"
     extension = "?"
+    statement_end = ";"
+    comment_marker = "//"
     op_precedence: dict[str, float] = {}
     op_assoc: dict[str, str] = {}
     op_tokens = {
@@ -91,7 +133,29 @@ class Renderer:
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexExists: "list_index_exists", ir.ListIndexOf: "list_index_of",
     }
-    stmt_handlers: dict = {}
+    # Statements every target spells alike but for `statement_end`, and the
+    # patterns every target lowers to core IR the same way; each family
+    # merges these into its own table.
+    stmt_handlers: dict = {
+        ir.Assign: "assign_doc",
+        ir.ListSet: lambda self, s: text(self.list_set_text(s) + self.statement_end),
+        ir.Return: lambda self, s: text(f"return {self.expr(s.value)}{self.statement_end}"),
+        ir.CommentStmt: lambda self, s: comment_doc(
+            self.comment_marker, self.comment_text(s.text)),
+        ir.Break: lambda self, s: text("break" + self.statement_end),
+        ir.Continue: lambda self, s: text("continue" + self.statement_end),
+        ir.ExprStmt: lambda self, s: text(self.expr(s.expr) + self.statement_end),
+        ir.BlockRepr: "block",
+        ir.If: "if_doc",
+        ir.Switch: "switch_doc",
+        ir.For: "for_doc",
+        ir.ForRange: "for_range_doc",
+        ir.ListSlice: "slice_doc",
+        ir.InOutCall: "in_out_call_doc",
+        ir.ObserverInit: lambda self, s: self.stmt(_observer_init(s)),
+        ir.ObserverAdd: lambda self, s: self.stmt(_observer_append(s.elem_type, s.value)),
+        ir.ObserverNotify: lambda self, s: self.stmt(_observer_notify(s)),
+    }
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -187,7 +251,15 @@ class Renderer:
         child = self.prec_of(e.right)
         if child < parent or child == parent and assoc != "right":
             right = f"({right})"
-        return f"{left} {self.op_tokens[name]} {right}"
+        out = f"{left} {self.op_tokens[name]} {right}"
+        if name == "#/" and e.result.kind == "int":
+            return self.int_quotient(out)
+        return out
+
+    def int_quotient(self, quotient: str) -> str:
+        """`quotient`, an int `/`, made to truncate toward zero; the C
+        family's `/` on two ints already does."""
+        return quotient
 
     def power(self, e: ir.Binary) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -250,16 +322,45 @@ class Renderer:
     def list_append(self, e: ir.ListAppend) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_index_exists(self, e: ir.ListIndexExists) -> str:  # pragma: no cover
-        raise NotImplementedError
+    def list_index_exists(self, e: ir.ListIndexExists) -> str:
+        return f"{self.list_size(ir.ListSize(e.lst))} > {self.expr(e.index)}"
 
     def list_index_of(self, e: ir.ListIndexOf) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    # -- helpers shared by all statement renderers --------------------------
+    # -- statements and helpers shared by all targets -----------------------
+
+    def assign_doc(self, s: ir.Assign) -> Doc:
+        target = self.var_ref(s.var)
+        mode = s.mode
+        if mode == ir.AssignMode.SET:
+            line = f"{target} = {self.expr(s.value)}"
+        elif mode == ir.AssignMode.ADD_EQ:
+            line = f"{target} += {self.expr(s.value)}"
+        elif mode == ir.AssignMode.SUB_EQ:
+            line = f"{target} -= {self.expr(s.value)}"
+        else:
+            line = self.step_text(target, "+" if mode == ir.AssignMode.INC else "-")
+        return text(line + self.statement_end)
+
+    def step_text(self, target: str, sign: str) -> str:
+        """`target` incremented (`sign` "+") or decremented ("-")."""
+        return f"{target}{sign}{sign}"
+
+    def switch_doc(self, s: ir.Switch) -> Doc:
+        """An if-chain; the C family overrides this with its native switch."""
+        return self.if_doc(switch_as_if(s))
+
+    def list_set_text(self, s: ir.ListSet) -> str:
+        return f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}"
+
+    def comment_text(self, text: str) -> str:
+        """Comment text that the target's lexer cannot read past; Python's
+        and C#'s lexers have no such trap, so it is returned as it is."""
+        return text
 
     def literal_plus_one(self, index: ir.ExprRepr) -> str:
-        """index+1 with constant folding, for arg vectors led by the program name."""
+        """index+1, constant-folded (argv counts the program; range() excludes its end)."""
         if type(index) is ir.Lit and index.kind == "int":
             return str(index.value + 1)
         return self.expr(bd.apply_binary("#+", index, bd.lit_int(1)))
@@ -312,8 +413,18 @@ class Renderer:
     # -- documentation comments ---------------------------------------------
 
     def doc_comment(self, doc: ir.DocSpec | None) -> Doc:
+        """Doxygen-style `/** */` block, one line per field."""
         if doc is None:
             return EMPTY
-        from .. import auxfiles
+        # "*/" in a text would end the block early; "*\/" reads the same.
+        fields = [(tag, self.doc_text(value).replace("*/", "*\\/"))
+                  for tag, value in doc_fields(doc)]
+        tag, value = fields[0]
+        lines = [f"/** {tag} {value}"]
+        lines += [f"    {tag} {value}" for tag, value in fields[1:]]
+        lines.append("*/")
+        return vcat([text(line) for line in lines])
 
-        return auxfiles.doc_comment_doc(doc, self.target)
+    def doc_text(self, text: str) -> str:
+        """A doc comment's text as the target's lexer must see it."""
+        return text

@@ -2,6 +2,9 @@
 
 Java, C#, and C++ differ in types, I/O, and signatures but share the
 block structure: this class owns that shape and defers the rest to hooks.
+It also holds the Java/C# module layout (a public wrapper class of static
+free functions and the entry point, then the module's classes), with each
+spelling the two differ in as a class constant; C++ overrides it whole.
 """
 
 from __future__ import annotations
@@ -10,13 +13,19 @@ from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, hang, text, vcat
-from .base import Renderer, comment_doc
+from ..layout import Doc, EMPTY, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
+from .base import Renderer, escape_string
 
 
 class CFamilyRenderer(Renderer):
     switch_strings_as_chain = False
     op_precedence = {"#^": ir.ATOMIC_PRECEDENCE}  # every target renders it as a call
+    # Spellings the Java/C# layout below takes from each of the two targets.
+    import_keyword: str
+    const_keyword: str
+    extends_text: str
+    throws_suffix: str
+    main_header: str
 
     # -- small helpers -------------------------------------------------------
 
@@ -36,23 +45,12 @@ class CFamilyRenderer(Renderer):
     # -- statement dispatch ---------------------------------------------------
 
     stmt_handlers = {
+        **Renderer.stmt_handlers,
         ir.VarDec: lambda self, s: self.var_dec_doc(s.var),
         ir.VarDecDef: lambda self, s: text(
             f"{self.type_text(s.var.type)} {s.var.name} = {self.expr(s.value)};"),
-        ir.Assign: "assign_doc",
-        ir.ListSet: lambda self, s: text(self.list_set_text(s) + ";"),
-        ir.Return: lambda self, s: text(f"return {self.expr(s.value)};"),
         ir.Throw: lambda self, s: text(self.throw_text(s.message)),
         ir.Free: lambda self, s: self.free_doc(s.var),
-        ir.CommentStmt: lambda self, s: comment_doc("//", self.comment_text(s.text)),
-        ir.Break: lambda self, s: text("break;"),
-        ir.Continue: lambda self, s: text("continue;"),
-        ir.ExprStmt: lambda self, s: text(f"{self.expr(s.expr)};"),
-        ir.BlockRepr: "block",
-        ir.If: "if_doc",
-        ir.Switch: "switch_doc",
-        ir.For: "for_doc",
-        ir.ForRange: "for_range_doc",
         ir.ForEach: "for_each_doc",
         ir.While: lambda self, s: self.braced(
             f"while ({self.expr(s.cond)}) {{", self.body(s.body)),
@@ -63,12 +61,25 @@ class CFamilyRenderer(Renderer):
         ir.Print: lambda self, s: (
             self.print_list_doc(s) if s.expr.type.is_list else self.print_scalar_doc(s)),
         ir.Read: "read_doc",
-        ir.ListSlice: "slice_doc",
-        ir.InOutCall: "in_out_call_doc",
-        ir.ObserverInit: "observer_init_doc",
-        ir.ObserverAdd: lambda self, s: self.stmt(self._observer_add_stmt(s)),
-        ir.ObserverNotify: lambda self, s: self.stmt(self._observer_notify_stmt(s)),
     }
+
+    # -- expressions shared by Java and C# ---------------------------------------
+
+    def var_ref(self, v: ir.VariableRepr) -> str:
+        if v.form == ir.VarForm.SELF:
+            return f"this.{v.name}"
+        if v.form in (ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER, ir.VarForm.EXTERNAL):
+            return f"{v.owner}.{v.name}"
+        return v.name
+
+    def constructor_call(self, class_name: str, args: str) -> str:
+        return f"new {class_name}({args})"
+
+    def args_list(self, e: ir.ArgsList) -> str:
+        return "args"
+
+    def arg_at(self, e: ir.ArgAt) -> str:
+        return f"args[{self.expr(e.index)}]"
 
     # -- declarations ---------------------------------------------------------
 
@@ -78,32 +89,12 @@ class CFamilyRenderer(Renderer):
             return text(self.empty_list_decl(v.name, v.type.elem))
         return text(f"{self.type_text(v.type)} {v.name};")
 
-    def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:  # pragma: no cover
-        raise NotImplementedError
+    def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:
+        t = self.type_text(ir.list_of(elem))
+        return f"{t} {name} = new {t}(0);"
 
-    def assign_doc(self, s: ir.Assign) -> Doc:
-        target = self.var_ref(s.var)
-        mode = s.mode
-        if mode == ir.AssignMode.SET:
-            return text(f"{target} = {self.expr(s.value)};")
-        if mode == ir.AssignMode.ADD_EQ:
-            return text(f"{target} += {self.expr(s.value)};")
-        if mode == ir.AssignMode.SUB_EQ:
-            return text(f"{target} -= {self.expr(s.value)};")
-        if mode == ir.AssignMode.INC:
-            return text(f"{target}++;")
-        return text(f"{target}--;")
-
-    def list_set_text(self, s: ir.ListSet) -> str:
-        return f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}"
-
-    def throw_text(self, message: str) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def comment_text(self, text: str) -> str:
-        """Comment text that the target's lexer cannot read past; C#'s lexer
-        has no such trap, so it is returned as it is."""
-        return text
+    def throw_text(self, message: str) -> str:
+        return f'throw new Exception("{escape_string(message)}");'
 
     def free_doc(self, v: ir.VariableRepr) -> Doc:
         return EMPTY  # garbage-collected targets drop Free entirely
@@ -124,10 +115,7 @@ class CFamilyRenderer(Renderer):
 
     def switch_doc(self, s: ir.Switch) -> Doc:
         if self.switch_strings_as_chain and s.value.type.kind == "string":
-            branches = tuple(
-                (bd.apply_binary("?==", s.value, label), branch) for label, branch in s.cases
-            )
-            return self.if_doc(ir.If(branches, s.default))
+            return super().switch_doc(s)
         cases = [hang(f"case {self.lit(label)}:", vcat([self.body(branch), text("break;")]))
                  for label, branch in s.cases]
         if s.default is not None:
@@ -224,21 +212,65 @@ class CFamilyRenderer(Renderer):
     def in_out_call_doc(self, s: ir.InOutCall) -> Doc:  # pragma: no cover
         raise NotImplementedError
 
-    # -- observer lowering --------------------------------------------------------------
+    # -- declarations (the Java/C# layout) ----------------------------------------
 
-    def observer_init_doc(self, s: ir.ObserverInit) -> Doc:
-        lst = pt.observer_list_var(s.elem_type)
-        docs = [self.var_dec_doc(lst)]
-        for value in s.init_values:
-            docs.append(self.stmt(bd.call_stmt(pt.list_append(bd.value_of(lst), value))))
-        return vcat(docs)
+    def method_doc(self, m: ir.MethodRepr) -> Doc:
+        comment = self.doc_comment(m.doc)
+        if m.is_main:
+            return vcat([comment, self.braced(self.main_header, self.body(m.body))])
+        modifiers = m.scope.value
+        if m.binding == ir.Binding.STATIC or m.containing_class is None:
+            modifiers += " static"
+        if m.inout is not None:
+            return vcat([comment, self.in_out_method_doc(m, modifiers)])
+        params = ", ".join(
+            f"{self.type_text(p.variable.type)} {p.variable.name}" for p in m.params
+        )
+        header = (
+            f"{modifiers} {self.type_text(m.return_type)} {m.name}({params})"
+            f"{self.throws_suffix} {{"
+        )
+        return vcat([comment, self.braced(header, self.body(m.body))])
 
-    def _observer_add_stmt(self, s: ir.ObserverAdd) -> ir.StatementRepr:
-        lst = pt.observer_list_var(s.elem_type)
-        return bd.call_stmt(pt.list_append(bd.value_of(lst), s.value))
+    def in_out_method_doc(self, m: ir.MethodRepr, modifiers: str) -> Doc:  # pragma: no cover
+        raise NotImplementedError
 
-    def _observer_notify_stmt(self, s: ir.ObserverNotify) -> ir.StatementRepr:
-        lst = pt.observer_list_var(s.elem_type)
-        each = bd.var("observer", s.elem_type)
-        call = bd.method_call(bd.value_of(each), s.method, ir.VOID, [])
-        return bd.for_each(each, bd.value_of(lst), bd.one_liner(bd.call_stmt(call)))
+    def state_var_doc(self, sv: ir.StateVarRepr) -> Doc:
+        parts = [sv.scope.value]
+        if sv.binding == ir.Binding.STATIC:
+            parts.append("static")
+        if sv.is_const:
+            parts.append(self.const_keyword)
+        parts += [self.type_text(sv.variable.type), sv.variable.name]
+        return text(" ".join(parts) + ";")
+
+    def class_is_public(self, c: ir.ClassDeclRepr, module: ir.ModuleRepr) -> bool:
+        # Top-level classes cannot be private in C#; they fall back to the
+        # default (internal) visibility.
+        return c.scope == ir.Scope.PUBLIC
+
+    def class_doc(self, c: ir.ClassDeclRepr, public: bool) -> Doc:
+        comment = self.doc_comment(c.doc)
+        prefix = "public " if public else ""
+        parent = f"{self.extends_text}{c.parent}" if c.parent else ""
+        header = f"{prefix}class {c.name}{parent} {{"
+        members = join_blocks([
+            vcat([self.state_var_doc(sv) for sv in c.state_vars]),
+            *[self.method_doc(m) for m in c.methods],
+        ])
+        return vcat([comment, self.braced(header, members)])
+
+    def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
+        pieces: list[Doc] = []
+        if module.functions:
+            plain = [self.method_doc(f) for f in module.functions if not f.is_main]
+            mains = [self.method_doc(f) for f in module.functions if f.is_main]
+            wrapper = self.braced(
+                f"public class {module.name} {{", join_blocks(plain + mains)
+            )
+            pieces.append(wrapper)
+        pieces.extend(self.class_doc(c, self.class_is_public(c, module)) for c in module.classes)
+        imports = sorted(set(module.imports) | self.needs)
+        import_doc = vcat([text(f"{self.import_keyword} {name};") for name in imports])
+        content = join_blocks([self.doc_comment(module.doc), import_doc, *pieces])
+        return [RenderedFile(path, FileType.COMBINED, extract(content))]

@@ -113,9 +113,6 @@ class CppRenderer(CFamilyRenderer):
     def list_append(self, e: ir.ListAppend) -> str:
         return f"{self.atom(e.lst)}.push_back({self.expr(e.value)})"
 
-    def list_index_exists(self, e: ir.ListIndexExists) -> str:
-        return f"(int)({self.atom(e.lst)}.size()) > {self.expr(e.index)}"
-
     def list_index_of(self, e: ir.ListIndexOf) -> str:
         self.needs.add("algorithm")
         seq = self.atom(e.lst)
@@ -221,9 +218,12 @@ class CppRenderer(CFamilyRenderer):
         return self.braced(self._sig_head(m, qualify=True) + " {", self.body(m.body))
 
     def prototype_doc(self, m: ir.MethodRepr) -> Doc:
+        """Declaration, for the header: a free function's, or a method's
+        inside its class."""
+        static = "static " if m.containing_class and m.binding == ir.Binding.STATIC else ""
         return vcat([
             self.doc_comment(m.doc),
-            text(self._sig_head(m, qualify=False) + ";"),
+            text(static + self._sig_head(m, qualify=False) + ";"),
         ])
 
     def state_var_decl(self, sv: ir.StateVarRepr) -> Doc:
@@ -237,15 +237,7 @@ class CppRenderer(CFamilyRenderer):
         parent = f" : public {c.parent}" if c.parent else ""
         sections: list[Doc] = []
         for scope, label in ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:")):
-            members: list[Doc] = []
-            for m in c.methods:
-                if m.scope != scope:
-                    continue
-                static = "static " if m.binding == ir.Binding.STATIC else ""
-                members.append(vcat([
-                    self.doc_comment(m.doc),
-                    text(static + self._sig_head(m, qualify=False) + ";"),
-                ]))
+            members = [self.prototype_doc(m) for m in c.methods if m.scope == scope]
             members.extend(
                 self.state_var_decl(sv) for sv in c.state_vars if sv.scope == scope
             )

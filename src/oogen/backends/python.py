@@ -8,11 +8,9 @@ script, and list printing is native.
 
 from __future__ import annotations
 
-from .. import builders as bd
 from .. import ir
-from .. import patterns as pt
 from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import Renderer, comment_doc, escape_string
+from .base import Renderer, comment_doc, doc_fields, escape_string
 
 
 def _suite(header: str, rendered: Doc) -> Doc:
@@ -54,6 +52,8 @@ def _update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.Body
 class PythonRenderer(Renderer):
     target = "python"
     extension = ".py"
+    statement_end = ""
+    comment_marker = "#"
 
     # Target grammar deviations from the catalog: `not` binds between `and`
     # and the comparisons, and ==/!= sit *at* comparison level and chain,
@@ -81,6 +81,11 @@ class PythonRenderer(Renderer):
         left = f"({self.expr(e.left)})" if left_wrap else self.expr(e.left)
         right = f"({self.expr(e.right)})" if self.prec_of(e.right) < 8 else self.expr(e.right)
         return f"{left} ** {right}"
+
+    def int_quotient(self, quotient: str) -> str:
+        # `/` gives a float here; int() truncates toward zero as the other
+        # targets' int division does (`//` would floor).
+        return f"int({quotient})"
 
     def var_ref(self, v: ir.VariableRepr) -> str:
         if v.form == ir.VarForm.SELF:
@@ -126,9 +131,6 @@ class PythonRenderer(Renderer):
     def list_append(self, e: ir.ListAppend) -> str:
         return f"{self.atom(e.lst)}.append({self.expr(e.value)})"
 
-    def list_index_exists(self, e: ir.ListIndexExists) -> str:
-        return f"len({self.expr(e.lst)}) > {self.expr(e.index)}"
-
     def list_index_of(self, e: ir.ListIndexOf) -> str:
         return f"{self.atom(e.lst)}.index({self.expr(e.value)})"
 
@@ -138,25 +140,13 @@ class PythonRenderer(Renderer):
         return _suite(header, self.body(b))
 
     stmt_handlers = {
+        **Renderer.stmt_handlers,
         # Scalars and objects bind at first assignment; lists must exist
         # before an append can run.
         ir.VarDec: lambda self, s: text(f"{s.var.name} = []") if s.var.type.is_list else EMPTY,
         ir.VarDecDef: lambda self, s: text(f"{s.var.name} = {self.expr(s.value)}"),
-        ir.Assign: "assign_doc",
-        ir.ListSet: lambda self, s: text(
-            f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}"),
-        ir.Return: lambda self, s: text(f"return {self.expr(s.value)}"),
         ir.Throw: lambda self, s: text(f'raise Exception("{escape_string(s.message)}")'),
         ir.Free: lambda self, s: text(f"del {self.var_ref(s.var)}"),
-        ir.CommentStmt: lambda self, s: comment_doc("#", s.text),
-        ir.Break: lambda self, s: text("break"),
-        ir.Continue: lambda self, s: text("continue"),
-        ir.ExprStmt: lambda self, s: text(self.expr(s.expr)),
-        ir.BlockRepr: "block",
-        ir.If: "if_doc",
-        ir.Switch: "switch_doc",
-        ir.For: "for_doc",
-        ir.ForRange: "for_range_doc",
         ir.ForEach: lambda self, s: self.suite(
             f"for {s.var.name} in {self.expr(s.iterable)}:", s.body),
         ir.While: lambda self, s: self.suite(f"while {self.expr(s.cond)}:", s.body),
@@ -166,14 +156,6 @@ class PythonRenderer(Renderer):
             f"print({self.expr(s.expr)})" if s.newline else f'print({self.expr(s.expr)}, end="")'),
         ir.Read: lambda self, s: text(
             f"{self.var_ref(s.var)} = {'int(input())' if s.parse_int else 'input()'}"),
-        ir.ListSlice: "slice_doc",
-        ir.InOutCall: "in_out_call_doc",
-        ir.ObserverInit: "observer_init_doc",
-        ir.ObserverAdd: lambda self, s: text(
-            f"{pt.observer_list_var(s.elem_type).name}.append({self.expr(s.value)})"),
-        ir.ObserverNotify: lambda self, s: hang(
-            f"for observer in {pt.observer_list_var(s.elem_type).name}:",
-            text(f"observer.{s.method}()")),
     }
 
     def for_doc(self, s: ir.For) -> Doc:
@@ -196,22 +178,8 @@ class PythonRenderer(Renderer):
         args = [self.var_ref(v) for v in s.inouts] + [self.expr(e) for e in s.ins]
         return text(f"{targets} = {s.name}({', '.join(args)})")
 
-    def observer_init_doc(self, s: ir.ObserverInit) -> Doc:
-        name = pt.observer_list_var(s.elem_type).name
-        return vcat([text(f"{name} = []")]
-                    + [text(f"{name}.append({self.expr(value)})") for value in s.init_values])
-
-    def assign_doc(self, s: ir.Assign) -> Doc:
-        target = self.var_ref(s.var)
-        if s.mode == ir.AssignMode.SET:
-            return text(f"{target} = {self.expr(s.value)}")
-        if s.mode == ir.AssignMode.ADD_EQ:
-            return text(f"{target} += {self.expr(s.value)}")
-        if s.mode == ir.AssignMode.SUB_EQ:
-            return text(f"{target} -= {self.expr(s.value)}")
-        # No ++/--: spelled out as assignment.
-        op = "+" if s.mode == ir.AssignMode.INC else "-"
-        return text(f"{target} = {target} {op} 1")
+    def step_text(self, target: str, sign: str) -> str:
+        return f"{target} = {target} {sign} 1"  # no ++/--
 
     def if_doc(self, s: ir.If) -> Doc:
         docs: list[Doc] = []
@@ -222,18 +190,9 @@ class PythonRenderer(Renderer):
             docs.append(self.suite("else:", s.else_body))
         return vcat(docs)
 
-    def switch_doc(self, s: ir.Switch) -> Doc:
-        branches = tuple(
-            (bd.apply_binary("?==", s.value, label), branch) for label, branch in s.cases
-        )
-        return self.if_doc(ir.If(branches, s.default))
-
     def for_range_doc(self, s: ir.ForRange) -> Doc:
         start = self.expr(s.start)
-        if isinstance(s.end, ir.Lit) and s.end.kind == "int":
-            stop = str(s.end.value + 1)  # inclusive end folded into the bound
-        else:
-            stop = self.expr(bd.apply_binary("#+", s.end, bd.lit_int(1)))
+        stop = self.literal_plus_one(s.end)  # range() excludes its end
         if isinstance(s.step, ir.Lit) and s.step.value == 1:
             header = f"for {s.var.name} in range({start}, {stop}):"
         else:
@@ -272,6 +231,14 @@ class PythonRenderer(Renderer):
         if methods.is_empty:
             methods = text("pass")
         return vcat([comment, hang(header, methods)])
+
+    def doc_comment(self, doc: ir.DocSpec | None) -> Doc:
+        """The doc comment's fields behind `#`, every line of each, so no
+        text becomes code."""
+        if doc is None:
+            return EMPTY
+        return vcat([comment_doc(self.comment_marker, f"{tag} {value}")
+                     for tag, value in doc_fields(doc)])
 
     def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         functions = [self.method_doc(f) for f in module.functions if not f.is_main]

@@ -208,12 +208,13 @@ def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.In
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(ir.CallForm.FUNCTION, check_identifier(name), tuple(args), return_type)
+    return ir.Call(ir.CallForm.FUNCTION, check_identifier(name), tuple(args),
+                   check_type(return_type))
 
 
 def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
     return ir.Call(
-        ir.CallForm.EXTERNAL, check_identifier(name), tuple(args), return_type,
+        ir.CallForm.EXTERNAL, check_identifier(name), tuple(args), check_type(return_type),
         library=check_identifier(library),
     )
 
@@ -228,7 +229,7 @@ def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
                 args: list[ir.ExprRepr]) -> ir.Call:
     return ir.Call(
-        ir.CallForm.METHOD, check_identifier(name), tuple(args), return_type,
+        ir.CallForm.METHOD, check_identifier(name), tuple(args), check_type(return_type),
         receiver=receiver,
     )
 
@@ -409,7 +410,10 @@ def _child_bodies(stmt: ir.StatementRepr) -> list[ir.BodyRepr]:
     return []
 
 
-def _check_observer_order(body_: ir.BodyRepr) -> None:
+def _check_body(body_: ir.BodyRepr, return_type: ir.TypeRepr) -> None:
+    """One walk of a method body: observer calls follow initObserverList,
+    and each returned value has the method's return type (an int may be
+    returned as a float)."""
     initialized = False
     for stmt in _walk_statements(body_):
         if isinstance(stmt, ir.ObserverInit):
@@ -418,17 +422,30 @@ def _check_observer_order(body_: ir.BodyRepr) -> None:
             raise ObserverNotInitialized(
                 "observer list used before initObserverList in this body"
             )
+        elif isinstance(stmt, ir.Return):
+            value = stmt.value.type
+            if value != return_type and (value.kind, return_type.kind) != ("int", "float"):
+                raise TypeMismatch(
+                    f"return of {_type_name(value)} from a method returning"
+                    f" {_type_name(return_type)}"
+                )
+
+
+def _type_name(t: ir.TypeRepr) -> str:
+    if t.kind == "list":
+        return f"list of {_type_name(t.elem)}"
+    return t.class_name or t.kind
 
 
 def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.TypeRepr,
              params: list[ir.ParamRepr], body_: ir.BodyRepr) -> ir.MethodRepr:
     check_identifier(name)
-    _check_observer_order(body_)
+    _check_body(body_, check_type(return_type))
     return ir.MethodRepr(name, scope, binding, return_type, _check_params(params), body_)
 
 
 def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
-    _check_observer_order(body_)
+    _check_body(body_, ir.VOID)
     return ir.MethodRepr(
         "main", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (), body_, is_main=True,
     )
@@ -438,7 +455,7 @@ def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
            return_type: ir.TypeRepr, params: list[ir.ParamRepr],
            body_: ir.BodyRepr) -> ir.MethodRepr:
     check_identifier(name)
-    _check_observer_order(body_)
+    _check_body(body_, check_type(return_type))
     return ir.MethodRepr(
         name, scope, binding, return_type, _check_params(params), body_,
         containing_class=check_identifier(class_name),

@@ -142,9 +142,11 @@ def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.Complete
 
 def run_target(pkg: ir.PackageTree, target: str, workdir: str,
                args: tuple[str, ...] = (), stdin: str = "") -> ToolReport:
-    """Render `pkg` for one target into `workdir`, compile, and execute."""
+    """Render `pkg` for one target into `workdir`, compile, and execute.
+    An unknown `target` raises `ValueError`, as `get_backend` does."""
     import subprocess
 
+    backend = get_backend(target)
     tools = find_toolchain(target)
     if tools is None:
         names = ", ".join(" or ".join(defaults) for _, defaults in _TOOL_SPECS[target])
@@ -153,7 +155,7 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
     if main is None:
         raise NoMainModule(f"package {pkg.name!r} has no main module to execute")
 
-    files = get_backend(target).render_package(pkg)
+    files = backend.render_package(pkg)
     for f in files:
         path = os.path.join(workdir, f.path)
         with open(path, "w") as fh:
@@ -172,11 +174,9 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
         exe = f"{pkg.name}.exe"
         compile_argv = [csc, f"-out:{exe}", *sources]
         run_argv = [mono, exe, *args]
-    elif target == "cpp":
+    else:  # cpp
         compile_argv = [tools[0], "-o", "prog", *sources]
         run_argv = [os.path.join(workdir, "prog"), *args]
-    else:
-        raise ValueError(f"unknown target {target!r}")
 
     if compile_argv is not None:
         try:

@@ -105,7 +105,7 @@ def _doc_spec():
 
 
 def test_doc_comment_c_family_shape():
-    doc = extract(auxfiles.doc_comment_doc(_doc_spec(), "java"))
+    doc = extract(get_backend("java").doc_comment(_doc_spec()))
     assert doc == (
         "/** \\brief Apply a discount to a price.\n"
         "    \\param price the price before discount\n"
@@ -116,7 +116,7 @@ def test_doc_comment_c_family_shape():
 
 
 def test_doc_comment_python_uses_hash_lines():
-    doc = extract(auxfiles.doc_comment_doc(_doc_spec(), "python"))
+    doc = extract(get_backend("python").doc_comment(_doc_spec()))
     assert doc == (
         "# \\brief Apply a discount to a price.\n"
         "# \\param price the price before discount\n"
@@ -126,28 +126,28 @@ def test_doc_comment_python_uses_hash_lines():
 
 
 def test_doc_comment_python_keeps_every_line_behind_hash():
-    doc = extract(auxfiles.doc_comment_doc(bd.doc_spec('adds\nprint("leak")'), "python"))
+    doc = extract(get_backend("python").doc_comment(bd.doc_spec('adds\nprint("leak")')))
     assert doc == '# \\brief adds\n# print("leak")\n'
 
 
 @pytest.mark.parametrize("target", ["java", "csharp", "cpp"])
 def test_doc_comment_text_cannot_close_the_block(target):
     spec = bd.doc_spec("ends here */ int x = 1; /* more", [("x", "a*/")], "**/")
-    doc = extract(auxfiles.doc_comment_doc(spec, target))
+    doc = extract(get_backend(target).doc_comment(spec))
     assert doc == ("/** \\brief ends here *\\/ int x = 1; /* more\n"
                    "    \\param x a*\\/\n    \\return **\\/\n*/\n")
 
 
 def test_java_doc_comment_doubles_backslashes_before_escaping_the_end():
     spec = bd.doc_spec("x \\u002a/ y */ z \\")
-    assert extract(auxfiles.doc_comment_doc(spec, "java")) == (
+    assert extract(get_backend("java").doc_comment(spec)) == (
         "/** \\brief x \\\\u002a/ y *\\/ z \\\\\n*/\n")
-    assert extract(auxfiles.doc_comment_doc(spec, "cpp")) == (
+    assert extract(get_backend("cpp").doc_comment(spec)) == (
         "/** \\brief x \\u002a/ y *\\/ z \\\n*/\n")
 
 
 def test_doc_comment_absent_renders_nothing():
-    assert auxfiles.doc_comment_doc(None, "java").is_empty
+    assert get_backend("java").doc_comment(None).is_empty
 
 
 def _documented_discount_package():

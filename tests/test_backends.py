@@ -124,6 +124,28 @@ def test_arg_exists_spelling(target, expected):
     assert get_backend(target).render_expr(e) == expected
 
 
+@pytest.mark.parametrize("target,expected", [
+    ("python", "int(-7 / 2)"),  # `/` alone gives -3.5, `//` floors to -4
+    ("java", "-7 / 2"),
+    ("csharp", "-7 / 2"),
+    ("cpp", "-7 / 2"),
+])
+def test_int_division_truncates_toward_zero(target, expected):
+    e = bd.apply_binary("#/", bd.lit_int(-7), bd.lit_int(2))
+    assert get_backend(target).render_expr(e) == expected
+
+
+def test_python_int_division_nests_and_float_division_stays_true():
+    py = get_backend("python")
+    quotient = bd.apply_binary("#/", bd.value_of(FOO), bd.lit_int(2))
+    assert py.render_expr(bd.apply_binary("#/", quotient, bd.lit_int(3))) == (
+        "int(int(foo / 2) / 3)")
+    assert py.render_expr(bd.apply_binary("#*", bd.lit_int(3), quotient)) == (
+        "3 * (int(foo / 2))")  # redundant, but harmless
+    ratio = bd.apply_binary("#/", bd.value_of(bd.var("r", ir.FLOAT)), bd.lit_int(2))
+    assert py.render_expr(ratio) == "r / 2"
+
+
 def test_arg_exists_negation_keeps_parens():
     # ArgExists renders as a comparison; a ! parent must wrap it
     e = bd.apply_unary("?!", pt.arg_exists(bd.lit_int(0)))

@@ -65,6 +65,54 @@ def test_variable_types_check_their_class_names(make, wrap):
             make(wrap(ir.obj_of(bad)))
 
 
+_RETURN_TYPE_MAKERS = {
+    "function": lambda t: bd.function("make", ir.Scope.PUBLIC, ir.Binding.STATIC, t, [],
+                                      bd.body([])),
+    "method": lambda t: bd.method("make", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, t, [],
+                                  bd.body([])),
+    "func_app": lambda t: bd.func_app("make", t, []),
+    "ext_func_app": lambda t: bd.ext_func_app("lib", "make", t, []),
+    "method_call": lambda t: bd.method_call(bd.value_of(bd.var("c", ir.obj_of("C"))),
+                                            "make", t, []),
+}
+
+
+@pytest.mark.parametrize("make", _RETURN_TYPE_MAKERS.values(), ids=_RETURN_TYPE_MAKERS.keys())
+def test_return_types_check_their_class_names(make):
+    made = make(ir.list_of(ir.obj_of("Foo")))
+    made_type = made.return_type if isinstance(made, ir.MethodRepr) else made.type
+    assert made_type == ir.list_of(ir.obj_of("Foo"))
+    for bad in ("Foo f; int x", "a b", "class"):
+        with pytest.raises(InvalidIdentifier):
+            make(ir.obj_of(bad))
+        with pytest.raises(InvalidIdentifier):
+            make(ir.list_of(ir.obj_of(bad)))
+
+
+def _returning(return_type, value):
+    body_ = bd.one_liner(bd.if_cond([(bd.lit_bool(True), bd.one_liner(bd.return_stmt(value)))]))
+    return bd.function("make", ir.Scope.PUBLIC, ir.Binding.STATIC, return_type, [], body_)
+
+
+@pytest.mark.parametrize("return_type,value", [
+    (ir.INT, bd.lit_string("x")),
+    (ir.INT, bd.lit_float(1.5)),
+    (ir.VOID, bd.lit_int(1)),
+    (ir.list_of(ir.INT), bd.value_of(bd.var("xs", ir.list_of(ir.FLOAT)))),
+    (ir.obj_of("Foo"), bd.value_of(bd.var("b", ir.obj_of("Bar")))),
+], ids=["string-for-int", "float-for-int", "int-for-void", "list-elements", "classes"])
+def test_returned_value_must_have_the_return_type(return_type, value):
+    with pytest.raises(TypeMismatch):
+        _returning(return_type, value)
+    with pytest.raises(TypeMismatch):
+        bd.main_function(bd.one_liner(bd.return_stmt(value)))
+
+
+def test_returned_int_may_widen_to_float():
+    assert _returning(ir.FLOAT, bd.lit_int(1)).return_type == ir.FLOAT
+    assert _returning(ir.obj_of("Foo"), bd.value_of(bd.var("f", ir.obj_of("Foo")))).body
+
+
 def test_char_literal_is_one_character():
     assert bd.lit_char("c").value == "c"
     with pytest.raises(TypeMismatch):

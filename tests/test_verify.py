@@ -281,3 +281,19 @@ def test_continue_in_a_for_loop_skips_only_the_rest_of_its_body(tmp_path):
                                    targets=("python", "java", "cpp"), root_dir=str(tmp_path))
     assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
     assert {r.stdout for r in report.executed} == {"1\n0\n1\n2"}
+
+
+def test_int_division_truncates_toward_zero_everywhere(tmp_path):
+    main = bd.main_function(bd.body_statements([
+        pt.print_ln(bd.apply_binary("#/", bd.lit_int(7), bd.lit_int(2))),
+        pt.print_ln(bd.apply_binary("#/", bd.lit_int(-7), bd.lit_int(2))),
+    ]))
+    report = verify.verify_package(bd.prog("p", [bd.build_module("Main", [], [main], [])]),
+                                   targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"3\n-3"}
+
+
+def test_unknown_target_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown target 'cobol'; expected one of"):
+        verify.verify_package(_hello(), targets=("cobol",))
