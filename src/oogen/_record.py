@@ -1,11 +1,18 @@
 """Frozen records: the value classes of the IR, the renderers and verify.
 
 `@record` turns a class with annotated fields into an immutable value, as
-`@dataclass(frozen=True, slots=True)` would, but generates only `__init__`
-(one `exec` per class). Equality, hashing, `repr`, pickling and the frozen
-guards are shared functions that read the fields through a per-class
-`operator.attrgetter`. Generating six methods per class used to be most of
-the time `import oogen` spent in `oogen.ir`.
+`@dataclass(frozen=True, slots=True)` would, but generates only `__init__`.
+Equality, hashing, `repr`, pickling and the frozen guards are shared
+functions that read the fields through a per-class `operator.attrgetter`.
+Generating six methods per class used to be most of the time `import oogen`
+spent in `oogen.ir`.
+
+`__init__` is compiled once per process for each (field count, has
+`__post_init__`) pair, as a template over positional names `a0…aN` that
+stores field i through a global setter `s<i>`. Each class gets its own
+function from that code, with the parameters renamed to its fields and its
+own globals and defaults, so it runs the bytecode one `exec` per class
+would give, without the compile.
 
 The decorator rebuilds the class with `__slots__` holding the fields no
 base record slots already, so an instance has no `__dict__`. Defaults leave
@@ -41,8 +48,9 @@ Every annotation in the class body is a field (no `ClassVar`, no
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
-from types import FunctionType
+from types import CodeType, FunctionType
 
 _MISSING = object()  # default of a field that has none
 _WRAPPERS = (classmethod, staticmethod)
@@ -88,6 +96,19 @@ def _values_getter(names: tuple[str, ...]):
         get = attrgetter(names[0])
         return lambda self: (get(self),)
     return lambda self: ()
+
+
+@cache
+def _init_template(count: int, post_init: bool) -> CodeType:
+    """The code of `def __init__(self, a0, ..., aN)` storing each `a<i>`
+    through global `s<i>`, then calling `__post_init__` if asked."""
+    lines = [f"    s{i}(self, a{i})" for i in range(count)]
+    if post_init:
+        lines.append("    self.__post_init__()")
+    params = "".join(f", a{i}" for i in range(count))
+    env: dict = {}
+    exec(f"def __init__(self{params}):\n" + ("\n".join(lines) or "    pass"), env)
+    return env["__init__"].__code__
 
 
 class _DataclassFields:
@@ -149,23 +170,17 @@ def record(cls):
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
     cls.__qualname__ = qualname
 
-    params, lines = ["self"], []
-    env = {"__name__": cls.__module__}
-    for name, (_, default) in specs.items():
-        if default is _MISSING:
-            if "=" in params[-1]:
-                raise TypeError(f"non-default argument {name!r} follows default argument")
-            params.append(name)
-        else:
-            env[f"_dflt_{name}"] = default
-            params.append(f"{name}=_dflt_{name}")
+    env, defaults = {"__name__": cls.__module__}, []
+    for i, (name, (_, default)) in enumerate(specs.items()):
+        if default is not _MISSING:
+            defaults.append(default)
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
         slot = cls.__dict__[name] if name in slots else getattr(cls, name)
-        env[f"_set_{name}"] = slot.__set__
-        lines.append(f"    _set_{name}(self, {name})")
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n" + ("\n".join(lines) or "    pass"), env)
-    init = env["__init__"]
+        env[f"s{i}"] = slot.__set__
+    code = _init_template(len(specs), hasattr(cls, "__post_init__"))
+    init = FunctionType(code.replace(co_varnames=("self", *specs)), env, "__init__",
+                        tuple(defaults) or None)
     init.__qualname__ = f"{qualname}.__init__"
 
     names = tuple(specs)

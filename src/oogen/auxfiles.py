@@ -1,8 +1,9 @@
 """Non-code package artifacts: Makefile and Doxygen config.
 
-The Makefile shape is one canonical compiler invocation per target with the
-command names lifted into variables so callers can override them the usual
-way (`make CXX=clang++`). Rule bodies use hard tabs; that is a format
+The Makefile shape is one canonical compiler invocation per target, from the
+renderer's `build_commands` (which verify runs too), with the command names
+lifted into variables so callers can override them the usual way
+(`make CXX=clang++`). Rule bodies use hard tabs; that is a format
 requirement, not a style choice.
 """
 
@@ -25,34 +26,14 @@ def render_makefile(pkg: ir.PackageTree, target: str, with_doc_rule: bool) -> Re
     main = pkg.main_module
     if main is None:
         raise NoMainModule(f"a {target} makefile needs a module with a main function")
-    sources = [path for _, path in backends.get_backend(target).source_files(pkg)]
-
-    if target == "python":
-        blocks = [
-            text("PYTHON = python3"),
-            _rule("run", [f"$(PYTHON) {main.name}.py"]),
-        ]
-    elif target == "java":
-        blocks = [
-            vcat([text("JC = javac"), text("JVM = java")]),
-            _rule("build", ["$(JC) " + " ".join(sources)]),
-            _rule("run", [f"$(JVM) {main.name}"], dep=" build"),
-        ]
-    elif target == "csharp":
-        exe = f"{pkg.name}.exe"
-        blocks = [
-            vcat([text("CSC = mcs"), text("RUNNER = mono")]),
-            _rule("build", [f"$(CSC) -out:{exe} " + " ".join(sources)]),
-            _rule("run", [f"$(RUNNER) {exe}"], dep=" build"),
-        ]
-    elif target == "cpp":
-        blocks = [
-            text("CXX = g++"),
-            _rule("build", [f"$(CXX) -o {pkg.name} " + " ".join(sources)]),
-            _rule("run", [f"./{pkg.name}"], dep=" build"),
-        ]
-    else:
-        raise UnsupportedConstruct(f"no makefile shape for target {target!r}")
+    backend = backends.get_backend(target)
+    sources = [path for _, path in backend.source_files(pkg)]
+    compile_argv, run_argv = backend.build_commands(
+        [f"$({var})" for var, _ in backend.make_tools], sources, main.name, pkg.name)
+    blocks = [vcat([text(f"{var} = {command}") for var, command in backend.make_tools])]
+    if compile_argv is not None:
+        blocks.append(_rule("build", [" ".join(compile_argv)]))
+    blocks.append(_rule("run", [" ".join(run_argv)], dep="" if compile_argv is None else " build"))
 
     if with_doc_rule:
         blocks.append(_rule("doc", [f"doxygen {DOX_CONFIG_NAME}"]))

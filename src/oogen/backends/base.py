@@ -33,8 +33,6 @@ target.
 
 from __future__ import annotations
 
-import math as _math
-
 from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
@@ -51,14 +49,6 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.ListIndexExists: 5,
 }
 _MATH_OPS = {"#/^": "sqrt", "#|": "abs"}  # unary operators rendered as math calls
-
-
-def fmt_float(value: float) -> str:
-    """Shortest faithful spelling; integral floats print without the point
-    (a literal 20.0 appears as 20 in every target)."""
-    if _math.isfinite(value) and value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 def escape_string(value: str) -> str:
@@ -117,6 +107,8 @@ class Renderer:
 
     target = "?"
     extension = "?"
+    # (Makefile variable, default command) per tool `build_commands` takes
+    make_tools: tuple[tuple[str, str], ...] = ()
     statement_end = ";"
     comment_marker = "//"
     op_precedence: dict[str, float] = {}
@@ -207,7 +199,10 @@ class Renderer:
         if e.kind == "int":
             return str(e.value)
         if e.kind == "float":
-            return fmt_float(e.value)
+            # shortest faithful spelling that stays a float literal in every
+            # target: `7.0` keeps its point (`7` divides as an int in Java
+            # and C++), `1e16` is `1e+16`
+            return repr(e.value)
         if e.kind == "char":
             return self.char_lit(e.value)
         return self.string_lit(e.value)
@@ -399,6 +394,15 @@ class Renderer:
         C++ headers are not listed. The Makefile names its sources from here
         without rendering."""
         return [(m, f"{m.name}{self.extension}") for m in pkg.modules if not m.is_empty]
+
+    def build_commands(self, tools: list[str], sources: list[str], main: str,
+                       package: str) -> tuple[list[str] | None, list[str]]:  # pragma: no cover
+        """How to build and run a package on this target, for the Makefile
+        and for verify: (compile argv or None, run argv), given the tool
+        commands in `make_tools` order, the source paths, the main module's
+        name and the package's name. Run argv is relative to the sources'
+        directory."""
+        raise NotImplementedError
 
     def render_package(self, pkg: ir.PackageTree) -> list[RenderedFile]:
         files: list[RenderedFile] = []

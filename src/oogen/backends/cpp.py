@@ -32,11 +32,15 @@ class CppRenderer(CFamilyRenderer):
     target = "cpp"
     extension = ".cpp"
     header_extension = ".hpp"
+    make_tools = (("CXX", "g++"),)
     switch_strings_as_chain = True  # no switch on std::string
 
     def __init__(self) -> None:
         super().__init__()
         self._iter_vars: set[str] = set()
+
+    def build_commands(self, tools, sources, main, package):
+        return [tools[0], "-o", package, *sources], [f"./{package}"]
 
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "float":

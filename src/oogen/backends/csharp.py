@@ -19,11 +19,17 @@ _MATH = {"sin": "Sin", "cos": "Cos", "tan": "Tan", "sqrt": "Sqrt", "abs": "Abs",
 class CSharpRenderer(CFamilyRenderer):
     target = "csharp"
     extension = ".cs"
+    make_tools = (("CSC", "mcs"), ("RUNNER", "mono"))
     import_keyword = "using"
     const_keyword = "readonly"
     extends_text = " : "
     throws_suffix = ""  # no checked exceptions
     main_header = "static void Main(string[] args) {"
+
+    def build_commands(self, tools, sources, main, package):
+        csc, mono = tools
+        exe = f"{package}.exe"
+        return [csc, f"-out:{exe}", *sources], [mono, exe]
 
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "bool":

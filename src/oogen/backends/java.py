@@ -21,11 +21,16 @@ _BOXED = {"bool": "Boolean", "int": "Integer", "float": "Double",
 class JavaRenderer(CFamilyRenderer):
     target = "java"
     extension = ".java"
+    make_tools = (("JC", "javac"), ("JVM", "java"))
     import_keyword = "import"
     const_keyword = "final"
     extends_text = " extends "
     throws_suffix = " throws Exception"
     main_header = "public static void main(String[] args) throws Exception {"
+
+    def build_commands(self, tools, sources, main, package):
+        javac, java = tools
+        return [javac, *sources], [java, main]
 
     def type_text(self, t: ir.TypeRepr) -> str:
         if t.kind == "bool":

@@ -52,6 +52,7 @@ def _update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.Body
 class PythonRenderer(Renderer):
     target = "python"
     extension = ".py"
+    make_tools = (("PYTHON", "python3"),)
     statement_end = ""
     comment_marker = "#"
 
@@ -239,6 +240,9 @@ class PythonRenderer(Renderer):
             return EMPTY
         return vcat([comment_doc(self.comment_marker, f"{tag} {value}")
                      for tag, value in doc_fields(doc)])
+
+    def build_commands(self, tools, sources, main, package):
+        return None, [tools[0], f"{main}.py"]
 
     def module_files(self, module: ir.ModuleRepr, path: str) -> list[RenderedFile]:
         functions = [self.method_doc(f) for f in module.functions if not f.is_main]

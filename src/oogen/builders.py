@@ -8,7 +8,6 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 from __future__ import annotations
 
 import keyword
-import re
 
 from . import ir
 from ._record import replace
@@ -24,8 +23,6 @@ from .errors import (
     UnknownParamDoc,
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 # Reserved words of the targets: Python, then Java, C# and C++ keywords
 # (contextual keywords such as C#'s `value` or Java's `var` stay legal).
 _RESERVED = frozenset(keyword.kwlist) | frozenset("""
@@ -46,8 +43,9 @@ _RESERVED = frozenset(keyword.kwlist) | frozenset("""
 
 
 def check_identifier(name: str) -> str:
-    """`name`, if it is an identifier and no target's reserved word."""
-    if not _IDENT.fullmatch(name or "") or name in _RESERVED:
+    """`name`, if it is an identifier and no target's reserved word. An
+    ASCII Python identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
+    if not (name and name.isascii() and name.isidentifier()) or name in _RESERVED:
         raise InvalidIdentifier(f"not a legal identifier: {name!r}")
     return name
 
@@ -65,7 +63,7 @@ def check_type(type_: ir.TypeRepr) -> ir.TypeRepr:
 
 def check_dotted_name(name: str) -> str:
     """An import: identifiers joined by '.' (`java.util.ArrayList`)."""
-    if not _DOTTED.fullmatch(name or ""):
+    if not all(part.isascii() and part.isidentifier() for part in (name or "").split(".")):
         raise InvalidIdentifier(f"not a legal dotted name: {name!r}")
     return name
 

@@ -8,6 +8,8 @@ in normalized form (booleans lowercase).
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import builders as bd
 from . import ir
 from . import patterns as pt
@@ -235,29 +237,39 @@ def _args_echo() -> GalleryEntry:
     )
 
 
-ENTRIES: tuple[GalleryEntry, ...] = (
-    _hello_world(),
-    _add_function(),
-    _sign_test(),
-    _slice_demo(),
-    _list_print_demo(),
-    _apply_discount(),
-    _foo_class_get_set(),
-    _pattern_test(),
-    _args_echo(),
-)
+# `ENTRIES`, the nine entries in listing order, is built when first read
+# (through the module `__getattr__`), so importing the gallery builds nothing:
+# `oogen render` of a JSON file never uses it.
+ENTRIES: tuple[GalleryEntry, ...]
 
-_BY_NAME = {entry.name: entry for entry in ENTRIES}
+
+@cache
+def _entries() -> tuple[GalleryEntry, ...]:
+    return (
+        _hello_world(),
+        _add_function(),
+        _sign_test(),
+        _slice_demo(),
+        _list_print_demo(),
+        _apply_discount(),
+        _foo_class_get_set(),
+        _pattern_test(),
+        _args_echo(),
+    )
+
+
+def __getattr__(name: str):
+    if name == "ENTRIES":
+        return _entries()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def names() -> list[str]:
-    return [entry.name for entry in ENTRIES]
+    return [entry.name for entry in _entries()]
 
 
 def get(name: str) -> GalleryEntry:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"no example named {name!r}; known examples: {', '.join(names())}"
-        ) from None
+    for entry in _entries():
+        if entry.name == name:
+            return entry
+    raise KeyError(f"no example named {name!r}; known examples: {', '.join(names())}")

@@ -43,8 +43,9 @@ _TOOL_SPECS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
 
 _STEP_TIMEOUT = 60  # seconds per compile or run step
 
-_BOOL_WORD = re.compile(r"\b(True|False|true|false)\b")
-_FLOAT_TOKEN = re.compile(r"-?\d+\.\d+(?:[eE][+-]?\d+)?")
+# Patterns, compiled (and cached by `re`) on first use, not at import.
+_BOOL_WORD = r"\b(True|False|true|false)\b"
+_FLOAT_TOKEN = r"-?\d+\.\d+(?:[eE][+-]?\d+)?"
 
 
 def normalize_stdout(text: str) -> str:
@@ -52,8 +53,8 @@ def normalize_stdout(text: str) -> str:
     out = []
     for line in lines:
         line = line.rstrip()
-        line = _BOOL_WORD.sub(lambda m: m.group(0).lower(), line)
-        line = _FLOAT_TOKEN.sub(lambda m: repr(float(m.group(0))), line)
+        line = re.sub(_BOOL_WORD, lambda m: m.group(0).lower(), line)
+        line = re.sub(_FLOAT_TOKEN, lambda m: repr(float(m.group(0))), line)
         out.append(line)
     return "\n".join(out)
 
@@ -162,21 +163,8 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
             fh.write(f.text)
 
     sources = sorted(f.path for f in files if f.file_type is not FileType.HEADER)
-    compile_argv = None
-    if target == "python":
-        run_argv = [tools[0], f"{main.name}.py", *args]
-    elif target == "java":
-        javac, java = tools
-        compile_argv = [javac, *sources]
-        run_argv = [java, main.name, *args]
-    elif target == "csharp":
-        csc, mono = tools
-        exe = f"{pkg.name}.exe"
-        compile_argv = [csc, f"-out:{exe}", *sources]
-        run_argv = [mono, exe, *args]
-    else:  # cpp
-        compile_argv = [tools[0], "-o", "prog", *sources]
-        run_argv = [os.path.join(workdir, "prog"), *args]
+    compile_argv, run_argv = backend.build_commands(list(tools), sources, main.name, pkg.name)
+    run_argv += args
 
     if compile_argv is not None:
         try:

@@ -135,6 +135,14 @@ def test_int_division_truncates_toward_zero(target, expected):
     assert get_backend(target).render_expr(e) == expected
 
 
+@pytest.mark.parametrize("target", ["python", "java", "csharp", "cpp"])
+def test_integral_float_literals_keep_their_point(target):
+    # `7 / 2` would divide as ints in Java, C# and C++
+    e = bd.apply_binary("#/", bd.lit_float(7.0), bd.lit_int(2))
+    assert get_backend(target).render_expr(e) == "7.0 / 2"
+    assert get_backend(target).render_expr(bd.lit_float(1e16)) == "1e+16"
+
+
 def test_python_int_division_nests_and_float_division_stays_true():
     py = get_backend("python")
     quotient = bd.apply_binary("#/", bd.value_of(FOO), bd.lit_int(2))

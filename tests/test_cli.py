@@ -196,11 +196,32 @@ def test_cli_import_loads_the_benchmarked_modules():
         assert f"oogen.{name}" in loaded
 
 
+# What `import oogen.cli` left behind: oogen modules holding a compiled
+# pattern, whether the gallery was built, and the `__init__` templates
+# compiled against the (field count, post-init) pairs of the record classes.
+_STARTUP_PROBE = """
+import json, re, sys
+import oogen.cli
+from oogen import _record
+mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "oogen"]
+records = [c for m in mods for c in vars(m).values()
+           if isinstance(c, type) and "__record_specs__" in vars(c)]
+print(json.dumps({
+    "patterns": [m.__name__ for m in mods
+                 if any(isinstance(v, re.Pattern) for v in vars(m).values())],
+    "gallery_built": "ENTRIES" in vars(sys.modules["oogen.gallery"]),
+    "templates": _record._init_template.cache_info().misses,
+    "shapes": len({(len(c.__match_args__), hasattr(c, "__post_init__")) for c in records}),
+}))
+"""
+
+
 def test_cli_import_leaves_out_what_render_never_runs():
     """`import oogen.cli` is most of an `oogen render` run: it must not load
-    dataclasses (and with it inspect) or verify's subprocess and difflib.
-    `site` loads different modules on different machines, so a bare
-    interpreter in the same environment is the baseline."""
+    dataclasses (and with it inspect) or verify's subprocess and difflib,
+    compile a regex, build the gallery, or compile more than one `__init__`
+    per record shape. `site` loads different modules on different machines,
+    so a bare interpreter in the same environment is the baseline."""
     src = os.path.dirname(os.path.dirname(oogen.__file__))
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -212,6 +233,12 @@ def test_cli_import_leaves_out_what_render_never_runs():
     loaded = modules(", oogen.cli") - modules("")
     assert "oogen.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "subprocess", "difflib"}), loaded
+
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE],
+                          capture_output=True, text=True, check=True, env=env)
+    probe = json.loads(done.stdout)
+    assert probe["patterns"] == [] and not probe["gallery_built"], probe
+    assert probe["templates"] == probe["shapes"], probe
 
 
 def test_render_rejects_a_module_name_that_leaves_the_output_directory(tmp_path, capsys):

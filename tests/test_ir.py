@@ -4,10 +4,13 @@ so the checks all fire at construction time."""
 import copy
 import dataclasses
 import enum
+import inspect
 import pickle
+import re
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
 from oogen._record import record, replace
@@ -44,6 +47,44 @@ def test_reserved_words_are_not_identifiers(name):
         bd.function(name, ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [], bd.body([]))
     assert bd.var(name + "_", ir.INT).name == name + "_"
     assert bd.check_dotted_name(f"lib.{name}") == f"lib.{name}"  # imports stay as they are
+
+
+# The patterns the name checks used to be, kept as their reference.
+_OLD_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_OLD_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _accepts(check, name):
+    try:
+        check(name)
+    except InvalidIdentifier:
+        return False
+    return True
+
+
+def _check_names_like_old_patterns(name):
+    old_ident = _OLD_IDENT.fullmatch(name) is not None and name not in bd._RESERVED
+    assert _accepts(bd.check_identifier, name) == old_ident
+    assert _accepts(bd.check_dotted_name, name) == (_OLD_DOTTED.fullmatch(name) is not None)
+
+
+@pytest.mark.parametrize("name", ["", "x\n", "é", "ǅ", "a..b", ".a", "1a", "_", "a.",
+                                  "java.util.ArrayList", "a.class", "x_1.Y2"])
+def test_name_checks_accept_what_the_old_patterns_did(name):
+    _check_names_like_old_patterns(name)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="aZ_09.\n é\u01c5\u0663-")))
+def test_name_checks_accept_what_the_old_patterns_did_on_any_text(name):
+    _check_names_like_old_patterns(name)
+
+
+def test_name_checks_reject_none():
+    with pytest.raises(InvalidIdentifier):
+        bd.check_identifier(None)
+    with pytest.raises(InvalidIdentifier):
+        bd.check_dotted_name(None)
 
 
 _VAR_MAKERS = {
@@ -517,7 +558,60 @@ def test_record_replace_rejects_an_unknown_field():
 
 
 def _record_classes():
-    return [c for c in vars(ir).values() if isinstance(c, type) and hasattr(c, "__record_specs__")]
+    return [c for m in (ir, layout, verify, gallery) for c in vars(m).values()
+            if isinstance(c, type) and "__record_specs__" in vars(c)]
+
+
+def test_every_record_builds_by_keyword():
+    classes = _record_classes()
+    assert len(classes) == 62
+    for cls in classes:
+        # FileSet's __post_init__ walks its files, so give it none
+        values = [() if cls is layout.FileSet else object() for _ in cls.__match_args__]
+        made = cls(**dict(zip(cls.__match_args__, values)))
+        assert [getattr(made, name) for name in cls.__match_args__] == values, cls
+        assert made == cls(*values)
+
+
+def test_records_sharing_an_init_template_keep_their_own_fields():
+    seen = []
+
+    @record
+    class Pair:
+        left: int
+        right: str = "r"
+
+    @record
+    class Other:
+        first: list
+        second: tuple = ()
+
+        def __post_init__(self):
+            seen.append(self.first)
+
+    @record
+    class Plain:
+        x: int
+        y: int
+
+    assert Pair.__init__.__code__.co_code == Plain.__init__.__code__.co_code
+    assert (Pair(1).left, Pair(1).right, Pair(right="s", left=2).right) == (1, "r", "s")
+    assert (Other([3]).first, Other([3]).second, seen) == ([3], (), [[3], [3]])
+    assert Plain(y=5, x=4) == Plain(4, 5) and (Plain(4, 5).x, Plain(4, 5).y) == (4, 5)
+    assert Pair.__init__.__defaults__ == ("r",) and Plain.__init__.__defaults__ is None
+    with pytest.raises(TypeError):
+        Plain(1)
+    with pytest.raises(TypeError):
+        Pair(1, left=2)
+    assert not hasattr(Plain(1, 2), "__post_init__") and seen == [[3], [3]]
+
+
+def test_record_signature_shows_the_fields():
+    params = inspect.signature(ir.TypeRepr).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("kind", inspect.Parameter.empty), ("elem", None), ("class_name", None)]
+    assert list(inspect.signature(layout.FileSet).parameters) == ["files"]
+    assert ir.TypeRepr.__init__.__qualname__ == "TypeRepr.__init__"
 
 
 def test_records_have_no_instance_dict():
@@ -526,7 +620,7 @@ def test_records_have_no_instance_dict():
 
 
 def test_record_slots_hold_only_their_own_fields():
-    for cls in _record_classes() + [layout.Doc, layout.FileSet, gallery.GalleryEntry]:
+    for cls in _record_classes():
         inherited = {name for base in cls.__mro__[1:] for name in getattr(base, "__slots__", ())}
         assert set(cls.__slots__) == set(cls.__match_args__) - inherited, cls
     assert ir.ExprRepr.__slots__ == () and ir.Lit.__slots__ == ("kind", "value")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from oogen import builders as bd, gallery, ir, patterns as pt, verify
+from oogen.backends import CppRenderer, PythonRenderer
 
 
 # -- stdout normalization ----------------------------------------------------------
@@ -90,7 +91,7 @@ def _broken_python_renderer(monkeypatch):
     """Make the python backend lie so targets disagree."""
     real = verify.get_backend
 
-    class Liar:
+    class Liar(PythonRenderer):  # the real build and run commands
         def render_package(self, pkg):
             files = real("python").render_package(pkg)
             return [dataclasses.replace(f, text='print("WRONG")\n') for f in files]
@@ -116,7 +117,7 @@ def test_disagreement_detected_and_diffed(tmp_path, monkeypatch):
 def test_compile_error_reported(tmp_path, monkeypatch):
     real = verify.get_backend
 
-    class Garbler:
+    class Garbler(CppRenderer):  # the real build and run commands
         def render_package(self, pkg):
             files = real("cpp").render_package(pkg)
             return [dataclasses.replace(f, text="int main( {{{\n") for f in files]
@@ -135,6 +136,7 @@ def test_verify_package_runs_each_target_in_own_dir(tmp_path):
     assert (tmp_path / "cpp" / "HelloWorld.cpp").is_file()
     executed = [r for r in report.runs if r.status == "ok"]
     assert len(executed) == 2
+    assert (tmp_path / "cpp" / "HelloWorld").is_file()  # the Makefile's binary name
     assert report.agree
 
 
@@ -292,6 +294,18 @@ def test_int_division_truncates_toward_zero_everywhere(tmp_path):
                                    targets=("python", "java", "cpp"), root_dir=str(tmp_path))
     assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
     assert {r.stdout for r in report.executed} == {"3\n-3"}
+
+
+def test_integral_float_literal_divides_as_a_float_everywhere(tmp_path):
+    # 7.0 / 2 is 3.5 on every target; an integral float result would print
+    # as `7` in C++ and `7.0` in Python, so the printed value is not one
+    main = bd.main_function(bd.body_statements([
+        pt.print_ln(bd.apply_binary("#/", bd.lit_float(7.0), bd.lit_int(2))),
+    ]))
+    report = verify.verify_package(bd.prog("p", [bd.build_module("Main", [], [main], [])]),
+                                   targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"3.5"}
 
 
 def test_unknown_target_is_a_value_error():
