@@ -12,7 +12,9 @@ name of the method that renders it, or to a function `(renderer, node)`
 for a one-line rendering. `__init_subclass__` resolves the names against
 each class, so a target overrides a handler by defining the method.
 `expr` and `stmt` look the node's class up; a class with no handler
-raises `UnsupportedConstruct` naming the target.
+raises `UnsupportedConstruct` naming the target. Variable and call forms
+dispatch the same way, through `var_forms` and `call_forms` keyed by the
+enum member, after an identity test for the commonest form.
 
 Patterns are lowered once, here, to core IR built through the builders,
 so every target accepts or refuses the same trees: an Observer list is a
@@ -36,7 +38,7 @@ from __future__ import annotations
 from .. import builders as bd
 from .. import ir
 from .. import patterns as pt
-from ..errors import UnsupportedConstruct
+from ..errors import NestingTooDeep, UnsupportedConstruct
 from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
@@ -49,6 +51,13 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.ListIndexExists: 5,
 }
 _MATH_OPS = {"#/^": "sqrt", "#|": "abs"}  # unary operators rendered as math calls
+
+# Enum members the per-node methods test, loaded once: on Python 3.11 every
+# `ir.VarForm.PLAIN` at call time goes through `EnumType.__getattr__`.
+_PLAIN, _FUNCTION = ir.VarForm.PLAIN, ir.CallForm.FUNCTION
+# The operator of an assignment that takes a value, and the sign of a step.
+_ASSIGN_TOKENS = {ir.AssignMode.SET: "=", ir.AssignMode.ADD_EQ: "+=", ir.AssignMode.SUB_EQ: "-="}
+_STEP_SIGNS = {ir.AssignMode.INC: "+", ir.AssignMode.DEC: "-"}
 
 
 def escape_string(value: str) -> str:
@@ -99,7 +108,12 @@ def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
 
 
 def _resolve(cls, handlers: dict) -> dict:
-    return {node: getattr(cls, h) if type(h) is str else h for node, h in handlers.items()}
+    return {key: getattr(cls, h) if type(h) is str else h for key, h in handlers.items()}
+
+
+def qualified(renderer, v: ir.VariableRepr) -> str:
+    """`owner.name`: a member or external variable in most targets."""
+    return f"{v.owner}.{v.name}"
 
 
 class Renderer:
@@ -149,10 +163,27 @@ class Renderer:
         ir.ObserverNotify: lambda self, s: self.stmt(_observer_notify(s)),
     }
 
+    # How each variable form but PLAIN (a bare name) is referred to, and
+    # how each call form but FUNCTION (`name(args)`) is spelled: resolved
+    # like the handlers, each maps a member to a method name or a function
+    # `(renderer, variable)` / `(renderer, call, rendered args)`.
+    var_forms: dict = {
+        ir.VarForm.CLASS_MEMBER: qualified,
+        ir.VarForm.OBJECT_MEMBER: qualified,
+        ir.VarForm.EXTERNAL: qualified,
+    }
+    call_forms = {
+        ir.CallForm.EXTERNAL: "external_call",
+        ir.CallForm.CONSTRUCTOR: "constructor_call",
+        ir.CallForm.METHOD: "method_call_text",
+    }
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._expr_table = _resolve(cls, cls.expr_handlers)
         cls._stmt_table = _resolve(cls, cls.stmt_handlers)
+        cls._var_table = _resolve(cls, cls.var_forms)
+        cls._call_table = _resolve(cls, cls.call_forms)
 
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
@@ -274,27 +305,25 @@ class Renderer:
 
     def call(self, e: ir.Call) -> str:
         args = self.call_args(e.args)
-        if e.form == ir.CallForm.FUNCTION:
+        if e.form is _FUNCTION:
             return f"{e.name}({args})"
-        if e.form == ir.CallForm.EXTERNAL:
-            return self.external_call(e.library, e.name, args)
-        if e.form == ir.CallForm.CONSTRUCTOR:
-            return self.constructor_call(e.name, args)
-        return self.method_call_text(e.receiver, e.name, args)
+        return self._call_table[e.form](self, e, args)
 
-    def external_call(self, library: str, name: str, args: str) -> str:
-        return f"{library}.{name}({args})"
+    def external_call(self, e: ir.Call, args: str) -> str:
+        return f"{e.library}.{e.name}({args})"
 
-    def constructor_call(self, class_name: str, args: str) -> str:  # pragma: no cover
+    def constructor_call(self, e: ir.Call, args: str) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def method_call_text(self, receiver: ir.ExprRepr, name: str, args: str) -> str:
-        return f"{self.atom(receiver)}.{name}({args})"
+    def method_call_text(self, e: ir.Call, args: str) -> str:
+        return f"{self.atom(e.receiver)}.{e.name}({args})"
+
+    def var_ref(self, v: ir.VariableRepr) -> str:
+        if v.form is _PLAIN:
+            return v.name
+        return self._var_table[v.form](self, v)
 
     # -- hooks subclasses must provide --------------------------------------
-
-    def var_ref(self, v: ir.VariableRepr) -> str:  # pragma: no cover
-        raise NotImplementedError
 
     def math_call(self, e: ir.MathCall) -> str:  # pragma: no cover
         raise NotImplementedError
@@ -328,14 +357,10 @@ class Renderer:
     def assign_doc(self, s: ir.Assign) -> Doc:
         target = self.var_ref(s.var)
         mode = s.mode
-        if mode == ir.AssignMode.SET:
-            line = f"{target} = {self.expr(s.value)}"
-        elif mode == ir.AssignMode.ADD_EQ:
-            line = f"{target} += {self.expr(s.value)}"
-        elif mode == ir.AssignMode.SUB_EQ:
-            line = f"{target} -= {self.expr(s.value)}"
+        if mode in _STEP_SIGNS:
+            line = self.step_text(target, _STEP_SIGNS[mode])
         else:
-            line = self.step_text(target, "+" if mode == ir.AssignMode.INC else "-")
+            line = f"{target} {_ASSIGN_TOKENS[mode]} {self.expr(s.value)}"
         return text(line + self.statement_end)
 
     def step_text(self, target: str, sign: str) -> str:
@@ -406,8 +431,12 @@ class Renderer:
 
     def render_package(self, pkg: ir.PackageTree) -> list[RenderedFile]:
         files: list[RenderedFile] = []
-        for module, path in self.source_files(pkg):
-            files.extend(type(self)().module_files(module, path))
+        try:
+            for module, path in self.source_files(pkg):
+                files.extend(type(self)().module_files(module, path))
+        except RecursionError:
+            # Caught here, not counted per node: the walk recurses once per level.
+            raise NestingTooDeep(f"package nests too deeply to render to {self.target}") from None
         return files
 
     def module_files(self, module: ir.ModuleRepr,

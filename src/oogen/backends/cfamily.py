@@ -16,6 +16,8 @@ from ..errors import UnsupportedConstruct
 from ..layout import Doc, EMPTY, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import Renderer, escape_string
 
+_STATIC, _PUBLIC, _COMBINED = ir.Binding.STATIC, ir.Scope.PUBLIC, FileType.COMBINED
+
 
 class CFamilyRenderer(Renderer):
     switch_strings_as_chain = False
@@ -65,15 +67,10 @@ class CFamilyRenderer(Renderer):
 
     # -- expressions shared by Java and C# ---------------------------------------
 
-    def var_ref(self, v: ir.VariableRepr) -> str:
-        if v.form == ir.VarForm.SELF:
-            return f"this.{v.name}"
-        if v.form in (ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER, ir.VarForm.EXTERNAL):
-            return f"{v.owner}.{v.name}"
-        return v.name
+    var_forms = {**Renderer.var_forms, ir.VarForm.SELF: lambda self, v: f"this.{v.name}"}
 
-    def constructor_call(self, class_name: str, args: str) -> str:
-        return f"new {class_name}({args})"
+    def constructor_call(self, e: ir.Call, args: str) -> str:
+        return f"new {e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:
         return "args"
@@ -219,7 +216,7 @@ class CFamilyRenderer(Renderer):
         if m.is_main:
             return vcat([comment, self.braced(self.main_header, self.body(m.body))])
         modifiers = m.scope.value
-        if m.binding == ir.Binding.STATIC or m.containing_class is None:
+        if m.binding is _STATIC or m.containing_class is None:
             modifiers += " static"
         if m.inout is not None:
             return vcat([comment, self.in_out_method_doc(m, modifiers)])
@@ -237,7 +234,7 @@ class CFamilyRenderer(Renderer):
 
     def state_var_doc(self, sv: ir.StateVarRepr) -> Doc:
         parts = [sv.scope.value]
-        if sv.binding == ir.Binding.STATIC:
+        if sv.binding is _STATIC:
             parts.append("static")
         if sv.is_const:
             parts.append(self.const_keyword)
@@ -247,7 +244,7 @@ class CFamilyRenderer(Renderer):
     def class_is_public(self, c: ir.ClassDeclRepr, module: ir.ModuleRepr) -> bool:
         # Top-level classes cannot be private in C#; they fall back to the
         # default (internal) visibility.
-        return c.scope == ir.Scope.PUBLIC
+        return c.scope is _PUBLIC
 
     def class_doc(self, c: ir.ClassDeclRepr, public: bool) -> Doc:
         comment = self.doc_comment(c.doc)
@@ -273,4 +270,4 @@ class CFamilyRenderer(Renderer):
         imports = sorted(set(module.imports) | self.needs)
         import_doc = vcat([text(f"{self.import_keyword} {name};") for name in imports])
         content = join_blocks([self.doc_comment(module.doc), import_doc, *pieces])
-        return [RenderedFile(path, FileType.COMBINED, extract(content))]
+        return [RenderedFile(path, _COMBINED, extract(content))]

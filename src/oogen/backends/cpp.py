@@ -27,6 +27,14 @@ from ..layout import (
 from .base import escape_string
 from .cfamily import CFamilyRenderer
 
+_PLAIN, _STATIC = ir.VarForm.PLAIN, ir.Binding.STATIC
+_SECTIONS = ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:"))
+_SOURCE, _HEADER = FileType.SOURCE, FileType.HEADER
+
+
+def _scoped(renderer, v: ir.VariableRepr) -> str:
+    return f"{v.owner}::{v.name}"
+
 
 class CppRenderer(CFamilyRenderer):
     target = "cpp"
@@ -61,16 +69,18 @@ class CppRenderer(CFamilyRenderer):
             return t.class_name
         return t.kind  # bool, int, char, void match the C++ spelling
 
+    var_forms = {
+        **CFamilyRenderer.var_forms,
+        ir.VarForm.SELF: lambda self, v: f"this->{v.name}",
+        ir.VarForm.CLASS_MEMBER: _scoped,
+        ir.VarForm.EXTERNAL: _scoped,
+    }
+
     def var_ref(self, v: ir.VariableRepr) -> str:
-        if v.form == ir.VarForm.PLAIN and v.name in self._iter_vars:
-            return f"(*{v.name})"
-        if v.form == ir.VarForm.SELF:
-            return f"this->{v.name}"
-        if v.form == ir.VarForm.OBJECT_MEMBER:
-            return f"{v.owner}.{v.name}"
-        if v.form in (ir.VarForm.CLASS_MEMBER, ir.VarForm.EXTERNAL):
-            return f"{v.owner}::{v.name}"
-        return v.name
+        if v.form is _PLAIN:
+            # a for-each variable is an iterator here
+            return f"(*{v.name})" if v.name in self._iter_vars else v.name
+        return self._var_table[v.form](self, v)
 
     def math_call(self, e: ir.MathCall) -> str:
         # C's abs truncates; doubles need fabs, ints keep abs from stdlib.h.
@@ -87,17 +97,18 @@ class CppRenderer(CFamilyRenderer):
         self.needs.add("math.h")
         return f"pow({self.expr(e.left)}, {self.expr(e.right)})"
 
-    def constructor_call(self, class_name: str, args: str) -> str:
-        return f"{class_name}({args})"
+    def constructor_call(self, e: ir.Call, args: str) -> str:
+        return f"{e.name}({args})"
 
-    def method_call_text(self, receiver: ir.ExprRepr, name: str, args: str) -> str:
+    def method_call_text(self, e: ir.Call, args: str) -> str:
+        receiver = e.receiver
         if (
             isinstance(receiver, ir.ValueOf)
-            and receiver.var.form == ir.VarForm.PLAIN
+            and receiver.var.form is _PLAIN
             and receiver.var.name in self._iter_vars
         ):
-            return f"{receiver.var.name}->{name}({args})"
-        return f"{self.atom(receiver)}.{name}({args})"
+            return f"{receiver.var.name}->{e.name}({args})"
+        return f"{self.atom(receiver)}.{e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:
         return "argv"
@@ -224,14 +235,14 @@ class CppRenderer(CFamilyRenderer):
     def prototype_doc(self, m: ir.MethodRepr) -> Doc:
         """Declaration, for the header: a free function's, or a method's
         inside its class."""
-        static = "static " if m.containing_class and m.binding == ir.Binding.STATIC else ""
+        static = "static " if m.containing_class and m.binding is _STATIC else ""
         return vcat([
             self.doc_comment(m.doc),
             text(static + self._sig_head(m, qualify=False) + ";"),
         ])
 
     def state_var_decl(self, sv: ir.StateVarRepr) -> Doc:
-        static = "static " if sv.binding == ir.Binding.STATIC else ""
+        static = "static " if sv.binding is _STATIC else ""
         const = "const " if sv.is_const else ""
         return text(
             f"{static}{const}{self.type_text(sv.variable.type)} {sv.variable.name};"
@@ -240,7 +251,7 @@ class CppRenderer(CFamilyRenderer):
     def class_decl_doc(self, c: ir.ClassDeclRepr) -> Doc:
         parent = f" : public {c.parent}" if c.parent else ""
         sections: list[Doc] = []
-        for scope, label in ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:")):
+        for scope, label in _SECTIONS:
             members = [self.prototype_doc(m) for m in c.methods if m.scope == scope]
             members.extend(
                 self.state_var_decl(sv) for sv in c.state_vars if sv.scope == scope
@@ -256,7 +267,7 @@ class CppRenderer(CFamilyRenderer):
         defs = vcat([
             text(f"{self.type_text(sv.variable.type)} {c.name}::{sv.variable.name};")
             for sv in c.state_vars
-            if sv.binding == ir.Binding.STATIC and not sv.is_const
+            if sv.binding is _STATIC and not sv.is_const
         ])
         return join_blocks([defs] + [self.method_doc(m) for m in c.methods])
 
@@ -283,7 +294,7 @@ class CppRenderer(CFamilyRenderer):
             + [text(f"#include <{inc}>") for inc in sorted(src_needs)]
         )
         src_content = join_blocks([self.doc_comment(module.doc), own, other, *src_docs])
-        files = [RenderedFile(path, FileType.SOURCE, extract(src_content))]
+        files = [RenderedFile(path, _SOURCE, extract(src_content))]
 
         if has_header:
             guard = f"{name}_HPP"
@@ -294,6 +305,6 @@ class CppRenderer(CFamilyRenderer):
                 text("#endif"),
             ])
             files.append(RenderedFile(
-                f"{name}{self.header_extension}", FileType.HEADER, extract(hdr_content)
+                f"{name}{self.header_extension}", _HEADER, extract(hdr_content)
             ))
         return files

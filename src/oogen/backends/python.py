@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import Renderer, comment_doc, doc_fields, escape_string
+from .base import Renderer, comment_doc, doc_fields, escape_string, qualified
+
+_STATIC, _COMBINED = ir.Binding.STATIC, FileType.COMBINED
 
 
 def _suite(header: str, rendered: Doc) -> Doc:
@@ -88,15 +90,15 @@ class PythonRenderer(Renderer):
         # targets' int division does (`//` would floor).
         return f"int({quotient})"
 
-    def var_ref(self, v: ir.VariableRepr) -> str:
-        if v.form == ir.VarForm.SELF:
-            return f"self.{v.name}"
-        if v.form in (ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER):
-            return f"{v.owner}.{v.name}"
-        if v.form == ir.VarForm.EXTERNAL:
-            self.needs.add(v.owner)
-            return f"{v.owner}.{v.name}"
-        return v.name
+    var_forms = {
+        **Renderer.var_forms,
+        ir.VarForm.SELF: lambda self, v: f"self.{v.name}",
+        ir.VarForm.EXTERNAL: "external_ref",
+    }
+
+    def external_ref(self, v: ir.VariableRepr) -> str:
+        self.needs.add(v.owner)
+        return qualified(self, v)
 
     def math_call(self, e: ir.MathCall) -> str:
         if e.fn == "abs":
@@ -104,12 +106,12 @@ class PythonRenderer(Renderer):
         self.needs.add("math")
         return f"math.{e.fn}({self.expr(e.arg)})"
 
-    def external_call(self, library: str, name: str, args: str) -> str:
-        self.needs.add(library)
-        return f"{library}.{name}({args})"
+    def external_call(self, e: ir.Call, args: str) -> str:
+        self.needs.add(e.library)
+        return f"{e.library}.{e.name}({args})"
 
-    def constructor_call(self, class_name: str, args: str) -> str:
-        return f"{class_name}({args})"
+    def constructor_call(self, e: ir.Call, args: str) -> str:
+        return f"{e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:
         self.needs.add("sys")
@@ -216,7 +218,7 @@ class PythonRenderer(Renderer):
         params = [p.variable.name for p in m.params]
         decorators: list[Doc] = []
         if m.containing_class is not None:
-            if m.binding == ir.Binding.STATIC:
+            if m.binding is _STATIC:
                 decorators.append(text("@staticmethod"))
             else:
                 params = ["self"] + params
@@ -253,4 +255,4 @@ class PythonRenderer(Renderer):
         pieces = join_blocks([
             self.doc_comment(module.doc), import_doc, *functions, *classes, *mains,
         ])
-        return [RenderedFile(path, FileType.COMBINED, extract(pieces))]
+        return [RenderedFile(path, _COMBINED, extract(pieces))]

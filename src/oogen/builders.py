@@ -23,6 +23,18 @@ from .errors import (
     UnknownParamDoc,
 )
 
+# Enum members the constructors use, loaded once: on Python 3.11 every
+# `ir.VarForm.SELF` at call time goes through `EnumType.__getattr__`.
+_STATIC, _DYNAMIC = ir.Binding.STATIC, ir.Binding.DYNAMIC
+_PUBLIC, _PRIVATE = ir.Scope.PUBLIC, ir.Scope.PRIVATE
+_SELF, _CLASS_MEMBER, _OBJECT_MEMBER, _EXTERNAL = (
+    ir.VarForm.SELF, ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER, ir.VarForm.EXTERNAL)
+_FUNCTION, _EXTERNAL_CALL, _CONSTRUCTOR, _METHOD = (
+    ir.CallForm.FUNCTION, ir.CallForm.EXTERNAL, ir.CallForm.CONSTRUCTOR, ir.CallForm.METHOD)
+_SET, _ADD_EQ, _SUB_EQ, _INC, _DEC = (
+    ir.AssignMode.SET, ir.AssignMode.ADD_EQ, ir.AssignMode.SUB_EQ, ir.AssignMode.INC,
+    ir.AssignMode.DEC)
+
 # Reserved words of the targets: Python, then Java, C# and C++ keywords
 # (contextual keywords such as C#'s `value` or Java's `var` stay legal).
 _RESERVED = frozenset(keyword.kwlist) | frozenset("""
@@ -77,27 +89,26 @@ def var(name: str, type_: ir.TypeRepr, binding: ir.Binding = ir.Binding.DYNAMIC)
 
 
 def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
-                           ir.VarForm.SELF)
+    return ir.VariableRepr(check_identifier(name), check_type(type_), _DYNAMIC, _SELF)
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), check_type(type_), ir.Binding.STATIC, ir.VarForm.CLASS_MEMBER,
+        check_identifier(name), check_type(type_), _STATIC, _CLASS_MEMBER,
         owner=check_identifier(class_name),
     )
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), check_type(type_), ir.Binding.DYNAMIC, ir.VarForm.OBJECT_MEMBER,
+        check_identifier(name), check_type(type_), _DYNAMIC, _OBJECT_MEMBER,
         owner=check_identifier(owner),
     )
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
     return ir.VariableRepr(
-        check_identifier(name), check_type(type_), ir.Binding.STATIC, ir.VarForm.EXTERNAL,
+        check_identifier(name), check_type(type_), _STATIC, _EXTERNAL,
         owner=check_identifier(library),
     )
 
@@ -206,20 +217,20 @@ def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.In
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(ir.CallForm.FUNCTION, check_identifier(name), tuple(args),
+    return ir.Call(_FUNCTION, check_identifier(name), tuple(args),
                    check_type(return_type))
 
 
 def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
     return ir.Call(
-        ir.CallForm.EXTERNAL, check_identifier(name), tuple(args), check_type(return_type),
+        _EXTERNAL_CALL, check_identifier(name), tuple(args), check_type(return_type),
         library=check_identifier(library),
     )
 
 
 def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
     return ir.Call(
-        ir.CallForm.CONSTRUCTOR, check_identifier(class_name), tuple(args),
+        _CONSTRUCTOR, check_identifier(class_name), tuple(args),
         ir.obj_of(class_name),
     )
 
@@ -227,7 +238,7 @@ def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
                 args: list[ir.ExprRepr]) -> ir.Call:
     return ir.Call(
-        ir.CallForm.METHOD, check_identifier(name), tuple(args), check_type(return_type),
+        _METHOD, check_identifier(name), tuple(args), check_type(return_type),
         receiver=receiver,
     )
 
@@ -245,27 +256,27 @@ def var_dec_def(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.VarDecDef:
 
 
 def assign(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    return ir.Assign(ir.AssignMode.SET, variable, value)
+    return ir.Assign(_SET, variable, value)
 
 
 def add_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
     _require_numeric("&-=/&+=", ir.ValueOf(variable), value)
-    return ir.Assign(ir.AssignMode.ADD_EQ, variable, value)
+    return ir.Assign(_ADD_EQ, variable, value)
 
 
 def sub_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
     _require_numeric("&-=/&+=", ir.ValueOf(variable), value)
-    return ir.Assign(ir.AssignMode.SUB_EQ, variable, value)
+    return ir.Assign(_SUB_EQ, variable, value)
 
 
 def inc(variable: ir.VariableRepr) -> ir.Assign:
     _require_numeric("&++", ir.ValueOf(variable))
-    return ir.Assign(ir.AssignMode.INC, variable, None)
+    return ir.Assign(_INC, variable, None)
 
 
 def dec(variable: ir.VariableRepr) -> ir.Assign:
     _require_numeric("&~-", ir.ValueOf(variable))
-    return ir.Assign(ir.AssignMode.DEC, variable, None)
+    return ir.Assign(_DEC, variable, None)
 
 
 def return_stmt(value: ir.ExprRepr) -> ir.Return:
@@ -445,7 +456,7 @@ def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.Ty
 def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
     _check_body(body_, ir.VOID)
     return ir.MethodRepr(
-        "main", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (), body_, is_main=True,
+        "main", _PUBLIC, _STATIC, ir.VOID, (), body_, is_main=True,
     )
 
 
@@ -466,19 +477,19 @@ def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr,
 
 
 def pub_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PUBLIC, ir.Binding.DYNAMIC, variable)
+    return state_var(_PUBLIC, _DYNAMIC, variable)
 
 
 def priv_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, variable)
+    return state_var(_PRIVATE, _DYNAMIC, variable)
 
 
 def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PUBLIC, ir.Binding.STATIC, variable)
+    return state_var(_PUBLIC, _STATIC, variable)
 
 
 def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(scope, ir.Binding.STATIC, variable, is_const=True)
+    return state_var(scope, _STATIC, variable, is_const=True)
 
 
 def _check_const_assignments(cls_name: str, const_names: set[str],

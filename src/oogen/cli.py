@@ -13,8 +13,9 @@ whose toolchain is installed, then diffs normalized stdout across targets.
 
 Exit codes: 0 success; 1 verify disagreement or runtime failure; 2 bad
 input (malformed JSON, unknown example, a package the request cannot use,
-such as --makefile without a main module); 3 construct unsupported by a
-backend; 4 compile failure (or compile timeout) during verify.
+such as --makefile without a main module, or one nested too deeply to
+decode or render); 3 construct unsupported by a backend; 4 compile failure
+(or compile timeout) during verify.
 """
 
 from __future__ import annotations

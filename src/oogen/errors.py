@@ -2,7 +2,9 @@
 
 Build-time errors (everything except UnsupportedConstruct and DecodeError)
 fire when a program is constructed, so a tree that builds successfully is
-renderable by every backend.
+renderable by every backend, unless it nests deeper than Python's
+recursion limit lets a renderer or the JSON encoder walk: that raises
+NestingTooDeep at render or encode time.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ class UnknownParamDoc(BuildError):
 
 class NoMainModule(BuildError):
     """An operation needed the program's main module and none exists."""
+
+
+class NestingTooDeep(BuildError):
+    """A tree nests too deeply to render or encode."""
 
 
 class UnsupportedConstruct(Exception):

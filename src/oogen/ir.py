@@ -82,6 +82,8 @@ STRING = TypeRepr("string")
 INFILE = TypeRepr("infile")
 OUTFILE = TypeRepr("outfile")
 VOID = TypeRepr("void")
+# A literal's type by its kind, shared rather than built on each read.
+_LIT_TYPES = {"bool": BOOL, "int": INT, "float": FLOAT, "char": CHAR, "string": STRING}
 
 
 def list_of(elem: TypeRepr) -> TypeRepr:
@@ -170,7 +172,7 @@ class Lit(ExprRepr):
 
     @property
     def type(self) -> TypeRepr:
-        return TypeRepr(self.kind)
+        return _LIT_TYPES[self.kind]
 
 
 @record

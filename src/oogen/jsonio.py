@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from . import ir
 from .builders import check_dotted_name, check_identifier
-from .errors import DecodeError, InvalidIdentifier
+from .errors import DecodeError, InvalidIdentifier, NestingTooDeep
 from .patterns import MATH_FNS
 
 SCHEMA_VERSION = 1
@@ -279,22 +279,29 @@ def _decode(shape: _Shape, data, path):
 # attribute][, default]); the attribute is the json key unless given.
 
 
+# Enum members the checks below test, loaded once: on Python 3.11 every
+# `ir.VarForm.PLAIN` at call time goes through `EnumType.__getattr__`.
+_OWNERLESS_FORMS = frozenset((ir.VarForm.PLAIN, ir.VarForm.SELF))
+_STEP_MODES = frozenset((ir.AssignMode.INC, ir.AssignMode.DEC))
+_METHOD_CALL, _EXTERNAL_CALL = ir.CallForm.METHOD, ir.CallForm.EXTERNAL
+
+
 def _owner_given(v: ir.VariableRepr, path):
-    if v.owner is None and v.form not in (ir.VarForm.PLAIN, ir.VarForm.SELF):
+    if v.owner is None and v.form not in _OWNERLESS_FORMS:
         _fail(f"form {v.form.value!r} requires an 'owner'", path)
     return v
 
 
 def _call_target_given(c: ir.Call, path):
-    if c.form is ir.CallForm.METHOD and c.receiver is None:
+    if c.form is _METHOD_CALL and c.receiver is None:
         _fail("method call requires a 'receiver'", path)
-    if c.form is ir.CallForm.EXTERNAL and c.library is None:
+    if c.form is _EXTERNAL_CALL and c.library is None:
         _fail("external call requires a 'library'", path)
     return c
 
 
 def _value_fits_mode(s: ir.Assign, path):
-    needs_value = s.mode not in (ir.AssignMode.INC, ir.AssignMode.DEC)
+    needs_value = s.mode not in _STEP_MODES
     if needs_value and s.value is None:
         _fail(f"assign mode {s.mode.value!r} requires a 'value'", path)
     if not needs_value and s.value is not None:
@@ -464,22 +471,39 @@ del F
 # Documents
 
 
+# Depth is not counted per node: a tree or document that nests deeper than
+# the recursion limit allows is caught as a RecursionError at these entry
+# points, and reported without the path to the deep node.
+_TOO_DEEP_TO_ENCODE = "package nests too deeply to encode"
+_TOO_DEEP_TO_DECODE = "document nests too deeply to decode"
+
+
 def encode_package(pkg: ir.PackageTree) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "program": {"name": pkg.name, "modules": [_encode(m) for m in pkg.modules]},
-        "aux": [_encode(a) for a in pkg.aux],
-    }
+    try:
+        return {
+            "version": SCHEMA_VERSION,
+            "program": {"name": pkg.name, "modules": [_encode(m) for m in pkg.modules]},
+            "aux": [_encode(a) for a in pkg.aux],
+        }
+    except RecursionError:
+        raise NestingTooDeep(_TOO_DEEP_TO_ENCODE) from None
 
 
 def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
     """Compact by default; indent=2 gives the listing meant to be read."""
-    # encode_package builds a fresh tree, which has no cycles to look for.
-    return json.dumps(encode_package(pkg), indent=indent, check_circular=False) + "\n"
+    data = encode_package(pkg)
+    try:
+        # encode_package builds a fresh tree, which has no cycles to look for.
+        return json.dumps(data, indent=indent, check_circular=False) + "\n"
+    except RecursionError:
+        raise NestingTooDeep(_TOO_DEEP_TO_ENCODE) from None
 
 
 def decode_package(data: object) -> ir.PackageTree:
-    return _decode(_DOCUMENT, data, "$")
+    try:
+        return _decode(_DOCUMENT, data, "$")
+    except RecursionError:
+        raise DecodeError(_TOO_DEEP_TO_DECODE, "$") from None
 
 
 def loads(text: str) -> ir.PackageTree:
@@ -487,4 +511,6 @@ def loads(text: str) -> ir.PackageTree:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"invalid JSON: {exc}", "$") from None
+    except RecursionError:
+        raise DecodeError(_TOO_DEEP_TO_DECODE, "$") from None
     return decode_package(data)

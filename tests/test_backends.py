@@ -113,6 +113,60 @@ def test_increment_spelling(target, expected):
     assert get_backend(target).render_stmt(bd.inc(FOO)) == expected
 
 
+# One variable of each form: (form, variable).
+FORM_VARS = [
+    (ir.VarForm.PLAIN, bd.var("x", ir.INT)),
+    (ir.VarForm.SELF, bd.self_var("x", ir.INT)),
+    (ir.VarForm.CLASS_MEMBER, bd.class_var("Owner", "x", ir.INT)),
+    (ir.VarForm.OBJECT_MEMBER, bd.obj_var("obj", "x", ir.INT)),
+    (ir.VarForm.EXTERNAL, bd.ext_var("lib", "x", ir.INT)),
+]
+# Each target's reference to FORM_VARS, in order.
+FORM_SPELLINGS = {
+    "python": ["x", "self.x", "Owner.x", "obj.x", "lib.x"],
+    "java": ["x", "this.x", "Owner.x", "obj.x", "lib.x"],
+    "csharp": ["x", "this.x", "Owner.x", "obj.x", "lib.x"],
+    "cpp": ["x", "this->x", "Owner::x", "obj.x", "lib::x"],
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("index", range(len(FORM_VARS)),
+                         ids=[form.value for form, _ in FORM_VARS])
+def test_variable_form_spelling(target, index):
+    form, variable = FORM_VARS[index]
+    assert variable.form is form
+    ref = FORM_SPELLINGS[target][index]
+    end = "" if target == "python" else ";"
+    backend = get_backend(target)
+    assert backend.render_expr(bd.value_of(variable)) == ref
+    assert backend.render_stmt(bd.assign(variable, bd.lit_int(1))) == f"{ref} = 1{end}"
+    assert backend.render_stmt(bd.add_eq(variable, bd.lit_int(1))) == f"{ref} += 1{end}"
+    assert backend.render_stmt(bd.sub_eq(variable, bd.lit_int(1))) == f"{ref} -= 1{end}"
+    step = f"{ref} = {ref} - 1" if target == "python" else f"{ref}--;"
+    assert backend.render_stmt(bd.dec(variable)) == step
+
+
+def test_python_external_variable_imports_its_module():
+    lib_x = bd.ext_var("lib", "x", ir.INT)
+    main = bd.main_function(bd.one_liner(pt.print_ln(bd.value_of(lib_x))))
+    pkg = bd.prog("P", [bd.build_module("P", [], [main], [])])
+    [file] = get_backend("python").render_package(pkg)
+    assert file.text == "import lib\n\nprint(lib.x)\n"
+
+
+def test_cpp_for_each_variable_reads_through_its_iterator():
+    x = bd.var("x", ir.INT)
+    xs = bd.var("xs", ir.list_of(ir.INT))
+    loop = bd.for_each(x, bd.value_of(xs), bd.body_statements(
+        [pt.print_ln(bd.value_of(x)), bd.assign(x, bd.lit_int(1))]))
+    assert get_backend("cpp").render_stmt(loop) == (
+        "for (std::vector<int>::iterator x = xs.begin(); x != xs.end(); x++) {\n"
+        "    std::cout << (*x) << std::endl;\n"
+        "    (*x) = 1;\n"
+        "}")
+
+
 @pytest.mark.parametrize("target,expected", [
     ("python", "len(sys.argv) > 1"),
     ("java", "args.length > 0"),

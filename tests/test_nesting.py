@@ -1,0 +1,84 @@
+"""A tree or document nested past Python's recursion limit fails with a
+typed error at the entry point it was handed to, never a RecursionError.
+The error names no path deeper than "$"."""
+
+import json
+
+import pytest
+
+from oogen import builders as bd, cli, jsonio, patterns as pt
+from oogen.backends import TARGETS, get_backend
+from oogen.errors import BuildError, DecodeError, NestingTooDeep
+
+DEPTH = 3000  # well past the default recursion limit of 1000
+
+
+def _deep_package(depth: int):
+    """A program printing `1 + 1 + ... + 1`, `depth` additions nested to the left."""
+    e = bd.lit_int(1)
+    for _ in range(depth):
+        e = bd.apply_binary("#+", e, bd.lit_int(1))
+    main = bd.main_function(bd.one_liner(pt.print_ln(e)))
+    return bd.prog("Deep", [bd.build_module("Deep", [], [main], [])])
+
+
+def _deep_document(depth: int) -> str:
+    """The JSON of `_deep_package(depth)`, built as text: json.dumps itself
+    cannot write a document this deep."""
+    shallow = jsonio.dumps(_deep_package(1))
+    printed = json.loads(shallow)["program"]["modules"][0]["functions"][0]["body"][0][0]["expr"]
+    lit = json.dumps(printed["right"])
+    e = lit
+    for _ in range(depth):
+        e = f'{{"op": "binary", "name": "#+", "left": {e}, "right": {lit}, "type": "int"}}'
+    return shallow.replace(json.dumps(printed), e, 1)
+
+
+def test_nesting_too_deep_is_a_build_error():
+    assert issubclass(NestingTooDeep, BuildError)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_render_of_a_too_deep_tree_raises_nesting_too_deep(target):
+    with pytest.raises(NestingTooDeep, match=f"too deeply to render to {target}"):
+        get_backend(target).render_package(_deep_package(DEPTH))
+
+
+def test_encode_of_a_too_deep_tree_raises_nesting_too_deep():
+    pkg = _deep_package(DEPTH)
+    with pytest.raises(NestingTooDeep, match="too deeply to encode"):
+        jsonio.encode_package(pkg)
+    with pytest.raises(NestingTooDeep, match="too deeply to encode"):
+        jsonio.dumps(pkg)
+
+
+def test_decode_of_a_too_deep_document_raises_decode_error_at_the_root():
+    text = _deep_document(DEPTH)
+    with pytest.raises(DecodeError, match="too deeply to decode") as from_text:
+        jsonio.loads(text)
+    assert from_text.value.path == "$"
+    lit = {"op": "lit", "kind": "int", "value": 1}
+    data = lit
+    for _ in range(DEPTH):  # parsed already: the decoder's own walk is too deep
+        data = {"op": "binary", "name": "#+", "left": data, "right": lit, "type": "int"}
+    doc = json.loads(jsonio.dumps(_deep_package(1)))
+    doc["program"]["modules"][0]["functions"][0]["body"][0][0]["expr"] = data
+    with pytest.raises(DecodeError, match="too deeply to decode") as from_data:
+        jsonio.decode_package(doc)
+    assert from_data.value.path == "$"
+
+
+def test_a_shallower_document_still_decodes_and_renders():
+    pkg = jsonio.loads(_deep_document(100))
+    assert pkg == _deep_package(100)
+    assert get_backend("python").render_package(pkg)[0].text.count("+ 1") == 100
+
+
+def test_cli_render_of_a_too_deep_document_exits_2(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text(_deep_document(DEPTH))
+    rc = cli.main(["render", "--input", str(src), "--target", "python",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "oogen: $: document nests too deeply to decode\n"

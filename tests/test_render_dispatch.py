@@ -1,5 +1,6 @@
 """Rendering by table: every IR node class has one handler per target,
-and the all-tags package renders byte for byte as recorded.
+the all-tags package renders byte for byte as recorded, and no function
+on the per-node paths loads an enum member when it runs.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
 `tests/all_tags.py` for each target, Makefile and Doxygen config included,
@@ -11,11 +12,13 @@ rendered output, rewrite it with
 and review its diff.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
 import all_tags
+import oogen
 from oogen import ir
 from oogen.backends import TARGETS, assemble_package, get_backend
 from oogen.errors import UnsupportedConstruct
@@ -75,6 +78,49 @@ def test_unknown_node_names_the_target_and_the_class(target):
     with pytest.raises(UnsupportedConstruct) as stmt_error:
         backend.render_stmt(Odd())
     assert str(stmt_error.value) == f"{target} backend cannot render statement Odd"
+
+
+# On Python 3.11 `ir.VarForm.SELF` at call time goes through
+# `EnumType.__getattr__`, several times the cost of an `is` test; members
+# belong in module-level constants and tables, or in default values, which
+# are evaluated once.
+ENUMS = {"VarForm", "AssignMode", "CallForm", "Scope", "Binding", "FileType"}
+SRC = Path(oogen.__file__).parent
+GUARDED = sorted(SRC.glob("backends/*.py")) + [SRC / "jsonio.py", SRC / "builders.py"]
+
+
+def _member_loads(source: str, name: str) -> list[str]:
+    """`name:line Enum.MEMBER` for each enum member loaded inside the body
+    of a function or lambda in `source`."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = func.body if isinstance(func.body, list) else [func.body]
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if not isinstance(node, ast.Attribute) or not node.attr.isupper():
+                continue
+            owner = node.value
+            enum = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if enum in ENUMS:
+                found.add(f"{name}:{node.lineno} {enum}.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", GUARDED, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_enum_member_is_loaded_at_call_time(path):
+    name = str(path.relative_to(SRC))
+    assert _member_loads(path.read_text(), name) == []
+
+
+def test_the_enum_guard_sees_body_loads_only():
+    source = (
+        "TABLE = {ir.VarForm.SELF: 1}\n"
+        "def f(v, m=ir.VarForm.PLAIN):\n"
+        "    return v is ir.VarForm.SELF or (lambda: FileType.AUX)\n"
+    )
+    assert _member_loads(source, "probe.py") == [
+        "probe.py:3 FileType.AUX", "probe.py:3 VarForm.SELF"]
 
 
 if __name__ == "__main__":
