@@ -6,23 +6,21 @@ optional Makefile and Doxygen-config generation (auxfiles), JSON interchange
 (jsonio), and compile-and-run cross-checking on whatever toolchains the
 machine has (verify). The gallery module holds runnable example programs,
 and cli exposes all of it as the `oogen` command.
+
+Each name below is imported on first use, so `import oogen.ir` loads the
+IR alone and not the backends, the gallery or verify.
 """
 
-from . import builders, gallery, ir, jsonio, patterns, verify
-from .backends import TARGETS, assemble_package, get_backend
-from .errors import BuildError, DecodeError, UnsupportedConstruct
+# each public name -> the submodule that holds it (a submodule holds itself)
+_FROM = {"BuildError": "errors", "DecodeError": "errors", "UnsupportedConstruct": "errors",
+         "TARGETS": "backends", "assemble_package": "backends", "get_backend": "backends",
+         **{m: m for m in ("builders", "gallery", "ir", "jsonio", "patterns", "verify")}}
+__all__ = sorted(_FROM)
 
-__all__ = [
-    "BuildError",
-    "DecodeError",
-    "TARGETS",
-    "UnsupportedConstruct",
-    "assemble_package",
-    "builders",
-    "gallery",
-    "get_backend",
-    "ir",
-    "jsonio",
-    "patterns",
-    "verify",
-]
+
+def __getattr__(name: str):
+    if name not in _FROM:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _FROM[name]
+    __import__(f"{__name__}.{module}")  # binds the submodule in this module's globals
+    return globals()[name] if module == name else getattr(globals()[module], name)

@@ -1,11 +1,20 @@
 """Frozen records: the value classes of the IR, the renderers and verify.
 
-`@record` turns a class with annotated fields into an immutable value, as
-`@dataclass(frozen=True, slots=True)` would, but generates only `__init__`.
-Equality, hashing, `repr`, pickling and the frozen guards are shared
-functions that read the fields through a per-class `operator.attrgetter`.
-Generating six methods per class used to be most of the time `import oogen`
-spent in `oogen.ir`.
+`class Lit(ExprRepr, metaclass=record)` makes a class with annotated fields
+an immutable value, as `@dataclass(frozen=True, slots=True)` would, but
+generates only `__init__`. Equality, hashing, `repr`, pickling and the
+frozen guards are shared functions that read the fields through a per-class
+`operator.attrgetter`.
+
+`record` is a metaclass *function*: it turns the class body's annotations
+into `__slots__` holding the fields no base record slots already, and makes
+the class with one `type(...)` call, so the record's type is plain `type`
+and a method may use zero-argument `super()`. An instance has no
+`__dict__`. Defaults leave the class namespace and live in `__init__` only,
+which stores each field through its slot's pre-bound setter
+(`member_descriptor.__set__`), past the frozen `__setattr__`. `__reduce__`
+returns the class and the field values, so `pickle` and `copy` rebuild a
+record through `__init__` (`__post_init__` runs again).
 
 `__init__` is compiled once per process for each (field count, has
 `__post_init__`) pair, as a template over positional names `a0…aN` that
@@ -13,15 +22,6 @@ stores field i through a global setter `s<i>`. Each class gets its own
 function from that code, with the parameters renamed to its fields and its
 own globals and defaults, so it runs the bytecode one `exec` per class
 would give, without the compile.
-
-The decorator rebuilds the class with `__slots__` holding the fields no
-base record slots already, so an instance has no `__dict__`. Defaults leave
-the class namespace and live in `__init__` only, which stores each field
-through its slot's pre-bound setter (`member_descriptor.__set__`), past the
-frozen `__setattr__`. `__reduce__` returns the class and the field values,
-so `pickle` and `copy` rebuild a record through `__init__` (`__post_init__`
-runs again). A method using `super()` or `__class__` would keep the class
-from before the rebuild, so the decorator rejects it with `TypeError`.
 
 What a record keeps of the dataclass contract:
 
@@ -43,7 +43,8 @@ when a frozen guard raises `FrozenInstanceError`. oogen itself copies
 records with `replace` below, which needs neither.
 
 Every annotation in the class body is a field (no `ClassVar`, no
-`field(default_factory=...)`).
+`field(default_factory=...)`). A subclass of a record is a record only if
+it names `metaclass=record` too.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from operator import attrgetter
 from types import CodeType, FunctionType
 
 _MISSING = object()  # default of a field that has none
-_WRAPPERS = (classmethod, staticmethod)
 
 
 def _eq(self, other):
@@ -144,51 +144,37 @@ def replace(obj, **changes):
     return cls(**values)
 
 
-def record(cls):
-    """Class decorator: make `cls` a frozen record (see the module docstring).
-    It runs for every record class on each `import oogen`, so it keeps to
-    statements where a function call would do the same."""
+def record(name, bases, namespace, **kwds):
+    """Metaclass of a frozen record (see the module docstring). It runs for
+    every record class on each `import oogen`, so it keeps to statements
+    where a function call would do the same."""
     specs: dict[str, tuple[object, object]] = {}  # name -> (annotation, default)
-    for base in cls.__mro__[-1:0:-1]:
+    for base in reversed(bases):
         specs.update(getattr(base, "__record_specs__", {}))
-    namespace = dict(cls.__dict__)
     slots = ()  # the fields no base record slots already
-    for name, annotation in namespace.get("__annotations__", {}).items():
-        if name not in specs:
-            slots += (name,)
-        specs[name] = (annotation, namespace.pop(name, _MISSING))
-    for name in namespace:  # a method's `__class__` cell would keep the old class
-        f = namespace[name]
-        f = f.fget if type(f) is property else f.__func__ if type(f) in _WRAPPERS else f
-        if type(f) is FunctionType and "__class__" in f.__code__.co_freevars:
-            raise TypeError(f"record {cls.__qualname__}: {name} uses super() or __class__")
-    for name in ("__dict__", "__weakref__"):
-        if name in namespace:
-            del namespace[name]
-    namespace["__slots__"] = slots
-    qualname = cls.__qualname__
-    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    cls.__qualname__ = qualname
+    for field, annotation in namespace.get("__annotations__", {}).items():
+        if field not in specs:
+            slots += (field,)
+        specs[field] = (annotation, namespace.pop(field, _MISSING))
+    names = tuple(specs)
+    namespace.update(
+        __slots__=slots, __record_specs__=specs, __match_args__=names,
+        __dataclass_fields__=_DataclassFields(specs), __record_values__=_values_getter(names),
+        __eq__=_eq, __hash__=_hash, __repr__=_repr,
+        __setattr__=_setattr, __delattr__=_delattr, __reduce__=_reduce)
+    cls = type(name, bases, namespace, **kwds)
 
     env, defaults = {"__name__": cls.__module__}, []
-    for i, (name, (_, default)) in enumerate(specs.items()):
+    for i, (field, (_, default)) in enumerate(specs.items()):
         if default is not _MISSING:
             defaults.append(default)
         elif defaults:
-            raise TypeError(f"non-default argument {name!r} follows default argument")
-        slot = cls.__dict__[name] if name in slots else getattr(cls, name)
+            raise TypeError(f"non-default argument {field!r} follows default argument")
+        slot = cls.__dict__[field] if field in slots else getattr(cls, field)
         env[f"s{i}"] = slot.__set__
     code = _init_template(len(specs), hasattr(cls, "__post_init__"))
     init = FunctionType(code.replace(co_varnames=("self", *specs)), env, "__init__",
                         tuple(defaults) or None)
-    init.__qualname__ = f"{qualname}.__init__"
-
-    names = tuple(specs)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
-    cls.__record_specs__ = specs
-    cls.__dataclass_fields__ = _DataclassFields(specs)
-    cls.__match_args__ = names
-    cls.__record_values__ = _values_getter(names)
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
-    cls.__setattr__, cls.__delattr__, cls.__reduce__ = _setattr, _delattr, _reduce
     return cls

@@ -179,7 +179,6 @@ def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
 _COMPARISONS = ("?<", "?<=", "?>", "?>=")
 _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
-_ARITH = ("#+", "#-", "#*", "#/", "#^")
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:

@@ -14,15 +14,19 @@ whose toolchain is installed, then diffs normalized stdout across targets.
 Exit codes: 0 success; 1 verify disagreement or runtime failure; 2 bad
 input (malformed JSON, unknown example, a package the request cannot use,
 such as --makefile without a main module, or one nested too deeply to
-decode or render); 3 construct unsupported by a backend; 4 compile failure
-(or compile timeout) during verify.
+decode or render) or a bad command line; 3 construct unsupported by a
+backend; 4 compile failure (or compile timeout) during verify.
+
+`main` reads the command line against `_COMMANDS`, one table of options
+that also writes the usage and `--help` text, instead of argparse, whose
+import and message catalogues cost more than a render.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import gallery, ir, jsonio, verify
 from .backends import TARGETS, assemble_package
@@ -34,45 +38,126 @@ variables: OOGEN_PYTHON (python3), OOGEN_JAVAC/OOGEN_JAVA (javac/java),
 OOGEN_CSC/OOGEN_MONO (mcs or csc/mono), OOGEN_CXX (g++, c++, or clang++).
 Targets without a toolchain are reported skipped, never failed."""
 
+# An option is (kind, required, choices, metavar, help); choices, if any, are
+# its metavar. Kinds: "value" takes one argument, "append" one per use, "flag"
+# none, "rest" every argument up to the next option. As in argparse,
+# `--opt=value` and unique prefixes work.
+_HELP = ("flag", False, None, None, "show this help message and exit")
+_INPUT_OPTIONS = {
+    "--input": ("value", True, None, "FILE|example:NAME",
+                "package JSON file, or a built-in example (see `oogen examples`)"),
+    "--target": ("append", True, TARGETS, None, "repeat for several targets"),
+    "--makefile": ("flag", False, None, None, "also emit a Makefile per target"),
+    "--doc": ("flag", False, None, None, "also emit a Doxygen config (adds a doc: rule\n"
+              "to the Makefile when combined with --makefile)"),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oogen",
-        description="Render object-oriented programs from a language-agnostic "
-                    "IR to Python, Java, C#, and C++.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_render_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, metavar="FILE|example:NAME",
-                       help="package JSON file, or a built-in example "
-                            "(see `oogen examples`)")
-        p.add_argument("--target", action="append", choices=TARGETS,
-                       required=True, help="repeat for several targets")
-        p.add_argument("--makefile", action="store_true",
-                       help="also emit a Makefile per target")
-        p.add_argument("--doc", action="store_true",
-                       help="also emit a Doxygen config (adds a doc: rule "
-                            "to the Makefile when combined with --makefile)")
+class _UsageError(Exception):
+    """A command line the table refuses: (command or None, reason)."""
 
-    render = sub.add_parser("render", help="write rendered source files")
-    add_render_args(render)
-    render.add_argument("--out", required=True, metavar="DIR",
-                        help="output directory; files go to DIR/<target>/")
 
-    examples = sub.add_parser("examples", help="list or emit built-in examples")
-    examples.add_argument("--emit", metavar="NAME",
-                          help="write this example's package JSON to stdout")
+def _label(name: str, spec: tuple) -> str:
+    metavar = "{" + ",".join(spec[2]) + "}" if spec[2] else spec[3]
+    return name if metavar is None else f"{name} {metavar}"
 
-    vrfy = sub.add_parser("verify", help="compile and run on local toolchains",
-                          epilog=_VERIFY_HELP)
-    add_render_args(vrfy)
-    vrfy.add_argument("--out", metavar="DIR",
-                      help="workdir for renders and binaries (default: temp)")
-    vrfy.add_argument("--args", nargs="*", default=[], metavar="ARG",
-                      help="argv passed to the program on every target")
-    vrfy.add_argument("--stdin", metavar="FILE",
-                      help="file whose contents feed the program's stdin")
-    return parser
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: oogen [-h] {{{','.join(_COMMANDS)}}} ..."
+    parts = (_label(name, spec) if spec[1] else f"[{_label(name, spec)}]"
+             for name, spec in _COMMANDS[command][2].items())
+    return f"usage: oogen {command} [-h] {' '.join(parts)}"
+
+
+def _rows(rows: list[tuple[str, str]]) -> str:
+    return "\n".join((f"  {label:<22}" if len(label) <= 20 else f"  {label}\n{'':24}")
+                     + text.replace("\n", "\n" + " " * 24) for label, text in rows)
+
+
+def _help(command: str | None) -> str:
+    options = _rows([("-h, --help", _HELP[4])])
+    if command is None:
+        commands = _rows([(name, summary) for name, (_, summary, _, _) in _COMMANDS.items()])
+        return (f"{_usage(None)}\n\nRender object-oriented programs from a language-agnostic "
+                f"IR to Python, Java, C#, and C++.\n\ncommands:\n{commands}\n\n"
+                f"options:\n{options}\n")
+    _, summary, table, epilog = _COMMANDS[command]
+    options += "\n" + _rows([(_label(name, spec), spec[4]) for name, spec in table.items()])
+    text = f"{_usage(command)}\n\n{summary}\n\noptions:\n{options}\n"
+    return f"{text}\n{epilog}\n" if epilog else text
+
+
+def _is_option(arg: str) -> bool:
+    """Whether `arg` names an option: as in argparse, `-` and `-5` are values."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].replace(".", "", 1).isdigit()
+
+
+def _option(arg: str, options: dict) -> str | None:
+    """The name in `options` that `arg` gives in full or as a unique prefix."""
+    arg = "--help" if arg == "-h" else arg
+    if arg in options:
+        return arg
+    matches = [name for name in options if name.startswith(arg)]
+    return matches[0] if len(matches) == 1 and arg != "--" else None
+
+
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """(command, option values by name without `--`), values None on `--help`."""
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    command = argv[0]
+    if _is_option(command):
+        if _option(command, {"--help": _HELP}) is None:
+            raise _UsageError(None, f"unrecognized arguments: {command}")
+        return None, None
+    if command not in _COMMANDS:
+        raise _UsageError(None, f"argument command: invalid choice: {command!r} "
+                                f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    table = _COMMANDS[command][2]
+    options = {**table, "--help": _HELP}
+    opts = {name[2:]: False if kind == "flag" else [] if kind in ("append", "rest") else None
+            for name, (kind, *_) in table.items()}
+    # As in argparse, -h beats unknown arguments, reported after missing ones.
+    unknown = []
+    i = 1
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        name, given, value = arg.partition("=")
+        name = _option(name, options) if _is_option(arg) else None
+        if name is None:
+            unknown.append(arg)
+            continue
+        kind, _, choices, _, _ = options[name]
+        if kind == "flag":
+            if given:
+                raise _UsageError(command, f"argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                return command, None
+            opts[name[2:]] = True
+        elif kind == "rest" and given:
+            opts[name[2:]] = [value]
+        elif kind == "rest":
+            start = i
+            while i < len(argv) and not _is_option(argv[i]):
+                i += 1
+            opts[name[2:]] = argv[start:i]
+        else:
+            if not given:
+                if i == len(argv) or _is_option(argv[i]):
+                    raise _UsageError(command, f"argument {name}: expected one argument")
+                value, i = argv[i], i + 1
+            if choices and value not in choices:
+                raise _UsageError(command, f"argument {name}: invalid choice: {value!r} "
+                                           f"(choose from {', '.join(map(repr, choices))})")
+            opts[name[2:]] = [*opts[name[2:]], value] if kind == "append" else value
+    missing = [name for name, spec in table.items() if spec[1] and opts[name[2:]] in (None, [])]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, SimpleNamespace(**opts)
 
 
 def _load_package(spec: str) -> ir.PackageTree:
@@ -83,7 +168,7 @@ def _load_package(spec: str) -> ir.PackageTree:
         except KeyError as exc:
             raise DecodeError(str(exc.args[0]), "$") from None
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DecodeError(f"cannot read {spec}: {exc.strerror}", "$") from None
@@ -102,7 +187,7 @@ def _with_aux_flags(pkg: ir.PackageTree, makefile: bool, doc: bool) -> ir.Packag
     return ir.PackageTree(pkg.name, pkg.modules, tuple(aux))
 
 
-def _cmd_render(opts: argparse.Namespace) -> int:
+def _cmd_render(opts: SimpleNamespace) -> int:
     pkg = _with_aux_flags(_load_package(opts.input), opts.makefile, opts.doc)
     for target in dict.fromkeys(opts.target):
         files = assemble_package(pkg, target)
@@ -110,13 +195,13 @@ def _cmd_render(opts: argparse.Namespace) -> int:
         os.makedirs(target_dir, exist_ok=True)
         for f in files:
             path = os.path.join(target_dir, f.path)
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f.text)
             print(os.path.relpath(path))
     return 0
 
 
-def _cmd_examples(opts: argparse.Namespace) -> int:
+def _cmd_examples(opts: SimpleNamespace) -> int:
     if opts.emit is None:
         for name in gallery.names():
             print(name)
@@ -130,12 +215,12 @@ def _cmd_examples(opts: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(opts: argparse.Namespace) -> int:
+def _cmd_verify(opts: SimpleNamespace) -> int:
     pkg = _with_aux_flags(_load_package(opts.input), opts.makefile, opts.doc)
     stdin = ""
     if opts.stdin is not None:
         try:
-            with open(opts.stdin) as fh:
+            with open(opts.stdin, encoding="utf-8") as fh:
                 stdin = fh.read()
         except OSError as exc:
             print(f"oogen: cannot read {opts.stdin}: {exc.strerror}", file=sys.stderr)
@@ -153,13 +238,37 @@ def _cmd_verify(opts: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {"render": _cmd_render, "examples": _cmd_examples, "verify": _cmd_verify}
+# command -> (handler, summary, options, epilog)
+_COMMANDS = {
+    "render": (_cmd_render, "write rendered source files", {
+        **_INPUT_OPTIONS,
+        "--out": ("value", True, None, "DIR", "output directory; files go to DIR/<target>/"),
+    }, ""),
+    "examples": (_cmd_examples, "list or emit built-in examples", {
+        "--emit": ("value", False, None, "NAME", "write this example's package JSON to stdout"),
+    }, ""),
+    "verify": (_cmd_verify, "compile and run on local toolchains", {
+        **_INPUT_OPTIONS,
+        "--out": ("value", False, None, "DIR", "workdir for renders and binaries (default: temp)"),
+        "--args": ("rest", False, None, "[ARG ...]", "argv passed to the program on every target"),
+        "--stdin": ("value", False, None, "FILE", "file whose contents feed the program's stdin"),
+    }, _VERIFY_HELP),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    opts = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[opts.command](opts)
+        command, opts = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        command, reason = exc.args
+        prog = "oogen" if command is None else f"oogen {command}"
+        print(f"{_usage(command)}\n{prog}: error: {reason}", file=sys.stderr)
+        return 2
+    if opts is None:
+        print(_help(command), end="")
+        return 0
+    try:
+        return _COMMANDS[command][0](opts)
     except (DecodeError, BuildError) as exc:
         print(f"oogen: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,7 @@ from . import patterns as pt
 from ._record import record
 
 
-@record
-class GalleryEntry:
+class GalleryEntry(metaclass=record):
     name: str
     description: str
     package: ir.PackageTree

@@ -55,8 +55,7 @@ class VarForm(str, Enum):
 # Types
 
 
-@record
-class TypeRepr:
+class TypeRepr(metaclass=record):
     """A common-subset type. kind is one of bool, int, float, char, string,
     infile, outfile, list, object. `elem` is set only for lists, `class_name`
     only for objects."""
@@ -98,8 +97,7 @@ def obj_of(class_name: str) -> TypeRepr:
 # Operators
 
 
-@record
-class OperatorSpec:
+class OperatorSpec(metaclass=record):
     """Catalog entry for a unary/binary operator.
 
     precedence drives parenthesis elision: a child is wrapped iff its
@@ -142,8 +140,7 @@ INLINE_IF_PRECEDENCE = 1
 # Variables and expressions
 
 
-@record
-class VariableRepr:
+class VariableRepr(metaclass=record):
     name: str
     type: TypeRepr
     binding: Binding = Binding.DYNAMIC
@@ -151,8 +148,7 @@ class VariableRepr:
     owner: str | None = None  # class / object / library per form
 
 
-@record
-class ExprRepr:
+class ExprRepr(metaclass=record):
     """Base expression node. Every node knows its IR type and its
     precedence; parenthesization never re-inspects children."""
 
@@ -165,8 +161,7 @@ class ExprRepr:
         return ATOMIC_PRECEDENCE
 
 
-@record
-class Lit(ExprRepr):
+class Lit(ExprRepr, metaclass=record):
     kind: str  # bool int float char string
     value: object
 
@@ -175,8 +170,7 @@ class Lit(ExprRepr):
         return _LIT_TYPES[self.kind]
 
 
-@record
-class ValueOf(ExprRepr):
+class ValueOf(ExprRepr, metaclass=record):
     var: VariableRepr
 
     @property
@@ -184,8 +178,7 @@ class ValueOf(ExprRepr):
         return self.var.type
 
 
-@record
-class Unary(ExprRepr):
+class Unary(ExprRepr, metaclass=record):
     op: OperatorSpec
     operand: ExprRepr
     result: TypeRepr
@@ -199,8 +192,7 @@ class Unary(ExprRepr):
         return self.op.precedence
 
 
-@record
-class Binary(ExprRepr):
+class Binary(ExprRepr, metaclass=record):
     op: OperatorSpec
     left: ExprRepr
     right: ExprRepr
@@ -215,8 +207,7 @@ class Binary(ExprRepr):
         return self.op.precedence
 
 
-@record
-class InlineIf(ExprRepr):
+class InlineIf(ExprRepr, metaclass=record):
     cond: ExprRepr
     then: ExprRepr
     other: ExprRepr
@@ -237,8 +228,7 @@ class CallForm(str, Enum):
     METHOD = "method"
 
 
-@record
-class Call(ExprRepr):
+class Call(ExprRepr, metaclass=record):
     """Any kind of application. `receiver` is set for METHOD calls,
     `library` for EXTERNAL ones. Constructors type as the built object."""
 
@@ -254,8 +244,7 @@ class Call(ExprRepr):
         return self.return_type
 
 
-@record
-class MathCall(ExprRepr):
+class MathCall(ExprRepr, metaclass=record):
     """sin/cos/... lowered to the target's math namespace."""
 
     fn: str
@@ -267,15 +256,13 @@ class MathCall(ExprRepr):
         return self.result
 
 
-@record
-class ArgsList(ExprRepr):
+class ArgsList(ExprRepr, metaclass=record):
     @property
     def type(self) -> TypeRepr:
         return list_of(STRING)
 
 
-@record
-class ArgAt(ExprRepr):
+class ArgAt(ExprRepr, metaclass=record):
     """Index 0 is the first user argument in every target; backends add
     the program-name offset where the native vector includes it."""
 
@@ -286,8 +273,7 @@ class ArgAt(ExprRepr):
         return STRING
 
 
-@record
-class ArgExists(ExprRepr):
+class ArgExists(ExprRepr, metaclass=record):
     index: ExprRepr
 
     @property
@@ -295,8 +281,7 @@ class ArgExists(ExprRepr):
         return BOOL
 
 
-@record
-class ListAccess(ExprRepr):
+class ListAccess(ExprRepr, metaclass=record):
     lst: ExprRepr
     index: ExprRepr
 
@@ -305,8 +290,7 @@ class ListAccess(ExprRepr):
         return self.lst.type.elem
 
 
-@record
-class ListSize(ExprRepr):
+class ListSize(ExprRepr, metaclass=record):
     lst: ExprRepr
 
     @property
@@ -314,8 +298,7 @@ class ListSize(ExprRepr):
         return INT
 
 
-@record
-class ListAppend(ExprRepr):
+class ListAppend(ExprRepr, metaclass=record):
     lst: ExprRepr
     value: ExprRepr
 
@@ -324,8 +307,7 @@ class ListAppend(ExprRepr):
         return self.lst.type
 
 
-@record
-class ListIndexExists(ExprRepr):
+class ListIndexExists(ExprRepr, metaclass=record):
     lst: ExprRepr
     index: ExprRepr
 
@@ -334,8 +316,7 @@ class ListIndexExists(ExprRepr):
         return BOOL
 
 
-@record
-class ListIndexOf(ExprRepr):
+class ListIndexOf(ExprRepr, metaclass=record):
     lst: ExprRepr
     value: ExprRepr
 
@@ -348,8 +329,7 @@ class ListIndexOf(ExprRepr):
 # Statements
 
 
-@record
-class StatementRepr:
+class StatementRepr(metaclass=record):
     pass
 
 
@@ -361,103 +341,86 @@ class AssignMode(str, Enum):
     DEC = "dec"
 
 
-@record
-class VarDec(StatementRepr):
+class VarDec(StatementRepr, metaclass=record):
     var: VariableRepr
 
 
-@record
-class VarDecDef(StatementRepr):
+class VarDecDef(StatementRepr, metaclass=record):
     var: VariableRepr
     value: ExprRepr
 
 
-@record
-class Assign(StatementRepr):
+class Assign(StatementRepr, metaclass=record):
     mode: AssignMode
     var: VariableRepr
     value: ExprRepr | None  # None for INC/DEC
 
 
-@record
-class ListSet(StatementRepr):
+class ListSet(StatementRepr, metaclass=record):
     lst: ExprRepr
     index: ExprRepr
     value: ExprRepr
 
 
-@record
-class Return(StatementRepr):
+class Return(StatementRepr, metaclass=record):
     value: ExprRepr
 
 
-@record
-class Throw(StatementRepr):
+class Throw(StatementRepr, metaclass=record):
     message: str
 
 
-@record
-class Free(StatementRepr):
+class Free(StatementRepr, metaclass=record):
     """del / delete on manual-memory targets; nothing on GC targets."""
 
     var: VariableRepr
 
 
-@record
-class CommentStmt(StatementRepr):
+class CommentStmt(StatementRepr, metaclass=record):
     text: str
 
 
-@record
-class Break(StatementRepr):
+class Break(StatementRepr, metaclass=record):
     pass
 
 
-@record
-class Continue(StatementRepr):
+class Continue(StatementRepr, metaclass=record):
     pass
 
 
-@record
-class ExprStmt(StatementRepr):
+class ExprStmt(StatementRepr, metaclass=record):
     """Evaluate for effect; result discarded."""
 
     expr: ExprRepr
 
 
-@record
-class BlockRepr(StatementRepr):
+class BlockRepr(StatementRepr, metaclass=record):
     statements: tuple[StatementRepr, ...]
 
 
-@record
-class BodyRepr:
+class BodyRepr(metaclass=record):
     blocks: tuple[BlockRepr, ...]
 
 
-@record
-class If(StatementRepr):
+class If(StatementRepr, metaclass=record):
     branches: tuple[tuple[ExprRepr, BodyRepr], ...]
     else_body: BodyRepr | None
 
 
-@record
-class Switch(StatementRepr):
+class Switch(StatementRepr, metaclass=record):
     value: ExprRepr
     cases: tuple[tuple[Lit, BodyRepr], ...]
     default: BodyRepr | None
 
 
-@record
-class For(StatementRepr):
+class For(StatementRepr, metaclass=record):
     init: StatementRepr
     cond: ExprRepr
     update: StatementRepr
     body: BodyRepr
 
 
-@record
-class ForRange(StatementRepr):
+class ForRange(StatementRepr, metaclass=record):
     """Counted loop; `end` is inclusive in every target."""
 
     var: VariableRepr
@@ -467,27 +430,23 @@ class ForRange(StatementRepr):
     body: BodyRepr
 
 
-@record
-class ForEach(StatementRepr):
+class ForEach(StatementRepr, metaclass=record):
     var: VariableRepr
     iterable: ExprRepr
     body: BodyRepr
 
 
-@record
-class While(StatementRepr):
+class While(StatementRepr, metaclass=record):
     cond: ExprRepr
     body: BodyRepr
 
 
-@record
-class TryCatch(StatementRepr):
+class TryCatch(StatementRepr, metaclass=record):
     try_body: BodyRepr
     catch_body: BodyRepr
 
 
-@record
-class Print(StatementRepr):
+class Print(StatementRepr, metaclass=record):
     """List-typed payloads lower to the bracket/loop idiom on targets
     without native list printing."""
 
@@ -495,14 +454,12 @@ class Print(StatementRepr):
     newline: bool
 
 
-@record
-class Read(StatementRepr):
+class Read(StatementRepr, metaclass=record):
     var: VariableRepr
     parse_int: bool
 
 
-@record
-class ListSlice(StatementRepr):
+class ListSlice(StatementRepr, metaclass=record):
     """target = source[start:end:step]; missing bounds default to the ends,
     missing step to 1. `end` is exclusive."""
 
@@ -513,15 +470,13 @@ class ListSlice(StatementRepr):
     step: ExprRepr | None
 
 
-@record
-class InOutSpec:
+class InOutSpec(metaclass=record):
     ins: tuple[VariableRepr, ...]
     outs: tuple[VariableRepr, ...]
     inouts: tuple[VariableRepr, ...]
 
 
-@record
-class InOutCall(StatementRepr):
+class InOutCall(StatementRepr, metaclass=record):
     name: str
     ins: tuple[ExprRepr, ...]
     outs: tuple[VariableRepr, ...]
@@ -531,20 +486,17 @@ class InOutCall(StatementRepr):
 OBSERVER_LIST_NAME = "observerList"
 
 
-@record
-class ObserverInit(StatementRepr):
+class ObserverInit(StatementRepr, metaclass=record):
     elem_type: TypeRepr
     init_values: tuple[ExprRepr, ...]
 
 
-@record
-class ObserverAdd(StatementRepr):
+class ObserverAdd(StatementRepr, metaclass=record):
     value: ExprRepr
     elem_type: TypeRepr
 
 
-@record
-class ObserverNotify(StatementRepr):
+class ObserverNotify(StatementRepr, metaclass=record):
     method: str
     elem_type: TypeRepr
 
@@ -553,8 +505,7 @@ class ObserverNotify(StatementRepr):
 # Declarations
 
 
-@record
-class DocSpec:
+class DocSpec(metaclass=record):
     """Doxygen-style documentation attached to a module/class/function."""
 
     description: str
@@ -562,13 +513,11 @@ class DocSpec:
     return_desc: str | None = None
 
 
-@record
-class ParamRepr:
+class ParamRepr(metaclass=record):
     variable: VariableRepr
 
 
-@record
-class MethodRepr:
+class MethodRepr(metaclass=record):
     """A free function (containing_class None) or a method.
 
     For in/out/in-out procedures `inout` is set and `params` still lists
@@ -588,16 +537,14 @@ class MethodRepr:
     inout: InOutSpec | None = None
 
 
-@record
-class StateVarRepr:
+class StateVarRepr(metaclass=record):
     scope: Scope
     binding: Binding
     variable: VariableRepr
     is_const: bool = False
 
 
-@record
-class ClassDeclRepr:
+class ClassDeclRepr(metaclass=record):
     name: str
     parent: str | None
     scope: Scope
@@ -606,8 +553,7 @@ class ClassDeclRepr:
     doc: DocSpec | None = None
 
 
-@record
-class ModuleRepr:
+class ModuleRepr(metaclass=record):
     name: str
     imports: tuple[str, ...]
     functions: tuple[MethodRepr, ...]
@@ -623,14 +569,12 @@ class ModuleRepr:
         return not self.functions and not self.classes
 
 
-@record
-class AuxFileSpec:
+class AuxFileSpec(metaclass=record):
     kind: str  # "makefile" | "doxygen"
     with_doc_rule: bool = False
 
 
-@record
-class PackageTree:
+class PackageTree(metaclass=record):
     name: str
     modules: tuple[ModuleRepr, ...]
     aux: tuple[AuxFileSpec, ...] = ()

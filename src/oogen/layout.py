@@ -17,8 +17,7 @@ from ._record import record
 INDENT = "    "
 
 
-@record
-class Doc:
+class Doc(metaclass=record):
     lines: tuple[str, ...]
 
     @property
@@ -90,15 +89,13 @@ class FileType(str, Enum):
     AUX = "aux"
 
 
-@record
-class RenderedFile:
+class RenderedFile(metaclass=record):
     path: str
     file_type: FileType
     text: str
 
 
-@record
-class FileSet:
+class FileSet(metaclass=record):
     files: tuple[RenderedFile, ...]
 
     def __post_init__(self) -> None:

@@ -73,8 +73,7 @@ def find_toolchain(target: str) -> tuple[str, ...] | None:
     return tuple(resolved)
 
 
-@record
-class ToolReport:
+class ToolReport(metaclass=record):
     """Outcome of one target's render/compile/run attempt."""
 
     target: str
@@ -83,8 +82,7 @@ class ToolReport:
     stdout: str | None = None  # normalized; only for status "ok"
 
 
-@record
-class VerifyReport:
+class VerifyReport(metaclass=record):
     runs: tuple[ToolReport, ...]
 
     @property
@@ -159,7 +157,7 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
     files = backend.render_package(pkg)
     for f in files:
         path = os.path.join(workdir, f.path)
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(f.text)
 
     sources = sorted(f.path for f in files if f.file_type is not FileType.HEADER)

@@ -6,9 +6,9 @@ lowercase, floats in shortest round-trip form). Pattern-semantics tests
 compare rendered-and-executed target output against this.
 
 Deliberately partial: it covers what well-formed trees from the builders
-can contain. Constructs whose behavior differs between targets and which
-the builders therefore never produce unguarded (int/int division, indexOf
-on a missing element) raise instead of guessing.
+can contain. Int `#/` truncates toward zero, as every target renders it.
+Constructs whose behavior differs between targets (division by zero,
+indexOf on a missing element) raise instead of guessing.
 """
 
 from __future__ import annotations
@@ -154,8 +154,11 @@ class Interpreter:
             if op == "#*":
                 return left * right
             if op == "#/":
+                if right == 0:
+                    raise InterpError("division by zero diverges across targets")
                 if isinstance(left, int) and isinstance(right, int):
-                    raise InterpError("int/int division diverges across targets")
+                    quotient = abs(left) // abs(right)  # truncated toward zero
+                    return quotient if (left < 0) == (right < 0) else -quotient
                 return left / right
             if op == "#^":
                 return left ** right

@@ -126,9 +126,18 @@ def test_static_state_var_shared_between_instances():
 # -- refusals: places with no single cross-target answer ----------------------------
 
 
-def test_int_division_refused():
-    e = bd.apply_binary("#/", bd.lit_int(7), bd.lit_int(2))
-    with pytest.raises(InterpError):
+@pytest.mark.parametrize("left,right,quotient", [
+    (7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (6, 3, 2), (0, -5, 0), (1, 2, 0),
+])
+def test_int_division_truncates_toward_zero(left, right, quotient):
+    e = bd.apply_binary("#/", bd.lit_int(left), bd.lit_int(right))
+    assert run_package(_main_package([pt.print_ln(e)])) == f"{quotient}\n"
+
+
+@pytest.mark.parametrize("left", [bd.lit_int(7), bd.lit_float(7.0)], ids=["int", "float"])
+def test_division_by_zero_refused(left):
+    e = bd.apply_binary("#/", left, bd.lit_int(0))
+    with pytest.raises(InterpError, match="division by zero"):
         run_package(_main_package([pt.print_ln(e)]))
 
 

@@ -477,13 +477,11 @@ def test_record_defaults():
 
 
 def test_record_field_order_with_inheritance():
-    @record
-    class Base:
+    class Base(metaclass=record):
         a: int
         b: int = 2
 
-    @record
-    class Sub(Base):
+    class Sub(Base, metaclass=record):
         c: int = 3
         a: int = 1  # re-declared: keeps its place, gains a default
 
@@ -496,8 +494,7 @@ def test_record_field_order_with_inheritance():
         "name", "scope", "binding", "return_type", "params", "body",
         "containing_class", "is_main", "doc", "inout"]
     with pytest.raises(TypeError, match="non-default argument 'c'"):
-        @record
-        class Bad(Base):
+        class Bad(Base, metaclass=record):
             c: int
 
 
@@ -576,21 +573,18 @@ def test_every_record_builds_by_keyword():
 def test_records_sharing_an_init_template_keep_their_own_fields():
     seen = []
 
-    @record
-    class Pair:
+    class Pair(metaclass=record):
         left: int
         right: str = "r"
 
-    @record
-    class Other:
+    class Other(metaclass=record):
         first: list
         second: tuple = ()
 
         def __post_init__(self):
             seen.append(self.first)
 
-    @record
-    class Plain:
+    class Plain(metaclass=record):
         x: int
         y: int
 
@@ -627,13 +621,11 @@ def test_record_slots_hold_only_their_own_fields():
 
 
 def test_redeclared_field_keeps_its_base_slot():
-    @record
-    class Base:
+    class Base(metaclass=record):
         a: int
         b: int = 2
 
-    @record
-    class Sub(Base):
+    class Sub(Base, metaclass=record):
         c: int = 3
         a: int = 1
 
@@ -675,18 +667,22 @@ def test_unknown_attributes_stay_frozen(node):
         object.__setattr__(node, "nosuch", 1)  # past the guard: no __dict__ to hold it
 
 
-def test_record_methods_may_not_use_the_class_cell():
-    with pytest.raises(TypeError, match="super"):
-        @record
-        class Child(ir.Lit):
-            def describe(self):
-                return super().__repr__()
+def test_record_methods_may_use_zero_argument_super():
+    class Child(ir.Lit, metaclass=record):
+        note: str = ""
 
-    with pytest.raises(TypeError, match="super"):
-        @record
-        class Other:
-            x: int
+        def describe(self):
+            return f"{super().type.kind} {self.note}"
 
-            @property
-            def me(self):
-                return __class__
+        @property
+        def me(self):
+            return __class__
+
+    child = Child("int", 3, "n")
+    assert child.describe() == "int n" and child == Child("int", 3, "n")
+    assert child.me is Child and type(Child) is type
+    assert child.type == ir.INT and not hasattr(child, "__dict__")
+
+
+def test_every_record_is_a_plain_type():
+    assert {type(cls) for cls in _record_classes()} == {type}

@@ -10,6 +10,8 @@ import pytest
 from oogen import builders as bd, gallery, ir, patterns as pt, verify
 from oogen.backends import CppRenderer, PythonRenderer
 
+from interp import run_package
+
 
 # -- stdout normalization ----------------------------------------------------------
 
@@ -294,6 +296,18 @@ def test_int_division_truncates_toward_zero_everywhere(tmp_path):
                                    targets=("python", "java", "cpp"), root_dir=str(tmp_path))
     assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
     assert {r.stdout for r in report.executed} == {"3\n-3"}
+
+
+def test_int_division_matches_the_oracle_everywhere(tmp_path):
+    prints = [pt.print_ln(bd.apply_binary("#/", bd.lit_int(left), bd.lit_int(right)))
+              for left in (7, -7) for right in (2, -2)]
+    main = bd.main_function(bd.body_statements(prints))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    oracle = verify.normalize_stdout(run_package(pkg))
+    assert oracle == "3\n-3\n-3\n3"
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {oracle}
 
 
 def test_integral_float_literal_divides_as_a_float_everywhere(tmp_path):
