@@ -1,8 +1,8 @@
 """Shared rendering machinery: dispatch by table.
 
 One renderer instance is created per module render; it owns the mutable
-accumulators (imports needed, list-print nesting depth, C++ iterator
-variables), so concurrent renders of different modules never share state.
+accumulators (imports needed, C++ iterator variables), so concurrent
+renders of different modules never share state.
 
 Every IR node is rendered by one dict lookup on its class. A renderer
 class lists its handlers in `expr_handlers` (here, for every target) and
@@ -16,11 +16,15 @@ raises `UnsupportedConstruct` naming the target. Variable and call forms
 dispatch the same way, through `var_forms` and `call_forms` keyed by the
 enum member, after an identity test for the commonest form.
 
-Patterns are lowered once, here, to core IR built through the builders,
-so every target accepts or refuses the same trees: an Observer list is a
-list variable that adding appends to and notifying loops over, and
-`switch_as_if` turns a switch into an if-chain for targets that cannot
-switch on its value.
+Patterns are lowered once, here, to core IR, so a target renders syntax
+only and every target accepts or refuses the same trees. The lowering
+functions build nodes with the `ir` constructors (their parts are already
+typed) as each node is rendered: an Observer list is a list variable that
+adding appends to and notifying loops over; `switch_as_if` turns a switch
+into an if-chain for targets that cannot switch on its value;
+`range_as_for`, `slice_as_loop` and `list_print` give a counted loop for
+targets without ranges, slices or list printing; and an index-exists test
+is a `>` comparison, so `binary` places its parentheses.
 
 Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence (`prec_of`). That is the catalog value of
@@ -35,9 +39,7 @@ target.
 
 from __future__ import annotations
 
-from .. import builders as bd
 from .. import ir
-from .. import patterns as pt
 from ..errors import NestingTooDeep, UnsupportedConstruct
 from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
@@ -84,27 +86,117 @@ def doc_fields(doc: ir.DocSpec) -> list[tuple[str, str]]:
     return fields
 
 
+_INC, _ADD_EQ, _SET = ir.AssignMode.INC, ir.AssignMode.ADD_EQ, ir.AssignMode.SET
+_METHOD = ir.CallForm.METHOD
+_OP = ir.OPERATORS
+_ZERO, _ONE = ir.Lit("int", 0), ir.Lit("int", 1)
+_OPEN, _COMMA = ir.Print(ir.Lit("string", "["), False), ir.Print(ir.Lit("string", ", "), False)
+
+
+def _one_block(*statements: ir.StatementRepr) -> ir.BodyRepr:
+    return ir.BodyRepr((ir.BlockRepr(statements),))
+
+
 def switch_as_if(s: ir.Switch) -> ir.If:
     """The switch as an if/else-if chain of `==` tests, for targets (or
     scrutinee types) without a native switch."""
-    branches = tuple((bd.apply_binary("?==", s.value, label), branch) for label, branch in s.cases)
-    return ir.If(branches, s.default)
+    eq = _OP["?=="]
+    return ir.If(tuple((ir.Binary(eq, s.value, label, ir.BOOL), branch)
+                       for label, branch in s.cases), s.default)
+
+
+def _counted(counter: ir.VariableRepr, start: ir.ExprRepr, test: str, end: ir.ExprRepr,
+             step: ir.ExprRepr | None, body: ir.BodyRepr) -> ir.For:
+    """`for (int counter = start; counter <test> end; ...)`, stepping by
+    `step`: `++` for none or a literal 1, `+=` otherwise."""
+    if step is None or type(step) is ir.Lit and step.value == 1:
+        update = ir.Assign(_INC, counter, None)
+    else:
+        update = ir.Assign(_ADD_EQ, counter, step)
+    cond = ir.Binary(_OP[test], ir.ValueOf(counter), end, ir.BOOL)
+    return ir.For(ir.VarDecDef(counter, start), cond, update, body)
+
+
+def range_as_for(s: ir.ForRange) -> ir.For:
+    """The range as a counted loop; its end is inclusive."""
+    return _counted(s.var, s.start, "?<=", s.end, s.step, s.body)
+
+
+def slice_as_loop(s: ir.ListSlice) -> ir.BlockRepr:
+    """The slice as a loop appending to a fresh `temp` list, which is then
+    assigned to the target; the bounds default to the ends of the source."""
+    temp, counter = ir.VariableRepr("temp", s.target.type), ir.VariableRepr("i_temp", ir.INT)
+    take = ir.ListAppend(ir.ValueOf(temp), ir.ListAccess(s.source, ir.ValueOf(counter)))
+    loop = _counted(counter, _ZERO if s.start is None else s.start, "?<",
+                    ir.ListSize(s.source) if s.end is None else s.end, s.step,
+                    _one_block(ir.ExprStmt(take)))
+    return ir.BlockRepr((ir.VarDec(temp), loop, ir.Assign(_SET, s.target, ir.ValueOf(temp))))
+
+
+def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
+    """The list printed as `[`, each element but the last followed by `, `,
+    the last if there is one, then `]`, for targets without list printing.
+    A list element prints the same way one level deeper, so each level
+    counts with its own `list_i<depth>`."""
+    lst = s.expr
+    counter, size = ir.VariableRepr(f"list_i{depth}", ir.INT), ir.ListSize(lst)
+    last = ir.Binary(_OP["#-"], size, _ONE, ir.INT)
+
+    def element(index: ir.ExprRepr) -> ir.StatementRepr:
+        each = ir.Print(ir.ListAccess(lst, index), False)
+        return list_print(each, depth + 1) if lst.type.elem.is_list else each
+
+    loop = _counted(counter, _ZERO, "?<", last, None,
+                    _one_block(element(ir.ValueOf(counter)), _COMMA))
+    guard = ir.If(((ir.Binary(_OP["?>"], size, _ZERO, ir.BOOL), _one_block(element(last))),),
+                  None)
+    return ir.BlockRepr((_OPEN, loop, guard, ir.Print(ir.Lit("string", "]"), s.newline)))
+
+
+def update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyRepr:
+    """Loop body `b` with `update` placed before each of its `continue`s.
+    A nested loop's `continue` belongs to that loop and is left alone."""
+
+    def body(b: ir.BodyRepr) -> ir.BodyRepr:
+        return ir.BodyRepr(tuple(stmt(blk) for blk in b.blocks))
+
+    def opt(b: ir.BodyRepr | None) -> ir.BodyRepr | None:
+        return None if b is None else body(b)
+
+    rewrites = {  # node class -> the node with the update placed
+        ir.Continue: lambda s: ir.BlockRepr((update, s)),
+        ir.BlockRepr: lambda s: ir.BlockRepr(tuple(map(stmt, s.statements))),
+        ir.If: lambda s: ir.If(tuple((c, body(branch)) for c, branch in s.branches),
+                               opt(s.else_body)),
+        ir.Switch: lambda s: ir.Switch(
+            s.value, tuple((label, body(case)) for label, case in s.cases), opt(s.default)),
+        ir.TryCatch: lambda s: ir.TryCatch(body(s.try_body), body(s.catch_body)),
+    }
+
+    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
+        rewrite = rewrites.get(type(s))
+        return s if rewrite is None else rewrite(s)
+
+    return body(b)
+
+
+def _observer_list(elem_type: ir.TypeRepr) -> ir.VariableRepr:
+    return ir.VariableRepr(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type))
 
 
 def _observer_append(elem_type: ir.TypeRepr, value: ir.ExprRepr) -> ir.ExprStmt:
-    return bd.call_stmt(pt.list_append(bd.value_of(pt.observer_list_var(elem_type)), value))
+    return ir.ExprStmt(ir.ListAppend(ir.ValueOf(_observer_list(elem_type)), value))
 
 
 def _observer_init(s: ir.ObserverInit) -> ir.BlockRepr:
     appends = [_observer_append(s.elem_type, value) for value in s.init_values]
-    return bd.block([bd.var_dec(pt.observer_list_var(s.elem_type)), *appends])
+    return ir.BlockRepr((ir.VarDec(_observer_list(s.elem_type)), *appends))
 
 
 def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
-    lst = pt.observer_list_var(s.elem_type)
-    each = bd.var("observer", s.elem_type)
-    call = bd.method_call(bd.value_of(each), s.method, ir.VOID, [])
-    return bd.for_each(each, bd.value_of(lst), bd.one_liner(bd.call_stmt(call)))
+    each = ir.VariableRepr("observer", s.elem_type)
+    call = ir.Call(_METHOD, s.method, (), ir.VOID, ir.ValueOf(each))
+    return ir.ForEach(each, ir.ValueOf(_observer_list(s.elem_type)), _one_block(ir.ExprStmt(call)))
 
 
 def _resolve(cls, handlers: dict) -> dict:
@@ -124,6 +216,7 @@ class Renderer:
     # (Makefile variable, default command) per tool `build_commands` takes
     make_tools: tuple[tuple[str, str], ...] = ()
     statement_end = ";"
+    true_token, false_token = "true", "false"
     comment_marker = "//"
     op_precedence: dict[str, float] = {}
     op_assoc: dict[str, str] = {}
@@ -137,7 +230,9 @@ class Renderer:
         ir.InlineIf: "inline_if", ir.Call: "call", ir.MathCall: "math_call",
         ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
-        ir.ListIndexExists: "list_index_exists", ir.ListIndexOf: "list_index_of",
+        ir.ListIndexOf: "list_index_of",
+        ir.ListIndexExists: lambda self, e: self.binary(
+            ir.Binary(_OP["?>"], ir.ListSize(e.lst), e.index, ir.BOOL)),
     }
     # Statements every target spells alike but for `statement_end`, and the
     # patterns every target lowers to core IR the same way; each family
@@ -155,8 +250,8 @@ class Renderer:
         ir.If: "if_doc",
         ir.Switch: "switch_doc",
         ir.For: "for_doc",
-        ir.ForRange: "for_range_doc",
-        ir.ListSlice: "slice_doc",
+        ir.ForRange: lambda self, s: self.for_doc(range_as_for(s)),
+        ir.ListSlice: lambda self, s: self.block(slice_as_loop(s)),
         ir.InOutCall: "in_out_call_doc",
         ir.ObserverInit: lambda self, s: self.stmt(_observer_init(s)),
         ir.ObserverAdd: lambda self, s: self.stmt(_observer_append(s.elem_type, s.value)),
@@ -187,7 +282,6 @@ class Renderer:
 
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
-        self._list_depth = 0
 
     # -- dispatch -------------------------------------------------------------
 
@@ -226,7 +320,7 @@ class Renderer:
 
     def lit(self, e: ir.Lit) -> str:
         if e.kind == "bool":
-            return self.true_token() if e.value else self.false_token()
+            return self.true_token if e.value else self.false_token
         if e.kind == "int":
             return str(e.value)
         if e.kind == "float":
@@ -237,12 +331,6 @@ class Renderer:
         if e.kind == "char":
             return self.char_lit(e.value)
         return self.string_lit(e.value)
-
-    def true_token(self) -> str:
-        return "true"
-
-    def false_token(self) -> str:
-        return "false"
 
     def char_lit(self, value: str) -> str:
         return f"'{escape_char(value)}'"
@@ -346,9 +434,6 @@ class Renderer:
     def list_append(self, e: ir.ListAppend) -> str:  # pragma: no cover
         raise NotImplementedError
 
-    def list_index_exists(self, e: ir.ListIndexExists) -> str:
-        return f"{self.list_size(ir.ListSize(e.lst))} > {self.expr(e.index)}"
-
     def list_index_of(self, e: ir.ListIndexOf) -> str:  # pragma: no cover
         raise NotImplementedError
 
@@ -383,7 +468,7 @@ class Renderer:
         """index+1, constant-folded (argv counts the program; range() excludes its end)."""
         if type(index) is ir.Lit and index.kind == "int":
             return str(index.value + 1)
-        return self.expr(bd.apply_binary("#+", index, bd.lit_int(1)))
+        return self.binary(ir.Binary(_OP["#+"], index, _ONE, ir.INT))
 
     def body(self, b: ir.BodyRepr) -> Doc:
         """The blocks' lines, non-empty blocks separated by one blank line."""

@@ -9,12 +9,11 @@ spelling the two differ in as a class constant; C++ overrides it whole.
 
 from __future__ import annotations
 
-from .. import builders as bd
 from .. import ir
-from .. import patterns as pt
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import Renderer, escape_string
+from ..layout import (Doc, EMPTY, FileType, RenderedFile, extract, hang, join_blocks, text,
+                      vcat, wrap)
+from .base import Renderer, escape_string, list_print
 
 _STATIC, _PUBLIC, _COMBINED = ir.Binding.STATIC, ir.Scope.PUBLIC, FileType.COMBINED
 
@@ -28,14 +27,30 @@ class CFamilyRenderer(Renderer):
     extends_text: str
     throws_suffix: str
     main_header: str
+    args_length: str
+    empty_list_decl = "{t} {name} = new {t}(0);"
+    # Each type kind's spelling (an object type is spelled by its class
+    # name), the import or header a kind needs, and the list type around
+    # its element's spelling (`elem_text`).
+    type_names: dict[str, str]
+    type_needs: dict[str, str]
+    list_type: str
 
     # -- small helpers -------------------------------------------------------
 
     def braced(self, header: str, body_doc: Doc) -> Doc:
         return hang(header, body_doc, "}")
 
-    def type_text(self, t: ir.TypeRepr) -> str:  # pragma: no cover
-        raise NotImplementedError
+    def type_text(self, t: ir.TypeRepr) -> str:
+        kind = t.kind
+        if kind in self.type_needs:
+            self.needs.add(self.type_needs[kind])
+        if kind == "list":
+            return self.list_type.format(self.elem_text(t.elem))
+        return self.type_names.get(kind) or t.class_name
+
+    def elem_text(self, t: ir.TypeRepr) -> str:
+        return self.type_text(t)
 
     def inline_stmt(self, s: ir.StatementRepr) -> str:
         """Statement text without the trailing semicolon, for for-headers."""
@@ -48,7 +63,7 @@ class CFamilyRenderer(Renderer):
 
     stmt_handlers = {
         **Renderer.stmt_handlers,
-        ir.VarDec: lambda self, s: self.var_dec_doc(s.var),
+        ir.VarDec: "var_dec_doc",
         ir.VarDecDef: lambda self, s: text(
             f"{self.type_text(s.var.type)} {s.var.name} = {self.expr(s.value)};"),
         ir.Throw: lambda self, s: text(self.throw_text(s.message)),
@@ -61,7 +76,7 @@ class CFamilyRenderer(Renderer):
             self.braced(self.catch_header(), self.body(s.catch_body)),
         ]),
         ir.Print: lambda self, s: (
-            self.print_list_doc(s) if s.expr.type.is_list else self.print_scalar_doc(s)),
+            self.block(list_print(s)) if s.expr.type.is_list else self.print_scalar_doc(s)),
         ir.Read: "read_doc",
     }
 
@@ -78,17 +93,17 @@ class CFamilyRenderer(Renderer):
     def arg_at(self, e: ir.ArgAt) -> str:
         return f"args[{self.expr(e.index)}]"
 
+    def arg_exists(self, e: ir.ArgExists) -> str:
+        index = wrap(self.expr(e.index), self.prec_of(e.index) <= self.prec_of(e))
+        return f"{self.args_length} > {index}"
+
     # -- declarations ---------------------------------------------------------
 
-    def var_dec_doc(self, v: ir.VariableRepr) -> Doc:
-        if v.type.is_list:
-            # Initialize to empty so appends are always valid.
-            return text(self.empty_list_decl(v.name, v.type.elem))
-        return text(f"{self.type_text(v.type)} {v.name};")
-
-    def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:
-        t = self.type_text(ir.list_of(elem))
-        return f"{t} {name} = new {t}(0);"
+    def var_dec_doc(self, s: ir.VarDec) -> Doc:
+        t, name = self.type_text(s.var.type), s.var.name
+        if s.var.type.is_list:  # starts empty, so appends are always valid
+            return text(self.empty_list_decl.format(t=t, name=name))
+        return text(f"{t} {name};")
 
     def throw_text(self, message: str) -> str:
         return f'throw new Exception("{escape_string(message)}");'
@@ -126,18 +141,6 @@ class CFamilyRenderer(Renderer):
         )
         return self.braced(header, self.body(s.body))
 
-    def for_range_doc(self, s: ir.ForRange) -> Doc:
-        name = s.var.name
-        if isinstance(s.step, ir.Lit) and s.step.value == 1:
-            update = f"{name}++"
-        else:
-            update = f"{name} += {self.expr(s.step)}"
-        header = (
-            f"for ({self.type_text(ir.INT)} {name} = {self.expr(s.start)};"
-            f" {name} <= {self.expr(s.end)}; {update}) {{"
-        )
-        return self.braced(header, self.body(s.body))
-
     def for_each_doc(self, s: ir.ForEach) -> Doc:
         return self.braced(self.for_each_header(s), self.body(s.body))
 
@@ -149,60 +152,8 @@ class CFamilyRenderer(Renderer):
     def print_scalar_doc(self, s: ir.Print) -> Doc:  # pragma: no cover
         raise NotImplementedError
 
-    def print_list_doc(self, s: ir.Print) -> Doc:
-        """The bracket/loop/guard idiom shared by targets without native
-        list printing; recursion through the element print handles nesting."""
-        lst = s.expr
-        self._list_depth += 1
-        counter = bd.var(f"list_i{self._list_depth}", ir.INT)
-        try:
-            upper = bd.apply_binary("#-", pt.list_size(lst), bd.lit_int(1))
-            loop_cond = bd.apply_binary("?<", bd.value_of(counter), upper)
-            guard = bd.apply_binary("?>", pt.list_size(lst), bd.lit_int(0))
-            elem_at_counter = pt.list_access(lst, bd.value_of(counter))
-            last_elem = pt.list_access(lst, upper)
-            loop_header = (
-                f"for ({self.type_text(ir.INT)} {counter.name} = 0;"
-                f" {self.expr(loop_cond)}; {counter.name}++) {{"
-            )
-            return vcat([
-                self.stmt(pt.print_str("[")),
-                self.braced(loop_header, vcat([
-                    self.stmt(ir.Print(elem_at_counter, newline=False)),
-                    self.stmt(pt.print_str(", ")),
-                ])),
-                self.braced(f"if ({self.expr(guard)}) {{",
-                            self.stmt(ir.Print(last_elem, newline=False))),
-                self.stmt(ir.Print(bd.lit_string("]"), newline=s.newline)),
-            ])
-        finally:
-            self._list_depth -= 1
-
     def read_doc(self, s: ir.Read) -> Doc:  # pragma: no cover
         raise NotImplementedError
-
-    # -- list slicing --------------------------------------------------------------
-
-    def slice_doc(self, s: ir.ListSlice) -> Doc:
-        elem = s.target.type.elem
-        start = s.start if s.start is not None else bd.lit_int(0)
-        end_text = self.expr(s.end if s.end is not None else ir.ListSize(s.source))
-        if s.step is None or (isinstance(s.step, ir.Lit) and s.step.value == 1):
-            update = "i_temp++"
-        else:
-            update = f"i_temp += {self.expr(s.step)}"
-        temp = bd.var("temp", ir.list_of(elem))
-        counter = bd.var("i_temp", ir.INT)
-        take = pt.list_append(bd.value_of(temp), pt.list_access(s.source, bd.value_of(counter)))
-        header = (
-            f"for ({self.type_text(ir.INT)} i_temp = {self.expr(start)};"
-            f" i_temp < {end_text}; {update}) {{"
-        )
-        return vcat([
-            text(self.empty_list_decl("temp", elem)),
-            self.braced(header, text(f"{self.expr(take)};")),
-            text(f"{self.var_ref(s.target)} = temp;"),
-        ])
 
     # -- in/out calls ----------------------------------------------------------------
 

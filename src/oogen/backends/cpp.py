@@ -42,6 +42,12 @@ class CppRenderer(CFamilyRenderer):
     header_extension = ".hpp"
     make_tools = (("CXX", "g++"),)
     switch_strings_as_chain = True  # no switch on std::string
+    type_names = {"bool": "bool", "int": "int", "float": "double", "char": "char",
+                  "string": "std::string", "void": "void", "infile": "std::ifstream",
+                  "outfile": "std::ofstream"}
+    type_needs = {"string": "string", "infile": "fstream", "outfile": "fstream", "list": "vector"}
+    list_type = "std::vector<{}>"
+    empty_list_decl = "{t} {name}(0);"
 
     def __init__(self) -> None:
         super().__init__()
@@ -49,25 +55,6 @@ class CppRenderer(CFamilyRenderer):
 
     def build_commands(self, tools, sources, main, package):
         return [tools[0], "-o", package, *sources], [f"./{package}"]
-
-    def type_text(self, t: ir.TypeRepr) -> str:
-        if t.kind == "float":
-            return "double"
-        if t.kind == "string":
-            self.needs.add("string")
-            return "std::string"
-        if t.kind == "infile":
-            self.needs.add("fstream")
-            return "std::ifstream"
-        if t.kind == "outfile":
-            self.needs.add("fstream")
-            return "std::ofstream"
-        if t.kind == "list":
-            self.needs.add("vector")
-            return f"std::vector<{self.type_text(t.elem)}>"
-        if t.kind == "object":
-            return t.class_name
-        return t.kind  # bool, int, char, void match the C++ spelling
 
     var_forms = {
         **CFamilyRenderer.var_forms,
@@ -135,9 +122,6 @@ class CppRenderer(CFamilyRenderer):
             f"(int)(std::find({seq}.begin(), {seq}.end(),"
             f" {self.expr(e.value)}) - {seq}.begin())"
         )
-
-    def empty_list_decl(self, name: str, elem: ir.TypeRepr) -> str:
-        return f"{self.type_text(ir.list_of(elem))} {name}(0);"
 
     def throw_text(self, message: str) -> str:
         self.needs.add("stdexcept")

@@ -25,34 +25,17 @@ class CSharpRenderer(CFamilyRenderer):
     extends_text = " : "
     throws_suffix = ""  # no checked exceptions
     main_header = "static void Main(string[] args) {"
+    type_names = {"bool": "Boolean", "int": "int", "float": "double", "char": "char",
+                  "string": "string", "void": "void", "infile": "System.IO.StreamReader",
+                  "outfile": "System.IO.StreamWriter"}
+    type_needs = {"bool": "System", "list": "System.Collections.Generic"}
+    list_type = "List<{}>"
+    args_length = "args.Length"
 
     def build_commands(self, tools, sources, main, package):
         csc, mono = tools
         exe = f"{package}.exe"
         return [csc, f"-out:{exe}", *sources], [mono, exe]
-
-    def type_text(self, t: ir.TypeRepr) -> str:
-        if t.kind == "bool":
-            self.needs.add("System")
-            return "Boolean"
-        if t.kind == "int":
-            return "int"
-        if t.kind == "float":
-            return "double"
-        if t.kind == "char":
-            return "char"
-        if t.kind == "string":
-            return "string"
-        if t.kind == "void":
-            return "void"
-        if t.kind == "infile":
-            return "System.IO.StreamReader"
-        if t.kind == "outfile":
-            return "System.IO.StreamWriter"
-        if t.kind == "list":
-            self.needs.add("System.Collections.Generic")
-            return f"List<{self.type_text(t.elem)}>"
-        return t.class_name
 
     def math_call(self, e: ir.MathCall) -> str:
         self.needs.add("System")
@@ -61,9 +44,6 @@ class CSharpRenderer(CFamilyRenderer):
     def power(self, e: ir.Binary) -> str:
         self.needs.add("System")
         return f"Math.Pow({self.expr(e.left)}, {self.expr(e.right)})"
-
-    def arg_exists(self, e: ir.ArgExists) -> str:
-        return f"args.Length > {self.expr(e.index)}"
 
     def list_access(self, e: ir.ListAccess) -> str:
         return f"{self.atom(e.lst)}[{self.expr(e.index)}]"

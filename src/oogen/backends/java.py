@@ -28,45 +28,28 @@ class JavaRenderer(CFamilyRenderer):
     extends_text = " extends "
     throws_suffix = " throws Exception"
     main_header = "public static void main(String[] args) throws Exception {"
+    type_names = {"bool": "boolean", "int": "int", "float": "double", "char": "char",
+                  "string": "String", "void": "void", "infile": "java.util.Scanner",
+                  "outfile": "java.io.PrintWriter"}
+    type_needs = {"list": "java.util.ArrayList"}
+    list_type = "ArrayList<{}>"
+    args_length = "args.length"
 
     def build_commands(self, tools, sources, main, package):
         javac, java = tools
         return [javac, *sources], [java, main]
 
-    def type_text(self, t: ir.TypeRepr) -> str:
-        if t.kind == "bool":
-            return "boolean"
-        if t.kind == "int":
-            return "int"
-        if t.kind == "float":
-            return "double"
-        if t.kind == "char":
-            return "char"
-        if t.kind == "string":
-            return "String"
-        if t.kind == "void":
-            return "void"
-        if t.kind == "infile":
-            return "java.util.Scanner"
-        if t.kind == "outfile":
-            return "java.io.PrintWriter"
-        if t.kind == "list":
-            self.needs.add("java.util.ArrayList")
-            return f"ArrayList<{self.boxed_text(t.elem)}>"
-        return t.class_name
-
     def boxed_text(self, t: ir.TypeRepr) -> str:
         """Generic positions take the boxed spelling."""
         return _BOXED.get(t.kind) or self.type_text(t)
+
+    elem_text = boxed_text
 
     def math_call(self, e: ir.MathCall) -> str:
         return f"Math.{e.fn}({self.expr(e.arg)})"
 
     def power(self, e: ir.Binary) -> str:
         return f"Math.pow({self.expr(e.left)}, {self.expr(e.right)})"
-
-    def arg_exists(self, e: ir.ArgExists) -> str:
-        return f"args.length > {self.expr(e.index)}"
 
     def list_access(self, e: ir.ListAccess) -> str:
         return f"{self.atom(e.lst)}.get({self.expr(e.index)})"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import Renderer, comment_doc, doc_fields, escape_string, qualified
+from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
+                   update_before_continue)
 
 _STATIC, _COMBINED = ir.Binding.STATIC, FileType.COMBINED
 
@@ -24,38 +25,12 @@ def _suite(header: str, rendered: Doc) -> Doc:
     return hang(header, Doc(rendered.lines + ("pass",)))
 
 
-def _update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyRepr:
-    """Loop body `b` with `update` placed before each of its `continue`s.
-    A nested loop's `continue` belongs to that loop and is left alone."""
-
-    def body(b: ir.BodyRepr) -> ir.BodyRepr:
-        return ir.BodyRepr(tuple(stmt(blk) for blk in b.blocks))
-
-    def opt(b: ir.BodyRepr | None) -> ir.BodyRepr | None:
-        return None if b is None else body(b)
-
-    rewrites = {  # node class -> the node with the update placed
-        ir.Continue: lambda s: ir.BlockRepr((update, s)),
-        ir.BlockRepr: lambda s: ir.BlockRepr(tuple(map(stmt, s.statements))),
-        ir.If: lambda s: ir.If(tuple((c, body(branch)) for c, branch in s.branches),
-                               opt(s.else_body)),
-        ir.Switch: lambda s: ir.Switch(
-            s.value, tuple((label, body(case)) for label, case in s.cases), opt(s.default)),
-        ir.TryCatch: lambda s: ir.TryCatch(body(s.try_body), body(s.catch_body)),
-    }
-
-    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
-        rewrite = rewrites.get(type(s))
-        return s if rewrite is None else rewrite(s)
-
-    return body(b)
-
-
 class PythonRenderer(Renderer):
     target = "python"
     extension = ".py"
     make_tools = (("PYTHON", "python3"),)
     statement_end = ""
+    true_token, false_token = "True", "False"
     comment_marker = "#"
 
     # Target grammar deviations from the catalog: `not` binds between `and`
@@ -64,12 +39,6 @@ class PythonRenderer(Renderer):
     op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
     op_assoc = {name: "none" for name, op in ir.OPERATORS.items() if op.precedence in (4, 5)}
     op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
-
-    def true_token(self) -> str:
-        return "True"
-
-    def false_token(self) -> str:
-        return "False"
 
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
@@ -159,18 +128,20 @@ class PythonRenderer(Renderer):
             f"print({self.expr(s.expr)})" if s.newline else f'print({self.expr(s.expr)}, end="")'),
         ir.Read: lambda self, s: text(
             f"{self.var_ref(s.var)} = {'int(input())' if s.parse_int else 'input()'}"),
+        ir.ForRange: "range_doc",
+        ir.ListSlice: "slice_assign_doc",
     }
 
     def for_doc(self, s: ir.For) -> Doc:
         # No three-part loop in the grammar: init, then a while whose
         # body ends with the update, which also runs before a continue.
-        body = _update_before_continue(s.body, s.update)
+        body = update_before_continue(s.body, s.update)
         return vcat([
             self.stmt(s.init),
             _suite(f"while {self.expr(s.cond)}:", vcat([self.body(body), self.stmt(s.update)])),
         ])
 
-    def slice_doc(self, s: ir.ListSlice) -> Doc:
+    def slice_assign_doc(self, s: ir.ListSlice) -> Doc:
         start = self.expr(s.start) if s.start is not None else ""
         end = self.expr(s.end) if s.end is not None else ""
         step = self.expr(s.step) if s.step is not None else ""
@@ -193,14 +164,16 @@ class PythonRenderer(Renderer):
             docs.append(self.suite("else:", s.else_body))
         return vcat(docs)
 
-    def for_range_doc(self, s: ir.ForRange) -> Doc:
-        start = self.expr(s.start)
+    def range_doc(self, s: ir.ForRange) -> Doc:
+        # range() keeps the C family's `<=` test only for a step known to
+        # be positive; any other step loops as they do.
+        step = s.step
+        if type(step) is not ir.Lit or step.kind != "int" or step.value < 1:
+            return self.for_doc(range_as_for(s))
         stop = self.literal_plus_one(s.end)  # range() excludes its end
-        if isinstance(s.step, ir.Lit) and s.step.value == 1:
-            header = f"for {s.var.name} in range({start}, {stop}):"
-        else:
-            header = f"for {s.var.name} in range({start}, {stop}, {self.expr(s.step)}):"
-        return self.suite(header, s.body)
+        steps = "" if step.value == 1 else f", {step.value}"
+        return self.suite(f"for {s.var.name} in range({self.expr(s.start)}, {stop}{steps}):",
+                          s.body)
 
     # -- declarations -----------------------------------------------------------
 

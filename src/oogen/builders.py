@@ -333,9 +333,9 @@ def for_loop(init: ir.StatementRepr, cond: ir.ExprRepr, update: ir.StatementRepr
 
 def for_range(variable: ir.VariableRepr, start: ir.ExprRepr, end: ir.ExprRepr,
               step: ir.ExprRepr, body_: ir.BodyRepr) -> ir.ForRange:
-    if variable.type.kind != "int":
-        raise TypeMismatch("forRange variable must be int")
-    _require_numeric("forRange", start, end, step)
+    for what, part in (("variable", variable), ("start", start), ("end", end), ("step", step)):
+        if part.type.kind != "int":
+            raise TypeMismatch(f"forRange {what} must be int, got {part.type.kind}")
     return ir.ForRange(variable, start, end, step, body_)
 
 

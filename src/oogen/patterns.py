@@ -185,11 +185,10 @@ def in_out_call(func: ir.MethodRepr, ins: list[ir.ExprRepr],
                 f"{func.name}: {len(actual)} {label} arguments, expected {len(declared)}"
             )
         for decl, act in zip(declared, actual):
-            act_type = act.type if isinstance(act, ir.ExprRepr) else act.type
-            if decl.type.kind != act_type.kind:
+            if decl.type.kind != act.type.kind:
                 raise SignatureMismatch(
                     f"{func.name}: {label} argument {decl.name!r} is {decl.type.kind},"
-                    f" got {act_type.kind}"
+                    f" got {act.type.kind}"
                 )
     return ir.InOutCall(func.name, tuple(ins), tuple(outs), tuple(inouts))
 

@@ -178,6 +178,35 @@ def test_arg_exists_spelling(target, expected):
     assert get_backend(target).render_expr(e) == expected
 
 
+OFF = bd.value_of(bd.var("off", ir.BOOL))
+OFF_INDEX = bd.inline_if(OFF, bd.lit_int(0), bd.lit_int(4))
+
+
+@pytest.mark.parametrize("target,index_exists,arg_exists", [
+    ("python", "len(xs) > (0 if off else 4)", "len(sys.argv) > (0 if off else 4) + 1"),
+    ("java", "xs.size() > (off ? 0 : 4)", "args.length > (off ? 0 : 4)"),
+    ("csharp", "xs.Count > (off ? 0 : 4)", "args.Length > (off ? 0 : 4)"),
+    ("cpp", "(int)(xs.size()) > (off ? 0 : 4)", "argc > (off ? 0 : 4) + 1"),
+])
+def test_an_inline_if_index_is_wrapped_in_exists_tests(target, index_exists, arg_exists):
+    backend = get_backend(target)
+    xs = bd.value_of(bd.var("xs", ir.list_of(ir.INT)))
+    assert backend.render_expr(pt.list_index_exists(xs, OFF_INDEX)) == index_exists
+    assert backend.render_expr(pt.arg_exists(OFF_INDEX)) == arg_exists
+
+
+def test_csharp_wraps_inline_if_range_and_slice_bounds():
+    # C# has no toolchain here; the other targets run these bounds in test_verify
+    cs = get_backend("csharp")
+    i, xs = bd.var("i", ir.INT), bd.var("xs", ir.list_of(ir.INT))
+    loop = bd.for_range(i, bd.lit_int(0), OFF_INDEX, bd.lit_int(-1),
+                        bd.one_liner(pt.print_ln(bd.value_of(i))))
+    assert cs.render_stmt(loop).splitlines()[0] == "for (int i = 0; i <= (off ? 0 : 4); i += -1) {"
+    sliced = cs.render_stmt(pt.list_slice(xs, bd.value_of(xs), OFF_INDEX, OFF_INDEX))
+    assert sliced.splitlines()[1] == (
+        "for (int i_temp = off ? 0 : 4; i_temp < (off ? 0 : 4); i_temp++) {")
+
+
 @pytest.mark.parametrize("target,expected", [
     ("python", "int(-7 / 2)"),  # `/` alone gives -3.5, `//` floors to -4
     ("java", "-7 / 2"),

@@ -302,6 +302,16 @@ def test_if_cond_needs_a_branch():
         bd.if_cond([], bd.one_liner(pt.print_str("x")))
 
 
+@pytest.mark.parametrize("part", ["variable", "start", "end", "step"])
+def test_for_range_counts_in_ints_only(part):
+    # a float start would render `int i = 0.5` in Java and `range(0.5, ...)` in Python
+    parts = {"variable": bd.var("i", ir.INT), "start": _i(0), "end": _i(3), "step": _i(1)}
+    assert bd.for_range(*parts.values(), bd.one_liner(pt.print_str("x"))).end == _i(3)
+    parts[part] = bd.var("i", ir.FLOAT) if part == "variable" else bd.lit_float(0.5)
+    with pytest.raises(TypeMismatch, match=f"forRange {part} must be int, got float"):
+        bd.for_range(*parts.values(), bd.one_liner(pt.print_str("x")))
+
+
 def test_duplicate_params_rejected():
     p = bd.param(bd.var("x", ir.INT))
     with pytest.raises(DuplicateParam):

@@ -1,6 +1,7 @@
 """Rendering by table: every IR node class has one handler per target,
-the all-tags package renders byte for byte as recorded, and no function
-on the per-node paths loads an enum member when it runs.
+the all-tags package renders byte for byte as recorded, no function on
+the per-node paths loads an enum member when it runs, and no backend
+module but base.py lowers a pattern to IR.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
 `tests/all_tags.py` for each target, Makefile and Doxygen config included,
@@ -121,6 +122,45 @@ def test_the_enum_guard_sees_body_loads_only():
     )
     assert _member_loads(source, "probe.py") == [
         "probe.py:3 FileType.AUX", "probe.py:3 VarForm.SELF"]
+
+
+# Patterns are lowered to core IR once, in backends/base.py; the target
+# modules only spell syntax, so none of them builds a statement.
+STATEMENT_RECORDS = {cls.__name__ for cls in _concrete_nodes() if issubclass(cls, ir.StatementRepr)}
+TARGET_MODULES = [p for p in sorted(SRC.glob("backends/*.py")) if p.name != "base.py"]
+
+
+def _statements_built(source: str) -> list[str]:
+    """`line ir.Name` for each statement record constructed in `source`,
+    and `line name` for each import of the builders or patterns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, name = node.func.value, node.func.attr
+            if getattr(owner, "id", None) == "ir" and name in STATEMENT_RECORDS | {"BodyRepr"}:
+                found.append(f"{node.lineno} ir.{name}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno} {a.name}" for a in node.names
+                      if a.name in ("builders", "patterns")
+                      or (node.module or "").split(".")[-1] in ("builders", "patterns")]
+    return found
+
+
+@pytest.mark.parametrize("path", TARGET_MODULES, ids=lambda p: p.name)
+def test_only_base_lowers_patterns(path):
+    assert _statements_built(path.read_text()) == []
+
+
+def test_the_lowering_guard_sees_statements_and_builders():
+    source = (
+        "from .. import builders as bd\n"
+        "from ..patterns import print_str\n"
+        "x = ir.ListSize(lst)\n"
+        "def f(s):\n"
+        "    return ir.BlockRepr((ir.Print(s, False),))\n"
+    )
+    assert _statements_built(source) == [
+        "1 builders", "2 print_str", "5 ir.BlockRepr", "5 ir.Print"]
 
 
 if __name__ == "__main__":

@@ -322,6 +322,68 @@ def test_integral_float_literal_divides_as_a_float_everywhere(tmp_path):
     assert {r.stdout for r in report.executed} == {"3.5"}
 
 
+def _matches_the_oracle_everywhere(tmp_path, statements) -> str:
+    """What the oracle prints for a main of `statements`, once python,
+    java and cpp have printed the same."""
+    main = bd.main_function(bd.body_statements(statements))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    oracle = verify.normalize_stdout(run_package(pkg))
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {oracle}
+    return oracle
+
+
+OFF = bd.var("off", ir.BOOL)
+
+
+def _off_or(then: int, other: int) -> ir.InlineIf:
+    return bd.inline_if(bd.value_of(OFF), bd.lit_int(then), bd.lit_int(other))
+
+
+def test_range_steps_and_inline_if_bounds_match_the_oracle(tmp_path):
+    i, step = bd.var("i", ir.INT), bd.var("step", ir.INT)
+
+    def counting(start, end, by):
+        return bd.for_range(i, start, end, by, bd.one_liner(pt.print_ln(bd.value_of(i))))
+
+    oracle = _matches_the_oracle_everywhere(tmp_path, [
+        bd.var_dec_def(OFF, bd.lit_bool(False)),
+        bd.var_dec_def(step, bd.lit_int(2)),
+        counting(bd.lit_int(5), bd.lit_int(1), bd.lit_int(-1)),  # `<=` fails at once
+        counting(bd.lit_int(0), bd.lit_int(5), bd.value_of(step)),
+        counting(_off_or(9, 1), _off_or(0, 2), bd.lit_int(1)),
+        pt.print_str_ln("end"),
+    ])
+    assert oracle == "0\n2\n4\n1\n2\nend"
+
+
+def test_inline_if_slice_bounds_match_the_oracle(tmp_path):
+    xs, ys = bd.var("xs", ir.list_of(ir.INT)), bd.var("ys", ir.list_of(ir.INT))
+    oracle = _matches_the_oracle_everywhere(tmp_path, [
+        bd.var_dec_def(OFF, bd.lit_bool(False)),
+        bd.var_dec(xs),
+        *[bd.call_stmt(pt.list_append(bd.value_of(xs), bd.lit_int(n))) for n in (10, 20, 30, 40)],
+        bd.var_dec(ys),
+        pt.list_slice(ys, bd.value_of(xs), _off_or(0, 1), _off_or(4, 3)),
+        pt.print_ln(bd.value_of(ys)),
+    ])
+    assert oracle == "[20, 30]"
+
+
+def test_inline_if_indexes_in_exists_tests_match_the_oracle(tmp_path):
+    xs = bd.var("xs", ir.list_of(ir.INT))
+    oracle = _matches_the_oracle_everywhere(tmp_path, [
+        bd.var_dec_def(OFF, bd.lit_bool(False)),
+        bd.var_dec(xs),
+        *[bd.call_stmt(pt.list_append(bd.value_of(xs), bd.lit_int(n))) for n in (10, 20)],
+        pt.print_ln(pt.list_index_exists(bd.value_of(xs), _off_or(0, 1))),
+        pt.print_ln(pt.list_index_exists(bd.value_of(xs), _off_or(0, 2))),
+        pt.print_ln(pt.arg_exists(_off_or(0, 4))),
+    ])
+    assert oracle == "true\nfalse\nfalse"
+
+
 def test_unknown_target_is_a_value_error():
     with pytest.raises(ValueError, match="unknown target 'cobol'; expected one of"):
         verify.verify_package(_hello(), targets=("cobol",))
