@@ -53,6 +53,7 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.ListIndexExists: 5,
 }
 _MATH_OPS = {"#/^": "sqrt", "#|": "abs"}  # unary operators rendered as math calls
+_LOOPS = (ir.For, ir.ForRange, ir.ForEach, ir.While)  # a `continue` in one is its own
 
 # Enum members the per-node methods test, loaded once: on Python 3.11 every
 # `ir.VarForm.PLAIN` at call time goes through `EnumType.__getattr__`.
@@ -157,27 +158,12 @@ def update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyR
     """Loop body `b` with `update` placed before each of its `continue`s.
     A nested loop's `continue` belongs to that loop and is left alone."""
 
-    def body(b: ir.BodyRepr) -> ir.BodyRepr:
-        return ir.BodyRepr(tuple(stmt(blk) for blk in b.blocks))
+    def place(s: ir.StatementRepr) -> ir.StatementRepr:
+        if type(s) is ir.Continue:
+            return ir.BlockRepr((update, s))
+        return s if type(s) in _LOOPS else ir.rebuild(s, place)
 
-    def opt(b: ir.BodyRepr | None) -> ir.BodyRepr | None:
-        return None if b is None else body(b)
-
-    rewrites = {  # node class -> the node with the update placed
-        ir.Continue: lambda s: ir.BlockRepr((update, s)),
-        ir.BlockRepr: lambda s: ir.BlockRepr(tuple(map(stmt, s.statements))),
-        ir.If: lambda s: ir.If(tuple((c, body(branch)) for c, branch in s.branches),
-                               opt(s.else_body)),
-        ir.Switch: lambda s: ir.Switch(
-            s.value, tuple((label, body(case)) for label, case in s.cases), opt(s.default)),
-        ir.TryCatch: lambda s: ir.TryCatch(body(s.try_body), body(s.catch_body)),
-    }
-
-    def stmt(s: ir.StatementRepr) -> ir.StatementRepr:
-        rewrite = rewrites.get(type(s))
-        return s if rewrite is None else rewrite(s)
-
-    return body(b)
+    return ir.rebuild(b, place)
 
 
 def _observer_list(elem_type: ir.TypeRepr) -> ir.VariableRepr:

@@ -13,6 +13,7 @@ from . import ir
 from ._record import replace
 from .errors import (
     BuildError,
+    ConstAssignment,
     DuplicateMethod,
     DuplicateModule,
     DuplicateParam,
@@ -391,46 +392,20 @@ def _check_params(params: list[ir.ParamRepr]) -> tuple[ir.ParamRepr, ...]:
     return tuple(params)
 
 
-def _walk_statements(body_: ir.BodyRepr):
-    """Pre-order statement traversal, descending into nested bodies."""
-    for blk in body_.blocks:
-        for stmt in blk.statements:
-            yield stmt
-            for child in _child_bodies(stmt):
-                yield from _walk_statements(child)
-
-
-def _child_bodies(stmt: ir.StatementRepr) -> list[ir.BodyRepr]:
-    if isinstance(stmt, ir.If):
-        out = [b for _, b in stmt.branches]
-        if stmt.else_body is not None:
-            out.append(stmt.else_body)
-        return out
-    if isinstance(stmt, ir.Switch):
-        out = [b for _, b in stmt.cases]
-        if stmt.default is not None:
-            out.append(stmt.default)
-        return out
-    if isinstance(stmt, (ir.For, ir.ForRange, ir.ForEach, ir.While)):
-        return [stmt.body]
-    if isinstance(stmt, ir.TryCatch):
-        return [stmt.try_body, stmt.catch_body]
-    return []
-
-
 def _check_body(body_: ir.BodyRepr, return_type: ir.TypeRepr) -> None:
     """One walk of a method body: observer calls follow initObserverList,
     and each returned value has the method's return type (an int may be
     returned as a float)."""
     initialized = False
-    for stmt in _walk_statements(body_):
-        if isinstance(stmt, ir.ObserverInit):
+    for stmt in ir.walk(body_):
+        kind = type(stmt)
+        if kind is ir.ObserverInit:
             initialized = True
-        elif isinstance(stmt, (ir.ObserverAdd, ir.ObserverNotify)) and not initialized:
+        elif (kind is ir.ObserverAdd or kind is ir.ObserverNotify) and not initialized:
             raise ObserverNotInitialized(
                 "observer list used before initObserverList in this body"
             )
-        elif isinstance(stmt, ir.Return):
+        elif kind is ir.Return:
             value = stmt.value.type
             if value != return_type and (value.kind, return_type.kind) != ("int", "float"):
                 raise TypeMismatch(
@@ -491,24 +466,19 @@ def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
     return state_var(scope, _STATIC, variable, is_const=True)
 
 
+# The variables a statement assigns, by statement class.
+_WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
+           ir.InOutCall: lambda s: s.outs + s.inouts, ir.ListSlice: lambda s: (s.target,)}
+
+
 def _check_const_assignments(cls_name: str, const_names: set[str],
                              methods: tuple[ir.MethodRepr, ...]) -> None:
-    from .errors import ConstAssignment
-
     for m in methods:
-        for stmt in _walk_statements(m.body):
-            names: list[str] = []
-            if isinstance(stmt, ir.Assign):
-                names = [stmt.var.name]
-            elif isinstance(stmt, ir.Read):
-                names = [stmt.var.name]
-            elif isinstance(stmt, ir.InOutCall):
-                names = [v.name for v in stmt.outs + stmt.inouts]
-            for name in names:
-                if name in const_names:
-                    raise ConstAssignment(
-                        f"{cls_name}.{name} is const but assigned in {m.name}"
-                    )
+        for stmt in ir.walk(m.body):
+            writes = _WRITES.get(type(stmt))
+            for v in writes(stmt) if writes else ():
+                if v.name in const_names:
+                    raise ConstAssignment(f"{cls_name}.{v.name} is const but assigned in {m.name}")
 
 
 def build_class(name: str, parent: str | None, scope: ir.Scope,

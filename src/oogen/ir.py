@@ -12,12 +12,14 @@ Shape of a program:
     MethodRepr > BodyRepr > BlockRepr > StatementRepr > ExprRepr
 
 Blocks matter to rendering: one blank line separates adjacent non-empty
-blocks in every target.
+blocks in every target. `walk` visits every statement of a tree and
+`rebuild` replaces the statements directly inside one node.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 from ._record import record
 
@@ -149,16 +151,12 @@ class VariableRepr(metaclass=record):
 
 
 class ExprRepr(metaclass=record):
-    """Base expression node. Every node knows its IR type and its
-    precedence; parenthesization never re-inspects children."""
+    """Base expression node. Every node knows its IR type; its precedence
+    is the renderer's (`Renderer.prec_of`)."""
 
     @property
     def type(self) -> TypeRepr:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    @property
-    def precedence(self) -> int:
-        return ATOMIC_PRECEDENCE
 
 
 class Lit(ExprRepr, metaclass=record):
@@ -187,10 +185,6 @@ class Unary(ExprRepr, metaclass=record):
     def type(self) -> TypeRepr:
         return self.result
 
-    @property
-    def precedence(self) -> int:
-        return self.op.precedence
-
 
 class Binary(ExprRepr, metaclass=record):
     op: OperatorSpec
@@ -202,10 +196,6 @@ class Binary(ExprRepr, metaclass=record):
     def type(self) -> TypeRepr:
         return self.result
 
-    @property
-    def precedence(self) -> int:
-        return self.op.precedence
-
 
 class InlineIf(ExprRepr, metaclass=record):
     cond: ExprRepr
@@ -215,10 +205,6 @@ class InlineIf(ExprRepr, metaclass=record):
     @property
     def type(self) -> TypeRepr:
         return self.then.type
-
-    @property
-    def precedence(self) -> int:
-        return INLINE_IF_PRECEDENCE
 
 
 class CallForm(str, Enum):
@@ -499,6 +485,61 @@ class ObserverAdd(StatementRepr, metaclass=record):
 class ObserverNotify(StatementRepr, metaclass=record):
     method: str
     elem_type: TypeRepr
+
+
+# ---------------------------------------------------------------------------
+# Statement walk, derived from the records' own field declarations
+
+
+_SPACES = str.maketrans("[],|.", "     ")
+
+
+@cache
+def _shape(cls: type) -> tuple[bool, tuple[str, ...]]:
+    """Whether `cls` is a statement class, and its fields (last first) whose
+    declared type names a statement class or a record with such fields (a
+    `BodyRepr`). The annotations in `__record_specs__` are strings naming
+    classes of this module; naming itself (`TypeRepr.elem`) does not count."""
+    names = [name for name, (annotation, _) in getattr(cls, "__record_specs__", {}).items()
+             if any(isinstance(named, type) and named is not cls
+                    and (issubclass(named, StatementRepr) or _shape(named)[1])
+                    for named in map(globals().get, annotation.translate(_SPACES).split()))]
+    return issubclass(cls, StatementRepr), tuple(reversed(names))
+
+
+def walk(node):
+    """Every statement inside record `node` (a body, statement, method or
+    package) in pre-order, fields in declared order, a body's blocks
+    included. One loop over an explicit stack: nesting does not recurse."""
+    stack = [node]
+    while stack:
+        value = stack.pop()
+        if type(value) is tuple:
+            stack += reversed(value)
+            continue
+        statement, nesting = _shape(type(value))
+        if statement and value is not node:
+            yield value
+        for name in nesting:
+            stack.append(getattr(value, name))
+
+
+def rebuild(node, f):
+    """Record `node` with `f` applied to each statement directly in it, found
+    as `walk` finds them but not inside those statements: `f` goes deeper
+    by calling `rebuild` itself."""
+    cls = type(node)
+    nesting = _shape(cls)[1]
+    if not nesting:
+        return node
+
+    def part(value):
+        if type(value) is tuple:
+            return tuple(map(part, value))
+        return f(value) if _shape(type(value))[0] else rebuild(value, f)
+
+    return cls(*[part(getattr(node, name)) if name in nesting else getattr(node, name)
+                 for name in cls.__match_args__])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
+from oogen.backends import TARGETS, get_backend
 from oogen._record import record, replace
 from oogen.errors import (
     BuildError,
@@ -250,15 +251,24 @@ def test_inline_if_branches_must_agree():
 
 
 def test_atomic_nodes_have_max_precedence():
-    assert _i().precedence == ir.ATOMIC_PRECEDENCE
-    assert bd.value_of(bd.var("x", ir.INT)).precedence == ir.ATOMIC_PRECEDENCE
-    assert bd.func_app("f", ir.INT, []).precedence == ir.ATOMIC_PRECEDENCE
+    for target in TARGETS:
+        prec_of = get_backend(target).prec_of
+        assert prec_of(_i()) == ir.ATOMIC_PRECEDENCE
+        assert prec_of(bd.value_of(bd.var("x", ir.INT))) == ir.ATOMIC_PRECEDENCE
+        assert prec_of(bd.func_app("f", ir.INT, [])) == ir.ATOMIC_PRECEDENCE
 
 
 def test_operator_nodes_take_table_precedence():
-    assert bd.apply_binary("#+", _i(), _i()).precedence == 6
-    assert bd.apply_binary("#*", _i(), _i()).precedence == 7
-    assert bd.apply_unary("?!", _b()).precedence == 9
+    for target in TARGETS:
+        prec_of = get_backend(target).prec_of
+        assert prec_of(bd.apply_binary("#+", _i(), _i())) == 6
+        assert prec_of(bd.apply_binary("#*", _i(), _i())) == 7
+        # Python's `not` binds looser than its comparisons
+        assert prec_of(bd.apply_unary("?!", _b())) == (3.5 if target == "python" else 9)
+        # every target renders an exists test as a `>` comparison
+        assert prec_of(pt.arg_exists(_i())) == 5
+        assert prec_of(pt.list_index_exists(bd.value_of(bd.var("xs", ir.list_of(ir.INT))),
+                                            _i())) == 5
     assert ir.OPERATORS["#^"].assoc == "right"
 
 
@@ -349,6 +359,56 @@ def test_observer_calls_must_follow_init():
     ordered = bd.main_function(bd.body_statements(
         [pt.init_observer_list(obs_t, []), add]))
     assert ordered.is_main
+
+
+# The builders' checks see every statement: in blocks used as statements
+# and in a for loop's init and update too.
+
+LIMIT = bd.self_var("limit", ir.INT)
+
+
+def _class_with_const_limit(body):
+    setter = bd.method("setLimit", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], body)
+    return bd.build_class("C", None, ir.Scope.PUBLIC,
+                          [bd.const_var(ir.Scope.PRIVATE, bd.var("limit", ir.INT))], [setter])
+
+
+def test_const_state_var_cannot_be_assigned_in_a_strategy_block():
+    chosen = pt.run_strategy("reset", {"reset": bd.one_liner(bd.assign(LIMIT, _i(0)))})
+    with pytest.raises(ConstAssignment, match="C.limit is const but assigned in setLimit"):
+        _class_with_const_limit(bd.one_liner(chosen))
+
+
+def test_const_state_var_cannot_be_a_for_loop_update():
+    i = bd.var("i", ir.INT)
+    loop = bd.for_loop(bd.var_dec_def(i, _i(0)), bd.apply_binary("?<", bd.value_of(i), _i(3)),
+                       bd.assign(LIMIT, bd.value_of(i)), bd.one_liner(bd.inc(i)))
+    with pytest.raises(ConstAssignment):
+        _class_with_const_limit(bd.one_liner(loop))
+
+
+def test_const_list_cannot_be_a_slice_target():
+    xs = bd.self_var("xs", ir.list_of(ir.INT))
+    cv = bd.const_var(ir.Scope.PRIVATE, bd.var("xs", ir.list_of(ir.INT)))
+    setter = bd.method("trim", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
+                       bd.one_liner(pt.list_slice(xs, bd.value_of(xs), _i(1))))
+    with pytest.raises(ConstAssignment, match="C.xs is const but assigned in trim"):
+        bd.build_class("C", None, ir.Scope.PUBLIC, [cv], [setter])
+
+
+def test_return_type_is_checked_inside_a_block_statement():
+    body = bd.one_liner(bd.block([bd.return_stmt(bd.lit_string("x"))]))
+    with pytest.raises(TypeMismatch, match="return of string from a method returning int"):
+        bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [], body)
+
+
+def test_observer_order_is_checked_inside_a_block_statement():
+    obs_t = ir.obj_of("Observer")
+    with pytest.raises(ObserverNotInitialized):
+        bd.main_function(bd.body_statements([
+            bd.block([pt.notify_observers("update", obs_t)]),
+            pt.init_observer_list(obs_t, []),
+        ]))
 
 
 def test_doc_func_rejects_unknown_param():

@@ -82,3 +82,24 @@ def test_cli_render_of_a_too_deep_document_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "oogen: $: document nests too deeply to decode\n"
+
+
+IF_DEPTH = 1200  # past the recursion limit, so the builders' walk must not recurse
+
+
+def _deep_ifs(depth: int):
+    """A main of `depth` nested `if`s around one print."""
+    body = bd.one_liner(pt.print_str_ln("deep"))
+    for _ in range(depth):
+        body = bd.one_liner(bd.if_cond([(bd.lit_bool(True), body)]))
+    main = bd.main_function(body)
+    return bd.prog("DeepIfs", [bd.build_module("DeepIfs", [], [main], [])])
+
+
+def test_deeply_nested_statements_build_and_fail_typed_downstream():
+    pkg = _deep_ifs(IF_DEPTH)
+    for target in TARGETS:
+        with pytest.raises(NestingTooDeep, match=f"too deeply to render to {target}"):
+            get_backend(target).render_package(pkg)
+    with pytest.raises(NestingTooDeep, match="too deeply to encode"):
+        jsonio.encode_package(pkg)

@@ -1,0 +1,102 @@
+"""`ir.walk` and `ir.rebuild` find a tree's statements from the records'
+own field declarations, so no list of statement fields can fall behind."""
+
+import all_tags
+from oogen import builders as bd, ir, patterns as pt
+from oogen.backends.base import update_before_continue
+
+
+def _reference(node) -> list:
+    """Every statement record inside `node`, in pre-order and field order,
+    by brute force: through every field of every record and every tuple."""
+    found = []
+
+    def visit(value):
+        if isinstance(value, tuple):
+            for item in value:
+                visit(item)
+        elif hasattr(type(value), "__record_specs__"):
+            if isinstance(value, ir.StatementRepr):
+                found.append(value)
+            for name in type(value).__match_args__:
+                visit(getattr(value, name))
+
+    for name in type(node).__match_args__:
+        visit(getattr(node, name))
+    return found
+
+
+def _same(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_walk_finds_what_a_brute_force_search_finds_over_every_tag():
+    pkg = all_tags.package()
+    assert _same(list(ir.walk(pkg)), _reference(pkg))
+    methods = [m for module in pkg.modules for m in module.functions] + [
+        m for module in pkg.modules for c in module.classes for m in c.methods]
+    assert len(methods) == 5
+    for m in methods:
+        assert _same(list(ir.walk(m.body)), _reference(m.body))
+        for s in ir.walk(m.body):
+            assert _same(list(ir.walk(s)), _reference(s))
+
+
+def _mark(n: int) -> ir.CommentStmt:
+    return bd.comment(f"m{n}")
+
+
+def _marks(node) -> list[str]:
+    return [s.text for s in ir.walk(node) if isinstance(s, ir.CommentStmt)]
+
+
+def test_walk_reaches_every_place_a_statement_can_sit():
+    i, ok = bd.var("i", ir.INT), bd.value_of(bd.var("ok", ir.BOOL))
+    body = bd.body([bd.block([
+        bd.if_cond([(ok, bd.one_liner(_mark(1))), (ok, bd.one_liner(_mark(2)))],
+                   bd.one_liner(_mark(3))),
+        bd.switch(bd.value_of(i), [(bd.lit_int(1), bd.one_liner(_mark(4)))],
+                  bd.one_liner(_mark(5))),
+        bd.try_catch(bd.one_liner(_mark(6)), bd.one_liner(_mark(7))),
+        bd.for_loop(bd.block([_mark(8)]), ok, bd.block([_mark(9)]), bd.one_liner(_mark(10))),
+        bd.for_range(i, bd.lit_int(0), bd.lit_int(1), bd.lit_int(1), bd.one_liner(_mark(11))),
+        bd.for_each(i, bd.value_of(bd.var("xs", ir.list_of(ir.INT))), bd.one_liner(_mark(12))),
+        bd.while_loop(ok, bd.one_liner(_mark(13))),
+        bd.block([_mark(14), bd.block([_mark(15)])]),
+    ]), bd.block([_mark(16)])])
+    assert _marks(body) == [f"m{n}" for n in range(1, 17)]
+    assert _same(list(ir.walk(body)), _reference(body))
+
+
+def test_walk_does_not_recurse_per_level():
+    stmt = _mark(0)
+    for _ in range(5000):  # five times the default recursion limit
+        stmt = ir.BlockRepr((stmt,))
+    assert len(list(ir.walk(ir.BodyRepr((stmt,))))) == 5001
+
+
+def test_rebuild_replaces_only_the_statements_directly_inside():
+    inner = bd.if_cond([(bd.lit_bool(True), bd.one_liner(_mark(2)))])
+    outer = bd.if_cond([(bd.lit_bool(True), bd.one_liner(_mark(1)))],
+                       bd.body_statements([inner]))
+    seen = []
+    again = ir.rebuild(outer, lambda s: seen.append(s) or s)
+    # a body's blocks are the statements directly in it
+    assert seen == [outer.branches[0][1].blocks[0], outer.else_body.blocks[0]]
+    assert again == outer
+    assert ir.rebuild(_mark(1), lambda s: None) == _mark(1)
+
+
+def test_update_is_placed_before_continue_in_blocks_but_not_in_nested_loops():
+    i, ok = bd.var("i", ir.INT), bd.value_of(bd.var("ok", ir.BOOL))
+    update, skip = bd.inc(i), bd.continue_stmt()
+    nested = bd.while_loop(ok, bd.one_liner(skip))
+    body = bd.body_statements([
+        pt.run_strategy("a", {"a": bd.one_liner(skip)}),
+        bd.switch(bd.value_of(i), [(bd.lit_int(1), bd.one_liner(skip))], bd.one_liner(nested)),
+    ])
+    placed = update_before_continue(body, update)
+    strategy, switch = placed.blocks[0].statements
+    assert strategy == bd.block([bd.block([update, skip])])
+    assert switch.cases[0][1] == bd.one_liner(bd.block([update, skip]))
+    assert switch.default == bd.one_liner(nested)
