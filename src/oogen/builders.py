@@ -8,6 +8,7 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 from __future__ import annotations
 
 import keyword
+import math
 
 from . import ir
 from ._record import replace
@@ -126,12 +127,35 @@ def lit_bool(value: bool) -> ir.Lit:
     return ir.Lit("bool", bool(value))
 
 
+# Every target's int is 32 bits (Java's and C#'s `int`, C++'s on its platforms).
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+
+
+def check_int_literal(value: int) -> int:
+    """An int every target can spell as a literal; javac refuses a larger one."""
+    if not INT_MIN <= value <= INT_MAX:
+        raise TypeMismatch(f"int literal out of range: targets' ints are 32 bits "
+                           f"({INT_MIN}..{INT_MAX})")
+    return value
+
+
+def check_float_literal(value: float) -> float:
+    """A finite double: no target spells NaN or an infinity as a literal."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise TypeMismatch("float literal too large for a double") from None
+    if not math.isfinite(value):
+        raise TypeMismatch(f"float literal must be finite, got {value!r}")
+    return value
+
+
 def lit_int(value: int) -> ir.Lit:
-    return ir.Lit("int", int(value))
+    return ir.Lit("int", check_int_literal(int(value)))
 
 
 def lit_float(value: float) -> ir.Lit:
-    return ir.Lit("float", float(value))
+    return ir.Lit("float", check_float_literal(value))
 
 
 def lit_char(value: str) -> ir.Lit:

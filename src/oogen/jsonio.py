@@ -22,19 +22,30 @@ builders' `check_identifier` (program, module, class and parent class,
 method and its class, variable and its owner, call and library, in/out
 call, observer method, object type), and every import their
 `check_dotted_name`, so none can become a path outside the output
-directory or code. Other semantic checks of the builders are not re-run, so
-hand-written JSON can express trees the builders would reject; backends
-render those like any other well-shaped tree.
+directory or code, and every int and float literal their rules for numbers
+every target can spell (32-bit ints, finite doubles). Other semantic checks
+of the builders are not re-run, so hand-written JSON can express trees the
+builders would reject; backends render those like any other well-shaped tree.
+
+A decoded package shares equal variables, as a built one does: within one
+decode_package call, each distinct variable object is decoded and checked
+once, and every later object with the same content is that same immutable
+VariableRepr. So is each distinct int, bool, string or char literal (a
+float is not shared: -0.0 == 0.0). Nothing is shared between calls, nor
+between threads. encode_package encodes a variable once per call however
+many places hold it, but gives every place its own dict, so its output has
+no aliasing.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from operator import attrgetter
 
 from . import ir
-from .builders import check_dotted_name, check_identifier
-from .errors import DecodeError, InvalidIdentifier, NestingTooDeep
+from .builders import check_dotted_name, check_float_literal, check_identifier, check_int_literal
+from .errors import DecodeError, InvalidIdentifier, NestingTooDeep, TypeMismatch
 from .patterns import MATH_FNS
 
 SCHEMA_VERSION = 1
@@ -42,6 +53,16 @@ SCHEMA_VERSION = 1
 _REQUIRED = object()
 _MISSING = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
+
+
+class _PerCall(threading.local):
+    """The nodes the running decode_package call of this thread has decoded
+    once (by key), and the variables the running encode_package call has
+    encoded (by id); None outside such a call."""
+    decoded = encoded = None
+
+
+_calls = _PerCall()
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +129,8 @@ def _enum(cls) -> _Kind:
     def dec(raw, path, key):
         member = members.get(raw) if isinstance(raw, str) else None
         return member or _fail(f"field {key!r} must be one of: {allowed}", path)
-    return _Kind(attrgetter("value"), dec)
+    # A dict, not `.value`: on Python 3.11 that goes through an enum property.
+    return _Kind({m: value for value, m in members.items()}.__getitem__, dec)
 
 
 def _choice(values, noun: str, enc=None) -> _Kind:
@@ -193,11 +215,13 @@ class _Row(_Shape):
     """One IR record class <-> one JSON object. `cls` may instead be a
     function of the field values in order (the attributes are then indices),
     or `tuple` for a pair in `if` and `switch`. `check(node, path)` returns
-    the node, or raises for a rule that spans fields."""
+    the node, or raises for a rule that spans fields. `share(data)` gives an
+    exact key for an object whose node is immutable and used in many places,
+    or None: one decode_package call decodes each such object once."""
 
-    def __init__(self, cls, *fields, check=None):
+    def __init__(self, cls, *fields, check=None, share=None, enc=None):
         if hasattr(cls, "__record_values__"):
-            super().__init__()
+            super().__init__(enc)
             self.values = cls.__record_values__
             positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
             _ROW_OF[cls] = self
@@ -206,7 +230,7 @@ class _Row(_Shape):
             self.values = lambda value: value
             positions = [attr for _, attr, _, _ in fields]
         self.make = (lambda *values: values) if cls is tuple else cls
-        self.check, self.head = check, {}
+        self.check, self.share, self.head = check, share, {}
         self.keys = {key for key, _, _, _ in fields}
         self.defaults = [None] * len(fields)
         for (_, _, _, default), pos in zip(fields, positions):
@@ -256,6 +280,16 @@ def _decode(shape: _Shape, data, path):
         if row is None:
             shape.tags.dec(tag, path, shape.key)  # raises
         seen = 1
+    share = row.share
+    if share is not None:
+        share = share(data)
+        try:
+            node = _calls.decoded.get(share)
+        except TypeError:  # content that cannot be hashed
+            share = None
+        else:
+            if node is not None:
+                return node
     args = list(row.defaults)
     for key, pos, sub, dec, default in row.decoders:
         raw = data.get(key, _MISSING)
@@ -271,7 +305,11 @@ def _decode(shape: _Shape, data, path):
         extra = sorted(set(data).difference(row.keys))
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
     node = row.make(*args)
-    return node if row.check is None else row.check(node, path)
+    if row.check is not None:
+        node = row.check(node, path)
+    if share is not None:  # only an object that decoded without error
+        _calls.decoded[share] = node
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +373,57 @@ _LIT_CHECKS = {
 }
 
 
+# The builders' rules for numbers every target can spell; a float's may
+# convert its value.
+_LIT_RULES = {"int": check_int_literal, "float": check_float_literal}
+
+
 def _value_fits_kind(lit: ir.Lit, path):
     if not _LIT_CHECKS[lit.kind](lit.value):
         _fail(f"value does not fit literal kind {lit.kind!r}", path)
-    if lit.kind == "float" and type(lit.value) is not float:
-        return ir.Lit("float", float(lit.value))
-    return lit
+    rule = _LIT_RULES.get(lit.kind)
+    if rule is None:
+        return lit
+    try:
+        value = rule(lit.value)
+    except TypeMismatch as exc:
+        _fail(str(exc), path)
+    return lit if value is lit.value else ir.Lit(lit.kind, value)
+
+
+# Keys of the objects decoded once per document. JSON `true`, `1` and `1.0`
+# are equal in Python, and so are `-0.0` and `0.0`.
+_OBJECT = object()  # marks a nested object in a key
+
+
+def _items(data: dict) -> tuple:
+    """data's items, each nested object as (_OBJECT, its items)."""
+    return tuple([(k, (_OBJECT, _items(v)) if type(v) is dict else v) for k, v in data.items()])
+
+
+def _var_key(data: dict) -> tuple:
+    """A valid variable object holds only strings, nulls and a list or
+    object type's nested object, so its items are an exact key."""
+    return tuple(data.items()) if type(data.get("type")) is not dict else _items(data)
+
+
+def _lit_key(data: dict) -> tuple | None:
+    """A literal's items and its value's type; a float is not shared."""
+    kind = type(data.get("value"))
+    return (kind, *data.items()) if kind is int or kind is str or kind is bool else None
+
+
+def _encode_var(v: ir.VariableRepr) -> dict:
+    """Encodes each variable object once per call; every use gets its own dict."""
+    done = _calls.encoded
+    out = done.get(id(v))
+    if out is None:  # the first use keeps it; the copies are made before it is returned
+        out = done[id(v)] = _encode(v, _VAR)
+        return out
+    out = out.copy()
+    if type(out["type"]) is dict:  # a list or object type gets its own dict too
+        out["type"] = _encode_type(v.type)
+    return out
 
 
 F = _field
@@ -357,12 +440,13 @@ _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
             F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
             F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
-            F("owner", _NAME, default=None), check=_owner_given)
+            F("owner", _NAME, default=None), check=_owner_given, share=_var_key,
+            enc=_encode_var)
 _VARS = _list(_VAR)
 
 _EXPR.define({
     "lit": _Row(ir.Lit, F("kind", _choice(_LIT_CHECKS.keys(), "literal kind")), F("value", _ANY),
-                check=_value_fits_kind),
+                check=_value_fits_kind, share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
     "unary": _Row(ir.Unary, F("name", _operator(1, "unary operator"), "op"), F("operand", _EXPR),
                   F("type", _TYPE, "result")),
@@ -430,7 +514,7 @@ _DOC = _Row(ir.DocSpec, F("description", _STR),
             F("params", _list(_Kind(list, _param_doc)), "param_descs", ()),
             F("returns", _STR, "return_desc", None))
 # A parameter is written as its variable.
-_PARAM = _Kind(lambda p: _encode(p.variable),
+_PARAM = _Kind(lambda p: _encode_var(p.variable),
                lambda raw, path, key: ir.ParamRepr(_decode(_VAR, raw, (path, key))))
 _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
                F("returnType", _TYPE, "return_type"), F("params", _list(_PARAM)),
@@ -479,6 +563,7 @@ _TOO_DEEP_TO_DECODE = "document nests too deeply to decode"
 
 
 def encode_package(pkg: ir.PackageTree) -> dict:
+    _calls.encoded = {}
     try:
         return {
             "version": SCHEMA_VERSION,
@@ -487,6 +572,8 @@ def encode_package(pkg: ir.PackageTree) -> dict:
         }
     except RecursionError:
         raise NestingTooDeep(_TOO_DEEP_TO_ENCODE) from None
+    finally:
+        _calls.encoded = None
 
 
 def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
@@ -500,16 +587,19 @@ def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
 
 
 def decode_package(data: object) -> ir.PackageTree:
+    _calls.decoded = {}
     try:
         return _decode(_DOCUMENT, data, "$")
     except RecursionError:
         raise DecodeError(_TOO_DEEP_TO_DECODE, "$") from None
+    finally:
+        _calls.decoded = None
 
 
 def loads(text: str) -> ir.PackageTree:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number of too many digits
         raise DecodeError(f"invalid JSON: {exc}", "$") from None
     except RecursionError:
         raise DecodeError(_TOO_DEEP_TO_DECODE, "$") from None
