@@ -1,8 +1,15 @@
-"""Validated constructors for the IR.
+"""Validated constructors for the IR, and the rules of well-formed trees.
 
 Everything user-facing goes through here (or `oogen.patterns`); a tree that
 builds without raising is renderable on all four targets. Validation errors
 are the `oogen.errors` taxonomy, raised at construction, never at render.
+
+`RULES` maps an IR class to the rule its nodes obey: it takes the finished
+node and returns it, or raises a `BuildError`. The constructors here and in
+`oogen.patterns` call it as they build, and `oogen.jsonio` on each node it
+decodes. Names are checked per field (`check_identifier`, `check_type`,
+`check_dotted_name`). Only `patterns.in_out_call` (against its callee) and
+`patterns.run_strategy` (its chosen name) check what their node does not hold.
 """
 
 from __future__ import annotations
@@ -13,22 +20,16 @@ import math
 from . import ir
 from ._record import replace
 from .errors import (
-    BuildError,
-    ConstAssignment,
-    DuplicateMethod,
-    DuplicateModule,
-    DuplicateParam,
-    EmptyConditional,
-    InvalidIdentifier,
-    ObserverNotInitialized,
-    TypeMismatch,
-    UnknownParamDoc,
+    BuildError, ConstAssignment, DuplicateMethod, DuplicateModule, DuplicateParam,
+    DuplicateStateLabel, EmptyConditional, InvalidIdentifier, ObserverNotInitialized,
+    SignatureMismatch, TypeMismatch, UnknownParamDoc,
 )
 
 # Enum members the constructors use, loaded once: on Python 3.11 every
 # `ir.VarForm.SELF` at call time goes through `EnumType.__getattr__`.
 _STATIC, _DYNAMIC = ir.Binding.STATIC, ir.Binding.DYNAMIC
 _PUBLIC, _PRIVATE = ir.Scope.PUBLIC, ir.Scope.PRIVATE
+_OWNERLESS = frozenset((ir.VarForm.PLAIN, ir.VarForm.SELF))
 _SELF, _CLASS_MEMBER, _OBJECT_MEMBER, _EXTERNAL = (
     ir.VarForm.SELF, ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER, ir.VarForm.EXTERNAL)
 _FUNCTION, _EXTERNAL_CALL, _CONSTRUCTOR, _METHOD = (
@@ -82,8 +83,331 @@ def check_dotted_name(name: str) -> str:
     return name
 
 
+def float_value(value) -> float:
+    """`value` as a float literal's double, before the literal's rule runs."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeMismatch("float literal too large for a double") from None
+
+
 # ---------------------------------------------------------------------------
-# Variables
+# Rules: `RULES`, at the end of this section, holds one for each IR class
+# that has one. They read `kind` off each TypeRepr and build no nodes.
+
+
+# Every target's int is 32 bits (Java's and C#'s `int`, C++'s on its platforms).
+INT_MIN, INT_MAX = -2**31, 2**31 - 1
+_NUMERIC = ("int", "float")
+_SCALARS = {"bool": ir.BOOL, "int": ir.INT, "float": ir.FLOAT}
+_COMPARISONS = ("?<", "?<=", "?>", "?>=")
+_EQUALITY = ("?==", "?!=")
+_LOGICAL = ("?&&", "?||")
+_STEP_NAMES = {_INC: "&++", _DEC: "&~-"}
+# Functions every target's math namespace provides under some spelling.
+MATH_FNS = ("sin", "cos", "tan", "sqrt", "abs", "floor", "ceil", "log", "exp")
+
+
+def _refuse(message: str, error: type[BuildError] = TypeMismatch):
+    raise error(message)
+
+
+def _require_numeric(op: str, *kinds: str) -> None:
+    for kind in kinds:
+        if kind not in _NUMERIC:
+            _refuse(f"{op} requires numeric operands, got {kind}")
+
+
+def _require_bool(op: str, *kinds: str) -> None:
+    for kind in kinds:
+        if kind != "bool":
+            _refuse(f"{op} requires boolean operands, got {kind}")
+
+
+def _bool_cond(op: str, node):
+    _require_bool(op, node.cond.type.kind)
+    return node
+
+
+def _first_repeat(names: list):
+    """The first of `names` that an earlier one equals, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+
+
+def _type_name(t: ir.TypeRepr) -> str:
+    return f"list of {_type_name(t.elem)}" if t.kind == "list" else t.class_name or t.kind
+
+
+def _unary_kind(name: str, operand: str) -> str:
+    """The kind unary `name` gives on an operand of kind `operand`."""
+    if name == "?!":
+        _require_bool(name, operand)
+        return "bool"
+    _require_numeric(name, operand)
+    return "float" if name == "#/^" else operand
+
+
+def _binary_kind(name: str, left: str, right: str) -> str:
+    """The kind binary `name` gives on operands of kinds `left` and `right`."""
+    if name in _LOGICAL:
+        _require_bool(name, left, right)
+        return "bool"
+    if name in _EQUALITY:
+        if left != right and not (left in _NUMERIC and right in _NUMERIC):
+            _refuse(f"{name} requires matching types, got {left} and {right}")
+        return "bool"
+    if left not in _NUMERIC or right not in _NUMERIC:
+        _require_numeric(name, left, right)
+    if name in _COMPARISONS:
+        return "bool"
+    # Power always joins to float: three of four targets lower it to a
+    # double-returning library call.
+    return "float" if name == "#^" or "float" in (left, right) else "int"
+
+
+def _elem(op: str, lst: ir.ExprRepr) -> ir.TypeRepr:
+    t = lst.type
+    return t.elem if t.kind == "list" else _refuse(f"{op} requires a list, got {t.kind}")
+
+
+def _fits(op: str, node):
+    """`node`, if its value fits its list's elements (ints and floats mix)."""
+    elem, t = _elem(op, node.lst), node.value.type
+    if t != elem and not (t.kind in _NUMERIC and elem.kind in _NUMERIC):
+        _refuse(f"{op}: element type {elem.kind}, value type {t.kind}")
+    return node
+
+
+def _listed(op: str, node):
+    _elem(op, node.lst)
+    return node
+
+
+def _int_index(op: str, node):
+    return node if node.index.type.kind == "int" else _refuse(f"{op} index must be int")
+
+
+def _check_lit(lit: ir.Lit) -> ir.Lit:
+    """Numbers every target spells (32-bit ints, finite doubles), one-letter chars."""
+    kind, value = lit.kind, lit.value
+    if kind == "int" and not INT_MIN <= value <= INT_MAX:
+        _refuse(f"int literal out of range: targets' ints are 32 bits ({INT_MIN}..{INT_MAX})")
+    if kind == "float" and not math.isfinite(value):
+        _refuse(f"float literal must be finite, got {value!r}")
+    if kind == "char" and len(value) != 1:
+        _refuse(f"char literal must be one character: {value!r}")
+    return lit
+
+
+def _check_operator(node: ir.Unary | ir.Binary):
+    name = node.op.name
+    kind = (_unary_kind(name, node.operand.type.kind) if node.op.arity == 1
+            else _binary_kind(name, node.left.type.kind, node.right.type.kind))
+    return node if node.result.kind == kind else _refuse(
+        f"{name} gives {kind}, not {_type_name(node.result)}")
+
+
+def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
+    _bool_cond("inlineIf", node)
+    then, other = node.then.type.kind, node.other.type.kind
+    return node if then == other else _refuse(
+        f"inlineIf branches must agree, got {then} and {other}")
+
+
+def _check_call(node: ir.Call) -> ir.Call:
+    if node.form is _METHOD and node.receiver is None:
+        _refuse("method call requires a 'receiver'", BuildError)
+    if node.form is _EXTERNAL_CALL and node.library is None:
+        _refuse("external call requires a 'library'", BuildError)
+    return node
+
+
+def _check_math(node: ir.MathCall) -> ir.MathCall:
+    fn, kind = node.fn, node.arg.type.kind
+    if fn not in MATH_FNS:
+        _refuse(f"unknown math function {fn!r}")
+    if kind not in _NUMERIC:
+        _refuse(f"{fn} requires a numeric argument, got {kind}")
+    kind = kind if fn == "abs" else "float"  # abs keeps the argument's type
+    return node if node.result.kind == kind else _refuse(
+        f"{fn} gives {kind}, not {_type_name(node.result)}")
+
+
+def _check_assign(node: ir.Assign) -> ir.Assign:
+    mode, value = node.mode, node.value
+    step = _STEP_NAMES.get(mode)
+    if (value is None) != (step is not None):
+        _refuse(f"assign mode {mode.value!r} "
+                + ("takes no 'value'" if step else "requires a 'value'"), BuildError)
+    if step is not None:
+        _require_numeric(step, node.var.type.kind)
+    elif mode is not _SET:
+        _require_numeric("&-=/&+=", node.var.type.kind, value.type.kind)
+    return node
+
+
+def _check_if(node: ir.If) -> ir.If:
+    if not node.branches:
+        _refuse("ifCond requires at least one branch", EmptyConditional)
+    for cond, _ in node.branches:
+        _require_bool("ifCond", cond.type.kind)
+    return node
+
+
+def _check_switch(node: ir.Switch) -> ir.Switch:
+    """Cases are literals of the scrutinee's kind, each once (javac, g++ refuse repeats)."""
+    kind = node.value.type.kind
+    for label, _ in node.cases:
+        if type(label) is not ir.Lit:
+            _refuse("switch case 'match' must be a literal")
+        if label.kind != kind:
+            _refuse(f"switch case {label.value!r} is {label.kind}, scrutinee is {kind}")
+    value = _first_repeat([label.value for label, _ in node.cases])
+    return node if value is None else _refuse(
+        f"switch case {value!r} listed twice", DuplicateStateLabel)
+
+
+def _check_for_range(node: ir.ForRange) -> ir.ForRange:
+    for what, part in (("variable", node.var), ("start", node.start), ("end", node.end),
+                       ("step", node.step)):
+        if part.type.kind != "int":
+            _refuse(f"forRange {what} must be int, got {part.type.kind}")
+    return node
+
+
+def _check_for_each(node: ir.ForEach) -> ir.ForEach:
+    t, v = node.iterable.type, node.var.type
+    if t.kind != "list":
+        _refuse("forEach iterates a list")
+    return node if v == t.elem else _refuse(
+        f"forEach variable is {v.kind}, elements are {t.elem.kind}")
+
+
+def _check_read(node: ir.Read) -> ir.Read:
+    if node.var.type.kind != ("int" if node.parse_int else "string"):
+        _refuse("readInt target must be an int variable" if node.parse_int
+                else "readLine target must be a string variable")
+    return node
+
+
+def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
+    _elem("listSlice", node.source)
+    if node.target.type.kind != "list":
+        _refuse("listSlice target must be a list variable")
+    if any(b is not None and b.type.kind != "int" for b in (node.start, node.end, node.step)):
+        _refuse("listSlice bounds must be int")
+    return node
+
+
+def _check_observer_init(node: ir.ObserverInit) -> ir.ObserverInit:
+    for v in node.init_values:
+        if v.type != node.elem_type:
+            _refuse(f"initObserverList of {_type_name(node.elem_type)},"
+                    f" got {_type_name(v.type)} value")
+    return node
+
+
+def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
+    """Parameters unique and documented ones declared, an in/out procedure
+    with an output; then, unless `body` is False, one walk of the body:
+    observer calls follow initObserverList, and a returned value has the
+    method's return type (or is an int in a float method)."""
+    names = [p.variable.name for p in m.params]
+    name = _first_repeat(names)
+    if name is not None:
+        _refuse(f"parameter {name!r} declared twice", DuplicateParam)
+    for name, _ in m.doc.param_descs if m.doc is not None else ():
+        if name not in names:
+            _refuse(f"{m.name} has no parameter {name!r}", UnknownParamDoc)
+    if m.inout is not None and not (m.inout.outs or m.inout.inouts):
+        _refuse(f"inOutFunc {m.name!r} declares no outputs", SignatureMismatch)
+    returns, initialized = m.return_type, False
+    for stmt in ir.walk(m.body) if body else ():
+        kind = type(stmt)
+        if kind is ir.ObserverInit:
+            initialized = True
+        elif (kind is ir.ObserverAdd or kind is ir.ObserverNotify) and not initialized:
+            _refuse("observer list used before initObserverList in this body",
+                    ObserverNotInitialized)
+        elif kind is ir.Return:
+            value = stmt.value.type
+            if value != returns and (value.kind, returns.kind) != ("int", "float"):
+                _refuse(f"return of {_type_name(value)} from a method returning"
+                        f" {_type_name(returns)}")
+    return m
+
+
+# The variables a statement assigns, by statement class; setting or appending
+# an element writes a variable's list (C++ makes a const list a const vector).
+_WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
+           ir.InOutCall: lambda s: s.outs + s.inouts, ir.ListSlice: lambda s: (s.target,),
+           ir.ListSet: lambda s: (s.lst.var,) if type(s.lst) is ir.ValueOf else (),
+           ir.ExprStmt: lambda s: (s.expr.lst.var,) if type(s.expr) is ir.ListAppend
+           and type(s.expr.lst) is ir.ValueOf else ()}
+
+
+def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
+    name = _first_repeat([m.name for m in c.methods])
+    if name is not None:
+        _refuse(f"class {c.name} declares {name!r} twice", DuplicateMethod)
+    consts = {sv.variable.name for sv in c.state_vars if sv.is_const}
+    for m in c.methods if consts else ():
+        for stmt in ir.walk(m.body):
+            writes = _WRITES.get(type(stmt))
+            for v in writes(stmt) if writes else ():
+                if v.name in consts:
+                    _refuse(f"{c.name}.{v.name} is const but assigned in {m.name}",
+                            ConstAssignment)
+    return c
+
+
+def _check_module(module: ir.ModuleRepr) -> ir.ModuleRepr:
+    name = _first_repeat([f.name for f in module.functions])
+    return module if name is None else _refuse(
+        f"module {module.name} declares function {name!r} twice", DuplicateMethod)
+
+
+def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
+    name = _first_repeat([m.name for m in pkg.modules])
+    if name is not None:
+        _refuse(f"module {name!r} appears twice", DuplicateModule)
+    if sum(f.is_main for m in pkg.modules for f in m.functions) > 1:
+        _refuse("program declares more than one main function", DuplicateMethod)
+    kind = _first_repeat([spec.kind for spec in pkg.aux])
+    return pkg if kind is None else _refuse(
+        f"package lists the auxiliary file kind {kind!r} twice", BuildError)
+
+
+RULES = {
+    ir.VariableRepr: lambda v: v if v.owner is not None or v.form in _OWNERLESS else _refuse(
+        f"form {v.form.value!r} requires an 'owner'", BuildError),
+    ir.Lit: _check_lit, ir.Unary: _check_operator, ir.Binary: _check_operator,
+    ir.InlineIf: _check_inline_if, ir.Call: _check_call, ir.MathCall: _check_math,
+    ir.ArgAt: lambda n: _int_index("argAt", n), ir.ArgExists: lambda n: _int_index("argExists", n),
+    ir.ListAccess: lambda n: _int_index("listAccess", _listed("listAccess", n)),
+    ir.ListSize: lambda n: _listed("listSize", n), ir.ListAppend: lambda n: _fits("listAppend", n),
+    ir.ListIndexExists: lambda n: _int_index("listIndexExists", _listed("listIndexExists", n)),
+    ir.ListIndexOf: lambda n: _fits("indexOf", n), ir.Assign: _check_assign,
+    ir.ListSet: lambda n: _int_index("listSet", _fits("listSet", n)),
+    ir.If: _check_if, ir.Switch: _check_switch, ir.For: lambda n: _bool_cond("for", n),
+    ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
+    ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
+    ir.ListSlice: _check_list_slice, ir.ObserverInit: _check_observer_init,
+    ir.ObserverAdd: lambda n: n if n.value.type.kind == "object" else _refuse(
+        "addObserver takes an object value"),
+    ir.ObserverNotify: lambda n: n if n.elem_type.kind == "object" else _refuse(
+        "notifyObservers element type must be an object type"),
+    ir.MethodRepr: _check_method, ir.ClassDeclRepr: _check_class,
+    ir.ModuleRepr: _check_module, ir.PackageTree: _check_package,
+}
+
+
+# ---------------------------------------------------------------------------
+# Variables: a form that needs an owner takes it as an argument.
 
 
 def var(name: str, type_: ir.TypeRepr, binding: ir.Binding = ir.Binding.DYNAMIC) -> ir.VariableRepr:
@@ -95,24 +419,18 @@ def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(
-        check_identifier(name), check_type(type_), _STATIC, _CLASS_MEMBER,
-        owner=check_identifier(class_name),
-    )
+    return ir.VariableRepr(check_identifier(name), check_type(type_), _STATIC, _CLASS_MEMBER,
+                           owner=check_identifier(class_name))
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(
-        check_identifier(name), check_type(type_), _DYNAMIC, _OBJECT_MEMBER,
-        owner=check_identifier(owner),
-    )
+    return ir.VariableRepr(check_identifier(name), check_type(type_), _DYNAMIC, _OBJECT_MEMBER,
+                           owner=check_identifier(owner))
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(
-        check_identifier(name), check_type(type_), _STATIC, _EXTERNAL,
-        owner=check_identifier(library),
-    )
+    return ir.VariableRepr(check_identifier(name), check_type(type_), _STATIC, _EXTERNAL,
+                           owner=check_identifier(library))
 
 
 def param(variable: ir.VariableRepr) -> ir.ParamRepr:
@@ -127,41 +445,16 @@ def lit_bool(value: bool) -> ir.Lit:
     return ir.Lit("bool", bool(value))
 
 
-# Every target's int is 32 bits (Java's and C#'s `int`, C++'s on its platforms).
-INT_MIN, INT_MAX = -2**31, 2**31 - 1
-
-
-def check_int_literal(value: int) -> int:
-    """An int every target can spell as a literal; javac refuses a larger one."""
-    if not INT_MIN <= value <= INT_MAX:
-        raise TypeMismatch(f"int literal out of range: targets' ints are 32 bits "
-                           f"({INT_MIN}..{INT_MAX})")
-    return value
-
-
-def check_float_literal(value: float) -> float:
-    """A finite double: no target spells NaN or an infinity as a literal."""
-    try:
-        value = float(value)
-    except OverflowError:
-        raise TypeMismatch("float literal too large for a double") from None
-    if not math.isfinite(value):
-        raise TypeMismatch(f"float literal must be finite, got {value!r}")
-    return value
-
-
 def lit_int(value: int) -> ir.Lit:
-    return ir.Lit("int", check_int_literal(int(value)))
+    return RULES[ir.Lit](ir.Lit("int", int(value)))
 
 
 def lit_float(value: float) -> ir.Lit:
-    return ir.Lit("float", check_float_literal(value))
+    return RULES[ir.Lit](ir.Lit("float", float_value(value)))
 
 
 def lit_char(value: str) -> ir.Lit:
-    if len(value) != 1:
-        raise TypeMismatch(f"char literal must be one character: {value!r}")
-    return ir.Lit("char", value)
+    return RULES[ir.Lit](ir.Lit("char", value))
 
 
 def lit_string(value: str) -> ir.Lit:
@@ -172,72 +465,26 @@ def value_of(variable: ir.VariableRepr) -> ir.ValueOf:
     return ir.ValueOf(variable)
 
 
-def _require_numeric(op: str, *exprs: ir.ExprRepr) -> None:
-    for e in exprs:
-        if not e.type.is_numeric:
-            raise TypeMismatch(f"{op} requires numeric operands, got {e.type.kind}")
-
-
-def _require_bool(op: str, *exprs: ir.ExprRepr) -> None:
-    for e in exprs:
-        if e.type.kind != "bool":
-            raise TypeMismatch(f"{op} requires boolean operands, got {e.type.kind}")
-
-
-def _numeric_join(a: ir.TypeRepr, b: ir.TypeRepr) -> ir.TypeRepr:
-    return ir.FLOAT if "float" in (a.kind, b.kind) else ir.INT
+# apply_unary and apply_binary type their result as their rule checks it.
 
 
 def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
     op = ir.OPERATORS.get(op_name)
     if op is None or op.arity != 1:
         raise TypeMismatch(f"unknown unary operator {op_name!r}")
-    if op_name == "?!":
-        _require_bool(op_name, operand)
-        return ir.Unary(op, operand, ir.BOOL)
-    _require_numeric(op_name, operand)
-    if op_name == "#/^":
-        return ir.Unary(op, operand, ir.FLOAT)
-    return ir.Unary(op, operand, operand.type)
-
-
-_COMPARISONS = ("?<", "?<=", "?>", "?>=")
-_EQUALITY = ("?==", "?!=")
-_LOGICAL = ("?&&", "?||")
+    return ir.Unary(op, operand, _SCALARS[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
     op = ir.OPERATORS.get(op_name)
     if op is None or op.arity != 2:
         raise TypeMismatch(f"unknown binary operator {op_name!r}")
-    if op_name in _LOGICAL:
-        _require_bool(op_name, left, right)
-        return ir.Binary(op, left, right, ir.BOOL)
-    if op_name in _COMPARISONS:
-        _require_numeric(op_name, left, right)
-        return ir.Binary(op, left, right, ir.BOOL)
-    if op_name in _EQUALITY:
-        same_kind = left.type.kind == right.type.kind
-        both_numeric = left.type.is_numeric and right.type.is_numeric
-        if not (same_kind or both_numeric):
-            raise TypeMismatch(
-                f"{op_name} requires matching types, got {left.type.kind} and {right.type.kind}"
-            )
-        return ir.Binary(op, left, right, ir.BOOL)
-    _require_numeric(op_name, left, right)
-    # Power always joins to float: three of four targets lower it to a
-    # double-returning library call.
-    result = ir.FLOAT if op_name == "#^" else _numeric_join(left.type, right.type)
-    return ir.Binary(op, left, right, result)
+    kind = _binary_kind(op_name, left.type.kind, right.type.kind)
+    return ir.Binary(op, left, right, _SCALARS[kind])
 
 
 def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.InlineIf:
-    _require_bool("inlineIf", cond)
-    if then.type.kind != other.type.kind:
-        raise TypeMismatch(
-            f"inlineIf branches must agree, got {then.type.kind} and {other.type.kind}"
-        )
-    return ir.InlineIf(cond, then, other)
+    return RULES[ir.InlineIf](ir.InlineIf(cond, then, other))
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
@@ -246,25 +493,18 @@ def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir
 
 
 def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(
-        _EXTERNAL_CALL, check_identifier(name), tuple(args), check_type(return_type),
-        library=check_identifier(library),
-    )
+    return ir.Call(_EXTERNAL_CALL, check_identifier(name), tuple(args), check_type(return_type),
+                   library=check_identifier(library))
 
 
 def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(
-        _CONSTRUCTOR, check_identifier(class_name), tuple(args),
-        ir.obj_of(class_name),
-    )
+    return ir.Call(_CONSTRUCTOR, check_identifier(class_name), tuple(args), ir.obj_of(class_name))
 
 
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
                 args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(
-        _METHOD, check_identifier(name), tuple(args), check_type(return_type),
-        receiver=receiver,
-    )
+    return RULES[ir.Call](ir.Call(_METHOD, check_identifier(name), tuple(args),
+                                  check_type(return_type), receiver=receiver))
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +520,23 @@ def var_dec_def(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.VarDecDef:
 
 
 def assign(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    return ir.Assign(_SET, variable, value)
+    return RULES[ir.Assign](ir.Assign(_SET, variable, value))
 
 
 def add_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    _require_numeric("&-=/&+=", ir.ValueOf(variable), value)
-    return ir.Assign(_ADD_EQ, variable, value)
+    return RULES[ir.Assign](ir.Assign(_ADD_EQ, variable, value))
 
 
 def sub_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    _require_numeric("&-=/&+=", ir.ValueOf(variable), value)
-    return ir.Assign(_SUB_EQ, variable, value)
+    return RULES[ir.Assign](ir.Assign(_SUB_EQ, variable, value))
 
 
 def inc(variable: ir.VariableRepr) -> ir.Assign:
-    _require_numeric("&++", ir.ValueOf(variable))
-    return ir.Assign(_INC, variable, None)
+    return RULES[ir.Assign](ir.Assign(_INC, variable, None))
 
 
 def dec(variable: ir.VariableRepr) -> ir.Assign:
-    _require_numeric("&~-", ir.ValueOf(variable))
-    return ir.Assign(_DEC, variable, None)
+    return RULES[ir.Assign](ir.Assign(_DEC, variable, None))
 
 
 def return_stmt(value: ir.ExprRepr) -> ir.Return:
@@ -333,50 +569,30 @@ def call_stmt(expr: ir.ExprRepr) -> ir.ExprStmt:
 
 def if_cond(branches: list[tuple[ir.ExprRepr, ir.BodyRepr]],
             else_body: ir.BodyRepr | None = None) -> ir.If:
-    if not branches:
-        raise EmptyConditional("ifCond requires at least one branch")
-    for cond, _ in branches:
-        _require_bool("ifCond", cond)
-    return ir.If(tuple(branches), else_body)
+    return RULES[ir.If](ir.If(tuple(branches), else_body))
 
 
 def switch(value: ir.ExprRepr, cases: list[tuple[ir.Lit, ir.BodyRepr]],
            default: ir.BodyRepr | None = None) -> ir.Switch:
-    for case_lit, _ in cases:
-        if case_lit.kind != value.type.kind:
-            raise TypeMismatch(
-                f"switch case {case_lit.value!r} is {case_lit.kind}, scrutinee is {value.type.kind}"
-            )
-    return ir.Switch(value, tuple(cases), default)
+    return RULES[ir.Switch](ir.Switch(value, tuple(cases), default))
 
 
 def for_loop(init: ir.StatementRepr, cond: ir.ExprRepr, update: ir.StatementRepr,
              body_: ir.BodyRepr) -> ir.For:
-    _require_bool("for", cond)
-    return ir.For(init, cond, update, body_)
+    return RULES[ir.For](ir.For(init, cond, update, body_))
 
 
 def for_range(variable: ir.VariableRepr, start: ir.ExprRepr, end: ir.ExprRepr,
               step: ir.ExprRepr, body_: ir.BodyRepr) -> ir.ForRange:
-    for what, part in (("variable", variable), ("start", start), ("end", end), ("step", step)):
-        if part.type.kind != "int":
-            raise TypeMismatch(f"forRange {what} must be int, got {part.type.kind}")
-    return ir.ForRange(variable, start, end, step, body_)
+    return RULES[ir.ForRange](ir.ForRange(variable, start, end, step, body_))
 
 
 def for_each(variable: ir.VariableRepr, iterable: ir.ExprRepr, body_: ir.BodyRepr) -> ir.ForEach:
-    if not iterable.type.is_list:
-        raise TypeMismatch("forEach iterates a list")
-    if variable.type != iterable.type.elem:
-        raise TypeMismatch(
-            f"forEach variable is {variable.type.kind}, elements are {iterable.type.elem.kind}"
-        )
-    return ir.ForEach(variable, iterable, body_)
+    return RULES[ir.ForEach](ir.ForEach(variable, iterable, body_))
 
 
 def while_loop(cond: ir.ExprRepr, body_: ir.BodyRepr) -> ir.While:
-    _require_bool("while", cond)
-    return ir.While(cond, body_)
+    return RULES[ir.While](ir.While(cond, body_))
 
 
 def try_catch(try_body: ir.BodyRepr, catch_body: ir.BodyRepr) -> ir.TryCatch:
@@ -407,66 +623,23 @@ def one_liner(statement: ir.StatementRepr) -> ir.BodyRepr:
 # Methods, classes, modules
 
 
-def _check_params(params: list[ir.ParamRepr]) -> tuple[ir.ParamRepr, ...]:
-    seen: set[str] = set()
-    for p in params:
-        if p.variable.name in seen:
-            raise DuplicateParam(f"parameter {p.variable.name!r} declared twice")
-        seen.add(p.variable.name)
-    return tuple(params)
-
-
-def _check_body(body_: ir.BodyRepr, return_type: ir.TypeRepr) -> None:
-    """One walk of a method body: observer calls follow initObserverList,
-    and each returned value has the method's return type (an int may be
-    returned as a float)."""
-    initialized = False
-    for stmt in ir.walk(body_):
-        kind = type(stmt)
-        if kind is ir.ObserverInit:
-            initialized = True
-        elif (kind is ir.ObserverAdd or kind is ir.ObserverNotify) and not initialized:
-            raise ObserverNotInitialized(
-                "observer list used before initObserverList in this body"
-            )
-        elif kind is ir.Return:
-            value = stmt.value.type
-            if value != return_type and (value.kind, return_type.kind) != ("int", "float"):
-                raise TypeMismatch(
-                    f"return of {_type_name(value)} from a method returning"
-                    f" {_type_name(return_type)}"
-                )
-
-
-def _type_name(t: ir.TypeRepr) -> str:
-    if t.kind == "list":
-        return f"list of {_type_name(t.elem)}"
-    return t.class_name or t.kind
-
-
 def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.TypeRepr,
              params: list[ir.ParamRepr], body_: ir.BodyRepr) -> ir.MethodRepr:
-    check_identifier(name)
-    _check_body(body_, check_type(return_type))
-    return ir.MethodRepr(name, scope, binding, return_type, _check_params(params), body_)
+    return RULES[ir.MethodRepr](ir.MethodRepr(
+        check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_))
 
 
 def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
-    _check_body(body_, ir.VOID)
-    return ir.MethodRepr(
-        "main", _PUBLIC, _STATIC, ir.VOID, (), body_, is_main=True,
-    )
+    return RULES[ir.MethodRepr](ir.MethodRepr("main", _PUBLIC, _STATIC, ir.VOID, (), body_,
+                                              is_main=True))
 
 
 def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
            return_type: ir.TypeRepr, params: list[ir.ParamRepr],
            body_: ir.BodyRepr) -> ir.MethodRepr:
-    check_identifier(name)
-    _check_body(body_, check_type(return_type))
-    return ir.MethodRepr(
-        name, scope, binding, return_type, _check_params(params), body_,
-        containing_class=check_identifier(class_name),
-    )
+    return RULES[ir.MethodRepr](ir.MethodRepr(
+        check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_,
+        containing_class=check_identifier(class_name)))
 
 
 def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr,
@@ -490,42 +663,17 @@ def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
     return state_var(scope, _STATIC, variable, is_const=True)
 
 
-# The variables a statement assigns, by statement class.
-_WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
-           ir.InOutCall: lambda s: s.outs + s.inouts, ir.ListSlice: lambda s: (s.target,)}
-
-
-def _check_const_assignments(cls_name: str, const_names: set[str],
-                             methods: tuple[ir.MethodRepr, ...]) -> None:
-    for m in methods:
-        for stmt in ir.walk(m.body):
-            writes = _WRITES.get(type(stmt))
-            for v in writes(stmt) if writes else ():
-                if v.name in const_names:
-                    raise ConstAssignment(f"{cls_name}.{v.name} is const but assigned in {m.name}")
-
-
 def build_class(name: str, parent: str | None, scope: ir.Scope,
                 state_vars: list[ir.StateVarRepr], methods: list[ir.MethodRepr],
                 doc: ir.DocSpec | None = None) -> ir.ClassDeclRepr:
     check_identifier(name)
     if parent is not None:
         check_identifier(parent)
-    seen: set[str] = set()
-    for m in methods:
-        if m.name in seen:
-            raise DuplicateMethod(f"class {name} declares {m.name!r} twice")
-        seen.add(m.name)
     # Methods built standalone adopt the class; a mismatch is a build bug.
-    placed = tuple(
-        m if m.containing_class == name
-        else replace(m, containing_class=name)
-        for m in methods
-    )
-    const_names = {sv.variable.name for sv in state_vars if sv.is_const}
-    if const_names:
-        _check_const_assignments(name, const_names, placed)
-    return ir.ClassDeclRepr(name, parent, scope, tuple(state_vars), placed, doc)
+    placed = tuple(m if m.containing_class == name else replace(m, containing_class=name)
+                   for m in methods)
+    return RULES[ir.ClassDeclRepr](
+        ir.ClassDeclRepr(name, parent, scope, tuple(state_vars), placed, doc))
 
 
 def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],
@@ -533,33 +681,16 @@ def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],
     check_identifier(name)
     for imp in imports:
         check_dotted_name(imp)
-    seen: set[str] = set()
-    for f in functions:
-        if f.name in seen:
-            raise DuplicateMethod(f"module {name} declares function {f.name!r} twice")
-        seen.add(f.name)
-    return ir.ModuleRepr(name, tuple(imports), tuple(functions), tuple(classes), doc)
+    return RULES[ir.ModuleRepr](
+        ir.ModuleRepr(name, tuple(imports), tuple(functions), tuple(classes), doc))
 
 
 def prog(name: str, modules: list[ir.ModuleRepr]) -> ir.PackageTree:
-    check_identifier(name)
-    seen: set[str] = set()
-    mains = 0
-    for m in modules:
-        if m.name in seen:
-            raise DuplicateModule(f"module {m.name!r} appears twice")
-        seen.add(m.name)
-        mains += sum(1 for f in m.functions if f.is_main)
-    if mains > 1:
-        raise DuplicateMethod("program declares more than one main function")
-    return ir.PackageTree(name, tuple(modules))
+    return RULES[ir.PackageTree](ir.PackageTree(check_identifier(name), tuple(modules)))
 
 
 def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTree:
-    kinds = [spec.kind for spec in aux]
-    if len(kinds) != len(set(kinds)):
-        raise BuildError("package lists an auxiliary file kind twice")
-    return replace(program, aux=tuple(aux))
+    return RULES[ir.PackageTree](replace(program, aux=tuple(aux)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +705,11 @@ def doc_spec(description: str, param_descs: list[tuple[str, str]] | None = None,
 def doc_func(description: str, param_descs: list[tuple[str, str]],
              return_desc: str | None, method_: ir.MethodRepr) -> ir.MethodRepr:
     order = {p.variable.name: i for i, p in enumerate(method_.params)}
-    for name, _ in param_descs:
-        if name not in order:
-            raise UnknownParamDoc(f"{method_.name} has no parameter {name!r}")
     # \param lines come out in declaration order no matter how they were given.
-    ordered = tuple(sorted(param_descs, key=lambda nd: order[nd[0]]))
-    return replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
+    ordered = tuple(sorted(param_descs, key=lambda nd: order.get(nd[0], -1)))
+    # Only the doc changes: the body was checked when method_ was built.
+    documented = replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
+    return _check_method(documented, body=False)
 
 
 def doc_class(description: str, class_: ir.ClassDeclRepr) -> ir.ClassDeclRepr:

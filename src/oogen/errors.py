@@ -1,10 +1,10 @@
 """Errors raised while building IR or rendering it.
 
-Build-time errors (everything except UnsupportedConstruct and DecodeError)
-fire when a program is constructed, so a tree that builds successfully is
-renderable by every backend, unless it nests deeper than Python's
-recursion limit lets a renderer or the JSON encoder walk: that raises
-NestingTooDeep at render or encode time.
+Build-time errors (all but UnsupportedConstruct and DecodeError) fire as a
+program is built, and as a DecodeError at the node as it is decoded, so a
+tree that builds *or decodes* is renderable by every backend, unless it
+nests deeper than Python's recursion limit lets a renderer or the JSON
+encoder walk: that raises NestingTooDeep at render or encode time.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ObserverNotInitialized(BuildError):
 
 
 class DuplicateStateLabel(BuildError):
-    """checkState lists the same state label twice."""
+    """A switch, checkState's too, lists one case label twice."""
 
 
 class UnknownParamDoc(BuildError):

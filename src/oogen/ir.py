@@ -67,10 +67,6 @@ class TypeRepr(metaclass=record):
     class_name: str | None = None
 
     @property
-    def is_numeric(self) -> bool:
-        return self.kind in ("int", "float")
-
-    @property
     def is_list(self) -> bool:
         return self.kind == "list"
 

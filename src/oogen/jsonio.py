@@ -11,8 +11,7 @@ The table at the end of this module is the schema: one row per IR class
 (json key, attribute, field kind, default). One generic encoder (`_encode`)
 and one generic decoder (`_decode`) walk it. A field with a default is left
 out of the encoding when it equals that default, and may be absent when
-decoding; where the default is None, null reads as absent too. Rules that
-span fields are small checks hung on their rows.
+decoding; where the default is None, null reads as absent too.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure: tags, enum spellings, field
@@ -22,10 +21,11 @@ builders' `check_identifier` (program, module, class and parent class,
 method and its class, variable and its owner, call and library, in/out
 call, observer method, object type), and every import their
 `check_dotted_name`, so none can become a path outside the output
-directory or code, and every int and float literal their rules for numbers
-every target can spell (32-bit ints, finite doubles). Other semantic checks
-of the builders are not re-run, so hand-written JSON can express trees the
-builders would reject; backends render those like any other well-shaped tree.
+directory or code. Then each node, a method, class, module and package
+too, must pass its class's rule in `builders.RULES`, which the builders
+run: a failure is a DecodeError at the node with the builder's message.
+Only the checks of `patterns.in_out_call` (against its callee) and
+`patterns.run_strategy` (its chosen name) are not run on decode.
 
 A decoded package shares equal variables, as a built one does: within one
 decode_package call, each distinct variable object is decoded and checked
@@ -44,9 +44,8 @@ import threading
 from operator import attrgetter
 
 from . import ir
-from .builders import check_dotted_name, check_float_literal, check_identifier, check_int_literal
-from .errors import DecodeError, InvalidIdentifier, NestingTooDeep, TypeMismatch
-from .patterns import MATH_FNS
+from .builders import RULES, check_dotted_name, check_identifier, float_value, package
+from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
 SCHEMA_VERSION = 1
 
@@ -214,10 +213,11 @@ def _field(key: str, kind: _Kind, attr: str | int | None = None, default=_REQUIR
 class _Row(_Shape):
     """One IR record class <-> one JSON object. `cls` may instead be a
     function of the field values in order (the attributes are then indices),
-    or `tuple` for a pair in `if` and `switch`. `check(node, path)` returns
-    the node, or raises for a rule that spans fields. `share(data)` gives an
-    exact key for an object whose node is immutable and used in many places,
-    or None: one decode_package call decodes each such object once."""
+    or `tuple` for a pair in `if` and `switch`; a record class's rule runs
+    on each node. `check(node, path)` returns the node, or raises for a
+    payload its field kinds cannot refuse. `share(data)` gives an exact key
+    for an object whose node is immutable and used in many places, or None:
+    one decode_package call decodes each such object once."""
 
     def __init__(self, cls, *fields, check=None, share=None, enc=None):
         if hasattr(cls, "__record_values__"):
@@ -230,7 +230,7 @@ class _Row(_Shape):
             self.values = lambda value: value
             positions = [attr for _, attr, _, _ in fields]
         self.make = (lambda *values: values) if cls is tuple else cls
-        self.check, self.share, self.head = check, share, {}
+        self.check, self.share, self.head, self.rule = check, share, {}, RULES.get(cls)
         self.keys = {key for key, _, _, _ in fields}
         self.defaults = [None] * len(fields)
         for (_, _, _, default), pos in zip(fields, positions):
@@ -304,91 +304,40 @@ def _decode(shape: _Shape, data, path):
     if seen != len(data):
         extra = sorted(set(data).difference(row.keys))
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
-    node = row.make(*args)
-    if row.check is not None:
-        node = row.check(node, path)
+    try:
+        node = row.make(*args)
+        if row.check is not None:
+            node = row.check(node, path)
+        if row.rule is not None:
+            row.rule(node)
+    except BuildError as exc:
+        _fail(str(exc), path)
     if share is not None:  # only an object that decoded without error
         _calls.decoded[share] = node
     return node
 
 
 # ---------------------------------------------------------------------------
-# The table, and the rules that span fields. A field is F(json key, kind[,
-# attribute][, default]); the attribute is the json key unless given.
-
-
-# Enum members the checks below test, loaded once: on Python 3.11 every
-# `ir.VarForm.PLAIN` at call time goes through `EnumType.__getattr__`.
-_OWNERLESS_FORMS = frozenset((ir.VarForm.PLAIN, ir.VarForm.SELF))
-_STEP_MODES = frozenset((ir.AssignMode.INC, ir.AssignMode.DEC))
-_METHOD_CALL, _EXTERNAL_CALL = ir.CallForm.METHOD, ir.CallForm.EXTERNAL
-
-
-def _owner_given(v: ir.VariableRepr, path):
-    if v.owner is None and v.form not in _OWNERLESS_FORMS:
-        _fail(f"form {v.form.value!r} requires an 'owner'", path)
-    return v
-
-
-def _call_target_given(c: ir.Call, path):
-    if c.form is _METHOD_CALL and c.receiver is None:
-        _fail("method call requires a 'receiver'", path)
-    if c.form is _EXTERNAL_CALL and c.library is None:
-        _fail("external call requires a 'library'", path)
-    return c
-
-
-def _value_fits_mode(s: ir.Assign, path):
-    needs_value = s.mode not in _STEP_MODES
-    if needs_value and s.value is None:
-        _fail(f"assign mode {s.mode.value!r} requires a 'value'", path)
-    if not needs_value and s.value is not None:
-        _fail(f"assign mode {s.mode.value!r} takes no 'value'", path)
-    return s
-
-
-def _has_branch(s: ir.If, path):
-    return s if s.branches else _fail("'if' requires at least one branch", path)
-
-
-def _match_is_literal(case: tuple, path):
-    return case if isinstance(case[0], ir.Lit) else _fail(
-        "switch case 'match' must be a literal", path)
-
-
-def _aux_kinds_unique(pkg: ir.PackageTree, path):
-    kinds = [spec.kind for spec in pkg.aux]
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            _fail(f"aux file kind {kind!r} listed twice", ((path, "aux"), i))
-    return pkg
+# The table. A field is F(json key, kind[, attribute][, default]); the
+# attribute is the json key unless given.
 
 
 _LIT_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "char": lambda v: isinstance(v, str) and len(v) == 1,
+    "char": lambda v: isinstance(v, str),
     "string": lambda v: isinstance(v, str),
 }
 
 
-# The builders' rules for numbers every target can spell; a float's may
-# convert its value.
-_LIT_RULES = {"int": check_int_literal, "float": check_float_literal}
-
-
 def _value_fits_kind(lit: ir.Lit, path):
+    """A payload of the JSON type its kind needs; a float's int becomes a double."""
     if not _LIT_CHECKS[lit.kind](lit.value):
         _fail(f"value does not fit literal kind {lit.kind!r}", path)
-    rule = _LIT_RULES.get(lit.kind)
-    if rule is None:
-        return lit
-    try:
-        value = rule(lit.value)
-    except TypeMismatch as exc:
-        _fail(str(exc), path)
-    return lit if value is lit.value else ir.Lit(lit.kind, value)
+    if lit.kind == "float" and type(lit.value) is not float:
+        return ir.Lit("float", float_value(lit.value))
+    return lit
 
 
 # Keys of the objects decoded once per document. JSON `true`, `1` and `1.0`
@@ -440,7 +389,7 @@ _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
             F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
             F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
-            F("owner", _NAME, default=None), check=_owner_given, share=_var_key,
+            F("owner", _NAME, default=None), share=_var_key,
             enc=_encode_var)
 _VARS = _list(_VAR)
 
@@ -455,8 +404,8 @@ _EXPR.define({
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
     "call": _Row(ir.Call, F("form", _enum(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "return_type"), F("receiver", _EXPR, default=None),
-                 F("library", _NAME, default=None), check=_call_target_given),
-    "math": _Row(ir.MathCall, F("fn", _choice(MATH_FNS, "math function")), F("arg", _EXPR),
+                 F("library", _NAME, default=None)),
+    "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR),
                  F("type", _TYPE, "result")),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
@@ -472,7 +421,7 @@ _STMT.define({
     "varDec": _Row(ir.VarDec, F("var", _VAR)),
     "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
     "assign": _Row(ir.Assign, F("mode", _enum(ir.AssignMode)), F("var", _VAR),
-                   F("value", _EXPR, default=None), check=_value_fits_mode),
+                   F("value", _EXPR, default=None)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
     "throw": _Row(ir.Throw, F("message", _STR)),
@@ -483,10 +432,9 @@ _STMT.define({
     "expr": _Row(ir.ExprStmt, F("expr", _EXPR)),
     "block": _Row(ir.BlockRepr, F("statements", _list(_STMT))),
     "if": _Row(ir.If, F("branches", _list(_Row(tuple, F("cond", _EXPR, 0), F("body", _BODY, 1)))),
-               F("else", _BODY, "else_body", None), check=_has_branch),
+               F("else", _BODY, "else_body", None)),
     "switch": _Row(ir.Switch, F("value", _EXPR),
-                   F("cases", _list(_Row(tuple, F("match", _EXPR, 0), F("body", _BODY, 1),
-                                         check=_match_is_literal))),
+                   F("cases", _list(_Row(tuple, F("match", _EXPR, 0), F("body", _BODY, 1)))),
                    F("default", _BODY, default=None)),
     "for": _Row(ir.For, F("init", _STMT), F("cond", _EXPR), F("update", _STMT),
                 F("body", _BODY)),
@@ -530,7 +478,7 @@ _CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),
 _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)),
                F("doc", _DOC, default=None))
-_PROGRAM = _Row(tuple, F("name", _NAME, 0), F("modules", _list(_MODULE), 1))
+_PROGRAM = _Row(ir.PackageTree, F("name", _NAME), F("modules", _list(_MODULE)))
 _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
                     F("docRule", _BOOL, "with_doc_rule", False)))
 
@@ -544,10 +492,10 @@ def _version(raw, path, key):
 
 
 _VERSION = _Kind(None, _version)
-# The document itself; encode_package writes "aux" even when it is empty.
-_DOCUMENT = _Row(lambda version, program, aux: ir.PackageTree(*program, aux),
-                 F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2, ()),
-                 check=_aux_kinds_unique)
+# The document itself; encode_package writes "aux" even when it is empty. Its
+# program decodes as `builders.prog` builds one, then gets its aux files.
+_DOCUMENT = _Row(lambda version, program, aux: package(program, aux),
+                 F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2, ()))
 del F
 
 
@@ -567,7 +515,7 @@ def encode_package(pkg: ir.PackageTree) -> dict:
     try:
         return {
             "version": SCHEMA_VERSION,
-            "program": {"name": pkg.name, "modules": [_encode(m) for m in pkg.modules]},
+            "program": _encode(pkg, _PROGRAM),
             "aux": [_encode(a) for a in pkg.aux],
         }
     except RecursionError:

@@ -3,33 +3,20 @@
 Math/argument/list/print helpers return core IR; the design patterns
 (in/out procedures, getters/setters, Strategy, Observer, State) either
 partially evaluate at build time or produce dedicated nodes that backends
-lower idiomatically.
+lower idiomatically. Their nodes pass `builders.RULES` as they are built.
 """
 
 from __future__ import annotations
 
 from . import builders as bd
 from . import ir
-from ._record import replace
-from .errors import (
-    DuplicateStateLabel,
-    SignatureMismatch,
-    TypeMismatch,
-    UnknownStrategy,
-)
-
-# Functions every target's math namespace provides under some spelling.
-MATH_FNS = ("sin", "cos", "tan", "sqrt", "abs", "floor", "ceil", "log", "exp")
+from .builders import RULES as _RULES
+from .errors import SignatureMismatch, UnknownStrategy
 
 
 def math_fn(name: str, arg: ir.ExprRepr) -> ir.MathCall:
-    if name not in MATH_FNS:
-        raise TypeMismatch(f"unknown math function {name!r}")
-    if not arg.type.is_numeric:
-        raise TypeMismatch(f"{name} requires a numeric argument, got {arg.type.kind}")
-    # abs preserves the argument type; the rest return float.
-    result = arg.type if name == "abs" else ir.FLOAT
-    return ir.MathCall(name, arg, result)
+    # abs keeps the argument's type; the rest give float.
+    return _RULES[ir.MathCall](ir.MathCall(name, arg, arg.type if name == "abs" else ir.FLOAT))
 
 
 # ---------------------------------------------------------------------------
@@ -41,84 +28,45 @@ def args_list() -> ir.ArgsList:
 
 
 def arg_at(index: ir.ExprRepr) -> ir.ArgAt:
-    if index.type.kind != "int":
-        raise TypeMismatch("argAt index must be int")
-    return ir.ArgAt(index)
+    return _RULES[ir.ArgAt](ir.ArgAt(index))
 
 
 def arg_exists(index: ir.ExprRepr) -> ir.ArgExists:
-    if index.type.kind != "int":
-        raise TypeMismatch("argExists index must be int")
-    return ir.ArgExists(index)
+    return _RULES[ir.ArgExists](ir.ArgExists(index))
 
 
 # ---------------------------------------------------------------------------
 # Lists
 
 
-def _require_list(op: str, lst: ir.ExprRepr) -> ir.TypeRepr:
-    if not lst.type.is_list:
-        raise TypeMismatch(f"{op} requires a list, got {lst.type.kind}")
-    return lst.type.elem
-
-
-def _check_elem(op: str, elem: ir.TypeRepr, value: ir.ExprRepr) -> None:
-    if elem == value.type:
-        return
-    if elem.is_numeric and value.type.is_numeric:
-        return  # int literals may feed float lists and vice versa
-    raise TypeMismatch(f"{op}: element type {elem.kind}, value type {value.type.kind}")
-
-
 def list_access(lst: ir.ExprRepr, index: ir.ExprRepr) -> ir.ListAccess:
-    _require_list("listAccess", lst)
-    if index.type.kind != "int":
-        raise TypeMismatch("listAccess index must be int")
-    return ir.ListAccess(lst, index)
+    return _RULES[ir.ListAccess](ir.ListAccess(lst, index))
 
 
 def list_size(lst: ir.ExprRepr) -> ir.ListSize:
-    _require_list("listSize", lst)
-    return ir.ListSize(lst)
+    return _RULES[ir.ListSize](ir.ListSize(lst))
 
 
 def list_append(lst: ir.ExprRepr, value: ir.ExprRepr) -> ir.ListAppend:
-    elem = _require_list("listAppend", lst)
-    _check_elem("listAppend", elem, value)
-    return ir.ListAppend(lst, value)
+    return _RULES[ir.ListAppend](ir.ListAppend(lst, value))
 
 
 def list_set(lst: ir.ExprRepr, index: ir.ExprRepr, value: ir.ExprRepr) -> ir.ListSet:
-    elem = _require_list("listSet", lst)
-    if index.type.kind != "int":
-        raise TypeMismatch("listSet index must be int")
-    _check_elem("listSet", elem, value)
-    return ir.ListSet(lst, index, value)
+    return _RULES[ir.ListSet](ir.ListSet(lst, index, value))
 
 
 def list_index_exists(lst: ir.ExprRepr, index: ir.ExprRepr) -> ir.ListIndexExists:
-    _require_list("listIndexExists", lst)
-    if index.type.kind != "int":
-        raise TypeMismatch("listIndexExists index must be int")
-    return ir.ListIndexExists(lst, index)
+    return _RULES[ir.ListIndexExists](ir.ListIndexExists(lst, index))
 
 
 def index_of(lst: ir.ExprRepr, value: ir.ExprRepr) -> ir.ListIndexOf:
-    elem = _require_list("indexOf", lst)
-    _check_elem("indexOf", elem, value)
-    return ir.ListIndexOf(lst, value)
+    return _RULES[ir.ListIndexOf](ir.ListIndexOf(lst, value))
 
 
 def list_slice(target: ir.VariableRepr, source: ir.ExprRepr,
                start: ir.ExprRepr | None = None, end: ir.ExprRepr | None = None,
                step: ir.ExprRepr | None = None) -> ir.ListSlice:
-    _require_list("listSlice", source)
-    if not target.type.is_list:
-        raise TypeMismatch("listSlice target must be a list variable")
-    for bound in (start, end, step):
-        if bound is not None and bound.type.kind != "int":
-            raise TypeMismatch("listSlice bounds must be int")
-    return ir.ListSlice(target, source, start, end, step)
+    return _RULES[ir.ListSlice](ir.ListSlice(target, source, start, end, step))
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +90,11 @@ def print_str_ln(text: str) -> ir.Print:
 
 
 def read_line(variable: ir.VariableRepr) -> ir.Read:
-    if variable.type.kind != "string":
-        raise TypeMismatch("readLine target must be a string variable")
-    return ir.Read(variable, parse_int=False)
+    return _RULES[ir.Read](ir.Read(variable, parse_int=False))
 
 
 def read_int(variable: ir.VariableRepr) -> ir.Read:
-    if variable.type.kind != "int":
-        raise TypeMismatch("readInt target must be an int variable")
-    return ir.Read(variable, parse_int=True)
+    return _RULES[ir.Read](ir.Read(variable, parse_int=True))
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +110,14 @@ def in_out_func(name: str, scope: ir.Scope, binding: ir.Binding,
     declared parameter order everywhere is in-outs, ins, outs.
     """
     spec = ir.InOutSpec(tuple(ins), tuple(outs), tuple(inouts))
-    if not spec.outs and not spec.inouts:
-        raise SignatureMismatch(f"inOutFunc {name!r} declares no outputs")
-    params = [bd.param(v) for v in spec.inouts + spec.ins + spec.outs]
-    base = bd.function(name, scope, binding, ir.VOID, params, body_)
-    return replace(base, inout=spec)
+    params = tuple([ir.ParamRepr(v) for v in spec.inouts + spec.ins + spec.outs])
+    return _RULES[ir.MethodRepr](ir.MethodRepr(
+        bd.check_identifier(name), scope, binding, ir.VOID, params, body_, inout=spec))
 
 
 def in_out_call(func: ir.MethodRepr, ins: list[ir.ExprRepr],
                 outs: list[ir.VariableRepr], inouts: list[ir.VariableRepr]) -> ir.InOutCall:
+    """Checked against `func`, which a decoded in/out call does not hold."""
     spec = func.inout
     if spec is None:
         raise SignatureMismatch(f"{func.name!r} is not an inOutFunc")
@@ -259,25 +202,15 @@ def observer_list_var(elem_type: ir.TypeRepr) -> ir.VariableRepr:
 
 
 def init_observer_list(elem_type: ir.TypeRepr, init_values: list[ir.ExprRepr]) -> ir.ObserverInit:
-    for v in init_values:
-        if v.type != elem_type:
-            raise TypeMismatch(
-                f"initObserverList of {elem_type.class_name}, got {v.type.kind} value"
-            )
-    return ir.ObserverInit(elem_type, tuple(init_values))
+    return _RULES[ir.ObserverInit](ir.ObserverInit(elem_type, tuple(init_values)))
 
 
 def add_observer(value: ir.ExprRepr) -> ir.ObserverAdd:
-    if value.type.kind != "object":
-        raise TypeMismatch("addObserver takes an object value")
-    return ir.ObserverAdd(value, value.type)
+    return _RULES[ir.ObserverAdd](ir.ObserverAdd(value, value.type))
 
 
 def notify_observers(method: str, elem_type: ir.TypeRepr) -> ir.ObserverNotify:
-    bd.check_identifier(method)
-    if elem_type.kind != "object":
-        raise TypeMismatch("notifyObservers element type must be an object type")
-    return ir.ObserverNotify(method, elem_type)
+    return _RULES[ir.ObserverNotify](ir.ObserverNotify(bd.check_identifier(method), elem_type))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +231,4 @@ def change_state(name: str, new_label: str) -> ir.Assign:
 
 def check_state(name: str, branches: list[tuple[ir.Lit, ir.BodyRepr]],
                 fallback: ir.BodyRepr) -> ir.Switch:
-    seen: set[object] = set()
-    for label, _ in branches:
-        if label.kind != "string":
-            raise TypeMismatch("checkState labels must be string literals")
-        if label.value in seen:
-            raise DuplicateStateLabel(f"state label {label.value!r} listed twice")
-        seen.add(label.value)
     return bd.switch(bd.value_of(_state_var(name)), branches, fallback)

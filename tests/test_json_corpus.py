@@ -4,8 +4,9 @@ The mutations are: delete each key; add an unknown key to each object; set
 each value to null, 1, "x", [], {}, true and 2.5; replace the first element
 of each array with {}. The outcome of every mutation of the all-tags
 package is recorded in decode_corpus.txt, one `mutation<TAB>outcome` line
-each, values with the same outcome at one place sharing a line. After a
-deliberate change to the decoder's messages, rewrite it with
+each, values with the same outcome at one place sharing a line, and every
+one that decodes renders on all four targets. After a deliberate change to
+the decoder's messages or rules, rewrite it with
 
     PYTHONPATH=src python tests/test_json_corpus.py
 
@@ -19,6 +20,7 @@ import pytest
 
 import all_tags
 from oogen import builders as bd, gallery, jsonio
+from oogen.backends import TARGETS, get_backend
 from oogen.errors import DecodeError, InvalidIdentifier
 
 FIXTURE = Path(__file__).with_name("decode_corpus.txt")
@@ -51,9 +53,9 @@ def mutations(doc):
     return list(walk(doc, []))
 
 
-def outcome(text: str, steps, value) -> str:
-    """Decode the document in `text` after one mutation: "ok" or the
-    DecodeError text. Any other exception propagates."""
+def decoded(text: str, steps, value):
+    """The package the document in `text` decodes to after one mutation, or
+    the DecodeError text. Any other exception propagates."""
     doc = json.loads(text)
     node = doc
     for step in steps[:-1]:
@@ -63,10 +65,15 @@ def outcome(text: str, steps, value) -> str:
     else:
         node[steps[-1]] = value
     try:
-        jsonio.decode_package(doc)
+        return jsonio.decode_package(doc)
     except DecodeError as exc:
         return str(exc)
-    return "ok"
+
+
+def outcome(text: str, steps, value) -> str:
+    """"ok" or the DecodeError text."""
+    result = decoded(text, steps, value)
+    return result if isinstance(result, str) else "ok"
 
 
 def corpus_lines(pkg) -> list[str]:
@@ -86,6 +93,23 @@ def corpus_lines(pkg) -> list[str]:
 
 def test_all_tags_mutations_match_recorded_outcomes():
     assert corpus_lines(all_tags.package()) == FIXTURE.read_text().splitlines()
+
+
+def test_all_tags_mutations_that_decode_render_on_every_target():
+    text = json.dumps(jsonio.encode_package(all_tags.package()))
+    rendered = 0
+    for steps, value in mutations(json.loads(text)):
+        pkg = decoded(text, steps, value)
+        if not isinstance(pkg, str):
+            for target in TARGETS:
+                get_backend(target).render_package(pkg)
+            rendered += 1
+    ok = 0
+    for line in FIXTURE.read_text().splitlines():
+        label, result = line.split("\t")
+        if result == "ok":  # a deletion has its own line; the values set at one place share one
+            ok += 1 if label.startswith("del ") else label.count("|") + 1
+    assert rendered == ok
 
 
 @pytest.mark.parametrize("entry", gallery.ENTRIES, ids=lambda e: e.name)

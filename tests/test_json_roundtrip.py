@@ -186,7 +186,9 @@ def test_literal_type_mismatch_rejected():
 def test_duplicate_aux_kind_rejected():
     doc = _doc()
     doc["aux"] = [{"kind": "makefile"}, {"kind": "makefile"}]
-    _expect_error(doc, "$.aux", "makefile")
+    with pytest.raises(DecodeError) as err:  # refused by the package's rule, at the package
+        jsonio.loads(json.dumps(doc))
+    assert str(err.value) == "$: package lists the auxiliary file kind 'makefile' twice"
 
 
 def test_malformed_json_reports_invalid():

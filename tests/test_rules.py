@@ -1,0 +1,226 @@
+"""`builders.RULES` is the one statement of what a well-formed node is. For
+each IR class it has a rule for, a JSON document that breaks the rule is
+refused on decode at that node's path, with the message the builders raise
+for the same mistake."""
+
+import json
+
+import pytest
+
+from oogen import builders as bd, ir, jsonio, patterns as pt
+from oogen.errors import BuildError, ConstAssignment, DecodeError, DuplicateStateLabel
+
+_MODULE = "$.program.modules[0]"
+_MAIN = _MODULE + ".functions[0]"
+_STMT = _MAIN + ".body[0][0]"
+
+
+def _lit(kind, value):
+    return {"op": "lit", "kind": kind, "value": value}
+
+
+ONE, TEXT = _lit("int", 1), _lit("string", "s")
+INT_LIST = {"kind": "list", "elem": "int"}
+XS = {"op": "var", "var": {"name": "xs", "type": INT_LIST}}
+FUNCTION = {"name": "f", "scope": "public", "binding": "static", "returnType": "void",
+            "params": [], "body": []}
+
+
+def _xs():
+    return bd.value_of(bd.var("xs", ir.list_of(ir.INT)))
+
+
+def _f():
+    return bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [], bd.body([]))
+
+
+def _base() -> dict:
+    """A package whose main prints 0: body[0][0] is the print."""
+    main = bd.main_function(bd.one_liner(pt.print_ln(bd.lit_int(0))))
+    return jsonio.encode_package(bd.prog("p", [bd.build_module("Main", [], [main], [])]))
+
+
+def _expr(node):
+    """Print `node` instead of 0."""
+    def put(doc):
+        doc["program"]["modules"][0]["functions"][0]["body"][0][0]["expr"] = node
+        return _STMT + ".expr"
+    return put
+
+
+def _stmt(node, at=""):
+    """Replace the print with `node`; the rule's node is at `at` inside it."""
+    def put(doc):
+        doc["program"]["modules"][0]["functions"][0]["body"][0][0] = node
+        return _STMT + at
+    return put
+
+
+def _module(**fields):
+    def put(doc):
+        doc["program"]["modules"][0].update(fields)
+        return _MODULE
+    return put
+
+
+def _duplicate_module(doc):
+    modules = doc["program"]["modules"]
+    modules.append(json.loads(json.dumps(modules[0])))
+    return "$.program"
+
+
+def _duplicate_params(doc):
+    doc["program"]["modules"][0]["functions"][0]["params"] = [
+        {"name": "x", "type": "int"}, {"name": "x", "type": "int"}]
+    return _MAIN
+
+
+_METHOD = dict(FUNCTION, name="m", binding="dynamic", **{"class": "C"})
+_X = bd.var("x", ir.INT)
+_EMPTY = bd.body([])
+
+# IR class -> (a change that breaks its rule in the base document and gives
+# the broken node's path, the builder call that breaks it the same way).
+CASES = {
+    # The variable constructors take the owner a form needs as an argument,
+    # so no builder can leave it out: the rule runs on an IR node here.
+    ir.VariableRepr: (
+        _stmt({"stmt": "varDec", "var": {"name": "x", "type": "int", "form": "objectMember"}},
+              ".var"),
+        lambda: bd.RULES[ir.VariableRepr](
+            ir.VariableRepr("x", ir.INT, form=ir.VarForm.OBJECT_MEMBER))),
+    ir.Lit: (_expr(_lit("int", 2**31)), lambda: bd.lit_int(2**31)),
+    ir.Unary: (_expr({"op": "unary", "name": "?!", "operand": ONE, "type": "bool"}),
+               lambda: bd.apply_unary("?!", bd.lit_int(1))),
+    # `x = True + "s"` fails in Python and in javac.
+    ir.Binary: (_expr({"op": "binary", "name": "#+", "left": _lit("bool", True),
+                       "right": TEXT, "type": "int"}),
+                lambda: bd.apply_binary("#+", bd.lit_bool(True), bd.lit_string("s"))),
+    ir.InlineIf: (_expr({"op": "inlineIf", "cond": ONE, "then": ONE, "else": ONE}),
+                  lambda: bd.inline_if(bd.lit_int(1), bd.lit_int(1), bd.lit_int(1))),
+    ir.Call: (_expr({"op": "call", "form": "method", "name": "f", "args": [],
+                     "returnType": "int"}),
+              lambda: bd.method_call(None, "f", ir.INT, [])),
+    ir.MathCall: (_expr({"op": "math", "fn": "sin", "arg": TEXT, "type": "float"}),
+                  lambda: pt.math_fn("sin", bd.lit_string("s"))),
+    ir.ArgAt: (_expr({"op": "argAt", "index": TEXT}), lambda: pt.arg_at(bd.lit_string("s"))),
+    ir.ArgExists: (_expr({"op": "argExists", "index": TEXT}),
+                   lambda: pt.arg_exists(bd.lit_string("s"))),
+    ir.ListAccess: (_expr({"op": "listAccess", "list": ONE, "index": ONE}),
+                    lambda: pt.list_access(bd.lit_int(1), bd.lit_int(1))),
+    ir.ListSize: (_expr({"op": "listSize", "list": ONE}), lambda: pt.list_size(bd.lit_int(1))),
+    ir.ListAppend: (_expr({"op": "listAppend", "list": XS, "value": TEXT}),
+                    lambda: pt.list_append(_xs(), bd.lit_string("s"))),
+    ir.ListIndexExists: (_expr({"op": "listIndexExists", "list": XS, "index": TEXT}),
+                         lambda: pt.list_index_exists(_xs(), bd.lit_string("s"))),
+    ir.ListIndexOf: (_expr({"op": "listIndexOf", "list": XS, "value": TEXT}),
+                     lambda: pt.index_of(_xs(), bd.lit_string("s"))),
+    ir.Assign: (_stmt({"stmt": "assign", "mode": "set", "var": {"name": "x", "type": "int"}}),
+                lambda: bd.assign(_X, None)),
+    ir.ListSet: (_stmt({"stmt": "listSet", "list": XS, "index": TEXT, "value": ONE}),
+                 lambda: pt.list_set(_xs(), bd.lit_string("s"), bd.lit_int(1))),
+    ir.If: (_stmt({"stmt": "if", "branches": []}), lambda: bd.if_cond([])),
+    ir.Switch: (_stmt({"stmt": "switch", "value": ONE, "cases": [
+                    {"match": ONE, "body": []}, {"match": ONE, "body": []}]}),
+                lambda: bd.switch(bd.lit_int(1), [(bd.lit_int(1), _EMPTY)] * 2)),
+    ir.For: (_stmt({"stmt": "for", "init": {"stmt": "break"}, "cond": ONE,
+                    "update": {"stmt": "break"}, "body": []}),
+             lambda: bd.for_loop(bd.break_stmt(), bd.lit_int(1), bd.break_stmt(), _EMPTY)),
+    ir.ForRange: (_stmt({"stmt": "forRange", "var": {"name": "i", "type": "float"},
+                         "start": ONE, "end": ONE, "step": ONE, "body": []}),
+                  lambda: bd.for_range(bd.var("i", ir.FLOAT), bd.lit_int(1), bd.lit_int(1),
+                                       bd.lit_int(1), _EMPTY)),
+    ir.ForEach: (_stmt({"stmt": "forEach", "var": {"name": "x", "type": "int"},
+                        "iterable": ONE, "body": []}),
+                 lambda: bd.for_each(_X, bd.lit_int(1), _EMPTY)),
+    ir.While: (_stmt({"stmt": "while", "cond": ONE, "body": []}),
+               lambda: bd.while_loop(bd.lit_int(1), _EMPTY)),
+    ir.Read: (_stmt({"stmt": "read", "var": {"name": "s", "type": "string"}, "parseInt": True}),
+              lambda: pt.read_int(bd.var("s", ir.STRING))),
+    ir.ListSlice: (_stmt({"stmt": "listSlice", "target": {"name": "xs", "type": INT_LIST},
+                          "source": ONE}),
+                   lambda: pt.list_slice(bd.var("xs", ir.list_of(ir.INT)), bd.lit_int(1))),
+    ir.ObserverInit: (_stmt({"stmt": "observerInit", "elemType": {"kind": "object", "class": "O"},
+                             "init": [ONE]}),
+                      lambda: pt.init_observer_list(ir.obj_of("O"), [bd.lit_int(1)])),
+    ir.ObserverAdd: (_stmt({"stmt": "observerAdd", "value": ONE, "elemType": "int"}),
+                     lambda: pt.add_observer(bd.lit_int(1))),
+    ir.ObserverNotify: (_stmt({"stmt": "observerNotify", "method": "m", "elemType": "int"}),
+                        lambda: pt.notify_observers("m", ir.INT)),
+    ir.MethodRepr: (_duplicate_params,
+                    lambda: bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
+                                        [bd.param(_X), bd.param(_X)], _EMPTY)),
+    ir.ClassDeclRepr: (
+        lambda doc: _module(classes=[{"name": "C", "scope": "public", "stateVars": [],
+                                      "methods": [_METHOD, _METHOD]}])(doc) + ".classes[0]",
+        lambda: bd.build_class("C", None, ir.Scope.PUBLIC, [], [
+            bd.method("m", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], _EMPTY)] * 2)),
+    ir.ModuleRepr: (_module(functions=[FUNCTION, FUNCTION]),
+                    lambda: bd.build_module("Main", [], [_f(), _f()], [])),
+    ir.PackageTree: (_duplicate_module,
+                     lambda: bd.prog("p", [bd.build_module("Main", [], [], [])] * 2)),
+}
+
+
+def test_every_rule_has_a_case():
+    assert set(CASES) == set(bd.RULES)
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_decode_refuses_what_the_builder_refuses(cls):
+    put, build = CASES[cls]
+    doc = _base()
+    path = put(doc)
+    with pytest.raises(BuildError) as built:
+        build()
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.loads(json.dumps(doc))
+    assert decoded.value.path == path
+    assert str(decoded.value) == f"{path}: {built.value}"
+
+
+# javac: "duplicate case label"; g++: "duplicate case value".
+
+def test_a_repeated_switch_case_is_refused_built_and_decoded():
+    one, two = bd.lit_int(1), bd.lit_int(2)
+    with pytest.raises(DuplicateStateLabel, match="switch case 1 listed twice"):
+        bd.switch(bd.lit_int(1), [(one, _EMPTY), (two, _EMPTY), (one, _EMPTY)])
+    with pytest.raises(DuplicateStateLabel, match="switch case 'On' listed twice"):
+        pt.check_state("s", [(bd.lit_string("On"), _EMPTY)] * 2, _EMPTY)
+    doc = _base()
+    _stmt({"stmt": "switch", "value": ONE, "cases": [
+        {"match": ONE, "body": []}, {"match": _lit("int", 2), "body": []},
+        {"match": ONE, "body": []}]})(doc)
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == f"{_STMT}: switch case 1 listed twice"
+
+
+# g++: "assignment of read-only location" for a set, "discards qualifiers"
+# for an append, on a const vector.
+
+_MUTATIONS = {
+    "listSet": lambda xs: pt.list_set(xs, bd.lit_int(0), bd.lit_int(1)),
+    "listAppend": lambda xs: bd.call_stmt(pt.list_append(xs, bd.lit_int(1))),
+}
+
+
+def _class_mutating_xs(mutate, const):
+    xs = bd.self_var("xs", ir.list_of(ir.INT))
+    state = bd.state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, bd.var("xs", xs.type), const)
+    grow = bd.method("grow", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
+                     bd.one_liner(mutate(bd.value_of(xs))))
+    return bd.build_class("C", None, ir.Scope.PUBLIC, [state], [grow])
+
+
+@pytest.mark.parametrize("op", list(_MUTATIONS))
+def test_mutating_a_const_list_is_a_const_assignment(op):
+    with pytest.raises(ConstAssignment, match="C.xs is const but assigned in grow"):
+        _class_mutating_xs(_MUTATIONS[op], const=True)
+    plain = _class_mutating_xs(_MUTATIONS[op], const=False)
+    doc = jsonio.encode_package(bd.prog("p", [bd.build_module("M", [], [], [plain])]))
+    assert jsonio.decode_package(doc).modules[0].classes[0] == plain
+    doc["program"]["modules"][0]["classes"][0]["stateVars"][0]["const"] = True
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == "$.program.modules[0].classes[0]: C.xs is const but assigned in grow"
