@@ -1,9 +1,9 @@
 """Non-code package artifacts: Makefile and Doxygen config.
 
 The Makefile shape is one canonical compiler invocation per target, from the
-renderer's `build_commands` (which verify runs too), with the command names
-lifted into variables so callers can override them the usual way
-(`make CXX=clang++`). Rule bodies use hard tabs; that is a format
+renderer's `source_files` and `build_commands` (which verify runs too), with
+the command names lifted into variables so callers can override them the
+usual way (`make CXX=clang++`). Rule bodies use hard tabs; that is a format
 requirement, not a style choice.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import ir
 from .errors import NoMainModule, UnsupportedConstruct
-from .layout import Doc, FileType, RenderedFile, extract, join_blocks, text, vcat
+from .layout import Doc, RenderedFile, extract, join_blocks, text, vcat
 
 DOX_CONFIG_NAME = "doxConfig"
 
@@ -37,7 +37,7 @@ def render_makefile(pkg: ir.PackageTree, target: str, with_doc_rule: bool) -> Re
 
     if with_doc_rule:
         blocks.append(_rule("doc", [f"doxygen {DOX_CONFIG_NAME}"]))
-    return RenderedFile("Makefile", FileType.AUX, extract(join_blocks(blocks)))
+    return RenderedFile("Makefile", extract(join_blocks(blocks)))
 
 
 def render_dox_config(pkg: ir.PackageTree) -> RenderedFile:
@@ -46,7 +46,7 @@ def render_dox_config(pkg: ir.PackageTree) -> RenderedFile:
         text("INPUT = ."),
         text("EXTRACT_ALL = YES"),
     ]))
-    return RenderedFile(DOX_CONFIG_NAME, FileType.AUX, content)
+    return RenderedFile(DOX_CONFIG_NAME, content)
 
 
 def render_aux(pkg: ir.PackageTree, target: str) -> list[RenderedFile]:

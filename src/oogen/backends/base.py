@@ -70,7 +70,7 @@ def escape_string(value: str) -> str:
 
 def comment_doc(marker: str, value: str) -> Doc:
     """One comment line per line of `value`, so none of it escapes the comment."""
-    return Doc(tuple(f"{marker} {line}" for line in value.splitlines() or [""]))
+    return tuple([f"{marker} {line}" for line in value.splitlines() or [""]])
 
 
 def escape_char(value: str) -> str:
@@ -460,12 +460,12 @@ class Renderer:
         """The blocks' lines, non-empty blocks separated by one blank line."""
         lines: list[str] = []
         for blk in b.blocks:
-            block = [line for s in blk.statements for line in self.stmt(s).lines]
+            block = [line for s in blk.statements for line in self.stmt(s)]
             if block:
                 if lines:
                     lines.append("")
                 lines += block
-        return Doc(tuple(lines))
+        return tuple(lines)
 
     def block(self, blk: ir.BlockRepr) -> Doc:
         return vcat([self.stmt(s) for s in blk.statements])
@@ -476,10 +476,10 @@ class Renderer:
         return self.expr(e)
 
     def render_stmt(self, s: ir.StatementRepr) -> str:
-        return "\n".join(self.stmt(s).lines)
+        return "\n".join(self.stmt(s))
 
     def render_method(self, m: ir.MethodRepr) -> str:
-        return "\n".join(self.method_doc(m).lines)
+        return "\n".join(self.method_doc(m))
 
     def method_doc(self, m: ir.MethodRepr) -> Doc:  # pragma: no cover
         raise NotImplementedError
@@ -487,8 +487,8 @@ class Renderer:
     def source_files(self, pkg: ir.PackageTree) -> list[tuple[ir.ModuleRepr, str]]:
         """(module, source path) for each module that renders to a file, in
         render order. Empty modules (no functions, no classes) get no file;
-        C++ headers are not listed. The Makefile names its sources from here
-        without rendering."""
+        C++ headers are not listed. The Makefile and verify both name their
+        sources from here, in this order."""
         return [(m, f"{m.name}{self.extension}") for m in pkg.modules if not m.is_empty]
 
     def build_commands(self, tools: list[str], sources: list[str], main: str,

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import (Doc, EMPTY, FileType, RenderedFile, extract, hang, join_blocks, text,
-                      vcat, wrap)
+from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import Renderer, escape_string, list_print
 
-_STATIC, _PUBLIC, _COMBINED = ir.Binding.STATIC, ir.Scope.PUBLIC, FileType.COMBINED
+_STATIC, _PUBLIC = ir.Binding.STATIC, ir.Scope.PUBLIC
 
 
 class CFamilyRenderer(Renderer):
@@ -171,9 +170,7 @@ class CFamilyRenderer(Renderer):
             modifiers += " static"
         if m.inout is not None:
             return vcat([comment, self.in_out_method_doc(m, modifiers)])
-        params = ", ".join(
-            f"{self.type_text(p.variable.type)} {p.variable.name}" for p in m.params
-        )
+        params = ", ".join(f"{self.type_text(p.type)} {p.name}" for p in m.params)
         header = (
             f"{modifiers} {self.type_text(m.return_type)} {m.name}({params})"
             f"{self.throws_suffix} {{"
@@ -221,4 +218,4 @@ class CFamilyRenderer(Renderer):
         imports = sorted(set(module.imports) | self.needs)
         import_doc = vcat([text(f"{self.import_keyword} {name};") for name in imports])
         content = join_blocks([self.doc_comment(module.doc), import_doc, *pieces])
-        return [RenderedFile(path, _COMBINED, extract(content))]
+        return [RenderedFile(path, extract(content))]

@@ -13,23 +13,12 @@ stream to boolalpha so `true`/`false` come out as words.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import (
-    EMPTY,
-    Doc,
-    FileType,
-    RenderedFile,
-    extract,
-    hang,
-    join_blocks,
-    text,
-    vcat,
-)
+from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import escape_string
 from .cfamily import CFamilyRenderer
 
 _PLAIN, _STATIC = ir.VarForm.PLAIN, ir.Binding.STATIC
 _SECTIONS = ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:"))
-_SOURCE, _HEADER = FileType.SOURCE, FileType.HEADER
 
 
 def _scoped(renderer, v: ir.VariableRepr) -> str:
@@ -201,7 +190,7 @@ class CppRenderer(CFamilyRenderer):
                 + [self._param_text(v, by_ref=True) for v in spec.outs]
             )
             return ", ".join(parts)
-        return ", ".join(self._param_text(p.variable) for p in m.params)
+        return ", ".join(self._param_text(p) for p in m.params)
 
     def _sig_head(self, m: ir.MethodRepr, qualify: bool) -> str:
         owner = f"{m.containing_class}::" if qualify and m.containing_class else ""
@@ -278,7 +267,7 @@ class CppRenderer(CFamilyRenderer):
             + [text(f"#include <{inc}>") for inc in sorted(src_needs)]
         )
         src_content = join_blocks([self.doc_comment(module.doc), own, other, *src_docs])
-        files = [RenderedFile(path, _SOURCE, extract(src_content))]
+        files = [RenderedFile(path, extract(src_content))]
 
         if has_header:
             guard = f"{name}_HPP"
@@ -288,7 +277,5 @@ class CppRenderer(CFamilyRenderer):
                 *hdr_docs,
                 text("#endif"),
             ])
-            files.append(RenderedFile(
-                f"{name}{self.header_extension}", _HEADER, extract(hdr_content)
-            ))
+            files.append(RenderedFile(f"{name}{self.header_extension}", extract(hdr_content)))
         return files

@@ -9,20 +9,20 @@ script, and list printing is native.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import EMPTY, Doc, FileType, RenderedFile, extract, hang, join_blocks, text, vcat
+from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
                    update_before_continue)
 
-_STATIC, _COMBINED = ir.Binding.STATIC, FileType.COMBINED
+_STATIC = ir.Binding.STATIC
 
 
 def _suite(header: str, rendered: Doc) -> Doc:
     """`header` over `rendered` as an indented suite, with an explicit pass
     when no line is code (the suite is empty or holds only comments)."""
-    for line in rendered.lines:
+    for line in rendered:
         if line.lstrip()[:1] not in ("", "#"):
             return hang(header, rendered)
-    return hang(header, Doc(rendered.lines + ("pass",)))
+    return hang(header, rendered + ("pass",))
 
 
 class PythonRenderer(Renderer):
@@ -188,7 +188,7 @@ class PythonRenderer(Renderer):
             returns = ", ".join(v.name for v in spec.inouts + spec.outs)
             suite = join_blocks([self.body(m.body), text(f"return {returns}")])
             return vcat([comment, hang(header, suite)])
-        params = [p.variable.name for p in m.params]
+        params = [p.name for p in m.params]
         decorators: list[Doc] = []
         if m.containing_class is not None:
             if m.binding is _STATIC:
@@ -204,7 +204,7 @@ class PythonRenderer(Renderer):
         header = f"class {c.name}{parent}:"
         # State variables bind at first instance assignment; only methods render.
         methods = join_blocks([self.method_doc(m) for m in c.methods])
-        if methods.is_empty:
+        if not methods:
             methods = text("pass")
         return vcat([comment, hang(header, methods)])
 
@@ -228,4 +228,4 @@ class PythonRenderer(Renderer):
         pieces = join_blocks([
             self.doc_comment(module.doc), import_doc, *functions, *classes, *mains,
         ])
-        return [RenderedFile(path, _COMBINED, extract(pieces))]
+        return [RenderedFile(path, extract(pieces))]

@@ -316,7 +316,7 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     with an output; then, unless `body` is False, one walk of the body:
     observer calls follow initObserverList, and a returned value has the
     method's return type (or is an int in a float method)."""
-    names = [p.variable.name for p in m.params]
+    names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
         _refuse(f"parameter {name!r} declared twice", DuplicateParam)
@@ -433,8 +433,9 @@ def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
                            owner=check_identifier(library))
 
 
-def param(variable: ir.VariableRepr) -> ir.ParamRepr:
-    return ir.ParamRepr(variable)
+def param(variable: ir.VariableRepr) -> ir.VariableRepr:
+    """A parameter is its variable."""
+    return variable
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +625,7 @@ def one_liner(statement: ir.StatementRepr) -> ir.BodyRepr:
 
 
 def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.TypeRepr,
-             params: list[ir.ParamRepr], body_: ir.BodyRepr) -> ir.MethodRepr:
+             params: list[ir.VariableRepr], body_: ir.BodyRepr) -> ir.MethodRepr:
     return RULES[ir.MethodRepr](ir.MethodRepr(
         check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_))
 
@@ -635,7 +636,7 @@ def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
 
 
 def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
-           return_type: ir.TypeRepr, params: list[ir.ParamRepr],
+           return_type: ir.TypeRepr, params: list[ir.VariableRepr],
            body_: ir.BodyRepr) -> ir.MethodRepr:
     return RULES[ir.MethodRepr](ir.MethodRepr(
         check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_,
@@ -704,7 +705,7 @@ def doc_spec(description: str, param_descs: list[tuple[str, str]] | None = None,
 
 def doc_func(description: str, param_descs: list[tuple[str, str]],
              return_desc: str | None, method_: ir.MethodRepr) -> ir.MethodRepr:
-    order = {p.variable.name: i for i, p in enumerate(method_.params)}
+    order = {p.name: i for i, p in enumerate(method_.params)}
     # \param lines come out in declaration order no matter how they were given.
     ordered = tuple(sorted(param_descs, key=lambda nd: order.get(nd[0], -1)))
     # Only the doc changes: the body was checked when method_ was built.

@@ -47,9 +47,6 @@ _INPUT_OPTIONS = {
     "--input": ("value", True, None, "FILE|example:NAME",
                 "package JSON file, or a built-in example (see `oogen examples`)"),
     "--target": ("append", True, TARGETS, None, "repeat for several targets"),
-    "--makefile": ("flag", False, None, None, "also emit a Makefile per target"),
-    "--doc": ("flag", False, None, None, "also emit a Doxygen config (adds a doc: rule\n"
-              "to the Makefile when combined with --makefile)"),
 }
 
 
@@ -216,7 +213,7 @@ def _cmd_examples(opts: SimpleNamespace) -> int:
 
 
 def _cmd_verify(opts: SimpleNamespace) -> int:
-    pkg = _with_aux_flags(_load_package(opts.input), opts.makefile, opts.doc)
+    pkg = _load_package(opts.input)
     stdin = ""
     if opts.stdin is not None:
         try:
@@ -242,6 +239,9 @@ def _cmd_verify(opts: SimpleNamespace) -> int:
 _COMMANDS = {
     "render": (_cmd_render, "write rendered source files", {
         **_INPUT_OPTIONS,
+        "--makefile": ("flag", False, None, None, "also emit a Makefile per target"),
+        "--doc": ("flag", False, None, None, "also emit a Doxygen config (adds a doc: rule\n"
+                  "to the Makefile when combined with --makefile)"),
         "--out": ("value", True, None, "DIR", "output directory; files go to DIR/<target>/"),
     }, ""),
     "examples": (_cmd_examples, "list or emit built-in examples", {

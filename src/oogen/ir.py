@@ -550,10 +550,6 @@ class DocSpec(metaclass=record):
     return_desc: str | None = None
 
 
-class ParamRepr(metaclass=record):
-    variable: VariableRepr
-
-
 class MethodRepr(metaclass=record):
     """A free function (containing_class None) or a method.
 
@@ -566,7 +562,7 @@ class MethodRepr(metaclass=record):
     scope: Scope
     binding: Binding
     return_type: TypeRepr
-    params: tuple[ParamRepr, ...]
+    params: tuple[VariableRepr, ...]
     body: BodyRepr
     containing_class: str | None = None
     is_main: bool = False

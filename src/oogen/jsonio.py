@@ -4,7 +4,9 @@ The document shape is {"version": 1, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
-"statements": [...]}.
+"statements": [...]}. A type is its kind's name ("int"), or an object
+tagged by "kind" for a list or object type; a method's parameters are
+written as the variables they are.
 
 The table at the end of this module is the schema: one row per IR class
 (and per pair inside `if` and `switch`), holding its tag and its fields as
@@ -186,7 +188,8 @@ def _encode_type(t: ir.TypeRepr) -> object:
 
 
 def _decode_type(raw, path, key) -> ir.TypeRepr:
-    """A scalar kind's name, or an object tagged by "kind" (see the table)."""
+    """A scalar kind's name, or a list or object type as an object tagged by
+    "kind" (see the table)."""
     if isinstance(raw, str):
         return _SCALAR_TYPES.get(raw) or _fail(f"unknown type kind {raw!r}", (path, key))
     return _decode(_TYPE_OBJECT, raw, (path, key))
@@ -380,7 +383,6 @@ _TYPE_OBJECT = _Union("kind", "type kind")
 _TYPE_OBJECT.define({
     "list": _Row(lambda elem: ir.TypeRepr("list", elem=elem), F("elem", _TYPE, 0)),
     "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", _NAME, 0)),
-    **{kind: _Row(lambda t=t: t) for kind, t in _SCALAR_TYPES.items()},
 })
 _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
@@ -461,11 +463,8 @@ _SCOPE, _BINDING = _enum(ir.Scope), _enum(ir.Binding)
 _DOC = _Row(ir.DocSpec, F("description", _STR),
             F("params", _list(_Kind(list, _param_doc)), "param_descs", ()),
             F("returns", _STR, "return_desc", None))
-# A parameter is written as its variable.
-_PARAM = _Kind(lambda p: _encode_var(p.variable),
-               lambda raw, path, key: ir.ParamRepr(_decode(_VAR, raw, (path, key))))
 _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
-               F("returnType", _TYPE, "return_type"), F("params", _list(_PARAM)),
+               F("returnType", _TYPE, "return_type"), F("params", _VARS),
                F("body", _BODY), F("class", _NAME, "containing_class", None),
                F("main", _BOOL, "is_main", False), F("doc", _DOC, default=None),
                F("inout", _Row(ir.InOutSpec, F("ins", _VARS), F("outs", _VARS),

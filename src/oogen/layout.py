@@ -1,6 +1,6 @@
 """Layout primitives shared by every backend.
 
-A Doc is just an immutable stack of lines; the operations are vertical
+A Doc is a plain tuple of lines; the operations are vertical
 concatenation, one-level (4-space) indentation of a body under its header
 line (`hang`, one Doc per braced block or suite), and blank-line
 separation.
@@ -10,61 +10,50 @@ blocks vanish without leaving a separator behind.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from ._record import record
 
 INDENT = "    "
 
-
-class Doc(metaclass=record):
-    lines: tuple[str, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.lines
-
-
-EMPTY = Doc(())
-BLANK = Doc(("",))
+Doc = tuple[str, ...]
+EMPTY: Doc = ()
 
 
 def text(s: str) -> Doc:
     """One or more literal lines (embedded newlines split)."""
-    return Doc(tuple(s.split("\n")))
+    return tuple(s.split("\n"))
 
 
 def vcat(docs: list[Doc]) -> Doc:
     lines: list[str] = []
     for d in docs:
-        lines.extend(d.lines)
-    return Doc(tuple(lines))
+        lines.extend(d)
+    return tuple(lines)
 
 
 def hang(head: str, body: Doc, tail: str | None = None) -> Doc:
     """`head`, then `body` indented one level, then `tail` if given, built
     as one Doc: a braced block, or a Python suite under its header."""
     lines = [head]
-    lines += [INDENT + line if line else line for line in body.lines]
+    lines += [INDENT + line if line else line for line in body]
     if tail is not None:
         lines.append(tail)
-    return Doc(tuple(lines))
+    return tuple(lines)
 
 
 def join_blocks(docs: list[Doc]) -> Doc:
     """Non-empty docs separated by exactly one blank line."""
-    present = [d for d in docs if not d.is_empty]
     lines: list[str] = []
-    for i, d in enumerate(present):
-        if i:
-            lines.append("")
-        lines.extend(d.lines)
-    return Doc(tuple(lines))
+    for d in docs:
+        if d:
+            if lines:
+                lines.append("")
+            lines.extend(d)
+    return tuple(lines)
 
 
 def extract(doc: Doc) -> str:
     """Final text: no trailing blank lines, single trailing newline."""
-    lines = list(doc.lines)
+    lines = list(doc)
     while lines and not lines[-1].strip():
         lines.pop()
     return "\n".join(lines) + "\n"
@@ -82,16 +71,8 @@ def wrap(child_text: str, wanted: bool) -> str:
 # Rendered output
 
 
-class FileType(str, Enum):
-    COMBINED = "combined"
-    SOURCE = "source"
-    HEADER = "header"
-    AUX = "aux"
-
-
 class RenderedFile(metaclass=record):
     path: str
-    file_type: FileType
     text: str
 
 

@@ -110,7 +110,7 @@ def in_out_func(name: str, scope: ir.Scope, binding: ir.Binding,
     declared parameter order everywhere is in-outs, ins, outs.
     """
     spec = ir.InOutSpec(tuple(ins), tuple(outs), tuple(inouts))
-    params = tuple([ir.ParamRepr(v) for v in spec.inouts + spec.ins + spec.outs])
+    params = spec.inouts + spec.ins + spec.outs
     return _RULES[ir.MethodRepr](ir.MethodRepr(
         bd.check_identifier(name), scope, binding, ir.VOID, params, body_, inout=spec))
 

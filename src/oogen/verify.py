@@ -30,7 +30,6 @@ from . import ir
 from ._record import record
 from .backends import TARGETS, get_backend
 from .errors import NoMainModule
-from .layout import FileType
 
 # (env override, default candidates) per tool; a target is available only
 # when every one of its tools resolves.
@@ -154,13 +153,12 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
     if main is None:
         raise NoMainModule(f"package {pkg.name!r} has no main module to execute")
 
-    files = backend.render_package(pkg)
-    for f in files:
+    for f in backend.render_package(pkg):
         path = os.path.join(workdir, f.path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f.text)
 
-    sources = sorted(f.path for f in files if f.file_type is not FileType.HEADER)
+    sources = [path for _, path in backend.source_files(pkg)]  # as the Makefile names them
     compile_argv, run_argv = backend.build_commands(list(tools), sources, main.name, pkg.name)
     run_argv += args
 

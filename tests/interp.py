@@ -220,7 +220,7 @@ class Interpreter:
     # -- calls -----------------------------------------------------------------
 
     def _call_function(self, func: ir.MethodRepr, values: list):
-        frame = {p.variable.name: v for p, v in zip(func.params, values)}
+        frame = {p.name: v for p, v in zip(func.params, values)}
         try:
             self._exec_body(func.body, frame, None)
         except _Return as r:
@@ -247,7 +247,7 @@ class Interpreter:
         return self._invoke(receiver, method, values)
 
     def _invoke(self, obj: Instance, method: ir.MethodRepr, values: list):
-        frame = {p.variable.name: v for p, v in zip(method.params, values)}
+        frame = {p.name: v for p, v in zip(method.params, values)}
         try:
             self._exec_body(method.body, frame, obj)
         except _Return as r:

@@ -8,7 +8,6 @@ import pytest
 import all_tags
 from oogen import builders as bd, gallery, ir, patterns as pt
 from oogen.backends import TARGETS, get_backend
-from oogen.layout import FileType
 
 
 def _render(entry_name: str, target: str):
@@ -332,8 +331,8 @@ def test_cpp_source_header_pair():
     files = _render("fooClassGetSet", "cpp")
     source = _only(files, ".cpp")
     header = _only(files, ".hpp")
-    assert source.file_type is FileType.SOURCE
-    assert header.file_type is FileType.HEADER
+    pkg = gallery.get("fooClassGetSet").package
+    assert [path for _, path in get_backend("cpp").source_files(pkg)] == [source.path]
     assert source.text.startswith('#include "FooClassGetSet.hpp"\n')
     assert header.text.startswith("#ifndef FooClassGetSet_HPP\n#define FooClassGetSet_HPP\n")
     assert header.text.rstrip().endswith("#endif")

@@ -299,8 +299,10 @@ _RENDER = ["render", "--input", "example:helloWorld", "--target", "python", "--o
     (["examples", "--emit"], "--emit"),
     (["verify", "--target", "python"], "--input"),
     (["verify", "--input", "example:argsEcho", "--target", "python", "--args=a", "b"], ": b"),
+    (["verify", "--input", "example:helloWorld", "--target", "python", "--makefile"],
+     "unrecognized arguments: --makefile"),
 ], ids=["none", "bogus", "no-input", "cobol", "unknown", "stray", "flag-value", "no-value",
-        "verify-no-input", "args-equals-then-stray"])
+        "verify-no-input", "args-equals-then-stray", "verify-makefile"])
 def test_usage_error_exits_2_naming_the_option(argv, named, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -315,7 +317,7 @@ _HELP_LISTS = {
                "--makefile", "--doc", "--out DIR"],
     "examples": ["-h, --help", "--emit NAME"],
     "verify": ["-h, --help", "--input FILE|example:NAME", "--target {python,java,csharp,cpp}",
-               "--makefile", "--doc", "--out DIR", "--args [ARG ...]", "--stdin FILE"],
+               "--out DIR", "--args [ARG ...]", "--stdin FILE"],
 }
 
 

@@ -497,8 +497,8 @@ def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
                and not issubclass(c, enum.Enum)]
-    assert len(classes) == 56
-    others = [layout.Doc, layout.RenderedFile, layout.FileSet,
+    assert len(classes) == 55
+    others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
     for cls in classes + others:
         assert dataclasses.is_dataclass(cls), cls
@@ -610,7 +610,7 @@ def test_record_replace_matches_dataclasses_replace(node, changes):
 
 
 def test_record_replace_runs_post_init_again():
-    one = layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n")
+    one = layout.RenderedFile("a.py", "pass\n")
     files = layout.FileSet((one,))
     with pytest.raises(ValueError, match="duplicate path"):
         replace(files, files=(one, one))
@@ -631,7 +631,7 @@ def _record_classes():
 
 def test_every_record_builds_by_keyword():
     classes = _record_classes()
-    assert len(classes) == 62
+    assert len(classes) == 60
     for cls in classes:
         # FileSet's __post_init__ walks its files, so give it none
         values = [() if cls is layout.FileSet else object() for _ in cls.__match_args__]
@@ -679,7 +679,8 @@ def test_record_signature_shows_the_fields():
 
 
 def test_records_have_no_instance_dict():
-    for node in (ir.INT, bd.var("x", ir.INT), ir.Break(), _method(), layout.Doc(("a",))):
+    for node in (ir.INT, bd.var("x", ir.INT), ir.Break(), _method(),
+                 layout.RenderedFile("a.py", "pass\n")):
         assert not hasattr(node, "__dict__"), type(node)
 
 
@@ -713,12 +714,12 @@ def test_records_pickle_and_copy(copier):
     tree = gallery.get("patternTest").package
     assert copier(tree) == tree
     assert copier(ir.Break()) == ir.Break()
-    files = layout.FileSet((layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n"),))
+    files = layout.FileSet((layout.RenderedFile("a.py", "pass\n"),))
     assert copier(files) == files
 
 
 def test_unpickling_runs_post_init_again(monkeypatch):
-    one = layout.RenderedFile("a.py", layout.FileType.SOURCE, "pass\n")
+    one = layout.RenderedFile("a.py", "pass\n")
     data = pickle.dumps(layout.FileSet((one,)))
     calls = []
     monkeypatch.setattr(layout.FileSet, "__post_init__", lambda self: calls.append(self))
@@ -729,7 +730,8 @@ def test_unpickling_runs_post_init_again(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("node", [ir.INT, ir.Break(), layout.Doc(("a",))], ids=repr)
+@pytest.mark.parametrize("node", [ir.INT, ir.Break(), layout.RenderedFile("a.py", "pass\n")],
+                         ids=repr)
 def test_unknown_attributes_stay_frozen(node):
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.nosuch = 1

@@ -140,6 +140,16 @@ def test_unknown_top_level_key_rejected():
     _expect_error(doc, "$", "extra")
 
 
+@pytest.mark.parametrize("kind", ["void", "int", "string"])
+def test_a_scalar_type_is_written_only_as_its_name(kind):
+    doc = _doc()
+    doc["program"]["modules"][0]["functions"][0]["returnType"] = {"kind": kind}
+    with pytest.raises(DecodeError) as err:
+        jsonio.loads(json.dumps(doc))
+    assert str(err.value) == (
+        f"$.program.modules[0].functions[0].returnType: unknown type kind {kind!r}")
+
+
 def test_unknown_statement_tag_rejected_with_path():
     doc = _doc()
     doc["program"]["modules"][0]["functions"][0]["body"][0][0]["stmt"] = "goto"

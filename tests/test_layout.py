@@ -6,23 +6,21 @@ from hypothesis import given, strategies as st
 from oogen import builders as bd, ir
 from oogen.backends import TARGETS, get_backend
 from oogen.layout import (
-    BLANK, EMPTY, Doc, FileSet, FileType, RenderedFile, extract, hang,
-    join_blocks, text, vcat, wrap,
+    EMPTY, FileSet, RenderedFile, extract, hang, join_blocks, text, vcat, wrap,
 )
 
-docs = st.lists(st.text(alphabet="ab \n", max_size=8), max_size=4).map(
-    lambda lines: Doc(tuple(lines)))
+docs = st.lists(st.text(alphabet="ab \n", max_size=8), max_size=4).map(tuple)
 
 
 def test_text_splits_embedded_newlines():
-    assert text("a\nb").lines == ("a", "b")
-    assert text("a").lines == ("a",)
+    assert text("a\nb") == ("a", "b")
+    assert text("a") == ("a",)
 
 
 def test_hang_prefixes_nonempty_body_lines_with_four_spaces():
-    doc = Doc(("x", "", "y"))
-    assert hang("h", doc).lines == ("h", "    x", "", "    y")
-    assert hang("h {", doc, "}").lines == ("h {", "    x", "", "    y", "}")
+    doc = ("x", "", "y")
+    assert hang("h", doc) == ("h", "    x", "", "    y")
+    assert hang("h {", doc, "}") == ("h {", "    x", "", "    y", "}")
 
 
 @given(docs, docs, docs)
@@ -37,22 +35,18 @@ def test_empty_is_vcat_identity(d):
 
 def test_join_blocks_single_blank_line_separator():
     joined = join_blocks([text("a"), text("b\nc")])
-    assert joined.lines == ("a", "", "b", "c")
+    assert joined == ("a", "", "b", "c")
 
 
 def test_join_blocks_drops_empty_docs_entirely():
     joined = join_blocks([text("a"), EMPTY, text("b")])
-    assert joined.lines == ("a", "", "b")
+    assert joined == ("a", "", "b")
     assert join_blocks([EMPTY, EMPTY]) == EMPTY
 
 
 def test_extract_single_trailing_newline():
     assert extract(text("x")) == "x\n"
-    assert extract(vcat([text("x"), BLANK, BLANK])) == "x\n"
-
-
-def test_blank_is_one_empty_line():
-    assert BLANK.lines == ("",)
+    assert extract(vcat([text("x"), ("",), ("",)])) == "x\n"
 
 
 def _v(name, type_=ir.INT):
@@ -98,7 +92,7 @@ def test_wrap():
 
 
 def test_file_set_rejects_duplicate_paths():
-    f = RenderedFile("A.py", FileType.COMBINED, "pass\n")
+    f = RenderedFile("A.py", "pass\n")
     with pytest.raises(ValueError, match="duplicate path"):
         FileSet((f, f))
 
@@ -106,12 +100,12 @@ def test_file_set_rejects_duplicate_paths():
 @pytest.mark.parametrize("path", ["", "../x.py", "sub/x.py", "sub\\x.py", "..", "a..py", "/x.py"])
 def test_file_set_rejects_paths_that_are_not_plain_file_names(path):
     with pytest.raises(ValueError, match="plain file name"):
-        FileSet((RenderedFile(path, FileType.SOURCE, "pass\n"),))
+        FileSet((RenderedFile(path, "pass\n"),))
 
 
 def test_file_set_iterates_in_order():
-    a = RenderedFile("A.py", FileType.COMBINED, "pass\n")
-    b = RenderedFile("B.py", FileType.COMBINED, "pass\n")
+    a = RenderedFile("A.py", "pass\n")
+    b = RenderedFile("B.py", "pass\n")
     fs = FileSet((a, b))
     assert list(fs) == [a, b]
     assert len(fs) == 2

@@ -69,7 +69,7 @@ def test_in_out_param_order_is_inouts_ins_outs():
     entry = _discount_package()
     fn = next(f for m in entry.modules for f in m.functions
               if f.name == "applyDiscount")
-    assert [p.variable.name for p in fn.params] == ["price", "discount", "isAffordable"]
+    assert [p.name for p in fn.params] == ["price", "discount", "isAffordable"]
     assert fn.inout is not None
     assert [v.name for v in fn.inout.inouts] == ["price"]
     assert [v.name for v in fn.inout.outs] == ["isAffordable"]

@@ -85,7 +85,7 @@ def test_unknown_node_names_the_target_and_the_class(target):
 # `EnumType.__getattr__`, several times the cost of an `is` test; members
 # belong in module-level constants and tables, or in default values, which
 # are evaluated once.
-ENUMS = {"VarForm", "AssignMode", "CallForm", "Scope", "Binding", "FileType"}
+ENUMS = {"VarForm", "AssignMode", "CallForm", "Scope", "Binding"}
 SRC = Path(oogen.__file__).parent
 GUARDED = sorted(SRC.glob("backends/*.py")) + [SRC / "jsonio.py", SRC / "builders.py"]
 
@@ -118,10 +118,10 @@ def test_the_enum_guard_sees_body_loads_only():
     source = (
         "TABLE = {ir.VarForm.SELF: 1}\n"
         "def f(v, m=ir.VarForm.PLAIN):\n"
-        "    return v is ir.VarForm.SELF or (lambda: FileType.AUX)\n"
+        "    return v is ir.VarForm.SELF or (lambda: Scope.PUBLIC)\n"
     )
     assert _member_loads(source, "probe.py") == [
-        "probe.py:3 FileType.AUX", "probe.py:3 VarForm.SELF"]
+        "probe.py:3 Scope.PUBLIC", "probe.py:3 VarForm.SELF"]
 
 
 # Patterns are lowered to core IR once, in backends/base.py; the target

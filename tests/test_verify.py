@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from oogen import builders as bd, gallery, ir, patterns as pt, verify
-from oogen.backends import CppRenderer, PythonRenderer
+from oogen import auxfiles, builders as bd, gallery, ir, patterns as pt, verify
+from oogen.backends import CppRenderer, PythonRenderer, get_backend
 
 from interp import run_package
 
@@ -177,6 +177,48 @@ def test_compile_timeout_is_a_compile_error(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "_run_step", timeout)
     report = verify.run_target(_hello(), "cpp", str(tmp_path))
     assert (report.status, report.detail) == ("compile-error", "timed out")
+
+
+@pytest.mark.parametrize("target", ["java", "cpp"])
+def test_verify_compiles_what_the_makefile_builds(target, tmp_path, monkeypatch):
+    lib = bd.build_module("Lib", [], [bd.function(
+        "f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [],
+        bd.one_liner(pt.print_str_ln("x")))], [])
+    main = bd.build_module("Main", [], [bd.main_function(
+        bd.one_liner(pt.print_str_ln("y")))], [])
+    pkg = bd.prog("p", [main, lib])  # modules out of sorted order
+    for env in ("OOGEN_JAVAC", "OOGEN_JAVA", "OOGEN_CXX"):
+        monkeypatch.setenv(env, sys.executable)  # any executable will do
+    steps = []
+
+    def record(argv, cwd, stdin=""):
+        steps.append(argv)
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(verify, "_run_step", record)
+    assert verify.run_target(pkg, target, str(tmp_path)).status == "ok"
+    backend = get_backend(target)
+    tools = {f"$({var})": path
+             for (var, _), path in zip(backend.make_tools, verify.find_toolchain(target))}
+    makefile = auxfiles.render_makefile(pkg, target, with_doc_rule=False).text.splitlines()
+    build = makefile[makefile.index("build:") + 1].split()
+    assert steps[0] == [tools.get(word, word) for word in build]
+
+
+def test_public_class_variable_prints_through_print_expr_everywhere(tmp_path):
+    count = bd.class_var("Counter", "count", ir.INT)
+    counter = bd.build_class("Counter", None, ir.Scope.PUBLIC,
+                             [bd.pub_g_var(bd.var("count", ir.INT))], [])
+    main = bd.main_function(bd.body_statements([
+        bd.assign(count, bd.lit_int(5)),
+        pt.print_expr(bd.value_of(count)),
+        pt.print_str_ln("!"),
+    ]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [counter])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"5!"}
 
 
 def test_multiline_comment_stays_a_comment_everywhere(tmp_path):
