@@ -2,9 +2,9 @@
 
 The Makefile shape is one canonical compiler invocation per target, from the
 renderer's `source_files` and `build_commands` (which verify runs too), with
-the command names lifted into variables so callers can override them the
-usual way (`make CXX=clang++`). Rule bodies use hard tabs; that is a format
-requirement, not a style choice.
+the command names lifted into the variables of the renderer's `tools` so
+callers can override them the usual way (`make CXX=clang++`). Rule bodies
+use hard tabs; that is a format requirement, not a style choice.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def render_makefile(pkg: ir.PackageTree, target: str, with_doc_rule: bool) -> Re
     backend = backends.get_backend(target)
     sources = [path for _, path in backend.source_files(pkg)]
     compile_argv, run_argv = backend.build_commands(
-        [f"$({var})" for var, _ in backend.make_tools], sources, main.name, pkg.name)
-    blocks = [vcat([text(f"{var} = {command}") for var, command in backend.make_tools])]
+        [f"$({var})" for var, _, _ in backend.tools], sources, main.name, pkg.name)
+    blocks = [vcat([text(f"{var} = {commands[0]}") for var, _, commands in backend.tools])]
     if compile_argv is not None:
         blocks.append(_rule("build", [" ".join(compile_argv)]))
     blocks.append(_rule("run", [" ".join(run_argv)], dep="" if compile_argv is None else " build"))

@@ -10,11 +10,14 @@ class lists its handlers in `expr_handlers` (here, for every target) and
 `CFamilyRenderer` and `PythonRenderer`): each maps a node class to the
 name of the method that renders it, or to a function `(renderer, node)`
 for a one-line rendering. `__init_subclass__` resolves the names against
-each class, so a target overrides a handler by defining the method.
-`expr` and `stmt` look the node's class up; a class with no handler
-raises `UnsupportedConstruct` naming the target. Variable and call forms
-dispatch the same way, through `var_forms` and `call_forms` keyed by the
-enum member, after an identity test for the commonest form.
+each class, so a target overrides a handler by defining the method. A
+target defines every method its tables name; a name a class does not
+define is left out of its tables (as in the abstract `CFamilyRenderer`),
+and that node is unsupported there. `expr` and `stmt` look the node's
+class up; a class with no handler raises `UnsupportedConstruct` naming
+the target. Variable and call forms dispatch the same way, through
+`var_forms` and `call_forms` keyed by the enum member, after an identity
+test for the commonest form.
 
 Patterns are lowered once, here, to core IR, so a target renders syntax
 only and every target accepts or refuses the same trees. The lowering
@@ -186,7 +189,15 @@ def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
 
 
 def _resolve(cls, handlers: dict) -> dict:
-    return {key: getattr(cls, h) if type(h) is str else h for key, h in handlers.items()}
+    """`handlers` with each method name replaced by `cls`'s method. A name
+    `cls` does not define (or sets to None) is left out: its node is one the
+    class cannot render."""
+    table = {}
+    for key, h in handlers.items():
+        h = getattr(cls, h, None) if type(h) is str else h
+        if h is not None:
+            table[key] = h
+    return table
 
 
 def qualified(renderer, v: ir.VariableRepr) -> str:
@@ -195,12 +206,21 @@ def qualified(renderer, v: ir.VariableRepr) -> str:
 
 
 class Renderer:
-    """Base renderer; subclasses fill in the per-target hooks."""
+    """Base renderer. A target's subclass defines every method its tables
+    name, and `power`, `math_call`, `method_doc`, `module_files` and
+    `build_commands`, which are called by name."""
 
     target = "?"
     extension = "?"
-    # (Makefile variable, default command) per tool `build_commands` takes
-    make_tools: tuple[tuple[str, str], ...] = ()
+    # The tools a target needs, in the order `build_commands` takes them:
+    # (Makefile variable, environment variable that overrides it in verify,
+    # commands verify probes on PATH; the Makefile defaults to the first).
+    # `build_commands(tools, sources, main, package)` says how to build and
+    # run a package, for the Makefile and for verify: (compile argv or None,
+    # run argv), given one command per tool, the source paths, the main
+    # module's name and the package's name. Run argv is relative to the
+    # sources' directory.
+    tools: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
     statement_end = ";"
     true_token, false_token = "true", "false"
     comment_marker = "//"
@@ -361,9 +381,6 @@ class Renderer:
         family's `/` on two ints already does."""
         return quotient
 
-    def power(self, e: ir.Binary) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def inline_if(self, e: ir.InlineIf) -> str:
         p = ir.INLINE_IF_PRECEDENCE
         cond = wrap(self.expr(e.cond), self.prec_of(e.cond) <= p)
@@ -386,9 +403,6 @@ class Renderer:
     def external_call(self, e: ir.Call, args: str) -> str:
         return f"{e.library}.{e.name}({args})"
 
-    def constructor_call(self, e: ir.Call, args: str) -> str:  # pragma: no cover
-        raise NotImplementedError
-
     def method_call_text(self, e: ir.Call, args: str) -> str:
         return f"{self.atom(e.receiver)}.{e.name}({args})"
 
@@ -396,32 +410,6 @@ class Renderer:
         if v.form is _PLAIN:
             return v.name
         return self._var_table[v.form](self, v)
-
-    # -- hooks subclasses must provide --------------------------------------
-
-    def math_call(self, e: ir.MathCall) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def args_list(self, e: ir.ArgsList) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def arg_at(self, e: ir.ArgAt) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def arg_exists(self, e: ir.ArgExists) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def list_access(self, e: ir.ListAccess) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def list_size(self, e: ir.ListSize) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def list_append(self, e: ir.ListAppend) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    def list_index_of(self, e: ir.ListIndexOf) -> str:  # pragma: no cover
-        raise NotImplementedError
 
     # -- statements and helpers shared by all targets -----------------------
 
@@ -481,24 +469,12 @@ class Renderer:
     def render_method(self, m: ir.MethodRepr) -> str:
         return "\n".join(self.method_doc(m))
 
-    def method_doc(self, m: ir.MethodRepr) -> Doc:  # pragma: no cover
-        raise NotImplementedError
-
     def source_files(self, pkg: ir.PackageTree) -> list[tuple[ir.ModuleRepr, str]]:
         """(module, source path) for each module that renders to a file, in
         render order. Empty modules (no functions, no classes) get no file;
         C++ headers are not listed. The Makefile and verify both name their
         sources from here, in this order."""
         return [(m, f"{m.name}{self.extension}") for m in pkg.modules if not m.is_empty]
-
-    def build_commands(self, tools: list[str], sources: list[str], main: str,
-                       package: str) -> tuple[list[str] | None, list[str]]:  # pragma: no cover
-        """How to build and run a package on this target, for the Makefile
-        and for verify: (compile argv or None, run argv), given the tool
-        commands in `make_tools` order, the source paths, the main module's
-        name and the package's name. Run argv is relative to the sources'
-        directory."""
-        raise NotImplementedError
 
     def render_package(self, pkg: ir.PackageTree) -> list[RenderedFile]:
         files: list[RenderedFile] = []
@@ -509,10 +485,6 @@ class Renderer:
             # Caught here, not counted per node: the walk recurses once per level.
             raise NestingTooDeep(f"package nests too deeply to render to {self.target}") from None
         return files
-
-    def module_files(self, module: ir.ModuleRepr,
-                     path: str) -> list[RenderedFile]:  # pragma: no cover
-        raise NotImplementedError
 
     # -- documentation comments ---------------------------------------------
 

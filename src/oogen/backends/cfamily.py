@@ -143,22 +143,6 @@ class CFamilyRenderer(Renderer):
     def for_each_doc(self, s: ir.ForEach) -> Doc:
         return self.braced(self.for_each_header(s), self.body(s.body))
 
-    def for_each_header(self, s: ir.ForEach) -> str:  # pragma: no cover
-        raise NotImplementedError
-
-    # -- printing ----------------------------------------------------------------
-
-    def print_scalar_doc(self, s: ir.Print) -> Doc:  # pragma: no cover
-        raise NotImplementedError
-
-    def read_doc(self, s: ir.Read) -> Doc:  # pragma: no cover
-        raise NotImplementedError
-
-    # -- in/out calls ----------------------------------------------------------------
-
-    def in_out_call_doc(self, s: ir.InOutCall) -> Doc:  # pragma: no cover
-        raise NotImplementedError
-
     # -- declarations (the Java/C# layout) ----------------------------------------
 
     def method_doc(self, m: ir.MethodRepr) -> Doc:
@@ -176,9 +160,6 @@ class CFamilyRenderer(Renderer):
             f"{self.throws_suffix} {{"
         )
         return vcat([comment, self.braced(header, self.body(m.body))])
-
-    def in_out_method_doc(self, m: ir.MethodRepr, modifiers: str) -> Doc:  # pragma: no cover
-        raise NotImplementedError
 
     def state_var_doc(self, sv: ir.StateVarRepr) -> Doc:
         parts = [sv.scope.value]

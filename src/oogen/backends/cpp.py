@@ -29,7 +29,7 @@ class CppRenderer(CFamilyRenderer):
     target = "cpp"
     extension = ".cpp"
     header_extension = ".hpp"
-    make_tools = (("CXX", "g++"),)
+    tools = (("CXX", "OOGEN_CXX", ("g++", "c++", "clang++")),)
     switch_strings_as_chain = True  # no switch on std::string
     type_names = {"bool": "bool", "int": "int", "float": "double", "char": "char",
                   "string": "std::string", "void": "void", "infile": "std::ifstream",

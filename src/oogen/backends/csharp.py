@@ -19,7 +19,7 @@ _MATH = {"sin": "Sin", "cos": "Cos", "tan": "Tan", "sqrt": "Sqrt", "abs": "Abs",
 class CSharpRenderer(CFamilyRenderer):
     target = "csharp"
     extension = ".cs"
-    make_tools = (("CSC", "mcs"), ("RUNNER", "mono"))
+    tools = (("CSC", "OOGEN_CSC", ("mcs", "csc")), ("RUNNER", "OOGEN_MONO", ("mono",)))
     import_keyword = "using"
     const_keyword = "readonly"
     extends_text = " : "

@@ -22,7 +22,7 @@ _BOXED = {"bool": "Boolean", "int": "Integer", "float": "Double",
 class JavaRenderer(CFamilyRenderer):
     target = "java"
     extension = ".java"
-    make_tools = (("JC", "javac"), ("JVM", "java"))
+    tools = (("JC", "OOGEN_JAVAC", ("javac",)), ("JVM", "OOGEN_JAVA", ("java",)))
     import_keyword = "import"
     const_keyword = "final"
     extends_text = " extends "

@@ -28,7 +28,7 @@ def _suite(header: str, rendered: Doc) -> Doc:
 class PythonRenderer(Renderer):
     target = "python"
     extension = ".py"
-    make_tools = (("PYTHON", "python3"),)
+    tools = (("PYTHON", "OOGEN_PYTHON", ("python3",)),)
     statement_end = ""
     true_token, false_token = "True", "False"
     comment_marker = "#"

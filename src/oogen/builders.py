@@ -84,7 +84,7 @@ def check_dotted_name(name: str) -> str:
 
 
 def float_value(value) -> float:
-    """`value` as a float literal's double, before the literal's rule runs."""
+    """`value` as a float literal's double."""
     try:
         return float(value)
     except OverflowError:
@@ -191,9 +191,20 @@ def _int_index(op: str, node):
     return node if node.index.type.kind == "int" else _refuse(f"{op} index must be int")
 
 
+# The payload each literal kind takes, as `isinstance` tests it; a bool is
+# an int to Python, so no other kind takes one.
+LIT_PAYLOADS = {"bool": bool, "int": int, "float": (int, float), "char": str, "string": str}
+
+
 def _check_lit(lit: ir.Lit) -> ir.Lit:
-    """Numbers every target spells (32-bit ints, finite doubles), one-letter chars."""
+    """A payload of its kind's type, where a float's int becomes a double;
+    numbers every target spells (32-bit ints, finite doubles); one-letter
+    chars."""
     kind, value = lit.kind, lit.value
+    if not isinstance(value, LIT_PAYLOADS[kind]) or type(value) is bool and kind != "bool":
+        _refuse(f"value does not fit literal kind {kind!r}")
+    if kind == "float" and type(value) is not float:
+        lit = ir.Lit(kind, value := float_value(value))
     if kind == "int" and not INT_MIN <= value <= INT_MAX:
         _refuse(f"int literal out of range: targets' ints are 32 bits ({INT_MIN}..{INT_MAX})")
     if kind == "float" and not math.isfinite(value):
@@ -459,7 +470,7 @@ def lit_char(value: str) -> ir.Lit:
 
 
 def lit_string(value: str) -> ir.Lit:
-    return ir.Lit("string", value)
+    return RULES[ir.Lit](ir.Lit("string", value))
 
 
 def value_of(variable: ir.VariableRepr) -> ir.ValueOf:

@@ -173,13 +173,16 @@ def _load_package(spec: str) -> ir.PackageTree:
 
 
 def _with_aux_flags(pkg: ir.PackageTree, makefile: bool, doc: bool) -> ir.PackageTree:
-    kinds = {a.kind for a in pkg.aux}
-    aux = list(pkg.aux)
+    """`pkg` with the aux files the flags ask for; `--doc` gives a Makefile
+    the package already lists a doc rule too."""
+    aux = [ir.AuxFileSpec("makefile", with_doc_rule=True) if doc and a.kind == "makefile" else a
+           for a in pkg.aux]
+    kinds = {a.kind for a in aux}
     if makefile and "makefile" not in kinds:
         aux.append(ir.AuxFileSpec("makefile", with_doc_rule=doc))
     if doc and "doxygen" not in kinds:
         aux.append(ir.AuxFileSpec("doxygen"))
-    if len(aux) == len(pkg.aux):
+    if tuple(aux) == pkg.aux:
         return pkg
     return ir.PackageTree(pkg.name, pkg.modules, tuple(aux))
 

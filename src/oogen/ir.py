@@ -150,10 +150,6 @@ class ExprRepr(metaclass=record):
     """Base expression node. Every node knows its IR type; its precedence
     is the renderer's (`Renderer.prec_of`)."""
 
-    @property
-    def type(self) -> TypeRepr:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 class Lit(ExprRepr, metaclass=record):
     kind: str  # bool int float char string

@@ -17,17 +17,18 @@ decoding; where the default is None, null reads as absent too.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure: tags, enum spellings, field
-types, literal payload shapes, and operator names, each failure reported
-with the JSON path of the offending node. Every name must also pass the
-builders' `check_identifier` (program, module, class and parent class,
-method and its class, variable and its owner, call and library, in/out
-call, observer method, object type), and every import their
+types and operator names, each failure reported with the JSON path of
+the offending node. Every name must also pass the builders'
+`check_identifier` (program, module, class and parent class, method and
+its class, variable and its owner, call and library, in/out call,
+observer method, object type), and every import their
 `check_dotted_name`, so none can become a path outside the output
 directory or code. Then each node, a method, class, module and package
 too, must pass its class's rule in `builders.RULES`, which the builders
-run: a failure is a DecodeError at the node with the builder's message.
-Only the checks of `patterns.in_out_call` (against its callee) and
-`patterns.run_strategy` (its chosen name) are not run on decode.
+run (a literal's rule checks its payload's type): a failure is a
+DecodeError at the node with the builder's message. Only the checks of
+`patterns.in_out_call` (against its callee) and `patterns.run_strategy`
+(its chosen name) are not run on decode.
 
 A decoded package shares equal variables, as a built one does: within one
 decode_package call, each distinct variable object is decoded and checked
@@ -46,7 +47,7 @@ import threading
 from operator import attrgetter
 
 from . import ir
-from .builders import RULES, check_dotted_name, check_identifier, float_value, package
+from .builders import LIT_PAYLOADS, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
 SCHEMA_VERSION = 1
@@ -206,7 +207,7 @@ class _Shape(_Kind):
     """A JSON object: one row, or a union of rows told apart by a tag."""
 
     def __init__(self, enc=None):
-        super().__init__(enc or _encode, lambda raw, path, key: _decode(self, raw, (path, key)))
+        super().__init__(enc or _encode, None)  # decoded by `_decode`, never by `dec`
 
 
 def _field(key: str, kind: _Kind, attr: str | int | None = None, default=_REQUIRED):
@@ -217,12 +218,12 @@ class _Row(_Shape):
     """One IR record class <-> one JSON object. `cls` may instead be a
     function of the field values in order (the attributes are then indices),
     or `tuple` for a pair in `if` and `switch`; a record class's rule runs
-    on each node. `check(node, path)` returns the node, or raises for a
-    payload its field kinds cannot refuse. `share(data)` gives an exact key
-    for an object whose node is immutable and used in many places, or None:
-    one decode_package call decodes each such object once."""
+    on each node, and the node is what it returns. `share(data)` gives an
+    exact key for an object whose node is immutable and used in many
+    places, or None: one decode_package call decodes each such object
+    once."""
 
-    def __init__(self, cls, *fields, check=None, share=None, enc=None):
+    def __init__(self, cls, *fields, share=None, enc=None):
         if hasattr(cls, "__record_values__"):
             super().__init__(enc)
             self.values = cls.__record_values__
@@ -233,7 +234,7 @@ class _Row(_Shape):
             self.values = lambda value: value
             positions = [attr for _, attr, _, _ in fields]
         self.make = (lambda *values: values) if cls is tuple else cls
-        self.check, self.share, self.head, self.rule = check, share, {}, RULES.get(cls)
+        self.share, self.head, self.rule = share, {}, RULES.get(cls)
         self.keys = {key for key, _, _, _ in fields}
         self.defaults = [None] * len(fields)
         for (_, _, _, default), pos in zip(fields, positions):
@@ -309,10 +310,8 @@ def _decode(shape: _Shape, data, path):
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
     try:
         node = row.make(*args)
-        if row.check is not None:
-            node = row.check(node, path)
         if row.rule is not None:
-            row.rule(node)
+            node = row.rule(node)
     except BuildError as exc:
         _fail(str(exc), path)
     if share is not None:  # only an object that decoded without error
@@ -323,24 +322,6 @@ def _decode(shape: _Shape, data, path):
 # ---------------------------------------------------------------------------
 # The table. A field is F(json key, kind[, attribute][, default]); the
 # attribute is the json key unless given.
-
-
-_LIT_CHECKS = {
-    "bool": lambda v: isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "char": lambda v: isinstance(v, str),
-    "string": lambda v: isinstance(v, str),
-}
-
-
-def _value_fits_kind(lit: ir.Lit, path):
-    """A payload of the JSON type its kind needs; a float's int becomes a double."""
-    if not _LIT_CHECKS[lit.kind](lit.value):
-        _fail(f"value does not fit literal kind {lit.kind!r}", path)
-    if lit.kind == "float" and type(lit.value) is not float:
-        return ir.Lit("float", float_value(lit.value))
-    return lit
 
 
 # Keys of the objects decoded once per document. JSON `true`, `1` and `1.0`
@@ -396,8 +377,8 @@ _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
 _VARS = _list(_VAR)
 
 _EXPR.define({
-    "lit": _Row(ir.Lit, F("kind", _choice(_LIT_CHECKS.keys(), "literal kind")), F("value", _ANY),
-                check=_value_fits_kind, share=_lit_key),
+    "lit": _Row(ir.Lit, F("kind", _choice(LIT_PAYLOADS.keys(), "literal kind")), F("value", _ANY),
+                share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
     "unary": _Row(ir.Unary, F("name", _operator(1, "unary operator"), "op"), F("operand", _EXPR),
                   F("type", _TYPE, "result")),
@@ -484,7 +465,7 @@ _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "
 
 def _version(raw, path, key):
     """Exactly the integer SCHEMA_VERSION: `true` and `1.0` equal 1 in Python."""
-    if _LIT_CHECKS["int"](raw) and raw == SCHEMA_VERSION:
+    if type(raw) is int and raw == SCHEMA_VERSION:
         return raw
     _fail(f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}",
           (path, key))

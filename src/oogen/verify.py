@@ -7,13 +7,10 @@ Targets without a local toolchain are reported "skipped" and never count as
 failures, so a machine with only python3 still gets a meaningful (if
 one-sided) report.
 
-Toolchain discovery probes PATH for conventional executable names; each can
-be overridden by environment variable:
-
-    OOGEN_PYTHON  python3
-    OOGEN_JAVAC   javac          OOGEN_JAVA  java
-    OOGEN_CSC     mcs, csc       OOGEN_MONO  mono
-    OOGEN_CXX     g++, c++, clang++
+The tools a target needs come from its renderer's `tools`, the table its
+Makefile is written from: for each, verify takes the command named by its
+environment variable (`OOGEN_JAVAC`, ...) when that is set, and otherwise
+the first of its conventional commands found on PATH.
 
 Stdout normalization (targets legitimately differ in formatting): line
 endings become \\n, per-line trailing whitespace is stripped, True/False
@@ -30,15 +27,6 @@ from . import ir
 from ._record import record
 from .backends import TARGETS, get_backend
 from .errors import NoMainModule
-
-# (env override, default candidates) per tool; a target is available only
-# when every one of its tools resolves.
-_TOOL_SPECS: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
-    "python": (("OOGEN_PYTHON", ("python3",)),),
-    "java": (("OOGEN_JAVAC", ("javac",)), ("OOGEN_JAVA", ("java",))),
-    "csharp": (("OOGEN_CSC", ("mcs", "csc")), ("OOGEN_MONO", ("mono",))),
-    "cpp": (("OOGEN_CXX", ("g++", "c++", "clang++")),),
-}
 
 _STEP_TIMEOUT = 60  # seconds per compile or run step
 
@@ -59,11 +47,12 @@ def normalize_stdout(text: str) -> str:
 
 
 def find_toolchain(target: str) -> tuple[str, ...] | None:
-    """Resolved executable paths for `target`, or None if any tool is absent."""
+    """Resolved executable paths for `target`'s tools, in order, or None if
+    any tool is absent. An unknown `target` raises `ValueError`."""
     import shutil
 
     resolved = []
-    for env, defaults in _TOOL_SPECS[target]:
+    for _, env, defaults in get_backend(target).tools:
         candidates = (os.environ[env],) if os.environ.get(env) else defaults
         path = next((w for c in candidates if (w := shutil.which(c))), None)
         if path is None:
@@ -147,7 +136,7 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
     backend = get_backend(target)
     tools = find_toolchain(target)
     if tools is None:
-        names = ", ".join(" or ".join(defaults) for _, defaults in _TOOL_SPECS[target])
+        names = ", ".join(" or ".join(defaults) for _, _, defaults in backend.tools)
         return ToolReport(target, "skipped", detail=f"no {names} on PATH")
     main = pkg.main_module
     if main is None:

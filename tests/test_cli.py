@@ -47,6 +47,19 @@ def test_render_aux_flags_add_makefile_and_doxconfig(tmp_path, capsys, monkeypat
     assert (tmp_path / "build" / "java" / "doxConfig").is_file()
 
 
+def test_render_doc_flag_adds_the_doc_rule_to_a_listed_makefile(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = jsonio.encode_package(gallery.get("helloWorld").package)
+    data["aux"] = [{"kind": "makefile"}]
+    (tmp_path / "pkg.json").write_text(json.dumps(data))
+    rc = cli.main(["render", "--input", "pkg.json", "--target", "java", "--out", "build",
+                   "--makefile", "--doc"])
+    assert rc == 0
+    makefile = (tmp_path / "build" / "java" / "Makefile").read_text()
+    assert makefile.endswith("doc:\n\tdoxygen doxConfig\n")
+    assert (tmp_path / "build" / "java" / "doxConfig").is_file()
+
+
 def test_render_accepts_package_json_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     pkg_file = tmp_path / "pkg.json"

@@ -1,7 +1,9 @@
-"""Rendering by table: every IR node class has one handler per target,
-the all-tags package renders byte for byte as recorded, no function on
-the per-node paths loads an enum member when it runs, and no backend
-module but base.py lowers a pattern to IR.
+"""Rendering by table: every IR node class, variable form and call form
+has one handler per target, a handler a class does not define leaves its
+node unsupported, no function is a `raise NotImplementedError` stub, the
+all-tags package renders byte for byte as recorded, no function on the
+per-node paths loads an enum member when it runs, and no backend module
+but base.py lowers a pattern to IR.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
 `tests/all_tags.py` for each target, Makefile and Doxygen config included,
@@ -21,10 +23,12 @@ import pytest
 import all_tags
 import oogen
 from oogen import ir
-from oogen.backends import TARGETS, assemble_package, get_backend
+from oogen import builders as bd, patterns as pt
+from oogen.backends import TARGETS, PythonRenderer, assemble_package, get_backend
 from oogen.errors import UnsupportedConstruct
 
 FIXTURE = Path(__file__).with_name("all_tags_rendered.txt")
+SRC = Path(oogen.__file__).parent
 NODE_BASES = (ir.ExprRepr, ir.StatementRepr)
 
 
@@ -81,12 +85,79 @@ def test_unknown_node_names_the_target_and_the_class(target):
     assert str(stmt_error.value) == f"{target} backend cannot render statement Odd"
 
 
+# A handler name a class does not define is left out of its tables, so a
+# misspelt name would drop its node or form without a sound; these tests
+# would hear it.
+@pytest.mark.parametrize("target", TARGETS)
+def test_every_variable_and_call_form_has_a_handler(target):
+    renderer = type(get_backend(target))
+    assert set(renderer._var_table) == set(ir.VarForm) - {ir.VarForm.PLAIN}
+    assert set(renderer._call_table) == set(ir.CallForm) - {ir.CallForm.FUNCTION}
+    assert all(callable(h) for h in [*renderer._var_table.values(),
+                                     *renderer._call_table.values()])
+
+
+class PythonWithoutListSize(PythonRenderer):
+    list_size = None
+
+
+def test_a_handler_the_class_does_not_define_leaves_its_node_unsupported():
+    size = pt.list_size(bd.value_of(bd.var("xs", ir.list_of(ir.INT))))
+    assert get_backend("python").render_expr(size) == "len(xs)"
+    with pytest.raises(UnsupportedConstruct) as error:
+        PythonWithoutListSize().render_expr(size)
+    assert str(error.value) == "python backend cannot render expression ListSize"
+
+
+# A target is one renderer class: its tables say what it renders, so no
+# method is a stub that only raises NotImplementedError.
+def _stubs(source: str, name: str) -> list[str]:
+    """`name:line function` for each function in `source` whose body, past
+    an optional docstring, is only `raise NotImplementedError`."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = func.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+            continue
+        exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+        if getattr(exc, "id", None) == "NotImplementedError":
+            found.append(f"{name}:{func.lineno} {func.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_function_is_a_not_implemented_stub(path):
+    assert _stubs(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+def test_the_stub_guard_sees_bare_and_called_raises():
+    source = (
+        "class R:\n"
+        "    def a(self):\n"
+        "        raise NotImplementedError\n"
+        "    def b(self):\n"
+        "        \"\"\"Doc.\"\"\"\n"
+        "        raise NotImplementedError('b')\n"
+        "    def c(self):\n"
+        "        raise ValueError\n"
+        "    def d(self, x):\n"
+        "        if x:\n"
+        "            raise NotImplementedError\n"
+        "        return x\n"
+    )
+    assert _stubs(source, "probe.py") == ["probe.py:2 a", "probe.py:4 b"]
+
+
 # On Python 3.11 `ir.VarForm.SELF` at call time goes through
 # `EnumType.__getattr__`, several times the cost of an `is` test; members
 # belong in module-level constants and tables, or in default values, which
 # are evaluated once.
 ENUMS = {"VarForm", "AssignMode", "CallForm", "Scope", "Binding"}
-SRC = Path(oogen.__file__).parent
 GUARDED = sorted(SRC.glob("backends/*.py")) + [SRC / "jsonio.py", SRC / "builders.py"]
 
 

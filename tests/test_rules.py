@@ -8,7 +8,9 @@ import json
 import pytest
 
 from oogen import builders as bd, ir, jsonio, patterns as pt
-from oogen.errors import BuildError, ConstAssignment, DecodeError, DuplicateStateLabel
+from oogen.errors import (
+    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, TypeMismatch,
+)
 
 _MODULE = "$.program.modules[0]"
 _MAIN = _MODULE + ".functions[0]"
@@ -176,6 +178,23 @@ def test_decode_refuses_what_the_builder_refuses(cls):
     with pytest.raises(DecodeError) as decoded:
         jsonio.loads(json.dumps(doc))
     assert decoded.value.path == path
+    assert str(decoded.value) == f"{path}: {built.value}"
+
+
+# The literal rule checks the payload's type: `bd.lit_string(5)` used to
+# build and then fail at render, and `bd.lit_char(5)` raised a bare TypeError.
+
+@pytest.mark.parametrize("build, kind, value", [
+    (bd.lit_string, "string", 5), (bd.lit_char, "char", 5), (bd.lit_string, "string", None),
+], ids=["string-5", "char-5", "string-None"])
+def test_a_literal_payload_of_the_wrong_type_is_refused_built_and_decoded(build, kind, value):
+    with pytest.raises(TypeMismatch) as built:
+        build(value)
+    assert str(built.value) == f"value does not fit literal kind {kind!r}"
+    doc = _base()
+    path = _expr(_lit(kind, value))(doc)
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(doc)
     assert str(decoded.value) == f"{path}: {built.value}"
 
 

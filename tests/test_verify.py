@@ -2,6 +2,7 @@
 and honest status reporting for compile/runtime/disagreement failures."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -52,6 +53,11 @@ def test_find_toolchain_missing_tool_returns_none(monkeypatch):
     assert verify.find_toolchain("java") is None
 
 
+def test_find_toolchain_of_an_unknown_target_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown target 'cobol'"):
+        verify.find_toolchain("cobol")
+
+
 # -- run_target --------------------------------------------------------------------
 
 
@@ -71,6 +77,23 @@ def test_run_target_skipped_when_toolchain_missing(tmp_path, monkeypatch):
     assert report.status == "skipped"
     assert "python3" in report.detail
     assert report.stdout is None
+
+
+_SKIPPED = {
+    "python": "no python3 on PATH",
+    "java": "no javac, java on PATH",
+    "csharp": "no mcs or csc, mono on PATH",
+    "cpp": "no g++ or c++ or clang++ on PATH",
+}
+
+
+@pytest.mark.parametrize("target", list(_SKIPPED))
+def test_run_target_skip_names_every_command_probed(target, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    for env in [name for name in os.environ if name.startswith("OOGEN_")]:
+        monkeypatch.delenv(env)
+    report = verify.run_target(_hello(), target, str(tmp_path))
+    assert (report.status, report.detail) == ("skipped", _SKIPPED[target])
 
 
 def test_run_target_without_main_refused(tmp_path):
@@ -199,7 +222,7 @@ def test_verify_compiles_what_the_makefile_builds(target, tmp_path, monkeypatch)
     assert verify.run_target(pkg, target, str(tmp_path)).status == "ok"
     backend = get_backend(target)
     tools = {f"$({var})": path
-             for (var, _), path in zip(backend.make_tools, verify.find_toolchain(target))}
+             for (var, _, _), path in zip(backend.tools, verify.find_toolchain(target))}
     makefile = auxfiles.render_makefile(pkg, target, with_doc_rule=False).text.splitlines()
     build = makefile[makefile.index("build:") + 1].split()
     assert steps[0] == [tools.get(word, word) for word in build]
