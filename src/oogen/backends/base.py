@@ -13,11 +13,17 @@ for a one-line rendering. `__init_subclass__` resolves the names against
 each class, so a target overrides a handler by defining the method. A
 target defines every method its tables name; a name a class does not
 define is left out of its tables (as in the abstract `CFamilyRenderer`),
-and that node is unsupported there. `expr` and `stmt` look the node's
-class up; a class with no handler raises `UnsupportedConstruct` naming
-the target. Variable and call forms dispatch the same way, through
-`var_forms` and `call_forms` keyed by the enum member, after an identity
-test for the commonest form.
+and that node is unsupported there. `expr` and `stmt` are the entry
+points: they look the node's class up, and a class with no handler raises
+`UnsupportedConstruct` naming the target. Inside a render, the operator,
+inline-if, call, list-access and argument handlers and `atom` look each
+operand up themselves, `self._expr_table[type(x)](self, x)`, as `body`
+and `block` do each statement; so an operator or inline-if level costs
+one Python frame, and such a chain renders as deep as it decodes. A class
+missing from the table maps to `expr` or `stmt`, which raises. Variable
+and call forms dispatch the same way, through `var_forms` and
+`call_forms` keyed by the enum member, after an identity test for the
+commonest form.
 
 Patterns are lowered once, here, to core IR, so a target renders syntax
 only and every target accepts or refuses the same trees. The lowering
@@ -30,21 +36,26 @@ targets without ranges, slices or list printing; and an index-exists test
 is a `>` comparison, so `binary` places its parentheses.
 
 Expression rendering is string-based and precedence-driven, using the
-*target's* view of precedence (`prec_of`). That is the catalog value of
-the node, except where `op_precedence` (operator name -> precedence)
-overrides it because the target's grammar differs; `op_assoc` likewise
-overrides an operator's associativity. `binary` holds the parenthesis
-rule: it wraps a child that binds looser than its parent, or equally on
-the side the parent's associativity does not absorb ("none" absorbs
-neither side). `op_tokens` maps each operator name to its spelling in the
-target.
+*target's* view of precedence. That is the catalog value of the node,
+except where `op_precedence` (operator name -> precedence) overrides it
+because the target's grammar differs; `op_assoc` likewise overrides an
+operator's associativity. `__init_subclass__` folds both into `_prec`,
+keyed by node class and, for an operator node (whose class maps to None),
+by operator name, so a handler reads a child's precedence as
+`prec[type(x)] or prec[x.op.name]` (every precedence is positive), and
+`prec_of` reads the same table. The key is the name, not the operator
+record, whose hash is a Python function over its fields. `binary` holds
+the parenthesis rule: it wraps a child that binds looser than its parent,
+or equally on the side the parent's associativity does not absorb ("none"
+absorbs neither side). `op_tokens` maps each operator name to its
+spelling in the target.
 """
 
 from __future__ import annotations
 
 from .. import ir
 from ..errors import NestingTooDeep, UnsupportedConstruct
-from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
+from ..layout import EMPTY, Doc, RenderedFile, text, vcat
 
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
@@ -93,6 +104,8 @@ def doc_fields(doc: ir.DocSpec) -> list[tuple[str, str]]:
 _INC, _ADD_EQ, _SET = ir.AssignMode.INC, ir.AssignMode.ADD_EQ, ir.AssignMode.SET
 _METHOD = ir.CallForm.METHOD
 _OP = ir.OPERATORS
+_OP_PRECEDENCE = {name: op.precedence for name, op in _OP.items()}
+_OP_ASSOC = {name: op.assoc for name, op in _OP.items()}
 _ZERO, _ONE = ir.Lit("int", 0), ir.Lit("int", 1)
 _OPEN, _COMMA = ir.Print(ir.Lit("string", "["), False), ir.Print(ir.Lit("string", ", "), False)
 
@@ -200,6 +213,20 @@ def _resolve(cls, handlers: dict) -> dict:
     return table
 
 
+class _Dispatch(dict):
+    """A node handler table. A class with no handler gets `missing` (the
+    renderer's `expr` or `stmt`), which raises for it."""
+
+    __slots__ = ("missing",)
+
+    def __init__(self, handlers: dict, missing) -> None:
+        super().__init__(handlers)
+        self.missing = missing
+
+    def __missing__(self, node_class: type):
+        return self.missing
+
+
 def qualified(renderer, v: ir.VariableRepr) -> str:
     """`owner.name`: a member or external variable in most targets."""
     return f"{v.owner}.{v.name}"
@@ -224,6 +251,7 @@ class Renderer:
     statement_end = ";"
     true_token, false_token = "true", "false"
     comment_marker = "//"
+    list_access_text = "{}[{}]"  # a list's element: the list, then the index
     op_precedence: dict[str, float] = {}
     op_assoc: dict[str, str] = {}
     op_tokens = {
@@ -281,10 +309,15 @@ class Renderer:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._expr_table = _resolve(cls, cls.expr_handlers)
-        cls._stmt_table = _resolve(cls, cls.stmt_handlers)
+        cls._expr_table = _Dispatch(_resolve(cls, cls.expr_handlers), cls.expr)
+        cls._stmt_table = _Dispatch(_resolve(cls, cls.stmt_handlers), cls.stmt)
         cls._var_table = _resolve(cls, cls.var_forms)
         cls._call_table = _resolve(cls, cls.call_forms)
+        # Precedence by node class (None for an operator node) and by
+        # operator name, and associativity by operator name, for this target.
+        cls._prec = {**dict.fromkeys(cls._expr_table, ir.ATOMIC_PRECEDENCE),
+                     **_NODE_PRECEDENCE, **_OP_PRECEDENCE, **cls.op_precedence}
+        cls._assoc = {**_OP_ASSOC, **cls.op_assoc}
 
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
@@ -296,31 +329,27 @@ class Renderer:
             f"{self.target} backend cannot render {kind} {type(node).__name__}")
 
     def expr(self, e: ir.ExprRepr) -> str:
-        try:
-            handler = self._expr_table[type(e)]
-        except KeyError:
-            raise self._unsupported("expression", e) from None
-        return handler(self, e)
+        table = self._expr_table
+        if type(e) not in table:
+            raise self._unsupported("expression", e)
+        return table[type(e)](self, e)
 
     def stmt(self, s: ir.StatementRepr) -> Doc:
-        try:
-            handler = self._stmt_table[type(s)]
-        except KeyError:
-            raise self._unsupported("statement", s) from None
-        return handler(self, s)
+        table = self._stmt_table
+        if type(s) not in table:
+            raise self._unsupported("statement", s)
+        return table[type(s)](self, s)
 
     # -- precedence -------------------------------------------------------
 
     def prec_of(self, e: ir.ExprRepr) -> float:
-        prec = _NODE_PRECEDENCE.get(type(e), ir.ATOMIC_PRECEDENCE)
-        if prec is None:
-            op = e.op
-            return self.op_precedence.get(op.name, op.precedence)
-        return prec
+        prec = self._prec
+        return prec.get(type(e), ir.ATOMIC_PRECEDENCE) or prec[e.op.name]
 
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""
-        return wrap(self.expr(e), self.prec_of(e) < ir.ATOMIC_PRECEDENCE)
+        out, prec = self._expr_table[type(e)](self, e), self._prec
+        return f"({out})" if (prec[type(e)] or prec[e.op.name]) < ir.ATOMIC_PRECEDENCE else out
 
     # -- expressions ----------------------------------------------------------
 
@@ -351,24 +380,26 @@ class Renderer:
         name = e.op.name
         if name in _MATH_OPS:
             return self.math_call(ir.MathCall(_MATH_OPS[name], e.operand, e.result))
-        token = self.op_tokens[name]
+        token, prec, x = self.op_tokens[name], self._prec, e.operand
+        operand = self._expr_table[type(x)](self, x)
         # Equal precedence wraps too: `--a` and `not not a` read as other tokens.
-        operand = wrap(self.expr(e.operand), self.prec_of(e.operand) <= self.prec_of(e))
+        if (prec[type(x)] or prec[x.op.name]) <= prec[name]:
+            operand = f"({operand})"
         sep = " " if token[-1].isalpha() else ""
         return f"{token}{sep}{operand}"
 
     def binary(self, e: ir.Binary) -> str:
-        op = e.op
-        name = op.name
+        name = e.op.name
         if name == "#^":
             return self.power(e)
-        parent = self.op_precedence.get(name, op.precedence)
-        assoc = self.op_assoc.get(name, op.assoc)
-        left, right = self.expr(e.left), self.expr(e.right)
-        child = self.prec_of(e.left)
+        render, prec = self._expr_table, self._prec
+        parent, assoc = prec[name], self._assoc[name]
+        a, b = e.left, e.right
+        left, right = render[type(a)](self, a), render[type(b)](self, b)
+        child = prec[type(a)] or prec[a.op.name]
         if child < parent or child == parent and assoc != "left":
             left = f"({left})"
-        child = self.prec_of(e.right)
+        child = prec[type(b)] or prec[b.op.name]
         if child < parent or child == parent and assoc != "right":
             right = f"({right})"
         out = f"{left} {self.op_tokens[name]} {right}"
@@ -382,23 +413,35 @@ class Renderer:
         return quotient
 
     def inline_if(self, e: ir.InlineIf) -> str:
-        p = ir.INLINE_IF_PRECEDENCE
-        cond = wrap(self.expr(e.cond), self.prec_of(e.cond) <= p)
-        then = wrap(self.expr(e.then), self.prec_of(e.then) <= p)
-        other = wrap(self.expr(e.other), self.prec_of(e.other) < p)
+        render, prec, p = self._expr_table, self._prec, ir.INLINE_IF_PRECEDENCE
+        c, t, o = e.cond, e.then, e.other
+        cond = render[type(c)](self, c)
+        if (prec[type(c)] or prec[c.op.name]) <= p:
+            cond = f"({cond})"
+        then = render[type(t)](self, t)
+        if (prec[type(t)] or prec[t.op.name]) <= p:
+            then = f"({then})"
+        other = render[type(o)](self, o)
+        if (prec[type(o)] or prec[o.op.name]) < p:
+            other = f"({other})"
         return self.ternary_text(cond, then, other)
 
     def ternary_text(self, cond: str, then: str, other: str) -> str:
         return f"{cond} ? {then} : {other}"
 
-    def call_args(self, args: tuple[ir.ExprRepr, ...]) -> str:
-        return ", ".join(self.expr(a) for a in args)
-
     def call(self, e: ir.Call) -> str:
-        args = self.call_args(e.args)
+        render = self._expr_table
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
         if e.form is _FUNCTION:
             return f"{e.name}({args})"
         return self._call_table[e.form](self, e, args)
+
+    def list_access(self, e: ir.ListAccess) -> str:
+        render, prec, lst, i = self._expr_table, self._prec, e.lst, e.index
+        seq = render[type(lst)](self, lst)
+        if (prec[type(lst)] or prec[lst.op.name]) < ir.ATOMIC_PRECEDENCE:
+            seq = f"({seq})"
+        return self.list_access_text.format(seq, render[type(i)](self, i))
 
     def external_call(self, e: ir.Call, args: str) -> str:
         return f"{e.library}.{e.name}({args})"
@@ -446,9 +489,11 @@ class Renderer:
 
     def body(self, b: ir.BodyRepr) -> Doc:
         """The blocks' lines, non-empty blocks separated by one blank line."""
-        lines: list[str] = []
+        render, lines = self._stmt_table, []
         for blk in b.blocks:
-            block = [line for s in blk.statements for line in self.stmt(s)]
+            block: list[str] = []
+            for s in blk.statements:
+                block += render[type(s)](self, s)
             if block:
                 if lines:
                     lines.append("")
@@ -456,7 +501,10 @@ class Renderer:
         return tuple(lines)
 
     def block(self, blk: ir.BlockRepr) -> Doc:
-        return vcat([self.stmt(s) for s in blk.statements])
+        render, lines = self._stmt_table, []
+        for s in blk.statements:
+            lines += render[type(s)](self, s)
+        return tuple(lines)
 
     # -- fragment APIs used by tests and documentation ----------------------
 

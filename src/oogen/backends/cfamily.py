@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
+from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import Renderer, escape_string, list_print
 
 _STATIC, _PUBLIC = ir.Binding.STATIC, ir.Scope.PUBLIC
@@ -90,10 +90,14 @@ class CFamilyRenderer(Renderer):
         return "args"
 
     def arg_at(self, e: ir.ArgAt) -> str:
-        return f"args[{self.expr(e.index)}]"
+        i = e.index
+        return f"args[{self._expr_table[type(i)](self, i)}]"
 
     def arg_exists(self, e: ir.ArgExists) -> str:
-        index = wrap(self.expr(e.index), self.prec_of(e.index) <= self.prec_of(e))
+        i, prec = e.index, self._prec
+        index = self._expr_table[type(i)](self, i)
+        if (prec[type(i)] or prec[i.op.name]) <= prec[ir.ArgExists]:
+            index = f"({index})"
         return f"{self.args_length} > {index}"
 
     # -- declarations ---------------------------------------------------------

@@ -37,6 +37,7 @@ class CppRenderer(CFamilyRenderer):
     type_needs = {"string": "string", "infile": "fstream", "outfile": "fstream", "list": "vector"}
     list_type = "std::vector<{}>"
     empty_list_decl = "{t} {name}(0);"
+    list_access_text = "{}.at({})"
 
     def __init__(self) -> None:
         super().__init__()
@@ -94,9 +95,6 @@ class CppRenderer(CFamilyRenderer):
 
     def arg_exists(self, e: ir.ArgExists) -> str:
         return f"argc > {self.literal_plus_one(e.index)}"
-
-    def list_access(self, e: ir.ListAccess) -> str:
-        return f"{self.atom(e.lst)}.at({self.expr(e.index)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"(int)({self.atom(e.lst)}.size())"

@@ -45,9 +45,6 @@ class CSharpRenderer(CFamilyRenderer):
         self.needs.add("System")
         return f"Math.Pow({self.expr(e.left)}, {self.expr(e.right)})"
 
-    def list_access(self, e: ir.ListAccess) -> str:
-        return f"{self.atom(e.lst)}[{self.expr(e.index)}]"
-
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.Count"
 

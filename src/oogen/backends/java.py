@@ -34,6 +34,7 @@ class JavaRenderer(CFamilyRenderer):
     type_needs = {"list": "java.util.ArrayList"}
     list_type = "ArrayList<{}>"
     args_length = "args.length"
+    list_access_text = "{}.get({})"
 
     def build_commands(self, tools, sources, main, package):
         javac, java = tools
@@ -50,9 +51,6 @@ class JavaRenderer(CFamilyRenderer):
 
     def power(self, e: ir.Binary) -> str:
         return f"Math.pow({self.expr(e.left)}, {self.expr(e.right)})"
-
-    def list_access(self, e: ir.ListAccess) -> str:
-        return f"{self.atom(e.lst)}.get({self.expr(e.index)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.size()"

@@ -47,11 +47,14 @@ class PythonRenderer(Renderer):
         return f"{then} if {cond} else {other}"
 
     def power(self, e: ir.Binary) -> str:
+        render, prec, a, b = self._expr_table, self._prec, e.left, e.right
+        left, right = render[type(a)](self, a), render[type(b)](self, b)
         # ** binds tighter than a leading unary minus, so a unary left
         # operand is wrapped even though the catalog ranks unary higher.
-        left_wrap = self.prec_of(e.left) <= 8 or type(e.left) is ir.Unary
-        left = f"({self.expr(e.left)})" if left_wrap else self.expr(e.left)
-        right = f"({self.expr(e.right)})" if self.prec_of(e.right) < 8 else self.expr(e.right)
+        if type(a) is ir.Unary or (prec[type(a)] or prec[a.op.name]) <= 8:
+            left = f"({left})"
+        if (prec[type(b)] or prec[b.op.name]) < 8:
+            right = f"({right})"
         return f"{left} ** {right}"
 
     def int_quotient(self, quotient: str) -> str:
@@ -93,9 +96,6 @@ class PythonRenderer(Renderer):
     def arg_exists(self, e: ir.ArgExists) -> str:
         self.needs.add("sys")
         return f"len(sys.argv) > {self.literal_plus_one(e.index)}"
-
-    def list_access(self, e: ir.ListAccess) -> str:
-        return f"{self.atom(e.lst)}[{self.expr(e.index)}]"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"len({self.expr(e.lst)})"

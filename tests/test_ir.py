@@ -289,6 +289,9 @@ def test_list_ops_type_check():
     lst = bd.value_of(_float_list_var())
     assert pt.list_access(lst, _i()).type == ir.FLOAT
     assert pt.list_size(lst).type == ir.INT
+    assert pt.list_append(lst, bd.lit_float(1.5)).type == ir.list_of(ir.FLOAT)
+    assert pt.list_index_exists(lst, _i()).type == ir.BOOL
+    assert pt.args_list().type == ir.list_of(ir.STRING)
     with pytest.raises(TypeMismatch):
         pt.list_append(lst, bd.lit_string("old"))
     with pytest.raises(TypeMismatch):

@@ -1,6 +1,7 @@
 """A tree or document nested past Python's recursion limit fails with a
 typed error at the entry point it was handed to, never a RecursionError.
-The error names no path deeper than "$"."""
+The error names no path deeper than "$". Below that limit, every target
+renders the deepest chain the decoder accepts."""
 
 import json
 
@@ -22,15 +23,29 @@ def _deep_package(depth: int):
     return bd.prog("Deep", [bd.build_module("Deep", [], [main], [])])
 
 
-def _deep_document(depth: int) -> str:
-    """The JSON of `_deep_package(depth)`, built as text: json.dumps itself
+_LIT = '{"op": "lit", "kind": "int", "value": 1}'
+_TRUE = '{"op": "lit", "kind": "bool", "value": true}'
+# One level of each chain shape, around the JSON `e` of the level below.
+CHAINS = {
+    "left-plus": lambda e: f'{{"op": "binary", "name": "#+", "left": {e}, "right": {_LIT}, '
+                           f'"type": "int"}}',
+    "right-plus": lambda e: f'{{"op": "binary", "name": "#+", "left": {_LIT}, "right": {e}, '
+                            f'"type": "int"}}',
+    "negate": lambda e: f'{{"op": "unary", "name": "#~", "operand": {e}, "type": "int"}}',
+    "inline-if-else": lambda e: f'{{"op": "inlineIf", "cond": {_TRUE}, "then": {_LIT}, '
+                                f'"else": {e}}}',
+}
+
+
+def _deep_document(depth: int, level=CHAINS["left-plus"]) -> str:
+    """The JSON of a package printing `depth` levels of a chain shape
+    (`_deep_package(depth)` by default), built as text: json.dumps itself
     cannot write a document this deep."""
     shallow = jsonio.dumps(_deep_package(1))
     printed = json.loads(shallow)["program"]["modules"][0]["functions"][0]["body"][0][0]["expr"]
-    lit = json.dumps(printed["right"])
-    e = lit
+    e = _LIT
     for _ in range(depth):
-        e = f'{{"op": "binary", "name": "#+", "left": {e}, "right": {lit}, "type": "int"}}'
+        e = level(e)
     return shallow.replace(json.dumps(printed), e, 1)
 
 
@@ -72,6 +87,32 @@ def test_a_shallower_document_still_decodes_and_renders():
     pkg = jsonio.loads(_deep_document(100))
     assert pkg == _deep_package(100)
     assert get_backend("python").render_package(pkg)[0].text.count("+ 1") == 100
+
+
+def _decodes(text: str) -> bool:
+    try:
+        jsonio.loads(text)
+    except DecodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("shape", CHAINS)
+def test_the_deepest_document_that_decodes_renders_on_every_target(shape):
+    """Render takes no more stack per level than decode does: the deepest
+    chain `jsonio.loads` accepts, found by binary search, renders."""
+    level = CHAINS[shape]
+    low, high = 1, DEPTH  # decodes at low, not at high
+    assert _decodes(_deep_document(low, level)) and not _decodes(_deep_document(high, level))
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _decodes(_deep_document(mid, level)):
+            low = mid
+        else:
+            high = mid
+    pkg = jsonio.loads(_deep_document(low, level))
+    for target in TARGETS:
+        assert get_backend(target).render_package(pkg), target
 
 
 def test_cli_render_of_a_too_deep_document_exits_2(tmp_path, capsys):

@@ -85,6 +85,36 @@ def test_unknown_node_names_the_target_and_the_class(target):
     assert str(stmt_error.value) == f"{target} backend cannot render statement Odd"
 
 
+_ONE, _XS = ir.Lit("int", 1), ir.ValueOf(ir.VariableRepr("xs", ir.list_of(ir.INT)))
+# An unknown class as each kind of operand a handler dispatches itself.
+OPERAND_PLACES = {
+    "binary left": lambda x: ir.Binary(ir.OPERATORS["#+"], x, _ONE, ir.INT),
+    "binary right": lambda x: ir.Binary(ir.OPERATORS["#+"], _ONE, x, ir.INT),
+    "unary": lambda x: ir.Unary(ir.OPERATORS["#~"], x, ir.INT),
+    "inline-if else": lambda x: ir.InlineIf(ir.Lit("bool", True), _ONE, x),
+    "call argument": lambda x: ir.Call(ir.CallForm.FUNCTION, "f", (x,), ir.INT),
+    "list index": lambda x: ir.ListAccess(_XS, x),
+    "list receiver": lambda x: ir.ListAccess(x, _ONE),
+}
+
+
+@pytest.mark.parametrize("place", OPERAND_PLACES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_an_unknown_operand_names_the_target_and_the_class(target, place):
+    with pytest.raises(UnsupportedConstruct) as error:
+        get_backend(target).render_expr(OPERAND_PLACES[place](Strange()))
+    assert str(error.value) == f"{target} backend cannot render expression Strange"
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_an_unknown_statement_in_a_body_or_block_names_the_target_and_the_class(target):
+    block = ir.BlockRepr((ir.Break(), Odd()))
+    for tree in (ir.If(((ir.Lit("bool", True), ir.BodyRepr((block,))),), None), block):
+        with pytest.raises(UnsupportedConstruct) as error:
+            get_backend(target).render_stmt(tree)
+        assert str(error.value) == f"{target} backend cannot render statement Odd"
+
+
 # A handler name a class does not define is left out of its tables, so a
 # misspelt name would drop its node or form without a sound; these tests
 # would hear it.
