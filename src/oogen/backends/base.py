@@ -41,10 +41,11 @@ except where `op_precedence` (operator name -> precedence) overrides it
 because the target's grammar differs; `op_assoc` likewise overrides an
 operator's associativity. `__init_subclass__` folds both into `_prec`,
 keyed by node class and, for an operator node (whose class maps to None),
-by operator name, so a handler reads a child's precedence as
-`prec[type(x)] or prec[x.op.name]` (every precedence is positive), and
-`prec_of` reads the same table. The key is the name, not the operator
-record, whose hash is a Python function over its fields. `binary` holds
+by operator name; the key is the name, not the operator record, whose
+hash is a Python function over its fields. `prec_of` reads a node's
+precedence from it. Only the chain handlers `binary`, `unary` and
+`inline_if` repeat that lookup inline, `prec[type(x)] or prec[x.op.name]`
+(every precedence is positive), to save a call per level. `binary` holds
 the parenthesis rule: it wraps a child that binds looser than its parent,
 or equally on the side the parent's associativity does not absorb ("none"
 absorbs neither side). `op_tokens` maps each operator name to its
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..errors import NestingTooDeep, UnsupportedConstruct
-from ..layout import EMPTY, Doc, RenderedFile, text, vcat
+from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
@@ -348,8 +349,7 @@ class Renderer:
 
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""
-        out, prec = self._expr_table[type(e)](self, e), self._prec
-        return f"({out})" if (prec[type(e)] or prec[e.op.name]) < ir.ATOMIC_PRECEDENCE else out
+        return wrap(self._expr_table[type(e)](self, e), self.prec_of(e) < ir.ATOMIC_PRECEDENCE)
 
     # -- expressions ----------------------------------------------------------
 
@@ -437,11 +437,8 @@ class Renderer:
         return self._call_table[e.form](self, e, args)
 
     def list_access(self, e: ir.ListAccess) -> str:
-        render, prec, lst, i = self._expr_table, self._prec, e.lst, e.index
-        seq = render[type(lst)](self, lst)
-        if (prec[type(lst)] or prec[lst.op.name]) < ir.ATOMIC_PRECEDENCE:
-            seq = f"({seq})"
-        return self.list_access_text.format(seq, render[type(i)](self, i))
+        i = e.index
+        return self.list_access_text.format(self.atom(e.lst), self._expr_table[type(i)](self, i))
 
     def external_call(self, e: ir.Call, args: str) -> str:
         return f"{e.library}.{e.name}({args})"

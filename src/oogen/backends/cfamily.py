@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..errors import UnsupportedConstruct
-from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat
+from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import Renderer, escape_string, list_print
 
 _STATIC, _PUBLIC = ir.Binding.STATIC, ir.Scope.PUBLIC
@@ -94,10 +94,8 @@ class CFamilyRenderer(Renderer):
         return f"args[{self._expr_table[type(i)](self, i)}]"
 
     def arg_exists(self, e: ir.ArgExists) -> str:
-        i, prec = e.index, self._prec
-        index = self._expr_table[type(i)](self, i)
-        if (prec[type(i)] or prec[i.op.name]) <= prec[ir.ArgExists]:
-            index = f"({index})"
+        i = e.index
+        index = wrap(self._expr_table[type(i)](self, i), self.prec_of(i) <= self.prec_of(e))
         return f"{self.args_length} > {index}"
 
     # -- declarations ---------------------------------------------------------

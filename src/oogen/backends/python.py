@@ -9,7 +9,7 @@ script, and list printing is native.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
+from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
                    update_before_continue)
 
@@ -47,14 +47,11 @@ class PythonRenderer(Renderer):
         return f"{then} if {cond} else {other}"
 
     def power(self, e: ir.Binary) -> str:
-        render, prec, a, b = self._expr_table, self._prec, e.left, e.right
-        left, right = render[type(a)](self, a), render[type(b)](self, b)
+        render, a, b = self._expr_table, e.left, e.right
         # ** binds tighter than a leading unary minus, so a unary left
         # operand is wrapped even though the catalog ranks unary higher.
-        if type(a) is ir.Unary or (prec[type(a)] or prec[a.op.name]) <= 8:
-            left = f"({left})"
-        if (prec[type(b)] or prec[b.op.name]) < 8:
-            right = f"({right})"
+        left = wrap(render[type(a)](self, a), type(a) is ir.Unary or self.prec_of(a) <= 8)
+        right = wrap(render[type(b)](self, b), self.prec_of(b) < 8)
         return f"{left} ** {right}"
 
     def int_quotient(self, quotient: str) -> str:

@@ -60,6 +60,14 @@ def extract(doc: Doc) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Parenthesis elision
+
+
+def wrap(child_text: str, wanted: bool) -> str:
+    return f"({child_text})" if wanted else child_text
+
+
+# ---------------------------------------------------------------------------
 # Rendered output
 
 

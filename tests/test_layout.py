@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from oogen import builders as bd, ir
 from oogen.backends import TARGETS, get_backend
 from oogen.layout import (
-    EMPTY, FileSet, RenderedFile, extract, hang, join_blocks, text, vcat,
+    EMPTY, FileSet, RenderedFile, extract, hang, join_blocks, text, vcat, wrap,
 )
 
 docs = st.lists(st.text(alphabet="ab \n", max_size=8), max_size=4).map(tuple)
@@ -84,6 +84,11 @@ _PARENS = [
 def test_parens_table(tree, python, cfamily, target):
     wanted = python if target == "python" else (cfamily or python).format(pow=_POW.get(target))
     assert get_backend(target).render_expr(tree) == wanted
+
+
+def test_wrap():
+    assert wrap("x", True) == "(x)"
+    assert wrap("x", False) == "x"
 
 
 def test_file_set_rejects_duplicate_paths():

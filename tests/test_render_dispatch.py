@@ -57,6 +57,7 @@ def test_every_node_class_has_exactly_one_handler(cls):
     for target in TARGETS:
         tables = _tables(target)
         assert [cls in table for table in tables].count(True) == 1, target
+        assert cls in tables[table_index], target
         assert callable(tables[table_index][cls])
 
 
