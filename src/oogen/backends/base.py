@@ -13,17 +13,16 @@ for a one-line rendering. `__init_subclass__` resolves the names against
 each class, so a target overrides a handler by defining the method. A
 target defines every method its tables name; a name a class does not
 define is left out of its tables (as in the abstract `CFamilyRenderer`),
-and that node is unsupported there. `expr` and `stmt` are the entry
-points: they look the node's class up, and a class with no handler raises
-`UnsupportedConstruct` naming the target. Inside a render, the operator,
-inline-if, call, list-access and argument handlers and `atom` look each
-operand up themselves, `self._expr_table[type(x)](self, x)`, as `body`
-and `block` do each statement; so an operator or inline-if level costs
-one Python frame, and such a chain renders as deep as it decodes. A class
-missing from the table maps to `expr` or `stmt`, which raises. Variable
-and call forms dispatch the same way, through `var_forms` and
-`call_forms` keyed by the enum member, after an identity test for the
-commonest form.
+and that node is unsupported there: looking its class up in the table
+raises `UnsupportedConstruct` naming the target and the class. `expr` and
+`stmt` are the entry points, one table lookup each. Inside a render, the
+operator, inline-if, call, math, list-access and argument handlers and
+`atom` look each operand up themselves,
+`self._expr_table[type(x)](self, x)`, as `body` and `block` do each
+statement; so an operator, math or inline-if level costs one Python
+frame, and such a chain renders as deep as it decodes. Variable and call
+forms dispatch the same way, through `var_forms` and `call_forms` keyed
+by the enum member, after an identity test for the commonest form.
 
 Patterns are lowered once, here, to core IR, so a target renders syntax
 only and every target accepts or refuses the same trees. The lowering
@@ -49,7 +48,11 @@ precedence from it. Only the chain handlers `binary`, `unary` and
 the parenthesis rule: it wraps a child that binds looser than its parent,
 or equally on the side the parent's associativity does not absorb ("none"
 absorbs neither side). `op_tokens` maps each operator name to its
-spelling in the target.
+spelling in the target. An operator the target ranks atomic is spelled
+as a call instead: `unary` and `binary` hand its library function
+(`_OP_FUNCTIONS`) and rendered operands to the target's `math_text`, which
+spells a `MathCall` too, so abs, sqrt and the C family's pow are written
+once per target.
 """
 
 from __future__ import annotations
@@ -67,7 +70,10 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.ArgExists: 5,  # every target renders these two as a > comparison
     ir.ListIndexExists: 5,
 }
-_MATH_OPS = {"#/^": "sqrt", "#|": "abs"}  # unary operators rendered as math calls
+# The library function of each operator a target may spell as a call. A
+# target spells an operator so where it ranks it atomic: `#|` and `#/^` on
+# every target, `#^` in the C family.
+_OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
 _LOOPS = (ir.For, ir.ForRange, ir.ForEach, ir.While)  # a `continue` in one is its own
 
 # Enum members the per-node methods test, loaded once: on Python 3.11 every
@@ -106,6 +112,7 @@ _INC, _ADD_EQ, _SET = ir.AssignMode.INC, ir.AssignMode.ADD_EQ, ir.AssignMode.SET
 _METHOD = ir.CallForm.METHOD
 _OP = ir.OPERATORS
 _OP_PRECEDENCE = {name: op.precedence for name, op in _OP.items()}
+_OP_PRECEDENCE.update(dict.fromkeys(("#|", "#/^"), ir.ATOMIC_PRECEDENCE))
 _OP_ASSOC = {name: op.assoc for name, op in _OP.items()}
 _ZERO, _ONE = ir.Lit("int", 0), ir.Lit("int", 1)
 _OPEN, _COMMA = ir.Print(ir.Lit("string", "["), False), ir.Print(ir.Lit("string", ", "), False)
@@ -215,17 +222,17 @@ def _resolve(cls, handlers: dict) -> dict:
 
 
 class _Dispatch(dict):
-    """A node handler table. A class with no handler gets `missing` (the
-    renderer's `expr` or `stmt`), which raises for it."""
+    """A node handler table. Looking up a class with no handler raises
+    `UnsupportedConstruct` naming the target and the class."""
 
-    __slots__ = ("missing",)
+    __slots__ = ("refusal",)
 
-    def __init__(self, handlers: dict, missing) -> None:
+    def __init__(self, handlers: dict, target: str, kind: str) -> None:
         super().__init__(handlers)
-        self.missing = missing
+        self.refusal = f"{target} backend cannot render {kind}"
 
     def __missing__(self, node_class: type):
-        return self.missing
+        raise UnsupportedConstruct(f"{self.refusal} {node_class.__name__}")
 
 
 def qualified(renderer, v: ir.VariableRepr) -> str:
@@ -235,8 +242,11 @@ def qualified(renderer, v: ir.VariableRepr) -> str:
 
 class Renderer:
     """Base renderer. A target's subclass defines every method its tables
-    name, and `power`, `math_call`, `method_doc`, `module_files` and
-    `build_commands`, which are called by name."""
+    name, and `math_text`, `method_doc`, `module_files` and
+    `build_commands`, which are called by name. `math_text(fn, operand,
+    *rendered)` spells a call of library function `fn` on the rendered
+    operands, given the first operand's node: a `MathCall`, and an operator
+    the target ranks atomic (see `_OP_FUNCTIONS`)."""
 
     target = "?"
     extension = "?"
@@ -262,7 +272,9 @@ class Renderer:
     }
     expr_handlers = {
         ir.Lit: "lit", ir.ValueOf: "value_of", ir.Unary: "unary", ir.Binary: "binary",
-        ir.InlineIf: "inline_if", ir.Call: "call", ir.MathCall: "math_call",
+        ir.InlineIf: "inline_if", ir.Call: "call",
+        ir.MathCall: lambda self, e: self.math_text(
+            e.fn, e.arg, self._expr_table[type(e.arg)](self, e.arg)),
         ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexOf: "list_index_of",
@@ -310,8 +322,8 @@ class Renderer:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._expr_table = _Dispatch(_resolve(cls, cls.expr_handlers), cls.expr)
-        cls._stmt_table = _Dispatch(_resolve(cls, cls.stmt_handlers), cls.stmt)
+        cls._expr_table = _Dispatch(_resolve(cls, cls.expr_handlers), cls.target, "expression")
+        cls._stmt_table = _Dispatch(_resolve(cls, cls.stmt_handlers), cls.target, "statement")
         cls._var_table = _resolve(cls, cls.var_forms)
         cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
@@ -325,21 +337,11 @@ class Renderer:
 
     # -- dispatch -------------------------------------------------------------
 
-    def _unsupported(self, kind: str, node: object) -> UnsupportedConstruct:
-        return UnsupportedConstruct(
-            f"{self.target} backend cannot render {kind} {type(node).__name__}")
-
     def expr(self, e: ir.ExprRepr) -> str:
-        table = self._expr_table
-        if type(e) not in table:
-            raise self._unsupported("expression", e)
-        return table[type(e)](self, e)
+        return self._expr_table[type(e)](self, e)
 
     def stmt(self, s: ir.StatementRepr) -> Doc:
-        table = self._stmt_table
-        if type(s) not in table:
-            raise self._unsupported("statement", s)
-        return table[type(s)](self, s)
+        return self._stmt_table[type(s)](self, s)
 
     # -- precedence -------------------------------------------------------
 
@@ -377,25 +379,27 @@ class Renderer:
         return self.var_ref(e.var)
 
     def unary(self, e: ir.Unary) -> str:
-        name = e.op.name
-        if name in _MATH_OPS:
-            return self.math_call(ir.MathCall(_MATH_OPS[name], e.operand, e.result))
-        token, prec, x = self.op_tokens[name], self._prec, e.operand
+        name, prec, x = e.op.name, self._prec, e.operand
         operand = self._expr_table[type(x)](self, x)
+        parent = prec[name]
+        if parent == ir.ATOMIC_PRECEDENCE:
+            return self.math_text(_OP_FUNCTIONS[name], x, operand)
         # Equal precedence wraps too: `--a` and `not not a` read as other tokens.
-        if (prec[type(x)] or prec[x.op.name]) <= prec[name]:
+        if (prec[type(x)] or prec[x.op.name]) <= parent:
             operand = f"({operand})"
+        token = self.op_tokens[name]
         sep = " " if token[-1].isalpha() else ""
         return f"{token}{sep}{operand}"
 
     def binary(self, e: ir.Binary) -> str:
         name = e.op.name
-        if name == "#^":
-            return self.power(e)
         render, prec = self._expr_table, self._prec
-        parent, assoc = prec[name], self._assoc[name]
         a, b = e.left, e.right
         left, right = render[type(a)](self, a), render[type(b)](self, b)
+        parent = prec[name]
+        if parent == ir.ATOMIC_PRECEDENCE:
+            return self.math_text(_OP_FUNCTIONS[name], a, left, right)
+        assoc = self._assoc[name]
         child = prec[type(a)] or prec[a.op.name]
         if child < parent or child == parent and assoc != "left":
             left = f"({left})"

@@ -18,8 +18,7 @@ _STATIC, _PUBLIC = ir.Binding.STATIC, ir.Scope.PUBLIC
 
 
 class CFamilyRenderer(Renderer):
-    switch_strings_as_chain = False
-    op_precedence = {"#^": ir.ATOMIC_PRECEDENCE}  # every target renders it as a call
+    op_precedence = {"#^": ir.ATOMIC_PRECEDENCE}  # a call of pow, spelled by `math_text`
     # Spellings the Java/C# layout below takes from each of the two targets.
     import_keyword: str
     const_keyword: str
@@ -127,8 +126,6 @@ class CFamilyRenderer(Renderer):
         return vcat(docs)
 
     def switch_doc(self, s: ir.Switch) -> Doc:
-        if self.switch_strings_as_chain and s.value.type.kind == "string":
-            return super().switch_doc(s)
         cases = [hang(f"case {self.lit(label)}:", vcat([self.body(branch), text("break;")]))
                  for label, branch in s.cases]
         if s.default is not None:

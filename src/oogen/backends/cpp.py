@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import escape_string
+from .base import escape_string, switch_as_if
 from .cfamily import CFamilyRenderer
 
 _PLAIN, _STATIC = ir.VarForm.PLAIN, ir.Binding.STATIC
@@ -30,7 +30,6 @@ class CppRenderer(CFamilyRenderer):
     extension = ".cpp"
     header_extension = ".hpp"
     tools = (("CXX", "OOGEN_CXX", ("g++", "c++", "clang++")),)
-    switch_strings_as_chain = True  # no switch on std::string
     type_names = {"bool": "bool", "int": "int", "float": "double", "char": "char",
                   "string": "std::string", "void": "void", "infile": "std::ifstream",
                   "outfile": "std::ofstream"}
@@ -59,20 +58,15 @@ class CppRenderer(CFamilyRenderer):
             return f"(*{v.name})" if v.name in self._iter_vars else v.name
         return self._var_table[v.form](self, v)
 
-    def math_call(self, e: ir.MathCall) -> str:
+    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
         # C's abs truncates; doubles need fabs, ints keep abs from stdlib.h.
-        fn = e.fn
         if fn == "abs":
-            if e.arg.type.kind == "int":
+            if operand.type.kind == "int":
                 self.needs.add("stdlib.h")
-                return f"abs({self.expr(e.arg)})"
+                return f"abs({rendered[0]})"
             fn = "fabs"
         self.needs.add("math.h")
-        return f"{fn}({self.expr(e.arg)})"
-
-    def power(self, e: ir.Binary) -> str:
-        self.needs.add("math.h")
-        return f"pow({self.expr(e.left)}, {self.expr(e.right)})"
+        return f"{fn}({', '.join(rendered)})"
 
     def constructor_call(self, e: ir.Call, args: str) -> str:
         return f"{e.name}({args})"
@@ -122,6 +116,11 @@ class CppRenderer(CFamilyRenderer):
 
     def catch_header(self) -> str:
         return "catch (...) {"
+
+    def switch_doc(self, s: ir.Switch) -> Doc:
+        if s.value.type.kind == "string":  # no switch on std::string
+            return self.if_doc(switch_as_if(s))
+        return super().switch_doc(s)
 
     def free_doc(self, v: ir.VariableRepr) -> Doc:
         return text(f"delete {self.var_ref(v)};")

@@ -13,7 +13,7 @@ from ..layout import Doc, text
 from .cfamily import CFamilyRenderer
 
 _MATH = {"sin": "Sin", "cos": "Cos", "tan": "Tan", "sqrt": "Sqrt", "abs": "Abs",
-         "floor": "Floor", "ceil": "Ceiling", "log": "Log", "exp": "Exp"}
+         "floor": "Floor", "ceil": "Ceiling", "log": "Log", "exp": "Exp", "pow": "Pow"}
 
 
 class CSharpRenderer(CFamilyRenderer):
@@ -37,13 +37,9 @@ class CSharpRenderer(CFamilyRenderer):
         exe = f"{package}.exe"
         return [csc, f"-out:{exe}", *sources], [mono, exe]
 
-    def math_call(self, e: ir.MathCall) -> str:
+    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
         self.needs.add("System")
-        return f"Math.{_MATH[e.fn]}({self.expr(e.arg)})"
-
-    def power(self, e: ir.Binary) -> str:
-        self.needs.add("System")
-        return f"Math.Pow({self.expr(e.left)}, {self.expr(e.right)})"
+        return f"Math.{_MATH[fn]}({', '.join(rendered)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.Count"

@@ -46,11 +46,8 @@ class JavaRenderer(CFamilyRenderer):
 
     elem_text = boxed_text
 
-    def math_call(self, e: ir.MathCall) -> str:
-        return f"Math.{e.fn}({self.expr(e.arg)})"
-
-    def power(self, e: ir.Binary) -> str:
-        return f"Math.pow({self.expr(e.left)}, {self.expr(e.right)})"
+    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
+        return f"Math.{fn}({', '.join(rendered)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.size()"

@@ -9,7 +9,7 @@ script, and list printing is native.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
+from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
 from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
                    update_before_continue)
 
@@ -36,23 +36,18 @@ class PythonRenderer(Renderer):
     # Target grammar deviations from the catalog: `not` binds between `and`
     # and the comparisons, and ==/!= sit *at* comparison level and chain,
     # so equal-precedence comparison children get wrapped on both sides.
-    op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
+    # `**` binds tighter than a unary operator on its left and looser than
+    # one on its right: at unary level and right-associative, a unary left
+    # operand is wrapped and a unary right one is not.
+    op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5, "#^": 9}
     op_assoc = {name: "none" for name, op in ir.OPERATORS.items() if op.precedence in (4, 5)}
-    op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
+    op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or", "#^": "**"}
 
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
 
     def ternary_text(self, cond: str, then: str, other: str) -> str:
         return f"{then} if {cond} else {other}"
-
-    def power(self, e: ir.Binary) -> str:
-        render, a, b = self._expr_table, e.left, e.right
-        # ** binds tighter than a leading unary minus, so a unary left
-        # operand is wrapped even though the catalog ranks unary higher.
-        left = wrap(render[type(a)](self, a), type(a) is ir.Unary or self.prec_of(a) <= 8)
-        right = wrap(render[type(b)](self, b), self.prec_of(b) < 8)
-        return f"{left} ** {right}"
 
     def int_quotient(self, quotient: str) -> str:
         # `/` gives a float here; int() truncates toward zero as the other
@@ -69,11 +64,11 @@ class PythonRenderer(Renderer):
         self.needs.add(v.owner)
         return qualified(self, v)
 
-    def math_call(self, e: ir.MathCall) -> str:
-        if e.fn == "abs":
-            return f"abs({self.expr(e.arg)})"
+    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
+        if fn == "abs":
+            return f"abs({rendered[0]})"
         self.needs.add("math")
-        return f"math.{e.fn}({self.expr(e.arg)})"
+        return f"math.{fn}({', '.join(rendered)})"
 
     def external_call(self, e: ir.Call, args: str) -> str:
         self.needs.add(e.library)

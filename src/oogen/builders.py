@@ -99,7 +99,6 @@ def float_value(value) -> float:
 # Every target's int is 32 bits (Java's and C#'s `int`, C++'s on its platforms).
 INT_MIN, INT_MAX = -2**31, 2**31 - 1
 _NUMERIC = ("int", "float")
-_SCALARS = {"bool": ir.BOOL, "int": ir.INT, "float": ir.FLOAT}
 _COMPARISONS = ("?<", "?<=", "?>", "?>=")
 _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
@@ -484,7 +483,7 @@ def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
     op = ir.OPERATORS.get(op_name)
     if op is None or op.arity != 1:
         raise TypeMismatch(f"unknown unary operator {op_name!r}")
-    return ir.Unary(op, operand, _SCALARS[_unary_kind(op_name, operand.type.kind)])
+    return ir.Unary(op, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
@@ -492,7 +491,7 @@ def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.Expr
     if op is None or op.arity != 2:
         raise TypeMismatch(f"unknown binary operator {op_name!r}")
     kind = _binary_kind(op_name, left.type.kind, right.type.kind)
-    return ir.Binary(op, left, right, _SCALARS[kind])
+    return ir.Binary(op, left, right, ir.SCALAR_TYPES[kind])
 
 
 def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.InlineIf:

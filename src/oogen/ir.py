@@ -79,8 +79,8 @@ STRING = TypeRepr("string")
 INFILE = TypeRepr("infile")
 OUTFILE = TypeRepr("outfile")
 VOID = TypeRepr("void")
-# A literal's type by its kind, shared rather than built on each read.
-_LIT_TYPES = {"bool": BOOL, "int": INT, "float": FLOAT, "char": CHAR, "string": STRING}
+# Each scalar kind's type, shared rather than built on each use.
+SCALAR_TYPES = {t.kind: t for t in (BOOL, INT, FLOAT, CHAR, STRING, INFILE, OUTFILE, VOID)}
 
 
 def list_of(elem: TypeRepr) -> TypeRepr:
@@ -157,7 +157,7 @@ class Lit(ExprRepr, metaclass=record):
 
     @property
     def type(self) -> TypeRepr:
-        return _LIT_TYPES[self.kind]
+        return SCALAR_TYPES[self.kind]
 
 
 class ValueOf(ExprRepr, metaclass=record):

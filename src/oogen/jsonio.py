@@ -176,10 +176,6 @@ def _param_doc(raw, path, index):
     return (pair[0], pair[1])
 
 
-_SCALAR_TYPES = {kind: ir.TypeRepr(kind) for kind in
-                 ("bool", "int", "float", "char", "string", "infile", "outfile", "void")}
-
-
 def _encode_type(t: ir.TypeRepr) -> object:
     if t.kind == "list":
         return {"kind": "list", "elem": _encode_type(t.elem)}
@@ -192,7 +188,7 @@ def _decode_type(raw, path, key) -> ir.TypeRepr:
     """A scalar kind's name, or a list or object type as an object tagged by
     "kind" (see the table)."""
     if isinstance(raw, str):
-        return _SCALAR_TYPES.get(raw) or _fail(f"unknown type kind {raw!r}", (path, key))
+        return ir.SCALAR_TYPES.get(raw) or _fail(f"unknown type kind {raw!r}", (path, key))
     return _decode(_TYPE_OBJECT, raw, (path, key))
 
 

@@ -49,6 +49,33 @@ def test_power_spelling(target, expected):
     assert get_backend(target).render_expr(e) == expected
 
 
+F = bd.var("f", ir.FLOAT)
+
+
+# `#|` and `#/^` are spelled as library calls on every target, so they bind
+# as atoms: a negation or a `**` around one adds no parentheses.
+@pytest.mark.parametrize("target,int_abs,float_abs,sqrt,needs", [
+    ("python", "abs(foo)", "abs(f)", "math.sqrt(f)", (set(), set(), {"math"})),
+    ("java", "Math.abs(foo)", "Math.abs(f)", "Math.sqrt(f)", (set(), set(), set())),
+    ("csharp", "Math.Abs(foo)", "Math.Abs(f)", "Math.Sqrt(f)", ({"System"},) * 3),
+    ("cpp", "abs(foo)", "fabs(f)", "sqrt(f)", ({"stdlib.h"}, {"math.h"}, {"math.h"})),
+])
+def test_abs_and_sqrt_operator_spelling(target, int_abs, float_abs, sqrt, needs):
+    foo, f = bd.value_of(FOO), bd.value_of(F)
+    trees = (bd.apply_unary("#|", foo), bd.apply_unary("#|", f), bd.apply_unary("#/^", f))
+    for tree, expected, needed in zip(trees, (int_abs, float_abs, sqrt), needs):
+        backend = get_backend(target)
+        assert backend.render_expr(tree) == expected
+        assert backend.needs == needed
+        assert get_backend(target).render_expr(bd.apply_unary("#~", tree)) == f"-{expected}"
+
+
+def test_python_power_of_an_abs_takes_no_parentheses():
+    f = bd.value_of(F)
+    e = bd.apply_binary("#^", bd.apply_unary("#|", f), f)
+    assert get_backend("python").render_expr(e) == "abs(f) ** f"
+
+
 @pytest.mark.parametrize("target,expected", [
     ("python", "1 if True else 2"),
     ("java", "true ? 1 : 2"),

@@ -71,6 +71,10 @@ _PARENS = [
     (_op("#-", _op("#+", _A, _B), _C), "a + b - c", None),  # equal, left of left-assoc
     (_op("#^", _op("#^", _A, _B), _C), "(a ** b) ** c", "{pow}({pow}(a, b), c)"),
     (_op("#^", _A, _op("#^", _B, _C)), "a ** b ** c", "{pow}(a, {pow}(b, c))"),
+    # Python's ** binds tighter than a unary operator on its left only
+    (_op("#^", bd.apply_unary("#~", _A), _B), "(-a) ** b", "{pow}(-a, b)"),
+    (_op("#^", _A, bd.apply_unary("#~", _B)), "a ** -b", "{pow}(a, -b)"),
+    (bd.apply_unary("#~", _op("#^", _A, _B)), "-(a ** b)", "-{pow}(a, b)"),
     # Python comparisons never chain: equal precedence wraps on both sides
     (_op("?==", _op("?<", _A, _B), _P), "(a < b) == p", "a < b == p"),
     (_op("?==", _P, _op("?<", _A, _B)), "p == (a < b)", "p == a < b"),

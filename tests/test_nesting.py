@@ -34,6 +34,11 @@ CHAINS = {
     "negate": lambda e: f'{{"op": "unary", "name": "#~", "operand": {e}, "type": "int"}}',
     "inline-if-else": lambda e: f'{{"op": "inlineIf", "cond": {_TRUE}, "then": {_LIT}, '
                                 f'"else": {e}}}',
+    "abs": lambda e: f'{{"op": "unary", "name": "#|", "operand": {e}, "type": "int"}}',
+    "sqrt": lambda e: f'{{"op": "unary", "name": "#/^", "operand": {e}, "type": "float"}}',
+    "sin": lambda e: f'{{"op": "math", "fn": "sin", "arg": {e}, "type": "float"}}',
+    "left-power": lambda e: f'{{"op": "binary", "name": "#^", "left": {e}, "right": {_LIT}, '
+                            f'"type": "float"}}',
 }
 
 

@@ -94,6 +94,10 @@ OPERAND_PLACES = {
     "unary": lambda x: ir.Unary(ir.OPERATORS["#~"], x, ir.INT),
     "inline-if else": lambda x: ir.InlineIf(ir.Lit("bool", True), _ONE, x),
     "call argument": lambda x: ir.Call(ir.CallForm.FUNCTION, "f", (x,), ir.INT),
+    "math argument": lambda x: ir.MathCall("sin", x, ir.FLOAT),
+    "abs operand": lambda x: ir.Unary(ir.OPERATORS["#|"], x, ir.INT),
+    "power left": lambda x: ir.Binary(ir.OPERATORS["#^"], x, _ONE, ir.FLOAT),
+    "power right": lambda x: ir.Binary(ir.OPERATORS["#^"], _ONE, x, ir.FLOAT),
     "list index": lambda x: ir.ListAccess(_XS, x),
     "list receiver": lambda x: ir.ListAccess(x, _ONE),
 }
