@@ -35,15 +35,15 @@ targets without ranges, slices or list printing; and an index-exists test
 is a `>` comparison, so `binary` places its parentheses.
 
 Expression rendering is string-based and precedence-driven, using the
-*target's* view of precedence. That is the catalog value of the node,
+*target's* view of precedence. This module's tables rank each node
+class and each operator (an operator node holds its operator's name),
 except where `op_precedence` (operator name -> precedence) overrides it
 because the target's grammar differs; `op_assoc` likewise overrides an
 operator's associativity. `__init_subclass__` folds both into `_prec`,
 keyed by node class and, for an operator node (whose class maps to None),
-by operator name; the key is the name, not the operator record, whose
-hash is a Python function over its fields. `prec_of` reads a node's
-precedence from it. Only the chain handlers `binary`, `unary` and
-`inline_if` repeat that lookup inline, `prec[type(x)] or prec[x.op.name]`
+by operator name, and into `_assoc`. `prec_of` reads a node's precedence
+from `_prec`. Only the chain handlers `binary`, `unary` and
+`inline_if` repeat that lookup inline, `prec[type(x)] or prec[x.op]`
 (every precedence is positive), to save a call per level. `binary` holds
 the parenthesis rule: it wraps a child that binds looser than its parent,
 or equally on the side the parent's associativity does not absorb ("none"
@@ -61,12 +61,26 @@ from .. import ir
 from ..errors import NestingTooDeep, UnsupportedConstruct
 from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
+# Precedence: higher binds tighter. A literal, variable or call binds
+# tightest of all, and an inline if loosest.
+ATOMIC_PRECEDENCE = 100
+INLINE_IF_PRECEDENCE = 1
+# Each operator's precedence and associativity ("left", "right", or
+# "none", which absorbs neither side), as a target ranks it unless its
+# `op_precedence` and `op_assoc` say otherwise. `#|` and `#/^` are atomic,
+# spelled as calls, on every target.
+_OP_PRECEDENCE = {
+    "?!": 9, "#~": 9, "#|": ATOMIC_PRECEDENCE, "#/^": ATOMIC_PRECEDENCE,
+    "#^": 8, "#*": 7, "#/": 7, "#+": 6, "#-": 6,
+    "?<": 5, "?<=": 5, "?>": 5, "?>=": 5, "?==": 4, "?!=": 4, "?&&": 3, "?||": 2,
+}
+_OP_ASSOC = {**dict.fromkeys(_OP_PRECEDENCE, "left"), "#^": "right"}
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
 _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.Unary: None,
     ir.Binary: None,
-    ir.InlineIf: ir.INLINE_IF_PRECEDENCE,
+    ir.InlineIf: INLINE_IF_PRECEDENCE,
     ir.ArgExists: 5,  # every target renders these two as a > comparison
     ir.ListIndexExists: 5,
 }
@@ -110,10 +124,6 @@ def doc_fields(doc: ir.DocSpec) -> list[tuple[str, str]]:
 
 _INC, _ADD_EQ, _SET = ir.AssignMode.INC, ir.AssignMode.ADD_EQ, ir.AssignMode.SET
 _METHOD = ir.CallForm.METHOD
-_OP = ir.OPERATORS
-_OP_PRECEDENCE = {name: op.precedence for name, op in _OP.items()}
-_OP_PRECEDENCE.update(dict.fromkeys(("#|", "#/^"), ir.ATOMIC_PRECEDENCE))
-_OP_ASSOC = {name: op.assoc for name, op in _OP.items()}
 _ZERO, _ONE = ir.Lit("int", 0), ir.Lit("int", 1)
 _OPEN, _COMMA = ir.Print(ir.Lit("string", "["), False), ir.Print(ir.Lit("string", ", "), False)
 
@@ -125,8 +135,7 @@ def _one_block(*statements: ir.StatementRepr) -> ir.BodyRepr:
 def switch_as_if(s: ir.Switch) -> ir.If:
     """The switch as an if/else-if chain of `==` tests, for targets (or
     scrutinee types) without a native switch."""
-    eq = _OP["?=="]
-    return ir.If(tuple((ir.Binary(eq, s.value, label, ir.BOOL), branch)
+    return ir.If(tuple((ir.Binary("?==", s.value, label, ir.BOOL), branch)
                        for label, branch in s.cases), s.default)
 
 
@@ -138,7 +147,7 @@ def _counted(counter: ir.VariableRepr, start: ir.ExprRepr, test: str, end: ir.Ex
         update = ir.Assign(_INC, counter, None)
     else:
         update = ir.Assign(_ADD_EQ, counter, step)
-    cond = ir.Binary(_OP[test], ir.ValueOf(counter), end, ir.BOOL)
+    cond = ir.Binary(test, ir.ValueOf(counter), end, ir.BOOL)
     return ir.For(ir.VarDecDef(counter, start), cond, update, body)
 
 
@@ -165,7 +174,7 @@ def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
     counts with its own `list_i<depth>`."""
     lst = s.expr
     counter, size = ir.VariableRepr(f"list_i{depth}", ir.INT), ir.ListSize(lst)
-    last = ir.Binary(_OP["#-"], size, _ONE, ir.INT)
+    last = ir.Binary("#-", size, _ONE, ir.INT)
 
     def element(index: ir.ExprRepr) -> ir.StatementRepr:
         each = ir.Print(ir.ListAccess(lst, index), False)
@@ -173,7 +182,7 @@ def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
 
     loop = _counted(counter, _ZERO, "?<", last, None,
                     _one_block(element(ir.ValueOf(counter)), _COMMA))
-    guard = ir.If(((ir.Binary(_OP["?>"], size, _ZERO, ir.BOOL), _one_block(element(last))),),
+    guard = ir.If(((ir.Binary("?>", size, _ZERO, ir.BOOL), _one_block(element(last))),),
                   None)
     return ir.BlockRepr((_OPEN, loop, guard, ir.Print(ir.Lit("string", "]"), s.newline)))
 
@@ -279,7 +288,7 @@ class Renderer:
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexOf: "list_index_of",
         ir.ListIndexExists: lambda self, e: self.binary(
-            ir.Binary(_OP["?>"], ir.ListSize(e.lst), e.index, ir.BOOL)),
+            ir.Binary("?>", ir.ListSize(e.lst), e.index, ir.BOOL)),
     }
     # Statements every target spells alike but for `statement_end`, and the
     # patterns every target lowers to core IR the same way; each family
@@ -328,7 +337,7 @@ class Renderer:
         cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
         # operator name, and associativity by operator name, for this target.
-        cls._prec = {**dict.fromkeys(cls._expr_table, ir.ATOMIC_PRECEDENCE),
+        cls._prec = {**dict.fromkeys(cls._expr_table, ATOMIC_PRECEDENCE),
                      **_NODE_PRECEDENCE, **_OP_PRECEDENCE, **cls.op_precedence}
         cls._assoc = {**_OP_ASSOC, **cls.op_assoc}
 
@@ -347,11 +356,11 @@ class Renderer:
 
     def prec_of(self, e: ir.ExprRepr) -> float:
         prec = self._prec
-        return prec.get(type(e), ir.ATOMIC_PRECEDENCE) or prec[e.op.name]
+        return prec.get(type(e), ATOMIC_PRECEDENCE) or prec[e.op]
 
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""
-        return wrap(self._expr_table[type(e)](self, e), self.prec_of(e) < ir.ATOMIC_PRECEDENCE)
+        return wrap(self._expr_table[type(e)](self, e), self.prec_of(e) < ATOMIC_PRECEDENCE)
 
     # -- expressions ----------------------------------------------------------
 
@@ -379,31 +388,31 @@ class Renderer:
         return self.var_ref(e.var)
 
     def unary(self, e: ir.Unary) -> str:
-        name, prec, x = e.op.name, self._prec, e.operand
+        name, prec, x = e.op, self._prec, e.operand
         operand = self._expr_table[type(x)](self, x)
         parent = prec[name]
-        if parent == ir.ATOMIC_PRECEDENCE:
+        if parent == ATOMIC_PRECEDENCE:
             return self.math_text(_OP_FUNCTIONS[name], x, operand)
         # Equal precedence wraps too: `--a` and `not not a` read as other tokens.
-        if (prec[type(x)] or prec[x.op.name]) <= parent:
+        if (prec[type(x)] or prec[x.op]) <= parent:
             operand = f"({operand})"
         token = self.op_tokens[name]
         sep = " " if token[-1].isalpha() else ""
         return f"{token}{sep}{operand}"
 
     def binary(self, e: ir.Binary) -> str:
-        name = e.op.name
+        name = e.op
         render, prec = self._expr_table, self._prec
         a, b = e.left, e.right
         left, right = render[type(a)](self, a), render[type(b)](self, b)
         parent = prec[name]
-        if parent == ir.ATOMIC_PRECEDENCE:
+        if parent == ATOMIC_PRECEDENCE:
             return self.math_text(_OP_FUNCTIONS[name], a, left, right)
         assoc = self._assoc[name]
-        child = prec[type(a)] or prec[a.op.name]
+        child = prec[type(a)] or prec[a.op]
         if child < parent or child == parent and assoc != "left":
             left = f"({left})"
-        child = prec[type(b)] or prec[b.op.name]
+        child = prec[type(b)] or prec[b.op]
         if child < parent or child == parent and assoc != "right":
             right = f"({right})"
         out = f"{left} {self.op_tokens[name]} {right}"
@@ -417,16 +426,16 @@ class Renderer:
         return quotient
 
     def inline_if(self, e: ir.InlineIf) -> str:
-        render, prec, p = self._expr_table, self._prec, ir.INLINE_IF_PRECEDENCE
+        render, prec, p = self._expr_table, self._prec, INLINE_IF_PRECEDENCE
         c, t, o = e.cond, e.then, e.other
         cond = render[type(c)](self, c)
-        if (prec[type(c)] or prec[c.op.name]) <= p:
+        if (prec[type(c)] or prec[c.op]) <= p:
             cond = f"({cond})"
         then = render[type(t)](self, t)
-        if (prec[type(t)] or prec[t.op.name]) <= p:
+        if (prec[type(t)] or prec[t.op]) <= p:
             then = f"({then})"
         other = render[type(o)](self, o)
-        if (prec[type(o)] or prec[o.op.name]) < p:
+        if (prec[type(o)] or prec[o.op]) < p:
             other = f"({other})"
         return self.ternary_text(cond, then, other)
 
@@ -486,7 +495,7 @@ class Renderer:
         """index+1, constant-folded (argv counts the program; range() excludes its end)."""
         if type(index) is ir.Lit and index.kind == "int":
             return str(index.value + 1)
-        return self.binary(ir.Binary(_OP["#+"], index, _ONE, ir.INT))
+        return self.binary(ir.Binary("#+", index, _ONE, ir.INT))
 
     def body(self, b: ir.BodyRepr) -> Doc:
         """The blocks' lines, non-empty blocks separated by one blank line."""
@@ -508,9 +517,6 @@ class Renderer:
         return tuple(lines)
 
     # -- fragment APIs used by tests and documentation ----------------------
-
-    def render_expr(self, e: ir.ExprRepr) -> str:
-        return self.expr(e)
 
     def render_stmt(self, s: ir.StatementRepr) -> str:
         return "\n".join(self.stmt(s))

@@ -214,8 +214,8 @@ def _check_lit(lit: ir.Lit) -> ir.Lit:
 
 
 def _check_operator(node: ir.Unary | ir.Binary):
-    name = node.op.name
-    kind = (_unary_kind(name, node.operand.type.kind) if node.op.arity == 1
+    name = node.op
+    kind = (_unary_kind(name, node.operand.type.kind) if type(node) is ir.Unary
             else _binary_kind(name, node.left.type.kind, node.right.type.kind))
     return node if node.result.kind == kind else _refuse(
         f"{name} gives {kind}, not {_type_name(node.result)}")
@@ -323,7 +323,8 @@ def _check_observer_init(node: ir.ObserverInit) -> ir.ObserverInit:
 
 def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
-    with an output; then, unless `body` is False, one walk of the body:
+    with an output and its in-outs, ins and outs, in that order, as its
+    parameters; then, unless `body` is False, one walk of the body:
     observer calls follow initObserverList, and a returned value has the
     method's return type (or is an int in a float method)."""
     names = [p.name for p in m.params]
@@ -333,8 +334,13 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     for name, _ in m.doc.param_descs if m.doc is not None else ():
         if name not in names:
             _refuse(f"{m.name} has no parameter {name!r}", UnknownParamDoc)
-    if m.inout is not None and not (m.inout.outs or m.inout.inouts):
-        _refuse(f"inOutFunc {m.name!r} declares no outputs", SignatureMismatch)
+    spec = m.inout
+    if spec is not None:
+        if not (spec.outs or spec.inouts):
+            _refuse(f"inOutFunc {m.name!r} declares no outputs", SignatureMismatch)
+        if m.params != spec.inouts + spec.ins + spec.outs:
+            _refuse(f"inOutFunc {m.name!r} parameters must be its in-outs, ins and outs",
+                    SignatureMismatch)
     returns, initialized = m.return_type, False
     for stmt in ir.walk(m.body) if body else ():
         kind = type(stmt)
@@ -480,18 +486,16 @@ def value_of(variable: ir.VariableRepr) -> ir.ValueOf:
 
 
 def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
-    op = ir.OPERATORS.get(op_name)
-    if op is None or op.arity != 1:
+    if ir.OPERATORS.get(op_name) != 1:
         raise TypeMismatch(f"unknown unary operator {op_name!r}")
-    return ir.Unary(op, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
+    return ir.Unary(op_name, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
-    op = ir.OPERATORS.get(op_name)
-    if op is None or op.arity != 2:
+    if ir.OPERATORS.get(op_name) != 2:
         raise TypeMismatch(f"unknown binary operator {op_name!r}")
     kind = _binary_kind(op_name, left.type.kind, right.type.kind)
-    return ir.Binary(op, left, right, ir.SCALAR_TYPES[kind])
+    return ir.Binary(op_name, left, right, ir.SCALAR_TYPES[kind])
 
 
 def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.InlineIf:

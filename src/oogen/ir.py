@@ -11,6 +11,10 @@ Shape of a program:
     PackageTree > ModuleRepr > {MethodRepr, ClassDeclRepr > MethodRepr}
     MethodRepr > BodyRepr > BlockRepr > StatementRepr > ExprRepr
 
+An operator node (`Unary`, `Binary`) holds its operator's name, a key of
+`OPERATORS`, which gives only its arity: how each target spells it and
+where it needs parentheses is that target's renderer's.
+
 Blocks matter to rendering: one blank line separates adjacent non-empty
 blocks in every target. `walk` visits every statement of a tree and
 `rebuild` replaces the statements directly inside one node.
@@ -22,8 +26,6 @@ from enum import Enum
 from functools import cache
 
 from ._record import record
-
-ATOMIC_PRECEDENCE = 100
 
 
 class Binding(str, Enum):
@@ -94,44 +96,12 @@ def obj_of(class_name: str) -> TypeRepr:
 # ---------------------------------------------------------------------------
 # Operators
 
-
-class OperatorSpec(metaclass=record):
-    """Catalog entry for a unary/binary operator.
-
-    precedence drives parenthesis elision: a child is wrapped iff its
-    precedence is lower than its parent's, or equal on the associativity-
-    breaking side. Literals and calls are ATOMIC_PRECEDENCE.
-    """
-
-    name: str
-    precedence: int
-    arity: int
-    assoc: str = "left"  # "left" | "right"
-
-
-_OPS = [
-    OperatorSpec("?!", 9, 1),
-    OperatorSpec("#~", 9, 1),
-    OperatorSpec("#/^", 9, 1),
-    OperatorSpec("#|", 9, 1),
-    OperatorSpec("#^", 8, 2, "right"),
-    OperatorSpec("#*", 7, 2),
-    OperatorSpec("#/", 7, 2),
-    OperatorSpec("#+", 6, 2),
-    OperatorSpec("#-", 6, 2),
-    OperatorSpec("?<", 5, 2),
-    OperatorSpec("?<=", 5, 2),
-    OperatorSpec("?>", 5, 2),
-    OperatorSpec("?>=", 5, 2),
-    OperatorSpec("?==", 4, 2),
-    OperatorSpec("?!=", 4, 2),
-    OperatorSpec("?&&", 3, 2),
-    OperatorSpec("?||", 2, 2),
-]
-
-OPERATORS: dict[str, OperatorSpec] = {op.name: op for op in _OPS}
-
-INLINE_IF_PRECEDENCE = 1
+# Each operator's name and arity.
+OPERATORS: dict[str, int] = {
+    "?!": 1, "#~": 1, "#/^": 1, "#|": 1,
+    "#^": 2, "#*": 2, "#/": 2, "#+": 2, "#-": 2,
+    "?<": 2, "?<=": 2, "?>": 2, "?>=": 2, "?==": 2, "?!=": 2, "?&&": 2, "?||": 2,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +117,8 @@ class VariableRepr(metaclass=record):
 
 
 class ExprRepr(metaclass=record):
-    """Base expression node. Every node knows its IR type; its precedence
-    is the renderer's (`Renderer.prec_of`)."""
+    """Base expression node. Every node knows its IR type; how tightly it
+    binds is the renderer's (`Renderer.prec_of`)."""
 
 
 class Lit(ExprRepr, metaclass=record):
@@ -169,7 +139,7 @@ class ValueOf(ExprRepr, metaclass=record):
 
 
 class Unary(ExprRepr, metaclass=record):
-    op: OperatorSpec
+    op: str  # a name in OPERATORS
     operand: ExprRepr
     result: TypeRepr
 
@@ -179,7 +149,7 @@ class Unary(ExprRepr, metaclass=record):
 
 
 class Binary(ExprRepr, metaclass=record):
-    op: OperatorSpec
+    op: str  # a name in OPERATORS
     left: ExprRepr
     right: ExprRepr
     result: TypeRepr

@@ -135,7 +135,7 @@ def _enum(cls) -> _Kind:
     return _Kind({m: value for value, m in members.items()}.__getitem__, dec)
 
 
-def _choice(values, noun: str, enc=None) -> _Kind:
+def _choice(values, noun: str) -> _Kind:
     """A string among `values`; a dict `values` maps it to what it decodes to."""
     values = values if isinstance(values, dict) else {v: v for v in values}
 
@@ -144,29 +144,41 @@ def _choice(values, noun: str, enc=None) -> _Kind:
             _STR.dec(raw, path, key)  # raises
         value = values.get(raw, _MISSING)
         return value if value is not _MISSING else _fail(f"unknown {noun} {raw!r}", path)
-    return _Kind(enc, dec)
+    return _Kind(None, dec)
 
 
 def _operator(arity: int, noun: str) -> _Kind:
-    ops = {name: op for name, op in ir.OPERATORS.items() if op.arity == arity}
-    return _choice(ops, noun, attrgetter("name"))
+    return _choice([name for name, n in ir.OPERATORS.items() if n == arity], noun)
 
 
 def _list(item: _Kind, wrap=None) -> _Kind:
     """A JSON array of `item`s <-> a tuple, or the one-field record `wrap`
-    holding that tuple (a block's statements, a body's blocks)."""
-    unwrap = attrgetter(wrap.__match_args__[0]) if wrap else (lambda v: v)
-    item_enc, item_dec = item.enc or (lambda v: v), item.dec
+    holding that tuple (a block's statements, a body's blocks). Both ways
+    copy the array and replace each item in the copy by a plain loop: a
+    comprehension would cost a Python frame per array level, and
+    `list.append` a builtin call per item."""
+    unwrap = attrgetter(wrap.__match_args__[0]) if wrap else None
+    item_enc, item_dec = item.enc, item.dec
     shape = item if isinstance(item, _Shape) else None
 
     def dec(raw, path, key):
         here = (path, key)
+        values = list(_array(raw, here))
         if shape is not None:  # one call per item, not two
-            values = tuple([_decode(shape, x, (here, i)) for i, x in enumerate(_array(raw, here))])
+            for i, x in enumerate(values):
+                values[i] = _decode(shape, x, (here, i))
         else:
-            values = tuple([item_dec(x, here, i) for i, x in enumerate(_array(raw, here))])
-        return wrap(values) if wrap else values
-    return _Kind(lambda value: [item_enc(x) for x in unwrap(value)], dec)
+            for i, x in enumerate(values):
+                values[i] = item_dec(x, here, i)
+        return wrap(tuple(values)) if wrap else tuple(values)
+
+    def enc(value):
+        out = list(unwrap(value) if wrap else value)
+        if item_enc is not None:
+            for i, x in enumerate(out):
+                out[i] = item_enc(x)
+        return out
+    return _Kind(enc, dec)
 
 
 def _param_doc(raw, path, index):

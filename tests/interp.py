@@ -131,17 +131,17 @@ class Interpreter:
             return self._read_var(e.var, frame, self_obj)
         if isinstance(e, ir.Unary):
             operand = ev(e.operand)
-            if e.op.name == "?!":
+            if e.op == "?!":
                 return not operand
-            if e.op.name == "#~":
+            if e.op == "#~":
                 return -operand
-            if e.op.name == "#/^":
+            if e.op == "#/^":
                 return math.sqrt(operand)
-            if e.op.name == "#|":
+            if e.op == "#|":
                 return abs(operand)
-            raise InterpError(f"unary operator {e.op.name}")
+            raise InterpError(f"unary operator {e.op}")
         if isinstance(e, ir.Binary):
-            op = e.op.name
+            op = e.op
             if op == "?&&":
                 return ev(e.left) and ev(e.right)
             if op == "?||":

@@ -56,7 +56,7 @@ def _golden_cases():
         cases.append((f"forEach-{target}",
                       back.render_stmt(for_each).splitlines()[0],
                       gold.FOREACH_FIRST_LINE[target]))
-        cases.append((f"sine-{target}", back.render_expr(sine), gold.SINE_EXPR[target]))
+        cases.append((f"sine-{target}", back.expr(sine), gold.SINE_EXPR[target]))
         cases.append((f"applyDiscount-{target}",
                       back.render_method(fn("applyDiscount", "applyDiscount")),
                       gold.APPLY_DISCOUNT[target]))
@@ -66,7 +66,7 @@ def _golden_cases():
         cases.append((f"addReturn-{target}",
                       back.render_stmt(add_return), gold.ADD_RETURN_LINE[target]))
     cases.append(("argAt-python",
-                  get_backend("python").render_expr(pt.arg_at(bd.lit_int(0))),
+                  get_backend("python").expr(pt.arg_at(bd.lit_int(0))),
                   gold.ARG_AT_PYTHON))
     cases.append(("slice-python",
                   get_backend("python").render_stmt(slice_stmt), gold.SLICE_PYTHON))
@@ -131,7 +131,7 @@ def test_c3_parens_exactly_necessary(passed):
     trees = oracle.enumerate_trees(4)
     assert len(trees) == 1291  # catalan(0..4) x 3 ops per node
     for tree in trees:
-        rendered = py.render_expr(_oracle_to_ir(tree))
+        rendered = py.expr(_oracle_to_ir(tree))
         assert oracle.parse(rendered) == tree, rendered
         for pair in oracle.paren_pairs(rendered):
             stripped = oracle.drop_pair(rendered, pair)
@@ -144,7 +144,7 @@ def test_c3_parens_exactly_necessary(passed):
     rng = random.Random(1291)
     for _ in range(1000):
         tree = oracle.random_tree(rng, depth=5)
-        rendered = py.render_expr(_oracle_to_ir(tree))
+        rendered = py.expr(_oracle_to_ir(tree))
         # CPython is the locally present interpreter for rendered Python
         assert eval(rendered, {"__builtins__": {}}) == oracle.evaluate(tree)
 

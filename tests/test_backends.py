@@ -35,7 +35,7 @@ X_OBJ = bd.var("x", ir.obj_of("Thing"))
 ])
 def test_logical_spelling(target, expected):
     e = bd.apply_binary("?&&", bd.lit_bool(True), bd.apply_unary("?!", bd.lit_bool(False)))
-    assert get_backend(target).render_expr(e) == expected
+    assert get_backend(target).expr(e) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -46,7 +46,7 @@ def test_logical_spelling(target, expected):
 ])
 def test_power_spelling(target, expected):
     e = bd.apply_binary("#^", bd.value_of(FOO), bd.lit_int(2))
-    assert get_backend(target).render_expr(e) == expected
+    assert get_backend(target).expr(e) == expected
 
 
 F = bd.var("f", ir.FLOAT)
@@ -65,15 +65,15 @@ def test_abs_and_sqrt_operator_spelling(target, int_abs, float_abs, sqrt, needs)
     trees = (bd.apply_unary("#|", foo), bd.apply_unary("#|", f), bd.apply_unary("#/^", f))
     for tree, expected, needed in zip(trees, (int_abs, float_abs, sqrt), needs):
         backend = get_backend(target)
-        assert backend.render_expr(tree) == expected
+        assert backend.expr(tree) == expected
         assert backend.needs == needed
-        assert get_backend(target).render_expr(bd.apply_unary("#~", tree)) == f"-{expected}"
+        assert get_backend(target).expr(bd.apply_unary("#~", tree)) == f"-{expected}"
 
 
 def test_python_power_of_an_abs_takes_no_parentheses():
     f = bd.value_of(F)
     e = bd.apply_binary("#^", bd.apply_unary("#|", f), f)
-    assert get_backend("python").render_expr(e) == "abs(f) ** f"
+    assert get_backend("python").expr(e) == "abs(f) ** f"
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -84,7 +84,7 @@ def test_python_power_of_an_abs_takes_no_parentheses():
 ])
 def test_inline_if_spelling(target, expected):
     e = bd.inline_if(bd.lit_bool(True), bd.lit_int(1), bd.lit_int(2))
-    assert get_backend(target).render_expr(e) == expected
+    assert get_backend(target).expr(e) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -165,7 +165,7 @@ def test_variable_form_spelling(target, index):
     ref = FORM_SPELLINGS[target][index]
     end = "" if target == "python" else ";"
     backend = get_backend(target)
-    assert backend.render_expr(bd.value_of(variable)) == ref
+    assert backend.expr(bd.value_of(variable)) == ref
     assert backend.render_stmt(bd.assign(variable, bd.lit_int(1))) == f"{ref} = 1{end}"
     assert backend.render_stmt(bd.add_eq(variable, bd.lit_int(1))) == f"{ref} += 1{end}"
     assert backend.render_stmt(bd.sub_eq(variable, bd.lit_int(1))) == f"{ref} -= 1{end}"
@@ -201,7 +201,7 @@ def test_cpp_for_each_variable_reads_through_its_iterator():
 ])
 def test_arg_exists_spelling(target, expected):
     e = pt.arg_exists(bd.lit_int(0))
-    assert get_backend(target).render_expr(e) == expected
+    assert get_backend(target).expr(e) == expected
 
 
 OFF = bd.value_of(bd.var("off", ir.BOOL))
@@ -217,8 +217,8 @@ OFF_INDEX = bd.inline_if(OFF, bd.lit_int(0), bd.lit_int(4))
 def test_an_inline_if_index_is_wrapped_in_exists_tests(target, index_exists, arg_exists):
     backend = get_backend(target)
     xs = bd.value_of(bd.var("xs", ir.list_of(ir.INT)))
-    assert backend.render_expr(pt.list_index_exists(xs, OFF_INDEX)) == index_exists
-    assert backend.render_expr(pt.arg_exists(OFF_INDEX)) == arg_exists
+    assert backend.expr(pt.list_index_exists(xs, OFF_INDEX)) == index_exists
+    assert backend.expr(pt.arg_exists(OFF_INDEX)) == arg_exists
 
 
 def test_csharp_wraps_inline_if_range_and_slice_bounds():
@@ -241,33 +241,33 @@ def test_csharp_wraps_inline_if_range_and_slice_bounds():
 ])
 def test_int_division_truncates_toward_zero(target, expected):
     e = bd.apply_binary("#/", bd.lit_int(-7), bd.lit_int(2))
-    assert get_backend(target).render_expr(e) == expected
+    assert get_backend(target).expr(e) == expected
 
 
 @pytest.mark.parametrize("target", ["python", "java", "csharp", "cpp"])
 def test_integral_float_literals_keep_their_point(target):
     # `7 / 2` would divide as ints in Java, C# and C++
     e = bd.apply_binary("#/", bd.lit_float(7.0), bd.lit_int(2))
-    assert get_backend(target).render_expr(e) == "7.0 / 2"
-    assert get_backend(target).render_expr(bd.lit_float(1e16)) == "1e+16"
+    assert get_backend(target).expr(e) == "7.0 / 2"
+    assert get_backend(target).expr(bd.lit_float(1e16)) == "1e+16"
 
 
 def test_python_int_division_nests_and_float_division_stays_true():
     py = get_backend("python")
     quotient = bd.apply_binary("#/", bd.value_of(FOO), bd.lit_int(2))
-    assert py.render_expr(bd.apply_binary("#/", quotient, bd.lit_int(3))) == (
+    assert py.expr(bd.apply_binary("#/", quotient, bd.lit_int(3))) == (
         "int(int(foo / 2) / 3)")
-    assert py.render_expr(bd.apply_binary("#*", bd.lit_int(3), quotient)) == (
+    assert py.expr(bd.apply_binary("#*", bd.lit_int(3), quotient)) == (
         "3 * (int(foo / 2))")  # redundant, but harmless
     ratio = bd.apply_binary("#/", bd.value_of(bd.var("r", ir.FLOAT)), bd.lit_int(2))
-    assert py.render_expr(ratio) == "r / 2"
+    assert py.expr(ratio) == "r / 2"
 
 
 def test_arg_exists_negation_keeps_parens():
     # ArgExists renders as a comparison; a ! parent must wrap it
     e = bd.apply_unary("?!", pt.arg_exists(bd.lit_int(0)))
-    assert get_backend("cpp").render_expr(e) == "!(argc > 1)"
-    assert get_backend("python").render_expr(e) == "not len(sys.argv) > 1"
+    assert get_backend("cpp").expr(e) == "!(argc > 1)"
+    assert get_backend("python").expr(e) == "not len(sys.argv) > 1"
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -278,7 +278,7 @@ def test_arg_exists_negation_keeps_parens():
 ])
 def test_list_access_spelling(target, expected):
     ages = bd.value_of(bd.var("ages", ir.list_of(ir.FLOAT)))
-    assert get_backend(target).render_expr(pt.list_access(ages, bd.lit_int(0))) == expected
+    assert get_backend(target).expr(pt.list_access(ages, bd.lit_int(0))) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -289,7 +289,7 @@ def test_list_access_spelling(target, expected):
 ])
 def test_list_size_spelling(target, expected):
     ages = bd.value_of(bd.var("ages", ir.list_of(ir.FLOAT)))
-    assert get_backend(target).render_expr(pt.list_size(ages)) == expected
+    assert get_backend(target).expr(pt.list_size(ages)) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -300,7 +300,7 @@ def test_list_size_spelling(target, expected):
 ])
 def test_index_of_spelling(target, expected):
     ages = bd.value_of(bd.var("ages", ir.list_of(ir.FLOAT)))
-    assert get_backend(target).render_expr(pt.index_of(ages, bd.lit_float(21.75))) == expected
+    assert get_backend(target).expr(pt.index_of(ages, bd.lit_float(21.75))) == expected
 
 
 @pytest.mark.parametrize("target,literal,expected", [
@@ -310,7 +310,7 @@ def test_index_of_spelling(target, expected):
     ("cpp", False, "false"),
 ])
 def test_bool_literal_spelling(target, literal, expected):
-    assert get_backend(target).render_expr(bd.lit_bool(literal)) == expected
+    assert get_backend(target).expr(bd.lit_bool(literal)) == expected
 
 
 # -- abs splits on operand type in C++ -------------------------------------------
@@ -318,8 +318,8 @@ def test_bool_literal_spelling(target, literal, expected):
 
 def test_cpp_abs_picks_int_or_float_form():
     b = get_backend("cpp")
-    assert b.render_expr(pt.math_fn("abs", bd.lit_int(-3))) == "abs(-3)"
-    assert b.render_expr(pt.math_fn("abs", bd.lit_float(-3.5))) == "fabs(-3.5)"
+    assert b.expr(pt.math_fn("abs", bd.lit_int(-3))) == "abs(-3)"
+    assert b.expr(pt.math_fn("abs", bd.lit_float(-3.5))) == "fabs(-3.5)"
 
 
 # -- module assembly ---------------------------------------------------------------

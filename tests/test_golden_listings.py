@@ -36,12 +36,12 @@ def test_for_each_header(target):
 @pytest.mark.parametrize("target", TARGETS)
 def test_sine_expression(target):
     foo = bd.value_of(bd.var("foo", ir.FLOAT))
-    assert get_backend(target).render_expr(pt.math_fn("sin", foo)) == gold.SINE_EXPR[target]
+    assert get_backend(target).expr(pt.math_fn("sin", foo)) == gold.SINE_EXPR[target]
 
 
 def test_arg_at_python():
     # program-argument index 0; the renderer folds in Python's script slot
-    assert get_backend("python").render_expr(pt.arg_at(bd.lit_int(0))) == gold.ARG_AT_PYTHON
+    assert get_backend("python").expr(pt.arg_at(bd.lit_int(0))) == gold.ARG_AT_PYTHON
 
 
 def _slice_stmt() -> ir.ListSlice:

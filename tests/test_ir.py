@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
 from oogen.backends import TARGETS, get_backend
+from oogen.backends.base import ATOMIC_PRECEDENCE
 from oogen._record import record, replace
 from oogen.errors import (
     BuildError,
@@ -253,9 +254,9 @@ def test_inline_if_branches_must_agree():
 def test_atomic_nodes_have_max_precedence():
     for target in TARGETS:
         prec_of = get_backend(target).prec_of
-        assert prec_of(_i()) == ir.ATOMIC_PRECEDENCE
-        assert prec_of(bd.value_of(bd.var("x", ir.INT))) == ir.ATOMIC_PRECEDENCE
-        assert prec_of(bd.func_app("f", ir.INT, [])) == ir.ATOMIC_PRECEDENCE
+        assert prec_of(_i()) == ATOMIC_PRECEDENCE
+        assert prec_of(bd.value_of(bd.var("x", ir.INT))) == ATOMIC_PRECEDENCE
+        assert prec_of(bd.func_app("f", ir.INT, [])) == ATOMIC_PRECEDENCE
 
 
 def test_operator_nodes_take_table_precedence():
@@ -269,7 +270,7 @@ def test_operator_nodes_take_table_precedence():
         assert prec_of(pt.arg_exists(_i())) == 5
         assert prec_of(pt.list_index_exists(bd.value_of(bd.var("xs", ir.list_of(ir.INT))),
                                             _i())) == 5
-    assert ir.OPERATORS["#^"].assoc == "right"
+        assert type(get_backend(target))._assoc["#^"] == "right"
 
 
 def test_math_fn_typing():
@@ -500,7 +501,7 @@ def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
                and not issubclass(c, enum.Enum)]
-    assert len(classes) == 55
+    assert len(classes) == 54
     others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
     for cls in classes + others:
@@ -634,7 +635,7 @@ def _record_classes():
 
 def test_every_record_builds_by_keyword():
     classes = _record_classes()
-    assert len(classes) == 60
+    assert len(classes) == 59
     for cls in classes:
         # FileSet's __post_init__ walks its files, so give it none
         values = [() if cls is layout.FileSet else object() for _ in cls.__match_args__]

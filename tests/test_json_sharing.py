@@ -216,6 +216,19 @@ def test_equal_int_string_and_bool_literals_are_shared():
     assert not {id(x) for x in first} & {id(x) for x in second}
 
 
+def test_a_decoded_operator_is_the_operator_tables_own_name():
+    """An operator node holds its name: a decoded one holds `ir.OPERATORS`'
+    own string, not a string per node from the JSON text."""
+    table = {name: name for name in ir.OPERATORS}
+    doc = json.loads(json.dumps(_prints(
+        {"op": "unary", "name": "#~", "operand": {"op": "lit", "kind": "int", "value": 1},
+         "type": "int"},
+        {"op": "binary", "name": "?&&", "left": {"op": "lit", "kind": "bool", "value": True},
+         "right": {"op": "lit", "kind": "bool", "value": False}, "type": "bool"})))
+    negate, both = _printed(jsonio.decode_package(doc))
+    assert negate.op is table["#~"] and both.op is table["?&&"]
+
+
 @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
 def test_a_shared_int_literal_does_not_admit_equal_values_of_other_types(value):
     one = {"op": "lit", "kind": "int", "value": 1}

@@ -87,7 +87,7 @@ _PARENS = [
 @pytest.mark.parametrize("tree,python,cfamily", _PARENS, ids=[row[1] for row in _PARENS])
 def test_parens_table(tree, python, cfamily, target):
     wanted = python if target == "python" else (cfamily or python).format(pow=_POW.get(target))
-    assert get_backend(target).render_expr(tree) == wanted
+    assert get_backend(target).expr(tree) == wanted
 
 
 def test_wrap():

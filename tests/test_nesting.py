@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from oogen import builders as bd, cli, jsonio, patterns as pt
+from oogen import builders as bd, cli, ir, jsonio, patterns as pt
 from oogen.backends import TARGETS, get_backend
 from oogen.errors import BuildError, DecodeError, NestingTooDeep
 
@@ -149,3 +149,19 @@ def test_deeply_nested_statements_build_and_fail_typed_downstream():
             get_backend(target).render_package(pkg)
     with pytest.raises(NestingTooDeep, match="too deeply to encode"):
         jsonio.encode_package(pkg)
+
+
+def _if_depth(pkg) -> tuple[int, object]:
+    """How many `if`s nest in main, and the statement inside the last."""
+    s, depth = pkg.modules[0].functions[0].body.blocks[0].statements[0], 0
+    while type(s) is ir.If:
+        s, depth = s.branches[0][1].blocks[0].statements[0], depth + 1
+    return depth, s
+
+
+def test_statements_150_deep_encode_and_decode():
+    """The codec spends no comprehension frame on an array, so an `if`
+    (an object, its branches, a branch, its body and a block per level)
+    nests 150 deep both ways."""
+    pkg = jsonio.decode_package(jsonio.encode_package(_deep_ifs(150)))
+    assert _if_depth(pkg) == (150, pt.print_str_ln("deep"))

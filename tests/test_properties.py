@@ -34,11 +34,11 @@ def reference_ast(expr: ir.ExprRepr) -> ast.AST:
             return ast.UnaryOp(op=ast.USub(), operand=ast.Constant(-expr.value))
         return ast.Constant(expr.value)
     if isinstance(expr, ir.Unary):
-        assert expr.op.name == "#~"
+        assert expr.op == "#~"
         return ast.UnaryOp(op=ast.USub(), operand=reference_ast(expr.operand))
     assert isinstance(expr, ir.Binary)
     return ast.BinOp(left=reference_ast(expr.left),
-                     op=_AST_OPS[expr.op.name](),
+                     op=_AST_OPS[expr.op](),
                      right=reference_ast(expr.right))
 
 
@@ -48,7 +48,7 @@ def reference_eval(expr: ir.ExprRepr) -> int:
     if isinstance(expr, ir.Unary):
         return -reference_eval(expr.operand)
     left, right = reference_eval(expr.left), reference_eval(expr.right)
-    return {"#+": left + right, "#-": left - right, "#*": left * right}[expr.op.name]
+    return {"#+": left + right, "#-": left - right, "#*": left * right}[expr.op]
 
 
 def _dump(node: ast.AST) -> str:
@@ -71,7 +71,7 @@ def matched_pairs(source: str) -> list[tuple[int, int]]:
 
 
 def assert_parens_minimal(expr: ir.ExprRepr) -> None:
-    rendered = PY.render_expr(expr)
+    rendered = PY.expr(expr)
     want = _dump(reference_ast(expr))
     assert parse_dump(rendered) == want, rendered
     for i, j in matched_pairs(rendered):
@@ -149,7 +149,7 @@ def test_thousand_random_trees_evaluate_like_reference():
     rng = random.Random(20260815)
     for _ in range(1000):
         tree = random_tree(rng, depth=5)
-        rendered = PY.render_expr(tree)
+        rendered = PY.expr(tree)
         assert eval(rendered, {"__builtins__": {}}) == reference_eval(tree)
         assert parse_dump(rendered) == _dump(reference_ast(tree))
 
@@ -172,5 +172,5 @@ def arith_exprs(draw, depth=4):
 @settings(max_examples=300, deadline=None)
 @given(arith_exprs())
 def test_render_parse_roundtrip_with_negation(expr):
-    rendered = PY.render_expr(expr)
+    rendered = PY.expr(expr)
     assert parse_dump(rendered) == _dump(reference_ast(expr))

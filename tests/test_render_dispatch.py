@@ -24,7 +24,8 @@ import all_tags
 import oogen
 from oogen import ir
 from oogen import builders as bd, patterns as pt
-from oogen.backends import TARGETS, PythonRenderer, assemble_package, get_backend
+from oogen.backends import TARGETS, PythonRenderer, assemble_package, base, get_backend
+from oogen.backends.base import ATOMIC_PRECEDENCE
 from oogen.errors import UnsupportedConstruct
 
 FIXTURE = Path(__file__).with_name("all_tags_rendered.txt")
@@ -79,7 +80,7 @@ class Odd(ir.StatementRepr):
 def test_unknown_node_names_the_target_and_the_class(target):
     backend = get_backend(target)
     with pytest.raises(UnsupportedConstruct) as expr_error:
-        backend.render_expr(Strange())
+        backend.expr(Strange())
     assert str(expr_error.value) == f"{target} backend cannot render expression Strange"
     with pytest.raises(UnsupportedConstruct) as stmt_error:
         backend.render_stmt(Odd())
@@ -89,15 +90,15 @@ def test_unknown_node_names_the_target_and_the_class(target):
 _ONE, _XS = ir.Lit("int", 1), ir.ValueOf(ir.VariableRepr("xs", ir.list_of(ir.INT)))
 # An unknown class as each kind of operand a handler dispatches itself.
 OPERAND_PLACES = {
-    "binary left": lambda x: ir.Binary(ir.OPERATORS["#+"], x, _ONE, ir.INT),
-    "binary right": lambda x: ir.Binary(ir.OPERATORS["#+"], _ONE, x, ir.INT),
-    "unary": lambda x: ir.Unary(ir.OPERATORS["#~"], x, ir.INT),
+    "binary left": lambda x: ir.Binary("#+", x, _ONE, ir.INT),
+    "binary right": lambda x: ir.Binary("#+", _ONE, x, ir.INT),
+    "unary": lambda x: ir.Unary("#~", x, ir.INT),
     "inline-if else": lambda x: ir.InlineIf(ir.Lit("bool", True), _ONE, x),
     "call argument": lambda x: ir.Call(ir.CallForm.FUNCTION, "f", (x,), ir.INT),
     "math argument": lambda x: ir.MathCall("sin", x, ir.FLOAT),
-    "abs operand": lambda x: ir.Unary(ir.OPERATORS["#|"], x, ir.INT),
-    "power left": lambda x: ir.Binary(ir.OPERATORS["#^"], x, _ONE, ir.FLOAT),
-    "power right": lambda x: ir.Binary(ir.OPERATORS["#^"], _ONE, x, ir.FLOAT),
+    "abs operand": lambda x: ir.Unary("#|", x, ir.INT),
+    "power left": lambda x: ir.Binary("#^", x, _ONE, ir.FLOAT),
+    "power right": lambda x: ir.Binary("#^", _ONE, x, ir.FLOAT),
     "list index": lambda x: ir.ListAccess(_XS, x),
     "list receiver": lambda x: ir.ListAccess(x, _ONE),
 }
@@ -107,7 +108,7 @@ OPERAND_PLACES = {
 @pytest.mark.parametrize("target", TARGETS)
 def test_an_unknown_operand_names_the_target_and_the_class(target, place):
     with pytest.raises(UnsupportedConstruct) as error:
-        get_backend(target).render_expr(OPERAND_PLACES[place](Strange()))
+        get_backend(target).expr(OPERAND_PLACES[place](Strange()))
     assert str(error.value) == f"{target} backend cannot render expression Strange"
 
 
@@ -132,15 +133,27 @@ def test_every_variable_and_call_form_has_a_handler(target):
                                      *renderer._call_table.values()])
 
 
+# The IR names each operator and gives its arity; the renderer ranks and
+# spells it. A name in one table but not the others would fail at render.
+@pytest.mark.parametrize("target", TARGETS)
+def test_every_operator_is_ranked_and_spelled(target):
+    renderer = type(get_backend(target))
+    for name in ir.OPERATORS:
+        assert name in renderer._prec and name in renderer._assoc, name
+        spelled_as_call = (renderer._prec[name] == ATOMIC_PRECEDENCE
+                           and name in base._OP_FUNCTIONS)
+        assert (name in renderer.op_tokens) != spelled_as_call, name
+
+
 class PythonWithoutListSize(PythonRenderer):
     list_size = None
 
 
 def test_a_handler_the_class_does_not_define_leaves_its_node_unsupported():
     size = pt.list_size(bd.value_of(bd.var("xs", ir.list_of(ir.INT))))
-    assert get_backend("python").render_expr(size) == "len(xs)"
+    assert get_backend("python").expr(size) == "len(xs)"
     with pytest.raises(UnsupportedConstruct) as error:
-        PythonWithoutListSize().render_expr(size)
+        PythonWithoutListSize().expr(size)
     assert str(error.value) == "python backend cannot render expression ListSize"
 
 

@@ -243,3 +243,56 @@ def test_mutating_a_const_list_is_a_const_assignment(op):
     with pytest.raises(DecodeError) as err:
         jsonio.decode_package(doc)
     assert str(err.value) == "$.program.modules[0].classes[0]: C.xs is const but assigned in grow"
+
+
+# An in/out procedure renders its signature from `inout` and its doc and
+# body from `params`, so the two must list the same variables: in-outs, ins,
+# outs. `patterns.in_out_func` always builds them so.
+
+def _in_out_doc() -> dict:
+    a, b, c = bd.var("a", ir.INT), bd.var("b", ir.INT), bd.var("c", ir.INT)
+    swap = pt.in_out_func("swap", ir.Scope.PUBLIC, ir.Binding.STATIC, [a], [b], [c], _EMPTY)
+    assert [p.name for p in swap.params] == ["c", "a", "b"]
+    return jsonio.encode_package(bd.prog("p", [bd.build_module("M", [], [swap], [])]))
+
+
+def _rename(*steps):
+    def mutate(func):
+        node = func
+        for step in steps:
+            node = node[step]
+        node["name"] = "x"
+    return mutate
+
+
+def _set(*steps, value):
+    def mutate(func):
+        node = func
+        for step in steps[:-1]:
+            node = node[step]
+        node[steps[-1]] = value
+    return mutate
+
+
+_IN_OUT_MISMATCHES = {
+    **{f"params[{i}].name": _rename("params", i) for i in range(3)},
+    "params reversed": lambda func: func["params"].reverse(),
+    **{f"inout.{group}": _set("inout", group, value=[]) for group in ("ins", "outs", "inouts")},
+    **{f"inout.{group}[0].name": _rename("inout", group, 0)
+       for group in ("ins", "outs", "inouts")},
+}
+
+
+def test_in_out_params_as_built_decode():
+    doc = _in_out_doc()
+    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+
+
+@pytest.mark.parametrize("mutation", list(_IN_OUT_MISMATCHES))
+def test_in_out_params_must_match_the_spec(mutation):
+    doc = _in_out_doc()
+    _IN_OUT_MISMATCHES[mutation](doc["program"]["modules"][0]["functions"][0])
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == (
+        f"{_MODULE}.functions[0]: inOutFunc 'swap' parameters must be its in-outs, ins and outs")
