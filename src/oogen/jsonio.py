@@ -15,6 +15,16 @@ and one generic decoder (`_decode`) walk it. A field with a default is left
 out of the encoding when it equals that default, and may be absent when
 decoding; where the default is None, null reads as absent too.
 
+On the valid path neither walker makes a builtin or Python call per field
+for bookkeeping: a field costs a call only where its kind has work to do
+(a nested object or array, a name's check, an encoder). `_decode` tests a
+key with `in` and reads it by subscript, hands a nested object straight to
+itself, and reads a field of a lookup kind (an enum, a choice such as an
+operator name, a scalar type) by subscript of that kind's table, calling
+the kind's `dec` only on a miss: to decode a list or object type, or to
+raise. `_encode` finds a record's row by subscript and leaves out a value
+whose default is None by identity alone.
+
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure: tags, enum spellings, field
 types and operator names, each failure reported with the JSON path of
@@ -53,7 +63,6 @@ from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 SCHEMA_VERSION = 1
 
 _REQUIRED = object()
-_MISSING = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
 
 
@@ -92,8 +101,12 @@ def _array(data, path) -> list:
 
 
 class _Kind:
-    def __init__(self, enc, dec):
-        self.enc, self.dec = enc, dec
+    """`table`, if given, maps each valid raw value to what it decodes to:
+    `_decode` reads a field of this kind by subscript, and `dec` handles
+    only what the table lacks (a list or object type), or raises."""
+
+    def __init__(self, enc, dec, table=None):
+        self.enc, self.dec, self.table = enc, dec, table
 
 
 def _leaf(cls: type, what: str) -> _Kind:
@@ -128,23 +141,21 @@ def _enum(cls) -> _Kind:
     members = {m.value: m for m in cls}
     allowed = ", ".join(members)
 
-    def dec(raw, path, key):
-        member = members.get(raw) if isinstance(raw, str) else None
-        return member or _fail(f"field {key!r} must be one of: {allowed}", path)
+    def refuse(raw, path, key):
+        _fail(f"field {key!r} must be one of: {allowed}", path)
     # A dict, not `.value`: on Python 3.11 that goes through an enum property.
-    return _Kind({m: value for value, m in members.items()}.__getitem__, dec)
+    return _Kind({m: value for value, m in members.items()}.__getitem__, refuse, members)
 
 
 def _choice(values, noun: str) -> _Kind:
     """A string among `values`; a dict `values` maps it to what it decodes to."""
     values = values if isinstance(values, dict) else {v: v for v in values}
 
-    def dec(raw, path, key):
+    def refuse(raw, path, key):
         if not isinstance(raw, str):
             _STR.dec(raw, path, key)  # raises
-        value = values.get(raw, _MISSING)
-        return value if value is not _MISSING else _fail(f"unknown {noun} {raw!r}", path)
-    return _Kind(None, dec)
+        _fail(f"unknown {noun} {raw!r}", path)
+    return _Kind(None, refuse, values)
 
 
 def _operator(arity: int, noun: str) -> _Kind:
@@ -156,15 +167,21 @@ def _list(item: _Kind, wrap=None) -> _Kind:
     holding that tuple (a block's statements, a body's blocks). Both ways
     copy the array and replace each item in the copy by a plain loop: a
     comprehension would cost a Python frame per array level, and
-    `list.append` a builtin call per item."""
+    `list.append` a builtin call per item. The walkers' rule holds here
+    too: no call per item but the one that decodes or encodes it, and a
+    lookup kind's table is read by subscript (in `_decode`), never through
+    its `dec`. An object item goes straight to `_decode`, and an item of one
+    row (but a variable, which `_encode_var` shares) straight to `_encode`
+    with that row, so an item costs one call and one frame either way."""
     unwrap = attrgetter(wrap.__match_args__[0]) if wrap else None
     item_enc, item_dec = item.enc, item.dec
     shape = item if isinstance(item, _Shape) else None
+    row = item if type(item) is _Row and item_enc is _encode else None
 
     def dec(raw, path, key):
         here = (path, key)
-        values = list(_array(raw, here))
-        if shape is not None:  # one call per item, not two
+        values = list(raw if type(raw) is list else _array(raw, here))
+        if shape is not None:
             for i, x in enumerate(values):
                 values[i] = _decode(shape, x, (here, i))
         else:
@@ -174,7 +191,10 @@ def _list(item: _Kind, wrap=None) -> _Kind:
 
     def enc(value):
         out = list(unwrap(value) if wrap else value)
-        if item_enc is not None:
+        if row is not None:
+            for i, x in enumerate(out):
+                out[i] = _encode(x, row)
+        elif item_enc is not None:
             for i, x in enumerate(out):
                 out[i] = item_enc(x)
         return out
@@ -197,14 +217,14 @@ def _encode_type(t: ir.TypeRepr) -> object:
 
 
 def _decode_type(raw, path, key) -> ir.TypeRepr:
-    """A scalar kind's name, or a list or object type as an object tagged by
-    "kind" (see the table)."""
+    """A list or object type, as an object tagged by "kind" (see the table);
+    a scalar kind's name is read from `ir.SCALAR_TYPES`."""
     if isinstance(raw, str):
-        return ir.SCALAR_TYPES.get(raw) or _fail(f"unknown type kind {raw!r}", (path, key))
+        _fail(f"unknown type kind {raw!r}", (path, key))
     return _decode(_TYPE_OBJECT, raw, (path, key))
 
 
-_TYPE = _Kind(_encode_type, _decode_type)
+_TYPE = _Kind(_encode_type, _decode_type, ir.SCALAR_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +246,20 @@ class _Row(_Shape):
     """One IR record class <-> one JSON object. `cls` may instead be a
     function of the field values in order (the attributes are then indices),
     or `tuple` for a pair in `if` and `switch`; a record class's rule runs
-    on each node, and the node is what it returns. `share(data)` gives an
-    exact key for an object whose node is immutable and used in many
-    places, or None: one decode_package call decodes each such object
-    once."""
+    on each node, and the node is what it returns. Such a row is encoded
+    only as a list item, which `_list` hands to `_encode` with its row.
+    `share(data)` gives an exact key for an object whose node is immutable
+    and used in many places, or None: one decode_package call decodes each
+    such object once."""
 
     def __init__(self, cls, *fields, share=None, enc=None):
+        super().__init__(enc)
         if hasattr(cls, "__record_values__"):
-            super().__init__(enc)
             self.values = cls.__record_values__
             positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
             _ROW_OF[cls] = self
         else:
-            super().__init__(lambda value: _encode(value, self))
-            self.values = lambda value: value
+            self.values = tuple  # a pair is its own values
             positions = [attr for _, attr, _, _ in fields]
         self.make = (lambda *values: values) if cls is tuple else cls
         self.share, self.head, self.rule = share, {}, RULES.get(cls)
@@ -249,7 +269,8 @@ class _Row(_Shape):
             self.defaults[pos] = default
         self.encoders = [(key, pos, kind.enc, default)
                          for (key, _, kind, default), pos in zip(fields, positions)]
-        self.decoders = [(key, pos, kind if isinstance(kind, _Shape) else None, kind.dec, default)
+        self.decoders = [(key, pos, kind if isinstance(kind, _Shape) else None, kind.table,
+                          kind.dec, default)
                          for (key, _, kind, default), pos in zip(fields, positions)]
 
 
@@ -268,51 +289,65 @@ class _Union(_Shape):
 
 def _encode(node, row: _Row | None = None) -> dict:
     if row is None:
-        row = _ROW_OF.get(type(node))
-        if row is None:
-            raise TypeError(f"cannot encode {type(node).__name__}")
+        try:
+            row = _ROW_OF[type(node)]
+        except KeyError:
+            raise TypeError(f"cannot encode {type(node).__name__}") from None
     out = row.head.copy()
     values = row.values(node)
     for key, pos, enc, default in row.encoders:
         value = values[pos]
-        if default is _REQUIRED or not (value is default or value == default):
+        # Against a None default identity decides: `==` would call a record's `__eq__`.
+        if default is _REQUIRED or value is not default and (default is None or value != default):
             out[key] = value if enc is None else enc(value)
     return out
 
 
 def _decode(shape: _Shape, data, path):
-    if not isinstance(data, dict):
+    if type(data) is not dict and not isinstance(data, dict):
         _fail(f"expected an object, got {type(data).__name__}", path)
     row, seen = shape, 0
     if type(shape) is _Union:
-        tag = data.get(shape.key, _MISSING)
-        if tag is _MISSING:
-            _fail(f"missing required field {shape.key!r}", path)
-        row = shape.rows.get(tag) if isinstance(tag, str) else None
-        if row is None:
-            shape.tags.dec(tag, path, shape.key)  # raises
+        key = shape.key
+        if key not in data:
+            _fail(f"missing required field {key!r}", path)
+        tag = data[key]
+        try:
+            row = shape.rows[tag]
+        except (KeyError, TypeError):  # an unknown tag, or one that cannot be hashed
+            shape.tags.dec(tag, path, key)  # raises
         seen = 1
     share = row.share
     if share is not None:
         share = share(data)
         try:
-            node = _calls.decoded.get(share)
+            return _calls.decoded[share]
+        except KeyError:
+            pass
         except TypeError:  # content that cannot be hashed
             share = None
-        else:
-            if node is not None:
-                return node
     args = list(row.defaults)
-    for key, pos, sub, dec, default in row.decoders:
-        raw = data.get(key, _MISSING)
-        if raw is _MISSING:
+    # No bookkeeping call per field (see the module docstring); a nested
+    # object costs one call per level, not two.
+    for key, pos, sub, table, dec, default in row.decoders:
+        if key not in data:
             if default is _REQUIRED:
                 _fail(f"missing required field {key!r}", path)
             continue
+        raw = data[key]
         seen += 1
-        if raw is not None or default is not None:
-            # A nested object costs one call per level, not two.
-            args[pos] = _decode(sub, raw, (path, key)) if sub else dec(raw, path, key)
+        if raw is None and default is None:
+            continue
+        if sub is not None:
+            args[pos] = _decode(sub, raw, (path, key))
+            continue
+        if table is not None:
+            try:
+                args[pos] = table[raw]
+                continue
+            except (KeyError, TypeError):  # `dec` decodes what the table lacks, or raises
+                pass
+        args[pos] = dec(raw, path, key)
     if seen != len(data):
         extra = sorted(set(data).difference(row.keys))
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
@@ -345,21 +380,22 @@ def _items(data: dict) -> tuple:
 def _var_key(data: dict) -> tuple:
     """A valid variable object holds only strings, nulls and a list or
     object type's nested object, so its items are an exact key."""
-    return tuple(data.items()) if type(data.get("type")) is not dict else _items(data)
+    return _items(data) if "type" in data and type(data["type"]) is dict else tuple(data.items())
 
 
 def _lit_key(data: dict) -> tuple | None:
     """A literal's items and its value's type; a float is not shared."""
-    kind = type(data.get("value"))
+    kind = type(data["value"]) if "value" in data else None
     return (kind, *data.items()) if kind is int or kind is str or kind is bool else None
 
 
 def _encode_var(v: ir.VariableRepr) -> dict:
     """Encodes each variable object once per call; every use gets its own dict."""
-    done = _calls.encoded
-    out = done.get(id(v))
-    if out is None:  # the first use keeps it; the copies are made before it is returned
-        out = done[id(v)] = _encode(v, _VAR)
+    done, key = _calls.encoded, id(v)
+    try:
+        out = done[key]
+    except KeyError:  # the first use keeps it; the copies are made before it is returned
+        out = done[key] = _encode(v, _VAR)
         return out
     out = out.copy()
     if type(out["type"]) is dict:  # a list or object type gets its own dict too

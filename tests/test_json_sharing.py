@@ -118,17 +118,19 @@ def test_concurrent_decodes_equal_sequential_ones():
 
 
 class _Pausing(dict):
-    """A JSON object that, when first read, runs `pause` to its end."""
+    """A JSON object that, when the decoder first asks whether it holds a
+    key, runs `pause` to its end; `paused` tells whether it did."""
 
     def __init__(self, data, pause):
         super().__init__(data)
-        self.pause = pause
+        self.pause, self.paused = pause, False
 
-    def get(self, *args):
+    def __contains__(self, key):
         pause, self.pause = self.pause, None
         if pause is not None:
             pause()
-        return super().get(*args)
+            self.paused = True
+        return super().__contains__(key)
 
 
 def test_a_decode_in_another_thread_leaves_this_ones_variables_alone():
@@ -142,8 +144,10 @@ def test_a_decode_in_another_thread_leaves_this_ones_variables_alone():
         worker.join()
 
     body = doc["program"]["modules"][0]["functions"][0]["body"][0]
-    body[4] = _Pausing(body[4], decode_in_another_thread)  # after some uses of each variable
+    # The pause comes after some uses of each variable.
+    body[4] = paused = _Pausing(body[4], decode_in_another_thread)
     mine = jsonio.decode_package(doc)
+    assert paused.paused  # the other thread decoded in the middle of this decode
     assert mine == pkg == other["pkg"]
     variables = _variables(mine)
     assert len({id(v) for v in variables}) == len(set(variables)) == 3

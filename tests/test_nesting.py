@@ -165,3 +165,33 @@ def test_statements_150_deep_encode_and_decode():
     nests 150 deep both ways."""
     pkg = jsonio.decode_package(jsonio.encode_package(_deep_ifs(150)))
     assert _if_depth(pkg) == (150, pt.print_str_ln("deep"))
+
+
+def _deep_ifs_document(depth: int) -> dict:
+    """The document of `_deep_ifs(depth)`, nested by hand: encode_package
+    is what the test below checks."""
+    doc = jsonio.encode_package(_deep_ifs(0))
+    main = doc["program"]["modules"][0]["functions"][0]
+    true = {"op": "lit", "kind": "bool", "value": True}
+    for _ in range(depth):
+        main["body"] = [[{"stmt": "if", "branches": [{"cond": true, "body": main["body"]}]}]]
+    return doc
+
+
+def test_the_deepest_if_chain_that_decodes_encodes():
+    """Encode spends no more stack per level than decode: an `if`'s
+    `(cond, body)` pairs go straight to `_encode`, as they go straight to
+    `_decode`."""
+    low, high = 1, IF_DEPTH  # decodes at low, not at high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            jsonio.decode_package(_deep_ifs_document(mid))
+        except DecodeError:
+            high = mid
+        else:
+            low = mid
+    pkg = jsonio.decode_package(_deep_ifs_document(low))
+    assert _if_depth(pkg) == (low, pt.print_str_ln("deep"))
+    doc = jsonio.encode_package(pkg)
+    assert _if_depth(jsonio.decode_package(doc)) == (low, pt.print_str_ln("deep"))
