@@ -42,7 +42,8 @@ because the target's grammar differs; `op_assoc` likewise overrides an
 operator's associativity. `__init_subclass__` folds both into `_prec`,
 keyed by node class and, for an operator node (whose class maps to None),
 by operator name, and into `_assoc`. `prec_of` reads a node's precedence
-from `_prec`. Only the chain handlers `binary`, `unary` and
+by subscript of `_prec` (its callers render the node first, so its class
+is there). Only the chain handlers `binary`, `unary` and
 `inline_if` repeat that lookup inline, `prec[type(x)] or prec[x.op]`
 (every precedence is positive), to save a call per level. `binary` holds
 the parenthesis rule: it wraps a child that binds looser than its parent,
@@ -356,7 +357,7 @@ class Renderer:
 
     def prec_of(self, e: ir.ExprRepr) -> float:
         prec = self._prec
-        return prec.get(type(e), ATOMIC_PRECEDENCE) or prec[e.op]
+        return prec[type(e)] or prec[e.op]
 
     def atom(self, e: ir.ExprRepr) -> str:
         """Render as a call/index receiver: wrapped unless already atomic."""

@@ -10,7 +10,6 @@ spelling the two differ in as a class constant; C++ overrides it whole.
 from __future__ import annotations
 
 from .. import ir
-from ..errors import UnsupportedConstruct
 from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import ATOMIC_PRECEDENCE, Renderer, escape_string, list_print
 
@@ -49,13 +48,6 @@ class CFamilyRenderer(Renderer):
 
     def elem_text(self, t: ir.TypeRepr) -> str:
         return self.type_text(t)
-
-    def inline_stmt(self, s: ir.StatementRepr) -> str:
-        """Statement text without the trailing semicolon, for for-headers."""
-        rendered = self.render_stmt(s)
-        if "\n" in rendered:
-            raise UnsupportedConstruct("for-loop header parts must be single statements")
-        return rendered.rstrip(";")
 
     # -- statement dispatch ---------------------------------------------------
 
@@ -133,10 +125,9 @@ class CFamilyRenderer(Renderer):
         return hang(f"switch ({self.expr(s.value)}) {{", vcat(cases), "}")
 
     def for_doc(self, s: ir.For) -> Doc:
-        header = (
-            f"for ({self.inline_stmt(s.init)}; {self.expr(s.cond)};"
-            f" {self.inline_stmt(s.update)}) {{"
-        )
+        # The for rule admits only one-line statements to the header.
+        header = (f"for ({self.stmt(s.init)[0].rstrip(';')}; {self.expr(s.cond)};"
+                  f" {self.stmt(s.update)[0].rstrip(';')}) {{")
         return self.braced(header, self.body(s.body))
 
     def for_each_doc(self, s: ir.ForEach) -> Doc:

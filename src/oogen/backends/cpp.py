@@ -19,6 +19,7 @@ from .cfamily import CFamilyRenderer
 
 _PLAIN, _STATIC = ir.VarForm.PLAIN, ir.Binding.STATIC
 _SECTIONS = ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:"))
+_HEADER = ".hpp"
 
 
 def _scoped(renderer, v: ir.VariableRepr) -> str:
@@ -28,7 +29,6 @@ def _scoped(renderer, v: ir.VariableRepr) -> str:
 class CppRenderer(CFamilyRenderer):
     target = "cpp"
     extension = ".cpp"
-    header_extension = ".hpp"
     tools = (("CXX", "OOGEN_CXX", ("g++", "c++", "clang++")),)
     type_names = {"bool": "bool", "int": "int", "float": "double", "char": "char",
                   "string": "std::string", "void": "void", "infile": "std::ifstream",
@@ -257,9 +257,9 @@ class CppRenderer(CFamilyRenderer):
         hdr_docs += [self.class_decl_doc(c) for c in module.classes]
         hdr_needs = set(self.needs)
 
-        own = text(f'#include "{name}{self.header_extension}"') if has_header else EMPTY
+        own = text(f'#include "{name}{_HEADER}"') if has_header else EMPTY
         other = vcat(
-            [text(f'#include "{imp}{self.header_extension}"')
+            [text(f'#include "{imp}{_HEADER}"')
              for imp in sorted(module.imports)]
             + [text(f"#include <{inc}>") for inc in sorted(src_needs)]
         )
@@ -274,5 +274,5 @@ class CppRenderer(CFamilyRenderer):
                 *hdr_docs,
                 text("#endif"),
             ])
-            files.append(RenderedFile(f"{name}{self.header_extension}", extract(hdr_content)))
+            files.append(RenderedFile(f"{name}{_HEADER}", extract(hdr_content)))
         return files

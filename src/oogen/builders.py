@@ -103,6 +103,10 @@ _COMPARISONS = ("?<", "?<=", "?>", "?>=")
 _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
 _STEP_NAMES = {_INC: "&++", _DEC: "&~-"}
+# The statements a for header takes as its update and its init, and the
+# expressions a statement may be.
+_FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
+_STATEMENT_EXPRS = (ir.Call, ir.ListAppend)
 # Functions every target's math namespace provides under some spelling.
 MATH_FNS = ("sin", "cos", "tan", "sqrt", "abs", "floor", "ceil", "log", "exp")
 
@@ -269,7 +273,8 @@ def _check_if(node: ir.If) -> ir.If:
 
 
 def _check_switch(node: ir.Switch) -> ir.Switch:
-    """Cases are literals of the scrutinee's kind, each once (javac, g++ refuse repeats)."""
+    """Cases are literals of the scrutinee's kind, each once (javac, g++ refuse
+    repeats), of a kind they switch on: not a float, nor for javac a bool."""
     kind = node.value.type.kind
     for label, _ in node.cases:
         if type(label) is not ir.Lit:
@@ -277,8 +282,19 @@ def _check_switch(node: ir.Switch) -> ir.Switch:
         if label.kind != kind:
             _refuse(f"switch case {label.value!r} is {label.kind}, scrutinee is {kind}")
     value = _first_repeat([label.value for label, _ in node.cases])
-    return node if value is None else _refuse(
-        f"switch case {value!r} listed twice", DuplicateStateLabel)
+    if value is not None:
+        _refuse(f"switch case {value!r} listed twice", DuplicateStateLabel)
+    return node if kind in ("int", "char", "string") else _refuse(
+        f"switch scrutinee must be an int, char or string, got {_type_name(node.value.type)}")
+
+
+def _check_for(node: ir.For) -> ir.For:
+    """A header javac and g++ compile and Python runs alike (javac finds a
+    bare declaration unassigned; Python reruns a declaring update)."""
+    init, update = type(_bool_cond("for", node).init), type(node.update)
+    return node if init in _FOR_INITS and update in _FOR_UPDATES else _refuse(
+        "for takes a varDecDef, assign or expr statement as its init and an assign or expr"
+        f" statement as its update, got {init.__name__} and {update.__name__}", BuildError)
 
 
 def _check_for_range(node: ir.ForRange) -> ir.ForRange:
@@ -325,8 +341,9 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
     with an output and its in-outs, ins and outs, in that order, as its
     parameters; then, unless `body` is False, one walk of the body:
-    observer calls follow initObserverList, and a returned value has the
-    method's return type (or is an int in a float method)."""
+    observer calls follow initObserverList and add or notify its element
+    type, and a returned value has the method's return type (or is an int in
+    a float method)."""
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -341,14 +358,20 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
         if m.params != spec.inouts + spec.ins + spec.outs:
             _refuse(f"inOutFunc {m.name!r} parameters must be its in-outs, ins and outs",
                     SignatureMismatch)
-    returns, initialized = m.return_type, False
+    returns, elem = m.return_type, None  # elem: the observer list's element type
     for stmt in ir.walk(m.body) if body else ():
         kind = type(stmt)
         if kind is ir.ObserverInit:
-            initialized = True
-        elif (kind is ir.ObserverAdd or kind is ir.ObserverNotify) and not initialized:
-            _refuse("observer list used before initObserverList in this body",
-                    ObserverNotInitialized)
+            elem = stmt.elem_type
+        elif kind is ir.ObserverAdd or kind is ir.ObserverNotify:
+            if elem is None:
+                _refuse("observer list used before initObserverList in this body",
+                        ObserverNotInitialized)
+            # `kind` and `class_name` alone: a record `==` is a Python call.
+            t = stmt.value.type if kind is ir.ObserverAdd else stmt.elem_type
+            if t.kind != elem.kind or t.class_name != elem.class_name:
+                _refuse(f"{'addObserver' if kind is ir.ObserverAdd else 'notifyObservers'}"
+                        f" of {_type_name(t)} on a list of {_type_name(elem)}")
         elif kind is ir.Return:
             value = stmt.value.type
             if value != returns and (value.kind, returns.kind) != ("int", "float"):
@@ -409,7 +432,7 @@ RULES = {
     ir.ListIndexExists: lambda n: _int_index("listIndexExists", _listed("listIndexExists", n)),
     ir.ListIndexOf: lambda n: _fits("indexOf", n), ir.Assign: _check_assign,
     ir.ListSet: lambda n: _int_index("listSet", _fits("listSet", n)),
-    ir.If: _check_if, ir.Switch: _check_switch, ir.For: lambda n: _bool_cond("for", n),
+    ir.If: _check_if, ir.Switch: _check_switch, ir.For: _check_for,
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
     ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
     ir.ListSlice: _check_list_slice, ir.ObserverInit: _check_observer_init,
@@ -417,6 +440,10 @@ RULES = {
         "addObserver takes an object value"),
     ir.ObserverNotify: lambda n: n if n.elem_type.kind == "object" else _refuse(
         "notifyObservers element type must be an object type"),
+    # javac refuses any other expression as a statement ("not a statement").
+    ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
+        f"an expression statement must be a call or a listAppend,"
+        f" got {type(n.expr).__name__}", BuildError),
     ir.MethodRepr: _check_method, ir.ClassDeclRepr: _check_class,
     ir.ModuleRepr: _check_module, ir.PackageTree: _check_package,
 }
@@ -579,7 +606,7 @@ def continue_stmt() -> ir.Continue:
 
 
 def call_stmt(expr: ir.ExprRepr) -> ir.ExprStmt:
-    return ir.ExprStmt(expr)
+    return RULES[ir.ExprStmt](ir.ExprStmt(expr))
 
 
 def if_cond(branches: list[tuple[ir.ExprRepr, ir.BodyRepr]],

@@ -45,9 +45,9 @@ decode_package call, each distinct variable object is decoded and checked
 once, and every later object with the same content is that same immutable
 VariableRepr. So is each distinct int, bool, string or char literal (a
 float is not shared: -0.0 == 0.0). Nothing is shared between calls, nor
-between threads. encode_package encodes a variable once per call however
-many places hold it, but gives every place its own dict, so its output has
-no aliasing.
+between threads. encode_package keeps no state: it is a function of the
+tree alone, and every place that holds a variable gets its own dict, so its
+output has no aliasing.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
 
 class _PerCall(threading.local):
     """The nodes the running decode_package call of this thread has decoded
-    once (by key), and the variables the running encode_package call has
-    encoded (by id); None outside such a call."""
-    decoded = encoded = None
+    once (by key); None outside such a call."""
+    decoded = None
 
 
 _calls = _PerCall()
@@ -171,12 +170,12 @@ def _list(item: _Kind, wrap=None) -> _Kind:
     too: no call per item but the one that decodes or encodes it, and a
     lookup kind's table is read by subscript (in `_decode`), never through
     its `dec`. An object item goes straight to `_decode`, and an item of one
-    row (but a variable, which `_encode_var` shares) straight to `_encode`
-    with that row, so an item costs one call and one frame either way."""
+    row straight to `_encode` with that row, so an item costs one call and
+    one frame either way."""
     unwrap = attrgetter(wrap.__match_args__[0]) if wrap else None
     item_enc, item_dec = item.enc, item.dec
     shape = item if isinstance(item, _Shape) else None
-    row = item if type(item) is _Row and item_enc is _encode else None
+    row = item if type(item) is _Row else None
 
     def dec(raw, path, key):
         here = (path, key)
@@ -219,7 +218,7 @@ def _encode_type(t: ir.TypeRepr) -> object:
 def _decode_type(raw, path, key) -> ir.TypeRepr:
     """A list or object type, as an object tagged by "kind" (see the table);
     a scalar kind's name is read from `ir.SCALAR_TYPES`."""
-    if isinstance(raw, str):
+    if type(raw) is not dict and isinstance(raw, str):  # a dict skips the builtin call
         _fail(f"unknown type kind {raw!r}", (path, key))
     return _decode(_TYPE_OBJECT, raw, (path, key))
 
@@ -234,8 +233,8 @@ _TYPE = _Kind(_encode_type, _decode_type, ir.SCALAR_TYPES)
 class _Shape(_Kind):
     """A JSON object: one row, or a union of rows told apart by a tag."""
 
-    def __init__(self, enc=None):
-        super().__init__(enc or _encode, None)  # decoded by `_decode`, never by `dec`
+    def __init__(self):
+        super().__init__(_encode, None)  # decoded by `_decode`, never by `dec`
 
 
 def _field(key: str, kind: _Kind, attr: str | int | None = None, default=_REQUIRED):
@@ -252,8 +251,8 @@ class _Row(_Shape):
     and used in many places, or None: one decode_package call decodes each
     such object once."""
 
-    def __init__(self, cls, *fields, share=None, enc=None):
-        super().__init__(enc)
+    def __init__(self, cls, *fields, share=None):
+        super().__init__()
         if hasattr(cls, "__record_values__"):
             self.values = cls.__record_values__
             positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
@@ -389,20 +388,6 @@ def _lit_key(data: dict) -> tuple | None:
     return (kind, *data.items()) if kind is int or kind is str or kind is bool else None
 
 
-def _encode_var(v: ir.VariableRepr) -> dict:
-    """Encodes each variable object once per call; every use gets its own dict."""
-    done, key = _calls.encoded, id(v)
-    try:
-        out = done[key]
-    except KeyError:  # the first use keeps it; the copies are made before it is returned
-        out = done[key] = _encode(v, _VAR)
-        return out
-    out = out.copy()
-    if type(out["type"]) is dict:  # a list or object type gets its own dict too
-        out["type"] = _encode_type(v.type)
-    return out
-
-
 F = _field
 _TYPE_OBJECT = _Union("kind", "type kind")
 _TYPE_OBJECT.define({
@@ -416,8 +401,7 @@ _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
             F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
             F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
-            F("owner", _NAME, default=None), share=_var_key,
-            enc=_encode_var)
+            F("owner", _NAME, default=None), share=_var_key)
 _VARS = _list(_VAR)
 
 _EXPR.define({
@@ -535,7 +519,6 @@ _TOO_DEEP_TO_DECODE = "document nests too deeply to decode"
 
 
 def encode_package(pkg: ir.PackageTree) -> dict:
-    _calls.encoded = {}
     try:
         return {
             "version": SCHEMA_VERSION,
@@ -544,8 +527,6 @@ def encode_package(pkg: ir.PackageTree) -> dict:
         }
     except RecursionError:
         raise NestingTooDeep(_TOO_DEEP_TO_ENCODE) from None
-    finally:
-        _calls.encoded = None
 
 
 def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:

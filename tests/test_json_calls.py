@@ -12,8 +12,8 @@ import pstats
 import all_tags
 from oogen import jsonio
 
-LOADS_BUDGET = 1554
-ENCODE_BUDGET = 668
+LOADS_BUDGET = 1547
+ENCODE_BUDGET = 620
 
 
 def _calls(fn, *args) -> int:

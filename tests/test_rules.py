@@ -149,6 +149,7 @@ CASES = {
                      lambda: pt.add_observer(bd.lit_int(1))),
     ir.ObserverNotify: (_stmt({"stmt": "observerNotify", "method": "m", "elemType": "int"}),
                         lambda: pt.notify_observers("m", ir.INT)),
+    ir.ExprStmt: (_stmt({"stmt": "expr", "expr": ONE}), lambda: bd.call_stmt(bd.lit_int(1))),
     ir.MethodRepr: (_duplicate_params,
                     lambda: bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
                                         [bd.param(_X), bd.param(_X)], _EMPTY)),
@@ -296,3 +297,86 @@ def test_in_out_params_must_match_the_spec(mutation):
         jsonio.decode_package(doc)
     assert str(err.value) == (
         f"{_MODULE}.functions[0]: inOutFunc 'swap' parameters must be its in-outs, ins and outs")
+
+
+# Statements each target but Python refuses to compile, or runs otherwise,
+# that the rules once let through: built, each raises; decoded, each is a
+# DecodeError at its node with the builder's message.
+
+def _main_doc(*statements) -> dict:
+    """A package whose main holds `statements`, made without the rules."""
+    main = ir.MethodRepr("main", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (),
+                         bd.body_statements(list(statements)), is_main=True)
+    return jsonio.encode_package(ir.PackageTree("p", (ir.ModuleRepr("Main", (), (main,), ()),)))
+
+
+_I = bd.var("i", ir.INT)
+_BELOW_3 = bd.apply_binary("?<", bd.value_of(_I), bd.lit_int(3))
+_START, _STEP = bd.var_dec_def(_I, bd.lit_int(0)), bd.inc(_I)
+
+# (builder, IR class, arguments both take)
+_REFUSED_STATEMENTS = {
+    # javac and g++ refuse a comment, a return or a block in a for header;
+    # an if there used to fail only at render, in the C family.
+    "for init comment": (bd.for_loop, ir.For, (bd.comment("start"), _BELOW_3, _STEP, _EMPTY)),
+    "for init return": (bd.for_loop, ir.For,
+                        (bd.return_stmt(bd.lit_int(0)), _BELOW_3, _STEP, _EMPTY)),
+    "for init if": (bd.for_loop, ir.For,
+                    (bd.if_cond([(bd.lit_bool(True), _EMPTY)]), _BELOW_3, _STEP, _EMPTY)),
+    "for init block": (bd.for_loop, ir.For, (bd.block([_START]), _BELOW_3, _STEP, _EMPTY)),
+    # javac: "might not have been initialized"; Python: NameError.
+    "for init varDec": (bd.for_loop, ir.For, (bd.var_dec(_I), _BELOW_3, _STEP, _EMPTY)),
+    # javac and g++ refuse it; Python resets i on every pass and never ends.
+    "for update varDecDef": (bd.for_loop, ir.For,
+                             (_START, _BELOW_3, bd.var_dec_def(_I, bd.lit_int(1)), _EMPTY)),
+    "for update print": (bd.for_loop, ir.For,
+                         (_START, _BELOW_3, pt.print_ln(bd.lit_int(1)), _EMPTY)),
+    # javac: "patterns in switch statements are a preview feature"; g++:
+    # "switch quantity not an integer".
+    "switch on float": (bd.switch, ir.Switch, (bd.value_of(bd.var("x", ir.FLOAT)),
+                                               ((bd.lit_float(1.0), _EMPTY),), None)),
+    "switch on bool": (bd.switch, ir.Switch, (bd.value_of(bd.var("b", ir.BOOL)),
+                                              ((bd.lit_bool(True), _EMPTY),), None)),
+    "switch on a list": (bd.switch, ir.Switch, (_xs(), (), _EMPTY)),
+    # javac: "not a statement".
+    "expr binary": (bd.call_stmt, ir.ExprStmt,
+                    (bd.apply_binary("#+", bd.lit_int(1), bd.lit_int(2)),)),
+    "expr variable": (bd.call_stmt, ir.ExprStmt, (bd.value_of(_I),)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_STATEMENTS))
+def test_a_statement_no_compiler_takes_is_refused_built_and_decoded(case):
+    build, cls, args = _REFUSED_STATEMENTS[case]
+    with pytest.raises(BuildError) as built:
+        build(*args)
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(_main_doc(cls(*args)))
+    assert str(decoded.value) == f"{_STMT}: {built.value}"
+
+
+def test_every_allowed_for_header_builds_and_decodes():
+    xs = bd.var("xs", ir.list_of(ir.INT))
+    grow = bd.call_stmt(pt.list_append(bd.value_of(xs), bd.lit_int(1)))
+    call = bd.call_stmt(bd.func_app("f", ir.VOID, []))
+    loops = [bd.for_loop(init, _BELOW_3, update, _EMPTY)
+             for init in (_START, bd.assign(_I, bd.lit_int(0)), grow, call)
+             for update in (_STEP, bd.add_eq(_I, bd.lit_int(2)), grow, call)]
+    doc = _main_doc(*loops)
+    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+
+
+# javac: "B cannot be converted to A"; g++ refuses it too. A notify of
+# another class renders a loop typed with the wrong class.
+
+@pytest.mark.parametrize("use, message", [
+    (lambda: pt.add_observer(bd.new_obj("B", [])), "addObserver of B on a list of A"),
+    (lambda: pt.notify_observers("update", ir.obj_of("B")), "notifyObservers of B on a list of A"),
+], ids=["add", "notify"])
+def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message):
+    statements = [pt.init_observer_list(ir.obj_of("A"), [bd.new_obj("A", [])]), use()]
+    with pytest.raises(TypeMismatch, match=f"^{message}$"):
+        bd.main_function(bd.body_statements(statements))
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(_main_doc(*statements))
+    assert str(decoded.value) == f"{_MAIN}: {message}"

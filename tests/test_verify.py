@@ -352,6 +352,60 @@ def test_continue_in_a_for_loop_skips_only_the_rest_of_its_body(tmp_path):
     assert {r.stdout for r in report.executed} == {"1\n0\n1\n2"}
 
 
+def test_every_for_header_form_and_switch_kind_runs_alike(tmp_path):
+    i, j, k = bd.var("i", ir.INT), bd.var("j", ir.INT), bd.var("k", ir.INT)
+    xs = bd.var("xs", ir.list_of(ir.INT))
+    size, v = pt.list_size(bd.value_of(xs)), bd.var("v", ir.INT)
+
+    def show(e):
+        return bd.call_stmt(bd.func_app("show", ir.VOID, [e]))
+
+    def below(var, n):
+        return bd.apply_binary("?<", bd.value_of(var), bd.lit_int(n))
+
+    def grow(n):
+        return bd.call_stmt(pt.list_append(bd.value_of(xs), bd.lit_int(n)))
+
+    def switch(var, labels, default):
+        return bd.switch(bd.value_of(var), [(label, bd.one_liner(pt.print_ln(label)))
+                                            for label in labels],
+                         bd.one_liner(pt.print_ln(bd.lit_string(default))))
+
+    c, s = bd.var("c", ir.CHAR), bd.var("s", ir.STRING)
+    main = bd.main_function(bd.body_statements([
+        bd.var_dec_def(j, bd.lit_int(0)), bd.var_dec_def(k, bd.lit_int(0)), bd.var_dec(xs),
+        # init: a declaration, an assignment, an append, a call; update: each
+        # assignment mode, an append, a call
+        bd.for_loop(bd.var_dec_def(i, bd.lit_int(0)), below(i, 2), bd.inc(i),
+                    bd.one_liner(pt.print_ln(bd.value_of(i)))),
+        bd.for_loop(bd.assign(j, bd.lit_int(9)),
+                    bd.apply_binary("?>", bd.value_of(j), bd.lit_int(0)),
+                    bd.sub_eq(j, bd.lit_int(4)), bd.one_liner(pt.print_ln(bd.value_of(j)))),
+        bd.for_loop(grow(7), bd.apply_binary("?<", size, bd.lit_int(3)), grow(8),
+                    bd.one_liner(pt.print_ln(size))),
+        bd.for_loop(show(bd.lit_int(100)), below(k, 2), show(bd.value_of(k)),
+                    bd.one_liner(bd.inc(k))),
+        bd.for_loop(bd.assign(k, bd.lit_int(0)), below(k, 5), bd.add_eq(k, bd.lit_int(3)),
+                    bd.one_liner(pt.print_ln(bd.value_of(k)))),
+        bd.for_loop(bd.assign(k, bd.lit_int(1)), below(k, 3),
+                    bd.assign(k, bd.apply_binary("#*", bd.value_of(k), bd.lit_int(2))),
+                    bd.one_liner(bd.dec(j))),
+        pt.print_ln(bd.value_of(j)),
+        bd.var_dec_def(c, bd.lit_char("b")), bd.var_dec_def(s, bd.lit_string("y")),
+        switch(k, [bd.lit_int(3), bd.lit_int(5)], "int default"),
+        switch(c, [bd.lit_char("a"), bd.lit_char("b")], "char default"),
+        switch(s, [bd.lit_string("x"), bd.lit_string("y")], "string default"),
+    ]))
+    show_fn = bd.function("show", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [v],
+                          bd.one_liner(pt.print_ln(bd.value_of(v))))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [show_fn, main], [])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {
+        "0\n1\n9\n5\n1\n1\n2\n100\n1\n2\n0\n3\n-5\nint default\nb\ny"}
+
+
 def test_int_division_truncates_toward_zero_everywhere(tmp_path):
     main = bd.main_function(bd.body_statements([
         pt.print_ln(bd.apply_binary("#/", bd.lit_int(7), bd.lit_int(2))),

@@ -47,7 +47,10 @@ def _mark(n: int) -> ir.CommentStmt:
 
 
 def _marks(node) -> list[str]:
-    return [s.text for s in ir.walk(node) if isinstance(s, ir.CommentStmt)]
+    """The comments' texts, and the names that the statements of a for-loop
+    header (which takes no comment) assign."""
+    return [s.text if isinstance(s, ir.CommentStmt) else s.var.name for s in ir.walk(node)
+            if isinstance(s, (ir.CommentStmt, ir.VarDecDef, ir.Assign))]
 
 
 def test_walk_reaches_every_place_a_statement_can_sit():
@@ -58,7 +61,8 @@ def test_walk_reaches_every_place_a_statement_can_sit():
         bd.switch(bd.value_of(i), [(bd.lit_int(1), bd.one_liner(_mark(4)))],
                   bd.one_liner(_mark(5))),
         bd.try_catch(bd.one_liner(_mark(6)), bd.one_liner(_mark(7))),
-        bd.for_loop(bd.block([_mark(8)]), ok, bd.block([_mark(9)]), bd.one_liner(_mark(10))),
+        bd.for_loop(bd.var_dec_def(bd.var("m8", ir.INT), bd.lit_int(0)), ok,
+                    bd.inc(bd.var("m9", ir.INT)), bd.one_liner(_mark(10))),
         bd.for_range(i, bd.lit_int(0), bd.lit_int(1), bd.lit_int(1), bd.one_liner(_mark(11))),
         bd.for_each(i, bd.value_of(bd.var("xs", ir.list_of(ir.INT))), bd.one_liner(_mark(12))),
         bd.while_loop(ok, bd.one_liner(_mark(13))),
