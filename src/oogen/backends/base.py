@@ -22,7 +22,7 @@ operator, inline-if, call, math, list-access and argument handlers and
 statement; so an operator, math or inline-if level costs one Python
 frame, and such a chain renders as deep as it decodes. Variable and call
 forms dispatch the same way, through `var_forms` and `call_forms` keyed
-by the enum member, after an identity test for the commonest form.
+by the form's name, after an `==` test for the commonest form.
 
 Patterns are lowered once, here, to core IR, so a target renders syntax
 only and every target accepts or refuses the same trees. The lowering
@@ -91,9 +91,6 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
 _OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
 _LOOPS = (ir.For, ir.ForRange, ir.ForEach, ir.While)  # a `continue` in one is its own
 
-# Enum members the per-node methods test, loaded once: on Python 3.11 every
-# `ir.VarForm.PLAIN` at call time goes through `EnumType.__getattr__`.
-_PLAIN, _FUNCTION = ir.VarForm.PLAIN, ir.CallForm.FUNCTION
 # The operator of an assignment that takes a value, and the sign of a step.
 _ASSIGN_TOKENS = {ir.AssignMode.SET: "=", ir.AssignMode.ADD_EQ: "+=", ir.AssignMode.SUB_EQ: "-="}
 _STEP_SIGNS = {ir.AssignMode.INC: "+", ir.AssignMode.DEC: "-"}
@@ -123,8 +120,6 @@ def doc_fields(doc: ir.DocSpec) -> list[tuple[str, str]]:
     return fields
 
 
-_INC, _ADD_EQ, _SET = ir.AssignMode.INC, ir.AssignMode.ADD_EQ, ir.AssignMode.SET
-_METHOD = ir.CallForm.METHOD
 _ZERO, _ONE = ir.Lit("int", 0), ir.Lit("int", 1)
 _OPEN, _COMMA = ir.Print(ir.Lit("string", "["), False), ir.Print(ir.Lit("string", ", "), False)
 
@@ -145,9 +140,9 @@ def _counted(counter: ir.VariableRepr, start: ir.ExprRepr, test: str, end: ir.Ex
     """`for (int counter = start; counter <test> end; ...)`, stepping by
     `step`: `++` for none or a literal 1, `+=` otherwise."""
     if step is None or type(step) is ir.Lit and step.value == 1:
-        update = ir.Assign(_INC, counter, None)
+        update = ir.Assign(ir.AssignMode.INC, counter, None)
     else:
-        update = ir.Assign(_ADD_EQ, counter, step)
+        update = ir.Assign(ir.AssignMode.ADD_EQ, counter, step)
     cond = ir.Binary(test, ir.ValueOf(counter), end, ir.BOOL)
     return ir.For(ir.VarDecDef(counter, start), cond, update, body)
 
@@ -165,7 +160,8 @@ def slice_as_loop(s: ir.ListSlice) -> ir.BlockRepr:
     loop = _counted(counter, _ZERO if s.start is None else s.start, "?<",
                     ir.ListSize(s.source) if s.end is None else s.end, s.step,
                     _one_block(ir.ExprStmt(take)))
-    return ir.BlockRepr((ir.VarDec(temp), loop, ir.Assign(_SET, s.target, ir.ValueOf(temp))))
+    assign = ir.Assign(ir.AssignMode.SET, s.target, ir.ValueOf(temp))
+    return ir.BlockRepr((ir.VarDec(temp), loop, assign))
 
 
 def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
@@ -215,7 +211,7 @@ def _observer_init(s: ir.ObserverInit) -> ir.BlockRepr:
 
 def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
     each = ir.VariableRepr("observer", s.elem_type)
-    call = ir.Call(_METHOD, s.method, (), ir.VOID, ir.ValueOf(each))
+    call = ir.Call(ir.CallForm.METHOD, s.method, (), ir.VOID, ir.ValueOf(each))
     return ir.ForEach(each, ir.ValueOf(_observer_list(s.elem_type)), _one_block(ir.ExprStmt(call)))
 
 
@@ -317,7 +313,7 @@ class Renderer:
 
     # How each variable form but PLAIN (a bare name) is referred to, and
     # how each call form but FUNCTION (`name(args)`) is spelled: resolved
-    # like the handlers, each maps a member to a method name or a function
+    # like the handlers, each maps a form to a method name or a function
     # `(renderer, variable)` / `(renderer, call, rendered args)`.
     var_forms: dict = {
         ir.VarForm.CLASS_MEMBER: qualified,
@@ -446,7 +442,7 @@ class Renderer:
     def call(self, e: ir.Call) -> str:
         render = self._expr_table
         args = ", ".join([render[type(a)](self, a) for a in e.args])
-        if e.form is _FUNCTION:
+        if e.form == ir.CallForm.FUNCTION:
             return f"{e.name}({args})"
         return self._call_table[e.form](self, e, args)
 
@@ -461,7 +457,7 @@ class Renderer:
         return f"{self.atom(e.receiver)}.{e.name}({args})"
 
     def var_ref(self, v: ir.VariableRepr) -> str:
-        if v.form is _PLAIN:
+        if v.form == ir.VarForm.PLAIN:
             return v.name
         return self._var_table[v.form](self, v)
 

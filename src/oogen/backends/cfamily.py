@@ -13,8 +13,6 @@ from .. import ir
 from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import ATOMIC_PRECEDENCE, Renderer, escape_string, list_print
 
-_STATIC, _PUBLIC = ir.Binding.STATIC, ir.Scope.PUBLIC
-
 
 class CFamilyRenderer(Renderer):
     op_precedence = {"#^": ATOMIC_PRECEDENCE}  # a call of pow, spelled by `math_text`
@@ -139,8 +137,8 @@ class CFamilyRenderer(Renderer):
         comment = self.doc_comment(m.doc)
         if m.is_main:
             return vcat([comment, self.braced(self.main_header, self.body(m.body))])
-        modifiers = m.scope.value
-        if m.binding is _STATIC or m.containing_class is None:
+        modifiers = m.scope
+        if m.binding == ir.Binding.STATIC or m.containing_class is None:
             modifiers += " static"
         if m.inout is not None:
             return vcat([comment, self.in_out_method_doc(m, modifiers)])
@@ -152,8 +150,8 @@ class CFamilyRenderer(Renderer):
         return vcat([comment, self.braced(header, self.body(m.body))])
 
     def state_var_doc(self, sv: ir.StateVarRepr) -> Doc:
-        parts = [sv.scope.value]
-        if sv.binding is _STATIC:
+        parts = [sv.scope]
+        if sv.binding == ir.Binding.STATIC:
             parts.append("static")
         if sv.is_const:
             parts.append(self.const_keyword)
@@ -163,7 +161,7 @@ class CFamilyRenderer(Renderer):
     def class_is_public(self, c: ir.ClassDeclRepr, module: ir.ModuleRepr) -> bool:
         # Top-level classes cannot be private in C#; they fall back to the
         # default (internal) visibility.
-        return c.scope is _PUBLIC
+        return c.scope == ir.Scope.PUBLIC
 
     def class_doc(self, c: ir.ClassDeclRepr, public: bool) -> Doc:
         comment = self.doc_comment(c.doc)

@@ -17,7 +17,6 @@ from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text,
 from .base import escape_string, switch_as_if
 from .cfamily import CFamilyRenderer
 
-_PLAIN, _STATIC = ir.VarForm.PLAIN, ir.Binding.STATIC
 _SECTIONS = ((ir.Scope.PUBLIC, "public:"), (ir.Scope.PRIVATE, "private:"))
 _HEADER = ".hpp"
 
@@ -53,7 +52,7 @@ class CppRenderer(CFamilyRenderer):
     }
 
     def var_ref(self, v: ir.VariableRepr) -> str:
-        if v.form is _PLAIN:
+        if v.form == ir.VarForm.PLAIN:
             # a for-each variable is an iterator here
             return f"(*{v.name})" if v.name in self._iter_vars else v.name
         return self._var_table[v.form](self, v)
@@ -75,7 +74,7 @@ class CppRenderer(CFamilyRenderer):
         receiver = e.receiver
         if (
             isinstance(receiver, ir.ValueOf)
-            and receiver.var.form is _PLAIN
+            and receiver.var.form == ir.VarForm.PLAIN
             and receiver.var.name in self._iter_vars
         ):
             return f"{receiver.var.name}->{e.name}({args})"
@@ -205,14 +204,14 @@ class CppRenderer(CFamilyRenderer):
     def prototype_doc(self, m: ir.MethodRepr) -> Doc:
         """Declaration, for the header: a free function's, or a method's
         inside its class."""
-        static = "static " if m.containing_class and m.binding is _STATIC else ""
+        static = "static " if m.containing_class and m.binding == ir.Binding.STATIC else ""
         return vcat([
             self.doc_comment(m.doc),
             text(static + self._sig_head(m, qualify=False) + ";"),
         ])
 
     def state_var_decl(self, sv: ir.StateVarRepr) -> Doc:
-        static = "static " if sv.binding is _STATIC else ""
+        static = "static " if sv.binding == ir.Binding.STATIC else ""
         const = "const " if sv.is_const else ""
         return text(
             f"{static}{const}{self.type_text(sv.variable.type)} {sv.variable.name};"
@@ -237,7 +236,7 @@ class CppRenderer(CFamilyRenderer):
         defs = vcat([
             text(f"{self.type_text(sv.variable.type)} {c.name}::{sv.variable.name};")
             for sv in c.state_vars
-            if sv.binding is _STATIC and not sv.is_const
+            if sv.binding == ir.Binding.STATIC and not sv.is_const
         ])
         return join_blocks([defs] + [self.method_doc(m) for m in c.methods])
 

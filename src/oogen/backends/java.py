@@ -14,7 +14,6 @@ from .. import ir
 from ..layout import Doc, join_blocks, text, vcat
 from .cfamily import CFamilyRenderer
 
-_PUBLIC = ir.Scope.PUBLIC
 _BOXED = {"bool": "Boolean", "int": "Integer", "float": "Double",
           "char": "Character", "string": "String"}
 
@@ -106,4 +105,4 @@ class JavaRenderer(CFamilyRenderer):
 
     def class_is_public(self, c: ir.ClassDeclRepr, module: ir.ModuleRepr) -> bool:
         # javac allows one public top-level class: the one matching the file.
-        return c.scope is _PUBLIC and c.name == module.name and not module.functions
+        return c.scope == ir.Scope.PUBLIC and c.name == module.name and not module.functions

@@ -13,8 +13,6 @@ from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text,
 from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
                    update_before_continue)
 
-_STATIC = ir.Binding.STATIC
-
 
 def _suite(header: str, rendered: Doc) -> Doc:
     """`header` over `rendered` as an indented suite, with an explicit pass
@@ -183,7 +181,7 @@ class PythonRenderer(Renderer):
         params = [p.name for p in m.params]
         decorators: list[Doc] = []
         if m.containing_class is not None:
-            if m.binding is _STATIC:
+            if m.binding == ir.Binding.STATIC:
                 decorators.append(text("@staticmethod"))
             else:
                 params = ["self"] + params

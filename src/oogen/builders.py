@@ -25,19 +25,6 @@ from .errors import (
     SignatureMismatch, TypeMismatch, UnknownParamDoc,
 )
 
-# Enum members the constructors use, loaded once: on Python 3.11 every
-# `ir.VarForm.SELF` at call time goes through `EnumType.__getattr__`.
-_STATIC, _DYNAMIC = ir.Binding.STATIC, ir.Binding.DYNAMIC
-_PUBLIC, _PRIVATE = ir.Scope.PUBLIC, ir.Scope.PRIVATE
-_OWNERLESS = frozenset((ir.VarForm.PLAIN, ir.VarForm.SELF))
-_SELF, _CLASS_MEMBER, _OBJECT_MEMBER, _EXTERNAL = (
-    ir.VarForm.SELF, ir.VarForm.CLASS_MEMBER, ir.VarForm.OBJECT_MEMBER, ir.VarForm.EXTERNAL)
-_FUNCTION, _EXTERNAL_CALL, _CONSTRUCTOR, _METHOD = (
-    ir.CallForm.FUNCTION, ir.CallForm.EXTERNAL, ir.CallForm.CONSTRUCTOR, ir.CallForm.METHOD)
-_SET, _ADD_EQ, _SUB_EQ, _INC, _DEC = (
-    ir.AssignMode.SET, ir.AssignMode.ADD_EQ, ir.AssignMode.SUB_EQ, ir.AssignMode.INC,
-    ir.AssignMode.DEC)
-
 # Reserved words of the targets: Python, then Java, C# and C++ keywords
 # (contextual keywords such as C#'s `value` or Java's `var` stay legal).
 _RESERVED = frozenset(keyword.kwlist) | frozenset("""
@@ -102,7 +89,7 @@ _NUMERIC = ("int", "float")
 _COMPARISONS = ("?<", "?<=", "?>", "?>=")
 _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
-_STEP_NAMES = {_INC: "&++", _DEC: "&~-"}
+_STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 # The statements a for header takes as its update and its init, and the
 # expressions a statement may be.
 _FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
@@ -178,10 +165,12 @@ def _elem(op: str, lst: ir.ExprRepr) -> ir.TypeRepr:
 
 
 def _fits(op: str, node):
-    """`node`, if its value fits its list's elements (ints and floats mix)."""
+    """`node`, if its value has exactly its list's element type: javac
+    refuses an int for a list of doubles (and finds none in it), and C++
+    truncates a double stored in a list of ints."""
     elem, t = _elem(op, node.lst), node.value.type
-    if t != elem and not (t.kind in _NUMERIC and elem.kind in _NUMERIC):
-        _refuse(f"{op}: element type {elem.kind}, value type {t.kind}")
+    if t != elem:
+        _refuse(f"{op}: element type {_type_name(elem)}, value type {_type_name(t)}")
     return node
 
 
@@ -233,9 +222,9 @@ def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
 
 
 def _check_call(node: ir.Call) -> ir.Call:
-    if node.form is _METHOD and node.receiver is None:
+    if node.form == ir.CallForm.METHOD and node.receiver is None:
         _refuse("method call requires a 'receiver'", BuildError)
-    if node.form is _EXTERNAL_CALL and node.library is None:
+    if node.form == ir.CallForm.EXTERNAL and node.library is None:
         _refuse("external call requires a 'library'", BuildError)
     return node
 
@@ -255,11 +244,11 @@ def _check_assign(node: ir.Assign) -> ir.Assign:
     mode, value = node.mode, node.value
     step = _STEP_NAMES.get(mode)
     if (value is None) != (step is not None):
-        _refuse(f"assign mode {mode.value!r} "
+        _refuse(f"assign mode {mode!r} "
                 + ("takes no 'value'" if step else "requires a 'value'"), BuildError)
     if step is not None:
         _require_numeric(step, node.var.type.kind)
-    elif mode is not _SET:
+    elif mode != ir.AssignMode.SET:
         _require_numeric("&-=/&+=", node.var.type.kind, value.type.kind)
     return node
 
@@ -342,8 +331,9 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     with an output and its in-outs, ins and outs, in that order, as its
     parameters; then, unless `body` is False, one walk of the body:
     observer calls follow initObserverList and add or notify its element
-    type, and a returned value has the method's return type (or is an int in
-    a float method)."""
+    type (an add's value and its recorded element type both), and a
+    returned value has the method's return type (or is an int in a float
+    method)."""
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -367,11 +357,13 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
             if elem is None:
                 _refuse("observer list used before initObserverList in this body",
                         ObserverNotInitialized)
-            # `kind` and `class_name` alone: a record `==` is a Python call.
-            t = stmt.value.type if kind is ir.ObserverAdd else stmt.elem_type
-            if t.kind != elem.kind or t.class_name != elem.class_name:
-                _refuse(f"{'addObserver' if kind is ir.ObserverAdd else 'notifyObservers'}"
-                        f" of {_type_name(t)} on a list of {_type_name(elem)}")
+            # An add's value, then its element type; `kind` and `class_name`
+            # alone: a record `==` is a Python call.
+            for t in ((stmt.value.type, stmt.elem_type) if kind is ir.ObserverAdd
+                      else (stmt.elem_type,)):
+                if t.kind != elem.kind or t.class_name != elem.class_name:
+                    _refuse(f"{'addObserver' if kind is ir.ObserverAdd else 'notifyObservers'}"
+                            f" of {_type_name(t)} on a list of {_type_name(elem)}")
         elif kind is ir.Return:
             value = stmt.value.type
             if value != returns and (value.kind, returns.kind) != ("int", "float"):
@@ -422,8 +414,9 @@ def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
 
 
 RULES = {
-    ir.VariableRepr: lambda v: v if v.owner is not None or v.form in _OWNERLESS else _refuse(
-        f"form {v.form.value!r} requires an 'owner'", BuildError),
+    ir.VariableRepr: lambda v: v if v.owner is not None or v.form in (
+        ir.VarForm.PLAIN, ir.VarForm.SELF) else _refuse(
+        f"form {v.form!r} requires an 'owner'", BuildError),
     ir.Lit: _check_lit, ir.Unary: _check_operator, ir.Binary: _check_operator,
     ir.InlineIf: _check_inline_if, ir.Call: _check_call, ir.MathCall: _check_math,
     ir.ArgAt: lambda n: _int_index("argAt", n), ir.ArgExists: lambda n: _int_index("argExists", n),
@@ -458,22 +451,23 @@ def var(name: str, type_: ir.TypeRepr, binding: ir.Binding = ir.Binding.DYNAMIC)
 
 
 def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), _DYNAMIC, _SELF)
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
+                           ir.VarForm.SELF)
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), _STATIC, _CLASS_MEMBER,
-                           owner=check_identifier(class_name))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.STATIC,
+                           ir.VarForm.CLASS_MEMBER, check_identifier(class_name))
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), _DYNAMIC, _OBJECT_MEMBER,
-                           owner=check_identifier(owner))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
+                           ir.VarForm.OBJECT_MEMBER, check_identifier(owner))
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), _STATIC, _EXTERNAL,
-                           owner=check_identifier(library))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.STATIC,
+                           ir.VarForm.EXTERNAL, check_identifier(library))
 
 
 def param(variable: ir.VariableRepr) -> ir.VariableRepr:
@@ -530,22 +524,23 @@ def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.In
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(_FUNCTION, check_identifier(name), tuple(args),
+    return ir.Call(ir.CallForm.FUNCTION, check_identifier(name), tuple(args),
                    check_type(return_type))
 
 
 def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(_EXTERNAL_CALL, check_identifier(name), tuple(args), check_type(return_type),
-                   library=check_identifier(library))
+    return ir.Call(ir.CallForm.EXTERNAL, check_identifier(name), tuple(args),
+                   check_type(return_type), library=check_identifier(library))
 
 
 def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(_CONSTRUCTOR, check_identifier(class_name), tuple(args), ir.obj_of(class_name))
+    return ir.Call(ir.CallForm.CONSTRUCTOR, check_identifier(class_name), tuple(args),
+                   ir.obj_of(class_name))
 
 
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
                 args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](ir.Call(_METHOD, check_identifier(name), tuple(args),
+    return RULES[ir.Call](ir.Call(ir.CallForm.METHOD, check_identifier(name), tuple(args),
                                   check_type(return_type), receiver=receiver))
 
 
@@ -562,23 +557,23 @@ def var_dec_def(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.VarDecDef:
 
 
 def assign(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    return RULES[ir.Assign](ir.Assign(_SET, variable, value))
+    return RULES[ir.Assign](ir.Assign(ir.AssignMode.SET, variable, value))
 
 
 def add_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    return RULES[ir.Assign](ir.Assign(_ADD_EQ, variable, value))
+    return RULES[ir.Assign](ir.Assign(ir.AssignMode.ADD_EQ, variable, value))
 
 
 def sub_eq(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:
-    return RULES[ir.Assign](ir.Assign(_SUB_EQ, variable, value))
+    return RULES[ir.Assign](ir.Assign(ir.AssignMode.SUB_EQ, variable, value))
 
 
 def inc(variable: ir.VariableRepr) -> ir.Assign:
-    return RULES[ir.Assign](ir.Assign(_INC, variable, None))
+    return RULES[ir.Assign](ir.Assign(ir.AssignMode.INC, variable, None))
 
 
 def dec(variable: ir.VariableRepr) -> ir.Assign:
-    return RULES[ir.Assign](ir.Assign(_DEC, variable, None))
+    return RULES[ir.Assign](ir.Assign(ir.AssignMode.DEC, variable, None))
 
 
 def return_stmt(value: ir.ExprRepr) -> ir.Return:
@@ -672,8 +667,8 @@ def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.Ty
 
 
 def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
-    return RULES[ir.MethodRepr](ir.MethodRepr("main", _PUBLIC, _STATIC, ir.VOID, (), body_,
-                                              is_main=True))
+    return RULES[ir.MethodRepr](ir.MethodRepr(
+        "main", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (), body_, is_main=True))
 
 
 def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
@@ -690,19 +685,19 @@ def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr,
 
 
 def pub_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(_PUBLIC, _DYNAMIC, variable)
+    return state_var(ir.Scope.PUBLIC, ir.Binding.DYNAMIC, variable)
 
 
 def priv_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(_PRIVATE, _DYNAMIC, variable)
+    return state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, variable)
 
 
 def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(_PUBLIC, _STATIC, variable)
+    return state_var(ir.Scope.PUBLIC, ir.Binding.STATIC, variable)
 
 
 def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(scope, _STATIC, variable, is_const=True)
+    return state_var(scope, ir.Binding.STATIC, variable, is_const=True)
 
 
 def build_class(name: str, parent: str | None, scope: ir.Scope,

@@ -13,7 +13,12 @@ Shape of a program:
 
 An operator node (`Unary`, `Binary`) holds its operator's name, a key of
 `OPERATORS`, which gives only its arity: how each target spells it and
-where it needs parentheses is that target's renderer's.
+where it needs parentheses is that target's renderer's. So a binding,
+scope, variable form, call form or assignment mode is its name too, the
+string the JSON writes: `Binding`, `Scope`, `VarForm`, `CallForm` and
+`AssignMode` are plain namespaces of those strings (`Binding.STATIC` is
+"static"), listed in order by `names`. A field annotated with one holds
+one of its strings; compare it with `==`.
 
 Blocks matter to rendering: one blank line separates adjacent non-empty
 blocks in every target. `walk` visits every statement of a tree and
@@ -22,23 +27,20 @@ blocks in every target. `walk` visits every statement of a tree and
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cache
 
 from ._record import record
 
 
-class Binding(str, Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
+class Binding:
+    STATIC, DYNAMIC = "static", "dynamic"
 
 
-class Scope(str, Enum):
-    PUBLIC = "public"
-    PRIVATE = "private"
+class Scope:
+    PUBLIC, PRIVATE = "public", "private"
 
 
-class VarForm(str, Enum):
+class VarForm:
     """How a variable reference is qualified when rendered.
 
     PLAIN         x
@@ -53,6 +55,11 @@ class VarForm(str, Enum):
     CLASS_MEMBER = "classMember"
     OBJECT_MEMBER = "objectMember"
     EXTERNAL = "external"
+
+
+def names(namespace: type) -> tuple[str, ...]:
+    """The strings one of the namespaces here holds, in the order written."""
+    return tuple(v for k, v in vars(namespace).items() if k.isupper())
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +176,8 @@ class InlineIf(ExprRepr, metaclass=record):
         return self.then.type
 
 
-class CallForm(str, Enum):
-    FUNCTION = "function"
-    EXTERNAL = "external"
-    CONSTRUCTOR = "constructor"
-    METHOD = "method"
+class CallForm:
+    FUNCTION, EXTERNAL, CONSTRUCTOR, METHOD = "function", "external", "constructor", "method"
 
 
 class Call(ExprRepr, metaclass=record):
@@ -281,12 +285,8 @@ class StatementRepr(metaclass=record):
     pass
 
 
-class AssignMode(str, Enum):
-    SET = "set"
-    ADD_EQ = "addEq"
-    SUB_EQ = "subEq"
-    INC = "inc"
-    DEC = "dec"
+class AssignMode:
+    SET, ADD_EQ, SUB_EQ, INC, DEC = "set", "addEq", "subEq", "inc", "dec"
 
 
 class VarDec(StatementRepr, metaclass=record):

@@ -19,20 +19,21 @@ On the valid path neither walker makes a builtin or Python call per field
 for bookkeeping: a field costs a call only where its kind has work to do
 (a nested object or array, a name's check, an encoder). `_decode` tests a
 key with `in` and reads it by subscript, hands a nested object straight to
-itself, and reads a field of a lookup kind (an enum, a choice such as an
-operator name, a scalar type) by subscript of that kind's table, calling
-the kind's `dec` only on a miss: to decode a list or object type, or to
+itself, and reads a field of a lookup kind (one of an `ir` namespace's
+names such as a binding or a variable form, a choice such as an operator
+name, a scalar type) by subscript of that kind's table, calling the
+kind's `dec` only on a miss: to decode a list or object type, or to
 raise. `_encode` finds a record's row by subscript and leaves out a value
 whose default is None by identity alone.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
-produce. Decoding validates structure: tags, enum spellings, field
-types and operator names, each failure reported with the JSON path of
-the offending node. Every name must also pass the builders'
-`check_identifier` (program, module, class and parent class, method and
-its class, variable and its owner, call and library, in/out call,
-observer method, object type), and every import their
-`check_dotted_name`, so none can become a path outside the output
+produce. Decoding validates structure: tags, the names of bindings,
+scopes, forms and assignment modes, field types and operator names, each
+failure reported with the JSON path of the offending node. Every name
+must also pass the builders' `check_identifier` (program, module, class
+and parent class, method and its class, variable and its owner, call and
+library, in/out call, observer method, object type), and every import
+their `check_dotted_name`, so none can become a path outside the output
 directory or code. Then each node, a method, class, module and package
 too, must pass its class's rule in `builders.RULES`, which the builders
 run (a literal's rule checks its payload's type): a failure is a
@@ -136,14 +137,14 @@ _IMPORT = _name(check_dotted_name,
                 lambda raw, path, i: _fail("imports must be strings", (path, i)))
 
 
-def _enum(cls) -> _Kind:
-    members = {m.value: m for m in cls}
-    allowed = ", ".join(members)
+def _names(namespace) -> _Kind:
+    """One of the strings of an `ir` namespace such as `ir.Binding`, decoded
+    to that namespace's constant and written as it is."""
+    values = ir.names(namespace)
 
     def refuse(raw, path, key):
-        _fail(f"field {key!r} must be one of: {allowed}", path)
-    # A dict, not `.value`: on Python 3.11 that goes through an enum property.
-    return _Kind({m: value for value, m in members.items()}.__getitem__, refuse, members)
+        _fail(f"field {key!r} must be one of: {', '.join(values)}", path)
+    return _Kind(None, refuse, {v: v for v in values})
 
 
 def _choice(values, noun: str) -> _Kind:
@@ -399,8 +400,8 @@ _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
-            F("binding", _enum(ir.Binding), default=ir.Binding.DYNAMIC),
-            F("form", _enum(ir.VarForm), default=ir.VarForm.PLAIN),
+            F("binding", _names(ir.Binding), default=ir.Binding.DYNAMIC),
+            F("form", _names(ir.VarForm), default=ir.VarForm.PLAIN),
             F("owner", _NAME, default=None), share=_var_key)
 _VARS = _list(_VAR)
 
@@ -413,7 +414,7 @@ _EXPR.define({
     "binary": _Row(ir.Binary, F("name", _operator(2, "binary operator"), "op"), F("left", _EXPR),
                    F("right", _EXPR), F("type", _TYPE, "result")),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _enum(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
+    "call": _Row(ir.Call, F("form", _names(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "return_type"), F("receiver", _EXPR, default=None),
                  F("library", _NAME, default=None)),
     "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR),
@@ -431,7 +432,7 @@ _EXPR.define({
 _STMT.define({
     "varDec": _Row(ir.VarDec, F("var", _VAR)),
     "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
-    "assign": _Row(ir.Assign, F("mode", _enum(ir.AssignMode)), F("var", _VAR),
+    "assign": _Row(ir.Assign, F("mode", _names(ir.AssignMode)), F("var", _VAR),
                    F("value", _EXPR, default=None)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
@@ -468,7 +469,7 @@ _STMT.define({
                            F("elemType", _TYPE, "elem_type")),
 })
 
-_SCOPE, _BINDING = _enum(ir.Scope), _enum(ir.Binding)
+_SCOPE, _BINDING = _names(ir.Scope), _names(ir.Binding)
 _DOC = _Row(ir.DocSpec, F("description", _STR),
             F("params", _list(_Kind(list, _param_doc)), "param_descs", ()),
             F("returns", _STR, "return_desc", None))

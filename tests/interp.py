@@ -91,35 +91,35 @@ class Interpreter:
     # -- variables -------------------------------------------------------------
 
     def _read_var(self, v: ir.VariableRepr, frame: dict, self_obj: Instance | None):
-        if v.form is ir.VarForm.PLAIN:
+        if v.form == ir.VarForm.PLAIN:
             if v.name not in frame:
                 raise InterpError(f"read of unassigned variable {v.name!r}")
             return frame[v.name]
-        if v.form is ir.VarForm.SELF:
+        if v.form == ir.VarForm.SELF:
             return self_obj.fields.get(v.name)
-        if v.form is ir.VarForm.OBJECT_MEMBER:
+        if v.form == ir.VarForm.OBJECT_MEMBER:
             owner = frame[v.owner]
             return owner.fields.get(v.name)
-        if v.form is ir.VarForm.CLASS_MEMBER:
+        if v.form == ir.VarForm.CLASS_MEMBER:
             key = (v.owner, v.name)
             if key not in self.statics:
                 # default values differ by target; only assigned statics count
                 raise InterpError(f"read of unassigned static {v.owner}.{v.name}")
             return self.statics[key]
-        raise InterpError(f"cannot read {v.form.value} variable {v.name!r}")
+        raise InterpError(f"cannot read {v.form} variable {v.name!r}")
 
     def _write_var(self, v: ir.VariableRepr, value, frame: dict,
                    self_obj: Instance | None) -> None:
-        if v.form is ir.VarForm.PLAIN:
+        if v.form == ir.VarForm.PLAIN:
             frame[v.name] = value
-        elif v.form is ir.VarForm.SELF:
+        elif v.form == ir.VarForm.SELF:
             self_obj.fields[v.name] = value
-        elif v.form is ir.VarForm.OBJECT_MEMBER:
+        elif v.form == ir.VarForm.OBJECT_MEMBER:
             frame[v.owner].fields[v.name] = value
-        elif v.form is ir.VarForm.CLASS_MEMBER:
+        elif v.form == ir.VarForm.CLASS_MEMBER:
             self.statics[(v.owner, v.name)] = value
         else:
-            raise InterpError(f"cannot write {v.form.value} variable {v.name!r}")
+            raise InterpError(f"cannot write {v.form} variable {v.name!r}")
 
     # -- expressions -----------------------------------------------------------
 
@@ -185,15 +185,15 @@ class Interpreter:
                 return float(getattr(math, e.fn)(arg))
             return getattr(math, e.fn)(arg)
         if isinstance(e, ir.Call):
-            if e.form is ir.CallForm.FUNCTION:
+            if e.form == ir.CallForm.FUNCTION:
                 return self._call_function(self.functions[e.name],
                                            [ev(a) for a in e.args])
-            if e.form is ir.CallForm.CONSTRUCTOR:
+            if e.form == ir.CallForm.CONSTRUCTOR:
                 return self._construct(e.name, [ev(a) for a in e.args])
-            if e.form is ir.CallForm.METHOD:
+            if e.form == ir.CallForm.METHOD:
                 receiver = ev(e.receiver)
                 return self._call_method(receiver, e.name, [ev(a) for a in e.args])
-            raise InterpError(f"call form {e.form.value}")
+            raise InterpError(f"call form {e.form}")
         if isinstance(e, ir.ArgsList):
             return self.args
         if isinstance(e, ir.ArgAt):
@@ -270,15 +270,15 @@ class Interpreter:
         elif isinstance(s, ir.VarDecDef):
             self._write_var(s.var, ev(s.value), frame, self_obj)
         elif isinstance(s, ir.Assign):
-            if s.mode is ir.AssignMode.SET:
+            if s.mode == ir.AssignMode.SET:
                 self._write_var(s.var, ev(s.value), frame, self_obj)
             else:
                 current = self._read_var(s.var, frame, self_obj)
-                if s.mode is ir.AssignMode.ADD_EQ:
+                if s.mode == ir.AssignMode.ADD_EQ:
                     current += ev(s.value)
-                elif s.mode is ir.AssignMode.SUB_EQ:
+                elif s.mode == ir.AssignMode.SUB_EQ:
                     current -= ev(s.value)
-                elif s.mode is ir.AssignMode.INC:
+                elif s.mode == ir.AssignMode.INC:
                     current += 1
                 else:
                     current -= 1

@@ -158,10 +158,10 @@ FORM_SPELLINGS = {
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("index", range(len(FORM_VARS)),
-                         ids=[form.value for form, _ in FORM_VARS])
+                         ids=[form for form, _ in FORM_VARS])
 def test_variable_form_spelling(target, index):
     form, variable = FORM_VARS[index]
-    assert variable.form is form
+    assert variable.form == form
     ref = FORM_SPELLINGS[target][index]
     end = "" if target == "python" else ";"
     backend = get_backend(target)

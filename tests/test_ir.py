@@ -3,7 +3,6 @@ so the checks all fire at construction time."""
 
 import copy
 import dataclasses
-import enum
 import inspect
 import pickle
 import re
@@ -12,8 +11,9 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oogen import builders as bd, gallery, ir, layout, patterns as pt, verify
-from oogen.backends import TARGETS, get_backend
+import all_tags
+from oogen import builders as bd, gallery, ir, jsonio, layout, patterns as pt, verify
+from oogen.backends import TARGETS, assemble_package, get_backend
 from oogen.backends.base import ATOMIC_PRECEDENCE
 from oogen._record import record, replace
 from oogen.errors import (
@@ -163,8 +163,8 @@ def test_char_literal_is_one_character():
 
 
 def test_variable_forms_carry_owner():
-    assert bd.var("x", ir.INT).form is ir.VarForm.PLAIN
-    assert bd.self_var("foo", ir.INT).form is ir.VarForm.SELF
+    assert bd.var("x", ir.INT).form == ir.VarForm.PLAIN
+    assert bd.self_var("foo", ir.INT).form == ir.VarForm.SELF
     cv = bd.class_var("Cls", "n", ir.INT)
     assert (cv.form, cv.owner, cv.binding) == (
         ir.VarForm.CLASS_MEMBER, "Cls", ir.Binding.STATIC)
@@ -494,13 +494,80 @@ def test_observer_list_var_is_shared_constant():
     assert pt.observer_list_var(t).type == ir.list_of(t)
 
 
+# -- a binding, scope, form or mode is its name ----------------------------------
+
+NAMESPACES = (ir.Binding, ir.Scope, ir.VarForm, ir.CallForm, ir.AssignMode)
+
+
+def _records(value):
+    """Every record in `value`, a record or tuple, and below it."""
+    if isinstance(value, tuple):
+        for x in value:
+            yield from _records(x)
+    elif hasattr(type(value), "__record_specs__"):
+        yield value
+        for field in type(value).__match_args__:
+            yield from _records(getattr(value, field))
+
+
+def _named_fields(node) -> dict:
+    """field -> namespace, for each field of `node` annotated with one."""
+    return {field: getattr(ir, annotation)
+            for field, (annotation, _) in type(node).__record_specs__.items()
+            if getattr(ir, annotation, None) in NAMESPACES}
+
+
+def _names_made_at_run_time(value):
+    """`value` rebuilt with each name field holding a new string, equal to
+    the constant but not that object."""
+    if isinstance(value, tuple):
+        return tuple(_names_made_at_run_time(x) for x in value)
+    if not hasattr(type(value), "__record_specs__"):
+        return value
+    fields = {f: _names_made_at_run_time(getattr(value, f)) for f in type(value).__match_args__}
+    for field in _named_fields(value):
+        fields[field] = "".join(list(fields[field]))
+    return type(value)(**fields)
+
+
+def test_names_are_the_strings_the_json_writes():
+    assert [ir.names(ns) for ns in NAMESPACES] == [
+        ("static", "dynamic"), ("public", "private"),
+        ("plain", "self", "classMember", "objectMember", "external"),
+        ("function", "external", "constructor", "method"),
+        ("set", "addEq", "subEq", "inc", "dec")]
+    assert (ir.Binding.STATIC, ir.Scope.PUBLIC, ir.VarForm.SELF, ir.CallForm.METHOD,
+            ir.AssignMode.INC) == ("static", "public", "self", "method", "inc")
+
+
+def test_names_made_at_run_time_render_as_the_constants():
+    built = all_tags.package()
+    made = _names_made_at_run_time(built)
+    for target in TARGETS:
+        assert assemble_package(made, target) == assemble_package(built, target)
+    assert jsonio.dumps(made) == jsonio.dumps(built)
+    # Every name of every namespace occurs, and none is the constant itself.
+    names = [(ns, getattr(node, field)) for node in _records(made)
+             for field, ns in _named_fields(node).items()]
+    assert {(ns, v) for ns, v in names} == {(ns, v) for ns in NAMESPACES for v in ir.names(ns)}
+    assert not any(v is c for _, v in names for ns in NAMESPACES for c in ir.names(ns))
+
+
+def test_every_decoded_name_equals_its_constant():
+    for pkg in [all_tags.package(), *(entry.package for entry in gallery.ENTRIES)]:
+        decoded = jsonio.loads(jsonio.dumps(pkg))
+        for node in _records(decoded):
+            for field, ns in _named_fields(node).items():
+                assert getattr(node, field) in ir.names(ns), (node, field)
+
+
 # -- the record contract: what @dataclass(frozen=True) gave the IR ------------
 
 
 def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
-               and not issubclass(c, enum.Enum)]
+               and c not in NAMESPACES]
     assert len(classes) == 54
     others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
@@ -588,7 +655,7 @@ def test_record_repr_of_a_nested_node():
     assert repr(e) == (
         "ValueOf(var=VariableRepr(name='xs', type=TypeRepr(kind='list', "
         "elem=TypeRepr(kind='int', elem=None, class_name=None), class_name=None), "
-        "binding=<Binding.DYNAMIC: 'dynamic'>, form=<VarForm.PLAIN: 'plain'>, owner=None))")
+        "binding='dynamic', form='plain', owner=None))")
     assert repr(ir.Break()) == "Break()"
 
 

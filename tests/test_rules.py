@@ -367,12 +367,16 @@ def test_every_allowed_for_header_builds_and_decodes():
 
 
 # javac: "B cannot be converted to A"; g++ refuses it too. A notify of
-# another class renders a loop typed with the wrong class.
+# another class renders a loop typed with the wrong class, and so does an
+# add whose element type names another class than its value's (the
+# renderers type the lowered append's list variable with it).
 
 @pytest.mark.parametrize("use, message", [
     (lambda: pt.add_observer(bd.new_obj("B", [])), "addObserver of B on a list of A"),
     (lambda: pt.notify_observers("update", ir.obj_of("B")), "notifyObservers of B on a list of A"),
-], ids=["add", "notify"])
+    (lambda: ir.ObserverAdd(bd.new_obj("A", []), ir.obj_of("B")),
+     "addObserver of B on a list of A"),
+], ids=["add", "notify", "add elemType"])
 def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message):
     statements = [pt.init_observer_list(ir.obj_of("A"), [bd.new_obj("A", [])]), use()]
     with pytest.raises(TypeMismatch, match=f"^{message}$"):
@@ -380,3 +384,40 @@ def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message)
     with pytest.raises(DecodeError) as decoded:
         jsonio.decode_package(_main_doc(*statements))
     assert str(decoded.value) == f"{_MAIN}: {message}"
+
+
+# A list takes only its element type: javac refuses `xs.add(2)` and
+# `xs.set(0, 3)` on an ArrayList<Double> ("int cannot be converted to
+# Double"), and `xs.indexOf(3)` on it compiles and finds nothing; a double
+# appended to a list of ints prints `[2.5]` in Python and `[2]` in C++.
+
+_FLOATS = bd.value_of(bd.var("ys", ir.list_of(ir.FLOAT)))
+# use -> (the builder call, the same statement made without the rules, the
+# path of the refused node inside it)
+_ELEMENT_USES = {
+    "listAppend": (lambda xs, v: bd.call_stmt(pt.list_append(xs, v)),
+                   lambda xs, v: ir.ExprStmt(ir.ListAppend(xs, v)), ".expr"),
+    "listSet": (lambda xs, v: pt.list_set(xs, bd.lit_int(0), v),
+                lambda xs, v: ir.ListSet(xs, bd.lit_int(0), v), ""),
+    "listIndexOf": (lambda xs, v: pt.print_ln(pt.index_of(xs, v)),
+                    lambda xs, v: ir.Print(ir.ListIndexOf(xs, v), True), ".expr"),
+}
+_MIXES = {"int into floats": (_FLOATS, bd.lit_int(2)),
+          "float into ints": (_xs(), bd.lit_float(2.5))}
+
+
+@pytest.mark.parametrize("mix", list(_MIXES))
+@pytest.mark.parametrize("use", list(_ELEMENT_USES))
+def test_a_list_takes_only_its_element_type_built_and_decoded(use, mix):
+    build, make, at = _ELEMENT_USES[use]
+    lst, value = _MIXES[mix]
+    with pytest.raises(TypeMismatch) as built:
+        build(lst, value)
+    assert str(built.value) == (f"{'indexOf' if use == 'listIndexOf' else use}: element type"
+                                f" {lst.type.elem.kind}, value type {value.type.kind}")
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(_main_doc(make(lst, value)))
+    assert str(decoded.value) == f"{_STMT}{at}: {built.value}"
+    exact = bd.lit_float(2.5) if lst is _FLOATS else bd.lit_int(2)
+    doc = _main_doc(build(lst, exact))
+    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
