@@ -89,7 +89,6 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
 # target spells an operator so where it ranks it atomic: `#|` and `#/^` on
 # every target, `#^` in the C family.
 _OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
-_LOOPS = (ir.For, ir.ForRange, ir.ForEach, ir.While)  # a `continue` in one is its own
 
 # The operator of an assignment that takes a value, and the sign of a step.
 _ASSIGN_TOKENS = {ir.AssignMode.SET: "=", ir.AssignMode.ADD_EQ: "+=", ir.AssignMode.SUB_EQ: "-="}
@@ -175,25 +174,13 @@ def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
 
     def element(index: ir.ExprRepr) -> ir.StatementRepr:
         each = ir.Print(ir.ListAccess(lst, index), False)
-        return list_print(each, depth + 1) if lst.type.elem.is_list else each
+        return list_print(each, depth + 1) if lst.type.elem.kind == "list" else each
 
     loop = _counted(counter, _ZERO, "?<", last, None,
                     _one_block(element(ir.ValueOf(counter)), _COMMA))
     guard = ir.If(((ir.Binary("?>", size, _ZERO, ir.BOOL), _one_block(element(last))),),
                   None)
     return ir.BlockRepr((_OPEN, loop, guard, ir.Print(ir.Lit("string", "]"), s.newline)))
-
-
-def update_before_continue(b: ir.BodyRepr, update: ir.StatementRepr) -> ir.BodyRepr:
-    """Loop body `b` with `update` placed before each of its `continue`s.
-    A nested loop's `continue` belongs to that loop and is left alone."""
-
-    def place(s: ir.StatementRepr) -> ir.StatementRepr:
-        if type(s) is ir.Continue:
-            return ir.BlockRepr((update, s))
-        return s if type(s) in _LOOPS else ir.rebuild(s, place)
-
-    return ir.rebuild(b, place)
 
 
 def _observer_list(elem_type: ir.TypeRepr) -> ir.VariableRepr:
@@ -413,7 +400,7 @@ class Renderer:
         if child < parent or child == parent and assoc != "right":
             right = f"({right})"
         out = f"{left} {self.op_tokens[name]} {right}"
-        if name == "#/" and e.result.kind == "int":
+        if name == "#/" and e.type.kind == "int":
             return self.int_quotient(out)
         return out
 

@@ -64,7 +64,7 @@ class CFamilyRenderer(Renderer):
             self.braced(self.catch_header(), self.body(s.catch_body)),
         ]),
         ir.Print: lambda self, s: (
-            self.block(list_print(s)) if s.expr.type.is_list else self.print_scalar_doc(s)),
+            self.block(list_print(s)) if s.expr.type.kind == "list" else self.print_scalar_doc(s)),
         ir.Read: "read_doc",
     }
 
@@ -91,7 +91,7 @@ class CFamilyRenderer(Renderer):
 
     def var_dec_doc(self, s: ir.VarDec) -> Doc:
         t, name = self.type_text(s.var.type), s.var.name
-        if s.var.type.is_list:  # starts empty, so appends are always valid
+        if s.var.type.kind == "list":  # starts empty, so appends are always valid
             return text(self.empty_list_decl.format(t=t, name=name))
         return text(f"{t} {name};")
 

@@ -56,7 +56,7 @@ class CSharpRenderer(CFamilyRenderer):
 
     def catch_header(self) -> str:
         self.needs.add("System")
-        return "catch (Exception exc) {"
+        return super().catch_header()
 
     def for_each_header(self, s: ir.ForEach) -> str:
         return (

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import (Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for,
-                   update_before_continue)
+from .base import Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for
 
 
 def _suite(header: str, rendered: Doc) -> Doc:
@@ -40,6 +39,12 @@ class PythonRenderer(Renderer):
     op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5, "#^": 9}
     op_assoc = dict.fromkeys(("?<", "?<=", "?>", "?>=", "?==", "?!="), "none")
     op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or", "#^": "**"}
+
+    def __init__(self) -> None:
+        super().__init__()
+        # The rendered update of the innermost loop, when that loop is a
+        # for-loop lowered to a `while` (see `for_doc`); empty in any other.
+        self._loop_update: Doc = EMPTY
 
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
@@ -101,17 +106,28 @@ class PythonRenderer(Renderer):
     def suite(self, header: str, b: ir.BodyRepr) -> Doc:
         return _suite(header, self.body(b))
 
+    def loop_suite(self, header: str, b: ir.BodyRepr) -> Doc:
+        """`suite` for a loop that runs no update: a `continue` in `b` is its
+        own, so no enclosing for-loop's update runs before it."""
+        outer, self._loop_update = self._loop_update, EMPTY
+        try:
+            return _suite(header, self.body(b))
+        finally:
+            self._loop_update = outer
+
     stmt_handlers = {
         **Renderer.stmt_handlers,
         # Scalars and objects bind at first assignment; lists must exist
         # before an append can run.
-        ir.VarDec: lambda self, s: text(f"{s.var.name} = []") if s.var.type.is_list else EMPTY,
+        ir.VarDec: lambda self, s: (
+            text(f"{s.var.name} = []") if s.var.type.kind == "list" else EMPTY),
         ir.VarDecDef: lambda self, s: text(f"{s.var.name} = {self.expr(s.value)}"),
         ir.Throw: lambda self, s: text(f'raise Exception("{escape_string(s.message)}")'),
         ir.Free: lambda self, s: text(f"del {self.var_ref(s.var)}"),
-        ir.ForEach: lambda self, s: self.suite(
+        ir.Continue: lambda self, s: (*self._loop_update, "continue"),
+        ir.ForEach: lambda self, s: self.loop_suite(
             f"for {s.var.name} in {self.expr(s.iterable)}:", s.body),
-        ir.While: lambda self, s: self.suite(f"while {self.expr(s.cond)}:", s.body),
+        ir.While: lambda self, s: self.loop_suite(f"while {self.expr(s.cond)}:", s.body),
         ir.TryCatch: lambda self, s: vcat([
             self.suite("try:", s.try_body), self.suite("except Exception:", s.catch_body)]),
         ir.Print: lambda self, s: text(
@@ -123,13 +139,17 @@ class PythonRenderer(Renderer):
     }
 
     def for_doc(self, s: ir.For) -> Doc:
-        # No three-part loop in the grammar: init, then a while whose
-        # body ends with the update, which also runs before a continue.
-        body = update_before_continue(s.body, s.update)
-        return vcat([
-            self.stmt(s.init),
-            _suite(f"while {self.expr(s.cond)}:", vcat([self.body(body), self.stmt(s.update)])),
-        ])
+        # No three-part loop in the grammar: init, then a while whose body
+        # ends with the update. A `continue` in the body runs the update
+        # first: `_loop_update` holds it while the body renders here (not in
+        # a helper, so a loop level costs one frame fewer).
+        update = self.stmt(s.update)
+        outer, self._loop_update = self._loop_update, update
+        try:
+            body = self.body(s.body)
+        finally:
+            self._loop_update = outer
+        return vcat([self.stmt(s.init), _suite(f"while {self.expr(s.cond)}:", body + update)])
 
     def slice_assign_doc(self, s: ir.ListSlice) -> Doc:
         start = self.expr(s.start) if s.start is not None else ""
@@ -162,8 +182,8 @@ class PythonRenderer(Renderer):
             return self.for_doc(range_as_for(s))
         stop = self.literal_plus_one(s.end)  # range() excludes its end
         steps = "" if step.value == 1 else f", {step.value}"
-        return self.suite(f"for {s.var.name} in range({self.expr(s.start)}, {stop}{steps}):",
-                          s.body)
+        return self.loop_suite(
+            f"for {s.var.name} in range({self.expr(s.start)}, {stop}{steps}):", s.body)
 
     # -- declarations -----------------------------------------------------------
 

@@ -210,8 +210,8 @@ def _check_operator(node: ir.Unary | ir.Binary):
     name = node.op
     kind = (_unary_kind(name, node.operand.type.kind) if type(node) is ir.Unary
             else _binary_kind(name, node.left.type.kind, node.right.type.kind))
-    return node if node.result.kind == kind else _refuse(
-        f"{name} gives {kind}, not {_type_name(node.result)}")
+    return node if node.type.kind == kind else _refuse(
+        f"{name} gives {kind}, not {_type_name(node.type)}")
 
 
 def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
@@ -236,8 +236,8 @@ def _check_math(node: ir.MathCall) -> ir.MathCall:
     if kind not in _NUMERIC:
         _refuse(f"{fn} requires a numeric argument, got {kind}")
     kind = kind if fn == "abs" else "float"  # abs keeps the argument's type
-    return node if node.result.kind == kind else _refuse(
-        f"{fn} gives {kind}, not {_type_name(node.result)}")
+    return node if node.type.kind == kind else _refuse(
+        f"{fn} gives {kind}, not {_type_name(node.type)}")
 
 
 def _check_assign(node: ir.Assign) -> ir.Assign:

@@ -20,9 +20,11 @@ string the JSON writes: `Binding`, `Scope`, `VarForm`, `CallForm` and
 "static"), listed in order by `names`. A field annotated with one holds
 one of its strings; compare it with `==`.
 
+An expression's type is said once, as its `type`: a field, a class
+constant or a property of its parts (see `ExprRepr`).
+
 Blocks matter to rendering: one blank line separates adjacent non-empty
-blocks in every target. `walk` visits every statement of a tree and
-`rebuild` replaces the statements directly inside one node.
+blocks in every target. `walk` visits every statement of a tree.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ class TypeRepr(metaclass=record):
     elem: TypeRepr | None = None
     class_name: str | None = None
 
-    @property
-    def is_list(self) -> bool:
-        return self.kind == "list"
-
 
 BOOL = TypeRepr("bool")
 INT = TypeRepr("int")
@@ -124,8 +122,11 @@ class VariableRepr(metaclass=record):
 
 
 class ExprRepr(metaclass=record):
-    """Base expression node. Every node knows its IR type; how tightly it
-    binds is the renderer's (`Renderer.prec_of`)."""
+    """Base expression node. Every node has an IR `type`: a field where the
+    builder states it (an operator, math or call node), a class constant
+    where it never varies (`ListSize.type` is `INT`), and a property only
+    where it follows from the node's parts. How tightly a node binds is the
+    renderer's (`Renderer.prec_of`)."""
 
 
 class Lit(ExprRepr, metaclass=record):
@@ -148,22 +149,14 @@ class ValueOf(ExprRepr, metaclass=record):
 class Unary(ExprRepr, metaclass=record):
     op: str  # a name in OPERATORS
     operand: ExprRepr
-    result: TypeRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return self.result
+    type: TypeRepr
 
 
 class Binary(ExprRepr, metaclass=record):
     op: str  # a name in OPERATORS
     left: ExprRepr
     right: ExprRepr
-    result: TypeRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return self.result
+    type: TypeRepr
 
 
 class InlineIf(ExprRepr, metaclass=record):
@@ -187,13 +180,9 @@ class Call(ExprRepr, metaclass=record):
     form: CallForm
     name: str
     args: tuple[ExprRepr, ...]
-    return_type: TypeRepr
+    type: TypeRepr  # the return type; JSON "returnType"
     receiver: ExprRepr | None = None
     library: str | None = None
-
-    @property
-    def type(self) -> TypeRepr:
-        return self.return_type
 
 
 class MathCall(ExprRepr, metaclass=record):
@@ -201,17 +190,11 @@ class MathCall(ExprRepr, metaclass=record):
 
     fn: str
     arg: ExprRepr
-    result: TypeRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return self.result
+    type: TypeRepr
 
 
 class ArgsList(ExprRepr, metaclass=record):
-    @property
-    def type(self) -> TypeRepr:
-        return list_of(STRING)
+    type = list_of(STRING)
 
 
 class ArgAt(ExprRepr, metaclass=record):
@@ -219,18 +202,12 @@ class ArgAt(ExprRepr, metaclass=record):
     the program-name offset where the native vector includes it."""
 
     index: ExprRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return STRING
+    type = STRING
 
 
 class ArgExists(ExprRepr, metaclass=record):
     index: ExprRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return BOOL
+    type = BOOL
 
 
 class ListAccess(ExprRepr, metaclass=record):
@@ -244,10 +221,7 @@ class ListAccess(ExprRepr, metaclass=record):
 
 class ListSize(ExprRepr, metaclass=record):
     lst: ExprRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return INT
+    type = INT
 
 
 class ListAppend(ExprRepr, metaclass=record):
@@ -262,19 +236,13 @@ class ListAppend(ExprRepr, metaclass=record):
 class ListIndexExists(ExprRepr, metaclass=record):
     lst: ExprRepr
     index: ExprRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return BOOL
+    type = BOOL
 
 
 class ListIndexOf(ExprRepr, metaclass=record):
     lst: ExprRepr
     value: ExprRepr
-
-    @property
-    def type(self) -> TypeRepr:
-        return INT
+    type = INT
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +452,6 @@ def walk(node):
             yield value
         for name in nesting:
             stack.append(getattr(value, name))
-
-
-def rebuild(node, f):
-    """Record `node` with `f` applied to each statement directly in it, found
-    as `walk` finds them but not inside those statements: `f` goes deeper
-    by calling `rebuild` itself."""
-    cls = type(node)
-    nesting = _shape(cls)[1]
-    if not nesting:
-        return node
-
-    def part(value):
-        if type(value) is tuple:
-            return tuple(map(part, value))
-        return f(value) if _shape(type(value))[0] else rebuild(value, f)
-
-    return cls(*[part(getattr(node, name)) if name in nesting else getattr(node, name)
-                 for name in cls.__match_args__])
 
 
 # ---------------------------------------------------------------------------

@@ -410,15 +410,14 @@ _EXPR.define({
                 share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
     "unary": _Row(ir.Unary, F("name", _operator(1, "unary operator"), "op"), F("operand", _EXPR),
-                  F("type", _TYPE, "result")),
+                  F("type", _TYPE)),
     "binary": _Row(ir.Binary, F("name", _operator(2, "binary operator"), "op"), F("left", _EXPR),
-                   F("right", _EXPR), F("type", _TYPE, "result")),
+                   F("right", _EXPR), F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
     "call": _Row(ir.Call, F("form", _names(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
-                 F("returnType", _TYPE, "return_type"), F("receiver", _EXPR, default=None),
+                 F("returnType", _TYPE, "type"), F("receiver", _EXPR, default=None),
                  F("library", _NAME, default=None)),
-    "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR),
-                 F("type", _TYPE, "result")),
+    "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
     "argExists": _Row(ir.ArgExists, F("index", _EXPR)),

@@ -543,6 +543,32 @@ def test_python_continue_in_a_for_loop_runs_the_update_first():
         "    i = i + 1")
 
 
+def test_python_update_is_placed_before_continue_in_blocks_but_not_in_nested_loops():
+    # the update runs before a continue in a block or a switch case, not in
+    # any nested loop but a lowered one, which runs its own update
+    render, ok = get_backend("python").render_stmt, bd.var("ok", ir.BOOL)
+    skip, j = bd.one_liner(bd.continue_stmt()), bd.var("j", ir.INT)
+    cases = [
+        (pt.run_strategy("a", {"a": skip}),
+         "    i = i + 1\n    continue\n"),
+        (bd.switch(bd.value_of(I_VAR), [(bd.lit_int(1), skip)],
+                   bd.one_liner(bd.while_loop(bd.value_of(ok), skip))),
+         "    if i == 1:\n        i = i + 1\n        continue\n"
+         "    else:\n        while ok:\n            continue\n"),
+        (bd.for_each(j, bd.value_of(bd.var("xs", ir.list_of(ir.INT))), skip),
+         "    for j in xs:\n        continue\n"),
+        (bd.for_range(j, bd.lit_int(0), bd.lit_int(2), bd.lit_int(1), skip),  # native range
+         "    for j in range(0, 3):\n        continue\n"),
+        (bd.for_range(j, bd.lit_int(2), bd.lit_int(0), bd.lit_int(-1), skip),  # lowered
+         "    j = 2\n    while j <= 0:\n        j += -1\n        continue\n        j += -1\n"),
+        (bd.for_loop(bd.var_dec_def(j, bd.lit_int(0)), bd.value_of(ok), bd.inc(j), skip),
+         "    j = 0\n    while ok:\n        j = j + 1\n        continue\n        j = j + 1\n"),
+    ]
+    for inner, rendered in cases:
+        assert render(_count_to_3(bd.one_liner(inner))) == (
+            f"i = 0\nwhile i < 3:\n{rendered}    i = i + 1")
+
+
 def test_all_tags_python_compiles_and_its_for_loop_ends():
     pkg = all_tags.package()
     python = get_backend("python")

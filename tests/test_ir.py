@@ -299,6 +299,18 @@ def test_list_ops_type_check():
         pt.list_size(_i())
 
 
+def test_an_expression_type_is_a_field_or_one_shared_constant():
+    for cls in (ir.Unary, ir.Binary, ir.MathCall, ir.Call):
+        assert "type" in cls.__match_args__, cls
+    lst, i = bd.value_of(_float_list_var()), _i()
+    made = [(ir.ArgsList, ()), (ir.ArgAt, (i,)), (ir.ArgExists, (i,)), (ir.ListSize, (lst,)),
+            (ir.ListIndexExists, (lst, i)), (ir.ListIndexOf, (lst, bd.lit_float(1.5)))]
+    for cls, parts in made:
+        assert "type" not in cls.__match_args__, cls
+        assert cls(*parts).type is cls(*parts).type is cls.type, cls
+    assert ir.ArgsList.type == ir.list_of(ir.STRING) and ir.ListIndexOf.type is ir.INT
+
+
 def test_list_slice_requires_list_target():
     src = bd.value_of(_float_list_var())
     target = bd.var("someAges", ir.list_of(ir.FLOAT))

@@ -12,7 +12,7 @@ import pstats
 import all_tags
 from oogen import jsonio
 
-LOADS_BUDGET = 1547
+LOADS_BUDGET = 1542
 ENCODE_BUDGET = 584
 
 

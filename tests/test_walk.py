@@ -1,9 +1,8 @@
-"""`ir.walk` and `ir.rebuild` find a tree's statements from the records'
-own field declarations, so no list of statement fields can fall behind."""
+"""`ir.walk` finds a tree's statements from the records' own field
+declarations, so no list of statement fields can fall behind."""
 
 import all_tags
-from oogen import builders as bd, ir, patterns as pt
-from oogen.backends.base import update_before_continue
+from oogen import builders as bd, ir
 
 
 def _reference(node) -> list:
@@ -77,30 +76,3 @@ def test_walk_does_not_recurse_per_level():
     for _ in range(5000):  # five times the default recursion limit
         stmt = ir.BlockRepr((stmt,))
     assert len(list(ir.walk(ir.BodyRepr((stmt,))))) == 5001
-
-
-def test_rebuild_replaces_only_the_statements_directly_inside():
-    inner = bd.if_cond([(bd.lit_bool(True), bd.one_liner(_mark(2)))])
-    outer = bd.if_cond([(bd.lit_bool(True), bd.one_liner(_mark(1)))],
-                       bd.body_statements([inner]))
-    seen = []
-    again = ir.rebuild(outer, lambda s: seen.append(s) or s)
-    # a body's blocks are the statements directly in it
-    assert seen == [outer.branches[0][1].blocks[0], outer.else_body.blocks[0]]
-    assert again == outer
-    assert ir.rebuild(_mark(1), lambda s: None) == _mark(1)
-
-
-def test_update_is_placed_before_continue_in_blocks_but_not_in_nested_loops():
-    i, ok = bd.var("i", ir.INT), bd.value_of(bd.var("ok", ir.BOOL))
-    update, skip = bd.inc(i), bd.continue_stmt()
-    nested = bd.while_loop(ok, bd.one_liner(skip))
-    body = bd.body_statements([
-        pt.run_strategy("a", {"a": bd.one_liner(skip)}),
-        bd.switch(bd.value_of(i), [(bd.lit_int(1), bd.one_liner(skip))], bd.one_liner(nested)),
-    ])
-    placed = update_before_continue(body, update)
-    strategy, switch = placed.blocks[0].statements
-    assert strategy == bd.block([bd.block([update, skip])])
-    assert switch.cases[0][1] == bd.one_liner(bd.block([update, skip]))
-    assert switch.default == bd.one_liner(nested)
