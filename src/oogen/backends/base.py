@@ -22,7 +22,10 @@ operator, inline-if, call, math, list-access and argument handlers and
 statement; so an operator, math or inline-if level costs one Python
 frame, and such a chain renders as deep as it decodes. Variable and call
 forms dispatch the same way, through `var_forms` and `call_forms` keyed
-by the form's name, after an `==` test for the commonest form.
+by the form's name, after an `==` test for the commonest form. A
+variable reference is one frame too: `value_of` reads a plain variable's
+name itself, and calls `var_ref` only in C++, whose `var_ref` holds its
+one rule for a plain name (a for-each variable is an iterator there).
 
 Patterns are lowered once, here, to core IR, so a target renders syntax
 only and every target accepts or refuses the same trees. The lowering
@@ -369,7 +372,8 @@ class Renderer:
         return f'"{escape_string(value)}"'
 
     def value_of(self, e: ir.ValueOf) -> str:
-        return self.var_ref(e.var)
+        v = e.var  # a plain variable is its name, read here: one frame
+        return v.name if v.form == ir.VarForm.PLAIN else self._var_table[v.form](self, v)
 
     def unary(self, e: ir.Unary) -> str:
         name, prec, x = e.op, self._prec, e.operand

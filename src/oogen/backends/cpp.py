@@ -51,6 +51,9 @@ class CppRenderer(CFamilyRenderer):
         ir.VarForm.EXTERNAL: _scoped,
     }
 
+    def value_of(self, e: ir.ValueOf) -> str:
+        return self.var_ref(e.var)
+
     def var_ref(self, v: ir.VariableRepr) -> str:
         if v.form == ir.VarForm.PLAIN:
             # a for-each variable is an iterator here

@@ -102,6 +102,9 @@ def _refuse(message: str, error: type[BuildError] = TypeMismatch):
     raise error(message)
 
 
+# The rules test a valid kind inline and call these only to raise the
+# message for the first kind that fails: a valid node costs no call here.
+
 def _require_numeric(op: str, *kinds: str) -> None:
     for kind in kinds:
         if kind not in _NUMERIC:
@@ -115,7 +118,9 @@ def _require_bool(op: str, *kinds: str) -> None:
 
 
 def _bool_cond(op: str, node):
-    _require_bool(op, node.cond.type.kind)
+    kind = node.cond.type.kind
+    if kind != "bool":
+        _require_bool(op, kind)
     return node
 
 
@@ -135,16 +140,19 @@ def _type_name(t: ir.TypeRepr) -> str:
 def _unary_kind(name: str, operand: str) -> str:
     """The kind unary `name` gives on an operand of kind `operand`."""
     if name == "?!":
-        _require_bool(name, operand)
+        if operand != "bool":
+            _require_bool(name, operand)
         return "bool"
-    _require_numeric(name, operand)
+    if operand not in _NUMERIC:
+        _require_numeric(name, operand)
     return "float" if name == "#/^" else operand
 
 
 def _binary_kind(name: str, left: str, right: str) -> str:
     """The kind binary `name` gives on operands of kinds `left` and `right`."""
     if name in _LOGICAL:
-        _require_bool(name, left, right)
+        if left != "bool" or right != "bool":
+            _require_bool(name, left, right)
         return "bool"
     if name in _EQUALITY:
         if left != right and not (left in _NUMERIC and right in _NUMERIC):
@@ -240,16 +248,34 @@ def _check_math(node: ir.MathCall) -> ir.MathCall:
         f"{fn} gives {kind}, not {_type_name(node.type)}")
 
 
+def _check_value_fits(op: str, node):
+    """`node`, if its value fits its variable: of the variable's kind, or an
+    int for a float (as a method returns one), and of exactly its type if a
+    list. Object class names are not compared: an object of a subclass fits,
+    and no rule here knows the classes."""
+    t, v = node.var.type, node.value.type
+    if t.kind != v.kind and (v.kind != "int" or t.kind != "float") or (
+            t.kind == "list" and t != v):
+        _refuse(f"{op} {node.var.name}: variable type {_type_name(t)},"
+                f" value type {_type_name(v)}")
+    return node
+
+
 def _check_assign(node: ir.Assign) -> ir.Assign:
     mode, value = node.mode, node.value
-    step = _STEP_NAMES.get(mode)
+    step = _STEP_NAMES[mode] if mode in _STEP_NAMES else None
     if (value is None) != (step is not None):
         _refuse(f"assign mode {mode!r} "
                 + ("takes no 'value'" if step else "requires a 'value'"), BuildError)
+    kind = node.var.type.kind
     if step is not None:
-        _require_numeric(step, node.var.type.kind)
-    elif mode != ir.AssignMode.SET:
-        _require_numeric("&-=/&+=", node.var.type.kind, value.type.kind)
+        if kind not in _NUMERIC:
+            _require_numeric(step, kind)
+    elif mode == ir.AssignMode.SET:
+        if kind != value.type.kind or kind == "list":
+            _check_value_fits("assign", node)
+    elif kind not in _NUMERIC or value.type.kind not in _NUMERIC:
+        _require_numeric("&-=/&+=", kind, value.type.kind)
     return node
 
 
@@ -257,7 +283,8 @@ def _check_if(node: ir.If) -> ir.If:
     if not node.branches:
         _refuse("ifCond requires at least one branch", EmptyConditional)
     for cond, _ in node.branches:
-        _require_bool("ifCond", cond.type.kind)
+        if cond.type.kind != "bool":
+            _require_bool("ifCond", cond.type.kind)
     return node
 
 
@@ -291,6 +318,14 @@ def _check_for_range(node: ir.ForRange) -> ir.ForRange:
                        ("step", node.step)):
         if part.type.kind != "int":
             _refuse(f"forRange {what} must be int, got {part.type.kind}")
+    # Every target tests `var <= end` whatever the step's sign, so a step of
+    # 0, or below 0 from a start at or below the end, never ends. A step that
+    # is not a literal goes unchecked.
+    step, start, end = node.step, node.start, node.end
+    if type(step) is ir.Lit and (step.value == 0 or step.value < 0 and type(start) is ir.Lit
+                                 and type(end) is ir.Lit and start.value <= end.value):
+        _refuse(f"forRange from {start.value} to {end.value} by {step.value} never ends"
+                if step.value else "forRange step must not be 0", BuildError)
     return node
 
 
@@ -424,6 +459,7 @@ RULES = {
     ir.ListSize: lambda n: _listed("listSize", n), ir.ListAppend: lambda n: _fits("listAppend", n),
     ir.ListIndexExists: lambda n: _int_index("listIndexExists", _listed("listIndexExists", n)),
     ir.ListIndexOf: lambda n: _fits("indexOf", n), ir.Assign: _check_assign,
+    ir.VarDecDef: lambda n: _check_value_fits("varDecDef", n),
     ir.ListSet: lambda n: _int_index("listSet", _fits("listSet", n)),
     ir.If: _check_if, ir.Switch: _check_switch, ir.For: _check_for,
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
@@ -507,13 +543,13 @@ def value_of(variable: ir.VariableRepr) -> ir.ValueOf:
 
 
 def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
-    if ir.OPERATORS.get(op_name) != 1:
+    if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 1:
         raise TypeMismatch(f"unknown unary operator {op_name!r}")
     return ir.Unary(op_name, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
-    if ir.OPERATORS.get(op_name) != 2:
+    if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 2:
         raise TypeMismatch(f"unknown binary operator {op_name!r}")
     kind = _binary_kind(op_name, left.type.kind, right.type.kind)
     return ir.Binary(op_name, left, right, ir.SCALAR_TYPES[kind])
@@ -553,7 +589,7 @@ def var_dec(variable: ir.VariableRepr) -> ir.VarDec:
 
 
 def var_dec_def(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.VarDecDef:
-    return ir.VarDecDef(variable, value)
+    return RULES[ir.VarDecDef](ir.VarDecDef(variable, value))
 
 
 def assign(variable: ir.VariableRepr, value: ir.ExprRepr) -> ir.Assign:

@@ -24,12 +24,13 @@ An expression's type is said once, as its `type`: a field, a class
 constant or a property of its parts (see `ExprRepr`).
 
 Blocks matter to rendering: one blank line separates adjacent non-empty
-blocks in every target. `walk` visits every statement of a tree.
+blocks in every target. `walk` lists every statement of a tree.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 
 from ._record import record
 
@@ -425,33 +426,51 @@ _SPACES = str.maketrans("[],|.", "     ")
 
 
 @cache
-def _shape(cls: type) -> tuple[bool, tuple[str, ...]]:
-    """Whether `cls` is a statement class, and its fields (last first) whose
-    declared type names a statement class or a record with such fields (a
-    `BodyRepr`). The annotations in `__record_specs__` are strings naming
-    classes of this module; naming itself (`TypeRepr.elem`) does not count."""
-    names = [name for name, (annotation, _) in getattr(cls, "__record_specs__", {}).items()
-             if any(isinstance(named, type) and named is not cls
-                    and (issubclass(named, StatementRepr) or _shape(named)[1])
-                    for named in map(globals().get, annotation.translate(_SPACES).split()))]
-    return issubclass(cls, StatementRepr), tuple(reversed(names))
+def _nesting(cls: type) -> tuple[str, ...]:
+    """The fields of `cls`, in declared order, whose declared type names a
+    statement class or a record with such fields (a `BodyRepr`). The
+    annotations in `__record_specs__` are strings naming classes of this
+    module; naming itself (`TypeRepr.elem`) does not count."""
+    return tuple(name for name, (annotation, _) in getattr(cls, "__record_specs__", {}).items()
+                 if any(isinstance(named, type) and named is not cls
+                        and (issubclass(named, StatementRepr) or _nesting(named))
+                        for named in map(globals().get, annotation.translate(_SPACES).split())))
 
 
-def walk(node):
+# Class -> (whether it is a statement class, one `attrgetter` of its nesting
+# fields or None), filled by `walk` on a class's first node.
+_WALK: dict[type, tuple] = {}
+
+
+def walk(node) -> list:
     """Every statement inside record `node` (a body, statement, method or
-    package) in pre-order, fields in declared order, a body's blocks
-    included. One loop over an explicit stack: nesting does not recurse."""
-    stack = [node]
+    package), as a list in pre-order, fields in declared order, a body's
+    blocks included. One loop over an explicit stack: nesting does not
+    recurse. A record class's nesting fields are read by its one
+    `attrgetter`, made on the class's first node; what that returns (the
+    field's value, or a tuple of the fields' values) goes on the stack as
+    one item, and a tuple popped goes back on as its items, last first. So
+    the loop calls no Python function or builtin per statement: the getter
+    is a C object, the stack is popped by `del` and grown by `+=`."""
+    found, stack = [], [node]
     while stack:
-        value = stack.pop()
-        if type(value) is tuple:
-            stack += reversed(value)
+        value = stack[-1]
+        del stack[-1]
+        cls = type(value)
+        if cls is tuple:
+            stack += value[::-1]
             continue
-        statement, nesting = _shape(type(value))
+        try:
+            statement, nesting = _WALK[cls]
+        except KeyError:
+            names = _nesting(cls)
+            statement, nesting = _WALK[cls] = (
+                issubclass(cls, StatementRepr), attrgetter(*names) if names else None)
         if statement and value is not node:
-            yield value
-        for name in nesting:
-            stack.append(getattr(value, name))
+            found += (value,)
+        if nesting is not None:
+            stack += (nesting(value),)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,11 @@ itself, and reads a field of a lookup kind (one of an `ir` namespace's
 names such as a binding or a variable form, a choice such as an operator
 name, a scalar type) by subscript of that kind's table, calling the
 kind's `dec` only on a miss: to decode a list or object type, or to
-raise. `_encode` finds a record's row by subscript and leaves out a value
-whose default is None by identity alone.
+raise. `_encode` makes no bookkeeping call per node either: it finds a
+record's row by subscript, starts the object from the row's tag by a dict
+display (not `dict.copy`), reads the field values of a record with
+fields by one `attrgetter` (a one-field record's too), and leaves out a
+value whose default is None by identity alone.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
 produce. Decoding validates structure: tags, the names of bindings,
@@ -255,7 +258,11 @@ class _Row(_Shape):
     def __init__(self, cls, *fields, share=None):
         super().__init__()
         if hasattr(cls, "__record_values__"):
-            self.values = cls.__record_values__
+            # A one-field record's values are read as a pair of that field:
+            # its `__record_values__` makes the 1-tuple by a Python call.
+            names = cls.__match_args__
+            self.values = (attrgetter(names[0], names[0]) if len(names) == 1
+                           else cls.__record_values__)
             positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
             _ROW_OF[cls] = self
         else:
@@ -293,7 +300,7 @@ def _encode(node, row: _Row | None = None) -> dict:
             row = _ROW_OF[type(node)]
         except KeyError:
             raise TypeError(f"cannot encode {type(node).__name__}") from None
-    out = row.head.copy()
+    out = {**row.head}
     values = row.values(node)
     for key, pos, enc, default in row.encoders:
         value = values[pos]

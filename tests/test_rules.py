@@ -119,6 +119,10 @@ CASES = {
                      lambda: pt.index_of(_xs(), bd.lit_string("s"))),
     ir.Assign: (_stmt({"stmt": "assign", "mode": "set", "var": {"name": "x", "type": "int"}}),
                 lambda: bd.assign(_X, None)),
+    # javac: "incompatible types: String cannot be converted to int".
+    ir.VarDecDef: (_stmt({"stmt": "varDecDef", "var": {"name": "x", "type": "int"},
+                          "value": TEXT}),
+                   lambda: bd.var_dec_def(_X, bd.lit_string("s"))),
     ir.ListSet: (_stmt({"stmt": "listSet", "list": XS, "index": TEXT, "value": ONE}),
                  lambda: pt.list_set(_xs(), bd.lit_string("s"), bd.lit_int(1))),
     ir.If: (_stmt({"stmt": "if", "branches": []}), lambda: bd.if_cond([])),
@@ -197,6 +201,74 @@ def test_a_literal_payload_of_the_wrong_type_is_refused_built_and_decoded(build,
     with pytest.raises(DecodeError) as decoded:
         jsonio.decode_package(doc)
     assert str(decoded.value) == f"{path}: {built.value}"
+
+
+# A value fits its variable as javac and g++ take it: of its kind, an int
+# widening to a float; a list of exactly its type. Python took `int x = "s"`.
+
+@pytest.mark.parametrize("build, node, message", [
+    (lambda: bd.assign(_X, bd.lit_string("s")),
+     {"stmt": "assign", "mode": "set", "var": {"name": "x", "type": "int"}, "value": TEXT},
+     "assign x: variable type int, value type string"),
+    (lambda: bd.var_dec_def(bd.var("ys", ir.list_of(ir.FLOAT)), _xs()),
+     {"stmt": "varDecDef", "var": {"name": "ys", "type": {"kind": "list", "elem": "float"}},
+      "value": XS},
+     "varDecDef ys: variable type list of float, value type list of int"),
+    (lambda: bd.var_dec_def(bd.var("n", ir.INT), bd.lit_float(1.5)),
+     {"stmt": "varDecDef", "var": {"name": "n", "type": "int"}, "value": _lit("float", 1.5)},
+     "varDecDef n: variable type int, value type float"),
+], ids=["assign-string-to-int", "int-list-to-float-list", "float-to-int"])
+def test_a_value_that_does_not_fit_its_variable_is_refused_built_and_decoded(
+        build, node, message):
+    with pytest.raises(TypeMismatch, match=message):
+        build()
+    doc = _base()
+    _stmt(node)(doc)
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == f"{_STMT}: {message}"
+
+
+def test_an_int_widens_to_a_float_and_an_object_of_any_class_fits():
+    f, shape = bd.var("f", ir.FLOAT), bd.var("s", ir.obj_of("Shape"))
+    statements = [bd.var_dec_def(f, bd.lit_int(1)), bd.assign(f, bd.lit_int(2)),
+                  bd.var_dec_def(shape, bd.new_obj("Circle", [])),
+                  bd.assign(shape, bd.new_obj("Square", []))]
+    main = bd.main_function(bd.body_statements(statements))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    assert jsonio.decode_package(jsonio.encode_package(pkg)) == pkg
+
+
+# Every target tests `i <= end` whatever the step's sign: a literal step of
+# 0, or a negative one from a literal start at or below a literal end, would
+# loop forever (Python printed `0` until killed).
+
+def _range_node(start, end, step) -> dict:
+    return {"stmt": "forRange", "var": {"name": "i", "type": "int"}, "start": _lit("int", start),
+            "end": _lit("int", end), "step": _lit("int", step), "body": []}
+
+
+@pytest.mark.parametrize("start, end, step, message", [
+    (0, 3, 0, "forRange step must not be 0"),
+    (0, 3, -1, "forRange from 0 to 3 by -1 never ends"),
+    (2, 2, -1, "forRange from 2 to 2 by -1 never ends"),
+], ids=["zero-step", "down-from-below", "down-from-the-end"])
+def test_a_range_that_never_ends_is_refused_built_and_decoded(start, end, step, message):
+    with pytest.raises(BuildError, match=message):
+        bd.for_range(bd.var("i", ir.INT), bd.lit_int(start), bd.lit_int(end),
+                     bd.lit_int(step), _EMPTY)
+    doc = _base()
+    _stmt(_range_node(start, end, step))(doc)
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == f"{_STMT}: {message}"
+
+
+def test_a_descending_range_from_above_its_end_builds_and_decodes():
+    doc = _base()
+    _stmt(_range_node(3, 0, -1))(doc)
+    loop = bd.for_range(bd.var("i", ir.INT), bd.lit_int(3), bd.lit_int(0), bd.lit_int(-1), _EMPTY)
+    assert jsonio.decode_package(doc).modules[0].functions[0].body.blocks[0].statements[0] == loop
 
 
 # javac: "duplicate case label"; g++: "duplicate case value".

@@ -1,8 +1,10 @@
 """`ir.walk` finds a tree's statements from the records' own field
 declarations, so no list of statement fields can fall behind."""
 
+import pytest
+
 import all_tags
-from oogen import builders as bd, ir
+from oogen import builders as bd, gallery, ir
 
 
 def _reference(node) -> list:
@@ -29,14 +31,28 @@ def _same(a: list, b: list) -> bool:
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
+def _methods(pkg: ir.PackageTree) -> list[ir.MethodRepr]:
+    return [m for module in pkg.modules for m in module.functions] + [
+        m for module in pkg.modules for c in module.classes for m in c.methods]
+
+
 def test_walk_finds_what_a_brute_force_search_finds_over_every_tag():
     pkg = all_tags.package()
     assert _same(list(ir.walk(pkg)), _reference(pkg))
-    methods = [m for module in pkg.modules for m in module.functions] + [
-        m for module in pkg.modules for c in module.classes for m in c.methods]
+    methods = _methods(pkg)
     assert len(methods) == 5
     for m in methods:
         assert _same(list(ir.walk(m.body)), _reference(m.body))
+        for s in ir.walk(m.body):
+            assert _same(list(ir.walk(s)), _reference(s))
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_walk_finds_what_a_brute_force_search_finds_in_every_gallery_package(name):
+    pkg = gallery.get(name).package
+    assert _same(list(ir.walk(pkg)), _reference(pkg))
+    for m in _methods(pkg):
+        assert _same(list(ir.walk(m)), _reference(m))
         for s in ir.walk(m.body):
             assert _same(list(ir.walk(s)), _reference(s))
 
