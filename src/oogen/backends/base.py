@@ -422,10 +422,8 @@ class Renderer:
         then = render[type(t)](self, t)
         if (prec[type(t)] or prec[t.op]) <= p:
             then = f"({then})"
-        other = render[type(o)](self, o)
-        if (prec[type(o)] or prec[o.op]) < p:
-            other = f"({other})"
-        return self.ternary_text(cond, then, other)
+        # Nothing binds looser than an inline if, so the else branch is never wrapped.
+        return self.ternary_text(cond, then, render[type(o)](self, o))
 
     def ternary_text(self, cond: str, then: str, other: str) -> str:
         return f"{cond} ? {then} : {other}"

@@ -48,16 +48,17 @@ A decoded package shares equal variables, as a built one does: within one
 decode_package call, each distinct variable object is decoded and checked
 once, and every later object with the same content is that same immutable
 VariableRepr. So is each distinct int, bool, string or char literal (a
-float is not shared: -0.0 == 0.0). Nothing is shared between calls, nor
-between threads. encode_package keeps no state: it is a function of the
-tree alone, and every place that holds a variable gets its own dict, so its
-output has no aliasing.
+float is not shared: -0.0 == 0.0). The sharing table belongs to the call:
+decode_package makes it as a local dict and passes it down as an argument
+of `_decode` and of each field kind's `dec`, so nothing is shared between
+calls, nested or on other threads, and the module keeps no state. Neither
+does encode_package: it is a function of the tree alone, and every place
+that holds a variable gets its own dict, so its output has no aliasing.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from operator import attrgetter
 
 from . import ir
@@ -70,19 +71,12 @@ _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
 
 
-class _PerCall(threading.local):
-    """The nodes the running decode_package call of this thread has decoded
-    once (by key); None outside such a call."""
-    decoded = None
-
-
-_calls = _PerCall()
-
-
 # ---------------------------------------------------------------------------
 # Field kinds: how a field's value is encoded (`enc`, None to keep it as it
-# is) and decoded (`dec(raw, path of the owning object, key)`). A path is "$"
-# or (parent path, key or index); it is spelled out only for an error.
+# is) and decoded (`dec(raw, path of the owning object, key, decoded)`, where
+# `decoded` is the running decode_package call's sharing table, which only
+# the kinds that hold objects use). A path is "$" or (parent path, key or
+# index); it is spelled out only for an error.
 
 
 def _where(path) -> str:
@@ -113,21 +107,21 @@ class _Kind:
 
 
 def _leaf(cls: type, what: str) -> _Kind:
-    def dec(raw, path, key):
+    def dec(raw, path, key, decoded):
         return raw if isinstance(raw, cls) else _fail(f"field {key!r} must be {what}", path)
     return _Kind(None, dec)
 
 
 _STR = _leaf(str, "a string")
 _BOOL = _leaf(bool, "a boolean")
-_ANY = _Kind(None, lambda raw, path, key: raw)
+_ANY = _Kind(None, lambda raw, path, key, decoded: raw)
 
 
 def _name(check, not_a_string) -> _Kind:
     """A string that passes the builders' `check`."""
-    def dec(raw, path, key):
+    def dec(raw, path, key, decoded):
         if type(raw) is not str:
-            not_a_string(raw, path, key)
+            not_a_string(raw, path, key, None)
         try:
             return check(raw)
         except InvalidIdentifier as exc:
@@ -137,7 +131,7 @@ def _name(check, not_a_string) -> _Kind:
 
 _NAME = _name(check_identifier, _STR.dec)
 _IMPORT = _name(check_dotted_name,
-                lambda raw, path, i: _fail("imports must be strings", (path, i)))
+                lambda raw, path, i, decoded: _fail("imports must be strings", (path, i)))
 
 
 def _names(namespace) -> _Kind:
@@ -145,7 +139,7 @@ def _names(namespace) -> _Kind:
     to that namespace's constant and written as it is."""
     values = ir.names(namespace)
 
-    def refuse(raw, path, key):
+    def refuse(raw, path, key, decoded):
         _fail(f"field {key!r} must be one of: {', '.join(values)}", path)
     return _Kind(None, refuse, {v: v for v in values})
 
@@ -154,9 +148,9 @@ def _choice(values, noun: str) -> _Kind:
     """A string among `values`; a dict `values` maps it to what it decodes to."""
     values = values if isinstance(values, dict) else {v: v for v in values}
 
-    def refuse(raw, path, key):
+    def refuse(raw, path, key, decoded):
         if not isinstance(raw, str):
-            _STR.dec(raw, path, key)  # raises
+            _STR.dec(raw, path, key, None)  # raises
         _fail(f"unknown {noun} {raw!r}", path)
     return _Kind(None, refuse, values)
 
@@ -181,15 +175,15 @@ def _list(item: _Kind, wrap=None) -> _Kind:
     shape = item if isinstance(item, _Shape) else None
     row = item if type(item) is _Row else None
 
-    def dec(raw, path, key):
+    def dec(raw, path, key, decoded):
         here = (path, key)
         values = list(raw if type(raw) is list else _array(raw, here))
         if shape is not None:
             for i, x in enumerate(values):
-                values[i] = _decode(shape, x, (here, i))
+                values[i] = _decode(shape, x, (here, i), decoded)
         else:
             for i, x in enumerate(values):
-                values[i] = item_dec(x, here, i)
+                values[i] = item_dec(x, here, i, decoded)
         return wrap(tuple(values)) if wrap else tuple(values)
 
     def enc(value):
@@ -204,7 +198,7 @@ def _list(item: _Kind, wrap=None) -> _Kind:
     return _Kind(enc, dec)
 
 
-def _param_doc(raw, path, index):
+def _param_doc(raw, path, index, decoded):
     pair = _array(raw, (path, index))
     if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
         _fail("param doc must be a [name, description] pair", (path, index))
@@ -219,12 +213,12 @@ def _encode_type(t: ir.TypeRepr) -> object:
     return t.kind
 
 
-def _decode_type(raw, path, key) -> ir.TypeRepr:
+def _decode_type(raw, path, key, decoded) -> ir.TypeRepr:
     """A list or object type, as an object tagged by "kind" (see the table);
     a scalar kind's name is read from `ir.SCALAR_TYPES`."""
     if type(raw) is not dict and isinstance(raw, str):  # a dict skips the builtin call
         _fail(f"unknown type kind {raw!r}", (path, key))
-    return _decode(_TYPE_OBJECT, raw, (path, key))
+    return _decode(_TYPE_OBJECT, raw, (path, key), decoded)
 
 
 _TYPE = _Kind(_encode_type, _decode_type, ir.SCALAR_TYPES)
@@ -253,7 +247,7 @@ class _Row(_Shape):
     only as a list item, which `_list` hands to `_encode` with its row.
     `share(data)` gives an exact key for an object whose node is immutable
     and used in many places, or None: one decode_package call decodes each
-    such object once."""
+    such object once, and keeps it in the sharing table it hands down."""
 
     def __init__(self, cls, *fields, share=None):
         super().__init__()
@@ -310,7 +304,7 @@ def _encode(node, row: _Row | None = None) -> dict:
     return out
 
 
-def _decode(shape: _Shape, data, path):
+def _decode(shape: _Shape, data, path, decoded: dict):
     if type(data) is not dict and not isinstance(data, dict):
         _fail(f"expected an object, got {type(data).__name__}", path)
     row, seen = shape, 0
@@ -322,13 +316,13 @@ def _decode(shape: _Shape, data, path):
         try:
             row = shape.rows[tag]
         except (KeyError, TypeError):  # an unknown tag, or one that cannot be hashed
-            shape.tags.dec(tag, path, key)  # raises
+            shape.tags.dec(tag, path, key, None)  # raises
         seen = 1
     share = row.share
     if share is not None:
         share = share(data)
         try:
-            return _calls.decoded[share]
+            return decoded[share]
         except KeyError:
             pass
         except TypeError:  # content that cannot be hashed
@@ -346,7 +340,7 @@ def _decode(shape: _Shape, data, path):
         if raw is None and default is None:
             continue
         if sub is not None:
-            args[pos] = _decode(sub, raw, (path, key))
+            args[pos] = _decode(sub, raw, (path, key), decoded)
             continue
         if table is not None:
             try:
@@ -354,7 +348,7 @@ def _decode(shape: _Shape, data, path):
                 continue
             except (KeyError, TypeError):  # `dec` decodes what the table lacks, or raises
                 pass
-        args[pos] = dec(raw, path, key)
+        args[pos] = dec(raw, path, key, decoded)
     if seen != len(data):
         extra = sorted(set(data).difference(row.keys))
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
@@ -365,7 +359,7 @@ def _decode(shape: _Shape, data, path):
     except BuildError as exc:
         _fail(str(exc), path)
     if share is not None:  # only an object that decoded without error
-        _calls.decoded[share] = node
+        decoded[share] = node
     return node
 
 
@@ -498,7 +492,7 @@ _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "
                     F("docRule", _BOOL, "with_doc_rule", False)))
 
 
-def _version(raw, path, key):
+def _version(raw, path, key, decoded):
     """Exactly the integer SCHEMA_VERSION: `true` and `1.0` equal 1 in Python."""
     if type(raw) is int and raw == SCHEMA_VERSION:
         return raw
@@ -547,13 +541,10 @@ def dumps(pkg: ir.PackageTree, indent: int | None = None) -> str:
 
 
 def decode_package(data: object) -> ir.PackageTree:
-    _calls.decoded = {}
     try:
-        return _decode(_DOCUMENT, data, "$")
+        return _decode(_DOCUMENT, data, "$", {})  # the call's own sharing table
     except RecursionError:
         raise DecodeError(_TOO_DEEP_TO_DECODE, "$") from None
-    finally:
-        _calls.decoded = None
 
 
 def loads(text: str) -> ir.PackageTree:

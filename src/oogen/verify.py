@@ -79,7 +79,10 @@ class VerifyReport(metaclass=record):
 
     @property
     def agree(self) -> bool:
-        return len({r.stdout for r in self.executed}) <= 1
+        """No target failed to compile or run, and every target that ran
+        printed the same; a skipped target counts neither way."""
+        return (not self.compile_failed and not self.run_failed
+                and len({r.stdout for r in self.executed}) <= 1)
 
     @property
     def compile_failed(self) -> bool:
@@ -113,7 +116,7 @@ class VerifyReport(metaclass=record):
             lines.append(f"{r.target:7s} {r.status}{note}")
         if not self.executed:
             lines.append("no toolchain available; nothing executed")
-        elif self.agree and not self.run_failed and not self.compile_failed:
+        elif self.agree:
             lines.append(f"{len(self.executed)} executed target(s) agree")
         else:
             lines.extend(self.diffs())

@@ -87,6 +87,27 @@ def test_inline_if_spelling(target, expected):
     assert get_backend(target).expr(e) == expected
 
 
+_C = bd.value_of(bd.var("c", ir.BOOL))
+_NESTED_INLINE_IFS = (
+    bd.inline_if(bd.inline_if(_C, bd.lit_bool(True), bd.lit_bool(False)),
+                 bd.lit_int(3), bd.lit_int(4)),
+    bd.inline_if(_C, bd.inline_if(_C, bd.lit_int(1), bd.lit_int(2)), bd.lit_int(4)),
+    bd.inline_if(_C, bd.lit_int(4), bd.inline_if(_C, bd.lit_int(1), bd.lit_int(2))),
+)
+_C_FAMILY_NESTED = ("(c ? true : false) ? 3 : 4", "c ? (c ? 1 : 2) : 4", "c ? 4 : c ? 1 : 2")
+
+
+@pytest.mark.parametrize("target,expected", [
+    ("python", ("3 if (True if c else False) else 4", "(1 if c else 2) if c else 4",
+                "4 if c else 1 if c else 2")),
+    ("java", _C_FAMILY_NESTED),
+    ("csharp", _C_FAMILY_NESTED),
+    ("cpp", _C_FAMILY_NESTED),
+])
+def test_an_inline_if_in_an_inline_if_is_wrapped_only_as_condition_or_then(target, expected):
+    assert tuple(get_backend(target).expr(e) for e in _NESTED_INLINE_IFS) == expected
+
+
 @pytest.mark.parametrize("target,expected", [
     ("python", 'fc = FooClass()'),
     ("java", 'FooClass fc = new FooClass();'),
@@ -463,6 +484,26 @@ def test_java_class_with_parent_extends():
     module = bd.build_module("M", [], [], [cls])
     text = get_backend("java").render_package(bd.prog("p", [module]))[0].text
     assert "class Child extends Parent {" in text
+
+
+# A static method takes no receiver: Python gives it `@staticmethod` and no
+# `self`, the C family the `static` keyword (in C++, on the prototype).
+
+@pytest.mark.parametrize("target,suffix,expected", [
+    ("python", ".py", "    @staticmethod\n    def twice(a):\n        return a + a\n"),
+    ("java", ".java", "    public static int twice(int a) throws Exception {\n"),
+    ("csharp", ".cs", "    public static int twice(int a) {\n"),
+    ("cpp", ".hpp", "        static int twice(int a);\n"),
+])
+def test_a_static_method_renders_static(target, suffix, expected):
+    a = bd.var("a", ir.INT)
+    twice = bd.method("twice", "C", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [bd.param(a)],
+                      bd.one_liner(bd.return_stmt(
+                          bd.apply_binary("#+", bd.value_of(a), bd.value_of(a)))))
+    module = bd.build_module("M", [], [], [bd.build_class("C", None, ir.Scope.PUBLIC, [], [twice])])
+    text = _only(get_backend(target).render_package(bd.prog("p", [module])), suffix).text
+    assert expected in text
+    assert "self" not in text
 
 
 def test_state_vars_render_before_methods():

@@ -140,6 +140,16 @@ def test_verify_agreeing_targets_exit_0(tmp_path, capsys):
     assert "python" in out and "ok" in out
 
 
+def test_verify_of_a_main_that_throws_exits_1(tmp_path, capsys):
+    main = bd.main_function(bd.one_liner(bd.throw("deliberate")))
+    src = tmp_path / "throws.json"
+    src.write_text(jsonio.dumps(bd.prog("p", [bd.build_module("Main", [], [main], [])])))
+    rc = cli.main(["verify", "--input", str(src), "--target", "python",
+                   "--out", str(tmp_path / "w")])
+    assert rc == 1
+    assert "python  runtime-error" in capsys.readouterr().out
+
+
 def test_verify_all_toolchains_missing_is_clean_skip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OOGEN_PYTHON", "/nonexistent/python3")
     rc = cli.main(["verify", "--input", "example:helloWorld",

@@ -189,12 +189,36 @@ def test_a_bad_later_use_of_a_variable_is_still_refused():
         jsonio.decode_package(doc)
 
 
-def test_sharing_table_is_dropped_after_each_call():
-    jsonio.loads(jsonio.dumps(all_tags.package()))
-    assert jsonio._calls.decoded is None
+def _distinct_variables(pkg) -> int:
+    """How many variable objects the tree holds; equal ones must be one."""
+    variables = _variables(pkg)
+    ids = {id(v) for v in variables}
+    assert len(ids) == len(set(variables))
+    return len(ids)
+
+
+def test_a_decode_nested_in_another_leaves_the_outer_ones_sharing_alone():
+    pkg = _list_package()
+    doc = jsonio.encode_package(pkg)
+    inner = {}
+
+    def decode_inside():
+        with pytest.raises(DecodeError):
+            jsonio.loads('{"version": 2}')
+        inner.update(pkg=jsonio.decode_package(jsonio.encode_package(pkg)))
+
+    body = doc["program"]["modules"][0]["functions"][0]["body"][0]
+    # The pause comes after some uses of each variable, on this same thread.
+    body[4] = paused = _Pausing(body[4], decode_inside)
+    outer = jsonio.decode_package(doc)
+    assert paused.paused  # the inner decodes ran in the middle of this one
+    assert outer == pkg == inner["pkg"]
+    assert _distinct_variables(outer) == _distinct_variables(inner["pkg"]) == 3
+    assert not {id(v) for v in _variables(outer)} & {id(v) for v in _variables(inner["pkg"])}
+    # A decode after a refused one shares too.
     with pytest.raises(DecodeError):
         jsonio.loads('{"version": 2}')
-    assert jsonio._calls.decoded is None
+    assert _distinct_variables(jsonio.loads(jsonio.dumps(pkg))) == 3
 
 
 def _prints(*exprs) -> dict:

@@ -493,3 +493,70 @@ def test_a_list_takes_only_its_element_type_built_and_decoded(use, mix):
     exact = bd.lit_float(2.5) if lst is _FLOATS else bd.lit_int(2)
     doc = _main_doc(build(lst, exact))
     assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+
+
+# Refusals that no case above reaches. (the builder call, or None where the
+# builders compute the refused type themselves; the document, made without
+# the rules; the refused node's path; the message)
+
+_S = bd.var("s", ir.STRING)
+_ONE_INT = bd.lit_int(1)
+
+
+def _two_mains() -> list:
+    main = bd.main_function(_EMPTY)
+    return [bd.build_module("Main", [], [main], []), bd.build_module("Other", [], [main], [])]
+
+
+_MORE_REFUSALS = {
+    "inc a string": (lambda: bd.inc(_S), lambda: _main_doc(ir.Assign("inc", _S, None)), _STMT,
+                     "&++ requires numeric operands, got string"),
+    "addEq a string": (lambda: bd.add_eq(_S, _ONE_INT),
+                       lambda: _main_doc(ir.Assign("addEq", _S, _ONE_INT)), _STMT,
+                       "&-=/&+= requires numeric operands, got string"),
+    "if on an int": (lambda: bd.if_cond([(_ONE_INT, _EMPTY)]),
+                     lambda: _main_doc(ir.If(((_ONE_INT, _EMPTY),), None)), _STMT,
+                     "ifCond requires boolean operands, got int"),
+    "switch case not a literal": (
+        lambda: bd.switch(_ONE_INT, [(bd.value_of(_I), _EMPTY)]),
+        lambda: _main_doc(ir.Switch(_ONE_INT, ((bd.value_of(_I), _EMPTY),), None)), _STMT,
+        "switch case 'match' must be a literal"),
+    "forEach of floats over ints": (
+        lambda: bd.for_each(bd.var("f", ir.FLOAT), _xs(), _EMPTY),
+        lambda: _main_doc(ir.ForEach(bd.var("f", ir.FLOAT), _xs(), _EMPTY)), _STMT,
+        "forEach variable is float, elements are int"),
+    "readLine into an int": (lambda: pt.read_line(_I), lambda: _main_doc(ir.Read(_I, False)),
+                             _STMT, "readLine target must be a string variable"),
+    "listSlice by a float": (
+        lambda: pt.list_slice(bd.var("ys", ir.list_of(ir.INT)), _xs(), bd.lit_float(1.0)),
+        lambda: _main_doc(ir.ListSlice(bd.var("ys", ir.list_of(ir.INT)), _xs(),
+                                       bd.lit_float(1.0), None, None)), _STMT,
+        "listSlice bounds must be int"),
+    "a main in two modules": (
+        lambda: bd.prog("p", _two_mains()),
+        lambda: jsonio.encode_package(ir.PackageTree("p", tuple(_two_mains()))), "$.program",
+        "program declares more than one main function"),
+    "int sum typed float": (
+        None, lambda: _main_doc(ir.Print(ir.Binary("#+", _ONE_INT, _ONE_INT, ir.FLOAT), True)),
+        _STMT + ".expr", "#+ gives int, not float"),
+    "sin typed int": (
+        None, lambda: _main_doc(ir.Print(ir.MathCall("sin", _ONE_INT, ir.INT), True)),
+        _STMT + ".expr", "sin gives float, not int"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MORE_REFUSALS))
+def test_a_refusal_no_other_case_reaches_is_refused_built_and_decoded(case):
+    build, doc, path, message = _MORE_REFUSALS[case]
+    if build is not None:
+        with pytest.raises(BuildError) as built:
+            build()
+        assert str(built.value) == message
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(doc())
+    assert str(decoded.value) == f"{path}: {message}"
+
+
+def test_the_builders_type_a_sum_and_a_sine_as_the_rules_ask():
+    assert bd.apply_binary("#+", _ONE_INT, _ONE_INT).type == ir.INT
+    assert pt.math_fn("sin", _ONE_INT).type == ir.FLOAT

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from oogen import auxfiles, builders as bd, gallery, ir, patterns as pt, verify
-from oogen.backends import CppRenderer, PythonRenderer, get_backend
+from oogen.backends import PythonRenderer, get_backend
 
 from interp import run_package
 
@@ -139,16 +139,44 @@ def test_disagreement_detected_and_diffed(tmp_path, monkeypatch):
     assert "WRONG" in report.summary()
 
 
-def test_compile_error_reported(tmp_path, monkeypatch):
+def _garbled(monkeypatch, target):
+    """Make `target`'s backend write text its compiler refuses."""
     real = verify.get_backend
 
-    class Garbler(CppRenderer):  # the real build and run commands
+    class Garbler(type(real(target))):  # the real build and run commands
         def render_package(self, pkg):
-            files = real("cpp").render_package(pkg)
+            files = real(target).render_package(pkg)
             return [dataclasses.replace(f, text="int main( {{{\n") for f in files]
 
     monkeypatch.setattr(verify, "get_backend",
-                        lambda t: Garbler() if t == "cpp" else real(t))
+                        lambda t: Garbler() if t == target else real(t))
+
+
+def test_a_target_that_fails_to_compile_breaks_agreement(tmp_path, monkeypatch):
+    _garbled(monkeypatch, "java")
+    report = verify.verify_package(_hello(), targets=("python", "java"),
+                                   root_dir=str(tmp_path))
+    assert [r.status for r in report.runs] == ["ok", "compile-error"]
+    assert len({r.stdout for r in report.executed}) == 1  # the one run printed
+    assert not report.agree
+
+
+@pytest.mark.parametrize("statuses,agree", [
+    (("ok", "ok"), True),
+    (("ok", "skipped"), True),
+    (("skipped", "skipped"), True),
+    (("ok", "compile-error"), False),
+    (("ok", "runtime-error"), False),
+    (("skipped", "runtime-error"), False),
+])
+def test_agree_counts_every_failed_run_and_no_skipped_one(statuses, agree):
+    runs = tuple(verify.ToolReport(target, status, stdout="x" if status == "ok" else None)
+                 for target, status in zip(("python", "java"), statuses))
+    assert verify.VerifyReport(runs).agree is agree
+
+
+def test_compile_error_reported(tmp_path, monkeypatch):
+    _garbled(monkeypatch, "cpp")
     report = verify.run_target(_hello(), "cpp", str(tmp_path))
     assert report.status == "compile-error"
     assert report.detail  # compiler stderr captured
@@ -190,6 +218,15 @@ def test_all_skipped_summary_is_explicit(tmp_path, monkeypatch):
     report = verify.verify_package(_hello(), root_dir=str(tmp_path))
     assert report.agree  # vacuously; nothing ran
     assert "nothing executed" in report.summary()
+
+
+def test_a_main_that_never_ends_times_out_as_a_runtime_error(tmp_path, monkeypatch):
+    main = bd.main_function(bd.one_liner(bd.while_loop(
+        bd.lit_bool(True), bd.one_liner(bd.comment("forever")))))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    monkeypatch.setattr(verify, "_STEP_TIMEOUT", 1)
+    report = verify.run_target(pkg, "python", str(tmp_path))
+    assert (report.status, report.detail) == ("runtime-error", "timed out")
 
 
 def test_compile_timeout_is_a_compile_error(tmp_path, monkeypatch):
