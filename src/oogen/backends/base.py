@@ -41,22 +41,21 @@ Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence. This module's tables rank each node
 class and each operator (an operator node holds its operator's name),
 except where `op_precedence` (operator name -> precedence) overrides it
-because the target's grammar differs; `op_assoc` likewise overrides an
-operator's associativity. `__init_subclass__` folds both into `_prec`,
-keyed by node class and, for an operator node (whose class maps to None),
-by operator name, and into `_assoc`. `prec_of` reads a node's precedence
-by subscript of `_prec` (its callers render the node first, so its class
-is there). Only the chain handlers `binary`, `unary` and
-`inline_if` repeat that lookup inline, `prec[type(x)] or prec[x.op]`
-(every precedence is positive), to save a call per level. `binary` holds
-the parenthesis rule: it wraps a child that binds looser than its parent,
-or equally on the side the parent's associativity does not absorb ("none"
-absorbs neither side). `op_tokens` maps each operator name to its
-spelling in the target. An operator the target ranks atomic is spelled
-as a call instead: `unary` and `binary` hand its library function
-(`_OP_FUNCTIONS`) and rendered operands to the target's `math_text`, which
-spells a `MathCall` too, so abs, sqrt and the C family's pow are written
-once per target.
+because the target's grammar differs. `__init_subclass__` folds both into
+`_prec`, keyed by node class and, for an operator node (whose class maps
+to None), by operator name. `prec_of` reads a node's precedence by
+subscript of `_prec` (its callers render the node first, so its class is
+there). Only the chain handlers `binary`, `unary` and `inline_if` repeat
+that lookup inline, `prec[type(x)] or prec[x.op]` (every precedence is
+positive), to save a call per level. `binary` holds the one parenthesis
+rule of every target: it wraps a child that binds looser than its parent,
+a child that binds equally on the right, and one that binds equally on
+the left only under a comparison, since comparisons never chain.
+`op_tokens` maps each operator name to its spelling in the target. The
+operators `_OP_FUNCTIONS` names are ranked atomic and spelled as calls:
+`unary` and `binary` hand the library function and rendered operands to
+the target's `math_text`, which spells a `MathCall` too, so abs, sqrt and
+pow are written once per target.
 """
 
 from __future__ import annotations
@@ -69,16 +68,17 @@ from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 # tightest of all, and an inline if loosest.
 ATOMIC_PRECEDENCE = 100
 INLINE_IF_PRECEDENCE = 1
-# Each operator's precedence and associativity ("left", "right", or
-# "none", which absorbs neither side), as a target ranks it unless its
-# `op_precedence` and `op_assoc` say otherwise. `#|` and `#/^` are atomic,
-# spelled as calls, on every target.
+# Each operator's precedence, as a target ranks it unless its
+# `op_precedence` says otherwise. `#|`, `#/^` and `#^` are atomic, spelled
+# as calls, on every target.
 _OP_PRECEDENCE = {
     "?!": 9, "#~": 9, "#|": ATOMIC_PRECEDENCE, "#/^": ATOMIC_PRECEDENCE,
-    "#^": 8, "#*": 7, "#/": 7, "#+": 6, "#-": 6,
+    "#^": ATOMIC_PRECEDENCE, "#*": 7, "#/": 7, "#+": 6, "#-": 6,
     "?<": 5, "?<=": 5, "?>": 5, "?>=": 5, "?==": 4, "?!=": 4, "?&&": 3, "?||": 2,
 }
-_OP_ASSOC = {**dict.fromkeys(_OP_PRECEDENCE, "left"), "#^": "right"}
+# The operators whose equal-precedence left child is wrapped too: a chain
+# of comparisons means something else in each target, or warns.
+_COMPARISONS = frozenset(("?<", "?<=", "?>", "?>=", "?==", "?!="))
 # Precedence of a node by class, where it is not ATOMIC_PRECEDENCE; None
 # for an operator node, which takes its operator's precedence.
 _NODE_PRECEDENCE: dict[type, float | None] = {
@@ -88,9 +88,7 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.ArgExists: 5,  # every target renders these two as a > comparison
     ir.ListIndexExists: 5,
 }
-# The library function of each operator a target may spell as a call. A
-# target spells an operator so where it ranks it atomic: `#|` and `#/^` on
-# every target, `#^` in the C family.
+# The library function of each operator spelled as a call.
 _OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
 
 # The operator of an assignment that takes a value, and the sign of a step.
@@ -242,7 +240,7 @@ class Renderer:
     `build_commands`, which are called by name. `math_text(fn, operand,
     *rendered)` spells a call of library function `fn` on the rendered
     operands, given the first operand's node: a `MathCall`, and an operator
-    the target ranks atomic (see `_OP_FUNCTIONS`)."""
+    `_OP_FUNCTIONS` names."""
 
     target = "?"
     extension = "?"
@@ -260,7 +258,6 @@ class Renderer:
     comment_marker = "//"
     list_access_text = "{}[{}]"  # a list's element: the list, then the index
     op_precedence: dict[str, float] = {}
-    op_assoc: dict[str, str] = {}
     op_tokens = {
         "?!": "!", "#~": "-", "?&&": "&&", "?||": "||",
         "#+": "+", "#-": "-", "#*": "*", "#/": "/",
@@ -323,10 +320,9 @@ class Renderer:
         cls._var_table = _resolve(cls, cls.var_forms)
         cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
-        # operator name, and associativity by operator name, for this target.
+        # operator name, for this target.
         cls._prec = {**dict.fromkeys(cls._expr_table, ATOMIC_PRECEDENCE),
                      **_NODE_PRECEDENCE, **_OP_PRECEDENCE, **cls.op_precedence}
-        cls._assoc = {**_OP_ASSOC, **cls.op_assoc}
 
     def __init__(self) -> None:
         self.needs: set[str] = set()  # target-level imports discovered while rendering
@@ -396,12 +392,10 @@ class Renderer:
         parent = prec[name]
         if parent == ATOMIC_PRECEDENCE:
             return self.math_text(_OP_FUNCTIONS[name], a, left, right)
-        assoc = self._assoc[name]
         child = prec[type(a)] or prec[a.op]
-        if child < parent or child == parent and assoc != "left":
+        if child < parent or child == parent and name in _COMPARISONS:
             left = f"({left})"
-        child = prec[type(b)] or prec[b.op]
-        if child < parent or child == parent and assoc != "right":
+        if (prec[type(b)] or prec[b.op]) <= parent:
             right = f"({right})"
         out = f"{left} {self.op_tokens[name]} {right}"
         if name == "#/" and e.type.kind == "int":

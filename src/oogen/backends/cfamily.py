@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
-from .base import ATOMIC_PRECEDENCE, Renderer, escape_string, list_print
+from .base import Renderer, escape_string, list_print
 
 
 class CFamilyRenderer(Renderer):
-    op_precedence = {"#^": ATOMIC_PRECEDENCE}  # a call of pow, spelled by `math_text`
     # Spellings the Java/C# layout below takes from each of the two targets.
     import_keyword: str
     const_keyword: str

@@ -31,14 +31,9 @@ class PythonRenderer(Renderer):
     comment_marker = "#"
 
     # Target grammar deviations from base.py's tables: `not` binds between `and`
-    # and the comparisons, and ==/!= sit *at* comparison level and chain,
-    # so equal-precedence comparison children get wrapped on both sides.
-    # `**` binds tighter than a unary operator on its left and looser than
-    # one on its right: at unary level and right-associative, a unary left
-    # operand is wrapped and a unary right one is not.
-    op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5, "#^": 9}
-    op_assoc = dict.fromkeys(("?<", "?<=", "?>", "?>=", "?==", "?!="), "none")
-    op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or", "#^": "**"}
+    # and the comparisons, and ==/!= sit *at* comparison level.
+    op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
+    op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
 
     def __init__(self) -> None:
         super().__init__()

@@ -114,7 +114,7 @@ class VerifyReport(metaclass=record):
         for r in self.runs:
             note = f" ({r.detail})" if r.detail and r.status != "ok" else ""
             lines.append(f"{r.target:7s} {r.status}{note}")
-        if not self.executed:
+        if all(r.status == "skipped" for r in self.runs):
             lines.append("no toolchain available; nothing executed")
         elif self.agree:
             lines.append(f"{len(self.executed)} executed target(s) agree")

@@ -161,7 +161,7 @@ class Interpreter:
                     return quotient if (left < 0) == (right < 0) else -quotient
                 return left / right
             if op == "#^":
-                return left ** right
+                return math.pow(left, right)  # a float, as the IR types it
             if op == "?<":
                 return left < right
             if op == "?<=":

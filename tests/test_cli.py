@@ -313,6 +313,7 @@ _RENDER = ["render", "--input", "example:helloWorld", "--target", "python", "--o
 
 @pytest.mark.parametrize("argv,named", [
     ([], "command"),
+    (["--bogus"], "oogen: error: unrecognized arguments: --bogus"),
     (["bogus"], "'bogus'"),
     (["render", "--target", "python", "--out", "o"], "--input"),
     (["render", "--input", "example:helloWorld", "--target", "cobol", "--out", "o"], "'cobol'"),
@@ -324,8 +325,8 @@ _RENDER = ["render", "--input", "example:helloWorld", "--target", "python", "--o
     (["verify", "--input", "example:argsEcho", "--target", "python", "--args=a", "b"], ": b"),
     (["verify", "--input", "example:helloWorld", "--target", "python", "--makefile"],
      "unrecognized arguments: --makefile"),
-], ids=["none", "bogus", "no-input", "cobol", "unknown", "stray", "flag-value", "no-value",
-        "verify-no-input", "args-equals-then-stray", "verify-makefile"])
+], ids=["none", "top-level-unknown", "bogus", "no-input", "cobol", "unknown", "stray",
+        "flag-value", "no-value", "verify-no-input", "args-equals-then-stray", "verify-makefile"])
 def test_usage_error_exits_2_naming_the_option(argv, named, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()

@@ -58,7 +58,7 @@ def _op(name, left, right):
 
 
 _A, _B, _C, _P = _v("a"), _v("b"), _v("c"), _v("p", ir.BOOL)
-_POW = {"java": "Math.pow", "csharp": "Math.Pow", "cpp": "pow"}
+_POW = {"python": "math.pow", "java": "Math.pow", "csharp": "Math.Pow", "cpp": "pow"}
 
 
 # Parenthesis elision, one row per case of the rule: (tree, its Python
@@ -67,17 +67,18 @@ _POW = {"java": "Math.pow", "csharp": "Math.Pow", "cpp": "pow"}
 _PARENS = [
     (_op("#*", _op("#+", _A, _B), _C), "(a + b) * c", None),  # looser child
     (_op("#+", _op("#*", _A, _B), _C), "a * b + c", None),  # tighter child
-    (_op("#-", _A, _op("#+", _B, _C)), "a - (b + c)", None),  # equal, right of left-assoc
-    (_op("#-", _op("#+", _A, _B), _C), "a + b - c", None),  # equal, left of left-assoc
-    (_op("#^", _op("#^", _A, _B), _C), "(a ** b) ** c", "{pow}({pow}(a, b), c)"),
-    (_op("#^", _A, _op("#^", _B, _C)), "a ** b ** c", "{pow}(a, {pow}(b, c))"),
-    # Python's ** binds tighter than a unary operator on its left only
-    (_op("#^", bd.apply_unary("#~", _A), _B), "(-a) ** b", "{pow}(-a, b)"),
-    (_op("#^", _A, bd.apply_unary("#~", _B)), "a ** -b", "{pow}(a, -b)"),
-    (bd.apply_unary("#~", _op("#^", _A, _B)), "-(a ** b)", "-{pow}(a, b)"),
-    # Python comparisons never chain: equal precedence wraps on both sides
+    (_op("#-", _A, _op("#+", _B, _C)), "a - (b + c)", None),  # equal, on the right
+    (_op("#-", _op("#+", _A, _B), _C), "a + b - c", None),  # equal, on the left
+    # a power is a library call on every target, so it binds as an atom
+    (_op("#^", _op("#^", _A, _B), _C), "{pow}({pow}(a, b), c)", None),
+    (_op("#^", _A, _op("#^", _B, _C)), "{pow}(a, {pow}(b, c))", None),
+    (_op("#^", bd.apply_unary("#~", _A), _B), "{pow}(-a, b)", None),
+    (_op("#^", _A, bd.apply_unary("#~", _B)), "{pow}(a, -b)", None),
+    (bd.apply_unary("#~", _op("#^", _A, _B)), "-{pow}(a, b)", None),
+    # comparisons never chain: equal precedence wraps on both sides
     (_op("?==", _op("?<", _A, _B), _P), "(a < b) == p", "a < b == p"),
     (_op("?==", _P, _op("?<", _A, _B)), "p == (a < b)", "p == a < b"),
+    (_op("?==", _op("?==", _A, _B), _v("c", ir.BOOL)), "(a == b) == c", None),
     (bd.apply_unary("#~", _op("#+", _A, _B)), "-(a + b)", None),
     (bd.apply_unary("#~", _A), "-a", None),
 ]
@@ -86,7 +87,7 @@ _PARENS = [
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("tree,python,cfamily", _PARENS, ids=[row[1] for row in _PARENS])
 def test_parens_table(tree, python, cfamily, target):
-    wanted = python if target == "python" else (cfamily or python).format(pow=_POW.get(target))
+    wanted = (python if target == "python" else cfamily or python).format(pow=_POW[target])
     assert get_backend(target).expr(tree) == wanted
 
 

@@ -133,14 +133,16 @@ def test_every_variable_and_call_form_has_a_handler(target):
 
 
 # The IR names each operator and gives its arity; the renderer ranks and
-# spells it. A name in one table but not the others would fail at render.
+# spells it. A name in one table but not the others would fail at render:
+# an operator is ranked atomic exactly when it is spelled as a library
+# call, and has a token exactly when it is not.
 @pytest.mark.parametrize("target", TARGETS)
 def test_every_operator_is_ranked_and_spelled(target):
     renderer = type(get_backend(target))
     for name in ir.OPERATORS:
-        assert name in renderer._prec and name in renderer._assoc, name
-        spelled_as_call = (renderer._prec[name] == ATOMIC_PRECEDENCE
-                           and name in base._OP_FUNCTIONS)
+        assert name in renderer._prec, name
+        spelled_as_call = name in base._OP_FUNCTIONS
+        assert (renderer._prec[name] == ATOMIC_PRECEDENCE) == spelled_as_call, name
         assert (name in renderer.op_tokens) != spelled_as_call, name
 
 

@@ -220,6 +220,14 @@ def test_all_skipped_summary_is_explicit(tmp_path, monkeypatch):
     assert "nothing executed" in report.summary()
 
 
+def test_summary_says_nothing_executed_only_when_every_run_was_skipped():
+    failed = verify.VerifyReport((verify.ToolReport("java", "compile-error", "javac: boom"),))
+    assert failed.summary() == "java    compile-error (javac: boom)"
+    skipped = verify.VerifyReport((verify.ToolReport("java", "skipped", "no javac"),))
+    assert skipped.summary() == ("java    skipped (no javac)\n"
+                                 "no toolchain available; nothing executed")
+
+
 def test_a_main_that_never_ends_times_out_as_a_runtime_error(tmp_path, monkeypatch):
     main = bd.main_function(bd.one_liner(bd.while_loop(
         bd.lit_bool(True), bd.one_liner(bd.comment("forever")))))
@@ -476,6 +484,20 @@ def test_integral_float_literal_divides_as_a_float_everywhere(tmp_path):
                                    targets=("python", "java", "cpp"), root_dir=str(tmp_path))
     assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
     assert {r.stdout for r in report.executed} == {"3.5"}
+
+
+def test_power_of_two_ints_prints_a_float_in_the_oracle_python_and_java(tmp_path):
+    # `#^` is typed float on every target. C++ is left out: it prints 2^40
+    # as `1.09951e+12`, six significant digits.
+    main = bd.main_function(bd.body_statements([
+        pt.print_ln(bd.apply_binary("#^", bd.lit_int(2), bd.lit_int(40))),
+        pt.print_ln(bd.apply_binary("#^", bd.lit_int(3), bd.lit_int(2))),
+    ]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    assert run_package(pkg) == "1099511627776.0\n9.0\n"
+    report = verify.verify_package(pkg, targets=("python", "java"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"1099511627776.0\n9.0"}
 
 
 def _matches_the_oracle_everywhere(tmp_path, statements) -> str:
