@@ -377,8 +377,8 @@ class Renderer:
         parent = prec[name]
         if parent == ATOMIC_PRECEDENCE:
             return self.math_text(_OP_FUNCTIONS[name], x, operand)
-        # Equal precedence wraps too: `--a` and `not not a` read as other tokens.
-        if (prec[type(x)] or prec[x.op]) <= parent:
+        # Equal precedence wraps too, as does a leading minus: `--a`, `not not a`, `--8`.
+        if (prec[type(x)] or prec[x.op]) <= parent or operand[0] == "-":
             operand = f"({operand})"
         token = self.op_tokens[name]
         sep = " " if token[-1].isalpha() else ""

@@ -234,6 +234,8 @@ def _check_call(node: ir.Call) -> ir.Call:
         _refuse("method call requires a 'receiver'", BuildError)
     if node.form == ir.CallForm.EXTERNAL and node.library is None:
         _refuse("external call requires a 'library'", BuildError)
+    if node.form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
+        _refuse(f"constructor {node.name} gives {node.name}, not {_type_name(node.type)}")
     return node
 
 
@@ -364,11 +366,11 @@ def _check_observer_init(node: ir.ObserverInit) -> ir.ObserverInit:
 def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
     with an output and its in-outs, ins and outs, in that order, as its
-    parameters; then, unless `body` is False, one walk of the body:
-    observer calls follow initObserverList and add or notify its element
-    type (an add's value and its recorded element type both), and a
-    returned value has the method's return type (or is an int in a float
-    method)."""
+    parameters, a main `public static void main()`; then, unless `body` is
+    False, one walk of the body: observer calls follow initObserverList and
+    add or notify its element type (an add's value and its recorded element
+    type both), and a returned value has the method's return type (or is an
+    int in a float method)."""
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -383,6 +385,9 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
         if m.params != spec.inouts + spec.ins + spec.outs:
             _refuse(f"inOutFunc {m.name!r} parameters must be its in-outs, ins and outs",
                     SignatureMismatch)
+    if m.is_main and (m.name != "main" or m.scope != ir.Scope.PUBLIC or m.params
+                      or m.binding != ir.Binding.STATIC or m.return_type.kind != "void"):
+        _refuse(f"main function {m.name!r} must be public static void main()", SignatureMismatch)
     returns, elem = m.return_type, None  # elem: the observer list's element type
     for stmt in ir.walk(m.body) if body else ():
         kind = type(stmt)
@@ -420,18 +425,27 @@ def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
     name = _first_repeat([m.name for m in c.methods])
     if name is not None:
         _refuse(f"class {c.name} declares {name!r} twice", DuplicateMethod)
+    placed = ()  # each method placed in the class, built standalone or decoded
+    for m in c.methods:
+        if m.is_main:
+            _refuse(f"class {c.name} declares main function {m.name!r}", SignatureMismatch)
+        placed += (m if m.containing_class == c.name else replace(m, containing_class=c.name),)
     consts = {sv.variable.name for sv in c.state_vars if sv.is_const}
-    for m in c.methods if consts else ():
+    for m in placed if consts else ():
         for stmt in ir.walk(m.body):
             writes = _WRITES.get(type(stmt))
             for v in writes(stmt) if writes else ():
                 if v.name in consts:
                     _refuse(f"{c.name}.{v.name} is const but assigned in {m.name}",
                             ConstAssignment)
-    return c
+    return c if placed == c.methods else replace(c, methods=placed)
 
 
 def _check_module(module: ir.ModuleRepr) -> ir.ModuleRepr:
+    for f in module.functions:
+        if f.containing_class is not None:
+            _refuse(f"module {module.name} lists method {f.containing_class}.{f.name}"
+                    " as a function", BuildError)
     name = _first_repeat([f.name for f in module.functions])
     return module if name is None else _refuse(
         f"module {module.name} declares function {name!r} twice", DuplicateMethod)
@@ -482,28 +496,27 @@ RULES = {
 # Variables: a form that needs an owner takes it as an argument.
 
 
-def var(name: str, type_: ir.TypeRepr, binding: ir.Binding = ir.Binding.DYNAMIC) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), binding)
+def var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
+    return ir.VariableRepr(check_identifier(name), check_type(type_))
 
 
 def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
-                           ir.VarForm.SELF)
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.SELF)
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.STATIC,
-                           ir.VarForm.CLASS_MEMBER, check_identifier(class_name))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.CLASS_MEMBER,
+                           check_identifier(class_name))
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.DYNAMIC,
-                           ir.VarForm.OBJECT_MEMBER, check_identifier(owner))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.OBJECT_MEMBER,
+                           check_identifier(owner))
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.Binding.STATIC,
-                           ir.VarForm.EXTERNAL, check_identifier(library))
+    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.EXTERNAL,
+                           check_identifier(library))
 
 
 def param(variable: ir.VariableRepr) -> ir.VariableRepr:
@@ -742,11 +755,8 @@ def build_class(name: str, parent: str | None, scope: ir.Scope,
     check_identifier(name)
     if parent is not None:
         check_identifier(parent)
-    # Methods built standalone adopt the class; a mismatch is a build bug.
-    placed = tuple(m if m.containing_class == name else replace(m, containing_class=name)
-                   for m in methods)
     return RULES[ir.ClassDeclRepr](
-        ir.ClassDeclRepr(name, parent, scope, tuple(state_vars), placed, doc))
+        ir.ClassDeclRepr(name, scope, tuple(state_vars), tuple(methods), parent, doc))
 
 
 def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],

@@ -117,7 +117,6 @@ OPERATORS: dict[str, int] = {
 class VariableRepr(metaclass=record):
     name: str
     type: TypeRepr
-    binding: Binding = Binding.DYNAMIC
     form: VarForm = VarForm.PLAIN
     owner: str | None = None  # class / object / library per form
 
@@ -270,7 +269,7 @@ class VarDecDef(StatementRepr, metaclass=record):
 class Assign(StatementRepr, metaclass=record):
     mode: AssignMode
     var: VariableRepr
-    value: ExprRepr | None  # None for INC/DEC
+    value: ExprRepr | None = None  # None for INC/DEC
 
 
 class ListSet(StatementRepr, metaclass=record):
@@ -321,13 +320,13 @@ class BodyRepr(metaclass=record):
 
 class If(StatementRepr, metaclass=record):
     branches: tuple[tuple[ExprRepr, BodyRepr], ...]
-    else_body: BodyRepr | None
+    else_body: BodyRepr | None = None
 
 
 class Switch(StatementRepr, metaclass=record):
     value: ExprRepr
     cases: tuple[tuple[Lit, BodyRepr], ...]
-    default: BodyRepr | None
+    default: BodyRepr | None = None
 
 
 class For(StatementRepr, metaclass=record):
@@ -382,9 +381,9 @@ class ListSlice(StatementRepr, metaclass=record):
 
     target: VariableRepr
     source: ExprRepr
-    start: ExprRepr | None
-    end: ExprRepr | None
-    step: ExprRepr | None
+    start: ExprRepr | None = None
+    end: ExprRepr | None = None
+    step: ExprRepr | None = None
 
 
 class InOutSpec(metaclass=record):
@@ -486,7 +485,8 @@ class DocSpec(metaclass=record):
 
 
 class MethodRepr(metaclass=record):
-    """A free function (containing_class None) or a method.
+    """A free function (containing_class None) or a method of the class that
+    lists it, as the class rule sets it (the JSON does not write it).
 
     For in/out/in-out procedures `inout` is set and `params` still lists
     every declared name (in-outs, ins, outs) for documentation purposes;
@@ -514,10 +514,10 @@ class StateVarRepr(metaclass=record):
 
 class ClassDeclRepr(metaclass=record):
     name: str
-    parent: str | None
     scope: Scope
     state_vars: tuple[StateVarRepr, ...]
     methods: tuple[MethodRepr, ...]
+    parent: str | None = None
     doc: DocSpec | None = None
 
 

@@ -1,6 +1,6 @@
 """Versioned JSON interchange format for package trees.
 
-The document shape is {"version": 1, "program": {"name", "modules": [...]},
+The document shape is {"version": 2, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
@@ -10,10 +10,13 @@ written as the variables they are.
 
 The table at the end of this module is the schema: one row per IR class
 (and per pair inside `if` and `switch`), holding its tag and its fields as
-(json key, attribute, field kind, default). One generic encoder (`_encode`)
-and one generic decoder (`_decode`) walk it. A field with a default is left
-out of the encoding when it equals that default, and may be absent when
-decoding; where the default is None, null reads as absent too.
+(json key, attribute, field kind). A field's default is its IR record's (or
+a function row's own, such as the document's `aux=()`), and a record field
+no row lists is its default: a method's class, which the class rule sets
+to the class that lists it, and a program's aux files. One generic encoder
+(`_encode`) and one generic decoder (`_decode`) walk the table. A field with
+a default is left out of the encoding when it equals that default, and may
+be absent when decoding; where the default is None, null reads as absent too.
 
 On the valid path neither walker makes a builtin or Python call per field
 for bookkeeping: a field costs a call only where its kind has work to do
@@ -34,8 +37,8 @@ produce. Decoding validates structure: tags, the names of bindings,
 scopes, forms and assignment modes, field types and operator names, each
 failure reported with the JSON path of the offending node. Every name
 must also pass the builders' `check_identifier` (program, module, class
-and parent class, method and its class, variable and its owner, call and
-library, in/out call, observer method, object type), and every import
+and parent class, method, variable and its owner, call and library, in/out
+call, observer method, object type), and every import
 their `check_dotted_name`, so none can become a path outside the output
 directory or code. Then each node, a method, class, module and package
 too, must pass its class's rule in `builders.RULES`, which the builders
@@ -65,7 +68,7 @@ from . import ir
 from .builders import LIT_PAYLOADS, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
@@ -235,44 +238,47 @@ class _Shape(_Kind):
         super().__init__(_encode, None)  # decoded by `_decode`, never by `dec`
 
 
-def _field(key: str, kind: _Kind, attr: str | int | None = None, default=_REQUIRED):
-    return (key, key if attr is None else attr, kind, default)
+def _field(key: str, kind: _Kind, attr: str | int | None = None):
+    return (key, key if attr is None else attr, kind)
 
 
 class _Row(_Shape):
     """One IR record class <-> one JSON object. `cls` may instead be a
     function of the field values in order (the attributes are then indices),
     or `tuple` for a pair in `if` and `switch`; a record class's rule runs
-    on each node, and the node is what it returns. Such a row is encoded
-    only as a list item, which `_list` hands to `_encode` with its row.
+    on each node, and the node is what it returns. A pair's row is encoded
+    only as a list item, which `_list` hands to `_encode` with its row. A
+    field's default is the one `cls` gives it (a record's `__init__`'s).
     `share(data)` gives an exact key for an object whose node is immutable
     and used in many places, or None: one decode_package call decodes each
     such object once, and keeps it in the sharing table it hands down."""
 
     def __init__(self, cls, *fields, share=None):
         super().__init__()
+        self.make = (lambda *values: values) if cls is tuple else cls
+        self.share, self.head, self.rule = share, {}, RULES.get(cls)
+        names, count = None, len(fields)  # a function's fields are its parameters
         if hasattr(cls, "__record_values__"):
             # A one-field record's values are read as a pair of that field:
             # its `__record_values__` makes the 1-tuple by a Python call.
             names = cls.__match_args__
             self.values = (attrgetter(names[0], names[0]) if len(names) == 1
                            else cls.__record_values__)
-            positions = [cls.__match_args__.index(attr) for _, attr, _, _ in fields]
             _ROW_OF[cls] = self
+            init, count = cls.__init__, len(names)
         else:
-            self.values = tuple  # a pair is its own values
-            positions = [attr for _, attr, _, _ in fields]
-        self.make = (lambda *values: values) if cls is tuple else cls
-        self.share, self.head, self.rule = share, {}, RULES.get(cls)
-        self.keys = {key for key, _, _, _ in fields}
-        self.defaults = [None] * len(fields)
-        for (_, _, _, default), pos in zip(fields, positions):
-            self.defaults[pos] = default
-        self.encoders = [(key, pos, kind.enc, default)
-                         for (key, _, kind, default), pos in zip(fields, positions)]
-        self.decoders = [(key, pos, kind if isinstance(kind, _Shape) else None, kind.table,
-                          kind.dec, default)
-                         for (key, _, kind, default), pos in zip(fields, positions)]
+            self.values, init = tuple, self.make  # a pair is its own values
+        given = init.__defaults__ or ()  # the last parameters' defaults
+        self.defaults = [_REQUIRED] * (count - len(given)) + [*given]
+        # Plain statements, not comprehensions: every import builds each row.
+        self.keys, self.encoders, self.decoders = (), [], []
+        for key, attr, kind in fields:
+            pos, sub = attr if names is None else names.index(attr), None
+            if kind.dec is None:  # a shape, which `_decode` decodes
+                sub = kind
+            self.keys += (key,)
+            self.encoders += ((key, pos, kind.enc, self.defaults[pos]),)
+            self.decoders += ((key, pos, sub, kind.table, kind.dec, self.defaults[pos]),)
 
 
 class _Union(_Shape):
@@ -284,7 +290,7 @@ class _Union(_Shape):
     def define(self, rows: dict[str, _Row]) -> None:
         for tag, row in rows.items():
             row.head = {self.key: tag}
-            row.keys = row.keys | {self.key}
+            row.keys += (self.key,)
         self.rows.update(rows)
 
 
@@ -364,8 +370,8 @@ def _decode(shape: _Shape, data, path, decoded: dict):
 
 
 # ---------------------------------------------------------------------------
-# The table. A field is F(json key, kind[, attribute][, default]); the
-# attribute is the json key unless given.
+# The table. A field is F(json key, kind[, attribute]); the attribute is the
+# json key unless given, and the default is the row constructor's.
 
 
 # Keys of the objects decoded once per document. JSON `true`, `1` and `1.0`
@@ -400,10 +406,8 @@ _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
-_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE),
-            F("binding", _names(ir.Binding), default=ir.Binding.DYNAMIC),
-            F("form", _names(ir.VarForm), default=ir.VarForm.PLAIN),
-            F("owner", _NAME, default=None), share=_var_key)
+_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _names(ir.VarForm)),
+            F("owner", _NAME), share=_var_key)
 _VARS = _list(_VAR)
 
 _EXPR.define({
@@ -416,8 +420,7 @@ _EXPR.define({
                    F("right", _EXPR), F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
     "call": _Row(ir.Call, F("form", _names(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
-                 F("returnType", _TYPE, "type"), F("receiver", _EXPR, default=None),
-                 F("library", _NAME, default=None)),
+                 F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library", _NAME)),
     "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
@@ -432,8 +435,7 @@ _EXPR.define({
 _STMT.define({
     "varDec": _Row(ir.VarDec, F("var", _VAR)),
     "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
-    "assign": _Row(ir.Assign, F("mode", _names(ir.AssignMode)), F("var", _VAR),
-                   F("value", _EXPR, default=None)),
+    "assign": _Row(ir.Assign, F("mode", _names(ir.AssignMode)), F("var", _VAR), F("value", _EXPR)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
     "throw": _Row(ir.Throw, F("message", _STR)),
@@ -444,10 +446,10 @@ _STMT.define({
     "expr": _Row(ir.ExprStmt, F("expr", _EXPR)),
     "block": _Row(ir.BlockRepr, F("statements", _list(_STMT))),
     "if": _Row(ir.If, F("branches", _list(_Row(tuple, F("cond", _EXPR, 0), F("body", _BODY, 1)))),
-               F("else", _BODY, "else_body", None)),
+               F("else", _BODY, "else_body")),
     "switch": _Row(ir.Switch, F("value", _EXPR),
                    F("cases", _list(_Row(tuple, F("match", _EXPR, 0), F("body", _BODY, 1)))),
-                   F("default", _BODY, default=None)),
+                   F("default", _BODY)),
     "for": _Row(ir.For, F("init", _STMT), F("cond", _EXPR), F("update", _STMT),
                 F("body", _BODY)),
     "forRange": _Row(ir.ForRange, F("var", _VAR), F("start", _EXPR), F("end", _EXPR),
@@ -457,9 +459,8 @@ _STMT.define({
     "tryCatch": _Row(ir.TryCatch, F("try", _BODY, "try_body"), F("catch", _BODY, "catch_body")),
     "print": _Row(ir.Print, F("expr", _EXPR), F("newline", _BOOL)),
     "read": _Row(ir.Read, F("var", _VAR), F("parseInt", _BOOL, "parse_int")),
-    "listSlice": _Row(ir.ListSlice, F("target", _VAR), F("source", _EXPR),
-                      F("start", _EXPR, default=None), F("end", _EXPR, default=None),
-                      F("step", _EXPR, default=None)),
+    "listSlice": _Row(ir.ListSlice, F("target", _VAR), F("source", _EXPR), F("start", _EXPR),
+                      F("end", _EXPR), F("step", _EXPR)),
     "inOutCall": _Row(ir.InOutCall, F("name", _NAME), F("ins", _EXPRS), F("outs", _VARS),
                       F("inouts", _VARS)),
     "observerInit": _Row(ir.ObserverInit, F("elemType", _TYPE, "elem_type"),
@@ -471,29 +472,27 @@ _STMT.define({
 
 _SCOPE, _BINDING = _names(ir.Scope), _names(ir.Binding)
 _DOC = _Row(ir.DocSpec, F("description", _STR),
-            F("params", _list(_Kind(list, _param_doc)), "param_descs", ()),
-            F("returns", _STR, "return_desc", None))
+            F("params", _list(_Kind(list, _param_doc)), "param_descs"),
+            F("returns", _STR, "return_desc"))
 _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
-               F("returnType", _TYPE, "return_type"), F("params", _VARS),
-               F("body", _BODY), F("class", _NAME, "containing_class", None),
-               F("main", _BOOL, "is_main", False), F("doc", _DOC, default=None),
+               F("returnType", _TYPE, "return_type"), F("params", _VARS), F("body", _BODY),
+               F("main", _BOOL, "is_main"), F("doc", _DOC),
                F("inout", _Row(ir.InOutSpec, F("ins", _VARS), F("outs", _VARS),
-                               F("inouts", _VARS)), default=None))
+                               F("inouts", _VARS))))
 _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
-                  F("var", _VAR, "variable"), F("const", _BOOL, "is_const", False))
+                  F("var", _VAR, "variable"), F("const", _BOOL, "is_const"))
 _CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
-              F("parent", _NAME, default=None), F("doc", _DOC, default=None))
+              F("parent", _NAME), F("doc", _DOC))
 _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
-               F("functions", _list(_METHOD)), F("classes", _list(_CLASS)),
-               F("doc", _DOC, default=None))
+               F("functions", _list(_METHOD)), F("classes", _list(_CLASS)), F("doc", _DOC))
 _PROGRAM = _Row(ir.PackageTree, F("name", _NAME), F("modules", _list(_MODULE)))
 _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
-                    F("docRule", _BOOL, "with_doc_rule", False)))
+                    F("docRule", _BOOL, "with_doc_rule")))
 
 
 def _version(raw, path, key, decoded):
-    """Exactly the integer SCHEMA_VERSION: `true` and `1.0` equal 1 in Python."""
+    """Exactly the integer SCHEMA_VERSION: `2.0` equals 2 in Python."""
     if type(raw) is int and raw == SCHEMA_VERSION:
         return raw
     _fail(f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}",
@@ -503,8 +502,8 @@ def _version(raw, path, key, decoded):
 _VERSION = _Kind(None, _version)
 # The document itself; encode_package writes "aux" even when it is empty. Its
 # program decodes as `builders.prog` builds one, then gets its aux files.
-_DOCUMENT = _Row(lambda version, program, aux: package(program, aux),
-                 F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2, ()))
+_DOCUMENT = _Row(lambda version, program, aux=(): package(program, aux),
+                 F("version", _VERSION, 0), F("program", _PROGRAM, 1), F("aux", _AUXES, 2))
 del F
 
 

@@ -273,6 +273,24 @@ def test_integral_float_literals_keep_their_point(target):
     assert get_backend(target).expr(bd.lit_float(1e16)) == "1e+16"
 
 
+@pytest.mark.parametrize("target", ["python", "java", "csharp", "cpp"])
+def test_a_negated_negative_literal_is_wrapped(target):
+    # `--8` is a decrement to javac and g++
+    back = get_backend(target)
+    assert back.expr(bd.apply_unary("#~", bd.lit_int(-8))) == "-(-8)"
+    assert back.expr(bd.apply_unary("#~", bd.lit_float(-0.5))) == "-(-0.5)"
+    assert back.expr(bd.apply_unary("#~", bd.lit_int(8))) == "-8"
+
+
+def test_cpp_print_wraps_only_what_binds_looser_than_its_shift():
+    cpp = get_backend("cpp")
+    less = bd.apply_binary("?<", bd.lit_int(1), bd.lit_int(2))
+    plus = bd.apply_binary("#+", bd.lit_int(1), bd.lit_int(2))
+    assert cpp.render_stmt(pt.print_ln(less)) == (
+        "std::cout << std::boolalpha << (1 < 2) << std::endl;")
+    assert cpp.render_stmt(pt.print_ln(plus)) == "std::cout << 1 + 2 << std::endl;"
+
+
 def test_python_int_division_nests_and_float_division_stays_true():
     py = get_backend("python")
     quotient = bd.apply_binary("#/", bd.value_of(FOO), bd.lit_int(2))

@@ -166,8 +166,7 @@ def test_variable_forms_carry_owner():
     assert bd.var("x", ir.INT).form == ir.VarForm.PLAIN
     assert bd.self_var("foo", ir.INT).form == ir.VarForm.SELF
     cv = bd.class_var("Cls", "n", ir.INT)
-    assert (cv.form, cv.owner, cv.binding) == (
-        ir.VarForm.CLASS_MEMBER, "Cls", ir.Binding.STATIC)
+    assert (cv.form, cv.owner) == (ir.VarForm.CLASS_MEMBER, "Cls")
     ov = bd.obj_var("fc", "foo", ir.INT)
     assert (ov.form, ov.owner) == (ir.VarForm.OBJECT_MEMBER, "fc")
     xv = bd.ext_var("sys", "stdout", ir.OUTFILE)
@@ -614,7 +613,7 @@ def test_record_equality_is_structural_within_one_class():
 def test_record_hash_is_the_hash_of_its_field_tuple():
     x = bd.var("x", ir.INT)
     assert hash(ir.INT) == hash(("int", None, None))
-    assert hash(x) == hash(("x", ir.INT, ir.Binding.DYNAMIC, ir.VarForm.PLAIN, None))
+    assert hash(x) == hash(("x", ir.INT, ir.VarForm.PLAIN, None))
     assert hash(ir.Return(_i())) == hash((_i(),))
     assert hash(ir.Break()) == hash(())
     assert len({ir.INT, ir.TypeRepr("int"), ir.FLOAT}) == 2
@@ -668,7 +667,7 @@ def test_record_repr_of_a_nested_node():
     assert repr(e) == (
         "ValueOf(var=VariableRepr(name='xs', type=TypeRepr(kind='list', "
         "elem=TypeRepr(kind='int', elem=None, class_name=None), class_name=None), "
-        "binding='dynamic', form='plain', owner=None))")
+        "form='plain', owner=None))")
     assert repr(ir.Break()) == "Break()"
 
 

@@ -16,9 +16,9 @@ import all_tags
 from oogen import jsonio
 from oogen.backends import TARGETS, get_backend
 
-LOADS_BUDGET = 1218
+LOADS_BUDGET = 1217
 ENCODE_BUDGET = 354
-BUILD_BUDGET = 731
+BUILD_BUDGET = 728
 RENDER_BUDGETS = {"python": 648, "java": 915, "csharp": 880, "cpp": 1069}
 
 

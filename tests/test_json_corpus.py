@@ -126,7 +126,6 @@ NAME_STEPS = [
     ["program", "modules", 0, "name"],
     ["program", "modules", 0, "classes", 0, "name"],
     ["program", "modules", 0, "classes", 0, "parent"],
-    ["program", "modules", 0, "classes", 0, "methods", 0, "class"],
     ["program", "modules", 0, "functions", 0, "name"],
     ["program", "modules", 0, "functions", 0, "params", 0, "name"],
     ["program", "modules", 0, "classes", 0, "stateVars", 0, "var", "name"],

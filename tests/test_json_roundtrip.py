@@ -33,8 +33,16 @@ def test_every_node_class_has_exactly_one_row(cls):
     rows = [row for union in (jsonio._EXPR, jsonio._STMT) for row in union.rows.values()
             if row.make is cls]
     assert len(rows) == 1
-    # the row names every field of the class
-    assert len(rows[0].decoders) == len(cls.__match_args__)
+
+
+def test_every_field_of_an_encoded_record_is_in_its_row():
+    # A field left out of its row would decode to its default unseen. A
+    # method's class is the class that lists it (the class rule places it),
+    # and a program's aux files are the document's.
+    unlisted = {(cls.__name__, name) for cls, row in jsonio._ROW_OF.items()
+                for pos, name in enumerate(cls.__match_args__)
+                if pos not in {field_pos for _, field_pos, _, _ in row.encoders}}
+    assert unlisted == {("MethodRepr", "containing_class"), ("PackageTree", "aux")}
 
 
 def test_all_tags_package_uses_every_tag_and_roundtrips():
@@ -90,12 +98,13 @@ def _expect_error(doc, path_fragment, message_fragment=None):
 
 def test_version_field_checked():
     doc = _doc()
-    doc["version"] = 2
-    _expect_error(doc, "$.version", "version")
+    doc["version"] = 1
+    _expect_error(doc, "$.version", "unsupported version 1; this reader handles version 2")
 
 
-@pytest.mark.parametrize("version", [True, 1.0, "1", 0])
-def test_version_must_be_the_integer_one(version):
+@pytest.mark.parametrize("version", [float(jsonio.SCHEMA_VERSION), str(jsonio.SCHEMA_VERSION),
+                                     True, 0])
+def test_version_must_be_the_integer_schema_version(version):
     doc = _doc()
     doc["version"] = version
     _expect_error(doc, "$.version", f"unsupported version {version!r}")
@@ -180,7 +189,7 @@ def test_bad_enum_value_rejected():
 
 
 def test_literal_type_mismatch_rejected():
-    doc = {"version": 1, "program": {"name": "p", "modules": [{
+    doc = {"version": 2, "program": {"name": "p", "modules": [{
         "name": "Main", "imports": [],
         "functions": [{
             "name": "main", "scope": "public", "binding": "static",

@@ -9,7 +9,8 @@ import pytest
 
 from oogen import builders as bd, ir, jsonio, patterns as pt
 from oogen.errors import (
-    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, TypeMismatch,
+    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, SignatureMismatch,
+    TypeMismatch,
 )
 
 _MODULE = "$.program.modules[0]"
@@ -77,7 +78,7 @@ def _duplicate_params(doc):
     return _MAIN
 
 
-_METHOD = dict(FUNCTION, name="m", binding="dynamic", **{"class": "C"})
+_METHOD = dict(FUNCTION, name="m", binding="dynamic")
 _X = bd.var("x", ir.INT)
 _EMPTY = bd.body([])
 
@@ -560,3 +561,82 @@ def test_a_refusal_no_other_case_reaches_is_refused_built_and_decoded(case):
 def test_the_builders_type_a_sum_and_a_sine_as_the_rules_ask():
     assert bd.apply_binary("#+", _ONE_INT, _ONE_INT).type == ir.INT
     assert pt.math_fn("sin", _ONE_INT).type == ir.FLOAT
+
+
+# A constructor's type is its own class. Decoded, `int o = new Foo();` and
+# `new Bar()` typed Foo rendered on every target; the builders type a
+# constructor call themselves, so only a document can break the rule.
+
+@pytest.mark.parametrize("name, type_", [("Foo", ir.INT), ("Bar", ir.obj_of("Foo"))],
+                         ids=["int", "another-class"])
+def test_a_constructor_typed_other_than_its_class_does_not_decode(name, type_):
+    new = ir.Call(ir.CallForm.CONSTRUCTOR, name, (), type_)
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(_main_doc(ir.VarDecDef(bd.var("o", type_), new)))
+    assert str(err.value) == (
+        f"{_STMT}.value: constructor {name} gives {name}, not {type_.class_name or type_.kind}")
+
+
+# A main is `public static void main()` in a module. Decoded, a main that
+# returned 1 rendered `return 1;` inside Java's `void main` and at the top
+# level of the Python module, and a main's parameter was silently dropped.
+
+_BAD_MAINS = {
+    "returns int": {"returnType": "int", "body": [[{"stmt": "return", "value": ONE}]]},
+    "takes a parameter": {"params": [{"name": "x", "type": "int"}]},
+    "named x": {"name": "x"},
+    "private": {"scope": "private"},
+    "dynamic": {"binding": "dynamic"},
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MAINS))
+def test_a_main_that_is_not_public_static_void_main_does_not_decode(case):
+    doc = _base()
+    main = doc["program"]["modules"][0]["functions"][0]
+    main.update(_BAD_MAINS[case])
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == (
+        f"{_MAIN}: main function {main['name']!r} must be public static void main()")
+
+
+def test_a_main_in_a_class_is_refused_built_and_decoded():
+    with pytest.raises(SignatureMismatch, match="class C declares main function 'main'"):
+        bd.build_class("C", None, ir.Scope.PUBLIC, [], [bd.main_function(_EMPTY)])
+    doc = _base()
+    module = doc["program"]["modules"][0]
+    module["classes"] = [{"name": "C", "scope": "public", "stateVars": [],
+                          "methods": [module["functions"].pop()]}]
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == f"{_MODULE}.classes[0]: class C declares main function 'main'"
+
+
+# A method's class is the class that lists it: the class rule places a
+# built method and a decoded one alike, and the document does not say it.
+
+def test_a_method_decodes_into_the_class_that_lists_it():
+    m = bd.function("m", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], _EMPTY)
+    built = bd.build_class("C", None, ir.Scope.PUBLIC, [], [m])
+    assert built.methods[0].containing_class == "C"
+    doc = _base()
+    _module(classes=[{"name": "C", "scope": "public", "stateVars": [], "methods": [_METHOD]}])(doc)
+    assert jsonio.decode_package(doc).modules[0].classes[0] == built
+    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+
+
+def test_a_method_that_names_its_class_does_not_decode():
+    doc = _base()
+    method = dict(_METHOD, **{"class": "C"})
+    _module(classes=[{"name": "C", "scope": "public", "stateVars": [], "methods": [method]}])(doc)
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(doc)
+    assert str(err.value) == f"{_MODULE}.classes[0].methods[0]: unknown field(s) 'class'"
+
+
+def test_a_method_of_a_class_is_no_module_function():
+    # It rendered as an instance method outside any class.
+    m = bd.method("m", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], _EMPTY)
+    with pytest.raises(BuildError, match="module M lists method C.m as a function"):
+        bd.build_module("M", [], [m], [])

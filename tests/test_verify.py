@@ -562,6 +562,15 @@ def test_inline_if_indexes_in_exists_tests_match_the_oracle(tmp_path):
     assert oracle == "true\nfalse\nfalse"
 
 
+def test_negating_a_negative_literal_matches_the_oracle_everywhere(tmp_path):
+    # Rendered `--8`, javac said "unexpected type" and g++ "lvalue required".
+    oracle = _matches_the_oracle_everywhere(tmp_path, [
+        pt.print_ln(bd.apply_unary("#~", bd.lit_int(-8))),
+        pt.print_ln(bd.apply_unary("#~", bd.lit_float(-0.5))),
+    ])
+    assert oracle == "8\n0.5"
+
+
 def test_unknown_target_is_a_value_error():
     with pytest.raises(ValueError, match="unknown target 'cobol'; expected one of"):
         verify.verify_package(_hello(), targets=("cobol",))
