@@ -27,15 +27,13 @@ variable reference is one frame too: `value_of` reads a plain variable's
 name itself, and calls `var_ref` only in C++, whose `var_ref` holds its
 one rule for a plain name (a for-each variable is an iterator there).
 
-Patterns are lowered once, here, to core IR, so a target renders syntax
-only and every target accepts or refuses the same trees. The lowering
-functions build nodes with the `ir` constructors (their parts are already
-typed) as each node is rendered: an Observer list is a list variable that
-adding appends to and notifying loops over; `switch_as_if` turns a switch
-into an if-chain for targets that cannot switch on its value;
-`range_as_for`, `slice_as_loop` and `list_print` give a counted loop for
-targets without ranges, slices or list printing; and an index-exists test
-is a `>` comparison, so `binary` places its parentheses.
+A node some target spells natively is lowered once, here, to core IR for
+the targets that do not, so every target accepts or refuses the same
+trees. The lowering functions build nodes with the `ir` constructors
+(their parts are already typed) as each node is rendered: `switch_as_if`
+turns a switch into an if-chain for targets that cannot switch on its
+value; `range_as_for`, `slice_as_loop` and `list_print` give a counted
+loop for targets without ranges, slices or list printing.
 
 Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence. This module's tables rank each node
@@ -85,8 +83,7 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.Unary: None,
     ir.Binary: None,
     ir.InlineIf: INLINE_IF_PRECEDENCE,
-    ir.ArgExists: 5,  # every target renders these two as a > comparison
-    ir.ListIndexExists: 5,
+    ir.ArgExists: 5,  # every target renders it as a > comparison
 }
 # The library function of each operator spelled as a call.
 _OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
@@ -184,25 +181,6 @@ def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
     return ir.BlockRepr((_OPEN, loop, guard, ir.Print(ir.Lit("string", "]"), s.newline)))
 
 
-def _observer_list(elem_type: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type))
-
-
-def _observer_append(elem_type: ir.TypeRepr, value: ir.ExprRepr) -> ir.ExprStmt:
-    return ir.ExprStmt(ir.ListAppend(ir.ValueOf(_observer_list(elem_type)), value))
-
-
-def _observer_init(s: ir.ObserverInit) -> ir.BlockRepr:
-    appends = [_observer_append(s.elem_type, value) for value in s.init_values]
-    return ir.BlockRepr((ir.VarDec(_observer_list(s.elem_type)), *appends))
-
-
-def _observer_notify(s: ir.ObserverNotify) -> ir.ForEach:
-    each = ir.VariableRepr("observer", s.elem_type)
-    call = ir.Call(ir.CallForm.METHOD, s.method, (), ir.VOID, ir.ValueOf(each))
-    return ir.ForEach(each, ir.ValueOf(_observer_list(s.elem_type)), _one_block(ir.ExprStmt(call)))
-
-
 def _resolve(cls, handlers: dict) -> dict:
     """`handlers` with each method name replaced by `cls`'s method. A name
     `cls` does not define (or sets to None) is left out: its node is one the
@@ -271,12 +249,10 @@ class Renderer:
         ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexOf: "list_index_of",
-        ir.ListIndexExists: lambda self, e: self.binary(
-            ir.Binary("?>", ir.ListSize(e.lst), e.index, ir.BOOL)),
     }
     # Statements every target spells alike but for `statement_end`, and the
-    # patterns every target lowers to core IR the same way; each family
-    # merges these into its own table.
+    # nodes every target lowers to core IR the same way; each family merges
+    # these into its own table.
     stmt_handlers: dict = {
         ir.Assign: "assign_doc",
         ir.ListSet: lambda self, s: text(self.list_set_text(s) + self.statement_end),
@@ -293,9 +269,6 @@ class Renderer:
         ir.ForRange: lambda self, s: self.for_doc(range_as_for(s)),
         ir.ListSlice: lambda self, s: self.block(slice_as_loop(s)),
         ir.InOutCall: "in_out_call_doc",
-        ir.ObserverInit: lambda self, s: self.stmt(_observer_init(s)),
-        ir.ObserverAdd: lambda self, s: self.stmt(_observer_append(s.elem_type, s.value)),
-        ir.ObserverNotify: lambda self, s: self.stmt(_observer_notify(s)),
     }
 
     # How each variable form but PLAIN (a bare name) is referred to, and

@@ -230,8 +230,11 @@ def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
 
 
 def _check_call(node: ir.Call) -> ir.Call:
-    if node.form == ir.CallForm.METHOD and node.receiver is None:
-        _refuse("method call requires a 'receiver'", BuildError)
+    if node.form == ir.CallForm.METHOD:
+        if node.receiver is None:
+            _refuse("method call requires a 'receiver'", BuildError)
+        if node.receiver.type.kind != "object":  # `1.f()` compiles nowhere
+            _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
     if node.form == ir.CallForm.EXTERNAL and node.library is None:
         _refuse("external call requires a 'library'", BuildError)
     if node.form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
@@ -352,25 +355,20 @@ def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
         _refuse("listSlice target must be a list variable")
     if any(b is not None and b.type.kind != "int" for b in (node.start, node.end, node.step)):
         _refuse("listSlice bounds must be int")
-    return node
-
-
-def _check_observer_init(node: ir.ObserverInit) -> ir.ObserverInit:
-    for v in node.init_values:
-        if v.type != node.elem_type:
-            _refuse(f"initObserverList of {_type_name(node.elem_type)},"
-                    f" got {_type_name(v.type)} value")
-    return node
+    # Python refuses a step of 0, and the C family's loop never ends; a step
+    # that is not a literal goes unchecked.
+    return node if type(node.step) is not ir.Lit or node.step.value != 0 else _refuse(
+        "listSlice step must not be 0", BuildError)
 
 
 def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
     with an output and its in-outs, ins and outs, in that order, as its
     parameters, a main `public static void main()`; then, unless `body` is
-    False, one walk of the body: observer calls follow initObserverList and
-    add or notify its element type (an add's value and its recorded element
-    type both), and a returned value has the method's return type (or is an
-    int in a float method)."""
+    False, one walk of the body: a returned value has the method's return
+    type (or is an int in a float method), and an append to or a loop over
+    the local observer list follows its declaration and names its element
+    type (the rules make the value appended or the loop variable of it)."""
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -388,27 +386,29 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     if m.is_main and (m.name != "main" or m.scope != ir.Scope.PUBLIC or m.params
                       or m.binding != ir.Binding.STATIC or m.return_type.kind != "void"):
         _refuse(f"main function {m.name!r} must be public static void main()", SignatureMismatch)
-    returns, elem = m.return_type, None  # elem: the observer list's element type
+    returns, observers = m.return_type, ir.OBSERVER_LIST_NAME
+    elem = m.params[names.index(observers)].type.elem if observers in names else None
     for stmt in ir.walk(m.body) if body else ():
         kind = type(stmt)
-        if kind is ir.ObserverInit:
-            elem = stmt.elem_type
-        elif kind is ir.ObserverAdd or kind is ir.ObserverNotify:
-            if elem is None:
-                _refuse("observer list used before initObserverList in this body",
-                        ObserverNotInitialized)
-            # An add's value, then its element type; `kind` and `class_name`
-            # alone: a record `==` is a Python call.
-            for t in ((stmt.value.type, stmt.elem_type) if kind is ir.ObserverAdd
-                      else (stmt.elem_type,)):
-                if t.kind != elem.kind or t.class_name != elem.class_name:
-                    _refuse(f"{'addObserver' if kind is ir.ObserverAdd else 'notifyObservers'}"
-                            f" of {_type_name(t)} on a list of {_type_name(elem)}")
-        elif kind is ir.Return:
+        if kind is ir.Return:
             value = stmt.value.type
             if value != returns and (value.kind, returns.kind) != ("int", "float"):
                 _refuse(f"return of {_type_name(value)} from a method returning"
                         f" {_type_name(returns)}")
+        elif (kind is ir.VarDec or kind is ir.VarDecDef) and stmt.var.name == observers:
+            elem = stmt.var.type.elem
+        elif kind is ir.ForEach or kind is ir.ExprStmt and type(stmt.expr) is ir.ListAppend:
+            lst = stmt.iterable if kind is ir.ForEach else stmt.expr.lst
+            if type(lst) is ir.ValueOf and lst.var.name == observers and (
+                    lst.var.form == ir.VarForm.PLAIN):  # not a member of that name
+                if elem is None:
+                    _refuse("observer list used before initObserverList in this body",
+                            ObserverNotInitialized)
+                # `kind` and `class_name` alone: a record `==` is a Python call.
+                t = lst.var.type.elem
+                if t.kind != elem.kind or t.class_name != elem.class_name:
+                    _refuse(f"{'notifyObservers' if kind is ir.ForEach else 'addObserver'}"
+                            f" of {_type_name(t)} on a list of {_type_name(elem)}")
     return m
 
 
@@ -471,18 +471,13 @@ RULES = {
     ir.ArgAt: lambda n: _int_index("argAt", n), ir.ArgExists: lambda n: _int_index("argExists", n),
     ir.ListAccess: lambda n: _int_index("listAccess", _listed("listAccess", n)),
     ir.ListSize: lambda n: _listed("listSize", n), ir.ListAppend: lambda n: _fits("listAppend", n),
-    ir.ListIndexExists: lambda n: _int_index("listIndexExists", _listed("listIndexExists", n)),
     ir.ListIndexOf: lambda n: _fits("indexOf", n), ir.Assign: _check_assign,
     ir.VarDecDef: lambda n: _check_value_fits("varDecDef", n),
     ir.ListSet: lambda n: _int_index("listSet", _fits("listSet", n)),
     ir.If: _check_if, ir.Switch: _check_switch, ir.For: _check_for,
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
     ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
-    ir.ListSlice: _check_list_slice, ir.ObserverInit: _check_observer_init,
-    ir.ObserverAdd: lambda n: n if n.value.type.kind == "object" else _refuse(
-        "addObserver takes an object value"),
-    ir.ObserverNotify: lambda n: n if n.elem_type.kind == "object" else _refuse(
-        "notifyObservers element type must be an object type"),
+    ir.ListSlice: _check_list_slice,
     # javac refuses any other expression as a statement ("not a statement").
     ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
         f"an expression statement must be a call or a listAppend,"

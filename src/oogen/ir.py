@@ -25,6 +25,9 @@ constant or a property of its parts (see `ExprRepr`).
 
 Blocks matter to rendering: one blank line separates adjacent non-empty
 blocks in every target. `walk` lists every statement of a tree.
+
+A construct has a node class only where some target spells it its own
+way; `oogen.patterns` builds the rest, Observer too, from core nodes.
 """
 
 from __future__ import annotations
@@ -233,12 +236,6 @@ class ListAppend(ExprRepr, metaclass=record):
         return self.lst.type
 
 
-class ListIndexExists(ExprRepr, metaclass=record):
-    lst: ExprRepr
-    index: ExprRepr
-    type = BOOL
-
-
 class ListIndexOf(ExprRepr, metaclass=record):
     lst: ExprRepr
     value: ExprRepr
@@ -399,22 +396,8 @@ class InOutCall(StatementRepr, metaclass=record):
     inouts: tuple[VariableRepr, ...]
 
 
+# The list the Observer pattern declares, appends to and loops over.
 OBSERVER_LIST_NAME = "observerList"
-
-
-class ObserverInit(StatementRepr, metaclass=record):
-    elem_type: TypeRepr
-    init_values: tuple[ExprRepr, ...]
-
-
-class ObserverAdd(StatementRepr, metaclass=record):
-    value: ExprRepr
-    elem_type: TypeRepr
-
-
-class ObserverNotify(StatementRepr, metaclass=record):
-    method: str
-    elem_type: TypeRepr
 
 
 # ---------------------------------------------------------------------------

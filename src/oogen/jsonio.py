@@ -1,6 +1,6 @@
 """Versioned JSON interchange format for package trees.
 
-The document shape is {"version": 2, "program": {"name", "modules": [...]},
+The document shape is {"version": 3, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
@@ -38,7 +38,7 @@ scopes, forms and assignment modes, field types and operator names, each
 failure reported with the JSON path of the offending node. Every name
 must also pass the builders' `check_identifier` (program, module, class
 and parent class, method, variable and its owner, call and library, in/out
-call, observer method, object type), and every import
+call, object type), and every import
 their `check_dotted_name`, so none can become a path outside the output
 directory or code. Then each node, a method, class, module and package
 too, must pass its class's rule in `builders.RULES`, which the builders
@@ -68,7 +68,7 @@ from . import ir
 from .builders import LIT_PAYLOADS, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
@@ -428,7 +428,6 @@ _EXPR.define({
     "listAccess": _Row(ir.ListAccess, F("list", _EXPR, "lst"), F("index", _EXPR)),
     "listSize": _Row(ir.ListSize, F("list", _EXPR, "lst")),
     "listAppend": _Row(ir.ListAppend, F("list", _EXPR, "lst"), F("value", _EXPR)),
-    "listIndexExists": _Row(ir.ListIndexExists, F("list", _EXPR, "lst"), F("index", _EXPR)),
     "listIndexOf": _Row(ir.ListIndexOf, F("list", _EXPR, "lst"), F("value", _EXPR)),
 })
 
@@ -463,11 +462,6 @@ _STMT.define({
                       F("end", _EXPR), F("step", _EXPR)),
     "inOutCall": _Row(ir.InOutCall, F("name", _NAME), F("ins", _EXPRS), F("outs", _VARS),
                       F("inouts", _VARS)),
-    "observerInit": _Row(ir.ObserverInit, F("elemType", _TYPE, "elem_type"),
-                         F("init", _EXPRS, "init_values")),
-    "observerAdd": _Row(ir.ObserverAdd, F("value", _EXPR), F("elemType", _TYPE, "elem_type")),
-    "observerNotify": _Row(ir.ObserverNotify, F("method", _NAME),
-                           F("elemType", _TYPE, "elem_type")),
 })
 
 _SCOPE, _BINDING = _names(ir.Scope), _names(ir.Binding)
@@ -492,7 +486,7 @@ _AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "
 
 
 def _version(raw, path, key, decoded):
-    """Exactly the integer SCHEMA_VERSION: `2.0` equals 2 in Python."""
+    """Exactly the integer SCHEMA_VERSION: `3.0` equals 3 in Python."""
     if type(raw) is int and raw == SCHEMA_VERSION:
         return raw
     _fail(f"unsupported version {raw!r}; this reader handles version {SCHEMA_VERSION}",

@@ -1,9 +1,9 @@
 """Task-level builders: the recurring idioms above raw statements.
 
-Math/argument/list/print helpers return core IR; the design patterns
-(in/out procedures, getters/setters, Strategy, Observer, State) either
-partially evaluate at build time or produce dedicated nodes that backends
-lower idiomatically. Their nodes pass `builders.RULES` as they are built.
+Math/argument/list/print helpers return core IR, and so do the design
+patterns (getters/setters, Strategy, Observer, State) except in/out
+procedures, whose node each target spells its own way. A node whose value
+comes from the caller passes its rule in `builders.RULES` as it is built.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import builders as bd
 from . import ir
 from .builders import RULES as _RULES
-from .errors import SignatureMismatch, UnknownStrategy
+from .errors import SignatureMismatch, TypeMismatch, UnknownStrategy
 
 
 def math_fn(name: str, arg: ir.ExprRepr) -> ir.MathCall:
@@ -55,8 +55,10 @@ def list_set(lst: ir.ExprRepr, index: ir.ExprRepr, value: ir.ExprRepr) -> ir.Lis
     return _RULES[ir.ListSet](ir.ListSet(lst, index, value))
 
 
-def list_index_exists(lst: ir.ExprRepr, index: ir.ExprRepr) -> ir.ListIndexExists:
-    return _RULES[ir.ListIndexExists](ir.ListIndexExists(lst, index))
+def list_index_exists(lst: ir.ExprRepr, index: ir.ExprRepr) -> ir.Binary:
+    if index.type.kind != "int":
+        raise TypeMismatch("listIndexExists index must be int")
+    return ir.Binary("?>", list_size(lst), index, ir.BOOL)
 
 
 def index_of(lst: ir.ExprRepr, value: ir.ExprRepr) -> ir.ListIndexOf:
@@ -201,16 +203,29 @@ def observer_list_var(elem_type: ir.TypeRepr) -> ir.VariableRepr:
     return bd.var(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type))
 
 
-def init_observer_list(elem_type: ir.TypeRepr, init_values: list[ir.ExprRepr]) -> ir.ObserverInit:
-    return _RULES[ir.ObserverInit](ir.ObserverInit(elem_type, tuple(init_values)))
+def _observer_list(elem_type: ir.TypeRepr) -> ir.ValueOf:
+    return ir.ValueOf(ir.VariableRepr(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type)))
 
 
-def add_observer(value: ir.ExprRepr) -> ir.ObserverAdd:
-    return _RULES[ir.ObserverAdd](ir.ObserverAdd(value, value.type))
+def init_observer_list(elem_type: ir.TypeRepr, init_values: list[ir.ExprRepr]) -> ir.BlockRepr:
+    """The list declared, then each value appended to it."""
+    lst = _observer_list(bd.check_type(elem_type))
+    return ir.BlockRepr((ir.VarDec(lst.var),
+                         *[ir.ExprStmt(list_append(lst, value)) for value in init_values]))
 
 
-def notify_observers(method: str, elem_type: ir.TypeRepr) -> ir.ObserverNotify:
-    return _RULES[ir.ObserverNotify](ir.ObserverNotify(bd.check_identifier(method), elem_type))
+def add_observer(value: ir.ExprRepr) -> ir.ExprStmt:
+    if value.type.kind != "object":
+        raise TypeMismatch("addObserver takes an object value")
+    return ir.ExprStmt(ir.ListAppend(_observer_list(value.type), value))
+
+
+def notify_observers(method: str, elem_type: ir.TypeRepr) -> ir.ForEach:
+    if elem_type.kind != "object":
+        raise TypeMismatch("notifyObservers element type must be an object type")
+    each = ir.VariableRepr("observer", bd.check_type(elem_type))
+    call = ir.Call(ir.CallForm.METHOD, bd.check_identifier(method), (), ir.VOID, ir.ValueOf(each))
+    return ir.ForEach(each, _observer_list(elem_type), bd.one_liner(ir.ExprStmt(call)))
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,6 @@ class Interpreter:
             lst = ev(e.lst)
             lst.append(ev(e.value))
             return lst
-        if isinstance(e, ir.ListIndexExists):
-            return len(ev(e.lst)) > ev(e.index)
         if isinstance(e, ir.ListIndexOf):
             lst, value = ev(e.lst), ev(e.value)
             if value not in lst:
@@ -377,13 +375,6 @@ class Interpreter:
             frame[s.target.name] = list(source[slice(*bounds)])
         elif isinstance(s, ir.InOutCall):
             self._in_out_call(s, frame, self_obj)
-        elif isinstance(s, ir.ObserverInit):
-            frame[ir.OBSERVER_LIST_NAME] = [ev(v) for v in s.init_values]
-        elif isinstance(s, ir.ObserverAdd):
-            frame[ir.OBSERVER_LIST_NAME].append(ev(s.value))
-        elif isinstance(s, ir.ObserverNotify):
-            for obj in frame[ir.OBSERVER_LIST_NAME]:
-                self._call_method(obj, s.method, [])
         elif isinstance(s, ir.BlockRepr):
             for inner in s.statements:
                 self._exec(inner, frame, self_obj)

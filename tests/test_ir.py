@@ -304,7 +304,7 @@ def test_an_expression_type_is_a_field_or_one_shared_constant():
         assert "type" in cls.__match_args__, cls
     lst, i = bd.value_of(_float_list_var()), _i()
     made = [(ir.ArgsList, ()), (ir.ArgAt, (i,)), (ir.ArgExists, (i,)), (ir.ListSize, (lst,)),
-            (ir.ListIndexExists, (lst, i)), (ir.ListIndexOf, (lst, bd.lit_float(1.5)))]
+            (ir.ListIndexOf, (lst, bd.lit_float(1.5)))]
     for cls, parts in made:
         assert "type" not in cls.__match_args__, cls
         assert cls(*parts).type is cls(*parts).type is cls.type, cls
@@ -580,7 +580,7 @@ def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
                and c not in NAMESPACES]
-    assert len(classes) == 54
+    assert len(classes) == 50
     others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
     for cls in classes + others:
@@ -606,7 +606,7 @@ def test_record_equality_is_structural_within_one_class():
     assert ir.Break() != ir.Continue()
     # the same field names and values, another class
     assert ir.ArgAt(_i()) != ir.ArgExists(_i())
-    assert ir.ListAccess(bd.value_of(xs), _i()) != ir.ListIndexExists(bd.value_of(xs), _i())
+    assert ir.ListAccess(bd.value_of(xs), _i()) != ir.ListIndexOf(bd.value_of(xs), _i())
     assert ir.INT != ("int", None, None)
 
 
@@ -714,7 +714,7 @@ def _record_classes():
 
 def test_every_record_builds_by_keyword():
     classes = _record_classes()
-    assert len(classes) == 59
+    assert len(classes) == 55
     for cls in classes:
         # FileSet's __post_init__ walks its files, so give it none
         values = [() if cls is layout.FileSet else object() for _ in cls.__match_args__]

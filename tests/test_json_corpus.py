@@ -134,7 +134,7 @@ NAME_STEPS = [
     _USE + ["args", 10, "list", "var", "owner"],
     _MAIN + ["body", 0, 0, "var", "type", "class"],
     _MAIN + ["body", 1, 13, "name"],
-    _MAIN + ["body", 1, 16, "method"],
+    _MAIN + ["body", 1, 16, "body", 0, 0, "expr", "name"],
 ]
 BAD_NAMES = ["../../evil", "x = 1\nimport os", "", "2x", "x\n",
              '__import__("os").getcwd', "os; import sys"]

@@ -9,8 +9,8 @@ import pytest
 
 from oogen import builders as bd, ir, jsonio, patterns as pt
 from oogen.errors import (
-    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, SignatureMismatch,
-    TypeMismatch,
+    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, InvalidIdentifier,
+    SignatureMismatch, TypeMismatch,
 )
 
 _MODULE = "$.program.modules[0]"
@@ -114,8 +114,6 @@ CASES = {
     ir.ListSize: (_expr({"op": "listSize", "list": ONE}), lambda: pt.list_size(bd.lit_int(1))),
     ir.ListAppend: (_expr({"op": "listAppend", "list": XS, "value": TEXT}),
                     lambda: pt.list_append(_xs(), bd.lit_string("s"))),
-    ir.ListIndexExists: (_expr({"op": "listIndexExists", "list": XS, "index": TEXT}),
-                         lambda: pt.list_index_exists(_xs(), bd.lit_string("s"))),
     ir.ListIndexOf: (_expr({"op": "listIndexOf", "list": XS, "value": TEXT}),
                      lambda: pt.index_of(_xs(), bd.lit_string("s"))),
     ir.Assign: (_stmt({"stmt": "assign", "mode": "set", "var": {"name": "x", "type": "int"}}),
@@ -147,13 +145,6 @@ CASES = {
     ir.ListSlice: (_stmt({"stmt": "listSlice", "target": {"name": "xs", "type": INT_LIST},
                           "source": ONE}),
                    lambda: pt.list_slice(bd.var("xs", ir.list_of(ir.INT)), bd.lit_int(1))),
-    ir.ObserverInit: (_stmt({"stmt": "observerInit", "elemType": {"kind": "object", "class": "O"},
-                             "init": [ONE]}),
-                      lambda: pt.init_observer_list(ir.obj_of("O"), [bd.lit_int(1)])),
-    ir.ObserverAdd: (_stmt({"stmt": "observerAdd", "value": ONE, "elemType": "int"}),
-                     lambda: pt.add_observer(bd.lit_int(1))),
-    ir.ObserverNotify: (_stmt({"stmt": "observerNotify", "method": "m", "elemType": "int"}),
-                        lambda: pt.notify_observers("m", ir.INT)),
     ir.ExprStmt: (_stmt({"stmt": "expr", "expr": ONE}), lambda: bd.call_stmt(bd.lit_int(1))),
     ir.MethodRepr: (_duplicate_params,
                     lambda: bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
@@ -439,17 +430,14 @@ def test_every_allowed_for_header_builds_and_decodes():
     assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
 
 
-# javac: "B cannot be converted to A"; g++ refuses it too. A notify of
-# another class renders a loop typed with the wrong class, and so does an
-# add whose element type names another class than its value's (the
-# renderers type the lowered append's list variable with it).
+# javac: "B cannot be converted to A"; g++ refuses it too. An add or a
+# notify of another class renders an append or a loop typed with the wrong
+# class.
 
 @pytest.mark.parametrize("use, message", [
     (lambda: pt.add_observer(bd.new_obj("B", [])), "addObserver of B on a list of A"),
     (lambda: pt.notify_observers("update", ir.obj_of("B")), "notifyObservers of B on a list of A"),
-    (lambda: ir.ObserverAdd(bd.new_obj("A", []), ir.obj_of("B")),
-     "addObserver of B on a list of A"),
-], ids=["add", "notify", "add elemType"])
+], ids=["add", "notify"])
 def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message):
     statements = [pt.init_observer_list(ir.obj_of("A"), [bd.new_obj("A", [])]), use()]
     with pytest.raises(TypeMismatch, match=f"^{message}$"):
@@ -457,6 +445,46 @@ def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message)
     with pytest.raises(DecodeError) as decoded:
         jsonio.decode_package(_main_doc(*statements))
     assert str(decoded.value) == f"{_MAIN}: {message}"
+
+
+@pytest.mark.parametrize("use", [lambda t: pt.init_observer_list(t, []),
+                                 lambda t: pt.notify_observers("update", t)],
+                         ids=["init", "notify"])
+def test_an_observer_class_name_is_checked_as_built(use):
+    # The decoder refuses the same name in any type; Java rendered `x y`.
+    with pytest.raises(InvalidIdentifier, match="not a legal identifier: 'x y'"):
+        use(ir.obj_of("x y"))
+
+
+def test_a_loop_over_the_observer_list_before_its_declaration_does_not_decode():
+    a = ir.obj_of("A")
+    doc = _main_doc(pt.notify_observers("update", a), pt.init_observer_list(a, []))
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(doc)
+    assert str(decoded.value) == (
+        f"{_MAIN}: observer list used before initObserverList in this body")
+
+
+# Only the local list of that name is the observer list, declared by a
+# parameter or in the body: a member list of that name is another variable.
+
+def test_a_list_of_the_observer_list_name_needs_no_init_where_it_is_declared_otherwise():
+    ints = ir.list_of(ir.INT)
+    xs, member = bd.var(ir.OBSERVER_LIST_NAME, ints), bd.self_var(ir.OBSERVER_LIST_NAME, ints)
+
+    def grow(lst):
+        return bd.call_stmt(pt.list_append(bd.value_of(lst), bd.lit_int(1)))
+
+    param = bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [bd.param(xs)],
+                        bd.one_liner(grow(xs)))
+    local = bd.function("g", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [], bd.body_statements(
+        [bd.var_dec_def(xs, bd.func_app("make", ints, [])), grow(xs)]))
+    cls = bd.build_class("C", None, ir.Scope.PUBLIC,
+                         [bd.state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, xs)],
+                         [bd.method("h", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
+                                    bd.one_liner(grow(member)))])
+    pkg = bd.prog("p", [bd.build_module("M", [], [param, local], [cls])])
+    assert jsonio.decode_package(jsonio.encode_package(pkg)) == pkg
 
 
 # A list takes only its element type: javac refuses `xs.add(2)` and
@@ -533,6 +561,20 @@ _MORE_REFUSALS = {
         lambda: _main_doc(ir.ListSlice(bd.var("ys", ir.list_of(ir.INT)), _xs(),
                                        bd.lit_float(1.0), None, None)), _STMT,
         "listSlice bounds must be int"),
+    # Python: "slice step cannot be zero"; the C family's loop `i_temp += 0`
+    # appends without end.
+    "listSlice by 0": (
+        lambda: pt.list_slice(bd.var("ys", ir.list_of(ir.INT)), _xs(), bd.lit_int(0),
+                              bd.lit_int(2), bd.lit_int(0)),
+        lambda: _main_doc(ir.ListSlice(bd.var("ys", ir.list_of(ir.INT)), _xs(), bd.lit_int(0),
+                                       bd.lit_int(2), bd.lit_int(0))), _STMT,
+        "listSlice step must not be 0"),
+    # `1.f()`: Python "invalid decimal literal", javac "not a statement", g++
+    # "expression cannot be used as a function".
+    "a method of an int": (
+        lambda: bd.method_call(_ONE_INT, "f", ir.INT, []),
+        lambda: _main_doc(ir.Print(ir.Call(ir.CallForm.METHOD, "f", (), ir.INT, _ONE_INT), True)),
+        _STMT + ".expr", "method call receiver must be an object, got int"),
     "a main in two modules": (
         lambda: bd.prog("p", _two_mains()),
         lambda: jsonio.encode_package(ir.PackageTree("p", tuple(_two_mains()))), "$.program",
