@@ -20,10 +20,21 @@ backend; 4 compile failure (or compile timeout) during verify.
 `main` reads the command line against `_COMMANDS`, one table of options
 that also writes the usage and `--help` text, instead of argparse, whose
 import and message catalogues cost more than a render.
+
+`main(argv)` is the in-process entry: it returns the exit code, and tests
+and other callers use it. `run()` is the process entry, for `python -m
+oogen.cli` and the installed `oogen` command. Once `main` returns, `run`
+runs the `atexit` handlers, flushes stdout and stderr and ends the process
+with `os._exit`. That skips only interpreter teardown, clearing every module
+and the collector's last passes, which took longer than the render itself.
+Under a profiler or tracer `run` exits through `sys.exit`, so cProfile and
+coverage still write their results. If stdout's reader has gone, `run`
+exits 1 and prints no `BrokenPipeError` traceback.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -280,5 +291,38 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer is on, which writes its results at exit."""
+    # From Python 3.12, cProfile and coverage may register a sys.monitoring
+    # tool (ids 0-5) instead of a profile or trace function.
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring is not None and any(monitoring.get_tool(i) is not None
+                                              for i in range(6)))
+
+
+def run() -> None:
+    """Run `main` on `sys.argv` and end the process without tearing down the
+    interpreter (see the module docstring)."""
+    try:
+        code = main()
+    except BrokenPipeError:  # stdout's reader has gone; the flush below sees it too
+        code = 1
+    observed = _observed()
+    if not observed:
+        atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the `signal` docs advise, point fd 1 at os.devnull so that no
+        # later flush raises, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if observed:
+        sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pstats
 import subprocess
 import sys
 
@@ -418,3 +419,115 @@ def test_render_reads_and_writes_utf8_under_an_ascii_locale(tmp_path, ensure_asc
     for target in oogen.TARGETS:
         (listing,) = (tmp_path / "out" / target).iterdir()
         assert "grüß" in listing.read_text(encoding="utf-8"), target
+
+
+# -- the process entry: `run()` exits without interpreter teardown ---------------
+# `run()` ends its process with os._exit, so these tests call it only in
+# children, through `python -m oogen.cli` as the installed command does.
+
+
+def _oogen(*argv: str, stdout=subprocess.PIPE, flags=(), env=None,
+           **kw) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-m", "oogen.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env or _src_env(), **kw)
+
+
+def test_run_renders_every_file_and_lists_it(tmp_path):
+    done = _oogen("render", "--input", "example:patternTest",
+                  *(f"--target={t}" for t in oogen.TARGETS), "--makefile", "--doc",
+                  "--out", "out", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    pkg = cli._with_aux_flags(gallery.get("patternTest").package, True, True)
+    expected = {os.path.join("out", t, f.path): f.text
+                for t in oogen.TARGETS for f in oogen.assemble_package(pkg, t)}
+    assert done.stdout.splitlines() == list(expected)
+    assert {"Makefile", "doxConfig"} <= {os.path.basename(p) for p in expected}
+    for path, text in expected.items():
+        assert (tmp_path / path).read_bytes() == text.encode(), path
+
+
+def test_run_prints_the_full_help_and_exits_0():
+    done = _oogen("--help")
+    assert (done.returncode, done.stdout, done.stderr) == (0, cli._help(None), "")
+
+
+def test_run_refuses_an_unknown_option_with_exit_2():
+    done = _oogen(*_RENDER, "--bogus")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"{cli._usage('render')}\n"
+                           "oogen render: error: unrecognized arguments: --bogus\n")
+
+
+def test_run_refuses_malformed_json_with_exit_2(tmp_path):
+    (tmp_path / "bad.json").write_text("{this is not json")
+    done = _oogen("render", "--input", "bad.json", "--target", "python", "--out", "o",
+                  cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("oogen: $: invalid JSON: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "--emit", "patternTest"],
+    ["examples"],
+    ["render", "--input", "example:patternTest", "--target", "python", "--out", "o"],
+    ["--help"],
+], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_run_exits_1_quietly_when_stdout_is_closed(argv, unbuffered, tmp_path):
+    # buffered, the pipe breaks in run's flush; unbuffered, in main's first write
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _oogen(*argv, stdout=write, env=env, cwd=tmp_path)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_run_runs_the_exit_handlers_before_it_exits(tmp_path):
+    # runpy runs oogen.cli as `python -m` does, after this child registered a handler
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'handler ran')\n"
+            "sys.argv = ['oogen', 'examples']\n"
+            "runpy.run_module('oogen.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [*gallery.names(), "handler ran"]
+
+
+# What os._exit skips must not matter: main leaves no thread and no open file.
+_CLEAN_EXIT_PROBE = """
+import gc, threading
+from oogen.cli import main
+for argv in {argvs!r}:
+    assert main(argv) == 0, argv
+gc.collect()
+assert threading.active_count() == 1, threading.enumerate()
+"""
+
+
+def test_main_leaves_one_thread_and_no_open_resource(tmp_path):
+    argvs = [["render", "--input", "example:patternTest",
+              *(f"--target={t}" for t in oogen.TARGETS), "--makefile", "--doc", "--out", "out"],
+             ["examples", "--emit", "patternTest"],
+             ["verify", "--input", "example:helloWorld", "--target", "python", "--out", "v"]]
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         _CLEAN_EXIT_PROBE.format(argvs=argvs)],
+        capture_output=True, text=True, cwd=tmp_path, env=_src_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "python  ok" in done.stdout
+
+
+def test_run_under_cprofile_still_writes_its_stats(tmp_path):
+    """The benchmark counts calls with `python -m cProfile -o F -m oogen.cli`,
+    which writes F only if the process tears down as usual."""
+    done = _oogen("render", "--input", "example:patternTest", "--target", "python",
+                  "--out", "out", flags=("-m", "cProfile", "-o", "calls.prof"), cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert (tmp_path / "out" / "python" / "PatternTest.py").is_file()
+    assert pstats.Stats(str(tmp_path / "calls.prof")).total_calls > 0
