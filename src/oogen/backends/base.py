@@ -49,11 +49,9 @@ positive), to save a call per level. `binary` holds the one parenthesis
 rule of every target: it wraps a child that binds looser than its parent,
 a child that binds equally on the right, and one that binds equally on
 the left only under a comparison, since comparisons never chain.
-`op_tokens` maps each operator name to its spelling in the target. The
-operators `_OP_FUNCTIONS` names are ranked atomic and spelled as calls:
-`unary` and `binary` hand the library function and rendered operands to
-the target's `math_text`, which spells a `MathCall` too, so abs, sqrt and
-pow are written once per target.
+`op_tokens` maps each operator name to its spelling in the target. A
+library function (`MathCall`, which GOOL's `#|`, `#/^` and `#^` build)
+is atomic, and the target's `math_text` spells it.
 """
 
 from __future__ import annotations
@@ -67,11 +65,9 @@ from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 ATOMIC_PRECEDENCE = 100
 INLINE_IF_PRECEDENCE = 1
 # Each operator's precedence, as a target ranks it unless its
-# `op_precedence` says otherwise. `#|`, `#/^` and `#^` are atomic, spelled
-# as calls, on every target.
+# `op_precedence` says otherwise.
 _OP_PRECEDENCE = {
-    "?!": 9, "#~": 9, "#|": ATOMIC_PRECEDENCE, "#/^": ATOMIC_PRECEDENCE,
-    "#^": ATOMIC_PRECEDENCE, "#*": 7, "#/": 7, "#+": 6, "#-": 6,
+    "?!": 9, "#~": 9, "#*": 7, "#/": 7, "#+": 6, "#-": 6,
     "?<": 5, "?<=": 5, "?>": 5, "?>=": 5, "?==": 4, "?!=": 4, "?&&": 3, "?||": 2,
 }
 # The operators whose equal-precedence left child is wrapped too: a chain
@@ -85,9 +81,6 @@ _NODE_PRECEDENCE: dict[type, float | None] = {
     ir.InlineIf: INLINE_IF_PRECEDENCE,
     ir.ArgExists: 5,  # every target renders it as a > comparison
 }
-# The library function of each operator spelled as a call.
-_OP_FUNCTIONS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
-
 # The operator of an assignment that takes a value, and the sign of a step.
 _ASSIGN_TOKENS = {ir.AssignMode.SET: "=", ir.AssignMode.ADD_EQ: "+=", ir.AssignMode.SUB_EQ: "-="}
 _STEP_SIGNS = {ir.AssignMode.INC: "+", ir.AssignMode.DEC: "-"}
@@ -215,10 +208,8 @@ def qualified(renderer, v: ir.VariableRepr) -> str:
 class Renderer:
     """Base renderer. A target's subclass defines every method its tables
     name, and `math_text`, `method_doc`, `module_files` and
-    `build_commands`, which are called by name. `math_text(fn, operand,
-    *rendered)` spells a call of library function `fn` on the rendered
-    operands, given the first operand's node: a `MathCall`, and an operator
-    `_OP_FUNCTIONS` names."""
+    `build_commands`, which are called by name. `math_text(e, *rendered)`
+    spells `MathCall` `e` on its rendered arguments."""
 
     target = "?"
     extension = "?"
@@ -244,8 +235,7 @@ class Renderer:
     expr_handlers = {
         ir.Lit: "lit", ir.ValueOf: "value_of", ir.Unary: "unary", ir.Binary: "binary",
         ir.InlineIf: "inline_if", ir.Call: "call",
-        ir.MathCall: lambda self, e: self.math_text(
-            e.fn, e.arg, self._expr_table[type(e.arg)](self, e.arg)),
+        ir.MathCall: "math_call",
         ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexOf: "list_index_of",
@@ -344,12 +334,16 @@ class Renderer:
         v = e.var  # a plain variable is its name, read here: one frame
         return v.name if v.form == ir.VarForm.PLAIN else self._var_table[v.form](self, v)
 
+    def math_call(self, e: ir.MathCall) -> str:
+        render, rendered = self._expr_table, []
+        for a in e.args:  # no comprehension: a level costs one frame
+            rendered += (render[type(a)](self, a),)
+        return self.math_text(e, *rendered)
+
     def unary(self, e: ir.Unary) -> str:
         name, prec, x = e.op, self._prec, e.operand
         operand = self._expr_table[type(x)](self, x)
         parent = prec[name]
-        if parent == ATOMIC_PRECEDENCE:
-            return self.math_text(_OP_FUNCTIONS[name], x, operand)
         # Equal precedence wraps too, as does a leading minus: `--a`, `not not a`, `--8`.
         if (prec[type(x)] or prec[x.op]) <= parent or operand[0] == "-":
             operand = f"({operand})"
@@ -363,8 +357,6 @@ class Renderer:
         a, b = e.left, e.right
         left, right = render[type(a)](self, a), render[type(b)](self, b)
         parent = prec[name]
-        if parent == ATOMIC_PRECEDENCE:
-            return self.math_text(_OP_FUNCTIONS[name], a, left, right)
         child = prec[type(a)] or prec[a.op]
         if child < parent or child == parent and name in _COMPARISONS:
             left = f"({left})"

@@ -60,15 +60,13 @@ class CppRenderer(CFamilyRenderer):
             return f"(*{v.name})" if v.name in self._iter_vars else v.name
         return self._var_table[v.form](self, v)
 
-    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
+    def math_text(self, e: ir.MathCall, *rendered: str) -> str:
         # C's abs truncates; doubles need fabs, ints keep abs from stdlib.h.
-        if fn == "abs":
-            if operand.type.kind == "int":
-                self.needs.add("stdlib.h")
-                return f"abs({rendered[0]})"
-            fn = "fabs"
+        if e.fn == "abs" and e.type.kind == "int":
+            self.needs.add("stdlib.h")
+            return f"abs({rendered[0]})"
         self.needs.add("math.h")
-        return f"{fn}({', '.join(rendered)})"
+        return f"{'fabs' if e.fn == 'abs' else e.fn}({', '.join(rendered)})"
 
     def constructor_call(self, e: ir.Call, args: str) -> str:
         return f"{e.name}({args})"
@@ -182,13 +180,10 @@ class CppRenderer(CFamilyRenderer):
 
     def _sig_params(self, m: ir.MethodRepr) -> str:
         if m.inout is not None:
-            spec = m.inout
-            parts = (
-                [self._param_text(v, by_ref=True) for v in spec.inouts]
-                + [self._param_text(v) for v in spec.ins]
-                + [self._param_text(v, by_ref=True) for v in spec.outs]
-            )
-            return ", ".join(parts)
+            inouts, ins, outs = m.in_out_params
+            return ", ".join([self._param_text(v, by_ref)
+                              for by_ref, group in ((True, inouts), (False, ins), (True, outs))
+                              for v in group])
         return ", ".join(self._param_text(p) for p in m.params)
 
     def _sig_head(self, m: ir.MethodRepr, qualify: bool) -> str:

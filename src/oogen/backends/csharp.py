@@ -37,9 +37,9 @@ class CSharpRenderer(CFamilyRenderer):
         exe = f"{package}.exe"
         return [csc, f"-out:{exe}", *sources], [mono, exe]
 
-    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
+    def math_text(self, e: ir.MathCall, *rendered: str) -> str:
         self.needs.add("System")
-        return f"Math.{_MATH[fn]}({', '.join(rendered)})"
+        return f"Math.{_MATH[e.fn]}({', '.join(rendered)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.Count"
@@ -87,11 +87,8 @@ class CSharpRenderer(CFamilyRenderer):
     # -- declarations -----------------------------------------------------------
 
     def in_out_method_doc(self, m: ir.MethodRepr, modifiers: str) -> Doc:
-        spec = m.inout
-        params = (
-            [f"ref {self.type_text(v.type)} {v.name}" for v in spec.inouts]
-            + [f"{self.type_text(v.type)} {v.name}" for v in spec.ins]
-            + [f"out {self.type_text(v.type)} {v.name}" for v in spec.outs]
-        )
+        inouts, ins, outs = m.in_out_params
+        params = [f"{mode}{self.type_text(v.type)} {v.name}"
+                  for mode, group in (("ref ", inouts), ("", ins), ("out ", outs)) for v in group]
         header = f"{modifiers} void {m.name}({', '.join(params)}) {{"
         return self.braced(header, self.body(m.body))

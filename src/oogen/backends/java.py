@@ -45,8 +45,8 @@ class JavaRenderer(CFamilyRenderer):
 
     elem_text = boxed_text
 
-    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
-        return f"Math.{fn}({', '.join(rendered)})"
+    def math_text(self, e: ir.MathCall, *rendered: str) -> str:
+        return f"Math.{e.fn}({', '.join(rendered)})"
 
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.size()"
@@ -90,13 +90,11 @@ class JavaRenderer(CFamilyRenderer):
     # -- declarations -----------------------------------------------------------
 
     def in_out_method_doc(self, m: ir.MethodRepr, modifiers: str) -> Doc:
-        spec = m.inout
-        params = ", ".join(
-            f"{self.type_text(v.type)} {v.name}" for v in spec.inouts + spec.ins
-        )
+        inouts, ins, outs = m.in_out_params
+        params = ", ".join([f"{self.type_text(v.type)} {v.name}" for v in inouts + ins])
         header = f"{modifiers} Object[] {m.name}({params}){self.throws_suffix} {{"
-        declared = vcat([text(f"{self.boxed_text(v.type)} {v.name};") for v in spec.outs])
-        returned = spec.inouts + spec.outs
+        declared = vcat([text(f"{self.boxed_text(v.type)} {v.name};") for v in outs])
+        returned = inouts + outs
         packing = [text(f"Object[] outputs = new Object[{len(returned)}];")]
         packing += [text(f"outputs[{k}] = {v.name};") for k, v in enumerate(returned)]
         packing.append(text("return outputs;"))

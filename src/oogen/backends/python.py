@@ -62,11 +62,13 @@ class PythonRenderer(Renderer):
         self.needs.add(v.owner)
         return qualified(self, v)
 
-    def math_text(self, fn: str, operand: ir.ExprRepr, *rendered: str) -> str:
-        if fn == "abs":
+    def math_text(self, e: ir.MathCall, *rendered: str) -> str:
+        if e.fn == "abs":
             return f"abs({rendered[0]})"
         self.needs.add("math")
-        return f"math.{fn}({', '.join(rendered)})"
+        call = f"math.{e.fn}({', '.join(rendered)})"
+        # Python's floor and ceil give an int; the IR and the other targets a double.
+        return f"float({call})" if e.fn == "floor" or e.fn == "ceil" else call
 
     def external_call(self, e: ir.Call, args: str) -> str:
         self.needs.add(e.library)
@@ -187,10 +189,9 @@ class PythonRenderer(Renderer):
             return self.body(m.body)  # top-level script statements
         comment = self.doc_comment(m.doc)
         if m.inout is not None:
-            spec = m.inout
-            names = [v.name for v in spec.inouts] + [v.name for v in spec.ins]
-            header = f"def {m.name}({', '.join(names)}):"
-            returns = ", ".join(v.name for v in spec.inouts + spec.outs)
+            inouts, ins, outs = m.in_out_params
+            header = f"def {m.name}({', '.join([v.name for v in inouts + ins])}):"
+            returns = ", ".join([v.name for v in inouts + outs])
             suite = join_blocks([self.body(m.body), text(f"return {returns}")])
             return vcat([comment, hang(header, suite)])
         params = [p.name for p in m.params]

@@ -94,8 +94,11 @@ _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 # expressions a statement may be.
 _FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
 _STATEMENT_EXPRS = (ir.Call, ir.ListAppend)
-# Functions every target's math namespace provides under some spelling.
-MATH_FNS = ("sin", "cos", "tan", "sqrt", "abs", "floor", "ceil", "log", "exp")
+# Functions every target's math namespace provides under some spelling, by arity.
+MATH_FNS = {"sin": 1, "cos": 1, "tan": 1, "sqrt": 1, "abs": 1, "floor": 1, "ceil": 1,
+            "log": 1, "exp": 1, "pow": 2}
+# GOOL's operators that are library functions: each builds a `MathCall`.
+_MATH_OPERATORS = {"#|": "abs", "#/^": "sqrt", "#^": "pow"}
 
 
 def _refuse(message: str, error: type[BuildError] = TypeMismatch):
@@ -142,10 +145,9 @@ def _unary_kind(name: str, operand: str) -> str:
     if name == "?!":
         if operand != "bool":
             _require_bool(name, operand)
-        return "bool"
-    if operand not in _NUMERIC:
+    elif operand not in _NUMERIC:
         _require_numeric(name, operand)
-    return "float" if name == "#/^" else operand
+    return operand
 
 
 def _binary_kind(name: str, left: str, right: str) -> str:
@@ -162,9 +164,7 @@ def _binary_kind(name: str, left: str, right: str) -> str:
         _require_numeric(name, left, right)
     if name in _COMPARISONS:
         return "bool"
-    # Power always joins to float: three of four targets lower it to a
-    # double-returning library call.
-    return "float" if name == "#^" or "float" in (left, right) else "int"
+    return "float" if "float" in (left, right) else "int"
 
 
 def _elem(op: str, lst: ir.ExprRepr) -> ir.TypeRepr:
@@ -243,12 +243,16 @@ def _check_call(node: ir.Call) -> ir.Call:
 
 
 def _check_math(node: ir.MathCall) -> ir.MathCall:
-    fn, kind = node.fn, node.arg.type.kind
+    fn, args = node.fn, node.args
     if fn not in MATH_FNS:
         _refuse(f"unknown math function {fn!r}")
-    if kind not in _NUMERIC:
-        _refuse(f"{fn} requires a numeric argument, got {kind}")
-    kind = kind if fn == "abs" else "float"  # abs keeps the argument's type
+    arity = MATH_FNS[fn]
+    if args[arity:] or not args[arity - 1:]:  # slices, not `len`: no call on the valid path
+        _refuse(f"{fn} takes {arity} argument(s), got {len(args)}", SignatureMismatch)
+    for arg in args:
+        if arg.type.kind not in _NUMERIC:
+            _refuse(f"{fn} requires numeric arguments, got {arg.type.kind}")
+    kind = args[0].type.kind if fn == "abs" else "float"  # abs keeps its argument's type
     return node if node.type.kind == kind else _refuse(
         f"{fn} gives {kind}, not {_type_name(node.type)}")
 
@@ -363,12 +367,13 @@ def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
 
 def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
-    with an output and its in-outs, ins and outs, in that order, as its
-    parameters, a main `public static void main()`; then, unless `body` is
-    False, one walk of the body: a returned value has the method's return
-    type (or is an int in a float method), and an append to or a loop over
-    the local observer list follows its declaration and names its element
-    type (the rules make the value appended or the loop variable of it)."""
+    void, its split within its parameters and leaving it an output (an
+    in-out or an out), a main `public static void main()`; then, unless
+    `body` is False, one walk of the body: a returned value has the
+    method's return type (or is an int in a float method), and an append
+    to or a loop over the local observer list follows its declaration and
+    names its element type (the rules make the value appended or the loop
+    variable of it)."""
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -377,12 +382,13 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
         if name not in names:
             _refuse(f"{m.name} has no parameter {name!r}", UnknownParamDoc)
     spec = m.inout
-    if spec is not None:
-        if not (spec.outs or spec.inouts):
-            _refuse(f"inOutFunc {m.name!r} declares no outputs", SignatureMismatch)
-        if m.params != spec.inouts + spec.ins + spec.outs:
-            _refuse(f"inOutFunc {m.name!r} parameters must be its in-outs, ins and outs",
-                    SignatureMismatch)
+    split = spec.inouts + spec.ins if spec is not None else 0
+    if split and not m.params[split - 1:]:
+        _refuse(f"inOutFunc {m.name!r} splits more parameters than it has", SignatureMismatch)
+    if spec is not None and not (spec.inouts or m.params[split:]):
+        _refuse(f"inOutFunc {m.name!r} declares no outputs", SignatureMismatch)
+    if spec is not None and m.return_type.kind != "void":
+        _refuse(f"inOutFunc {m.name!r} must return void", SignatureMismatch)
     if m.is_main and (m.name != "main" or m.scope != ir.Scope.PUBLIC or m.params
                       or m.binding != ir.Binding.STATIC or m.return_type.kind != "void"):
         _refuse(f"main function {m.name!r} must be public static void main()", SignatureMismatch)
@@ -547,16 +553,26 @@ def value_of(variable: ir.VariableRepr) -> ir.ValueOf:
     return ir.ValueOf(variable)
 
 
+def math_fn(name: str, *args: ir.ExprRepr) -> ir.MathCall:
+    """A call of library function `name`, a key of `MATH_FNS`."""
+    return _check_math(ir.MathCall(name, args, args[0].type if name == "abs" and args
+                                   else ir.FLOAT))
+
+
 # apply_unary and apply_binary type their result as their rule checks it.
 
 
 def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
+    if op_name in _MATH_OPERATORS:
+        return math_fn(_MATH_OPERATORS[op_name], operand)
     if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 1:
         raise TypeMismatch(f"unknown unary operator {op_name!r}")
     return ir.Unary(op_name, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
+    if op_name in _MATH_OPERATORS:
+        return math_fn(_MATH_OPERATORS[op_name], left, right)
     if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 2:
         raise TypeMismatch(f"unknown binary operator {op_name!r}")
     kind = _binary_kind(op_name, left.type.kind, right.type.kind)

@@ -105,10 +105,9 @@ def obj_of(class_name: str) -> TypeRepr:
 # ---------------------------------------------------------------------------
 # Operators
 
-# Each operator's name and arity.
+# Each operator's name and arity; GOOL's `#|`, `#/^` and `#^` build a `MathCall`.
 OPERATORS: dict[str, int] = {
-    "?!": 1, "#~": 1, "#/^": 1, "#|": 1,
-    "#^": 2, "#*": 2, "#/": 2, "#+": 2, "#-": 2,
+    "?!": 1, "#~": 1, "#*": 2, "#/": 2, "#+": 2, "#-": 2,
     "?<": 2, "?<=": 2, "?>": 2, "?>=": 2, "?==": 2, "?!=": 2, "?&&": 2, "?||": 2,
 }
 
@@ -189,10 +188,10 @@ class Call(ExprRepr, metaclass=record):
 
 
 class MathCall(ExprRepr, metaclass=record):
-    """sin/cos/... lowered to the target's math namespace."""
+    """A library function, a key of `builders.MATH_FNS`, in the target's math namespace."""
 
     fn: str
-    arg: ExprRepr
+    args: tuple[ExprRepr, ...]
     type: TypeRepr
 
 
@@ -384,9 +383,10 @@ class ListSlice(StatementRepr, metaclass=record):
 
 
 class InOutSpec(metaclass=record):
-    ins: tuple[VariableRepr, ...]
-    outs: tuple[VariableRepr, ...]
-    inouts: tuple[VariableRepr, ...]
+    """An in/out method's `params`: `inouts` in-outs, then `ins` ins, then outs."""
+
+    inouts: int
+    ins: int
 
 
 class InOutCall(StatementRepr, metaclass=record):
@@ -471,9 +471,8 @@ class MethodRepr(metaclass=record):
     """A free function (containing_class None) or a method of the class that
     lists it, as the class rule sets it (the JSON does not write it).
 
-    For in/out/in-out procedures `inout` is set and `params` still lists
-    every declared name (in-outs, ins, outs) for documentation purposes;
-    backends compute the real signature from `inout`.
+    `params` lists every parameter once; an in/out procedure's `inout` says how
+    they split into in-outs, ins and outs (`in_out_params`).
     """
 
     name: str
@@ -486,6 +485,12 @@ class MethodRepr(metaclass=record):
     is_main: bool = False
     doc: DocSpec | None = None
     inout: InOutSpec | None = None
+
+    @property
+    def in_out_params(self) -> tuple[tuple[VariableRepr, ...], ...]:
+        """(in-outs, ins, outs): `params` split as `inout` says."""
+        inouts, ins = self.inout.inouts, self.inout.inouts + self.inout.ins
+        return self.params[:inouts], self.params[inouts:ins], self.params[ins:]
 
 
 class StateVarRepr(metaclass=record):

@@ -1,12 +1,14 @@
 """Versioned JSON interchange format for package trees.
 
-The document shape is {"version": 3, "program": {"name", "modules": [...]},
+The document shape is {"version": 4, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
 "statements": [...]}. A type is its kind's name ("int"), or an object
 tagged by "kind" for a list or object type; a method's parameters are
-written as the variables they are.
+written as the variables they are, once: an in/out procedure's "inout",
+{"inouts": n, "ins": m}, says the first n are in-outs, the next m ins and
+the rest outs. GOOL's `#|`, `#/^` and `#^` are "math" calls (abs, sqrt, pow).
 
 The table at the end of this module is the schema: one row per IR class
 (and per pair inside `if` and `switch`), holding its tag and its fields as
@@ -68,7 +70,7 @@ from . import ir
 from .builders import LIT_PAYLOADS, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
@@ -117,6 +119,8 @@ def _leaf(cls: type, what: str) -> _Kind:
 
 _STR = _leaf(str, "a string")
 _BOOL = _leaf(bool, "a boolean")
+_COUNT = _Kind(None, lambda raw, path, key, decoded: raw if type(raw) is int and raw >= 0
+               else _fail(f"field {key!r} must be a count: an integer, 0 or more", path))
 _ANY = _Kind(None, lambda raw, path, key, decoded: raw)
 
 
@@ -421,7 +425,7 @@ _EXPR.define({
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
     "call": _Row(ir.Call, F("form", _names(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library", _NAME)),
-    "math": _Row(ir.MathCall, F("fn", _STR), F("arg", _EXPR), F("type", _TYPE)),
+    "math": _Row(ir.MathCall, F("fn", _STR), F("args", _EXPRS), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
     "argExists": _Row(ir.ArgExists, F("index", _EXPR)),
@@ -471,8 +475,7 @@ _DOC = _Row(ir.DocSpec, F("description", _STR),
 _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
                F("returnType", _TYPE, "return_type"), F("params", _VARS), F("body", _BODY),
                F("main", _BOOL, "is_main"), F("doc", _DOC),
-               F("inout", _Row(ir.InOutSpec, F("ins", _VARS), F("outs", _VARS),
-                               F("inouts", _VARS))))
+               F("inout", _Row(ir.InOutSpec, F("inouts", _COUNT), F("ins", _COUNT))))
 _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
                   F("var", _VAR, "variable"), F("const", _BOOL, "is_const"))
 _CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),

@@ -8,15 +8,15 @@ comes from the caller passes its rule in `builders.RULES` as it is built.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from . import builders as bd
 from . import ir
 from .builders import RULES as _RULES
 from .errors import SignatureMismatch, TypeMismatch, UnknownStrategy
 
 
-def math_fn(name: str, arg: ir.ExprRepr) -> ir.MathCall:
-    # abs keeps the argument's type; the rest give float.
-    return _RULES[ir.MathCall](ir.MathCall(name, arg, arg.type if name == "abs" else ir.FLOAT))
+math_fn = bd.math_fn  # a library function's call: `math_fn("pow", x, y)`
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +111,23 @@ def in_out_func(name: str, scope: ir.Scope, binding: ir.Binding,
     Every target renders a different signature from the same spec; the
     declared parameter order everywhere is in-outs, ins, outs.
     """
-    spec = ir.InOutSpec(tuple(ins), tuple(outs), tuple(inouts))
-    params = spec.inouts + spec.ins + spec.outs
     return _RULES[ir.MethodRepr](ir.MethodRepr(
-        bd.check_identifier(name), scope, binding, ir.VOID, params, body_, inout=spec))
+        bd.check_identifier(name), scope, binding, ir.VOID, (*inouts, *ins, *outs), body_,
+        inout=ir.InOutSpec(len(inouts), len(ins))))
 
 
 def in_out_call(func: ir.MethodRepr, ins: list[ir.ExprRepr],
                 outs: list[ir.VariableRepr], inouts: list[ir.VariableRepr]) -> ir.InOutCall:
     """Checked against `func`, which a decoded in/out call does not hold."""
-    spec = func.inout
-    if spec is None:
+    if func.inout is None:
         raise SignatureMismatch(f"{func.name!r} is not an inOutFunc")
-    groups = (("in", spec.ins, ins), ("out", spec.outs, outs), ("in-out", spec.inouts, inouts))
+    groups = zip(("in-out", "in", "out"), func.in_out_params, (inouts, ins, outs))
     for label, declared, actual in groups:
-        if len(declared) != len(actual):
-            raise SignatureMismatch(
-                f"{func.name}: {len(actual)} {label} arguments, expected {len(declared)}"
-            )
-        for decl, act in zip(declared, actual):
+        for decl, act in zip_longest(declared, actual):  # a missing one is None
+            if decl is None or act is None:
+                raise SignatureMismatch(
+                    f"{func.name}: {len(actual)} {label} arguments, expected {len(declared)}"
+                )
             if decl.type.kind != act.type.kind:
                 raise SignatureMismatch(
                     f"{func.name}: {label} argument {decl.name!r} is {decl.type.kind},"

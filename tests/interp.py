@@ -135,10 +135,6 @@ class Interpreter:
                 return not operand
             if e.op == "#~":
                 return -operand
-            if e.op == "#/^":
-                return math.sqrt(operand)
-            if e.op == "#|":
-                return abs(operand)
             raise InterpError(f"unary operator {e.op}")
         if isinstance(e, ir.Binary):
             op = e.op
@@ -160,8 +156,6 @@ class Interpreter:
                     quotient = abs(left) // abs(right)  # truncated toward zero
                     return quotient if (left < 0) == (right < 0) else -quotient
                 return left / right
-            if op == "#^":
-                return math.pow(left, right)  # a float, as the IR types it
             if op == "?<":
                 return left < right
             if op == "?<=":
@@ -178,12 +172,11 @@ class Interpreter:
         if isinstance(e, ir.InlineIf):
             return ev(e.then) if ev(e.cond) else ev(e.other)
         if isinstance(e, ir.MathCall):
-            arg = ev(e.arg)
+            args = [ev(a) for a in e.args]
             if e.fn == "abs":
-                return abs(arg)
-            if e.fn in ("floor", "ceil"):
-                return float(getattr(math, e.fn)(arg))
-            return getattr(math, e.fn)(arg)
+                return abs(args[0])
+            # a float, as the IR types each but abs (Python's floor and ceil give an int)
+            return float(getattr(math, e.fn)(*args))
         if isinstance(e, ir.Call):
             if e.form == ir.CallForm.FUNCTION:
                 return self._call_function(self.functions[e.name],
@@ -384,20 +377,20 @@ class Interpreter:
     def _in_out_call(self, s: ir.InOutCall, frame: dict,
                      self_obj: Instance | None) -> None:
         func = self.functions[s.name]
-        spec = func.inout
+        inouts, ins, outs = func.in_out_params
         callee: dict[str, object] = {}
-        for decl, actual in zip(spec.ins, s.ins):
+        for decl, actual in zip(ins, s.ins):
             callee[decl.name] = self._eval(actual, frame, self_obj)
-        for decl, actual in zip(spec.inouts, s.inouts):
+        for decl, actual in zip(inouts, s.inouts):
             callee[decl.name] = self._read_var(actual, frame, self_obj)
         try:
             self._exec_body(func.body, callee, None)
         except _Return:
             pass
         # outs and in-outs flow back to the caller's variables
-        for decl, actual in zip(spec.outs, s.outs):
+        for decl, actual in zip(outs, s.outs):
             self._write_var(actual, callee.get(decl.name), frame, self_obj)
-        for decl, actual in zip(spec.inouts, s.inouts):
+        for decl, actual in zip(inouts, s.inouts):
             self._write_var(actual, callee.get(decl.name), frame, self_obj)
 
 

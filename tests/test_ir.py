@@ -275,8 +275,24 @@ def test_operator_nodes_take_table_precedence():
 
 def test_math_fn_typing():
     assert pt.math_fn("sin", bd.lit_float(1.0)).type == ir.FLOAT
+    assert pt.math_fn("pow", _i(), _i()).type == ir.FLOAT
     with pytest.raises(TypeMismatch):
         pt.math_fn("frob", bd.lit_float(1.0))
+    with pytest.raises(TypeMismatch, match="pow requires numeric arguments, got string"):
+        pt.math_fn("pow", _i(), bd.lit_string("2"))
+    with pytest.raises(SignatureMismatch, match="sin takes 1 argument"):
+        pt.math_fn("sin", _i(), _i())
+
+
+def test_gool_library_operators_build_math_calls():
+    x, y = _i(), bd.lit_float(2.0)
+    assert bd.apply_unary("#|", x) == pt.math_fn("abs", x) == ir.MathCall("abs", (x,), ir.INT)
+    assert bd.apply_unary("#/^", x) == pt.math_fn("sqrt", x)
+    assert bd.apply_binary("#^", x, y) == pt.math_fn("pow", x, y)
+    with pytest.raises(SignatureMismatch, match="pow takes 2 argument"):
+        bd.apply_unary("#^", x)
+    with pytest.raises(SignatureMismatch, match="abs takes 1 argument"):
+        bd.apply_binary("#|", x, y)
 
 
 # -- list operation typing ------------------------------------------------------

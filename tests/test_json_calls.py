@@ -16,10 +16,10 @@ import all_tags
 from oogen import jsonio
 from oogen.backends import TARGETS, get_backend
 
-LOADS_BUDGET = 1323
-ENCODE_BUDGET = 383
-BUILD_BUDGET = 747
-RENDER_BUDGETS = {"python": 627, "java": 894, "csharp": 859, "cpp": 1048}
+LOADS_BUDGET = 1314
+ENCODE_BUDGET = 375
+BUILD_BUDGET = 744
+RENDER_BUDGETS = {"python": 626, "java": 893, "csharp": 858, "cpp": 1046}
 
 
 def _calls(fn, *args) -> int:

@@ -218,6 +218,24 @@ def test_malformed_json_reports_invalid():
     assert "invalid JSON" in str(err.value)
 
 
+def test_library_operators_are_written_as_math_calls():
+    two = bd.lit_int(2)
+    pkg = bd.prog("p", [bd.build_module("Main", [], [bd.main_function(bd.one_liner(
+        pt.print_ln(bd.apply_binary("#^", two, bd.apply_unary("#|", two)))))], [])])
+    doc = jsonio.encode_package(pkg)
+    expr = doc["program"]["modules"][0]["functions"][0]["body"][0][0]["expr"]
+    lit = {"op": "lit", "kind": "int", "value": 2}
+    assert expr == {"op": "math", "fn": "pow", "type": "float", "args": [
+        lit, {"op": "math", "fn": "abs", "args": [lit], "type": "int"}]}
+    assert jsonio.decode_package(doc) == pkg
+    # GOOL's operator names are not operators of the document
+    for old in ({"op": "unary", "name": "#|", "operand": lit, "type": "int"},
+                {"op": "binary", "name": "#^", "left": lit, "right": lit, "type": "float"}):
+        expr.clear()
+        expr.update(old)
+        _expect_error(doc, ".expr", f"unknown {old['op']} operator {old['name']!r}")
+
+
 def test_decode_rebuilds_real_packages():
     # decoded trees are not just equal, they render identically
     from oogen.backends import get_backend

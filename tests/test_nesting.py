@@ -34,11 +34,15 @@ CHAINS = {
     "negate": lambda e: f'{{"op": "unary", "name": "#~", "operand": {e}, "type": "int"}}',
     "inline-if-else": lambda e: f'{{"op": "inlineIf", "cond": {_TRUE}, "then": {_LIT}, '
                                 f'"else": {e}}}',
-    "abs": lambda e: f'{{"op": "unary", "name": "#|", "operand": {e}, "type": "int"}}',
-    "sqrt": lambda e: f'{{"op": "unary", "name": "#/^", "operand": {e}, "type": "float"}}',
-    "sin": lambda e: f'{{"op": "math", "fn": "sin", "arg": {e}, "type": "float"}}',
-    "left-power": lambda e: f'{{"op": "binary", "name": "#^", "left": {e}, "right": {_LIT}, '
+    # A library function's arguments are an array: a level costs the decoder
+    # one frame more than an operator's.
+    "abs": lambda e: f'{{"op": "math", "fn": "abs", "args": [{e}], "type": "int"}}',
+    "sqrt": lambda e: f'{{"op": "math", "fn": "sqrt", "args": [{e}], "type": "float"}}',
+    "sin": lambda e: f'{{"op": "math", "fn": "sin", "args": [{e}], "type": "float"}}',
+    "left-power": lambda e: f'{{"op": "math", "fn": "pow", "args": [{e}, {_LIT}], '
                             f'"type": "float"}}',
+    "right-power": lambda e: f'{{"op": "math", "fn": "pow", "args": [{_LIT}, {e}], '
+                             f'"type": "float"}}',
 }
 
 

@@ -70,9 +70,9 @@ def test_in_out_param_order_is_inouts_ins_outs():
     fn = next(f for m in entry.modules for f in m.functions
               if f.name == "applyDiscount")
     assert [p.name for p in fn.params] == ["price", "discount", "isAffordable"]
-    assert fn.inout is not None
-    assert [v.name for v in fn.inout.inouts] == ["price"]
-    assert [v.name for v in fn.inout.outs] == ["isAffordable"]
+    assert fn.inout == ir.InOutSpec(inouts=1, ins=1)
+    assert [[v.name for v in group] for group in fn.in_out_params] == [
+        ["price"], ["discount"], ["isAffordable"]]
 
 
 def test_in_out_caller_sees_all_outputs():

@@ -23,7 +23,7 @@ import all_tags
 import oogen
 from oogen import ir
 from oogen import builders as bd, patterns as pt
-from oogen.backends import TARGETS, PythonRenderer, assemble_package, base, get_backend
+from oogen.backends import TARGETS, PythonRenderer, assemble_package, csharp, get_backend
 from oogen.backends.base import ATOMIC_PRECEDENCE
 from oogen.errors import UnsupportedConstruct
 
@@ -94,10 +94,9 @@ OPERAND_PLACES = {
     "unary": lambda x: ir.Unary("#~", x, ir.INT),
     "inline-if else": lambda x: ir.InlineIf(ir.Lit("bool", True), _ONE, x),
     "call argument": lambda x: ir.Call(ir.CallForm.FUNCTION, "f", (x,), ir.INT),
-    "math argument": lambda x: ir.MathCall("sin", x, ir.FLOAT),
-    "abs operand": lambda x: ir.Unary("#|", x, ir.INT),
-    "power left": lambda x: ir.Binary("#^", x, _ONE, ir.FLOAT),
-    "power right": lambda x: ir.Binary("#^", _ONE, x, ir.FLOAT),
+    "math argument": lambda x: ir.MathCall("sin", (x,), ir.FLOAT),
+    "power left": lambda x: ir.MathCall("pow", (x, _ONE), ir.FLOAT),
+    "power right": lambda x: ir.MathCall("pow", (_ONE, x), ir.FLOAT),
     "list index": lambda x: ir.ListAccess(_XS, x),
     "list receiver": lambda x: ir.ListAccess(x, _ONE),
 }
@@ -133,17 +132,20 @@ def test_every_variable_and_call_form_has_a_handler(target):
 
 
 # The IR names each operator and gives its arity; the renderer ranks and
-# spells it. A name in one table but not the others would fail at render:
-# an operator is ranked atomic exactly when it is spelled as a library
-# call, and has a token exactly when it is not.
+# spells it. A name in one table but not the others would fail at render,
+# and a token no operator has is dead. A library function is a `MathCall`,
+# which binds as tightly as a call.
 @pytest.mark.parametrize("target", TARGETS)
 def test_every_operator_is_ranked_and_spelled(target):
     renderer = type(get_backend(target))
+    assert set(renderer.op_tokens) == set(ir.OPERATORS)
     for name in ir.OPERATORS:
-        assert name in renderer._prec, name
-        spelled_as_call = name in base._OP_FUNCTIONS
-        assert (renderer._prec[name] == ATOMIC_PRECEDENCE) == spelled_as_call, name
-        assert (name in renderer.op_tokens) != spelled_as_call, name
+        assert renderer._prec[name] < ATOMIC_PRECEDENCE, name
+    assert renderer._prec[ir.MathCall] == ATOMIC_PRECEDENCE
+
+
+def test_csharp_spells_every_math_function_and_no_other():
+    assert set(csharp._MATH) == set(bd.MATH_FNS)
 
 
 class PythonWithoutListSize(PythonRenderer):

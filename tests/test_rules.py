@@ -104,7 +104,7 @@ CASES = {
     ir.Call: (_expr({"op": "call", "form": "method", "name": "f", "args": [],
                      "returnType": "int"}),
               lambda: bd.method_call(None, "f", ir.INT, [])),
-    ir.MathCall: (_expr({"op": "math", "fn": "sin", "arg": TEXT, "type": "float"}),
+    ir.MathCall: (_expr({"op": "math", "fn": "sin", "args": [TEXT], "type": "float"}),
                   lambda: pt.math_fn("sin", bd.lit_string("s"))),
     ir.ArgAt: (_expr({"op": "argAt", "index": TEXT}), lambda: pt.arg_at(bd.lit_string("s"))),
     ir.ArgExists: (_expr({"op": "argExists", "index": TEXT}),
@@ -310,9 +310,9 @@ def test_mutating_a_const_list_is_a_const_assignment(op):
     assert str(err.value) == "$.program.modules[0].classes[0]: C.xs is const but assigned in grow"
 
 
-# An in/out procedure renders its signature from `inout` and its doc and
-# body from `params`, so the two must list the same variables: in-outs, ins,
-# outs. `patterns.in_out_func` always builds them so.
+# An in/out procedure lists its parameters once, in `params`: `inout` says
+# how many of them lead as in-outs and how many ins follow, and the rest are
+# outs. `patterns.in_out_func` builds them so.
 
 def _in_out_doc() -> dict:
     a, b, c = bd.var("a", ir.INT), bd.var("b", ir.INT), bd.var("c", ir.INT)
@@ -321,46 +321,39 @@ def _in_out_doc() -> dict:
     return jsonio.encode_package(bd.prog("p", [bd.build_module("M", [], [swap], [])]))
 
 
-def _rename(*steps):
-    def mutate(func):
-        node = func
-        for step in steps:
-            node = node[step]
-        node["name"] = "x"
-    return mutate
-
-
-def _set(*steps, value):
-    def mutate(func):
-        node = func
-        for step in steps[:-1]:
-            node = node[step]
-        node[steps[-1]] = value
-    return mutate
-
-
-_IN_OUT_MISMATCHES = {
-    **{f"params[{i}].name": _rename("params", i) for i in range(3)},
-    "params reversed": lambda func: func["params"].reverse(),
-    **{f"inout.{group}": _set("inout", group, value=[]) for group in ("ins", "outs", "inouts")},
-    **{f"inout.{group}[0].name": _rename("inout", group, 0)
-       for group in ("ins", "outs", "inouts")},
+_COUNT = "must be a count: an integer, 0 or more"
+# Fields of an in/out method that its rule refuses, and where each is refused:
+# a split the parameters cannot take, and a return type other than void,
+# which C++ alone would declare (`int swap(...)` with no return statement).
+_IN_OUT_BREAKS = {
+    "in-outs past the parameters": ({"inout": {"inouts": 4, "ins": 0}}, "",
+                                    "inOutFunc 'swap' splits more parameters than it has"),
+    "ins past the parameters": ({"inout": {"inouts": 1, "ins": 3}}, "",
+                                "inOutFunc 'swap' splits more parameters than it has"),
+    "no output": ({"inout": {"inouts": 0, "ins": 3}}, "", "inOutFunc 'swap' declares no outputs"),
+    "a negative count": ({"inout": {"inouts": 1, "ins": -1}}, ".inout", f"field 'ins' {_COUNT}"),
+    "a boolean count": ({"inout": {"inouts": True, "ins": 1}}, ".inout",
+                        f"field 'inouts' {_COUNT}"),
+    "a float count": ({"inout": {"inouts": 1.0, "ins": 1}}, ".inout", f"field 'inouts' {_COUNT}"),
+    "an int return": ({"returnType": "int"}, "", "inOutFunc 'swap' must return void"),
 }
 
 
 def test_in_out_params_as_built_decode():
     doc = _in_out_doc()
+    swap = doc["program"]["modules"][0]["functions"][0]
+    assert swap["inout"] == {"inouts": 1, "ins": 1}
     assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
 
 
-@pytest.mark.parametrize("mutation", list(_IN_OUT_MISMATCHES))
-def test_in_out_params_must_match_the_spec(mutation):
+@pytest.mark.parametrize("case", list(_IN_OUT_BREAKS))
+def test_an_in_out_method_breaking_its_rule_is_refused(case):
+    fields, where, message = _IN_OUT_BREAKS[case]
     doc = _in_out_doc()
-    _IN_OUT_MISMATCHES[mutation](doc["program"]["modules"][0]["functions"][0])
+    doc["program"]["modules"][0]["functions"][0].update(fields)
     with pytest.raises(DecodeError) as err:
         jsonio.decode_package(doc)
-    assert str(err.value) == (
-        f"{_MODULE}.functions[0]: inOutFunc 'swap' parameters must be its in-outs, ins and outs")
+    assert str(err.value) == f"{_MODULE}.functions[0]{where}: {message}"
 
 
 # Statements each target but Python refuses to compile, or runs otherwise,
@@ -583,8 +576,19 @@ _MORE_REFUSALS = {
         None, lambda: _main_doc(ir.Print(ir.Binary("#+", _ONE_INT, _ONE_INT, ir.FLOAT), True)),
         _STMT + ".expr", "#+ gives int, not float"),
     "sin typed int": (
-        None, lambda: _main_doc(ir.Print(ir.MathCall("sin", _ONE_INT, ir.INT), True)),
+        None, lambda: _main_doc(ir.Print(ir.MathCall("sin", (_ONE_INT,), ir.INT), True)),
         _STMT + ".expr", "sin gives float, not int"),
+    "pow of one argument": (
+        lambda: pt.math_fn("pow", _ONE_INT),
+        lambda: _main_doc(ir.Print(ir.MathCall("pow", (_ONE_INT,), ir.FLOAT), True)),
+        _STMT + ".expr", "pow takes 2 argument(s), got 1"),
+    "sqrt of two arguments": (
+        lambda: pt.math_fn("sqrt", _ONE_INT, _ONE_INT),
+        lambda: _main_doc(ir.Print(ir.MathCall("sqrt", (_ONE_INT, _ONE_INT), ir.FLOAT), True)),
+        _STMT + ".expr", "sqrt takes 1 argument(s), got 2"),
+    "pow typed int": (
+        None, lambda: _main_doc(ir.Print(ir.MathCall("pow", (_ONE_INT, _ONE_INT), ir.INT), True)),
+        _STMT + ".expr", "pow gives float, not int"),
 }
 
 

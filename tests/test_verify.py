@@ -500,6 +500,31 @@ def test_power_of_two_ints_prints_a_float_in_the_oracle_python_and_java(tmp_path
     assert {r.stdout for r in report.executed} == {"1099511627776.0\n9.0"}
 
 
+# Each math function's argument, where every libm's result is exact, so the
+# test checks how each target spells and types a call, not how it rounds.
+_MATH_ARGS = {"sin": [0.0], "cos": [0.0], "tan": [0.0], "sqrt": [6.25], "abs": [-2.5],
+              "floor": [2.5], "ceil": [2.5], "log": [1.0], "exp": [0.0], "pow": [2.0, 10]}
+
+
+def test_every_math_function_prints_as_the_oracle_on_python_and_java(tmp_path):
+    # One call of each function in the math table, then GOOL's `#|`, `#/^`
+    # and `#^`. C++ is left out until it prints a double as Python does: it
+    # prints floor(2.5) as `2`.
+    assert set(_MATH_ARGS) == set(bd.MATH_FNS)
+    calls = [pt.math_fn(fn, *[bd.lit_float(a) if type(a) is float else bd.lit_int(a)
+                              for a in args]) for fn, args in _MATH_ARGS.items()]
+    calls += [bd.apply_unary("#|", bd.lit_int(-4)), bd.apply_unary("#/^", bd.lit_int(9)),
+              bd.apply_binary("#^", bd.lit_int(3), bd.lit_int(2))]
+    main = bd.main_function(bd.body_statements([pt.print_ln(call) for call in calls]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    oracle = verify.normalize_stdout(run_package(pkg))
+    assert oracle.split("\n") == [
+        "0.0", "1.0", "0.0", "2.5", "2.5", "2.0", "3.0", "0.0", "1.0", "1024.0", "4", "3.0", "9.0"]
+    report = verify.verify_package(pkg, targets=("python", "java"), root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {oracle}
+
+
 def _matches_the_oracle_everywhere(tmp_path, statements) -> str:
     """What the oracle prints for a main of `statements`, once python,
     java and cpp have printed the same."""
