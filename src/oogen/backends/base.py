@@ -29,11 +29,11 @@ one rule for a plain name (a for-each variable is an iterator there).
 
 A node some target spells natively is lowered once, here, to core IR for
 the targets that do not, so every target accepts or refuses the same
-trees. The lowering functions build nodes with the `ir` constructors
-(their parts are already typed) as each node is rendered: `switch_as_if`
-turns a switch into an if-chain for targets that cannot switch on its
-value; `range_as_for`, `slice_as_loop` and `list_print` give a counted
-loop for targets without ranges, slices or list printing.
+trees. Each renderer's `lowerings` table says which nodes it lowers and
+how; `__init_subclass__` folds it into the statement table, so a node is
+lowered as it is rendered. `switch_as_if` gives an if-chain, `for_as_while`
+a `while`, and `range_as_for`, `slice_as_loop` and `list_print` a counted
+loop, each built with the `ir` constructors (the parts are already typed).
 
 Expression rendering is string-based and precedence-driven, using the
 *target's* view of precedence. This module's tables rank each node
@@ -57,6 +57,7 @@ is atomic, and the target's `math_text` spells it.
 from __future__ import annotations
 
 from .. import ir
+from .._record import replace
 from ..errors import NestingTooDeep, UnsupportedConstruct
 from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
@@ -174,6 +175,28 @@ def list_print(s: ir.Print, depth: int = 1) -> ir.BlockRepr:
     return ir.BlockRepr((_OPEN, loop, guard, ir.Print(ir.Lit("string", "]"), s.newline)))
 
 
+def for_as_while(s: ir.For) -> ir.BlockRepr:
+    """The loop as its init, then a `while` whose last block ends with the
+    update, for targets without a three-part loop. A `continue` of the loop
+    would skip that update, so the update runs before each one too; a
+    nested loop's `continue` is its own."""
+
+    def placed(value):  # a statement, a body, a tuple of them, or any other field
+        cls = type(value)
+        if cls is ir.Continue:
+            return ir.BlockRepr((s.update, value))
+        if cls is tuple:
+            return tuple([placed(part) for part in value])
+        fields = ir.statement_fields(cls)
+        if not fields or cls in (ir.For, ir.ForRange, ir.ForEach, ir.While):
+            return value
+        return replace(value, **{name: placed(getattr(value, name)) for name in fields})
+
+    blocks = placed(s.body).blocks or (ir.BlockRepr(()),)
+    last = ir.BlockRepr((*blocks[-1].statements, s.update))
+    return ir.BlockRepr((s.init, ir.While(s.cond, ir.BodyRepr((*blocks[:-1], last)))))
+
+
 def _resolve(cls, handlers: dict) -> dict:
     """`handlers` with each method name replaced by `cls`'s method. A name
     `cls` does not define (or sets to None) is left out: its node is one the
@@ -241,8 +264,8 @@ class Renderer:
         ir.ListIndexOf: "list_index_of",
     }
     # Statements every target spells alike but for `statement_end`, and the
-    # nodes every target lowers to core IR the same way; each family merges
-    # these into its own table.
+    # names of the methods that spell the others; each family merges these
+    # into its own table.
     stmt_handlers: dict = {
         ir.Assign: "assign_doc",
         ir.ListSet: lambda self, s: text(self.list_set_text(s) + self.statement_end),
@@ -256,10 +279,11 @@ class Renderer:
         ir.If: "if_doc",
         ir.Switch: "switch_doc",
         ir.For: "for_doc",
-        ir.ForRange: lambda self, s: self.for_doc(range_as_for(s)),
-        ir.ListSlice: lambda self, s: self.block(slice_as_loop(s)),
         ir.InOutCall: "in_out_call_doc",
     }
+    # Node class -> function from a node to the core IR this target renders
+    # in its place, or to the node itself where the target spells it.
+    lowerings: dict = {}
 
     # How each variable form but PLAIN (a bare name) is referred to, and
     # how each call form but FUNCTION (`name(args)`) is spelled: resolved
@@ -279,7 +303,13 @@ class Renderer:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._expr_table = _Dispatch(_resolve(cls, cls.expr_handlers), cls.target, "expression")
-        cls._stmt_table = _Dispatch(_resolve(cls, cls.stmt_handlers), cls.target, "statement")
+        stmts = _resolve(cls, cls.stmt_handlers)
+        for node_class, lower in cls.lowerings.items():  # each renders as what it lowers to
+            def lowered(self, s, lower=lower, native=stmts.get(node_class)):
+                low = lower(s)
+                return native(self, s) if low is s else self._stmt_table[type(low)](self, low)
+            stmts[node_class] = lowered
+        cls._stmt_table = _Dispatch(stmts, cls.target, "statement")
         cls._var_table = _resolve(cls, cls.var_forms)
         cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
@@ -423,10 +453,6 @@ class Renderer:
     def step_text(self, target: str, sign: str) -> str:
         """`target` incremented (`sign` "+") or decremented ("-")."""
         return f"{target}{sign}{sign}"
-
-    def switch_doc(self, s: ir.Switch) -> Doc:
-        """An if-chain; the C family overrides this with its native switch."""
-        return self.if_doc(switch_as_if(s))
 
     def list_set_text(self, s: ir.ListSet) -> str:
         return f"{self.atom(s.lst)}[{self.expr(s.index)}] = {self.expr(s.value)}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .. import ir
 from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
-from .base import Renderer, escape_string, list_print
+from .base import Renderer, escape_string, list_print, range_as_for, slice_as_loop
 
 
 class CFamilyRenderer(Renderer):
@@ -62,10 +62,11 @@ class CFamilyRenderer(Renderer):
             self.braced("try {", self.body(s.try_body)),
             self.braced(self.catch_header(), self.body(s.catch_body)),
         ]),
-        ir.Print: lambda self, s: (
-            self.block(list_print(s)) if s.expr.type.kind == "list" else self.print_scalar_doc(s)),
+        ir.Print: "print_scalar_doc",
         ir.Read: "read_doc",
     }
+    lowerings = {ir.ForRange: range_as_for, ir.ListSlice: slice_as_loop,
+                 ir.Print: lambda s: list_print(s) if s.expr.type.kind == "list" else s}
 
     # -- expressions shared by Java and C# ---------------------------------------
 

@@ -37,6 +37,10 @@ class CppRenderer(CFamilyRenderer):
     empty_list_decl = "{t} {name}(0);"
     list_access_text = "{}.at({})"
 
+    # no switch on std::string
+    lowerings = {**CFamilyRenderer.lowerings,
+                 ir.Switch: lambda s: switch_as_if(s) if s.value.type.kind == "string" else s}
+
     def __init__(self) -> None:
         super().__init__()
         self._iter_vars: set[str] = set()
@@ -116,11 +120,6 @@ class CppRenderer(CFamilyRenderer):
 
     def catch_header(self) -> str:
         return "catch (...) {"
-
-    def switch_doc(self, s: ir.Switch) -> Doc:
-        if s.value.type.kind == "string":  # no switch on std::string
-            return self.if_doc(switch_as_if(s))
-        return super().switch_doc(s)
 
     def free_doc(self, v: ir.VariableRepr) -> Doc:
         return text(f"delete {self.var_ref(v)};")

@@ -3,23 +3,22 @@
 Python output is untyped and indentation-structured: declarations mostly
 vanish (names bind at first assignment; list declarations become `x = []`
 so appends work), main-module statements run at top level as a plain
-script, and list printing is native.
+script, and `lowerings` stands in for the switch and three-part `for` it lacks.
 """
 
 from __future__ import annotations
 
 from .. import ir
 from ..layout import EMPTY, Doc, RenderedFile, extract, hang, join_blocks, text, vcat
-from .base import Renderer, comment_doc, doc_fields, escape_string, qualified, range_as_for
+from .base import (Renderer, comment_doc, doc_fields, escape_string, for_as_while, list_print,
+                   qualified, range_as_for, switch_as_if)
 
 
-def _suite(header: str, rendered: Doc) -> Doc:
-    """`header` over `rendered` as an indented suite, with an explicit pass
-    when no line is code (the suite is empty or holds only comments)."""
-    for line in rendered:
-        if line.lstrip()[:1] not in ("", "#"):
-            return hang(header, rendered)
-    return hang(header, rendered + ("pass",))
+def _innermost(t: ir.TypeRepr) -> str:
+    """The kind of the elements of list type `t`'s innermost list."""
+    while t.kind == "list":
+        t = t.elem
+    return t.kind
 
 
 class PythonRenderer(Renderer):
@@ -34,12 +33,6 @@ class PythonRenderer(Renderer):
     # and the comparisons, and ==/!= sit *at* comparison level.
     op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
     op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
-
-    def __init__(self) -> None:
-        super().__init__()
-        # The rendered update of the innermost loop, when that loop is a
-        # for-loop lowered to a `while` (see `for_doc`); empty in any other.
-        self._loop_update: Doc = EMPTY
 
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
@@ -101,16 +94,13 @@ class PythonRenderer(Renderer):
     # -- statements -----------------------------------------------------------
 
     def suite(self, header: str, b: ir.BodyRepr) -> Doc:
-        return _suite(header, self.body(b))
-
-    def loop_suite(self, header: str, b: ir.BodyRepr) -> Doc:
-        """`suite` for a loop that runs no update: a `continue` in `b` is its
-        own, so no enclosing for-loop's update runs before it."""
-        outer, self._loop_update = self._loop_update, EMPTY
-        try:
-            return _suite(header, self.body(b))
-        finally:
-            self._loop_update = outer
+        """`header` over `b` as an indented suite, with an explicit pass
+        when no line is code (the suite is empty or holds only comments)."""
+        rendered = self.body(b)
+        for line in rendered:
+            if line.lstrip()[:1] not in ("", "#"):
+                return hang(header, rendered)
+        return hang(header, rendered + ("pass",))
 
     stmt_handlers = {
         **Renderer.stmt_handlers,
@@ -121,10 +111,9 @@ class PythonRenderer(Renderer):
         ir.VarDecDef: lambda self, s: text(f"{s.var.name} = {self.expr(s.value)}"),
         ir.Throw: lambda self, s: text(f'raise Exception("{escape_string(s.message)}")'),
         ir.Free: lambda self, s: text(f"del {self.var_ref(s.var)}"),
-        ir.Continue: lambda self, s: (*self._loop_update, "continue"),
-        ir.ForEach: lambda self, s: self.loop_suite(
+        ir.ForEach: lambda self, s: self.suite(
             f"for {s.var.name} in {self.expr(s.iterable)}:", s.body),
-        ir.While: lambda self, s: self.loop_suite(f"while {self.expr(s.cond)}:", s.body),
+        ir.While: lambda self, s: self.suite(f"while {self.expr(s.cond)}:", s.body),
         ir.TryCatch: lambda self, s: vcat([
             self.suite("try:", s.try_body), self.suite("except Exception:", s.catch_body)]),
         ir.Print: lambda self, s: text(
@@ -134,19 +123,21 @@ class PythonRenderer(Renderer):
         ir.ForRange: "range_doc",
         ir.ListSlice: "slice_assign_doc",
     }
-
-    def for_doc(self, s: ir.For) -> Doc:
-        # No three-part loop in the grammar: init, then a while whose body
-        # ends with the update. A `continue` in the body runs the update
-        # first: `_loop_update` holds it while the body renders here (not in
-        # a helper, so a loop level costs one frame fewer).
-        update = self.stmt(s.update)
-        outer, self._loop_update = self._loop_update, update
-        try:
-            body = self.body(s.body)
-        finally:
-            self._loop_update = outer
-        return vcat([self.stmt(s.init), _suite(f"while {self.expr(s.cond)}:", body + update)])
+    # No switch and no three-part loop in the grammar. range() keeps the C
+    # family's `<=` test only for a step known to be positive; any other
+    # step loops as they do.
+    lowerings = {
+        ir.Switch: switch_as_if,
+        ir.For: for_as_while,
+        ir.ForRange: lambda s: (
+            s if type(s.step) is ir.Lit and s.step.kind == "int" and s.step.value >= 1
+            else range_as_for(s)),
+        # print() quotes each string in a list; `list_print` prints it bare,
+        # as the other targets do.
+        ir.Print: lambda s: (
+            list_print(s) if s.expr.type.kind == "list"
+            and _innermost(s.expr.type) in ("string", "char") else s),
+    }
 
     def slice_assign_doc(self, s: ir.ListSlice) -> Doc:
         start = self.expr(s.start) if s.start is not None else ""
@@ -172,14 +163,9 @@ class PythonRenderer(Renderer):
         return vcat(docs)
 
     def range_doc(self, s: ir.ForRange) -> Doc:
-        # range() keeps the C family's `<=` test only for a step known to
-        # be positive; any other step loops as they do.
-        step = s.step
-        if type(step) is not ir.Lit or step.kind != "int" or step.value < 1:
-            return self.for_doc(range_as_for(s))
         stop = self.literal_plus_one(s.end)  # range() excludes its end
-        steps = "" if step.value == 1 else f", {step.value}"
-        return self.loop_suite(
+        steps = "" if s.step.value == 1 else f", {s.step.value}"
+        return self.suite(
             f"for {s.var.name} in range({self.expr(s.start)}, {stop}{steps}):", s.body)
 
     # -- declarations -----------------------------------------------------------

@@ -408,14 +408,14 @@ _SPACES = str.maketrans("[],|.", "     ")
 
 
 @cache
-def _nesting(cls: type) -> tuple[str, ...]:
+def statement_fields(cls: type) -> tuple[str, ...]:
     """The fields of `cls`, in declared order, whose declared type names a
     statement class or a record with such fields (a `BodyRepr`). The
     annotations in `__record_specs__` are strings naming classes of this
     module; naming itself (`TypeRepr.elem`) does not count."""
     return tuple(name for name, (annotation, _) in getattr(cls, "__record_specs__", {}).items()
                  if any(isinstance(named, type) and named is not cls
-                        and (issubclass(named, StatementRepr) or _nesting(named))
+                        and (issubclass(named, StatementRepr) or statement_fields(named))
                         for named in map(globals().get, annotation.translate(_SPACES).split())))
 
 
@@ -445,7 +445,7 @@ def walk(node) -> list:
         try:
             statement, nesting = _WALK[cls]
         except KeyError:
-            names = _nesting(cls)
+            names = statement_fields(cls)
             statement, nesting = _WALK[cls] = (
                 issubclass(cls, StatementRepr), attrgetter(*names) if names else None)
         if statement and value is not node:

@@ -628,6 +628,17 @@ def test_python_update_is_placed_before_continue_in_blocks_but_not_in_nested_loo
             f"i = 0\nwhile i < 3:\n{rendered}    i = i + 1")
 
 
+def test_python_update_ends_the_last_block_even_one_that_renders_nothing():
+    # A last block that renders nothing (it is empty, or holds only scalar
+    # declarations, which Python drops) still holds the update, so the
+    # blank line between blocks comes before it.
+    render, k = get_backend("python").render_stmt, bd.var("k", ir.INT)
+    show = bd.block([pt.print_ln(bd.value_of(I_VAR))])
+    for last in (bd.block([]), bd.block([bd.var_dec(k)])):
+        assert render(_count_to_3(bd.body([show, last]))) == (
+            "i = 0\nwhile i < 3:\n    print(i)\n\n    i = i + 1")
+
+
 def test_all_tags_python_compiles_and_its_for_loop_ends():
     pkg = all_tags.package()
     python = get_backend("python")

@@ -19,7 +19,7 @@ from oogen.backends import TARGETS, get_backend
 LOADS_BUDGET = 1314
 ENCODE_BUDGET = 375
 BUILD_BUDGET = 744
-RENDER_BUDGETS = {"python": 626, "java": 893, "csharp": 858, "cpp": 1046}
+RENDER_BUDGETS = {"python": 640, "java": 895, "csharp": 860, "cpp": 1050}
 
 
 def _calls(fn, *args) -> int:

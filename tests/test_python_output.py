@@ -16,7 +16,7 @@ from oogen.backends import assemble_package
 _SYNTH_PATH = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
 
 
-def _synth(seed: int):
+def synth_package(seed: int):
     """The benchmark's synthetic package for `seed`, at its default size."""
     synth = sys.modules.get("bench_synth")
     if synth is None:  # its dataclasses look their module up in sys.modules
@@ -26,13 +26,14 @@ def _synth(seed: int):
     return synth.build(synth.make_plan(seed))
 
 
-_PACKAGES = [*((e.name, lambda e=e: e.package) for e in gallery.ENTRIES),
-             ("all_tags", all_tags.package),
-             *((f"synth{seed}", lambda seed=seed: _synth(seed)) for seed in (1, 2, 3))]
+# (name, package maker); `tests/test_lowering.py` reads them too.
+PACKAGES = [*((e.name, lambda e=e: e.package) for e in gallery.ENTRIES),
+            ("all_tags", all_tags.package),
+            *((f"synth{seed}", lambda seed=seed: synth_package(seed)) for seed in (1, 2, 3))]
 
 
-@pytest.mark.parametrize("make", [make for _, make in _PACKAGES],
-                         ids=[name for name, _ in _PACKAGES])
+@pytest.mark.parametrize("make", [make for _, make in PACKAGES],
+                         ids=[name for name, _ in PACKAGES])
 def test_rendered_python_compiles_without_a_warning(make):
     modules = [f for f in assemble_package(make(), "python") if f.path.endswith(".py")]
     assert modules

@@ -273,6 +273,28 @@ def test_verify_compiles_what_the_makefile_builds(target, tmp_path, monkeypatch)
     assert steps[0] == [tools.get(word, word) for word in build]
 
 
+def test_a_list_of_text_prints_its_elements_bare_everywhere(tmp_path):
+    # Python's print() would quote each string of a list: ['a', 'b'].
+    def declared(name, elem, values):
+        xs = bd.var(name, ir.list_of(elem))
+        return xs, [bd.var_dec(xs), *[bd.call_stmt(pt.list_append(bd.value_of(xs), v))
+                                      for v in values]]
+
+    words, declare_words = declared("words", ir.STRING, [bd.lit_string("a"), bd.lit_string("b")])
+    chars, declare_chars = declared("chars", ir.CHAR, [bd.lit_char("c")])
+    nested, declare_nested = declared("nested", ir.list_of(ir.STRING), [bd.value_of(words)])
+    main = bd.main_function(bd.body_statements([
+        *declare_words, *declare_chars, *declare_nested,
+        *[pt.print_ln(bd.value_of(xs)) for xs in (words, chars, nested)],
+    ]))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    assert run_package(pkg) == "[a, b]\n[c]\n[[a, b]]\n"
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"[a, b]\n[c]\n[[a, b]]"}
+
+
 def test_public_class_variable_prints_through_print_expr_everywhere(tmp_path):
     count = bd.class_var("Counter", "count", ir.INT)
     counter = bd.build_class("Counter", None, ir.Scope.PUBLIC,
