@@ -10,7 +10,7 @@ use hard tabs; that is a format requirement, not a style choice.
 from __future__ import annotations
 
 from . import ir
-from .errors import NoMainModule, UnsupportedConstruct
+from .errors import NoMainModule
 from .layout import Doc, RenderedFile, extract, join_blocks, text, vcat
 
 DOX_CONFIG_NAME = "doxConfig"
@@ -54,8 +54,6 @@ def render_aux(pkg: ir.PackageTree, target: str) -> list[RenderedFile]:
     for spec in pkg.aux:
         if spec.kind == "makefile":
             out.append(render_makefile(pkg, target, spec.with_doc_rule))
-        elif spec.kind == "doxygen":
+        else:  # "doxygen", the package rule's one other kind
             out.append(render_dox_config(pkg))
-        else:
-            raise UnsupportedConstruct(f"unknown auxiliary file kind {spec.kind!r}")
     return out

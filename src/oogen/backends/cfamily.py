@@ -75,9 +75,6 @@ class CFamilyRenderer(Renderer):
     def constructor_call(self, e: ir.Call, args: str) -> str:
         return f"new {e.name}({args})"
 
-    def args_list(self, e: ir.ArgsList) -> str:
-        return "args"
-
     def arg_at(self, e: ir.ArgAt) -> str:
         i = e.index
         return f"args[{self._expr_table[type(i)](self, i)}]"

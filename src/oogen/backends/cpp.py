@@ -86,7 +86,8 @@ class CppRenderer(CFamilyRenderer):
         return f"{self.atom(receiver)}.{e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:
-        return "argv"
+        self.needs.update(("vector", "string"))
+        return "std::vector<std::string>(argv + 1, argv + argc)"  # argv[0] is the program
 
     def arg_at(self, e: ir.ArgAt) -> str:
         return f"argv[{self.literal_plus_one(e.index)}]"  # argv[0] is the program
@@ -125,15 +126,19 @@ class CppRenderer(CFamilyRenderer):
         return text(f"delete {self.var_ref(v)};")
 
     def for_each_doc(self, s: ir.ForEach) -> Doc:
-        header = self.for_each_header(s)
-        added = s.var.name not in self._iter_vars
-        if added:
-            self._iter_vars.add(s.var.name)
+        # A loop over a variable runs an iterator over it. Any other iterable
+        # is a temporary, whose `begin()` and `end()` would belong to two
+        # lists: it is looped over by value, and its variable is no iterator.
+        name, outer = s.var.name, self._iter_vars
+        if type(s.iterable) is ir.ValueOf:
+            header, self._iter_vars = self.for_each_header(s), outer | {name}
+        else:
+            header = f"for ({self.type_text(s.var.type)} {name} : {self.expr(s.iterable)}) {{"
+            self._iter_vars = outer - {name}
         try:
             return self.braced(header, self.body(s.body))
         finally:
-            if added:
-                self._iter_vars.discard(s.var.name)
+            self._iter_vars = outer
 
     def for_each_header(self, s: ir.ForEach) -> str:
         seq = self.atom(s.iterable)

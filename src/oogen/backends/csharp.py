@@ -41,6 +41,9 @@ class CSharpRenderer(CFamilyRenderer):
         self.needs.add("System")
         return f"Math.{_MATH[e.fn]}({', '.join(rendered)})"
 
+    def args_list(self, e: ir.ArgsList) -> str:
+        return "new System.Collections.Generic.List<string>(args)"
+
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.Count"
 

@@ -48,6 +48,9 @@ class JavaRenderer(CFamilyRenderer):
     def math_text(self, e: ir.MathCall, *rendered: str) -> str:
         return f"Math.{e.fn}({', '.join(rendered)})"
 
+    def args_list(self, e: ir.ArgsList) -> str:
+        return "new java.util.ArrayList<String>(java.util.Arrays.asList(args))"
+
     def list_size(self, e: ir.ListSize) -> str:
         return f"{self.atom(e.lst)}.size()"
 

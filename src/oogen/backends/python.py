@@ -72,7 +72,7 @@ class PythonRenderer(Renderer):
 
     def args_list(self, e: ir.ArgsList) -> str:
         self.needs.add("sys")
-        return "sys.argv"
+        return "sys.argv[1:]"
 
     def arg_at(self, e: ir.ArgAt) -> str:
         self.needs.add("sys")
@@ -146,9 +146,10 @@ class PythonRenderer(Renderer):
         return text(f"{s.target.name} = {self.atom(s.source)}[{start}:{end}:{step}]")
 
     def in_out_call_doc(self, s: ir.InOutCall) -> Doc:
-        targets = ", ".join(v.name for v in s.inouts + s.outs)
-        args = [self.var_ref(v) for v in s.inouts] + [self.expr(e) for e in s.ins]
-        return text(f"{targets} = {s.name}({', '.join(args)})")
+        inouts = [self.var_ref(v) for v in s.inouts]
+        targets = inouts + [self.var_ref(v) for v in s.outs]
+        args = inouts + [self.expr(e) for e in s.ins]
+        return text(f"{', '.join(targets)} = {s.name}({', '.join(args)})")
 
     def step_text(self, target: str, sign: str) -> str:
         return f"{target} = {target} {sign} 1"  # no ++/--

@@ -7,7 +7,10 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 `RULES` maps an IR class to the rule its nodes obey: it takes the finished
 node and returns it, or raises a `BuildError`. The constructors here and in
 `oogen.patterns` call it as they build, and `oogen.jsonio` on each node it
-decodes. Names are checked per field (`check_identifier`, `check_type`,
+decodes. The rules judge every value but a name: an enumerated field's by
+`in` on a tuple, which never hashes, so any JSON value outside its set is
+refused.
+Names are checked per field (`check_identifier`, `check_type`,
 `check_dotted_name`). Only `patterns.in_out_call` (against its callee) and
 `patterns.run_strategy` (its chosen name) check what their node does not hold.
 """
@@ -90,6 +93,10 @@ _COMPARISONS = ("?<", "?<=", "?>", "?>=")
 _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
 _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
+_SCOPES, _BINDINGS = ir.names(ir.Scope), ir.names(ir.Binding)
+_VAR_FORMS, _CALL_FORMS = ir.names(ir.VarForm), ir.names(ir.CallForm)
+_ASSIGN_MODES, _AUX_KINDS = ir.names(ir.AssignMode), ("makefile", "doxygen")
+_BINARY = tuple(name for name, arity in ir.OPERATORS.items() if arity == 2)
 # The statements a for header takes as its update and its init, and the
 # expressions a statement may be.
 _FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
@@ -107,6 +114,10 @@ def _refuse(message: str, error: type[BuildError] = TypeMismatch):
 
 # The rules test a valid kind inline and call these only to raise the
 # message for the first kind that fails: a valid node costs no call here.
+
+def _one_of(key: str, values: tuple[str, ...], of: str = ""):
+    _refuse(f"field {key!r}{of} must be one of: {', '.join(values)}", BuildError)
+
 
 def _require_numeric(op: str, *kinds: str) -> None:
     for kind in kinds:
@@ -145,6 +156,8 @@ def _unary_kind(name: str, operand: str) -> str:
     if name == "?!":
         if operand != "bool":
             _require_bool(name, operand)
+    elif name != "#~":
+        _refuse(f"unknown unary operator {name!r}")
     elif operand not in _NUMERIC:
         _require_numeric(name, operand)
     return operand
@@ -160,6 +173,8 @@ def _binary_kind(name: str, left: str, right: str) -> str:
         if left != right and not (left in _NUMERIC and right in _NUMERIC):
             _refuse(f"{name} requires matching types, got {left} and {right}")
         return "bool"
+    if name not in _BINARY:
+        _refuse(f"unknown binary operator {name!r}")
     if left not in _NUMERIC or right not in _NUMERIC:
         _require_numeric(name, left, right)
     if name in _COMPARISONS:
@@ -194,6 +209,7 @@ def _int_index(op: str, node):
 # The payload each literal kind takes, as `isinstance` tests it; a bool is
 # an int to Python, so no other kind takes one.
 LIT_PAYLOADS = {"bool": bool, "int": int, "float": (int, float), "char": str, "string": str}
+_LIT_KINDS = tuple(LIT_PAYLOADS)
 
 
 def _check_lit(lit: ir.Lit) -> ir.Lit:
@@ -201,6 +217,8 @@ def _check_lit(lit: ir.Lit) -> ir.Lit:
     numbers every target spells (32-bit ints, finite doubles); one-letter
     chars."""
     kind, value = lit.kind, lit.value
+    if kind not in _LIT_KINDS:
+        _refuse(f"unknown literal kind {kind!r}", BuildError)
     if not isinstance(value, LIT_PAYLOADS[kind]) or type(value) is bool and kind != "bool":
         _refuse(f"value does not fit literal kind {kind!r}")
     if kind == "float" and type(value) is not float:
@@ -230,6 +248,8 @@ def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
 
 
 def _check_call(node: ir.Call) -> ir.Call:
+    if node.form not in _CALL_FORMS:
+        _one_of("form", _CALL_FORMS)
     if node.form == ir.CallForm.METHOD:
         if node.receiver is None:
             _refuse("method call requires a 'receiver'", BuildError)
@@ -272,6 +292,8 @@ def _check_value_fits(op: str, node):
 
 def _check_assign(node: ir.Assign) -> ir.Assign:
     mode, value = node.mode, node.value
+    if mode not in _ASSIGN_MODES:
+        _one_of("mode", _ASSIGN_MODES)
     step = _STEP_NAMES[mode] if mode in _STEP_NAMES else None
     if (value is None) != (step is not None):
         _refuse(f"assign mode {mode!r} "
@@ -374,6 +396,10 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     to or a loop over the local observer list follows its declaration and
     names its element type (the rules make the value appended or the loop
     variable of it)."""
+    if m.scope not in _SCOPES:
+        _one_of("scope", _SCOPES)
+    if m.binding not in _BINDINGS:
+        _one_of("binding", _BINDINGS)
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -428,6 +454,13 @@ _WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
 
 
 def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
+    if c.scope not in _SCOPES:
+        _one_of("scope", _SCOPES)
+    for sv in c.state_vars:  # however each was made, `build_class` sees it
+        if sv.scope not in _SCOPES:
+            _one_of("scope", _SCOPES, f" of state variable {sv.variable.name!r}")
+        if sv.binding not in _BINDINGS:
+            _one_of("binding", _BINDINGS, f" of state variable {sv.variable.name!r}")
     name = _first_repeat([m.name for m in c.methods])
     if name is not None:
         _refuse(f"class {c.name} declares {name!r} twice", DuplicateMethod)
@@ -463,15 +496,30 @@ def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
         _refuse(f"module {name!r} appears twice", DuplicateModule)
     if sum(f.is_main for m in pkg.modules for f in m.functions) > 1:
         _refuse("program declares more than one main function", DuplicateMethod)
+    for spec in pkg.aux:  # no builder makes an aux file's spec
+        if spec.kind not in _AUX_KINDS:
+            _refuse(f"unknown aux file kind {spec.kind!r}", BuildError)
     kind = _first_repeat([spec.kind for spec in pkg.aux])
     return pkg if kind is None else _refuse(
         f"package lists the auxiliary file kind {kind!r} twice", BuildError)
 
 
+def _check_var(v: ir.VariableRepr) -> ir.VariableRepr:
+    if v.form not in _VAR_FORMS:
+        _one_of("form", _VAR_FORMS)
+    return v if v.owner is not None or v.form in (ir.VarForm.PLAIN, ir.VarForm.SELF) else (
+        _refuse(f"form {v.form!r} requires an 'owner'", BuildError))
+
+
+def _check_split(spec: ir.InOutSpec) -> ir.InOutSpec:
+    for key, count in (("inouts", spec.inouts), ("ins", spec.ins)):
+        if type(count) is not int or count < 0:  # a bool is no count
+            _refuse(f"field {key!r} must be a count: an integer, 0 or more", BuildError)
+    return spec
+
+
 RULES = {
-    ir.VariableRepr: lambda v: v if v.owner is not None or v.form in (
-        ir.VarForm.PLAIN, ir.VarForm.SELF) else _refuse(
-        f"form {v.form!r} requires an 'owner'", BuildError),
+    ir.VariableRepr: _check_var,
     ir.Lit: _check_lit, ir.Unary: _check_operator, ir.Binary: _check_operator,
     ir.InlineIf: _check_inline_if, ir.Call: _check_call, ir.MathCall: _check_math,
     ir.ArgAt: lambda n: _int_index("argAt", n), ir.ArgExists: lambda n: _int_index("argExists", n),
@@ -488,6 +536,7 @@ RULES = {
     ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
         f"an expression statement must be a call or a listAppend,"
         f" got {type(n.expr).__name__}", BuildError),
+    ir.InOutSpec: _check_split,
     ir.MethodRepr: _check_method, ir.ClassDeclRepr: _check_class,
     ir.ModuleRepr: _check_module, ir.PackageTree: _check_package,
 }
@@ -565,16 +614,12 @@ def math_fn(name: str, *args: ir.ExprRepr) -> ir.MathCall:
 def apply_unary(op_name: str, operand: ir.ExprRepr) -> ir.ExprRepr:
     if op_name in _MATH_OPERATORS:
         return math_fn(_MATH_OPERATORS[op_name], operand)
-    if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 1:
-        raise TypeMismatch(f"unknown unary operator {op_name!r}")
     return ir.Unary(op_name, operand, ir.SCALAR_TYPES[_unary_kind(op_name, operand.type.kind)])
 
 
 def apply_binary(op_name: str, left: ir.ExprRepr, right: ir.ExprRepr) -> ir.ExprRepr:
     if op_name in _MATH_OPERATORS:
         return math_fn(_MATH_OPERATORS[op_name], left, right)
-    if op_name not in ir.OPERATORS or ir.OPERATORS[op_name] != 2:
-        raise TypeMismatch(f"unknown binary operator {op_name!r}")
     kind = _binary_kind(op_name, left.type.kind, right.type.kind)
     return ir.Binary(op_name, left, right, ir.SCALAR_TYPES[kind])
 

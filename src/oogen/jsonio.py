@@ -24,30 +24,29 @@ On the valid path neither walker makes a builtin or Python call per field
 for bookkeeping: a field costs a call only where its kind has work to do
 (a nested object or array, a name's check, an encoder). `_decode` tests a
 key with `in` and reads it by subscript, hands a nested object straight to
-itself, and reads a field of a lookup kind (one of an `ir` namespace's
-names such as a binding or a variable form, a choice such as an operator
-name, a scalar type) by subscript of that kind's table, calling the
-kind's `dec` only on a miss: to decode a list or object type, or to
-raise. `_encode` makes no bookkeeping call per node either: it finds a
-record's row by subscript, starts the object from the row's tag by a dict
-display (not `dict.copy`), reads the field values of a record with
-fields by one `attrgetter` (a one-field record's too), and leaves out a
-value whose default is None by identity alone.
+itself, reads a scalar type by subscript of `ir.SCALAR_TYPES`, calling
+`_decode_type` only on a miss (a list or object type, or to raise), and
+reads a value that is no name, string or boolean as the JSON gives it.
+`_encode` makes no bookkeeping call per node either: it finds a record's
+row by subscript, starts the object from the row's tag by a dict display
+(not `dict.copy`), reads the field values of a record with fields by one
+`attrgetter` (a one-field record's too), and leaves out a value whose
+default is None by identity alone.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
-produce. Decoding validates structure: tags, the names of bindings,
-scopes, forms and assignment modes, field types and operator names, each
+produce. Decoding checks shape: objects, arrays, fields, tags, the strings
+and booleans a field must hold, scalar type names and the version, each
 failure reported with the JSON path of the offending node. Every name
 must also pass the builders' `check_identifier` (program, module, class
 and parent class, method, variable and its owner, call and library, in/out
 call, object type), and every import
 their `check_dotted_name`, so none can become a path outside the output
-directory or code. Then each node, a method, class, module and package
-too, must pass its class's rule in `builders.RULES`, which the builders
-run (a literal's rule checks its payload's type): a failure is a
-DecodeError at the node with the builder's message. Only the checks of
-`patterns.in_out_call` (against its callee) and `patterns.run_strategy`
-(its chosen name) are not run on decode.
+directory or code. The rules judge every other value: each node, a method,
+class, module and package too, must pass its class's rule in
+`builders.RULES`, which the builders run (a scope, an operator's name, a
+literal's kind and payload): a failure is a DecodeError at the node with the
+builder's message. Only the checks of `patterns.in_out_call` (against its
+callee) and `patterns.run_strategy` (its chosen name) are not run on decode.
 
 A decoded package shares equal variables, as a built one does: within one
 decode_package call, each distinct variable object is decoded and checked
@@ -67,7 +66,7 @@ import json
 from operator import attrgetter
 
 from . import ir
-from .builders import LIT_PAYLOADS, RULES, check_dotted_name, check_identifier, package
+from .builders import RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
 SCHEMA_VERSION = 4
@@ -103,9 +102,9 @@ def _array(data, path) -> list:
 
 
 class _Kind:
-    """`table`, if given, maps each valid raw value to what it decodes to:
-    `_decode` reads a field of this kind by subscript, and `dec` handles
-    only what the table lacks (a list or object type), or raises."""
+    """A kind with no `dec` is read as the JSON gives it, for the rules.
+    `table` maps each valid raw value to what it decodes to, by subscript;
+    `dec` handles only what it lacks (a list or object type), or raises."""
 
     def __init__(self, enc, dec, table=None):
         self.enc, self.dec, self.table = enc, dec, table
@@ -119,9 +118,7 @@ def _leaf(cls: type, what: str) -> _Kind:
 
 _STR = _leaf(str, "a string")
 _BOOL = _leaf(bool, "a boolean")
-_COUNT = _Kind(None, lambda raw, path, key, decoded: raw if type(raw) is int and raw >= 0
-               else _fail(f"field {key!r} must be a count: an integer, 0 or more", path))
-_ANY = _Kind(None, lambda raw, path, key, decoded: raw)
+_AS_GIVEN = _Kind(None, None)
 
 
 def _name(check, not_a_string) -> _Kind:
@@ -141,42 +138,16 @@ _IMPORT = _name(check_dotted_name,
                 lambda raw, path, i, decoded: _fail("imports must be strings", (path, i)))
 
 
-def _names(namespace) -> _Kind:
-    """One of the strings of an `ir` namespace such as `ir.Binding`, decoded
-    to that namespace's constant and written as it is."""
-    values = ir.names(namespace)
-
-    def refuse(raw, path, key, decoded):
-        _fail(f"field {key!r} must be one of: {', '.join(values)}", path)
-    return _Kind(None, refuse, {v: v for v in values})
-
-
-def _choice(values, noun: str) -> _Kind:
-    """A string among `values`; a dict `values` maps it to what it decodes to."""
-    values = values if isinstance(values, dict) else {v: v for v in values}
-
-    def refuse(raw, path, key, decoded):
-        if not isinstance(raw, str):
-            _STR.dec(raw, path, key, None)  # raises
-        _fail(f"unknown {noun} {raw!r}", path)
-    return _Kind(None, refuse, values)
-
-
-def _operator(arity: int, noun: str) -> _Kind:
-    return _choice([name for name, n in ir.OPERATORS.items() if n == arity], noun)
-
-
 def _list(item: _Kind, wrap=None) -> _Kind:
     """A JSON array of `item`s <-> a tuple, or the one-field record `wrap`
     holding that tuple (a block's statements, a body's blocks). Both ways
     copy the array and replace each item in the copy by a plain loop: a
     comprehension would cost a Python frame per array level, and
     `list.append` a builtin call per item. The walkers' rule holds here
-    too: no call per item but the one that decodes or encodes it, and a
-    lookup kind's table is read by subscript (in `_decode`), never through
-    its `dec`. An object item goes straight to `_decode`, and an item of one
-    row straight to `_encode` with that row, so an item costs one call and
-    one frame either way."""
+    too: no call per item but the one that decodes or encodes it. An object
+    item goes straight to `_decode`, and an item of one row straight to
+    `_encode` with that row, so an item costs one call and one frame either
+    way."""
     unwrap = attrgetter(wrap.__match_args__[0]) if wrap else None
     item_enc, item_dec = item.enc, item.dec
     shape = item if isinstance(item, _Shape) else None
@@ -278,7 +249,7 @@ class _Row(_Shape):
         self.keys, self.encoders, self.decoders = (), [], []
         for key, attr, kind in fields:
             pos, sub = attr if names is None else names.index(attr), None
-            if kind.dec is None:  # a shape, which `_decode` decodes
+            if kind.enc is _encode:  # a shape, which `_decode` decodes
                 sub = kind
             self.keys += (key,)
             self.encoders += ((key, pos, kind.enc, self.defaults[pos]),)
@@ -288,8 +259,7 @@ class _Row(_Shape):
 class _Union(_Shape):
     def __init__(self, key: str, noun: str):
         super().__init__()
-        self.key, self.rows = key, {}
-        self.tags = _choice(self.rows, noun)
+        self.key, self.noun, self.rows = key, noun, {}
 
     def define(self, rows: dict[str, _Row]) -> None:
         for tag, row in rows.items():
@@ -326,7 +296,9 @@ def _decode(shape: _Shape, data, path, decoded: dict):
         try:
             row = shape.rows[tag]
         except (KeyError, TypeError):  # an unknown tag, or one that cannot be hashed
-            shape.tags.dec(tag, path, key, None)  # raises
+            if not isinstance(tag, str):
+                _STR.dec(tag, path, key, None)  # raises
+            _fail(f"unknown {shape.noun} {tag!r}", path)
         seen = 1
     share = row.share
     if share is not None:
@@ -351,6 +323,9 @@ def _decode(shape: _Shape, data, path, decoded: dict):
             continue
         if sub is not None:
             args[pos] = _decode(sub, raw, (path, key), decoded)
+            continue
+        if dec is None:  # as given, for the rule
+            args[pos] = raw
             continue
         if table is not None:
             try:
@@ -410,20 +385,18 @@ _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
-_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _names(ir.VarForm)),
+_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _AS_GIVEN),
             F("owner", _NAME), share=_var_key)
 _VARS = _list(_VAR)
 
 _EXPR.define({
-    "lit": _Row(ir.Lit, F("kind", _choice(LIT_PAYLOADS.keys(), "literal kind")), F("value", _ANY),
-                share=_lit_key),
+    "lit": _Row(ir.Lit, F("kind", _AS_GIVEN), F("value", _AS_GIVEN), share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
-    "unary": _Row(ir.Unary, F("name", _operator(1, "unary operator"), "op"), F("operand", _EXPR),
-                  F("type", _TYPE)),
-    "binary": _Row(ir.Binary, F("name", _operator(2, "binary operator"), "op"), F("left", _EXPR),
-                   F("right", _EXPR), F("type", _TYPE)),
+    "unary": _Row(ir.Unary, F("name", _AS_GIVEN, "op"), F("operand", _EXPR), F("type", _TYPE)),
+    "binary": _Row(ir.Binary, F("name", _AS_GIVEN, "op"), F("left", _EXPR), F("right", _EXPR),
+                   F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _names(ir.CallForm)), F("name", _NAME), F("args", _EXPRS),
+    "call": _Row(ir.Call, F("form", _AS_GIVEN), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library", _NAME)),
     "math": _Row(ir.MathCall, F("fn", _STR), F("args", _EXPRS), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
@@ -438,7 +411,7 @@ _EXPR.define({
 _STMT.define({
     "varDec": _Row(ir.VarDec, F("var", _VAR)),
     "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
-    "assign": _Row(ir.Assign, F("mode", _names(ir.AssignMode)), F("var", _VAR), F("value", _EXPR)),
+    "assign": _Row(ir.Assign, F("mode", _AS_GIVEN), F("var", _VAR), F("value", _EXPR)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
     "throw": _Row(ir.Throw, F("message", _STR)),
@@ -468,24 +441,22 @@ _STMT.define({
                       F("inouts", _VARS)),
 })
 
-_SCOPE, _BINDING = _names(ir.Scope), _names(ir.Binding)
 _DOC = _Row(ir.DocSpec, F("description", _STR),
             F("params", _list(_Kind(list, _param_doc)), "param_descs"),
             F("returns", _STR, "return_desc"))
-_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _SCOPE), F("binding", _BINDING),
+_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _AS_GIVEN), F("binding", _AS_GIVEN),
                F("returnType", _TYPE, "return_type"), F("params", _VARS), F("body", _BODY),
                F("main", _BOOL, "is_main"), F("doc", _DOC),
-               F("inout", _Row(ir.InOutSpec, F("inouts", _COUNT), F("ins", _COUNT))))
-_STATE_VAR = _Row(ir.StateVarRepr, F("scope", _SCOPE), F("binding", _BINDING),
+               F("inout", _Row(ir.InOutSpec, F("inouts", _AS_GIVEN), F("ins", _AS_GIVEN))))
+_STATE_VAR = _Row(ir.StateVarRepr, F("scope", _AS_GIVEN), F("binding", _AS_GIVEN),
                   F("var", _VAR, "variable"), F("const", _BOOL, "is_const"))
-_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _SCOPE),
+_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _AS_GIVEN),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
               F("parent", _NAME), F("doc", _DOC))
 _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)), F("doc", _DOC))
 _PROGRAM = _Row(ir.PackageTree, F("name", _NAME), F("modules", _list(_MODULE)))
-_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _choice(("makefile", "doxygen"), "aux file kind")),
-                    F("docRule", _BOOL, "with_doc_rule")))
+_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _AS_GIVEN), F("docRule", _BOOL, "with_doc_rule")))
 
 
 def _version(raw, path, key, decoded):

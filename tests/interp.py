@@ -188,7 +188,7 @@ class Interpreter:
                 return self._call_method(receiver, e.name, [ev(a) for a in e.args])
             raise InterpError(f"call form {e.form}")
         if isinstance(e, ir.ArgsList):
-            return self.args
+            return list(self.args)  # a new list each time, as on every target
         if isinstance(e, ir.ArgAt):
             return self.args[ev(e.index)]
         if isinstance(e, ir.ArgExists):
@@ -257,7 +257,10 @@ class Interpreter:
               self_obj: Instance | None) -> None:
         ev = lambda x: self._eval(x, frame, self_obj)
         if isinstance(s, ir.VarDec):
-            frame.setdefault(s.var.name, _default_value(s.var.type))
+            if s.var.type.kind == "list":  # every target starts a declared list empty
+                frame[s.var.name] = []
+            else:  # Python renders no scalar declaration: a loop's keeps its value
+                frame.setdefault(s.var.name, _default_value(s.var.type))
         elif isinstance(s, ir.VarDecDef):
             self._write_var(s.var, ev(s.value), frame, self_obj)
         elif isinstance(s, ir.Assign):

@@ -4,7 +4,7 @@ import pytest
 
 from oogen import auxfiles, builders as bd, gallery, ir, patterns as pt
 from oogen.backends import assemble_package, get_backend
-from oogen.errors import NoMainModule, UnsupportedConstruct
+from oogen.errors import BuildError, NoMainModule
 from oogen.layout import extract
 
 
@@ -69,9 +69,8 @@ def test_makefile_without_main_module_refused():
 
 
 def test_unknown_aux_kind_refused():
-    pkg = bd.package(_pkg(), [ir.AuxFileSpec("changelog")])
-    with pytest.raises(UnsupportedConstruct):
-        auxfiles.render_aux(pkg, "python")
+    with pytest.raises(BuildError, match="^unknown aux file kind 'changelog'$"):
+        bd.package(_pkg(), [ir.AuxFileSpec("changelog")])
 
 
 def test_dox_config_is_three_settings():

@@ -31,6 +31,17 @@ def test_for_range_is_end_inclusive():
     assert run_package(_main_package([loop])) == "1\n2\n3\n"
 
 
+def test_a_list_declared_in_a_loop_starts_empty_each_pass():
+    # The oracle kept the last pass's elements: [1] then [1, 2]; every target
+    # prints [1] then [2].
+    i, xs = bd.var("i", ir.INT), bd.var("xs", ir.list_of(ir.INT))
+    loop = bd.for_range(i, bd.lit_int(1), bd.lit_int(2), bd.lit_int(1), bd.body_statements([
+        bd.var_dec(xs),
+        bd.call_stmt(pt.list_append(bd.value_of(xs), bd.value_of(i))),
+        pt.print_ln(bd.value_of(xs))]))
+    assert run_package(_main_package([loop])) == "[1]\n[2]\n"
+
+
 def test_for_range_respects_step():
     i = bd.var("i", ir.INT)
     loop = bd.for_range(i, bd.lit_int(0), bd.lit_int(6), bd.lit_int(3),

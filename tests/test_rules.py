@@ -66,6 +66,14 @@ def _module(**fields):
     return put
 
 
+def _function(**fields):
+    """Add a function `f` with `fields` after main."""
+    def put(doc):
+        doc["program"]["modules"][0]["functions"].append(dict(FUNCTION, **fields))
+        return _MODULE + ".functions[1]"
+    return put
+
+
 def _duplicate_module(doc):
     modules = doc["program"]["modules"]
     modules.append(json.loads(json.dumps(modules[0])))
@@ -146,6 +154,9 @@ CASES = {
                           "source": ONE}),
                    lambda: pt.list_slice(bd.var("xs", ir.list_of(ir.INT)), bd.lit_int(1))),
     ir.ExprStmt: (_stmt({"stmt": "expr", "expr": ONE}), lambda: bd.call_stmt(bd.lit_int(1))),
+    # `patterns.in_out_func` counts the lists it is given: no builder takes a split.
+    ir.InOutSpec: (lambda doc: _function(inout={"inouts": 0, "ins": -1})(doc) + ".inout",
+                   lambda: bd.RULES[ir.InOutSpec](ir.InOutSpec(0, -1))),
     ir.MethodRepr: (_duplicate_params,
                     lambda: bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
                                         [bd.param(_X), bd.param(_X)], _EMPTY)),
@@ -176,6 +187,112 @@ def test_decode_refuses_what_the_builder_refuses(cls):
         jsonio.loads(json.dumps(doc))
     assert decoded.value.path == path
     assert str(decoded.value) == f"{path}: {built.value}"
+
+
+# Each enumerated field's value is judged by its node's rule alone, which the
+# builders run and the decoder runs on the value as the JSON gives it: any
+# value outside the field's set is refused, a string that is code, a null,
+# a number, an array or an object alike, with one message. A scope or binding
+# once rendered verbatim (`bd.function("f", "public static void evil() {}
+# public", ...)`), and an unknown aux kind failed only at render.
+
+def _class(scope="public", state_scope="public", state_binding="dynamic"):
+    """A module class `C` holding the state variable `n`."""
+    return _module(classes=[{"name": "C", "scope": scope, "methods": [], "stateVars": [
+        {"scope": state_scope, "binding": state_binding, "var": {"name": "n", "type": "int"}}]}])
+
+
+def _build_class(scope=ir.Scope.PUBLIC, state_scope=ir.Scope.PUBLIC,
+                 state_binding=ir.Binding.DYNAMIC):
+    return bd.build_class("C", None, scope, [
+        bd.state_var(state_scope, state_binding, bd.var("n", ir.INT))], [])
+
+
+def _aux(kind):
+    def put(doc):
+        doc["aux"] = [{"kind": kind}]
+        return "$"
+    return put
+
+
+TRUE = _lit("bool", True)
+_MAIN_MODULE = bd.build_module("Main", [], [bd.main_function(_EMPTY)], [])
+# field -> (a document change that gives it value v and the path of the node
+# refusing it, the builder call, or the rule on a node, that gives it v)
+ENUMERATED = {
+    "method scope": (lambda v: _function(scope=v), lambda v: bd.function(
+        "f", v, ir.Binding.STATIC, ir.VOID, [], _EMPTY)),
+    "method binding": (lambda v: _function(binding=v), lambda v: bd.function(
+        "f", ir.Scope.PUBLIC, v, ir.VOID, [], _EMPTY)),
+    "class scope": (lambda v: lambda doc: _class(scope=v)(doc) + ".classes[0]",
+                    lambda v: _build_class(scope=v)),
+    "state variable scope": (lambda v: lambda doc: _class(state_scope=v)(doc) + ".classes[0]",
+                             lambda v: _build_class(state_scope=v)),
+    "state variable binding": (
+        lambda v: lambda doc: _class(state_binding=v)(doc) + ".classes[0]",
+        lambda v: _build_class(state_binding=v)),
+    "variable form": (
+        lambda v: _stmt({"stmt": "varDec", "var": {"name": "x", "type": "int", "form": v}},
+                        ".var"),
+        lambda v: bd.RULES[ir.VariableRepr](ir.VariableRepr("x", ir.INT, v))),
+    "call form": (
+        lambda v: _expr({"op": "call", "form": v, "name": "f", "args": [], "returnType": "int"}),
+        lambda v: bd.RULES[ir.Call](ir.Call(v, "f", (), ir.INT))),
+    "assign mode": (
+        lambda v: _stmt({"stmt": "assign", "mode": v, "var": {"name": "x", "type": "int"},
+                         "value": ONE}),
+        lambda v: bd.RULES[ir.Assign](ir.Assign(v, _X, bd.lit_int(1)))),
+    "literal kind": (lambda v: _expr(_lit(v, 1)), lambda v: bd.RULES[ir.Lit](ir.Lit(v, 1))),
+    "unary operator": (
+        lambda v: _expr({"op": "unary", "name": v, "operand": TRUE, "type": "bool"}),
+        lambda v: bd.RULES[ir.Unary](ir.Unary(v, bd.lit_bool(True), ir.BOOL))),
+    "binary operator": (
+        lambda v: _expr({"op": "binary", "name": v, "left": ONE, "right": ONE, "type": "int"}),
+        lambda v: bd.RULES[ir.Binary](ir.Binary(v, bd.lit_int(1), bd.lit_int(1), ir.INT))),
+    "aux kind": (_aux, lambda v: bd.package(bd.prog("p", [_MAIN_MODULE]), [ir.AuxFileSpec(v)])),
+    "in-out count": (
+        lambda v: lambda doc: _function(inout={"inouts": v, "ins": 0})(doc) + ".inout",
+        lambda v: bd.RULES[ir.InOutSpec](ir.InOutSpec(v, 0))),
+    "in count": (
+        lambda v: lambda doc: _function(inout={"inouts": 0, "ins": v})(doc) + ".inout",
+        lambda v: bd.RULES[ir.InOutSpec](ir.InOutSpec(0, v))),
+}
+
+
+@pytest.mark.parametrize("value", ["prv", None, -1, True, [], {"a": 1}],
+                         ids=["a string", "null", "-1", "true", "an array", "an object"])
+@pytest.mark.parametrize("field", list(ENUMERATED))
+def test_an_enumerated_value_outside_its_set_is_refused_built_and_decoded(field, value):
+    put, build = ENUMERATED[field]
+    with pytest.raises(BuildError) as built:
+        build(value)
+    doc = _base()
+    path = put(value)(doc)
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(doc)
+    assert str(decoded.value) == f"{path}: {built.value}"
+
+
+def test_every_valid_enumerated_value_builds_and_decodes():
+    for scope in ir.names(ir.Scope):
+        for binding in ir.names(ir.Binding):
+            _build_class(scope, scope, binding)
+            for put in (_function(scope=scope, binding=binding),
+                        _class(scope, scope, binding)):
+                doc = _base()
+                put(doc)
+                jsonio.decode_package(doc)
+    for kind in ("makefile", "doxygen"):
+        doc = _base()
+        _aux(kind)(doc)
+        assert jsonio.decode_package(doc).aux == (ir.AuxFileSpec(kind),)
+
+
+def test_apply_unary_and_apply_binary_leave_an_unknown_name_to_the_rule():
+    with pytest.raises(TypeMismatch, match=r"^unknown unary operator '#\+'$"):
+        bd.apply_unary("#+", bd.lit_int(1))
+    with pytest.raises(TypeMismatch, match=r"^unknown binary operator '\?!'$"):
+        bd.apply_binary("?!", bd.lit_bool(True), bd.lit_bool(True))
 
 
 # The literal rule checks the payload's type: `bd.lit_string(5)` used to

@@ -547,13 +547,16 @@ def test_every_math_function_prints_as_the_oracle_on_python_and_java(tmp_path):
     assert {r.stdout for r in report.executed} == {oracle}
 
 
-def _matches_the_oracle_everywhere(tmp_path, statements) -> str:
-    """What the oracle prints for a main of `statements`, once python,
-    java and cpp have printed the same."""
+def _matches_the_oracle_everywhere(tmp_path, statements, functions=(), classes=(),
+                                   args=()) -> str:
+    """What the oracle prints for a main of `statements`, run with `args`
+    beside `functions` and `classes`, once python, java and cpp have
+    printed the same."""
     main = bd.main_function(bd.body_statements(statements))
-    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
-    oracle = verify.normalize_stdout(run_package(pkg))
-    report = verify.verify_package(pkg, targets=("python", "java", "cpp"), root_dir=str(tmp_path))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [*functions, main], list(classes))])
+    oracle = verify.normalize_stdout(run_package(pkg, args))
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"), args=args,
+                                   root_dir=str(tmp_path))
     assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
     assert {r.stdout for r in report.executed} == {oracle}
     return oracle
@@ -616,6 +619,49 @@ def test_negating_a_negative_literal_matches_the_oracle_everywhere(tmp_path):
         pt.print_ln(bd.apply_unary("#~", bd.lit_float(-0.5))),
     ])
     assert oracle == "8\n0.5"
+
+
+def test_an_in_out_call_writes_a_member_back_everywhere(tmp_path):
+    # Python assigned the bare name: `n = inc(bx.n)`, and printed 5.
+    n, bx = bd.var("n", ir.INT), bd.var("bx", ir.obj_of("Box"))
+    member = bd.obj_var("bx", "n", ir.INT)
+    inc = pt.in_out_func("inc", ir.Scope.PUBLIC, ir.Binding.STATIC, [], [], [n],
+                         bd.one_liner(bd.inc(n)))
+    box = bd.build_class("Box", None, ir.Scope.PUBLIC, [bd.pub_m_var(n)], [])
+    call = pt.in_out_call(inc, [], [], [member])
+    assert PythonRenderer().stmt(call) == ("bx.n = inc(bx.n)",)
+    assert _matches_the_oracle_everywhere(tmp_path, [
+        bd.var_dec_def(bx, bd.new_obj("Box", [])),
+        bd.assign(member, bd.lit_int(5)),
+        call,
+        pt.print_ln(bd.value_of(member)),
+    ], functions=[inc], classes=[box]) == "6"
+
+
+def test_a_loop_over_a_call_runs_everywhere(tmp_path):
+    # C++ compared `make().begin()` with `make().end()`, two lists' iterators,
+    # and died of a segmentation fault.
+    xs, x = bd.var("xs", ir.list_of(ir.INT)), bd.var("x", ir.INT)
+    make = bd.function("make", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.list_of(ir.INT), [],
+                       bd.body_statements([
+                           bd.var_dec(xs),
+                           *[bd.call_stmt(pt.list_append(bd.value_of(xs), bd.lit_int(k)))
+                             for k in (1, 2)],
+                           bd.return_stmt(bd.value_of(xs))]))
+    loop = bd.for_each(x, bd.func_app("make", ir.list_of(ir.INT), []), bd.one_liner(
+        pt.print_ln(bd.value_of(x))))
+    assert get_backend("cpp").stmt(loop)[0] == "for (int x : make()) {"
+    assert _matches_the_oracle_everywhere(tmp_path, [loop], functions=[make]) == "1\n2"
+
+
+def test_the_args_list_holds_the_user_arguments_everywhere(tmp_path):
+    # Python counted the program too (`len(sys.argv)`); Java and C++ did not
+    # compile `args.size()` and `argv.size()`.
+    a = bd.var("a", ir.STRING)
+    assert _matches_the_oracle_everywhere(tmp_path, [
+        pt.print_ln(pt.list_size(pt.args_list())),
+        bd.for_each(a, pt.args_list(), bd.one_liner(pt.print_ln(bd.value_of(a)))),
+    ], args=("a", "b")) == "2\na\nb"
 
 
 def test_unknown_target_is_a_value_error():
