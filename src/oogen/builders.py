@@ -7,10 +7,9 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 `RULES` maps an IR class to the rule its nodes obey: it takes the finished
 node and returns it, or raises a `BuildError`. The constructors here and in
 `oogen.patterns` call it as they build, and `oogen.jsonio` on each node it
-decodes. The rules judge every value but a name: an enumerated field's by
-`in` on a tuple, which never hashes, so any JSON value outside its set is
-refused.
-Names are checked per field (`check_identifier`, `check_type`,
+decodes. The rules judge every value but a name, an enumerated field's by
+`in` on a tuple, which never hashes, so they refuse any JSON value outside
+its set. Names are checked per field (`check_identifier`, `check_type`,
 `check_dotted_name`). Only `patterns.in_out_call` (against its callee) and
 `patterns.run_strategy` (its chosen name) check what their node does not hold.
 """
@@ -96,7 +95,7 @@ _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 _SCOPES, _BINDINGS = ir.names(ir.Scope), ir.names(ir.Binding)
 _VAR_FORMS, _CALL_FORMS = ir.names(ir.VarForm), ir.names(ir.CallForm)
 _ASSIGN_MODES, _AUX_KINDS = ir.names(ir.AssignMode), ("makefile", "doxygen")
-_BINARY = tuple(name for name, arity in ir.OPERATORS.items() if arity == 2)
+_UNARY, _BINARY = (tuple(op for op, n in ir.OPERATORS.items() if n == arity) for arity in (1, 2))
 # The statements a for header takes as its update and its init, and the
 # expressions a statement may be.
 _FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
@@ -115,8 +114,8 @@ def _refuse(message: str, error: type[BuildError] = TypeMismatch):
 # The rules test a valid kind inline and call these only to raise the
 # message for the first kind that fails: a valid node costs no call here.
 
-def _one_of(key: str, values: tuple[str, ...], of: str = ""):
-    _refuse(f"field {key!r}{of} must be one of: {', '.join(values)}", BuildError)
+def _one_of(key: str, values: tuple[str, ...]):
+    _refuse(f"field {key!r} must be one of: {', '.join(values)}", BuildError)
 
 
 def _require_numeric(op: str, *kinds: str) -> None:
@@ -153,11 +152,11 @@ def _type_name(t: ir.TypeRepr) -> str:
 
 def _unary_kind(name: str, operand: str) -> str:
     """The kind unary `name` gives on an operand of kind `operand`."""
+    if name not in _UNARY:
+        _refuse(f"unknown unary operator {name!r}")
     if name == "?!":
         if operand != "bool":
             _require_bool(name, operand)
-    elif name != "#~":
-        _refuse(f"unknown unary operator {name!r}")
     elif operand not in _NUMERIC:
         _require_numeric(name, operand)
     return operand
@@ -210,6 +209,8 @@ def _int_index(op: str, node):
 # an int to Python, so no other kind takes one.
 LIT_PAYLOADS = {"bool": bool, "int": int, "float": (int, float), "char": str, "string": str}
 _LIT_KINDS = tuple(LIT_PAYLOADS)
+ENUMERATED = (*_SCOPES, *_BINDINGS, *_VAR_FORMS, *_CALL_FORMS, *_ASSIGN_MODES, *_AUX_KINDS,
+              *_LIT_KINDS, *ir.OPERATORS)  # every enumerated field's values, for `oogen.jsonio`
 
 
 def _check_lit(lit: ir.Lit) -> ir.Lit:
@@ -387,6 +388,14 @@ def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
         "listSlice step must not be 0", BuildError)
 
 
+def _check_scoped(node: ir.MethodRepr | ir.StateVarRepr):
+    if node.scope not in _SCOPES:
+        _one_of("scope", _SCOPES)
+    if node.binding not in _BINDINGS:
+        _one_of("binding", _BINDINGS)
+    return node
+
+
 def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     """Parameters unique and documented ones declared, an in/out procedure
     void, its split within its parameters and leaving it an output (an
@@ -396,10 +405,8 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     to or a loop over the local observer list follows its declaration and
     names its element type (the rules make the value appended or the loop
     variable of it)."""
-    if m.scope not in _SCOPES:
-        _one_of("scope", _SCOPES)
-    if m.binding not in _BINDINGS:
-        _one_of("binding", _BINDINGS)
+    if m.scope not in _SCOPES or m.binding not in _BINDINGS:
+        _check_scoped(m)  # raises
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -456,11 +463,6 @@ _WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
 def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
     if c.scope not in _SCOPES:
         _one_of("scope", _SCOPES)
-    for sv in c.state_vars:  # however each was made, `build_class` sees it
-        if sv.scope not in _SCOPES:
-            _one_of("scope", _SCOPES, f" of state variable {sv.variable.name!r}")
-        if sv.binding not in _BINDINGS:
-            _one_of("binding", _BINDINGS, f" of state variable {sv.variable.name!r}")
     name = _first_repeat([m.name for m in c.methods])
     if name is not None:
         _refuse(f"class {c.name} declares {name!r} twice", DuplicateMethod)
@@ -536,7 +538,7 @@ RULES = {
     ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
         f"an expression statement must be a call or a listAppend,"
         f" got {type(n.expr).__name__}", BuildError),
-    ir.InOutSpec: _check_split,
+    ir.InOutSpec: _check_split, ir.StateVarRepr: _check_scoped,
     ir.MethodRepr: _check_method, ir.ClassDeclRepr: _check_class,
     ir.ModuleRepr: _check_module, ir.PackageTree: _check_package,
 }
@@ -786,23 +788,23 @@ def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
 
 def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr,
               is_const: bool = False) -> ir.StateVarRepr:
-    return ir.StateVarRepr(scope, binding, variable, is_const)
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(scope, binding, variable, is_const))
 
 
 def pub_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PUBLIC, ir.Binding.DYNAMIC, variable)
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(ir.Scope.PUBLIC, ir.Binding.DYNAMIC, variable))
 
 
 def priv_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, variable)
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, variable))
 
 
 def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(ir.Scope.PUBLIC, ir.Binding.STATIC, variable)
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(ir.Scope.PUBLIC, ir.Binding.STATIC, variable))
 
 
 def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return state_var(scope, ir.Binding.STATIC, variable, is_const=True)
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(scope, ir.Binding.STATIC, variable, True))
 
 
 def build_class(name: str, parent: str | None, scope: ir.Scope,

@@ -24,9 +24,10 @@ On the valid path neither walker makes a builtin or Python call per field
 for bookkeeping: a field costs a call only where its kind has work to do
 (a nested object or array, a name's check, an encoder). `_decode` tests a
 key with `in` and reads it by subscript, hands a nested object straight to
-itself, reads a scalar type by subscript of `ir.SCALAR_TYPES`, calling
-`_decode_type` only on a miss (a list or object type, or to raise), and
-reads a value that is no name, string or boolean as the JSON gives it.
+itself, and reads a field of a lookup kind by subscript of its table: a
+scalar type's name, calling `_decode_type` only on a miss (a list or
+object type, or to raise), or an enumerated value, keeping a miss as given
+for its rule. A literal's value and an in/out count are read as given.
 `_encode` makes no bookkeeping call per node either: it finds a record's
 row by subscript, starts the object from the row's tag by a dict display
 (not `dict.copy`), reads the field values of a record with fields by one
@@ -66,7 +67,7 @@ import json
 from operator import attrgetter
 
 from . import ir
-from .builders import RULES, check_dotted_name, check_identifier, package
+from .builders import ENUMERATED, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
 SCHEMA_VERSION = 4
@@ -102,9 +103,10 @@ def _array(data, path) -> list:
 
 
 class _Kind:
-    """A kind with no `dec` is read as the JSON gives it, for the rules.
-    `table` maps each valid raw value to what it decodes to, by subscript;
-    `dec` handles only what it lacks (a list or object type), or raises."""
+    """`table`, if given, maps each valid raw value to what it decodes to:
+    `_decode` reads a field of this kind by subscript, and `dec` handles
+    only what the table lacks (a list or object type), or raises; with no
+    `dec`, what the table lacks is kept as the JSON gives it."""
 
     def __init__(self, enc, dec, table=None):
         self.enc, self.dec, self.table = enc, dec, table
@@ -118,7 +120,9 @@ def _leaf(cls: type, what: str) -> _Kind:
 
 _STR = _leaf(str, "a string")
 _BOOL = _leaf(bool, "a boolean")
-_AS_GIVEN = _Kind(None, None)
+# Values the rules judge: an enumerated one (a scope, an operator's name)
+# decodes to the builders' own string, shared, and the rest as given.
+_ENUM, _AS_GIVEN = _Kind(None, None, {v: v for v in ENUMERATED}), _Kind(None, None)
 
 
 def _name(check, not_a_string) -> _Kind:
@@ -248,9 +252,8 @@ class _Row(_Shape):
         # Plain statements, not comprehensions: every import builds each row.
         self.keys, self.encoders, self.decoders = (), [], []
         for key, attr, kind in fields:
-            pos, sub = attr if names is None else names.index(attr), None
-            if kind.enc is _encode:  # a shape, which `_decode` decodes
-                sub = kind
+            pos = attr if names is None else names.index(attr)
+            sub = kind if kind.enc is _encode else None  # a shape, which `_decode` decodes
             self.keys += (key,)
             self.encoders += ((key, pos, kind.enc, self.defaults[pos]),)
             self.decoders += ((key, pos, sub, kind.table, kind.dec, self.defaults[pos]),)
@@ -296,8 +299,7 @@ def _decode(shape: _Shape, data, path, decoded: dict):
         try:
             row = shape.rows[tag]
         except (KeyError, TypeError):  # an unknown tag, or one that cannot be hashed
-            if not isinstance(tag, str):
-                _STR.dec(tag, path, key, None)  # raises
+            _STR.dec(tag, path, key, None)  # raises, unless it is a string
             _fail(f"unknown {shape.noun} {tag!r}", path)
         seen = 1
     share = row.share
@@ -324,16 +326,13 @@ def _decode(shape: _Shape, data, path, decoded: dict):
         if sub is not None:
             args[pos] = _decode(sub, raw, (path, key), decoded)
             continue
-        if dec is None:  # as given, for the rule
-            args[pos] = raw
-            continue
         if table is not None:
             try:
                 args[pos] = table[raw]
                 continue
             except (KeyError, TypeError):  # `dec` decodes what the table lacks, or raises
                 pass
-        args[pos] = dec(raw, path, key, decoded)
+        args[pos] = raw if dec is None else dec(raw, path, key, decoded)
     if seen != len(data):
         extra = sorted(set(data).difference(row.keys))
         _fail(f"unknown field(s) {', '.join(map(repr, extra))}", path)
@@ -385,18 +384,18 @@ _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
-_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _AS_GIVEN),
+_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _ENUM),
             F("owner", _NAME), share=_var_key)
 _VARS = _list(_VAR)
 
 _EXPR.define({
-    "lit": _Row(ir.Lit, F("kind", _AS_GIVEN), F("value", _AS_GIVEN), share=_lit_key),
+    "lit": _Row(ir.Lit, F("kind", _ENUM), F("value", _AS_GIVEN), share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
-    "unary": _Row(ir.Unary, F("name", _AS_GIVEN, "op"), F("operand", _EXPR), F("type", _TYPE)),
-    "binary": _Row(ir.Binary, F("name", _AS_GIVEN, "op"), F("left", _EXPR), F("right", _EXPR),
+    "unary": _Row(ir.Unary, F("name", _ENUM, "op"), F("operand", _EXPR), F("type", _TYPE)),
+    "binary": _Row(ir.Binary, F("name", _ENUM, "op"), F("left", _EXPR), F("right", _EXPR),
                    F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _AS_GIVEN), F("name", _NAME), F("args", _EXPRS),
+    "call": _Row(ir.Call, F("form", _ENUM), F("name", _NAME), F("args", _EXPRS),
                  F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library", _NAME)),
     "math": _Row(ir.MathCall, F("fn", _STR), F("args", _EXPRS), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
@@ -411,7 +410,7 @@ _EXPR.define({
 _STMT.define({
     "varDec": _Row(ir.VarDec, F("var", _VAR)),
     "varDecDef": _Row(ir.VarDecDef, F("var", _VAR), F("value", _EXPR)),
-    "assign": _Row(ir.Assign, F("mode", _AS_GIVEN), F("var", _VAR), F("value", _EXPR)),
+    "assign": _Row(ir.Assign, F("mode", _ENUM), F("var", _VAR), F("value", _EXPR)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
     "throw": _Row(ir.Throw, F("message", _STR)),
@@ -444,19 +443,19 @@ _STMT.define({
 _DOC = _Row(ir.DocSpec, F("description", _STR),
             F("params", _list(_Kind(list, _param_doc)), "param_descs"),
             F("returns", _STR, "return_desc"))
-_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _AS_GIVEN), F("binding", _AS_GIVEN),
+_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _ENUM), F("binding", _ENUM),
                F("returnType", _TYPE, "return_type"), F("params", _VARS), F("body", _BODY),
                F("main", _BOOL, "is_main"), F("doc", _DOC),
                F("inout", _Row(ir.InOutSpec, F("inouts", _AS_GIVEN), F("ins", _AS_GIVEN))))
-_STATE_VAR = _Row(ir.StateVarRepr, F("scope", _AS_GIVEN), F("binding", _AS_GIVEN),
+_STATE_VAR = _Row(ir.StateVarRepr, F("scope", _ENUM), F("binding", _ENUM),
                   F("var", _VAR, "variable"), F("const", _BOOL, "is_const"))
-_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _AS_GIVEN),
+_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _ENUM),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
               F("parent", _NAME), F("doc", _DOC))
 _MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)), F("doc", _DOC))
 _PROGRAM = _Row(ir.PackageTree, F("name", _NAME), F("modules", _list(_MODULE)))
-_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _AS_GIVEN), F("docRule", _BOOL, "with_doc_rule")))
+_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _ENUM), F("docRule", _BOOL, "with_doc_rule")))
 
 
 def _version(raw, path, key, decoded):

@@ -244,6 +244,47 @@ def test_equal_int_string_and_bool_literals_are_shared():
     assert not {id(x) for x in first} & {id(x) for x in second}
 
 
+def test_a_decoded_operator_is_the_operator_tables_own_name():
+    """An operator node holds its name: a decoded one holds `ir.OPERATORS`'
+    own string, not a string per node from the JSON text."""
+    table = {name: name for name in ir.OPERATORS}
+    doc = json.loads(json.dumps(_prints(
+        {"op": "unary", "name": "#~", "operand": {"op": "lit", "kind": "int", "value": 1},
+         "type": "int"},
+        {"op": "binary", "name": "?&&", "left": {"op": "lit", "kind": "bool", "value": True},
+         "right": {"op": "lit", "kind": "bool", "value": False}, "type": "bool"})))
+    negate, both = _printed(jsonio.decode_package(doc))
+    assert negate.op is table["#~"] and both.op is table["?&&"]
+
+
+def _enumerated(node, found):
+    """Add (class name, field) -> values of every enumerated field in `node`."""
+    if isinstance(node, tuple):
+        for x in node:
+            _enumerated(x, found)
+    elif hasattr(type(node), "__record_values__"):
+        cls = type(node)
+        for name, value in zip(cls.__match_args__, cls.__record_values__(node)):
+            if name in ("scope", "binding", "form", "mode", "op") or (
+                    name == "kind" and cls in (ir.Lit, ir.AuxFileSpec)):
+                found.setdefault((cls.__name__, name), []).append(value)
+            else:
+                _enumerated(value, found)
+    return found
+
+
+def test_every_decoded_enumerated_value_is_the_builders_own_string():
+    """A scope, binding, form, mode, operator, literal kind or aux kind
+    decodes to `builders.ENUMERATED`'s string, not a string per node."""
+    table = {v: v for v in bd.ENUMERATED}
+    found = _enumerated(jsonio.loads(jsonio.dumps(all_tags.package())), {})
+    assert {("MethodRepr", "scope"), ("StateVarRepr", "binding"), ("ClassDeclRepr", "scope"),
+            ("VariableRepr", "form"), ("Call", "form"), ("Assign", "mode"), ("Binary", "op"),
+            ("Lit", "kind"), ("AuxFileSpec", "kind")} <= set(found)
+    for field, values in found.items():
+        assert all(v is table[v] for v in values), field
+
+
 @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
 def test_a_shared_int_literal_does_not_admit_equal_values_of_other_types(value):
     one = {"op": "lit", "kind": "int", "value": 1}

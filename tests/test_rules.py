@@ -157,6 +157,8 @@ CASES = {
     # `patterns.in_out_func` counts the lists it is given: no builder takes a split.
     ir.InOutSpec: (lambda doc: _function(inout={"inouts": 0, "ins": -1})(doc) + ".inout",
                    lambda: bd.RULES[ir.InOutSpec](ir.InOutSpec(0, -1))),
+    ir.StateVarRepr: (lambda doc: _state_var(scope="prv")(doc),
+                      lambda: bd.state_var("prv", ir.Binding.DYNAMIC, _N)),
     ir.MethodRepr: (_duplicate_params,
                     lambda: bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
                                         [bd.param(_X), bd.param(_X)], _EMPTY)),
@@ -202,10 +204,18 @@ def _class(scope="public", state_scope="public", state_binding="dynamic"):
         {"scope": state_scope, "binding": state_binding, "var": {"name": "n", "type": "int"}}]}])
 
 
+def _state_var(scope="public", binding="dynamic"):
+    put = _class(state_scope=scope, state_binding=binding)
+    return lambda doc: put(doc) + ".classes[0].stateVars[0]"
+
+
+_N = bd.var("n", ir.INT)
+
+
 def _build_class(scope=ir.Scope.PUBLIC, state_scope=ir.Scope.PUBLIC,
                  state_binding=ir.Binding.DYNAMIC):
     return bd.build_class("C", None, scope, [
-        bd.state_var(state_scope, state_binding, bd.var("n", ir.INT))], [])
+        bd.state_var(state_scope, state_binding, _N)], [])
 
 
 def _aux(kind):
@@ -226,11 +236,10 @@ ENUMERATED = {
         "f", ir.Scope.PUBLIC, v, ir.VOID, [], _EMPTY)),
     "class scope": (lambda v: lambda doc: _class(scope=v)(doc) + ".classes[0]",
                     lambda v: _build_class(scope=v)),
-    "state variable scope": (lambda v: lambda doc: _class(state_scope=v)(doc) + ".classes[0]",
-                             lambda v: _build_class(state_scope=v)),
-    "state variable binding": (
-        lambda v: lambda doc: _class(state_binding=v)(doc) + ".classes[0]",
-        lambda v: _build_class(state_binding=v)),
+    "state variable scope": (lambda v: _state_var(scope=v),
+                             lambda v: bd.state_var(v, ir.Binding.DYNAMIC, _N)),
+    "state variable binding": (lambda v: _state_var(binding=v),
+                               lambda v: bd.state_var(ir.Scope.PUBLIC, v, _N)),
     "variable form": (
         lambda v: _stmt({"stmt": "varDec", "var": {"name": "x", "type": "int", "form": v}},
                         ".var"),
