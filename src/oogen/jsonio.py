@@ -252,8 +252,9 @@ class _Row(_Shape):
         # Plain statements, not comprehensions: every import builds each row.
         self.keys, self.encoders, self.decoders = (), [], []
         for key, attr, kind in fields:
-            pos = attr if names is None else names.index(attr)
-            sub = kind if kind.enc is _encode else None  # a shape, which `_decode` decodes
+            pos, sub = attr if names is None else names.index(attr), None
+            if kind.enc is _encode:  # a shape, which `_decode` decodes
+                sub = kind
             self.keys += (key,)
             self.encoders += ((key, pos, kind.enc, self.defaults[pos]),)
             self.decoders += ((key, pos, sub, kind.table, kind.dec, self.defaults[pos]),)
