@@ -10,22 +10,22 @@ spelling the two differ in as a class constant; C++ overrides it whole.
 from __future__ import annotations
 
 from .. import ir
-from ..layout import Doc, EMPTY, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
+from ..layout import Doc, RenderedFile, extract, hang, join_blocks, text, vcat, wrap
 from .base import Renderer, escape_string, list_print, range_as_for, slice_as_loop
 
 
 class CFamilyRenderer(Renderer):
     # Spellings the Java/C# layout below takes from each of the two targets.
     import_keyword: str
-    const_keyword: str
     extends_text: str
     throws_suffix: str
     main_header: str
     args_length: str
     empty_list_decl = "{t} {name} = new {t}(0);"
-    # Each type kind's spelling (an object type is spelled by its class
-    # name), the import or header a kind needs, and the list type around
-    # its element's spelling (`elem_text`).
+    # Each scalar kind's spelling, one per key of `ir.SCALAR_TYPES` (an
+    # object type is spelled by its class name), the import or header a
+    # kind needs, and the list type around its element's spelling
+    # (`elem_text`).
     type_names: dict[str, str]
     type_needs: dict[str, str]
     list_type: str
@@ -54,7 +54,6 @@ class CFamilyRenderer(Renderer):
         ir.VarDecDef: lambda self, s: text(
             f"{self.type_text(s.var.type)} {s.var.name} = {self.expr(s.value)};"),
         ir.Throw: lambda self, s: text(self.throw_text(s.message)),
-        ir.Free: lambda self, s: self.free_doc(s.var),
         ir.ForEach: "for_each_doc",
         ir.While: lambda self, s: self.braced(
             f"while ({self.expr(s.cond)}) {{", self.body(s.body)),
@@ -94,9 +93,6 @@ class CFamilyRenderer(Renderer):
 
     def throw_text(self, message: str) -> str:
         return f'throw new Exception("{escape_string(message)}");'
-
-    def free_doc(self, v: ir.VariableRepr) -> Doc:
-        return EMPTY  # garbage-collected targets drop Free entirely
 
     def catch_header(self) -> str:
         return "catch (Exception exc) {"
@@ -150,8 +146,6 @@ class CFamilyRenderer(Renderer):
         parts = [sv.scope]
         if sv.binding == ir.Binding.STATIC:
             parts.append("static")
-        if sv.is_const:
-            parts.append(self.const_keyword)
         parts += [self.type_text(sv.variable.type), sv.variable.name]
         return text(" ".join(parts) + ";")
 

@@ -30,9 +30,8 @@ class CppRenderer(CFamilyRenderer):
     extension = ".cpp"
     tools = (("CXX", "OOGEN_CXX", ("g++", "c++", "clang++")),)
     type_names = {"bool": "bool", "int": "int", "float": "double", "char": "char",
-                  "string": "std::string", "void": "void", "infile": "std::ifstream",
-                  "outfile": "std::ofstream"}
-    type_needs = {"string": "string", "infile": "fstream", "outfile": "fstream", "list": "vector"}
+                  "string": "std::string", "void": "void"}
+    type_needs = {"string": "string", "list": "vector"}
     list_type = "std::vector<{}>"
     empty_list_decl = "{t} {name}(0);"
     list_access_text = "{}.at({})"
@@ -121,9 +120,6 @@ class CppRenderer(CFamilyRenderer):
 
     def catch_header(self) -> str:
         return "catch (...) {"
-
-    def free_doc(self, v: ir.VariableRepr) -> Doc:
-        return text(f"delete {self.var_ref(v)};")
 
     def for_each_doc(self, s: ir.ForEach) -> Doc:
         # A loop over a variable runs an iterator over it. Any other iterable
@@ -214,10 +210,7 @@ class CppRenderer(CFamilyRenderer):
 
     def state_var_decl(self, sv: ir.StateVarRepr) -> Doc:
         static = "static " if sv.binding == ir.Binding.STATIC else ""
-        const = "const " if sv.is_const else ""
-        return text(
-            f"{static}{const}{self.type_text(sv.variable.type)} {sv.variable.name};"
-        )
+        return text(f"{static}{self.type_text(sv.variable.type)} {sv.variable.name};")
 
     def class_decl_doc(self, c: ir.ClassDeclRepr) -> Doc:
         parent = f" : public {c.parent}" if c.parent else ""
@@ -237,8 +230,7 @@ class CppRenderer(CFamilyRenderer):
         # at namespace scope or the program fails to link
         defs = vcat([
             text(f"{self.type_text(sv.variable.type)} {c.name}::{sv.variable.name};")
-            for sv in c.state_vars
-            if sv.binding == ir.Binding.STATIC and not sv.is_const
+            for sv in c.state_vars if sv.binding == ir.Binding.STATIC
         ])
         return join_blocks([defs] + [self.method_doc(m) for m in c.methods])
 

@@ -21,13 +21,11 @@ class CSharpRenderer(CFamilyRenderer):
     extension = ".cs"
     tools = (("CSC", "OOGEN_CSC", ("mcs", "csc")), ("RUNNER", "OOGEN_MONO", ("mono",)))
     import_keyword = "using"
-    const_keyword = "readonly"
     extends_text = " : "
     throws_suffix = ""  # no checked exceptions
     main_header = "static void Main(string[] args) {"
     type_names = {"bool": "Boolean", "int": "int", "float": "double", "char": "char",
-                  "string": "string", "void": "void", "infile": "System.IO.StreamReader",
-                  "outfile": "System.IO.StreamWriter"}
+                  "string": "string", "void": "void"}
     type_needs = {"bool": "System", "list": "System.Collections.Generic"}
     list_type = "List<{}>"
     args_length = "args.Length"

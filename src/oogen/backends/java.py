@@ -23,13 +23,11 @@ class JavaRenderer(CFamilyRenderer):
     extension = ".java"
     tools = (("JC", "OOGEN_JAVAC", ("javac",)), ("JVM", "OOGEN_JAVA", ("java",)))
     import_keyword = "import"
-    const_keyword = "final"
     extends_text = " extends "
     throws_suffix = " throws Exception"
     main_header = "public static void main(String[] args) throws Exception {"
     type_names = {"bool": "boolean", "int": "int", "float": "double", "char": "char",
-                  "string": "String", "void": "void", "infile": "java.util.Scanner",
-                  "outfile": "java.io.PrintWriter"}
+                  "string": "String", "void": "void"}
     type_needs = {"list": "java.util.ArrayList"}
     list_type = "ArrayList<{}>"
     args_length = "args.length"

@@ -110,7 +110,6 @@ class PythonRenderer(Renderer):
             text(f"{s.var.name} = []") if s.var.type.kind == "list" else EMPTY),
         ir.VarDecDef: lambda self, s: text(f"{s.var.name} = {self.expr(s.value)}"),
         ir.Throw: lambda self, s: text(f'raise Exception("{escape_string(s.message)}")'),
-        ir.Free: lambda self, s: text(f"del {self.var_ref(s.var)}"),
         ir.ForEach: lambda self, s: self.suite(
             f"for {s.var.name} in {self.expr(s.iterable)}:", s.body),
         ir.While: lambda self, s: self.suite(f"while {self.expr(s.cond)}:", s.body),

@@ -22,9 +22,9 @@ import math
 from . import ir
 from ._record import replace
 from .errors import (
-    BuildError, ConstAssignment, DuplicateMethod, DuplicateModule, DuplicateParam,
-    DuplicateStateLabel, EmptyConditional, InvalidIdentifier, ObserverNotInitialized,
-    SignatureMismatch, TypeMismatch, UnknownParamDoc,
+    BuildError, DuplicateMethod, DuplicateModule, DuplicateParam, DuplicateStateLabel,
+    EmptyConditional, InvalidIdentifier, ObserverNotInitialized, SignatureMismatch,
+    TypeMismatch, UnknownParamDoc,
 )
 
 # Reserved words of the targets: Python, then Java, C# and C++ keywords
@@ -70,14 +70,6 @@ def check_dotted_name(name: str) -> str:
     if not all(part.isascii() and part.isidentifier() for part in (name or "").split(".")):
         raise InvalidIdentifier(f"not a legal dotted name: {name!r}")
     return name
-
-
-def float_value(value) -> float:
-    """`value` as a float literal's double."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise TypeMismatch("float literal too large for a double") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,11 @@ def _check_lit(lit: ir.Lit) -> ir.Lit:
     if not isinstance(value, LIT_PAYLOADS[kind]) or type(value) is bool and kind != "bool":
         _refuse(f"value does not fit literal kind {kind!r}")
     if kind == "float" and type(value) is not float:
-        lit = ir.Lit(kind, value := float_value(value))
+        try:
+            value = float(value)
+        except OverflowError:
+            _refuse("float literal too large for a double")
+        lit = ir.Lit(kind, value)
     if kind == "int" and not INT_MIN <= value <= INT_MAX:
         _refuse(f"int literal out of range: targets' ints are 32 bits ({INT_MIN}..{INT_MAX})")
     if kind == "float" and not math.isfinite(value):
@@ -388,6 +384,17 @@ def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
         "listSlice step must not be 0", BuildError)
 
 
+def _check_print(node: ir.Print) -> ir.Print:
+    """A value every target prints alike: no object (Python prints its
+    address, Java its hash code, and g++ finds no `<<`) and no void, alone
+    or as the elements of a list at any depth."""
+    t = node.expr.type
+    while t.kind == "list":
+        t = t.elem
+    return node if t.kind != "object" and t.kind != "void" else _refuse(
+        f"print of {_type_name(node.expr.type)}: no two targets print it alike")
+
+
 def _check_scoped(node: ir.MethodRepr | ir.StateVarRepr):
     if node.scope not in _SCOPES:
         _one_of("scope", _SCOPES)
@@ -451,15 +458,6 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     return m
 
 
-# The variables a statement assigns, by statement class; setting or appending
-# an element writes a variable's list (C++ makes a const list a const vector).
-_WRITES = {ir.Assign: lambda s: (s.var,), ir.Read: lambda s: (s.var,),
-           ir.InOutCall: lambda s: s.outs + s.inouts, ir.ListSlice: lambda s: (s.target,),
-           ir.ListSet: lambda s: (s.lst.var,) if type(s.lst) is ir.ValueOf else (),
-           ir.ExprStmt: lambda s: (s.expr.lst.var,) if type(s.expr) is ir.ListAppend
-           and type(s.expr.lst) is ir.ValueOf else ()}
-
-
 def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
     if c.scope not in _SCOPES:
         _one_of("scope", _SCOPES)
@@ -470,15 +468,9 @@ def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
     for m in c.methods:
         if m.is_main:
             _refuse(f"class {c.name} declares main function {m.name!r}", SignatureMismatch)
+        if m.name == c.name:  # a constructor's name in Java, C# and C++
+            _refuse(f"class {c.name} declares a method named after itself", InvalidIdentifier)
         placed += (m if m.containing_class == c.name else replace(m, containing_class=c.name),)
-    consts = {sv.variable.name for sv in c.state_vars if sv.is_const}
-    for m in placed if consts else ():
-        for stmt in ir.walk(m.body):
-            writes = _WRITES.get(type(stmt))
-            for v in writes(stmt) if writes else ():
-                if v.name in consts:
-                    _refuse(f"{c.name}.{v.name} is const but assigned in {m.name}",
-                            ConstAssignment)
     return c if placed == c.methods else replace(c, methods=placed)
 
 
@@ -533,7 +525,7 @@ RULES = {
     ir.If: _check_if, ir.Switch: _check_switch, ir.For: _check_for,
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
     ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
-    ir.ListSlice: _check_list_slice,
+    ir.ListSlice: _check_list_slice, ir.Print: _check_print,
     # javac refuses any other expression as a statement ("not a statement").
     ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
         f"an expression statement must be a call or a listAppend,"
@@ -580,16 +572,19 @@ def param(variable: ir.VariableRepr) -> ir.VariableRepr:
 # Literals and expressions
 
 
+# Each literal builder hands its value to the rule as given, as the decoder
+# does: the rule refuses a payload of another type, and widens a float's int.
+
 def lit_bool(value: bool) -> ir.Lit:
-    return ir.Lit("bool", bool(value))
+    return RULES[ir.Lit](ir.Lit("bool", value))
 
 
 def lit_int(value: int) -> ir.Lit:
-    return RULES[ir.Lit](ir.Lit("int", int(value)))
+    return RULES[ir.Lit](ir.Lit("int", value))
 
 
 def lit_float(value: float) -> ir.Lit:
-    return RULES[ir.Lit](ir.Lit("float", float_value(value)))
+    return RULES[ir.Lit](ir.Lit("float", value))
 
 
 def lit_char(value: str) -> ir.Lit:
@@ -691,10 +686,6 @@ def throw(message: str) -> ir.Throw:
     return ir.Throw(message)
 
 
-def free(variable: ir.VariableRepr) -> ir.Free:
-    return ir.Free(variable)
-
-
 def comment(text: str) -> ir.CommentStmt:
     return ir.CommentStmt(text)
 
@@ -786,9 +777,8 @@ def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
         containing_class=check_identifier(class_name)))
 
 
-def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr,
-              is_const: bool = False) -> ir.StateVarRepr:
-    return RULES[ir.StateVarRepr](ir.StateVarRepr(scope, binding, variable, is_const))
+def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr) -> ir.StateVarRepr:
+    return RULES[ir.StateVarRepr](ir.StateVarRepr(scope, binding, variable))
 
 
 def pub_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
@@ -801,10 +791,6 @@ def priv_m_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
 
 def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
     return RULES[ir.StateVarRepr](ir.StateVarRepr(ir.Scope.PUBLIC, ir.Binding.STATIC, variable))
-
-
-def const_var(scope: ir.Scope, variable: ir.VariableRepr) -> ir.StateVarRepr:
-    return RULES[ir.StateVarRepr](ir.StateVarRepr(scope, ir.Binding.STATIC, variable, True))
 
 
 def build_class(name: str, parent: str | None, scope: ir.Scope,

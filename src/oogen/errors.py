@@ -22,10 +22,6 @@ class TypeMismatch(BuildError):
     """Operands or arguments disagree with an operation's typing rule."""
 
 
-class ConstAssignment(BuildError):
-    """A const state variable is the target of an assignment."""
-
-
 class DuplicateParam(BuildError):
     """Two parameters of one function share a name."""
 

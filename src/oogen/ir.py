@@ -74,8 +74,8 @@ def names(namespace: type) -> tuple[str, ...]:
 
 class TypeRepr(metaclass=record):
     """A common-subset type. kind is one of bool, int, float, char, string,
-    infile, outfile, list, object. `elem` is set only for lists, `class_name`
-    only for objects."""
+    void, list, object. `elem` is set only for lists, `class_name` only for
+    objects."""
 
     kind: str
     elem: TypeRepr | None = None
@@ -87,11 +87,9 @@ INT = TypeRepr("int")
 FLOAT = TypeRepr("float")
 CHAR = TypeRepr("char")
 STRING = TypeRepr("string")
-INFILE = TypeRepr("infile")
-OUTFILE = TypeRepr("outfile")
 VOID = TypeRepr("void")
 # Each scalar kind's type, shared rather than built on each use.
-SCALAR_TYPES = {t.kind: t for t in (BOOL, INT, FLOAT, CHAR, STRING, INFILE, OUTFILE, VOID)}
+SCALAR_TYPES = {t.kind: t for t in (BOOL, INT, FLOAT, CHAR, STRING, VOID)}
 
 
 def list_of(elem: TypeRepr) -> TypeRepr:
@@ -280,12 +278,6 @@ class Return(StatementRepr, metaclass=record):
 
 class Throw(StatementRepr, metaclass=record):
     message: str
-
-
-class Free(StatementRepr, metaclass=record):
-    """del / delete on manual-memory targets; nothing on GC targets."""
-
-    var: VariableRepr
 
 
 class CommentStmt(StatementRepr, metaclass=record):
@@ -497,7 +489,6 @@ class StateVarRepr(metaclass=record):
     scope: Scope
     binding: Binding
     variable: VariableRepr
-    is_const: bool = False
 
 
 class ClassDeclRepr(metaclass=record):

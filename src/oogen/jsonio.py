@@ -1,6 +1,6 @@
 """Versioned JSON interchange format for package trees.
 
-The document shape is {"version": 4, "program": {"name", "modules": [...]},
+The document shape is {"version": 5, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
@@ -70,7 +70,7 @@ from . import ir
 from .builders import ENUMERATED, RULES, check_dotted_name, check_identifier, package
 from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
@@ -415,7 +415,6 @@ _STMT.define({
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
     "throw": _Row(ir.Throw, F("message", _STR)),
-    "free": _Row(ir.Free, F("var", _VAR)),
     "comment": _Row(ir.CommentStmt, F("text", _STR)),
     "break": _Row(ir.Break),
     "continue": _Row(ir.Continue),
@@ -449,7 +448,7 @@ _METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _ENUM), F("binding", 
                F("main", _BOOL, "is_main"), F("doc", _DOC),
                F("inout", _Row(ir.InOutSpec, F("inouts", _AS_GIVEN), F("ins", _AS_GIVEN))))
 _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _ENUM), F("binding", _ENUM),
-                  F("var", _VAR, "variable"), F("const", _BOOL, "is_const"))
+                  F("var", _VAR, "variable"))
 _CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _ENUM),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
               F("parent", _NAME), F("doc", _DOC))

@@ -76,11 +76,11 @@ def list_slice(target: ir.VariableRepr, source: ir.ExprRepr,
 
 
 def print_expr(value: ir.ExprRepr) -> ir.Print:
-    return ir.Print(value, newline=False)
+    return _RULES[ir.Print](ir.Print(value, newline=False))
 
 
 def print_ln(value: ir.ExprRepr) -> ir.Print:
-    return ir.Print(value, newline=True)
+    return _RULES[ir.Print](ir.Print(value, newline=True))
 
 
 def print_str(text: str) -> ir.Print:

@@ -1,6 +1,8 @@
 """A package, built through the builders and patterns, that uses every
-expression and statement tag of the JSON schema and every optional field
-in both its default and non-default form."""
+expression and statement tag of the JSON schema (36) and every optional
+field in both its default and non-default form. It pins the schema and
+each target's spelling of every construct, and is not meant to run: only
+its Python is compiled."""
 
 from oogen import builders as bd, ir, patterns as pt
 
@@ -22,7 +24,7 @@ def _observer_class() -> ir.ClassDeclRepr:
                        bd.one_liner(bd.inc(bd.self_var("hits", ir.INT))))
     update = bd.doc_func("counts", [], None, update)
     cls = bd.build_class("Obs", "Base", PUB,
-                         [bd.pub_m_var(hits), bd.const_var(PRIV, bd.var("cap", ir.INT))],
+                         [bd.pub_m_var(hits), bd.state_var(PRIV, STAT, bd.var("cap", ir.INT))],
                          [update, pt.get_method("Obs", hits)])
     return bd.doc_class("an observer", cls)
 
@@ -73,7 +75,7 @@ def _main(swap: ir.MethodRepr) -> ir.MethodRepr:
             pt.list_slice(ys, _at(xs)),
             bd.if_cond([(positive, bd.one_liner(bd.comment("pos"))),
                         (_at(ok), bd.one_liner(bd.throw("bad")))],
-                       bd.one_liner(bd.free(o))),
+                       bd.body([])),
             bd.if_cond([(_at(ok), bd.body([]))]),
             bd.switch(_at(s), [(bd.lit_string("a"), bd.one_liner(pt.print_str("a")))],
                       bd.one_liner(pt.print_ln(_at(n)))),

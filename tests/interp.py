@@ -219,15 +219,12 @@ class Interpreter:
         return None
 
     def _construct(self, class_name: str, values: list) -> Instance:
-        cls = self.classes[class_name]
-        obj = Instance(class_name)
-        for sv in cls.state_vars:
-            obj.fields[sv.variable.name] = _default_value(sv.variable.type)
-        ctor = next((m for m in cls.methods if m.name == class_name), None)
-        if ctor is not None:
-            self._invoke(obj, ctor, values)
-        elif values:
+        # No class declares a constructor: no method may be named after its class.
+        if values:
             raise InterpError(f"{class_name} has no constructor taking arguments")
+        obj = Instance(class_name)
+        for sv in self.classes[class_name].state_vars:
+            obj.fields[sv.variable.name] = _default_value(sv.variable.type)
         return obj
 
     def _call_method(self, receiver: Instance, name: str, values: list):
@@ -283,7 +280,7 @@ class Interpreter:
             raise _Return(ev(s.value))
         elif isinstance(s, ir.Throw):
             raise ProgramThrow(s.message)
-        elif isinstance(s, (ir.Free, ir.CommentStmt)):
+        elif isinstance(s, ir.CommentStmt):
             pass
         elif isinstance(s, ir.Break):
             raise _Break()

@@ -24,7 +24,6 @@ def _only(files, suffix):
 
 
 FOO = bd.var("foo", ir.INT)
-X_OBJ = bd.var("x", ir.obj_of("Thing"))
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -118,16 +117,6 @@ def test_constructor_spelling(target, expected):
     fc = bd.var("fc", ir.obj_of("FooClass"))
     stmt = bd.var_dec_def(fc, bd.new_obj("FooClass", []))
     assert get_backend(target).render_stmt(stmt) == expected
-
-
-@pytest.mark.parametrize("target,expected", [
-    ("python", "del x"),
-    ("java", ""),  # garbage collected: Free renders to nothing
-    ("csharp", ""),
-    ("cpp", "delete x;"),
-])
-def test_free_spelling(target, expected):
-    assert get_backend(target).render_stmt(bd.free(X_OBJ)) == expected
 
 
 @pytest.mark.parametrize("target,expected", [

@@ -18,7 +18,6 @@ from oogen.backends.base import ATOMIC_PRECEDENCE
 from oogen._record import record, replace
 from oogen.errors import (
     BuildError,
-    ConstAssignment,
     DuplicateMethod,
     DuplicateModule,
     DuplicateParam,
@@ -169,8 +168,8 @@ def test_variable_forms_carry_owner():
     assert (cv.form, cv.owner) == (ir.VarForm.CLASS_MEMBER, "Cls")
     ov = bd.obj_var("fc", "foo", ir.INT)
     assert (ov.form, ov.owner) == (ir.VarForm.OBJECT_MEMBER, "fc")
-    xv = bd.ext_var("sys", "stdout", ir.OUTFILE)
-    assert (xv.form, xv.owner) == (ir.VarForm.EXTERNAL, "sys")
+    xv = bd.ext_var("math", "pi", ir.FLOAT)
+    assert (xv.form, xv.owner) == (ir.VarForm.EXTERNAL, "math")
 
 
 # -- expression typing --------------------------------------------------------
@@ -374,15 +373,6 @@ def test_duplicate_modules_rejected():
         bd.prog("p", [mod, mod])
 
 
-def test_const_state_var_cannot_be_assigned():
-    cv = bd.const_var(ir.Scope.PRIVATE, bd.var("limit", ir.INT))
-    setter = bd.method(
-        "raiseLimit", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
-        bd.one_liner(bd.assign(bd.self_var("limit", ir.INT), _i(99))))
-    with pytest.raises(ConstAssignment):
-        bd.build_class("C", None, ir.Scope.PUBLIC, [cv], [setter])
-
-
 def test_observer_calls_must_follow_init():
     obs_t = ir.obj_of("Observer")
     add = pt.add_observer(bd.value_of(bd.var("o", obs_t)))
@@ -395,38 +385,6 @@ def test_observer_calls_must_follow_init():
 
 # The builders' checks see every statement: in blocks used as statements
 # and in a for loop's init and update too.
-
-LIMIT = bd.self_var("limit", ir.INT)
-
-
-def _class_with_const_limit(body):
-    setter = bd.method("setLimit", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], body)
-    return bd.build_class("C", None, ir.Scope.PUBLIC,
-                          [bd.const_var(ir.Scope.PRIVATE, bd.var("limit", ir.INT))], [setter])
-
-
-def test_const_state_var_cannot_be_assigned_in_a_strategy_block():
-    chosen = pt.run_strategy("reset", {"reset": bd.one_liner(bd.assign(LIMIT, _i(0)))})
-    with pytest.raises(ConstAssignment, match="C.limit is const but assigned in setLimit"):
-        _class_with_const_limit(bd.one_liner(chosen))
-
-
-def test_const_state_var_cannot_be_a_for_loop_update():
-    i = bd.var("i", ir.INT)
-    loop = bd.for_loop(bd.var_dec_def(i, _i(0)), bd.apply_binary("?<", bd.value_of(i), _i(3)),
-                       bd.assign(LIMIT, bd.value_of(i)), bd.one_liner(bd.inc(i)))
-    with pytest.raises(ConstAssignment):
-        _class_with_const_limit(bd.one_liner(loop))
-
-
-def test_const_list_cannot_be_a_slice_target():
-    xs = bd.self_var("xs", ir.list_of(ir.INT))
-    cv = bd.const_var(ir.Scope.PRIVATE, bd.var("xs", ir.list_of(ir.INT)))
-    setter = bd.method("trim", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
-                       bd.one_liner(pt.list_slice(xs, bd.value_of(xs), _i(1))))
-    with pytest.raises(ConstAssignment, match="C.xs is const but assigned in trim"):
-        bd.build_class("C", None, ir.Scope.PUBLIC, [cv], [setter])
-
 
 def test_return_type_is_checked_inside_a_block_statement():
     body = bd.one_liner(bd.block([bd.return_stmt(bd.lit_string("x"))]))
@@ -441,6 +399,14 @@ def test_observer_order_is_checked_inside_a_block_statement():
             bd.block([pt.notify_observers("update", obs_t)]),
             pt.init_observer_list(obs_t, []),
         ]))
+
+
+def test_observer_order_is_checked_in_a_for_loop_update():
+    i, obs_t = bd.var("i", ir.INT), ir.obj_of("Observer")
+    loop = bd.for_loop(bd.var_dec_def(i, _i(0)), bd.apply_binary("?<", bd.value_of(i), _i(3)),
+                       pt.add_observer(bd.value_of(bd.var("o", obs_t))), bd.one_liner(bd.inc(i)))
+    with pytest.raises(ObserverNotInitialized):
+        bd.main_function(bd.one_liner(loop))
 
 
 def test_doc_func_rejects_unknown_param():
@@ -596,7 +562,7 @@ def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
                and c not in NAMESPACES]
-    assert len(classes) == 50
+    assert len(classes) == 49
     others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
     for cls in classes + others:
@@ -730,7 +696,7 @@ def _record_classes():
 
 def test_every_record_builds_by_keyword():
     classes = _record_classes()
-    assert len(classes) == 55
+    assert len(classes) == 54
     for cls in classes:
         # FileSet's __post_init__ walks its files, so give it none
         values = [() if cls is layout.FileSet else object() for _ in cls.__match_args__]

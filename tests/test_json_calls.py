@@ -16,10 +16,10 @@ import all_tags
 from oogen import jsonio
 from oogen.backends import TARGETS, get_backend
 
-LOADS_BUDGET = 1304
-ENCODE_BUDGET = 375
-BUILD_BUDGET = 744
-RENDER_BUDGETS = {"python": 640, "java": 895, "csharp": 860, "cpp": 1050}
+LOADS_BUDGET = 1287
+ENCODE_BUDGET = 371
+BUILD_BUDGET = 734
+RENDER_BUDGETS = {"python": 635, "java": 892, "csharp": 857, "cpp": 1052}
 
 
 def _calls(fn, *args) -> int:

@@ -49,7 +49,7 @@ def test_all_tags_package_uses_every_tag_and_roundtrips():
     pkg = all_tags.package()
     assert all_tags.tags(jsonio.encode_package(pkg)) == (
         set(jsonio._EXPR.rows) | set(jsonio._STMT.rows))
-    assert len(set(jsonio._EXPR.rows) | set(jsonio._STMT.rows)) == 37
+    assert len(set(jsonio._EXPR.rows) | set(jsonio._STMT.rows)) == 36
     for indent in (None, 2):
         assert jsonio.loads(jsonio.dumps(pkg, indent=indent)) == pkg
 
@@ -159,6 +159,41 @@ def test_a_scalar_type_is_written_only_as_its_name(kind):
         jsonio.loads(json.dumps(doc))
     assert str(err.value) == (
         f"$.program.modules[0].functions[0].returnType: unknown type kind {kind!r}")
+
+
+_BODY = "$.program.modules[0].functions[0].body[0][0]"
+
+
+def _put_statement(stmt):
+    def put(doc):
+        doc["program"]["modules"][0]["functions"][0]["body"][0][0] = stmt
+    return put
+
+
+def _put_const_state_var(doc):
+    doc["program"]["modules"][0]["classes"] = [{
+        "name": "C", "scope": "public", "methods": [], "stateVars": [{
+            "scope": "public", "binding": "static", "var": {"name": "n", "type": "int"},
+            "const": True}]}]
+
+
+# Version 5 deleted what no target could run: the `free` statement (g++
+# refuses `delete` on a value), a const state variable (nothing gave it a
+# value) and the file types (no node opens, reads or writes one).
+@pytest.mark.parametrize("put,message", [
+    (_put_statement({"stmt": "free", "var": {"name": "x", "type": "int"}}),
+     f"{_BODY}: unknown statement tag 'free'"),
+    (_put_const_state_var,
+     "$.program.modules[0].classes[0].stateVars[0]: unknown field(s) 'const'"),
+    *[(_put_statement({"stmt": "varDec", "var": {"name": "f", "type": kind}}),
+       f"{_BODY}.var.type: unknown type kind {kind!r}") for kind in ("infile", "outfile")],
+], ids=["free", "const", "infile", "outfile"])
+def test_deleted_constructs_are_refused(put, message):
+    doc = _doc()
+    put(doc)
+    with pytest.raises(DecodeError) as err:
+        jsonio.loads(json.dumps(doc))
+    assert str(err.value) == message
 
 
 def test_unknown_statement_tag_rejected_with_path():

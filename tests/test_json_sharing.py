@@ -42,7 +42,7 @@ def _list_package():
         bd.call_stmt(pt.list_append(bd.value_of(grid), bd.value_of(xs))),
         pt.print_ln(pt.list_size(pt.list_access(bd.value_of(grid), bd.lit_int(0)))),
         pt.print_ln(pt.list_size(bd.value_of(grid))),
-        bd.free(c),
+        bd.assign(c, bd.new_obj("Counter", [])),
     ]))
     counter = bd.build_class("Counter", None, ir.Scope.PUBLIC, [], [])
     return bd.prog("lists", [bd.build_module("Main", [], [main], [counter])])

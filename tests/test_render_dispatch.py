@@ -144,6 +144,17 @@ def test_every_operator_is_ranked_and_spelled(target):
     assert renderer._prec[ir.MathCall] == ATOMIC_PRECEDENCE
 
 
+# Each C-family target spells every scalar type kind and no other (a list
+# or object type is spelled from its parts), and needs an import or header
+# only for a kind that exists: a kind cannot outlive its spellings, nor a
+# spelling its kind.
+@pytest.mark.parametrize("target", [t for t in TARGETS if t != "python"])
+def test_every_scalar_type_kind_is_spelled(target):
+    renderer = type(get_backend(target))
+    assert set(renderer.type_names) == set(ir.SCALAR_TYPES)
+    assert set(renderer.type_needs) <= {*ir.SCALAR_TYPES, "list", "object"}
+
+
 def test_csharp_spells_every_math_function_and_no_other():
     assert set(csharp._MATH) == set(bd.MATH_FNS)
 

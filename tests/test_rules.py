@@ -9,8 +9,8 @@ import pytest
 
 from oogen import builders as bd, ir, jsonio, patterns as pt
 from oogen.errors import (
-    BuildError, ConstAssignment, DecodeError, DuplicateStateLabel, InvalidIdentifier,
-    SignatureMismatch, TypeMismatch,
+    BuildError, DecodeError, DuplicateStateLabel, InvalidIdentifier, SignatureMismatch,
+    TypeMismatch,
 )
 
 _MODULE = "$.program.modules[0]"
@@ -86,6 +86,12 @@ def _duplicate_params(doc):
     return _MAIN
 
 
+def _print_of(expr):
+    return {"stmt": "print", "expr": expr, "newline": True}
+
+
+BOX = {"op": "call", "form": "constructor", "name": "Box", "args": [],
+       "returnType": {"kind": "object", "class": "Box"}}
 _METHOD = dict(FUNCTION, name="m", binding="dynamic")
 _X = bd.var("x", ir.INT)
 _EMPTY = bd.body([])
@@ -154,6 +160,8 @@ CASES = {
                           "source": ONE}),
                    lambda: pt.list_slice(bd.var("xs", ir.list_of(ir.INT)), bd.lit_int(1))),
     ir.ExprStmt: (_stmt({"stmt": "expr", "expr": ONE}), lambda: bd.call_stmt(bd.lit_int(1))),
+    # Python prints an object's address and Java its hash code; g++ finds no `<<`.
+    ir.Print: (_stmt(_print_of(BOX)), lambda: pt.print_ln(bd.new_obj("Box", []))),
     # `patterns.in_out_func` counts the lists it is given: no builder takes a split.
     ir.InOutSpec: (lambda doc: _function(inout={"inouts": 0, "ins": -1})(doc) + ".inout",
                    lambda: bd.RULES[ir.InOutSpec](ir.InOutSpec(0, -1))),
@@ -180,7 +188,46 @@ def test_every_rule_has_a_case():
 
 @pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
 def test_decode_refuses_what_the_builder_refuses(cls):
-    put, build = CASES[cls]
+    _refused_alike(*CASES[cls])
+
+
+# More refusals, each with the builder call that is refused the same way.
+# A literal builder hands its value to the rule as given, as the decoder
+# does: `lit_int(2.5)` once built 2, and `lit_bool("false")` True.
+MORE_CASES = {
+    **{f"lit_{kind}({value!r})": (_expr(_lit(kind, value)),
+                                  lambda build=build, value=value: build(value))
+       for kind, build, value in [("int", bd.lit_int, 2.5), ("int", bd.lit_int, "7"),
+                                  ("int", bd.lit_int, True), ("bool", bd.lit_bool, "false"),
+                                  ("float", bd.lit_float, "1.5"),
+                                  ("float", bd.lit_float, True)]},
+    # Python prints None; javac says "'void' type not allowed here".
+    "print of void": (_stmt(_print_of({"op": "call", "form": "function", "name": "f",
+                                       "args": [], "returnType": "void"})),
+                      lambda: pt.print_expr(bd.func_app("f", ir.VOID, []))),
+    "print of a list of lists of objects": (
+        _stmt(_print_of({"op": "var", "var": {"name": "bs", "type": {
+            "kind": "list", "elem": {"kind": "list", "elem": BOX["returnType"]}}}})),
+        lambda: pt.print_ln(bd.value_of(bd.var("bs", ir.list_of(ir.list_of(ir.obj_of("Box"))))))),
+    # Java, C# and C++ read it as a constructor: javac says "missing return
+    # statement", and g++ "return type specification for constructor invalid".
+    "method named after its class": (
+        lambda doc: _module(classes=[{"name": "Box", "scope": "public", "stateVars": [],
+                                      "methods": [dict(_METHOD, name="Box")]}])(doc)
+        + ".classes[0]",
+        lambda: bd.build_class("Box", None, ir.Scope.PUBLIC, [], [bd.method(
+            "Box", "Box", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [], _EMPTY)])),
+}
+
+
+@pytest.mark.parametrize("case", list(MORE_CASES))
+def test_decode_refuses_what_the_builder_refuses_beyond_one_case_per_rule(case):
+    _refused_alike(*MORE_CASES[case])
+
+
+def _refused_alike(put, build):
+    """`build()` raises a BuildError, and the base document changed by `put`
+    is refused with its message at the path `put` gives."""
     doc = _base()
     path = put(doc)
     with pytest.raises(BuildError) as built:
@@ -404,36 +451,6 @@ def test_a_repeated_switch_case_is_refused_built_and_decoded():
     with pytest.raises(DecodeError) as err:
         jsonio.decode_package(doc)
     assert str(err.value) == f"{_STMT}: switch case 1 listed twice"
-
-
-# g++: "assignment of read-only location" for a set, "discards qualifiers"
-# for an append, on a const vector.
-
-_MUTATIONS = {
-    "listSet": lambda xs: pt.list_set(xs, bd.lit_int(0), bd.lit_int(1)),
-    "listAppend": lambda xs: bd.call_stmt(pt.list_append(xs, bd.lit_int(1))),
-}
-
-
-def _class_mutating_xs(mutate, const):
-    xs = bd.self_var("xs", ir.list_of(ir.INT))
-    state = bd.state_var(ir.Scope.PRIVATE, ir.Binding.DYNAMIC, bd.var("xs", xs.type), const)
-    grow = bd.method("grow", "C", ir.Scope.PUBLIC, ir.Binding.DYNAMIC, ir.VOID, [],
-                     bd.one_liner(mutate(bd.value_of(xs))))
-    return bd.build_class("C", None, ir.Scope.PUBLIC, [state], [grow])
-
-
-@pytest.mark.parametrize("op", list(_MUTATIONS))
-def test_mutating_a_const_list_is_a_const_assignment(op):
-    with pytest.raises(ConstAssignment, match="C.xs is const but assigned in grow"):
-        _class_mutating_xs(_MUTATIONS[op], const=True)
-    plain = _class_mutating_xs(_MUTATIONS[op], const=False)
-    doc = jsonio.encode_package(bd.prog("p", [bd.build_module("M", [], [], [plain])]))
-    assert jsonio.decode_package(doc).modules[0].classes[0] == plain
-    doc["program"]["modules"][0]["classes"][0]["stateVars"][0]["const"] = True
-    with pytest.raises(DecodeError) as err:
-        jsonio.decode_package(doc)
-    assert str(err.value) == "$.program.modules[0].classes[0]: C.xs is const but assigned in grow"
 
 
 # An in/out procedure lists its parameters once, in `params`: `inout` says
