@@ -10,7 +10,8 @@ node and returns it, or raises a `BuildError`. The constructors here and in
 decodes. The rules judge every value but a name, an enumerated field's by
 `in` on a tuple, which never hashes, so they refuse any JSON value outside
 its set. Names are checked per field (`check_identifier`, `check_type`,
-`check_dotted_name`). Only `patterns.in_out_call` (against its callee) and
+`check_dotted_name`). A value fills a slot only of exactly its type (see
+`refuse_misfit`). Only `patterns.in_out_call` (against its callee) and
 `patterns.run_strategy` (its chosen name) check what their node does not hold.
 """
 
@@ -74,7 +75,8 @@ def check_dotted_name(name: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Rules: `RULES`, at the end of this section, holds one for each IR class
-# that has one. They read `kind` off each TypeRepr and build no nodes.
+# that has one. They read `kind` off each TypeRepr, compare whole types only
+# where a value fills a slot, and build no nodes.
 
 
 # Every target's int is 32 bits (Java's and C#'s `int`, C++'s on its platforms).
@@ -86,6 +88,7 @@ _LOGICAL = ("?&&", "?||")
 _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 _SCOPES, _BINDINGS = ir.names(ir.Scope), ir.names(ir.Binding)
 _VAR_FORMS, _CALL_FORMS = ir.names(ir.VarForm), ir.names(ir.CallForm)
+_OWNERLESS = (ir.VarForm.PLAIN, ir.VarForm.SELF)
 _ASSIGN_MODES, _AUX_KINDS = ir.names(ir.AssignMode), ("makefile", "doxygen")
 _UNARY, _BINARY = (tuple(op for op, n in ir.OPERATORS.items() if n == arity) for arity in (1, 2))
 # The statements a for header takes as its update and its init, and the
@@ -173,19 +176,27 @@ def _binary_kind(name: str, left: str, right: str) -> str:
     return "float" if "float" in (left, right) else "int"
 
 
+def refuse_misfit(op: str, slot: str, want: ir.TypeRepr, got: ir.TypeRepr, error=TypeMismatch):
+    """Raise `error`: `op` puts a value of type `got` in its `slot` of type
+    `want`. A value fills a slot (a variable, a list element, a return, an
+    inline if's other branch, an in/out parameter) only of exactly its type,
+    by `TypeRepr` equality: an int is no float, and an object of one class
+    none of another. Each rule tests `want is got or want == got` inline, so
+    a value that fits costs no call: scalar types are shared objects."""
+    _refuse(f"{op}: {slot} type {_type_name(want)}, value type {_type_name(got)}", error)
+
+
 def _elem(op: str, lst: ir.ExprRepr) -> ir.TypeRepr:
     t = lst.type
     return t.elem if t.kind == "list" else _refuse(f"{op} requires a list, got {t.kind}")
 
 
 def _fits(op: str, node):
-    """`node`, if its value has exactly its list's element type: javac
-    refuses an int for a list of doubles (and finds none in it), and C++
-    truncates a double stored in a list of ints."""
-    elem, t = _elem(op, node.lst), node.value.type
-    if t != elem:
-        _refuse(f"{op}: element type {_type_name(elem)}, value type {_type_name(t)}")
-    return node
+    """`node`, if its list is a list whose element type its value has (a
+    scalar's `elem` is None, which no type equals): javac refuses an int for
+    a list of doubles, and C++ truncates a double stored in a list of ints."""
+    elem, t = node.lst.type.elem, node.value.type
+    return node if elem is t or elem == t else refuse_misfit(op, "element", _elem(op, node.lst), t)
 
 
 def _listed(op: str, node):
@@ -239,22 +250,28 @@ def _check_operator(node: ir.Unary | ir.Binary):
 
 def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
     _bool_cond("inlineIf", node)
-    then, other = node.then.type.kind, node.other.type.kind
-    return node if then == other else _refuse(
-        f"inlineIf branches must agree, got {then} and {other}")
+    then, other = node.then.type, node.other.type  # g++ gives `?:` one type
+    return node if then is other or then == other else refuse_misfit(
+        "inlineIf else", "then", then, other)
+
+
+def _form_field(form: str, key: str, needed: bool):
+    _refuse(f"{form} call {'requires a' if needed else 'takes no'} {key!r}", BuildError)
 
 
 def _check_call(node: ir.Call) -> ir.Call:
-    if node.form not in _CALL_FORMS:
+    """A receiver on a method call only, and a library on an external call only."""
+    form = node.form
+    if form not in _CALL_FORMS:
         _one_of("form", _CALL_FORMS)
-    if node.form == ir.CallForm.METHOD:
-        if node.receiver is None:
-            _refuse("method call requires a 'receiver'", BuildError)
-        if node.receiver.type.kind != "object":  # `1.f()` compiles nowhere
-            _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
-    if node.form == ir.CallForm.EXTERNAL and node.library is None:
-        _refuse("external call requires a 'library'", BuildError)
-    if node.form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
+    method, external = form == ir.CallForm.METHOD, form == ir.CallForm.EXTERNAL
+    if (node.receiver is None) == method:
+        _form_field(form, "receiver", method)
+    if method and node.receiver.type.kind != "object":  # `1.f()` compiles nowhere
+        _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
+    if (node.library is None) == external:
+        _form_field(form, "library", external)
+    if form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
         _refuse(f"constructor {node.name} gives {node.name}, not {_type_name(node.type)}")
     return node
 
@@ -274,17 +291,10 @@ def _check_math(node: ir.MathCall) -> ir.MathCall:
         f"{fn} gives {kind}, not {_type_name(node.type)}")
 
 
-def _check_value_fits(op: str, node):
-    """`node`, if its value fits its variable: of the variable's kind, or an
-    int for a float (as a method returns one), and of exactly its type if a
-    list. Object class names are not compared: an object of a subclass fits,
-    and no rule here knows the classes."""
+def _check_var_dec_def(node: ir.VarDecDef) -> ir.VarDecDef:
     t, v = node.var.type, node.value.type
-    if t.kind != v.kind and (v.kind != "int" or t.kind != "float") or (
-            t.kind == "list" and t != v):
-        _refuse(f"{op} {node.var.name}: variable type {_type_name(t)},"
-                f" value type {_type_name(v)}")
-    return node
+    return node if t is v or t == v else refuse_misfit(
+        f"varDecDef {node.var.name}", "variable", t, v)
 
 
 def _check_assign(node: ir.Assign) -> ir.Assign:
@@ -295,16 +305,15 @@ def _check_assign(node: ir.Assign) -> ir.Assign:
     if (value is None) != (step is not None):
         _refuse(f"assign mode {mode!r} "
                 + ("takes no 'value'" if step else "requires a 'value'"), BuildError)
-    kind = node.var.type.kind
+    t = node.var.type
     if step is not None:
-        if kind not in _NUMERIC:
-            _require_numeric(step, kind)
-    elif mode == ir.AssignMode.SET:
-        if kind != value.type.kind or kind == "list":
-            _check_value_fits("assign", node)
-    elif kind not in _NUMERIC or value.type.kind not in _NUMERIC:
-        _require_numeric("&-=/&+=", kind, value.type.kind)
-    return node
+        if t.kind not in _NUMERIC:
+            _require_numeric(step, t.kind)
+        return node
+    v, op = value.type, "assign" if mode == ir.AssignMode.SET else "&-=/&+="
+    if op != "assign" and (t.kind not in _NUMERIC or v.kind not in _NUMERIC):
+        _require_numeric(op, t.kind, v.kind)
+    return node if t is v or t == v else refuse_misfit(f"{op} {node.var.name}", "variable", t, v)
 
 
 def _check_if(node: ir.If) -> ir.If:
@@ -361,8 +370,8 @@ def _check_for_each(node: ir.ForEach) -> ir.ForEach:
     t, v = node.iterable.type, node.var.type
     if t.kind != "list":
         _refuse("forEach iterates a list")
-    return node if v == t.elem else _refuse(
-        f"forEach variable is {v.kind}, elements are {t.elem.kind}")
+    return node if v is t.elem or v == t.elem else refuse_misfit(
+        f"forEach {node.var.name}", "variable", v, t.elem)
 
 
 def _check_read(node: ir.Read) -> ir.Read:
@@ -373,9 +382,11 @@ def _check_read(node: ir.Read) -> ir.Read:
 
 
 def _check_list_slice(node: ir.ListSlice) -> ir.ListSlice:
-    _elem("listSlice", node.source)
-    if node.target.type.kind != "list":
-        _refuse("listSlice target must be a list variable")
+    t, v = node.target.type, node.source.type
+    if v.kind != "list":
+        _elem("listSlice", node.source)
+    if t is not v and not t == v:
+        refuse_misfit(f"listSlice {node.target.name}", "variable", t, v)
     if any(b is not None and b.type.kind != "int" for b in (node.start, node.end, node.step)):
         _refuse("listSlice bounds must be int")
     # Python refuses a step of 0, and the C family's loop never ends; a step
@@ -408,10 +419,9 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
     void, its split within its parameters and leaving it an output (an
     in-out or an out), a main `public static void main()`; then, unless
     `body` is False, one walk of the body: a returned value has the
-    method's return type (or is an int in a float method), and an append
-    to or a loop over the local observer list follows its declaration and
-    names its element type (the rules make the value appended or the loop
-    variable of it)."""
+    method's return type, and an append to or a loop over the local
+    observer list follows its declaration and names its element type (the
+    rules make the value appended or the loop variable of it)."""
     if m.scope not in _SCOPES or m.binding not in _BINDINGS:
         _check_scoped(m)  # raises
     names = [p.name for p in m.params]
@@ -438,9 +448,8 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
         kind = type(stmt)
         if kind is ir.Return:
             value = stmt.value.type
-            if value != returns and (value.kind, returns.kind) != ("int", "float"):
-                _refuse(f"return of {_type_name(value)} from a method returning"
-                        f" {_type_name(returns)}")
+            if value is not returns and not value == returns:
+                refuse_misfit(f"return from {m.name}", "return", returns, value)
         elif (kind is ir.VarDec or kind is ir.VarDecDef) and stmt.var.name == observers:
             elem = stmt.var.type.elem
         elif kind is ir.ForEach or kind is ir.ExprStmt and type(stmt.expr) is ir.ListAppend:
@@ -450,11 +459,10 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
                 if elem is None:
                     _refuse("observer list used before initObserverList in this body",
                             ObserverNotInitialized)
-                # `kind` and `class_name` alone: a record `==` is a Python call.
                 t = lst.var.type.elem
-                if t.kind != elem.kind or t.class_name != elem.class_name:
-                    _refuse(f"{'notifyObservers' if kind is ir.ForEach else 'addObserver'}"
-                            f" of {_type_name(t)} on a list of {_type_name(elem)}")
+                if t is not elem and not t == elem:
+                    refuse_misfit("notifyObservers" if kind is ir.ForEach else "addObserver",
+                                  "element", elem, t)
     return m
 
 
@@ -499,10 +507,13 @@ def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
 
 
 def _check_var(v: ir.VariableRepr) -> ir.VariableRepr:
+    """An owner on each form that renders one, and on no other."""
     if v.form not in _VAR_FORMS:
         _one_of("form", _VAR_FORMS)
-    return v if v.owner is not None or v.form in (ir.VarForm.PLAIN, ir.VarForm.SELF) else (
-        _refuse(f"form {v.form!r} requires an 'owner'", BuildError))
+    ownerless = v.form in _OWNERLESS
+    return v if (v.owner is None) == ownerless else _refuse(
+        f"form {v.form!r} " + ("takes no 'owner'" if ownerless else "requires an 'owner'"),
+        BuildError)
 
 
 def _check_split(spec: ir.InOutSpec) -> ir.InOutSpec:
@@ -516,11 +527,15 @@ RULES = {
     ir.VariableRepr: _check_var,
     ir.Lit: _check_lit, ir.Unary: _check_operator, ir.Binary: _check_operator,
     ir.InlineIf: _check_inline_if, ir.Call: _check_call, ir.MathCall: _check_math,
-    ir.ArgAt: lambda n: _int_index("argAt", n), ir.ArgExists: lambda n: _int_index("argExists", n),
+    # One lambda a line: cProfile labels a function by its line, and keeps
+    # one of the functions that share a label.
+    ir.ArgAt: lambda n: _int_index("argAt", n),
+    ir.ArgExists: lambda n: _int_index("argExists", n),
     ir.ListAccess: lambda n: _int_index("listAccess", _listed("listAccess", n)),
-    ir.ListSize: lambda n: _listed("listSize", n), ir.ListAppend: lambda n: _fits("listAppend", n),
+    ir.ListSize: lambda n: _listed("listSize", n),
+    ir.ListAppend: lambda n: _fits("listAppend", n),
     ir.ListIndexOf: lambda n: _fits("indexOf", n), ir.Assign: _check_assign,
-    ir.VarDecDef: lambda n: _check_value_fits("varDecDef", n),
+    ir.VarDecDef: _check_var_dec_def,
     ir.ListSet: lambda n: _int_index("listSet", _fits("listSet", n)),
     ir.If: _check_if, ir.Switch: _check_switch, ir.For: _check_for,
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,

@@ -128,11 +128,9 @@ def in_out_call(func: ir.MethodRepr, ins: list[ir.ExprRepr],
                 raise SignatureMismatch(
                     f"{func.name}: {len(actual)} {label} arguments, expected {len(declared)}"
                 )
-            if decl.type.kind != act.type.kind:
-                raise SignatureMismatch(
-                    f"{func.name}: {label} argument {decl.name!r} is {decl.type.kind},"
-                    f" got {act.type.kind}"
-                )
+            if decl.type is not act.type and not decl.type == act.type:
+                bd.refuse_misfit(f"{func.name} {label} argument {decl.name}", "parameter",
+                                 decl.type, act.type, SignatureMismatch)
     return ir.InOutCall(func.name, tuple(ins), tuple(outs), tuple(inouts))
 
 

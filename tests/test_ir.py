@@ -150,8 +150,11 @@ def test_returned_value_must_have_the_return_type(return_type, value):
         bd.main_function(bd.one_liner(bd.return_stmt(value)))
 
 
-def test_returned_int_may_widen_to_float():
-    assert _returning(ir.FLOAT, bd.lit_int(1)).return_type == ir.FLOAT
+# Python printed a float function's `return 2` as `2`, and Java as `2.0`.
+def test_returned_int_does_not_widen_to_float():
+    with pytest.raises(TypeMismatch, match="^return from make: return type float, value type int$"):
+        _returning(ir.FLOAT, bd.lit_int(1))
+    assert _returning(ir.FLOAT, bd.lit_float(1.0)).return_type == ir.FLOAT
     assert _returning(ir.obj_of("Foo"), bd.value_of(bd.var("f", ir.obj_of("Foo")))).body
 
 
@@ -388,7 +391,7 @@ def test_observer_calls_must_follow_init():
 
 def test_return_type_is_checked_inside_a_block_statement():
     body = bd.one_liner(bd.block([bd.return_stmt(bd.lit_string("x"))]))
-    with pytest.raises(TypeMismatch, match="return of string from a method returning int"):
+    with pytest.raises(TypeMismatch, match="return from f: return type int, value type string"):
         bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [], body)
 
 

@@ -16,9 +16,9 @@ import all_tags
 from oogen import jsonio
 from oogen.backends import TARGETS, get_backend
 
-LOADS_BUDGET = 1287
+LOADS_BUDGET = 1278
 ENCODE_BUDGET = 371
-BUILD_BUDGET = 734
+BUILD_BUDGET = 728
 RENDER_BUDGETS = {"python": 635, "java": 892, "csharp": 857, "cpp": 1052}
 
 

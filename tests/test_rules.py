@@ -368,8 +368,8 @@ def test_a_literal_payload_of_the_wrong_type_is_refused_built_and_decoded(build,
     assert str(decoded.value) == f"{path}: {built.value}"
 
 
-# A value fits its variable as javac and g++ take it: of its kind, an int
-# widening to a float; a list of exactly its type. Python took `int x = "s"`.
+# A value fills a variable only of exactly its type (see the table test
+# below for every slot). Python took `int x = "s"`.
 
 @pytest.mark.parametrize("build, node, message", [
     (lambda: bd.assign(_X, bd.lit_string("s")),
@@ -394,14 +394,34 @@ def test_a_value_that_does_not_fit_its_variable_is_refused_built_and_decoded(
     assert str(err.value) == f"{_STMT}: {message}"
 
 
-def test_an_int_widens_to_a_float_and_an_object_of_any_class_fits():
-    f, shape = bd.var("f", ir.FLOAT), bd.var("s", ir.obj_of("Shape"))
-    statements = [bd.var_dec_def(f, bd.lit_int(1)), bd.assign(f, bd.lit_int(2)),
-                  bd.var_dec_def(shape, bd.new_obj("Circle", [])),
-                  bd.assign(shape, bd.new_obj("Square", []))]
-    main = bd.main_function(bd.body_statements(statements))
-    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
-    assert jsonio.decode_package(jsonio.encode_package(pkg)) == pkg
+# An int once widened to a float, and an object of any class filled an
+# object variable. Python printed `double x = 3` as `3` and Java as `3.0`;
+# for two unrelated classes javac said "B cannot be converted to A" and g++
+# "conversion from 'B' to non-scalar type 'A'", while Python ran.
+
+_F, _SHAPE, _THREE = bd.var("f", ir.FLOAT), bd.var("s", ir.obj_of("Shape")), bd.lit_int(3)
+
+
+def _set(variable, value) -> ir.Assign:
+    return ir.Assign(ir.AssignMode.SET, variable, value)
+
+
+@pytest.mark.parametrize("build, make, var, value, message", [
+    (bd.var_dec_def, ir.VarDecDef, _F, _THREE, "varDecDef f: variable type float, value type int"),
+    (bd.assign, _set, _F, _THREE, "assign f: variable type float, value type int"),
+    (bd.var_dec_def, ir.VarDecDef, _SHAPE, bd.new_obj("Circle", []),
+     "varDecDef s: variable type Shape, value type Circle"),
+    (bd.assign, _set, _SHAPE, bd.new_obj("Square", []),
+     "assign s: variable type Shape, value type Square"),
+], ids=["varDecDef-int-into-float", "assign-int-into-float", "varDecDef-another-class",
+        "assign-another-class"])
+def test_an_int_does_not_widen_to_a_float_nor_an_object_fill_another_class(
+        build, make, var, value, message):
+    with pytest.raises(TypeMismatch, match=f"^{message}$"):
+        build(var, value)
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(_main_doc(make(var, value)))
+    assert str(decoded.value) == f"{_STMT}: {message}"
 
 
 # Every target tests `i <= end` whatever the step's sign: a literal step of
@@ -566,23 +586,6 @@ def test_every_allowed_for_header_builds_and_decodes():
     assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
 
 
-# javac: "B cannot be converted to A"; g++ refuses it too. An add or a
-# notify of another class renders an append or a loop typed with the wrong
-# class.
-
-@pytest.mark.parametrize("use, message", [
-    (lambda: pt.add_observer(bd.new_obj("B", [])), "addObserver of B on a list of A"),
-    (lambda: pt.notify_observers("update", ir.obj_of("B")), "notifyObservers of B on a list of A"),
-], ids=["add", "notify"])
-def test_an_observer_of_another_class_is_refused_built_and_decoded(use, message):
-    statements = [pt.init_observer_list(ir.obj_of("A"), [bd.new_obj("A", [])]), use()]
-    with pytest.raises(TypeMismatch, match=f"^{message}$"):
-        bd.main_function(bd.body_statements(statements))
-    with pytest.raises(DecodeError) as decoded:
-        jsonio.decode_package(_main_doc(*statements))
-    assert str(decoded.value) == f"{_MAIN}: {message}"
-
-
 @pytest.mark.parametrize("use", [lambda t: pt.init_observer_list(t, []),
                                  lambda t: pt.notify_observers("update", t)],
                          ids=["init", "notify"])
@@ -623,41 +626,157 @@ def test_a_list_of_the_observer_list_name_needs_no_init_where_it_is_declared_oth
     assert jsonio.decode_package(jsonio.encode_package(pkg)) == pkg
 
 
-# A list takes only its element type: javac refuses `xs.add(2)` and
-# `xs.set(0, 3)` on an ArrayList<Double> ("int cannot be converted to
-# Double"), and `xs.indexOf(3)` on it compiles and finds nothing; a double
-# appended to a list of ints prints `[2.5]` in Python and `[2]` in C++.
+# One fit rule: wherever a value fills a slot, the value has exactly the
+# slot's type, by `TypeRepr` equality. Each site below takes every pair of
+# its types, and accepts exactly the equal pairs, built and decoded; every
+# other pair is refused with one message, naming the operation, the slot and
+# both types. Rows of note, each once built and run:
+# - an int into a float (`varDecDef`, `assign`, `return`): Python printed
+#   `3`, Java `3.0`;
+# - `int x = 1; x += 1.5` (`addEq`): Python printed 2.5, Java and C++ 2;
+# - an object of another class (`varDecDef`): javac "B cannot be converted
+#   to A", g++ "conversion from 'B' to non-scalar type 'A'";
+# - `b ? xs : ys` of lists of ints and of strings (`inlineIf`): g++ "operands
+#   to '?:' have different types";
+# - a list of strings as an in-out list of ints (`inOutCall`): javac
+#   "incompatible types", g++ "invalid initialization of reference";
+# - a slice of a list of ints into a list of strings (`listSlice`): javac
+#   "Integer cannot be converted to String", g++ "no matching function";
+# - an int appended to, set in or looked up in a list of floats
+#   (`listAppend`, `listSet`, `listIndexOf`): javac refuses `xs.add(2)` on
+#   an ArrayList<Double>, and `xs.indexOf(3)` finds nothing; a float
+#   appended to a list of ints printed `[2.5]` in Python and `[2]` in C++.
+# A decoded in/out call is not checked against its callee, so only built.
 
-_FLOATS = bd.value_of(bd.var("ys", ir.list_of(ir.FLOAT)))
-# use -> (the builder call, the same statement made without the rules, the
-# path of the refused node inside it)
-_ELEMENT_USES = {
-    "listAppend": (lambda xs, v: bd.call_stmt(pt.list_append(xs, v)),
-                   lambda xs, v: ir.ExprStmt(ir.ListAppend(xs, v)), ".expr"),
-    "listSet": (lambda xs, v: pt.list_set(xs, bd.lit_int(0), v),
-                lambda xs, v: ir.ListSet(xs, bd.lit_int(0), v), ""),
-    "listIndexOf": (lambda xs, v: pt.print_ln(pt.index_of(xs, v)),
-                    lambda xs, v: ir.Print(ir.ListIndexOf(xs, v), True), ".expr"),
+_FIT_TYPES = {"int": ir.INT, "float": ir.FLOAT, "string": ir.STRING,
+              "list of int": ir.list_of(ir.INT), "list of float": ir.list_of(ir.FLOAT),
+              "list of string": ir.list_of(ir.STRING), "A": ir.obj_of("A"), "B": ir.obj_of("B")}
+_NUMBERS = ("int", "float")
+_LISTS = ("list of int", "list of float", "list of string")
+_TRUE = bd.lit_bool(True)
+
+
+def _v(type_, name="v"):
+    return ir.ValueOf(ir.VariableRepr(name, type_))
+
+
+def _x(type_):
+    return ir.VariableRepr("x", type_)
+
+
+def _observers(type_):
+    return _v(ir.list_of(type_), ir.OBSERVER_LIST_NAME)
+
+
+def _returning(type_, value) -> ir.MethodRepr:
+    return ir.MethodRepr("f", ir.Scope.PUBLIC, ir.Binding.STATIC, type_, (),
+                         bd.one_liner(ir.Return(value)))
+
+
+def _in_out(group):
+    """The call of an in/out procedure `g` whose one parameter `a`, in
+    `group`, has the slot's type, given one argument there of the value's."""
+    out = [bd.var("o", ir.INT)] if group == "ins" else []  # an in/out procedure has an output
+
+    def call(want, got):
+        func = pt.in_out_func("g", ir.Scope.PUBLIC, ir.Binding.STATIC, body_=_EMPTY, **{
+            "inouts": [], "ins": [], "outs": out, group: [bd.var("a", want)]})
+        arg = _v(got) if group == "ins" else bd.var("v", got)
+        return pt.in_out_call(func, **{"inouts": [], "ins": [], "outs": out, group: [arg]})
+    return call
+
+
+# site -> (its types; the slot's and the value's types -> the node or
+# method the builders make, and the same made without the rules, or None
+# where it does not decode; the path of the refused node; the message's
+# operation and slot)
+_FIT_SITES = {
+    "varDecDef": (_FIT_TYPES, lambda w, g: bd.var_dec_def(_x(w), _v(g)),
+                  lambda w, g: ir.VarDecDef(_x(w), _v(g)), _STMT, "varDecDef x", "variable"),
+    "assign": (_FIT_TYPES, lambda w, g: bd.assign(_x(w), _v(g)),
+               lambda w, g: _set(_x(w), _v(g)), _STMT, "assign x", "variable"),
+    "addEq": (_NUMBERS, lambda w, g: bd.add_eq(_x(w), _v(g)),
+              lambda w, g: ir.Assign("addEq", _x(w), _v(g)), _STMT, "&-=/&+= x", "variable"),
+    "subEq": (_NUMBERS, lambda w, g: bd.sub_eq(_x(w), _v(g)),
+              lambda w, g: ir.Assign("subEq", _x(w), _v(g)), _STMT, "&-=/&+= x", "variable"),
+    "return": (_FIT_TYPES, lambda w, g: bd.RULES[ir.MethodRepr](_returning(w, _v(g))),
+               lambda w, g: _returning(w, _v(g)), _MODULE + ".functions[1]", "return from f",
+               "return"),
+    "listAppend": (_FIT_TYPES, lambda w, g: bd.call_stmt(pt.list_append(_v(ir.list_of(w)), _v(g))),
+                   lambda w, g: ir.ExprStmt(ir.ListAppend(_v(ir.list_of(w)), _v(g))),
+                   _STMT + ".expr", "listAppend", "element"),
+    "listIndexOf": (_FIT_TYPES, lambda w, g: pt.print_ln(pt.index_of(_v(ir.list_of(w)), _v(g))),
+                    lambda w, g: ir.Print(ir.ListIndexOf(_v(ir.list_of(w)), _v(g)), True),
+                    _STMT + ".expr", "indexOf", "element"),
+    "listSet": (_FIT_TYPES, lambda w, g: pt.list_set(_v(ir.list_of(w)), bd.lit_int(0), _v(g)),
+                lambda w, g: ir.ListSet(_v(ir.list_of(w)), bd.lit_int(0), _v(g)), _STMT,
+                "listSet", "element"),
+    "forEach": (_FIT_TYPES, lambda w, g: bd.for_each(_x(w), _v(ir.list_of(g)), _EMPTY),
+                lambda w, g: ir.ForEach(_x(w), _v(ir.list_of(g)), _EMPTY), _STMT, "forEach x",
+                "variable"),
+    # In a definition, as a print takes no object.
+    "inlineIf": (_FIT_TYPES,
+                 lambda w, g: bd.var_dec_def(_x(w), bd.inline_if(_TRUE, _v(w), _v(g))),
+                 lambda w, g: ir.VarDecDef(_x(w), ir.InlineIf(_TRUE, _v(w), _v(g))),
+                 _STMT + ".value", "inlineIf else", "then"),
+    "listSlice": (_LISTS, lambda w, g: pt.list_slice(_x(w), _v(g)),
+                  lambda w, g: ir.ListSlice(_x(w), _v(g), None, None, None), _STMT,
+                  "listSlice x", "variable"),
+    # The observer list's uses, as `pt.add_observer` and `pt.notify_observers`
+    # make them for objects, after `pt.init_observer_list`.
+    "addObserver": (_FIT_TYPES, lambda w, g: bd.main_function(bd.body_statements([
+        pt.init_observer_list(w, []), bd.call_stmt(pt.list_append(_observers(g), _v(g)))])),
+                    lambda w, g: _observed(w, ir.ExprStmt(ir.ListAppend(_observers(g), _v(g)))),
+                    _MAIN, "addObserver", "element"),
+    "notifyObservers": (_FIT_TYPES, lambda w, g: bd.main_function(bd.body_statements([
+        pt.init_observer_list(w, []), bd.for_each(_x(g), _observers(g), _EMPTY)])),
+                        lambda w, g: _observed(w, ir.ForEach(_x(g), _observers(g), _EMPTY)),
+                        _MAIN, "notifyObservers", "element"),
+    "inOutCall in-out": (_FIT_TYPES, _in_out("inouts"), None, None, "g in-out argument a",
+                         "parameter"),
+    "inOutCall in": (_FIT_TYPES, _in_out("ins"), None, None, "g in argument a", "parameter"),
+    "inOutCall out": (_FIT_TYPES, _in_out("outs"), None, None, "g out argument a", "parameter"),
 }
-_MIXES = {"int into floats": (_FLOATS, bd.lit_int(2)),
-          "float into ints": (_xs(), bd.lit_float(2.5))}
 
 
-@pytest.mark.parametrize("mix", list(_MIXES))
-@pytest.mark.parametrize("use", list(_ELEMENT_USES))
-def test_a_list_takes_only_its_element_type_built_and_decoded(use, mix):
-    build, make, at = _ELEMENT_USES[use]
-    lst, value = _MIXES[mix]
-    with pytest.raises(TypeMismatch) as built:
-        build(lst, value)
-    assert str(built.value) == (f"{'indexOf' if use == 'listIndexOf' else use}: element type"
-                                f" {lst.type.elem.kind}, value type {value.type.kind}")
-    with pytest.raises(DecodeError) as decoded:
-        jsonio.decode_package(_main_doc(make(lst, value)))
-    assert str(decoded.value) == f"{_STMT}{at}: {built.value}"
-    exact = bd.lit_float(2.5) if lst is _FLOATS else bd.lit_int(2)
-    doc = _main_doc(build(lst, exact))
-    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+def _observed(elem, use) -> ir.MethodRepr:
+    """A main that declares the observer list of `elem`s, then does `use`."""
+    return ir.MethodRepr("main", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (),
+                         bd.body_statements([*pt.init_observer_list(elem, []).statements, use]),
+                         is_main=True)
+
+
+def _fit_doc(node) -> dict:
+    """A package whose main holds `node`, or, if `node` is a method, whose
+    main or second function it is."""
+    if type(node) is not ir.MethodRepr:
+        return _main_doc(node)
+    main = bd.main_function(_EMPTY)
+    methods = (node,) if node.is_main else (main, node)
+    return jsonio.encode_package(ir.PackageTree("p", (ir.ModuleRepr("Main", (), methods, ()),)))
+
+
+@pytest.mark.parametrize("site", list(_FIT_SITES))
+def test_a_value_fills_a_slot_only_of_exactly_its_type_built_and_decoded(site):
+    types, build, make, path, op, slot = _FIT_SITES[site]
+    error = TypeMismatch if make is not None else SignatureMismatch
+    for want in types:
+        for got in types:
+            w, g = _FIT_TYPES[want], _FIT_TYPES[got]
+            if want == got:
+                build(w, g)
+                if make is not None:
+                    doc = _fit_doc(make(w, g))
+                    assert jsonio.encode_package(jsonio.decode_package(doc)) == doc
+                continue
+            with pytest.raises(error) as built:
+                build(w, g)
+            assert type(built.value) is error
+            assert str(built.value) == f"{op}: {slot} type {want}, value type {got}"
+            if make is not None:
+                with pytest.raises(DecodeError) as decoded:
+                    jsonio.decode_package(_fit_doc(make(w, g)))
+                assert str(decoded.value) == f"{path}: {built.value}"
 
 
 # Refusals that no case above reaches. (the builder call, or None where the
@@ -666,6 +785,17 @@ def test_a_list_takes_only_its_element_type_built_and_decoded(use, mix):
 
 _S = bd.var("s", ir.STRING)
 _ONE_INT = bd.lit_int(1)
+# A field on a form that never reads it: an owner on a plain or self
+# variable, a receiver on a call not a method's, a library on a call not
+# external.
+_OWNED = ir.VariableRepr("x", ir.INT, owner="o")
+_SELF_OWNED = ir.VariableRepr("x", ir.INT, ir.VarForm.SELF, "o")
+_RECEIVED = ir.Call(ir.CallForm.FUNCTION, "f", (), ir.INT, receiver=_v(ir.obj_of("A")))
+_NEW_FROM_LIB = ir.Call(ir.CallForm.CONSTRUCTOR, "A", (), ir.obj_of("A"), library="lib")
+
+
+def _print(expr) -> ir.Print:
+    return ir.Print(expr, True)
 
 
 def _two_mains() -> list:
@@ -686,10 +816,6 @@ _MORE_REFUSALS = {
         lambda: bd.switch(_ONE_INT, [(bd.value_of(_I), _EMPTY)]),
         lambda: _main_doc(ir.Switch(_ONE_INT, ((bd.value_of(_I), _EMPTY),), None)), _STMT,
         "switch case 'match' must be a literal"),
-    "forEach of floats over ints": (
-        lambda: bd.for_each(bd.var("f", ir.FLOAT), _xs(), _EMPTY),
-        lambda: _main_doc(ir.ForEach(bd.var("f", ir.FLOAT), _xs(), _EMPTY)), _STMT,
-        "forEach variable is float, elements are int"),
     "readLine into an int": (lambda: pt.read_line(_I), lambda: _main_doc(ir.Read(_I, False)),
                              _STMT, "readLine target must be a string variable"),
     "listSlice by a float": (
@@ -711,6 +837,22 @@ _MORE_REFUSALS = {
         lambda: bd.method_call(_ONE_INT, "f", ir.INT, []),
         lambda: _main_doc(ir.Print(ir.Call(ir.CallForm.METHOD, "f", (), ir.INT, _ONE_INT), True)),
         _STMT + ".expr", "method call receiver must be an object, got int"),
+    # Each once decoded, rendered without the field, and compared unequal
+    # to the tree the builders make.
+    "an owner on a plain variable": (
+        lambda: bd.RULES[ir.VariableRepr](_OWNED), lambda: _main_doc(_print(ir.ValueOf(_OWNED))),
+        _STMT + ".expr.var", "form 'plain' takes no 'owner'"),
+    "an owner on a self variable": (
+        lambda: bd.RULES[ir.VariableRepr](_SELF_OWNED),
+        lambda: _main_doc(_print(ir.ValueOf(_SELF_OWNED))), _STMT + ".expr.var",
+        "form 'self' takes no 'owner'"),
+    "a receiver on a function call": (
+        lambda: bd.RULES[ir.Call](_RECEIVED), lambda: _main_doc(_print(_RECEIVED)),
+        _STMT + ".expr", "function call takes no 'receiver'"),
+    "a library on a constructor call": (
+        lambda: bd.RULES[ir.Call](_NEW_FROM_LIB),
+        lambda: _main_doc(ir.VarDecDef(_x(ir.obj_of("A")), _NEW_FROM_LIB)), _STMT + ".value",
+        "constructor call takes no 'library'"),
     "a main in two modules": (
         lambda: bd.prog("p", _two_mains()),
         lambda: jsonio.encode_package(ir.PackageTree("p", tuple(_two_mains()))), "$.program",
