@@ -7,12 +7,12 @@ are the `oogen.errors` taxonomy, raised at construction, never at render.
 `RULES` maps an IR class to the rule its nodes obey: it takes the finished
 node and returns it, or raises a `BuildError`. The constructors here and in
 `oogen.patterns` call it as they build, and `oogen.jsonio` on each node it
-decodes. The rules judge every value but a name, an enumerated field's by
-`in` on a tuple, which never hashes, so they refuse any JSON value outside
-its set. Names are checked per field (`check_identifier`, `check_type`,
-`check_dotted_name`). A value fills a slot only of exactly its type (see
-`refuse_misfit`). Only `patterns.in_out_call` (against its callee) and
-`patterns.run_strategy` (its chosen name) check what their node does not hold.
+decodes. The rules judge every value as the JSON gives it: a name (by
+`check_identifier`, `check_type`, `check_dotted_name`), a string or boolean
+by its `type`, and an enumerated value by `in` on a tuple, which never
+hashes. A value fills a slot only of exactly its type (see `refuse_misfit`).
+Only `patterns.in_out_call` (against its callee) and `patterns.run_strategy`
+(its chosen name) check what their node does not hold.
 """
 
 from __future__ import annotations
@@ -48,19 +48,19 @@ _RESERVED = frozenset(keyword.kwlist) | frozenset("""
 
 
 def check_identifier(name: str) -> str:
-    """`name`, if it is an identifier and no target's reserved word. An
-    ASCII Python identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
-    if not (name and name.isascii() and name.isidentifier()) or name in _RESERVED:
+    """`name`, if it is a string, an identifier and no target's reserved
+    word. An ASCII Python identifier is exactly `[A-Za-z_][A-Za-z0-9_]*`."""
+    if type(name) is not str or not (name.isascii() and name.isidentifier()) or name in _RESERVED:
         raise InvalidIdentifier(f"not a legal identifier: {name!r}")
     return name
 
 
 def check_type(type_: ir.TypeRepr) -> ir.TypeRepr:
     """`type_`, once every object class name in it (through list element
-    types too) has passed `check_identifier`."""
+    types too) has passed `check_identifier`: an object type has one."""
     t = type_
     while t is not None:
-        if t.class_name is not None:
+        if t.class_name is not None or t.kind == "object":
             check_identifier(t.class_name)
         t = t.elem
     return type_
@@ -68,7 +68,8 @@ def check_type(type_: ir.TypeRepr) -> ir.TypeRepr:
 
 def check_dotted_name(name: str) -> str:
     """An import: identifiers joined by '.' (`java.util.ArrayList`)."""
-    if not all(part.isascii() and part.isidentifier() for part in (name or "").split(".")):
+    if type(name) is not str or not (
+            name.isascii() and all(map(str.isidentifier, name.split(".")))):
         raise InvalidIdentifier(f"not a legal dotted name: {name!r}")
     return name
 
@@ -89,6 +90,7 @@ _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 _SCOPES, _BINDINGS = ir.names(ir.Scope), ir.names(ir.Binding)
 _VAR_FORMS, _CALL_FORMS = ir.names(ir.VarForm), ir.names(ir.CallForm)
 _OWNERLESS = (ir.VarForm.PLAIN, ir.VarForm.SELF)
+_NAMED_KINDS = ("list", "object")  # the kinds of type that hold a class name
 _ASSIGN_MODES, _AUX_KINDS = ir.names(ir.AssignMode), ("makefile", "doxygen")
 _UNARY, _BINARY = (tuple(op for op, n in ir.OPERATORS.items() if n == arity) for arity in (1, 2))
 # The statements a for header takes as its update and its init, and the
@@ -109,8 +111,12 @@ def _refuse(message: str, error: type[BuildError] = TypeMismatch):
 # The rules test a valid kind inline and call these only to raise the
 # message for the first kind that fails: a valid node costs no call here.
 
+def _must_be(key: str, what: str):
+    _refuse(f"field {key!r} must be {what}", BuildError)
+
+
 def _one_of(key: str, values: tuple[str, ...]):
-    _refuse(f"field {key!r} must be one of: {', '.join(values)}", BuildError)
+    _must_be(key, f"one of: {', '.join(values)}")
 
 
 def _require_numeric(op: str, *kinds: str) -> None:
@@ -219,7 +225,7 @@ ENUMERATED = (*_SCOPES, *_BINDINGS, *_VAR_FORMS, *_CALL_FORMS, *_ASSIGN_MODES, *
 def _check_lit(lit: ir.Lit) -> ir.Lit:
     """A payload of its kind's type, where a float's int becomes a double;
     numbers every target spells (32-bit ints, finite doubles); one-letter
-    chars."""
+    ASCII chars (a C++ `char` is one byte: `'é'` is an int there)."""
     kind, value = lit.kind, lit.value
     if kind not in _LIT_KINDS:
         _refuse(f"unknown literal kind {kind!r}", BuildError)
@@ -235,8 +241,8 @@ def _check_lit(lit: ir.Lit) -> ir.Lit:
         _refuse(f"int literal out of range: targets' ints are 32 bits ({INT_MIN}..{INT_MAX})")
     if kind == "float" and not math.isfinite(value):
         _refuse(f"float literal must be finite, got {value!r}")
-    if kind == "char" and len(value) != 1:
-        _refuse(f"char literal must be one character: {value!r}")
+    if kind == "char" and not (len(value) == 1 and value.isascii()):
+        _refuse(f"char literal must be one ASCII character: {value!r}")
     return lit
 
 
@@ -260,10 +266,13 @@ def _form_field(form: str, key: str, needed: bool):
 
 
 def _check_call(node: ir.Call) -> ir.Call:
-    """A receiver on a method call only, and a library on an external call only."""
+    """Legal names; a receiver on a method call only, a library on an external call only."""
     form = node.form
     if form not in _CALL_FORMS:
         _one_of("form", _CALL_FORMS)
+    check_identifier(node.name)
+    if node.type.kind in _NAMED_KINDS:
+        check_type(node.type)
     method, external = form == ir.CallForm.METHOD, form == ir.CallForm.EXTERNAL
     if (node.receiver is None) == method:
         _form_field(form, "receiver", method)
@@ -271,6 +280,8 @@ def _check_call(node: ir.Call) -> ir.Call:
         _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
     if (node.library is None) == external:
         _form_field(form, "library", external)
+    if external:
+        check_identifier(node.library)
     if form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
         _refuse(f"constructor {node.name} gives {node.name}, not {_type_name(node.type)}")
     return node
@@ -278,7 +289,7 @@ def _check_call(node: ir.Call) -> ir.Call:
 
 def _check_math(node: ir.MathCall) -> ir.MathCall:
     fn, args = node.fn, node.args
-    if fn not in MATH_FNS:
+    if type(fn) is not str or fn not in MATH_FNS:
         _refuse(f"unknown math function {fn!r}")
     arity = MATH_FNS[fn]
     if args[arity:] or not args[arity - 1:]:  # slices, not `len`: no call on the valid path
@@ -375,6 +386,8 @@ def _check_for_each(node: ir.ForEach) -> ir.ForEach:
 
 
 def _check_read(node: ir.Read) -> ir.Read:
+    if type(node.parse_int) is not bool:
+        _must_be("parseInt", "a boolean")
     if node.var.type.kind != ("int" if node.parse_int else "string"):
         _refuse("readInt target must be an int variable" if node.parse_int
                 else "readLine target must be a string variable")
@@ -399,6 +412,8 @@ def _check_print(node: ir.Print) -> ir.Print:
     """A value every target prints alike: no object (Python prints its
     address, Java its hash code, and g++ finds no `<<`) and no void, alone
     or as the elements of a list at any depth."""
+    if type(node.newline) is not bool:
+        _must_be("newline", "a boolean")
     t = node.expr.type
     while t.kind == "list":
         t = t.elem
@@ -414,23 +429,36 @@ def _check_scoped(node: ir.MethodRepr | ir.StateVarRepr):
     return node
 
 
-def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
-    """Parameters unique and documented ones declared, an in/out procedure
-    void, its split within its parameters and leaving it an output (an
-    in-out or an out), a main `public static void main()`; then, unless
-    `body` is False, one walk of the body: a returned value has the
+def _documented(method_name: str, names, doc: ir.DocSpec) -> None:
+    """Each parameter `doc` describes is one of `names`."""
+    for name, _ in doc.param_descs:
+        if name not in names:
+            _refuse(f"{method_name} has no parameter {name!r}", UnknownParamDoc)
+
+
+def _check_method(m: ir.MethodRepr) -> ir.MethodRepr:
+    """A legal name, class and return type, parameters unique and documented
+    ones declared, an in/out procedure void, its split within its parameters
+    and leaving it an output (an in-out or an out), a main `public static
+    void main()`; then one walk of the body: a returned value has the
     method's return type, and an append to or a loop over the local
     observer list follows its declaration and names its element type (the
     rules make the value appended or the loop variable of it)."""
     if m.scope not in _SCOPES or m.binding not in _BINDINGS:
         _check_scoped(m)  # raises
+    check_identifier(m.name)
+    if m.containing_class is not None:
+        check_identifier(m.containing_class)
+    if m.return_type.kind in _NAMED_KINDS:
+        check_type(m.return_type)
+    if type(m.is_main) is not bool:
+        _must_be("main", "a boolean")
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
         _refuse(f"parameter {name!r} declared twice", DuplicateParam)
-    for name, _ in m.doc.param_descs if m.doc is not None else ():
-        if name not in names:
-            _refuse(f"{m.name} has no parameter {name!r}", UnknownParamDoc)
+    if m.doc is not None:
+        _documented(m.name, names, m.doc)
     spec = m.inout
     split = spec.inouts + spec.ins if spec is not None else 0
     if split and not m.params[split - 1:]:
@@ -444,7 +472,7 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
         _refuse(f"main function {m.name!r} must be public static void main()", SignatureMismatch)
     returns, observers = m.return_type, ir.OBSERVER_LIST_NAME
     elem = m.params[names.index(observers)].type.elem if observers in names else None
-    for stmt in ir.walk(m.body) if body else ():
+    for stmt in ir.walk(m.body):
         kind = type(stmt)
         if kind is ir.Return:
             value = stmt.value.type
@@ -469,6 +497,9 @@ def _check_method(m: ir.MethodRepr, body: bool = True) -> ir.MethodRepr:
 def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
     if c.scope not in _SCOPES:
         _one_of("scope", _SCOPES)
+    check_identifier(c.name)
+    if c.parent is not None:
+        check_identifier(c.parent)
     name = _first_repeat([m.name for m in c.methods])
     if name is not None:
         _refuse(f"class {c.name} declares {name!r} twice", DuplicateMethod)
@@ -483,6 +514,9 @@ def _check_class(c: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
 
 
 def _check_module(module: ir.ModuleRepr) -> ir.ModuleRepr:
+    check_identifier(module.name)
+    for imp in module.imports:
+        check_dotted_name(imp)
     for f in module.functions:
         if f.containing_class is not None:
             _refuse(f"module {module.name} lists method {f.containing_class}.{f.name}"
@@ -493,34 +527,59 @@ def _check_module(module: ir.ModuleRepr) -> ir.ModuleRepr:
 
 
 def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
+    check_identifier(pkg.name)
     name = _first_repeat([m.name for m in pkg.modules])
     if name is not None:
         _refuse(f"module {name!r} appears twice", DuplicateModule)
-    if sum(f.is_main for m in pkg.modules for f in m.functions) > 1:
+    if [f for m in pkg.modules for f in m.functions if f.is_main][1:]:
         _refuse("program declares more than one main function", DuplicateMethod)
     for spec in pkg.aux:  # no builder makes an aux file's spec
         if spec.kind not in _AUX_KINDS:
             _refuse(f"unknown aux file kind {spec.kind!r}", BuildError)
+        if type(spec.with_doc_rule) is not bool:
+            _must_be("docRule", "a boolean")
     kind = _first_repeat([spec.kind for spec in pkg.aux])
     return pkg if kind is None else _refuse(
         f"package lists the auxiliary file kind {kind!r} twice", BuildError)
 
 
 def _check_var(v: ir.VariableRepr) -> ir.VariableRepr:
-    """An owner on each form that renders one, and on no other."""
+    """A legal name and type, and a legal owner on each form that renders one and no other."""
     if v.form not in _VAR_FORMS:
         _one_of("form", _VAR_FORMS)
+    check_identifier(v.name)
+    if v.type.kind in _NAMED_KINDS:
+        check_type(v.type)
     ownerless = v.form in _OWNERLESS
-    return v if (v.owner is None) == ownerless else _refuse(
-        f"form {v.form!r} " + ("takes no 'owner'" if ownerless else "requires an 'owner'"),
-        BuildError)
+    if (v.owner is None) != ownerless:
+        _refuse(f"form {v.form!r} " + ("takes no 'owner'" if ownerless else "requires an 'owner'"),
+                BuildError)
+    if not ownerless:
+        check_identifier(v.owner)
+    return v
 
 
 def _check_split(spec: ir.InOutSpec) -> ir.InOutSpec:
     for key, count in (("inouts", spec.inouts), ("ins", spec.ins)):
         if type(count) is not int or count < 0:  # a bool is no count
-            _refuse(f"field {key!r} must be a count: an integer, 0 or more", BuildError)
+            _must_be(key, "a count: an integer, 0 or more")
     return spec
+
+
+def _check_doc(doc: ir.DocSpec) -> ir.DocSpec:
+    """Strings, and each parameter's entry a (name, text) pair of them, kept
+    as a tuple: a pair built as a list would not equal the decoded pair."""
+    if type(doc.description) is not str:
+        _must_be("description", "a string")
+    if doc.return_desc is not None and type(doc.return_desc) is not str:
+        _must_be("returns", "a string")
+    pairs = ()
+    for pair in doc.param_descs:
+        if (type(pair) not in (tuple, list) or len(pair) != 2
+                or type(pair[0]) is not str or type(pair[1]) is not str):
+            _refuse("param doc must be a [name, description] pair", BuildError)
+        pairs += (tuple(pair),)
+    return doc if pairs == doc.param_descs else replace(doc, param_descs=pairs)
 
 
 RULES = {
@@ -541,6 +600,10 @@ RULES = {
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
     ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
     ir.ListSlice: _check_list_slice, ir.Print: _check_print,
+    ir.Throw: lambda n: n if type(n.message) is str else _must_be("message", "a string"),
+    ir.CommentStmt: lambda n: n if type(n.text) is str else _must_be("text", "a string"),
+    ir.InOutCall: lambda n: check_identifier(n.name) and n,  # a legal name is never empty
+    ir.DocSpec: _check_doc,
     # javac refuses any other expression as a statement ("not a statement").
     ir.ExprStmt: lambda n: n if type(n.expr) in _STATEMENT_EXPRS else _refuse(
         f"an expression statement must be a call or a listAppend,"
@@ -556,26 +619,23 @@ RULES = {
 
 
 def var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_))
+    return _check_var(ir.VariableRepr(name, type_))
 
 
 def self_var(name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.SELF)
+    return _check_var(ir.VariableRepr(name, type_, ir.VarForm.SELF))
 
 
 def class_var(class_name: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.CLASS_MEMBER,
-                           check_identifier(class_name))
+    return _check_var(ir.VariableRepr(name, type_, ir.VarForm.CLASS_MEMBER, class_name))
 
 
 def obj_var(owner: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.OBJECT_MEMBER,
-                           check_identifier(owner))
+    return _check_var(ir.VariableRepr(name, type_, ir.VarForm.OBJECT_MEMBER, owner))
 
 
 def ext_var(library: str, name: str, type_: ir.TypeRepr) -> ir.VariableRepr:
-    return ir.VariableRepr(check_identifier(name), check_type(type_), ir.VarForm.EXTERNAL,
-                           check_identifier(library))
+    return _check_var(ir.VariableRepr(name, type_, ir.VarForm.EXTERNAL, library))
 
 
 def param(variable: ir.VariableRepr) -> ir.VariableRepr:
@@ -657,8 +717,8 @@ def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
 
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
                 args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](ir.Call(ir.CallForm.METHOD, check_identifier(name), tuple(args),
-                                  check_type(return_type), receiver=receiver))
+    return RULES[ir.Call](
+        ir.Call(ir.CallForm.METHOD, name, tuple(args), return_type, receiver=receiver))
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +758,11 @@ def return_stmt(value: ir.ExprRepr) -> ir.Return:
 
 
 def throw(message: str) -> ir.Throw:
-    return ir.Throw(message)
+    return RULES[ir.Throw](ir.Throw(message))
 
 
 def comment(text: str) -> ir.CommentStmt:
-    return ir.CommentStmt(text)
+    return RULES[ir.CommentStmt](ir.CommentStmt(text))
 
 
 def break_stmt() -> ir.Break:
@@ -776,7 +836,7 @@ def one_liner(statement: ir.StatementRepr) -> ir.BodyRepr:
 def function(name: str, scope: ir.Scope, binding: ir.Binding, return_type: ir.TypeRepr,
              params: list[ir.VariableRepr], body_: ir.BodyRepr) -> ir.MethodRepr:
     return RULES[ir.MethodRepr](ir.MethodRepr(
-        check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_))
+        name, scope, binding, return_type, tuple(params), body_))
 
 
 def main_function(body_: ir.BodyRepr) -> ir.MethodRepr:
@@ -788,8 +848,7 @@ def method(name: str, class_name: str, scope: ir.Scope, binding: ir.Binding,
            return_type: ir.TypeRepr, params: list[ir.VariableRepr],
            body_: ir.BodyRepr) -> ir.MethodRepr:
     return RULES[ir.MethodRepr](ir.MethodRepr(
-        check_identifier(name), scope, binding, check_type(return_type), tuple(params), body_,
-        containing_class=check_identifier(class_name)))
+        name, scope, binding, return_type, tuple(params), body_, containing_class=class_name))
 
 
 def state_var(scope: ir.Scope, binding: ir.Binding, variable: ir.VariableRepr) -> ir.StateVarRepr:
@@ -811,24 +870,18 @@ def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
 def build_class(name: str, parent: str | None, scope: ir.Scope,
                 state_vars: list[ir.StateVarRepr], methods: list[ir.MethodRepr],
                 doc: ir.DocSpec | None = None) -> ir.ClassDeclRepr:
-    check_identifier(name)
-    if parent is not None:
-        check_identifier(parent)
     return RULES[ir.ClassDeclRepr](
         ir.ClassDeclRepr(name, scope, tuple(state_vars), tuple(methods), parent, doc))
 
 
 def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],
                  classes: list[ir.ClassDeclRepr], doc: ir.DocSpec | None = None) -> ir.ModuleRepr:
-    check_identifier(name)
-    for imp in imports:
-        check_dotted_name(imp)
     return RULES[ir.ModuleRepr](
         ir.ModuleRepr(name, tuple(imports), tuple(functions), tuple(classes), doc))
 
 
 def prog(name: str, modules: list[ir.ModuleRepr]) -> ir.PackageTree:
-    return RULES[ir.PackageTree](ir.PackageTree(check_identifier(name), tuple(modules)))
+    return RULES[ir.PackageTree](ir.PackageTree(name, tuple(modules)))
 
 
 def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTree:
@@ -841,22 +894,23 @@ def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTre
 
 def doc_spec(description: str, param_descs: list[tuple[str, str]] | None = None,
              return_desc: str | None = None) -> ir.DocSpec:
-    return ir.DocSpec(description, tuple(param_descs or ()), return_desc)
+    return RULES[ir.DocSpec](ir.DocSpec(description, tuple(param_descs or ()), return_desc))
 
 
 def doc_func(description: str, param_descs: list[tuple[str, str]],
              return_desc: str | None, method_: ir.MethodRepr) -> ir.MethodRepr:
+    """`method_`, documented. Only the doc is new, so only the doc is checked."""
+    doc = _check_doc(ir.DocSpec(description, tuple(param_descs), return_desc))
     order = {p.name: i for i, p in enumerate(method_.params)}
+    _documented(method_.name, order, doc)
     # \param lines come out in declaration order no matter how they were given.
-    ordered = tuple(sorted(param_descs, key=lambda nd: order.get(nd[0], -1)))
-    # Only the doc changes: the body was checked when method_ was built.
-    documented = replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
-    return _check_method(documented, body=False)
+    ordered = tuple(sorted(doc.param_descs, key=lambda nd: order[nd[0]]))
+    return replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
 
 
 def doc_class(description: str, class_: ir.ClassDeclRepr) -> ir.ClassDeclRepr:
-    return replace(class_, doc=ir.DocSpec(description))
+    return replace(class_, doc=_check_doc(ir.DocSpec(description)))
 
 
 def doc_mod(description: str, module: ir.ModuleRepr) -> ir.ModuleRepr:
-    return replace(module, doc=ir.DocSpec(description))
+    return replace(module, doc=_check_doc(ir.DocSpec(description)))

@@ -22,12 +22,13 @@ be absent when decoding; where the default is None, null reads as absent too.
 
 On the valid path neither walker makes a builtin or Python call per field
 for bookkeeping: a field costs a call only where its kind has work to do
-(a nested object or array, a name's check, an encoder). `_decode` tests a
-key with `in` and reads it by subscript, hands a nested object straight to
-itself, and reads a field of a lookup kind by subscript of its table: a
-scalar type's name, calling `_decode_type` only on a miss (a list or
-object type, or to raise), or an enumerated value, keeping a miss as given
-for its rule. A literal's value and an in/out count are read as given.
+(a nested object or array, an encoder). `_decode` tests a key with `in` and
+reads it by subscript, hands a nested object straight to itself, and reads
+a field of a lookup kind by subscript of its table: a scalar type's name,
+calling `_decode_type` only on a miss (a list or object type, or to raise),
+or an enumerated value, keeping a miss as given for its rule. Every other
+value (a name, a string, a boolean, a literal's value, a count) is read as
+given.
 `_encode` makes no bookkeeping call per node either: it finds a record's
 row by subscript, starts the object from the row's tag by a dict display
 (not `dict.copy`), reads the field values of a record with fields by one
@@ -35,19 +36,16 @@ row by subscript, starts the object from the row's tag by a dict display
 default is None by identity alone.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
-produce. Decoding checks shape: objects, arrays, fields, tags, the strings
-and booleans a field must hold, scalar type names and the version, each
-failure reported with the JSON path of the offending node. Every name
-must also pass the builders' `check_identifier` (program, module, class
-and parent class, method, variable and its owner, call and library, in/out
-call, object type), and every import
-their `check_dotted_name`, so none can become a path outside the output
-directory or code. The rules judge every other value: each node, a method,
-class, module and package too, must pass its class's rule in
-`builders.RULES`, which the builders run (a scope, an operator's name, a
-literal's kind and payload): a failure is a DecodeError at the node with the
-builder's message. Only the checks of `patterns.in_out_call` (against its
-callee) and `patterns.run_strategy` (its chosen name) are not run on decode.
+produce. Decoding checks shape alone: objects, arrays, required and unknown
+fields, tags, scalar type names and the version, each failure reported with
+the JSON path of the offending node. The rules judge every value: each node,
+a method, class, module, doc and package too, must pass its class's rule in
+`builders.RULES`, which the builders run (a name, so that none becomes a
+path outside the output directory or code, a string, a boolean, a scope, an
+operator's name, a literal's payload): a failure is a DecodeError at the
+node with the builder's message. Only the checks of `patterns.in_out_call`
+(against its callee) and `patterns.run_strategy` (its chosen name) are not
+run on decode.
 
 A decoded package shares equal variables, as a built one does: within one
 decode_package call, each distinct variable object is decoded and checked
@@ -67,8 +65,8 @@ import json
 from operator import attrgetter
 
 from . import ir
-from .builders import ENUMERATED, RULES, check_dotted_name, check_identifier, package
-from .errors import BuildError, DecodeError, InvalidIdentifier, NestingTooDeep
+from .builders import ENUMERATED, RULES, package
+from .errors import BuildError, DecodeError, NestingTooDeep
 
 SCHEMA_VERSION = 5
 
@@ -96,12 +94,6 @@ def _fail(message: str, path):
     raise DecodeError(message, _where(path))
 
 
-def _array(data, path) -> list:
-    if not isinstance(data, list):
-        _fail(f"expected an array, got {type(data).__name__}", path)
-    return data
-
-
 class _Kind:
     """`table`, if given, maps each valid raw value to what it decodes to:
     `_decode` reads a field of this kind by subscript, and `dec` handles
@@ -112,34 +104,10 @@ class _Kind:
         self.enc, self.dec, self.table = enc, dec, table
 
 
-def _leaf(cls: type, what: str) -> _Kind:
-    def dec(raw, path, key, decoded):
-        return raw if isinstance(raw, cls) else _fail(f"field {key!r} must be {what}", path)
-    return _Kind(None, dec)
-
-
-_STR = _leaf(str, "a string")
-_BOOL = _leaf(bool, "a boolean")
 # Values the rules judge: an enumerated one (a scope, an operator's name)
-# decodes to the builders' own string, shared, and the rest as given.
+# decodes to the builders' own string, shared, and the rest (a name, a
+# string, a boolean) as given.
 _ENUM, _AS_GIVEN = _Kind(None, None, {v: v for v in ENUMERATED}), _Kind(None, None)
-
-
-def _name(check, not_a_string) -> _Kind:
-    """A string that passes the builders' `check`."""
-    def dec(raw, path, key, decoded):
-        if type(raw) is not str:
-            not_a_string(raw, path, key, None)
-        try:
-            return check(raw)
-        except InvalidIdentifier as exc:
-            _fail(str(exc), (path, key))
-    return _Kind(None, dec)
-
-
-_NAME = _name(check_identifier, _STR.dec)
-_IMPORT = _name(check_dotted_name,
-                lambda raw, path, i, decoded: _fail("imports must be strings", (path, i)))
 
 
 def _list(item: _Kind, wrap=None) -> _Kind:
@@ -159,11 +127,13 @@ def _list(item: _Kind, wrap=None) -> _Kind:
 
     def dec(raw, path, key, decoded):
         here = (path, key)
-        values = list(raw if type(raw) is list else _array(raw, here))
+        if type(raw) is not list and not isinstance(raw, list):
+            _fail(f"expected an array, got {type(raw).__name__}", here)
+        values = list(raw)
         if shape is not None:
             for i, x in enumerate(values):
                 values[i] = _decode(shape, x, (here, i), decoded)
-        else:
+        elif item_dec is not None:
             for i, x in enumerate(values):
                 values[i] = item_dec(x, here, i, decoded)
         return wrap(tuple(values)) if wrap else tuple(values)
@@ -177,14 +147,7 @@ def _list(item: _Kind, wrap=None) -> _Kind:
             for i, x in enumerate(out):
                 out[i] = item_enc(x)
         return out
-    return _Kind(enc, dec)
-
-
-def _param_doc(raw, path, index, decoded):
-    pair = _array(raw, (path, index))
-    if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-        _fail("param doc must be a [name, description] pair", (path, index))
-    return (pair[0], pair[1])
+    return _Kind(enc if wrap or item_enc is not None else list, dec)  # `list` copies values
 
 
 def _encode_type(t: ir.TypeRepr) -> object:
@@ -217,7 +180,7 @@ class _Shape(_Kind):
         super().__init__(_encode, None)  # decoded by `_decode`, never by `dec`
 
 
-def _field(key: str, kind: _Kind, attr: str | int | None = None):
+def _field(key: str, kind: _Kind = _AS_GIVEN, attr: str | int | None = None):
     return (key, key if attr is None else attr, kind)
 
 
@@ -300,8 +263,8 @@ def _decode(shape: _Shape, data, path, decoded: dict):
         try:
             row = shape.rows[tag]
         except (KeyError, TypeError):  # an unknown tag, or one that cannot be hashed
-            _STR.dec(tag, path, key, None)  # raises, unless it is a string
-            _fail(f"unknown {shape.noun} {tag!r}", path)
+            _fail(f"unknown {shape.noun} {tag!r}" if type(tag) is str
+                  else f"field {key!r} must be a string", path)
         seen = 1
     share = row.share
     if share is not None:
@@ -349,8 +312,9 @@ def _decode(shape: _Shape, data, path, decoded: dict):
 
 
 # ---------------------------------------------------------------------------
-# The table. A field is F(json key, kind[, attribute]); the attribute is the
-# json key unless given, and the default is the row constructor's.
+# The table. A field is F(json key[, kind[, attribute]]); a field of no kind
+# is read as given, the attribute is the json key unless given, and the
+# default is the row constructor's.
 
 
 # Keys of the objects decoded once per document. JSON `true`, `1` and `1.0`
@@ -379,26 +343,26 @@ F = _field
 _TYPE_OBJECT = _Union("kind", "type kind")
 _TYPE_OBJECT.define({
     "list": _Row(lambda elem: ir.TypeRepr("list", elem=elem), F("elem", _TYPE, 0)),
-    "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", _NAME, 0)),
+    "object": _Row(lambda name: ir.TypeRepr("object", class_name=name), F("class", attr=0)),
 })
 _EXPR = _Union("op", "expression tag")
 _STMT = _Union("stmt", "statement tag")
 _EXPRS = _list(_EXPR)
 _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
-_VAR = _Row(ir.VariableRepr, F("name", _NAME), F("type", _TYPE), F("form", _ENUM),
-            F("owner", _NAME), share=_var_key)
+_VAR = _Row(ir.VariableRepr, F("name"), F("type", _TYPE), F("form", _ENUM), F("owner"),
+            share=_var_key)
 _VARS = _list(_VAR)
 
 _EXPR.define({
-    "lit": _Row(ir.Lit, F("kind", _ENUM), F("value", _AS_GIVEN), share=_lit_key),
+    "lit": _Row(ir.Lit, F("kind", _ENUM), F("value"), share=_lit_key),
     "var": _Row(ir.ValueOf, F("var", _VAR)),
     "unary": _Row(ir.Unary, F("name", _ENUM, "op"), F("operand", _EXPR), F("type", _TYPE)),
     "binary": _Row(ir.Binary, F("name", _ENUM, "op"), F("left", _EXPR), F("right", _EXPR),
                    F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _ENUM), F("name", _NAME), F("args", _EXPRS),
-                 F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library", _NAME)),
-    "math": _Row(ir.MathCall, F("fn", _STR), F("args", _EXPRS), F("type", _TYPE)),
+    "call": _Row(ir.Call, F("form", _ENUM), F("name"), F("args", _EXPRS),
+                 F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library")),
+    "math": _Row(ir.MathCall, F("fn"), F("args", _EXPRS), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),
     "argExists": _Row(ir.ArgExists, F("index", _EXPR)),
@@ -414,8 +378,8 @@ _STMT.define({
     "assign": _Row(ir.Assign, F("mode", _ENUM), F("var", _VAR), F("value", _EXPR)),
     "listSet": _Row(ir.ListSet, F("list", _EXPR, "lst"), F("index", _EXPR), F("value", _EXPR)),
     "return": _Row(ir.Return, F("value", _EXPR)),
-    "throw": _Row(ir.Throw, F("message", _STR)),
-    "comment": _Row(ir.CommentStmt, F("text", _STR)),
+    "throw": _Row(ir.Throw, F("message")),
+    "comment": _Row(ir.CommentStmt, F("text")),
     "break": _Row(ir.Break),
     "continue": _Row(ir.Continue),
     "expr": _Row(ir.ExprStmt, F("expr", _EXPR)),
@@ -432,30 +396,29 @@ _STMT.define({
     "forEach": _Row(ir.ForEach, F("var", _VAR), F("iterable", _EXPR), F("body", _BODY)),
     "while": _Row(ir.While, F("cond", _EXPR), F("body", _BODY)),
     "tryCatch": _Row(ir.TryCatch, F("try", _BODY, "try_body"), F("catch", _BODY, "catch_body")),
-    "print": _Row(ir.Print, F("expr", _EXPR), F("newline", _BOOL)),
-    "read": _Row(ir.Read, F("var", _VAR), F("parseInt", _BOOL, "parse_int")),
+    "print": _Row(ir.Print, F("expr", _EXPR), F("newline")),
+    "read": _Row(ir.Read, F("var", _VAR), F("parseInt", attr="parse_int")),
     "listSlice": _Row(ir.ListSlice, F("target", _VAR), F("source", _EXPR), F("start", _EXPR),
                       F("end", _EXPR), F("step", _EXPR)),
-    "inOutCall": _Row(ir.InOutCall, F("name", _NAME), F("ins", _EXPRS), F("outs", _VARS),
+    "inOutCall": _Row(ir.InOutCall, F("name"), F("ins", _EXPRS), F("outs", _VARS),
                       F("inouts", _VARS)),
 })
 
-_DOC = _Row(ir.DocSpec, F("description", _STR),
-            F("params", _list(_Kind(list, _param_doc)), "param_descs"),
-            F("returns", _STR, "return_desc"))
-_METHOD = _Row(ir.MethodRepr, F("name", _NAME), F("scope", _ENUM), F("binding", _ENUM),
+_DOC = _Row(ir.DocSpec, F("description"), F("params", _list(_list(_AS_GIVEN)), "param_descs"),
+            F("returns", attr="return_desc"))
+_METHOD = _Row(ir.MethodRepr, F("name"), F("scope", _ENUM), F("binding", _ENUM),
                F("returnType", _TYPE, "return_type"), F("params", _VARS), F("body", _BODY),
-               F("main", _BOOL, "is_main"), F("doc", _DOC),
-               F("inout", _Row(ir.InOutSpec, F("inouts", _AS_GIVEN), F("ins", _AS_GIVEN))))
+               F("main", attr="is_main"), F("doc", _DOC),
+               F("inout", _Row(ir.InOutSpec, F("inouts"), F("ins"))))
 _STATE_VAR = _Row(ir.StateVarRepr, F("scope", _ENUM), F("binding", _ENUM),
                   F("var", _VAR, "variable"))
-_CLASS = _Row(ir.ClassDeclRepr, F("name", _NAME), F("scope", _ENUM),
+_CLASS = _Row(ir.ClassDeclRepr, F("name"), F("scope", _ENUM),
               F("stateVars", _list(_STATE_VAR), "state_vars"), F("methods", _list(_METHOD)),
-              F("parent", _NAME), F("doc", _DOC))
-_MODULE = _Row(ir.ModuleRepr, F("name", _NAME), F("imports", _list(_IMPORT)),
+              F("parent"), F("doc", _DOC))
+_MODULE = _Row(ir.ModuleRepr, F("name"), F("imports", _list(_AS_GIVEN)),
                F("functions", _list(_METHOD)), F("classes", _list(_CLASS)), F("doc", _DOC))
-_PROGRAM = _Row(ir.PackageTree, F("name", _NAME), F("modules", _list(_MODULE)))
-_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _ENUM), F("docRule", _BOOL, "with_doc_rule")))
+_PROGRAM = _Row(ir.PackageTree, F("name"), F("modules", _list(_MODULE)))
+_AUXES = _list(_Row(ir.AuxFileSpec, F("kind", _ENUM), F("docRule", attr="with_doc_rule")))
 
 
 def _version(raw, path, key, decoded):

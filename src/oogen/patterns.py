@@ -112,7 +112,7 @@ def in_out_func(name: str, scope: ir.Scope, binding: ir.Binding,
     declared parameter order everywhere is in-outs, ins, outs.
     """
     return _RULES[ir.MethodRepr](ir.MethodRepr(
-        bd.check_identifier(name), scope, binding, ir.VOID, (*inouts, *ins, *outs), body_,
+        name, scope, binding, ir.VOID, (*inouts, *ins, *outs), body_,
         inout=ir.InOutSpec(len(inouts), len(ins))))
 
 

@@ -124,10 +124,11 @@ class VerifyReport(metaclass=record):
 
 
 def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Output that is not UTF-8 shows as `\\x..` escapes (a stdout mismatch)."""
     import subprocess
 
-    return subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True,
-                          text=True, timeout=_STEP_TIMEOUT)
+    return subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True, encoding="utf-8",
+                          errors="backslashreplace", timeout=_STEP_TIMEOUT)
 
 
 def run_target(pkg: ir.PackageTree, target: str, workdir: str,

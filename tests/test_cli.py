@@ -302,7 +302,7 @@ def test_render_rejects_a_module_name_that_leaves_the_output_directory(tmp_path,
     rc = cli.main(["render", "--input", str(src), "--target", "python",
                    "--out", str(tmp_path / "a" / "b")])
     assert rc == 2
-    assert "$.program.modules[0].name: not a legal identifier: '../../evil'" in (
+    assert "$.program.modules[0]: not a legal identifier: '../../evil'" in (
         capsys.readouterr().err)
     assert [p.name for p in tmp_path.rglob("*")] == ["evil.json"]
 

@@ -88,6 +88,20 @@ def test_name_checks_reject_none():
         bd.check_dotted_name(None)
 
 
+# A name that is no string once raised a bare AttributeError from the builders.
+@pytest.mark.parametrize("build", [
+    lambda: bd.var(5, ir.INT),
+    lambda: bd.func_app(5, ir.VOID, []),
+    lambda: bd.var("o", ir.obj_of(5)),
+    lambda: bd.build_module("M", [5], [], []),
+    lambda: bd.check_identifier(["x"]),
+    lambda: bd.check_dotted_name(b"java.util"),
+], ids=["var", "func_app", "object type", "import", "a list", "bytes"])
+def test_a_name_that_is_no_string_is_an_invalid_identifier(build):
+    with pytest.raises(InvalidIdentifier):
+        build()
+
+
 _VAR_MAKERS = {
     "var": lambda t: bd.var("o", t),
     "self_var": lambda t: bd.self_var("o", t),

@@ -122,6 +122,9 @@ def test_gallery_mutations_raise_only_decode_error(entry):
 _MAIN = ["program", "modules", 0, "functions", 2]
 _USE = _MAIN + ["body", 0, 1, "expr"]  # the call use(...) in all_tags
 _OBS = _MAIN + ["body", 0, 0, "var", "type", "class"]  # `Obs o = new Obs()`
+_NEW_OBS = _MAIN + ["body", 0, 0, "value", "returnType", "class"]
+_OBSERVERS = _MAIN + ["body", 1, 14, "statements", 0, "var", "type", "elem", "class"]
+_UPDATE = ["program", "modules", 0, "classes", 0, "methods", 0]  # Obs.update
 NAME_STEPS = [
     ["program", "name"],
     ["program", "modules", 0, "name"],
@@ -134,22 +137,47 @@ NAME_STEPS = [
     _USE + ["args", 6, "library"],
     _USE + ["args", 10, "list", "var", "owner"],
     _OBS,
+    _NEW_OBS,
+    _OBSERVERS,
+    _UPDATE + ["returnType", "class"],
     _MAIN + ["body", 1, 13, "name"],
     _MAIN + ["body", 1, 16, "body", 0, 0, "expr", "name"],
 ]
 BAD_NAMES = ["../../evil", "x = 1\nimport os", "", "2x", "x\n",
-             '__import__("os").getcwd', "os; import sys"]
+             '__import__("os").getcwd', "os; import sys", 5, ["x"]]
+# The keys that lead from a name to the node whose rule judges it.
+_NAME_KEYS = ("name", "parent", "library", "owner", "class", "elem", "type", "returnType")
+# What the legal class name y gives where a class Obs is expected.
+_MISFITS = {
+    tuple(_OBS): f"{_where(_OBS[:-3])}: varDecDef o: variable type y, value type Obs",
+    tuple(_NEW_OBS): f"{_where(_NEW_OBS[:-2])}: constructor Obs gives Obs, not y",
+    tuple(_OBSERVERS): f"{_where(_MAIN)}: addObserver: element type y, value type Obs",
+}
+
+
+def _holder(steps):
+    while steps[-1] in _NAME_KEYS:
+        steps = steps[:-1]
+    return steps
+
+
+def _names_text() -> str:
+    """all_tags, where Obs.update returns an Obs: no method of all_tags
+    returns an object, and update's body returns nothing."""
+    doc = jsonio.encode_package(all_tags.package())
+    doc["program"]["modules"][0]["classes"][0]["methods"][0]["returnType"] = {
+        "kind": "object", "class": "Obs"}
+    return json.dumps(doc)
 
 
 @pytest.mark.parametrize("steps", NAME_STEPS, ids=_where)
 @pytest.mark.parametrize("name", BAD_NAMES + ["class"])  # a reserved word is no name
 def test_names_the_builders_reject_do_not_decode(steps, name):
-    text = json.dumps(jsonio.encode_package(all_tags.package()))
-    # A legal name passes, but a variable of class y takes no Obs.
-    legal = "ok" if steps != _OBS else (
-        f"{_where(steps[:-3])}: varDecDef o: variable type y, value type Obs")
-    assert outcome(text, steps, "y") == legal
-    assert outcome(text, steps, name) == f"{_where(steps)}: not a legal identifier: {name!r}"
+    text = _names_text()
+    assert outcome(text, steps, "y") == _MISFITS.get(tuple(steps), "ok")
+    # The rule of the node that holds the name refuses it, at that node.
+    assert outcome(text, steps, name) == (
+        f"{_where(_holder(steps))}: not a legal identifier: {name!r}")
 
 
 @pytest.mark.parametrize("name", BAD_NAMES + ["a..b", "a.", ".a", "a.2b"])
@@ -157,7 +185,7 @@ def test_imports_must_be_dotted_names(name):
     text = json.dumps(jsonio.encode_package(all_tags.package()))
     steps = ["program", "modules", 0, "imports", 0]
     assert outcome(text, steps, "java.util.ArrayList") == "ok"
-    assert outcome(text, steps, name) == f"{_where(steps)}: not a legal dotted name: {name!r}"
+    assert outcome(text, steps, name) == f"{_where(steps[:-2])}: not a legal dotted name: {name!r}"
     with pytest.raises(InvalidIdentifier):
         bd.build_module("M", [name], [], [])
 

@@ -124,9 +124,11 @@ class _Str(str):
     pass
 
 
-# Fields whose strings may be a str subclass: tags, enums, choices, texts
-# (a name must be exactly a str).
-_STR_KEYS = {"op", "stmt", "kind", "form", "mode", "scope", "binding", "fn", "text"}
+# Fields whose strings may be a str subclass: tags, type kinds and enumerated
+# values, which decode to the builders' own strings. A name, a text or a
+# math function's name is rendered as given, by str's own methods, which a
+# subclass may override, so the rules take exactly a str.
+_STR_KEYS = {"op", "stmt", "kind", "form", "mode", "scope", "binding"}
 
 
 def _subclassed(node):
@@ -143,6 +145,16 @@ def _subclassed(node):
 def test_decode_accepts_dict_list_and_str_subclasses():
     pkg = all_tags.package()
     assert jsonio.decode_package(_subclassed(jsonio.encode_package(pkg))) == pkg
+
+
+def test_a_doc_pair_built_as_a_list_round_trips():
+    # It once stayed a list, which the decoded tuple never equals.
+    f = bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID,
+                    [bd.var("x", ir.INT), bd.var("y", ir.INT)], bd.body([]))
+    f = bd.doc_func("d", [["y", "t"], ("x", "u")], None, f)
+    assert f.doc.param_descs == (("x", "u"), ("y", "t"))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [f, bd.main_function(bd.body([]))], [])])
+    assert jsonio.loads(jsonio.dumps(pkg)) == pkg
 
 
 def test_unknown_top_level_key_rejected():

@@ -160,6 +160,14 @@ CASES = {
                           "source": ONE}),
                    lambda: pt.list_slice(bd.var("xs", ir.list_of(ir.INT)), bd.lit_int(1))),
     ir.ExprStmt: (_stmt({"stmt": "expr", "expr": ONE}), lambda: bd.call_stmt(bd.lit_int(1))),
+    ir.Throw: (_stmt({"stmt": "throw", "message": 5}), lambda: bd.throw(5)),
+    ir.CommentStmt: (_stmt({"stmt": "comment", "text": None}), lambda: bd.comment(None)),
+    # `patterns.in_out_call` takes its callee's name: no builder takes a call's.
+    ir.InOutCall: (_stmt({"stmt": "inOutCall", "name": "class", "ins": [], "outs": [],
+                          "inouts": []}),
+                   lambda: bd.RULES[ir.InOutCall](ir.InOutCall("class", (), (), ()))),
+    ir.DocSpec: (lambda doc: _module(doc={"description": "d", "returns": 5})(doc) + ".doc",
+                 lambda: bd.doc_spec("d", [], 5)),
     # Python prints an object's address and Java its hash code; g++ finds no `<<`.
     ir.Print: (_stmt(_print_of(BOX)), lambda: pt.print_ln(bd.new_obj("Box", []))),
     # `patterns.in_out_func` counts the lists it is given: no builder takes a split.
@@ -200,7 +208,9 @@ MORE_CASES = {
        for kind, build, value in [("int", bd.lit_int, 2.5), ("int", bd.lit_int, "7"),
                                   ("int", bd.lit_int, True), ("bool", bd.lit_bool, "false"),
                                   ("float", bd.lit_float, "1.5"),
-                                  ("float", bd.lit_float, True)]},
+                                  ("float", bd.lit_float, True),
+                                  # A C++ char is one byte: g++ printed 'é' as 50089.
+                                  ("char", bd.lit_char, "é")]},
     # Python prints None; javac says "'void' type not allowed here".
     "print of void": (_stmt(_print_of({"op": "call", "form": "function", "name": "f",
                                        "args": [], "returnType": "void"})),
@@ -265,9 +275,9 @@ def _build_class(scope=ir.Scope.PUBLIC, state_scope=ir.Scope.PUBLIC,
         bd.state_var(state_scope, state_binding, _N)], [])
 
 
-def _aux(kind):
+def _aux(kind, **fields):
     def put(doc):
-        doc["aux"] = [{"kind": kind}]
+        doc["aux"] = [{"kind": kind, **fields}]
         return "$"
     return put
 
@@ -342,6 +352,89 @@ def test_every_valid_enumerated_value_builds_and_decodes():
         doc = _base()
         _aux(kind)(doc)
         assert jsonio.decode_package(doc).aux == (ir.AuxFileSpec(kind),)
+
+
+# Each string and boolean field is judged by its node's rule too, on the
+# value as the JSON gives it. `bd.throw(5)`, `bd.comment(None)` and
+# `bd.doc_func(5, ...)` once built, and then every renderer raised.
+
+def _documented_f(**fields):
+    """A function f(int x) with a doc of `fields`."""
+    put = _function(params=[{"name": "x", "type": "int"}],
+                    doc={"description": "d", **fields})
+    return lambda doc: put(doc) + ".doc"
+
+
+def _fx():
+    return bd.function("f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, [_X], _EMPTY)
+
+
+_PAIR = "param doc must be a [name, description] pair"
+_A_STRING, _A_BOOLEAN = [5, True, ["s"], {"a": "s"}], [1, "true", None, ["s"]]
+# field -> (the message, with {v!r} for the value, the values of the wrong
+# type, a document change that gives the field v and the path of the node
+# refusing it, and each builder call, or rule on a node, that gives it v)
+STRINGS_AND_BOOLEANS = {
+    "throw message": ("field 'message' must be a string", _A_STRING,
+                      lambda v: _stmt({"stmt": "throw", "message": v}), [bd.throw]),
+    "comment text": ("field 'text' must be a string", _A_STRING,
+                     lambda v: _stmt({"stmt": "comment", "text": v}), [bd.comment]),
+    "doc description": (
+        "field 'description' must be a string", _A_STRING,
+        lambda v: _documented_f(description=v),
+        [bd.doc_spec, lambda v: bd.doc_func(v, [], None, _fx()),
+         lambda v: bd.doc_class(v, bd.build_class("C", None, ir.Scope.PUBLIC, [], [])),
+         lambda v: bd.doc_mod(v, _MAIN_MODULE)]),
+    "doc returns": ("field 'returns' must be a string", _A_STRING,
+                    lambda v: _documented_f(returns=v),
+                    [lambda v: bd.doc_spec("d", [], v), lambda v: bd.doc_func("d", [], v, _fx())]),
+    "doc param name": (_PAIR, _A_STRING, lambda v: _documented_f(params=[[v, "t"]]),
+                       [lambda v: bd.doc_spec("d", [(v, "t")]),
+                        lambda v: bd.doc_func("d", [(v, "t")], None, _fx())]),
+    "doc param text": (_PAIR, _A_STRING, lambda v: _documented_f(params=[["x", v]]),
+                       [lambda v: bd.doc_spec("d", [("x", v)]),
+                        lambda v: bd.doc_func("d", [("x", v)], None, _fx())]),
+    "doc param pair": (_PAIR, [[], ["x"], ["x", "t", "u"]],
+                       lambda v: _documented_f(params=[v]),
+                       [lambda v: bd.doc_spec("d", [v]),
+                        lambda v: bd.doc_func("d", [v], None, _fx())]),
+    "math function": (
+        "unknown math function {v!r}", _A_STRING,
+        lambda v: _expr({"op": "math", "fn": v, "args": [_lit("float", 1.5)], "type": "float"}),
+        [lambda v: pt.math_fn(v, bd.lit_float(1.5))]),
+    "print newline": ("field 'newline' must be a boolean", _A_BOOLEAN,
+                      lambda v: _stmt({"stmt": "print", "expr": ONE, "newline": v}),
+                      [lambda v: bd.RULES[ir.Print](ir.Print(bd.lit_int(1), v))]),
+    "read parseInt": (
+        "field 'parseInt' must be a boolean", _A_BOOLEAN,
+        lambda v: _stmt({"stmt": "read", "var": {"name": "n", "type": "int"}, "parseInt": v}),
+        [lambda v: bd.RULES[ir.Read](ir.Read(_N, v))]),
+    "method main": ("field 'main' must be a boolean", _A_BOOLEAN, lambda v: _function(main=v),
+                    [lambda v: bd.RULES[ir.MethodRepr](ir.MethodRepr(
+                        "f", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.VOID, (), _EMPTY,
+                        is_main=v))]),
+    "aux docRule": ("field 'docRule' must be a boolean", _A_BOOLEAN,
+                    lambda v: _aux("makefile", docRule=v),
+                    [lambda v: bd.package(bd.prog("p", [_MAIN_MODULE]),
+                                          [ir.AuxFileSpec("makefile", v)])]),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, (_, values, _, _) in STRINGS_AND_BOOLEANS.items()
+    for value in values])
+def test_a_string_or_boolean_of_another_type_is_refused_built_and_decoded(field, value):
+    message, _, put, builds = STRINGS_AND_BOOLEANS[field]
+    message = message.format(v=value)
+    for build in builds:
+        with pytest.raises(BuildError) as built:
+            build(value)
+        assert str(built.value) == message
+    doc = _base()
+    path = put(value)(doc)
+    with pytest.raises(DecodeError) as decoded:
+        jsonio.decode_package(doc)
+    assert str(decoded.value) == f"{path}: {message}"
 
 
 def test_apply_unary_and_apply_binary_leave_an_unknown_name_to_the_rule():

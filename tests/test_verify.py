@@ -79,6 +79,20 @@ def test_run_target_skipped_when_toolchain_missing(tmp_path, monkeypatch):
     assert report.stdout is None
 
 
+def test_output_that_is_not_utf8_shows_escaped_in_the_report(tmp_path, monkeypatch):
+    # A target may print bytes that are not UTF-8 (g++ printed the char 'é'
+    # as the lone byte 0xA9), which once raised UnicodeDecodeError out of
+    # verify_package.
+    fake = tmp_path / "python3"
+    fake.write_text(f"#!{sys.executable}\nimport sys\n"
+                    "sys.stdout.buffer.write(b'caf\\xff\\n')\n"
+                    "sys.stderr.buffer.write(b'\\xfe')\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("OOGEN_PYTHON", str(fake))
+    report = verify.verify_package(_hello(), ("python",), root_dir=str(tmp_path / "run"))
+    assert report.runs == (verify.ToolReport("python", "ok", stdout="caf\\xff"),)
+
+
 _SKIPPED = {
     "python": "no python3 on PATH",
     "java": "no javac, java on PATH",
