@@ -111,12 +111,8 @@ def _refuse(message: str, error: type[BuildError] = TypeMismatch):
 # The rules test a valid kind inline and call these only to raise the
 # message for the first kind that fails: a valid node costs no call here.
 
-def _must_be(key: str, what: str):
-    _refuse(f"field {key!r} must be {what}", BuildError)
-
-
 def _one_of(key: str, values: tuple[str, ...]):
-    _must_be(key, f"one of: {', '.join(values)}")
+    _refuse(f"field {key!r} must be one of: {', '.join(values)}", BuildError)
 
 
 def _require_numeric(op: str, *kinds: str) -> None:
@@ -271,7 +267,8 @@ def _check_call(node: ir.Call) -> ir.Call:
     if form not in _CALL_FORMS:
         _one_of("form", _CALL_FORMS)
     check_identifier(node.name)
-    if node.type.kind in _NAMED_KINDS:
+    # A class of the call's name (a constructor's) passed with the name.
+    if node.type.kind in _NAMED_KINDS and node.type.class_name != node.name:
         check_type(node.type)
     method, external = form == ir.CallForm.METHOD, form == ir.CallForm.EXTERNAL
     if (node.receiver is None) == method:
@@ -387,7 +384,7 @@ def _check_for_each(node: ir.ForEach) -> ir.ForEach:
 
 def _check_read(node: ir.Read) -> ir.Read:
     if type(node.parse_int) is not bool:
-        _must_be("parseInt", "a boolean")
+        _refuse("field 'parseInt' must be a boolean", BuildError)
     if node.var.type.kind != ("int" if node.parse_int else "string"):
         _refuse("readInt target must be an int variable" if node.parse_int
                 else "readLine target must be a string variable")
@@ -413,7 +410,7 @@ def _check_print(node: ir.Print) -> ir.Print:
     address, Java its hash code, and g++ finds no `<<`) and no void, alone
     or as the elements of a list at any depth."""
     if type(node.newline) is not bool:
-        _must_be("newline", "a boolean")
+        _refuse("field 'newline' must be a boolean", BuildError)
     t = node.expr.type
     while t.kind == "list":
         t = t.elem
@@ -452,7 +449,7 @@ def _check_method(m: ir.MethodRepr) -> ir.MethodRepr:
     if m.return_type.kind in _NAMED_KINDS:
         check_type(m.return_type)
     if type(m.is_main) is not bool:
-        _must_be("main", "a boolean")
+        _refuse("field 'main' must be a boolean", BuildError)
     names = [p.name for p in m.params]
     name = _first_repeat(names)
     if name is not None:
@@ -537,7 +534,7 @@ def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
         if spec.kind not in _AUX_KINDS:
             _refuse(f"unknown aux file kind {spec.kind!r}", BuildError)
         if type(spec.with_doc_rule) is not bool:
-            _must_be("docRule", "a boolean")
+            _refuse("field 'docRule' must be a boolean", BuildError)
     kind = _first_repeat([spec.kind for spec in pkg.aux])
     return pkg if kind is None else _refuse(
         f"package lists the auxiliary file kind {kind!r} twice", BuildError)
@@ -562,24 +559,23 @@ def _check_var(v: ir.VariableRepr) -> ir.VariableRepr:
 def _check_split(spec: ir.InOutSpec) -> ir.InOutSpec:
     for key, count in (("inouts", spec.inouts), ("ins", spec.ins)):
         if type(count) is not int or count < 0:  # a bool is no count
-            _must_be(key, "a count: an integer, 0 or more")
+            _refuse(f"field {key!r} must be a count: an integer, 0 or more", BuildError)
     return spec
 
 
 def _check_doc(doc: ir.DocSpec) -> ir.DocSpec:
-    """Strings, and each parameter's entry a (name, text) pair of them, kept
-    as a tuple: a pair built as a list would not equal the decoded pair."""
-    if type(doc.description) is not str:
-        _must_be("description", "a string")
-    if doc.return_desc is not None and type(doc.return_desc) is not str:
-        _must_be("returns", "a string")
-    pairs = ()
+    """Strings, and each parameter's entry a (name, text) pair of them."""
+    if type(doc.description) is not str and not isinstance(doc.description, str):
+        _refuse("field 'description' must be a string", BuildError)
+    returns = doc.return_desc
+    if returns is not None and type(returns) is not str and not isinstance(returns, str):
+        _refuse("field 'returns' must be a string", BuildError)
     for pair in doc.param_descs:
-        if (type(pair) not in (tuple, list) or len(pair) != 2
-                or type(pair[0]) is not str or type(pair[1]) is not str):
+        if not (type(pair) in (tuple, list) and len(pair) == 2
+                and (type(pair[0]) is str or isinstance(pair[0], str))
+                and (type(pair[1]) is str or isinstance(pair[1], str))):
             _refuse("param doc must be a [name, description] pair", BuildError)
-        pairs += (tuple(pair),)
-    return doc if pairs == doc.param_descs else replace(doc, param_descs=pairs)
+    return doc
 
 
 RULES = {
@@ -600,8 +596,10 @@ RULES = {
     ir.ForRange: _check_for_range, ir.ForEach: _check_for_each,
     ir.While: lambda n: _bool_cond("while", n), ir.Read: _check_read,
     ir.ListSlice: _check_list_slice, ir.Print: _check_print,
-    ir.Throw: lambda n: n if type(n.message) is str else _must_be("message", "a string"),
-    ir.CommentStmt: lambda n: n if type(n.text) is str else _must_be("text", "a string"),
+    ir.Throw: lambda n: n if type(n.message) is str or isinstance(n.message, str) else _refuse(
+        "field 'message' must be a string", BuildError),
+    ir.CommentStmt: lambda n: n if type(n.text) is str or isinstance(n.text, str) else _refuse(
+        "field 'text' must be a string", BuildError),
     ir.InOutCall: lambda n: check_identifier(n.name) and n,  # a legal name is never empty
     ir.DocSpec: _check_doc,
     # javac refuses any other expression as a statement ("not a statement").
@@ -701,18 +699,17 @@ def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.In
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(ir.CallForm.FUNCTION, check_identifier(name), tuple(args),
-                   check_type(return_type))
+    return RULES[ir.Call](ir.Call(ir.CallForm.FUNCTION, name, tuple(args), return_type))
 
 
 def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(ir.CallForm.EXTERNAL, check_identifier(name), tuple(args),
-                   check_type(return_type), library=check_identifier(library))
+    return RULES[ir.Call](
+        ir.Call(ir.CallForm.EXTERNAL, name, tuple(args), return_type, library=library))
 
 
 def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
-    return ir.Call(ir.CallForm.CONSTRUCTOR, check_identifier(class_name), tuple(args),
-                   ir.obj_of(class_name))
+    return RULES[ir.Call](
+        ir.Call(ir.CallForm.CONSTRUCTOR, class_name, tuple(args), ir.obj_of(class_name)))
 
 
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
@@ -894,7 +891,9 @@ def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTre
 
 def doc_spec(description: str, param_descs: list[tuple[str, str]] | None = None,
              return_desc: str | None = None) -> ir.DocSpec:
-    return RULES[ir.DocSpec](ir.DocSpec(description, tuple(param_descs or ()), return_desc))
+    """Each pair a tuple, as decoded: a list pair would not equal it."""
+    doc = RULES[ir.DocSpec](ir.DocSpec(description, tuple(param_descs or ()), return_desc))
+    return ir.DocSpec(description, tuple(map(tuple, doc.param_descs)), return_desc)
 
 
 def doc_func(description: str, param_descs: list[tuple[str, str]],
@@ -904,7 +903,7 @@ def doc_func(description: str, param_descs: list[tuple[str, str]],
     order = {p.name: i for i, p in enumerate(method_.params)}
     _documented(method_.name, order, doc)
     # \param lines come out in declaration order no matter how they were given.
-    ordered = tuple(sorted(doc.param_descs, key=lambda nd: order[nd[0]]))
+    ordered = tuple(sorted(map(tuple, doc.param_descs), key=lambda nd: order[nd[0]]))
     return replace(method_, doc=ir.DocSpec(description, ordered, return_desc))
 
 

@@ -26,9 +26,8 @@ for bookkeeping: a field costs a call only where its kind has work to do
 reads it by subscript, hands a nested object straight to itself, and reads
 a field of a lookup kind by subscript of its table: a scalar type's name,
 calling `_decode_type` only on a miss (a list or object type, or to raise),
-or an enumerated value, keeping a miss as given for its rule. Every other
-value (a name, a string, a boolean, a literal's value, a count) is read as
-given.
+or an enumerated value, keeping a miss as given for its rule. It reads any
+other value as given.
 `_encode` makes no bookkeeping call per node either: it finds a record's
 row by subscript, starts the object from the row's tag by a dict display
 (not `dict.copy`), reads the field values of a record with fields by one
@@ -36,14 +35,13 @@ row by subscript, starts the object from the row's tag by a dict display
 default is None by identity alone.
 
 decode_package(encode_package(pkg)) == pkg for every tree the builders can
-produce. Decoding checks shape alone: objects, arrays, required and unknown
-fields, tags, scalar type names and the version, each failure reported with
-the JSON path of the offending node. The rules judge every value: each node,
-a method, class, module, doc and package too, must pass its class's rule in
-`builders.RULES`, which the builders run (a name, so that none becomes a
-path outside the output directory or code, a string, a boolean, a scope, an
-operator's name, a literal's payload): a failure is a DecodeError at the
-node with the builder's message. Only the checks of `patterns.in_out_call`
+produce. Decoding checks shape alone (objects, arrays, required and unknown
+fields, tags, scalar type names, the version) and runs on each node, doc and
+package its class's rule in `builders.RULES`, as the builders do, which
+judges every value: a name (so none becomes a path outside the output
+directory, or code), a string, a boolean, a scope, a literal's payload. A
+failure is a DecodeError at the JSON path of the offending node, a rule's
+with the builder's message. Only the checks of `patterns.in_out_call`
 (against its callee) and `patterns.run_strategy` (its chosen name) are not
 run on decode.
 
@@ -105,8 +103,7 @@ class _Kind:
 
 
 # Values the rules judge: an enumerated one (a scope, an operator's name)
-# decodes to the builders' own string, shared, and the rest (a name, a
-# string, a boolean) as given.
+# decodes to the builders' own string, shared, and any other as given.
 _ENUM, _AS_GIVEN = _Kind(None, None, {v: v for v in ENUMERATED}), _Kind(None, None)
 
 

@@ -220,7 +220,7 @@ def notify_observers(method: str, elem_type: ir.TypeRepr) -> ir.ForEach:
     if elem_type.kind != "object":
         raise TypeMismatch("notifyObservers element type must be an object type")
     each = ir.VariableRepr("observer", bd.check_type(elem_type))
-    call = ir.Call(ir.CallForm.METHOD, bd.check_identifier(method), (), ir.VOID, ir.ValueOf(each))
+    call = bd.method_call(ir.ValueOf(each), method, ir.VOID, [])
     return ir.ForEach(each, _observer_list(elem_type), bd.one_liner(ir.ExprStmt(call)))
 
 

@@ -124,7 +124,6 @@ class VerifyReport(metaclass=record):
 
 
 def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.CompletedProcess:
-    """Output that is not UTF-8 shows as `\\x..` escapes (a stdout mismatch)."""
     import subprocess
 
     return subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True, encoding="utf-8",

@@ -125,10 +125,11 @@ class _Str(str):
 
 
 # Fields whose strings may be a str subclass: tags, type kinds and enumerated
-# values, which decode to the builders' own strings. A name, a text or a
-# math function's name is rendered as given, by str's own methods, which a
-# subclass may override, so the rules take exactly a str.
-_STR_KEYS = {"op", "stmt", "kind", "form", "mode", "scope", "binding"}
+# values, which decode to the builders' own strings, and texts. A name or a
+# math function's name must be exactly a str: the rules look it up in a set
+# or a dict, which hashes it.
+_STR_KEYS = {"op", "stmt", "kind", "form", "mode", "scope", "binding", "text", "message",
+             "description", "returns"}
 
 
 def _subclassed(node):

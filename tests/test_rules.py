@@ -437,6 +437,19 @@ def test_a_string_or_boolean_of_another_type_is_refused_built_and_decoded(field,
     assert str(decoded.value) == f"{path}: {message}"
 
 
+class _Text(str):
+    pass
+
+
+def test_a_text_may_be_a_str_subclass_where_a_name_may_not():
+    # The decoder has always taken one as a text (see test_json_roundtrip).
+    t = _Text("t")
+    assert bd.throw(t).message is t and bd.comment(t).text is t
+    assert bd.doc_spec(t, [(t, t)], t) == ir.DocSpec("t", (("t", "t"),), "t")
+    with pytest.raises(InvalidIdentifier):
+        bd.var(_Text("x"), ir.INT)
+
+
 def test_apply_unary_and_apply_binary_leave_an_unknown_name_to_the_rule():
     with pytest.raises(TypeMismatch, match=r"^unknown unary operator '#\+'$"):
         bd.apply_unary("#+", bd.lit_int(1))
