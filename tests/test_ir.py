@@ -88,7 +88,12 @@ def test_name_checks_reject_none():
         bd.check_dotted_name(None)
 
 
-# A name that is no string once raised a bare AttributeError from the builders.
+class _Str(str):
+    pass
+
+
+# A name that is no string once raised a bare AttributeError from the
+# builders. A str subclass is no name either: the rules hash a name.
 @pytest.mark.parametrize("build", [
     lambda: bd.var(5, ir.INT),
     lambda: bd.func_app(5, ir.VOID, []),
@@ -96,7 +101,8 @@ def test_name_checks_reject_none():
     lambda: bd.build_module("M", [5], [], []),
     lambda: bd.check_identifier(["x"]),
     lambda: bd.check_dotted_name(b"java.util"),
-], ids=["var", "func_app", "object type", "import", "a list", "bytes"])
+    lambda: bd.var(_Str("x"), ir.INT),
+], ids=["var", "func_app", "object type", "import", "a list", "bytes", "a str subclass"])
 def test_a_name_that_is_no_string_is_an_invalid_identifier(build):
     with pytest.raises(InvalidIdentifier):
         build()
