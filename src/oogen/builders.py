@@ -530,14 +530,7 @@ def _check_package(pkg: ir.PackageTree) -> ir.PackageTree:
         _refuse(f"module {name!r} appears twice", DuplicateModule)
     if [f for m in pkg.modules for f in m.functions if f.is_main][1:]:
         _refuse("program declares more than one main function", DuplicateMethod)
-    for spec in pkg.aux:  # no builder makes an aux file's spec
-        if spec.kind not in _AUX_KINDS:
-            _refuse(f"unknown aux file kind {spec.kind!r}", BuildError)
-        if type(spec.with_doc_rule) is not bool:
-            _refuse("field 'docRule' must be a boolean", BuildError)
-    kind = _first_repeat([spec.kind for spec in pkg.aux])
-    return pkg if kind is None else _refuse(
-        f"package lists the auxiliary file kind {kind!r} twice", BuildError)
+    return pkg
 
 
 def _check_var(v: ir.VariableRepr) -> ir.VariableRepr:
@@ -864,17 +857,16 @@ def pub_g_var(variable: ir.VariableRepr) -> ir.StateVarRepr:
     return RULES[ir.StateVarRepr](ir.StateVarRepr(ir.Scope.PUBLIC, ir.Binding.STATIC, variable))
 
 
-def build_class(name: str, parent: str | None, scope: ir.Scope,
-                state_vars: list[ir.StateVarRepr], methods: list[ir.MethodRepr],
-                doc: ir.DocSpec | None = None) -> ir.ClassDeclRepr:
+def build_class(name: str, parent: str | None, scope: ir.Scope, state_vars: list[ir.StateVarRepr],
+                methods: list[ir.MethodRepr]) -> ir.ClassDeclRepr:
     return RULES[ir.ClassDeclRepr](
-        ir.ClassDeclRepr(name, scope, tuple(state_vars), tuple(methods), parent, doc))
+        ir.ClassDeclRepr(name, scope, tuple(state_vars), tuple(methods), parent))
 
 
 def build_module(name: str, imports: list[str], functions: list[ir.MethodRepr],
-                 classes: list[ir.ClassDeclRepr], doc: ir.DocSpec | None = None) -> ir.ModuleRepr:
+                 classes: list[ir.ClassDeclRepr]) -> ir.ModuleRepr:
     return RULES[ir.ModuleRepr](
-        ir.ModuleRepr(name, tuple(imports), tuple(functions), tuple(classes), doc))
+        ir.ModuleRepr(name, tuple(imports), tuple(functions), tuple(classes)))
 
 
 def prog(name: str, modules: list[ir.ModuleRepr]) -> ir.PackageTree:
@@ -882,18 +874,18 @@ def prog(name: str, modules: list[ir.ModuleRepr]) -> ir.PackageTree:
 
 
 def package(program: ir.PackageTree, aux: list[ir.AuxFileSpec]) -> ir.PackageTree:
-    return RULES[ir.PackageTree](replace(program, aux=tuple(aux)))
+    for spec in aux:  # only these are new: `program` was judged where it was made
+        if spec.kind not in _AUX_KINDS:
+            _refuse(f"unknown aux file kind {spec.kind!r}", BuildError)
+        if type(spec.with_doc_rule) is not bool:
+            _refuse("field 'docRule' must be a boolean", BuildError)
+    kind = _first_repeat([spec.kind for spec in aux])
+    return replace(program, aux=tuple(aux)) if kind is None else _refuse(
+        f"package lists the auxiliary file kind {kind!r} twice", BuildError)
 
 
 # ---------------------------------------------------------------------------
 # Documentation
-
-
-def doc_spec(description: str, param_descs: list[tuple[str, str]] | None = None,
-             return_desc: str | None = None) -> ir.DocSpec:
-    """Each pair a tuple, as decoded: a list pair would not equal it."""
-    doc = RULES[ir.DocSpec](ir.DocSpec(description, tuple(param_descs or ()), return_desc))
-    return ir.DocSpec(description, tuple(map(tuple, doc.param_descs)), return_desc)
 
 
 def doc_func(description: str, param_descs: list[tuple[str, str]],

@@ -12,10 +12,11 @@ verify renders, compiles, and runs the package on every requested target
 whose toolchain is installed, then diffs normalized stdout across targets.
 
 Exit codes: 0 success; 1 verify disagreement or runtime failure; 2 bad
-input (malformed JSON, unknown example, a package the request cannot use,
-such as --makefile without a main module, or one nested too deeply to
-decode or render) or a bad command line; 3 construct unsupported by a
-backend; 4 compile failure (or compile timeout) during verify.
+input (malformed JSON, unknown example, an unreadable or non-UTF-8 input
+file, a package the request cannot use, such as --makefile without a main
+module, or one nested too deeply to decode or render), an unwritable output
+path or a bad command line; 3 construct unsupported by a backend; 4 compile
+failure (or compile timeout) during verify.
 
 `main` reads the command line against `_COMMANDS`, one table of options
 that also writes the usage and `--help` text, instead of argparse, whose
@@ -41,7 +42,7 @@ from types import SimpleNamespace
 
 from . import gallery, ir, jsonio, verify
 from .backends import TARGETS, assemble_package
-from .errors import BuildError, DecodeError, UnsupportedConstruct
+from .errors import BuildError, DecodeError, FileAccessError, UnsupportedConstruct
 
 _VERIFY_HELP = """\
 toolchains are probed on PATH and can be overridden by environment
@@ -175,12 +176,17 @@ def _load_package(spec: str) -> ir.PackageTree:
             return gallery.get(name).package
         except KeyError as exc:
             raise DecodeError(str(exc.args[0]), "$") from None
+    return jsonio.loads(_read(spec))
+
+
+def _read(path: str) -> str:
     try:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise DecodeError(f"cannot read {spec}: {exc.strerror}", "$") from None
-    return jsonio.loads(text)
+        raise FileAccessError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise FileAccessError(f"cannot read {path}: not UTF-8") from None
 
 
 def _with_aux_flags(pkg: ir.PackageTree, makefile: bool, doc: bool) -> ir.PackageTree:
@@ -202,12 +208,7 @@ def _cmd_render(opts: SimpleNamespace) -> int:
     pkg = _with_aux_flags(_load_package(opts.input), opts.makefile, opts.doc)
     for target in dict.fromkeys(opts.target):
         files = assemble_package(pkg, target)
-        target_dir = os.path.join(opts.out, target)
-        os.makedirs(target_dir, exist_ok=True)
-        for f in files:
-            path = os.path.join(target_dir, f.path)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f.text)
+        for path in verify.write_files(files, os.path.join(opts.out, target)):
             print(os.path.relpath(path))
     return 0
 
@@ -228,16 +229,7 @@ def _cmd_examples(opts: SimpleNamespace) -> int:
 
 def _cmd_verify(opts: SimpleNamespace) -> int:
     pkg = _load_package(opts.input)
-    stdin = ""
-    if opts.stdin is not None:
-        try:
-            with open(opts.stdin, encoding="utf-8") as fh:
-                stdin = fh.read()
-        except OSError as exc:
-            print(f"oogen: cannot read {opts.stdin}: {exc.strerror}", file=sys.stderr)
-            return 2
-    if opts.out is not None:
-        os.makedirs(opts.out, exist_ok=True)
+    stdin = "" if opts.stdin is None else _read(opts.stdin)
     report = verify.verify_package(
         pkg, targets=tuple(dict.fromkeys(opts.target)),
         args=tuple(opts.args), stdin=stdin, root_dir=opts.out)
@@ -283,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         return _COMMANDS[command][0](opts)
-    except (DecodeError, BuildError) as exc:
+    except (DecodeError, BuildError, FileAccessError) as exc:
         print(f"oogen: {exc}", file=sys.stderr)
         return 2
     except UnsupportedConstruct as exc:

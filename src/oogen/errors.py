@@ -1,10 +1,11 @@
-"""Errors raised while building IR or rendering it.
+"""Errors raised while building IR, rendering it or writing it out.
 
-Build-time errors (all but UnsupportedConstruct and DecodeError) fire as a
-program is built, and as a DecodeError at the node as it is decoded, so a
-tree that builds *or decodes* is renderable by every backend, unless it
-nests deeper than Python's recursion limit lets a renderer or the JSON
-encoder walk: that raises NestingTooDeep at render or encode time.
+Build-time errors (all but UnsupportedConstruct, DecodeError and
+FileAccessError) fire as a program is built, and as a DecodeError at the
+node as it is decoded, so a tree that builds *or decodes* is renderable by
+every backend, unless it nests deeper than Python's recursion limit lets a
+renderer or the JSON encoder walk: that raises NestingTooDeep at render or
+encode time.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ class NestingTooDeep(BuildError):
 class UnsupportedConstruct(Exception):
     """A backend cannot express the given IR node; the message names the
     target and the node's class."""
+
+
+class FileAccessError(Exception):
+    """A file or directory cannot be read, made or written; the message names it."""
 
 
 class DecodeError(ValueError):

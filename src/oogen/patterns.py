@@ -195,10 +195,6 @@ def run_strategy(chosen: str, strategies: dict[str, ir.BodyRepr],
 # Observer
 
 
-def observer_list_var(elem_type: ir.TypeRepr) -> ir.VariableRepr:
-    return bd.var(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type))
-
-
 def _observer_list(elem_type: ir.TypeRepr) -> ir.ValueOf:
     return ir.ValueOf(ir.VariableRepr(ir.OBSERVER_LIST_NAME, ir.list_of(elem_type)))
 

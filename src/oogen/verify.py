@@ -26,7 +26,7 @@ import re
 from . import ir
 from ._record import record
 from .backends import TARGETS, get_backend
-from .errors import NoMainModule
+from .errors import FileAccessError, NoMainModule
 
 _STEP_TIMEOUT = 60  # seconds per compile or run step
 
@@ -123,6 +123,22 @@ class VerifyReport(metaclass=record):
         return "\n".join(lines)
 
 
+def write_files(files, directory: str) -> tuple[str, ...]:
+    """Write rendered `files` into `directory`, made if it is missing, and
+    return their paths. What cannot be made or written is a FileAccessError."""
+    paths = ()
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for f in files:
+            path = os.path.join(directory, f.path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f.text)
+            paths += (path,)
+    except OSError as exc:  # a failed write or close names no file
+        raise FileAccessError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+    return paths
+
+
 def _run_step(argv: list[str], cwd: str, stdin: str = "") -> subprocess.CompletedProcess:
     import subprocess
 
@@ -145,11 +161,7 @@ def run_target(pkg: ir.PackageTree, target: str, workdir: str,
     if main is None:
         raise NoMainModule(f"package {pkg.name!r} has no main module to execute")
 
-    for f in backend.render_package(pkg):
-        path = os.path.join(workdir, f.path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f.text)
-
+    write_files(backend.render_package(pkg), workdir)
     sources = [path for _, path in backend.source_files(pkg)]  # as the Makefile names them
     compile_argv, run_argv = backend.build_commands(list(tools), sources, main.name, pkg.name)
     run_argv += args
@@ -191,7 +203,6 @@ def verify_package(pkg: ir.PackageTree, targets: tuple[str, ...] = TARGETS,
         runs = []
         for target in targets:
             workdir = os.path.join(root, target)
-            os.makedirs(workdir, exist_ok=True)
             runs.append(run_target(pkg, target, workdir, args=args, stdin=stdin))
         return VerifyReport(tuple(runs))
     finally:

@@ -94,10 +94,10 @@ def test_render_aux_honours_spec_order():
 
 
 def _doc_spec():
-    return bd.doc_spec(
+    return ir.DocSpec(
         "Apply a discount to a price.",
-        [("price", "the price before discount"),
-         ("discount", "amount to subtract")],
+        (("price", "the price before discount"),
+         ("discount", "amount to subtract")),
         "whether the result stays affordable",
     )
 
@@ -124,20 +124,20 @@ def test_doc_comment_python_uses_hash_lines():
 
 
 def test_doc_comment_python_keeps_every_line_behind_hash():
-    doc = extract(get_backend("python").doc_comment(bd.doc_spec('adds\nprint("leak")')))
+    doc = extract(get_backend("python").doc_comment(ir.DocSpec('adds\nprint("leak")')))
     assert doc == '# \\brief adds\n# print("leak")\n'
 
 
 @pytest.mark.parametrize("target", ["java", "csharp", "cpp"])
 def test_doc_comment_text_cannot_close_the_block(target):
-    spec = bd.doc_spec("ends here */ int x = 1; /* more", [("x", "a*/")], "**/")
+    spec = ir.DocSpec("ends here */ int x = 1; /* more", (("x", "a*/"),), "**/")
     doc = extract(get_backend(target).doc_comment(spec))
     assert doc == ("/** \\brief ends here *\\/ int x = 1; /* more\n"
                    "    \\param x a*\\/\n    \\return **\\/\n*/\n")
 
 
 def test_java_doc_comment_doubles_backslashes_before_escaping_the_end():
-    spec = bd.doc_spec("x \\u002a/ y */ z \\")
+    spec = ir.DocSpec("x \\u002a/ y */ z \\")
     assert extract(get_backend("java").doc_comment(spec)) == (
         "/** \\brief x \\\\u002a/ y *\\/ z \\\\\n*/\n")
     assert extract(get_backend("cpp").doc_comment(spec)) == (

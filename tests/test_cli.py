@@ -175,6 +175,48 @@ def test_verify_missing_stdin_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+def _a_file(tmp_path):
+    (tmp_path / "afile").write_text("")
+    return tmp_path / "afile", tmp_path / "afile" / "python"
+
+
+def _a_directory_named_like_the_source(tmp_path):
+    (tmp_path / "out" / "python" / "HelloWorld.py").mkdir(parents=True)
+    return tmp_path / "out", tmp_path / "out" / "python" / "HelloWorld.py"
+
+
+def _a_file_named_like_the_target(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "python").write_text("")
+    return tmp_path / "out", tmp_path / "out" / "python"
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+@pytest.mark.parametrize("make_out", [_a_file, _a_directory_named_like_the_source,
+                                      _a_file_named_like_the_target],
+                         ids=lambda make_out: make_out.__name__.strip("_"))
+def test_an_output_path_that_cannot_be_written_exits_2_on_one_line(command, make_out,
+                                                                     tmp_path, capsys):
+    out, unwritable = make_out(tmp_path)
+    rc = cli.main([command, "--input", "example:helloWorld", "--target", "python",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"oogen: cannot write {unwritable}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--input", "--stdin"])
+def test_an_input_file_that_is_not_utf8_exits_2_on_one_line(option, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff{}")
+    argv = ["render", "--input", str(bad), "--target", "python", "--out", str(tmp_path)]
+    if option == "--stdin":
+        argv = ["verify", "--input", "example:signTest", "--target", "python",
+                "--stdin", str(bad)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"oogen: cannot read {bad}: not UTF-8\n"
+
+
 def test_verify_passes_program_args(tmp_path, capsys):
     rc = cli.main(["verify", "--input", "example:argsEcho",
                    "--target", "python", "--args", "hello",

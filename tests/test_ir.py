@@ -505,12 +505,6 @@ def test_package_rejects_duplicate_aux_kinds():
         bd.package(program, [ir.AuxFileSpec("makefile"), ir.AuxFileSpec("makefile")])
 
 
-def test_observer_list_var_is_shared_constant():
-    t = ir.obj_of("Observer")
-    assert pt.observer_list_var(t).name == ir.OBSERVER_LIST_NAME
-    assert pt.observer_list_var(t).type == ir.list_of(t)
-
-
 # -- a binding, scope, form or mode is its name ----------------------------------
 
 NAMESPACES = (ir.Binding, ir.Scope, ir.VarForm, ir.CallForm, ir.AssignMode)

@@ -13,16 +13,16 @@ import pstats
 import pytest
 
 import all_tags
-from oogen import jsonio
+from oogen import builders, ir, jsonio
 from oogen.backends import TARGETS, get_backend
 
-LOADS_BUDGET = 1189
+LOADS_BUDGET = 1178
 ENCODE_BUDGET = 369
-BUILD_BUDGET = 728
+BUILD_BUDGET = 717
 RENDER_BUDGETS = {"python": 635, "java": 892, "csharp": 857, "cpp": 1052}
 
 
-def _calls(fn, *args) -> int:
+def _stats(fn, *args) -> dict:
     fn(*args)  # fills the caches a first call fills
     prof = cProfile.Profile()
     prof.enable()
@@ -30,8 +30,17 @@ def _calls(fn, *args) -> int:
         fn(*args)
     finally:
         prof.disable()
-    return sum(calls for (file, _, _), (_, calls, *_) in pstats.Stats(prof).stats.items()
+    return pstats.Stats(prof).stats
+
+
+def _calls(fn, *args) -> int:
+    return sum(calls for (file, _, _), (_, calls, *_) in _stats(fn, *args).items()
                if file != "<string>")
+
+
+def _label(code) -> tuple:
+    """The key cProfile and pstats file a function's calls under."""
+    return code.co_filename, code.co_firstlineno, code.co_name
 
 
 def test_loads_stays_within_its_call_budget():
@@ -53,3 +62,23 @@ def test_every_target_names_a_render_budget():
 @pytest.mark.parametrize("target", TARGETS)
 def test_render_package_stays_within_its_call_budget(target):
     assert _calls(get_backend(target).render_package, all_tags.package()) <= RENDER_BUDGETS[target]
+
+
+def test_the_package_rule_runs_once_per_package():
+    label = _label(builders.RULES[ir.PackageTree].__code__)
+    assert _stats(all_tags.package)[label][1] == 1
+    assert _stats(jsonio.loads, jsonio.dumps(all_tags.package()))[label][1] == 1
+
+
+def test_no_two_rules_or_handlers_share_a_profile_label():
+    # pstats keeps one entry per label, so two functions that shared one
+    # would be counted as one and a budget above would undercount.
+    tables = [builders.RULES]
+    for target in TARGETS:
+        cls = type(get_backend(target))
+        tables += [cls._expr_table, cls._stmt_table, cls.lowerings, cls._var_table,
+                   cls._call_table]
+    # By identity: two functions' code objects may compare equal.
+    codes = {id(f.__code__): f.__code__ for table in tables for f in table.values()}
+    labels = [_label(code) for code in codes.values()]
+    assert len(set(labels)) == len(labels)

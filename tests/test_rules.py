@@ -167,7 +167,7 @@ CASES = {
                           "inouts": []}),
                    lambda: bd.RULES[ir.InOutCall](ir.InOutCall("class", (), (), ()))),
     ir.DocSpec: (lambda doc: _module(doc={"description": "d", "returns": 5})(doc) + ".doc",
-                 lambda: bd.doc_spec("d", [], 5)),
+                 lambda: bd.doc_func("d", [], 5, _fx())),
     # Python prints an object's address and Java its hash code; g++ finds no `<<`.
     ir.Print: (_stmt(_print_of(BOX)), lambda: pt.print_ln(bd.new_obj("Box", []))),
     # `patterns.in_out_func` counts the lists it is given: no builder takes a split.
@@ -382,22 +382,19 @@ STRINGS_AND_BOOLEANS = {
     "doc description": (
         "field 'description' must be a string", _A_STRING,
         lambda v: _documented_f(description=v),
-        [bd.doc_spec, lambda v: bd.doc_func(v, [], None, _fx()),
+        [lambda v: bd.doc_func(v, [], None, _fx()),
          lambda v: bd.doc_class(v, bd.build_class("C", None, ir.Scope.PUBLIC, [], [])),
          lambda v: bd.doc_mod(v, _MAIN_MODULE)]),
     "doc returns": ("field 'returns' must be a string", _A_STRING,
                     lambda v: _documented_f(returns=v),
-                    [lambda v: bd.doc_spec("d", [], v), lambda v: bd.doc_func("d", [], v, _fx())]),
+                    [lambda v: bd.doc_func("d", [], v, _fx())]),
     "doc param name": (_PAIR, _A_STRING, lambda v: _documented_f(params=[[v, "t"]]),
-                       [lambda v: bd.doc_spec("d", [(v, "t")]),
-                        lambda v: bd.doc_func("d", [(v, "t")], None, _fx())]),
+                       [lambda v: bd.doc_func("d", [(v, "t")], None, _fx())]),
     "doc param text": (_PAIR, _A_STRING, lambda v: _documented_f(params=[["x", v]]),
-                       [lambda v: bd.doc_spec("d", [("x", v)]),
-                        lambda v: bd.doc_func("d", [("x", v)], None, _fx())]),
+                       [lambda v: bd.doc_func("d", [("x", v)], None, _fx())]),
     "doc param pair": (_PAIR, [[], ["x"], ["x", "t", "u"]],
                        lambda v: _documented_f(params=[v]),
-                       [lambda v: bd.doc_spec("d", [v]),
-                        lambda v: bd.doc_func("d", [v], None, _fx())]),
+                       [lambda v: bd.doc_func("d", [v], None, _fx())]),
     "math function": (
         "unknown math function {v!r}", _A_STRING,
         lambda v: _expr({"op": "math", "fn": v, "args": [_lit("float", 1.5)], "type": "float"}),
@@ -445,7 +442,9 @@ def test_a_text_may_be_a_str_subclass():
     # As the decoder takes one (see test_json_roundtrip); a name may not.
     t = _Text("t")
     assert bd.throw(t).message is t and bd.comment(t).text is t
-    assert bd.doc_spec(t, [(t, t)], t) == ir.DocSpec("t", (("t", "t"),), "t")
+    assert bd.doc_func(t, [(_Text("x"), t)], t, _fx()).doc == ir.DocSpec("t", (("x", "t"),), "t")
+    assert bd.doc_class(t, bd.build_class("C", None, ir.Scope.PUBLIC, [], [])).doc.description is t
+    assert bd.doc_mod(t, _MAIN_MODULE).doc.description is t
 
 
 def test_apply_unary_and_apply_binary_leave_an_unknown_name_to_the_rule():
