@@ -12,8 +12,8 @@ IR alone and not the backends, the gallery or verify.
 """
 
 # each public name -> the submodule that holds it (a submodule holds itself)
-_FROM = {"BuildError": "errors", "DecodeError": "errors", "UnsupportedConstruct": "errors",
-         "TARGETS": "backends", "assemble_package": "backends", "get_backend": "backends",
+_FROM = {"BuildError": "errors", "DecodeError": "errors", "TARGETS": "backends",
+         "assemble_package": "backends", "get_backend": "backends",
          **{m: m for m in ("builders", "gallery", "ir", "jsonio", "patterns", "verify")}}
 __all__ = sorted(_FROM)
 

@@ -11,13 +11,12 @@ class lists its handlers in `expr_handlers` (here, for every target) and
 name of the method that renders it, or to a function `(renderer, node)`
 for a one-line rendering. `__init_subclass__` resolves the names against
 each class, so a target overrides a handler by defining the method. A
-target defines every method its tables name; a name a class does not
-define is left out of its tables (as in the abstract `CFamilyRenderer`),
-and that node is unsupported there: looking its class up in the table
-raises `UnsupportedConstruct` naming the target and the class. `expr` and
-`stmt` are the entry points, one table lookup each. Inside a render, the
-operator, inline-if, call, math, list-access and argument handlers and
-`atom` look each operand up themselves,
+target defines every method its tables name, so it renders every node
+class; a name a class does not define is left out of its tables, which
+only the abstract `CFamilyRenderer` relies on. The tables are plain
+dicts. `expr` and `stmt` are the entry points, one table lookup each.
+Inside a render, the operator, inline-if, call, math, list-access and
+argument handlers and `atom` look each operand up themselves,
 `self._expr_table[type(x)](self, x)`, as `body` and `block` do each
 statement; so an operator, math or inline-if level costs one Python
 frame, and such a chain renders as deep as it decodes. Variable and call
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 from .. import ir
 from .._record import replace
-from ..errors import NestingTooDeep, UnsupportedConstruct
+from ..errors import NestingTooDeep
 from ..layout import EMPTY, Doc, RenderedFile, text, vcat, wrap
 
 # Precedence: higher binds tighter. A literal, variable or call binds
@@ -199,8 +198,8 @@ def for_as_while(s: ir.For) -> ir.BlockRepr:
 
 def _resolve(cls, handlers: dict) -> dict:
     """`handlers` with each method name replaced by `cls`'s method. A name
-    `cls` does not define (or sets to None) is left out: its node is one the
-    class cannot render."""
+    `cls` does not define (or sets to None) is left out, as the abstract
+    `CFamilyRenderer` leaves out what each C-family target defines."""
     table = {}
     for key, h in handlers.items():
         h = getattr(cls, h, None) if type(h) is str else h
@@ -209,30 +208,16 @@ def _resolve(cls, handlers: dict) -> dict:
     return table
 
 
-class _Dispatch(dict):
-    """A node handler table. Looking up a class with no handler raises
-    `UnsupportedConstruct` naming the target and the class."""
-
-    __slots__ = ("refusal",)
-
-    def __init__(self, handlers: dict, target: str, kind: str) -> None:
-        super().__init__(handlers)
-        self.refusal = f"{target} backend cannot render {kind}"
-
-    def __missing__(self, node_class: type):
-        raise UnsupportedConstruct(f"{self.refusal} {node_class.__name__}")
-
-
 def qualified(renderer, v: ir.VariableRepr) -> str:
     """`owner.name`: a member or external variable in most targets."""
     return f"{v.owner}.{v.name}"
 
 
 class Renderer:
-    """Base renderer. A target's subclass defines every method its tables
-    name, and `math_text`, `method_doc`, `module_files` and
-    `build_commands`, which are called by name. `math_text(e, *rendered)`
-    spells `MathCall` `e` on its rendered arguments."""
+    """Base renderer. A target's subclass renders every IR node class: it
+    defines every method its tables name, and `math_text`, `method_doc`,
+    `module_files` and `build_commands`, which are called by name.
+    `math_text(e, *rendered)` spells `MathCall` `e` on its rendered arguments."""
 
     target = "?"
     extension = "?"
@@ -302,14 +287,14 @@ class Renderer:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._expr_table = _Dispatch(_resolve(cls, cls.expr_handlers), cls.target, "expression")
+        cls._expr_table = _resolve(cls, cls.expr_handlers)
         stmts = _resolve(cls, cls.stmt_handlers)
         for node_class, lower in cls.lowerings.items():  # each renders as what it lowers to
             def lowered(self, s, lower=lower, native=stmts.get(node_class)):
                 low = lower(s)
                 return native(self, s) if low is s else self._stmt_table[type(low)](self, low)
             stmts[node_class] = lowered
-        cls._stmt_table = _Dispatch(stmts, cls.target, "statement")
+        cls._stmt_table = stmts
         cls._var_table = _resolve(cls, cls.var_forms)
         cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
@@ -487,13 +472,7 @@ class Renderer:
             lines += render[type(s)](self, s)
         return tuple(lines)
 
-    # -- fragment APIs used by tests and documentation ----------------------
-
-    def render_stmt(self, s: ir.StatementRepr) -> str:
-        return "\n".join(self.stmt(s))
-
-    def render_method(self, m: ir.MethodRepr) -> str:
-        return "\n".join(self.method_doc(m))
+    # -- files ----------------------------------------------------------------
 
     def source_files(self, pkg: ir.PackageTree) -> list[tuple[ir.ModuleRepr, str]]:
         """(module, source path) for each module that renders to a file, in

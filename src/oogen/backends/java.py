@@ -34,8 +34,8 @@ class JavaRenderer(CFamilyRenderer):
     list_access_text = "{}.get({})"
 
     def build_commands(self, tools, sources, main, package):
-        javac, java = tools
-        return [javac, *sources], [java, main]
+        javac, java = tools  # unless told, javac reads and java prints in the locale's charset
+        return [javac, "-encoding", "UTF-8", *sources], [java, "-Dfile.encoding=UTF-8", main]
 
     def boxed_text(self, t: ir.TypeRepr) -> str:
         """Generic positions take the boxed spelling."""

@@ -15,8 +15,9 @@ Exit codes: 0 success; 1 verify disagreement or runtime failure; 2 bad
 input (malformed JSON, unknown example, an unreadable or non-UTF-8 input
 file, a package the request cannot use, such as --makefile without a main
 module, or one nested too deeply to decode or render), an unwritable output
-path or a bad command line; 3 construct unsupported by a backend; 4 compile
-failure (or compile timeout) during verify.
+path or text that is not UTF-8, or a bad command line; 4 compile failure
+(or compile timeout) during verify. 3 is not used: every backend renders
+every node.
 
 `main` reads the command line against `_COMMANDS`, one table of options
 that also writes the usage and `--help` text, instead of argparse, whose
@@ -42,7 +43,7 @@ from types import SimpleNamespace
 
 from . import gallery, ir, jsonio, verify
 from .backends import TARGETS, assemble_package
-from .errors import BuildError, DecodeError, FileAccessError, UnsupportedConstruct
+from .errors import BuildError, DecodeError, FileAccessError
 
 _VERIFY_HELP = """\
 toolchains are probed on PATH and can be overridden by environment
@@ -278,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DecodeError, BuildError, FileAccessError) as exc:
         print(f"oogen: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedConstruct as exc:
-        print(f"oogen: unsupported construct: {exc}", file=sys.stderr)
-        return 3
 
 
 def _observed() -> bool:

@@ -1,11 +1,11 @@
 """Errors raised while building IR, rendering it or writing it out.
 
-Build-time errors (all but UnsupportedConstruct, DecodeError and
-FileAccessError) fire as a program is built, and as a DecodeError at the
-node as it is decoded, so a tree that builds *or decodes* is renderable by
-every backend, unless it nests deeper than Python's recursion limit lets a
-renderer or the JSON encoder walk: that raises NestingTooDeep at render or
-encode time.
+Build-time errors (all but DecodeError and FileAccessError) fire as a
+program is built, and as a DecodeError at the node as it is decoded, so a
+tree that builds *or decodes* is renderable by every backend, unless it
+nests deeper than Python's recursion limit lets a renderer or the JSON
+encoder walk: that raises NestingTooDeep at render or encode time. No
+backend refuses a node: each renders every IR class.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class NoMainModule(BuildError):
 
 class NestingTooDeep(BuildError):
     """A tree nests too deeply to render or encode."""
-
-
-class UnsupportedConstruct(Exception):
-    """A backend cannot express the given IR node; the message names the
-    target and the node's class."""
 
 
 class FileAccessError(Exception):

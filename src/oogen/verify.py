@@ -125,17 +125,21 @@ class VerifyReport(metaclass=record):
 
 def write_files(files, directory: str) -> tuple[str, ...]:
     """Write rendered `files` into `directory`, made if it is missing, and
-    return their paths. What cannot be made or written is a FileAccessError."""
+    return their paths. What cannot be made, written or encoded as UTF-8 is
+    a FileAccessError; each text is encoded before its file is opened."""
     paths = ()
     try:
         os.makedirs(directory, exist_ok=True)
         for f in files:
             path = os.path.join(directory, f.path)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f.text)
+            data = f.text.encode("utf-8")
+            with open(path, "wb") as fh:
+                fh.write(data)
             paths += (path,)
     except OSError as exc:  # a failed write or close names no file
         raise FileAccessError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+    except UnicodeEncodeError:
+        raise FileAccessError(f"cannot write {path}: not UTF-8") from None
     return paths
 
 

@@ -7,8 +7,10 @@ compare rendered-and-executed target output against this.
 
 Deliberately partial: it covers what well-formed trees from the builders
 can contain. Int `#/` truncates toward zero, as every target renders it.
-Constructs whose behavior differs between targets (division by zero,
-indexOf on a missing element) raise instead of guessing.
+An index at or past the end of a list or of the arguments is a runtime
+error that a `TryCatch` catches, as a `Throw` is. Constructs whose
+behavior differs between targets (division by zero, indexOf on a missing
+element, a negative index) raise instead of guessing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class InterpError(Exception):
 
 
 class ProgramThrow(Exception):
-    """A Throw statement fired and was not caught."""
+    """A Throw statement, or an index past the end, fired and was not caught."""
 
 
 class _Return(Exception):
@@ -53,6 +55,17 @@ def format_value(value: object) -> str:
     if isinstance(value, list):
         return "[" + ", ".join(format_value(v) for v in value) + "]"
     return str(value)
+
+
+def _checked(items: list, index: int) -> int:
+    """`index`, if it is one of `items`'. Past the end, Python and Java throw,
+    as C++'s `.at` does, so it is a runtime error a catch catches; below 0,
+    Python counts from the end, so no single answer exists."""
+    if index < 0:
+        raise InterpError(f"negative index {index} diverges across targets")
+    if index >= len(items):
+        raise ProgramThrow(f"index {index} out of range for size {len(items)}")
+    return index
 
 
 _DEFAULTS = {"bool": False, "int": 0, "float": 0.0, "char": " ", "string": ""}
@@ -190,11 +203,12 @@ class Interpreter:
         if isinstance(e, ir.ArgsList):
             return list(self.args)  # a new list each time, as on every target
         if isinstance(e, ir.ArgAt):
-            return self.args[ev(e.index)]
+            return self.args[_checked(self.args, ev(e.index))]
         if isinstance(e, ir.ArgExists):
             return len(self.args) > ev(e.index)
         if isinstance(e, ir.ListAccess):
-            return ev(e.lst)[ev(e.index)]
+            lst = ev(e.lst)
+            return lst[_checked(lst, ev(e.index))]
         if isinstance(e, ir.ListSize):
             return len(ev(e.lst))
         if isinstance(e, ir.ListAppend):
@@ -275,7 +289,8 @@ class Interpreter:
                     current -= 1
                 self._write_var(s.var, current, frame, self_obj)
         elif isinstance(s, ir.ListSet):
-            ev(s.lst)[ev(s.index)] = ev(s.value)
+            value, lst = ev(s.value), ev(s.lst)  # in the order Python assigns
+            lst[_checked(lst, ev(s.index))] = value
         elif isinstance(s, ir.Return):
             raise _Return(ev(s.value))
         elif isinstance(s, ir.Throw):

@@ -15,6 +15,7 @@ import pytest
 
 import golden_listings as gold
 import oracle
+from fragment import fragment
 from interp import run_package
 from oogen import auxfiles, builders as bd, gallery, ir, jsonio, patterns as pt, verify
 from oogen.backends import TARGETS, assemble_package, get_backend
@@ -54,26 +55,26 @@ def _golden_cases():
     for target in TARGETS:
         back = get_backend(target)
         cases.append((f"forEach-{target}",
-                      back.render_stmt(for_each).splitlines()[0],
+                      fragment(back, for_each).splitlines()[0],
                       gold.FOREACH_FIRST_LINE[target]))
         cases.append((f"sine-{target}", back.expr(sine), gold.SINE_EXPR[target]))
         cases.append((f"applyDiscount-{target}",
-                      back.render_method(fn("applyDiscount", "applyDiscount")),
+                      fragment(back, fn("applyDiscount", "applyDiscount")),
                       gold.APPLY_DISCOUNT[target]))
         cases.append((f"setFoo-{target}",
-                      back.render_method(fn("fooClassGetSet", "setFoo")),
+                      fragment(back, fn("fooClassGetSet", "setFoo")),
                       gold.SET_FOO[target]))
         cases.append((f"addReturn-{target}",
-                      back.render_stmt(add_return), gold.ADD_RETURN_LINE[target]))
+                      fragment(back, add_return), gold.ADD_RETURN_LINE[target]))
     cases.append(("argAt-python",
                   get_backend("python").expr(pt.arg_at(bd.lit_int(0))),
                   gold.ARG_AT_PYTHON))
     cases.append(("slice-python",
-                  get_backend("python").render_stmt(slice_stmt), gold.SLICE_PYTHON))
+                  fragment(get_backend("python"), slice_stmt), gold.SLICE_PYTHON))
     cases.append(("slice-java",
-                  get_backend("java").render_stmt(slice_stmt), gold.SLICE_JAVA))
+                  fragment(get_backend("java"), slice_stmt), gold.SLICE_JAVA))
     cases.append(("listPrint-cpp",
-                  get_backend("cpp").render_stmt(pt.print_ln(my_name)),
+                  fragment(get_backend("cpp"), pt.print_ln(my_name)),
                   gold.LIST_PRINT_CPP))
     return cases
 

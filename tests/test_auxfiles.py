@@ -13,7 +13,7 @@ def _pkg():
 
 
 @pytest.mark.parametrize("target,build_line", [
-    ("java", "\t$(JC) ApplyDiscount.java"),
+    ("java", "\t$(JC) -encoding UTF-8 ApplyDiscount.java"),
     ("csharp", "\t$(CSC) -out:ApplyDiscount.exe ApplyDiscount.cs"),
     ("cpp", "\t$(CXX) -o ApplyDiscount ApplyDiscount.cpp"),
 ])

@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 import all_tags
+from fragment import fragment
 from oogen import builders as bd, gallery, ir, patterns as pt
 from oogen.backends import TARGETS, get_backend
 
@@ -116,7 +118,7 @@ def test_an_inline_if_in_an_inline_if_is_wrapped_only_as_condition_or_then(targe
 def test_constructor_spelling(target, expected):
     fc = bd.var("fc", ir.obj_of("FooClass"))
     stmt = bd.var_dec_def(fc, bd.new_obj("FooClass", []))
-    assert get_backend(target).render_stmt(stmt) == expected
+    assert fragment(get_backend(target), stmt) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -126,7 +128,7 @@ def test_constructor_spelling(target, expected):
     ("cpp", 'throw std::runtime_error("oops");'),
 ])
 def test_throw_spelling(target, expected):
-    assert get_backend(target).render_stmt(bd.throw("oops")) == expected
+    assert fragment(get_backend(target), bd.throw("oops")) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -136,7 +138,7 @@ def test_throw_spelling(target, expected):
     ("cpp", "std::cin >> foo;"),
 ])
 def test_read_int_spelling(target, expected):
-    assert get_backend(target).render_stmt(pt.read_int(FOO)) == expected
+    assert fragment(get_backend(target), pt.read_int(FOO)) == expected
 
 
 @pytest.mark.parametrize("target,expected", [
@@ -146,7 +148,7 @@ def test_read_int_spelling(target, expected):
     ("cpp", "foo++;"),
 ])
 def test_increment_spelling(target, expected):
-    assert get_backend(target).render_stmt(bd.inc(FOO)) == expected
+    assert fragment(get_backend(target), bd.inc(FOO)) == expected
 
 
 # One variable of each form: (form, variable).
@@ -176,11 +178,11 @@ def test_variable_form_spelling(target, index):
     end = "" if target == "python" else ";"
     backend = get_backend(target)
     assert backend.expr(bd.value_of(variable)) == ref
-    assert backend.render_stmt(bd.assign(variable, bd.lit_int(1))) == f"{ref} = 1{end}"
-    assert backend.render_stmt(bd.add_eq(variable, bd.lit_int(1))) == f"{ref} += 1{end}"
-    assert backend.render_stmt(bd.sub_eq(variable, bd.lit_int(1))) == f"{ref} -= 1{end}"
+    assert fragment(backend, bd.assign(variable, bd.lit_int(1))) == f"{ref} = 1{end}"
+    assert fragment(backend, bd.add_eq(variable, bd.lit_int(1))) == f"{ref} += 1{end}"
+    assert fragment(backend, bd.sub_eq(variable, bd.lit_int(1))) == f"{ref} -= 1{end}"
     step = f"{ref} = {ref} - 1" if target == "python" else f"{ref}--;"
-    assert backend.render_stmt(bd.dec(variable)) == step
+    assert fragment(backend, bd.dec(variable)) == step
 
 
 def test_python_external_variable_imports_its_module():
@@ -196,7 +198,7 @@ def test_cpp_for_each_variable_reads_through_its_iterator():
     xs = bd.var("xs", ir.list_of(ir.INT))
     loop = bd.for_each(x, bd.value_of(xs), bd.body_statements(
         [pt.print_ln(bd.value_of(x)), bd.assign(x, bd.lit_int(1))]))
-    assert get_backend("cpp").render_stmt(loop) == (
+    assert fragment(get_backend("cpp"), loop) == (
         "for (std::vector<int>::iterator x = xs.begin(); x != xs.end(); x++) {\n"
         "    std::cout << (*x) << std::endl;\n"
         "    (*x) = 1;\n"
@@ -237,8 +239,8 @@ def test_csharp_wraps_inline_if_range_and_slice_bounds():
     i, xs = bd.var("i", ir.INT), bd.var("xs", ir.list_of(ir.INT))
     loop = bd.for_range(i, bd.lit_int(0), OFF_INDEX, bd.lit_int(-1),
                         bd.one_liner(pt.print_ln(bd.value_of(i))))
-    assert cs.render_stmt(loop).splitlines()[0] == "for (int i = 0; i <= (off ? 0 : 4); i += -1) {"
-    sliced = cs.render_stmt(pt.list_slice(xs, bd.value_of(xs), OFF_INDEX, OFF_INDEX))
+    assert fragment(cs, loop).splitlines()[0] == "for (int i = 0; i <= (off ? 0 : 4); i += -1) {"
+    sliced = fragment(cs, pt.list_slice(xs, bd.value_of(xs), OFF_INDEX, OFF_INDEX))
     assert sliced.splitlines()[1] == (
         "for (int i_temp = off ? 0 : 4; i_temp < (off ? 0 : 4); i_temp++) {")
 
@@ -275,9 +277,9 @@ def test_cpp_print_wraps_only_what_binds_looser_than_its_shift():
     cpp = get_backend("cpp")
     less = bd.apply_binary("?<", bd.lit_int(1), bd.lit_int(2))
     plus = bd.apply_binary("#+", bd.lit_int(1), bd.lit_int(2))
-    assert cpp.render_stmt(pt.print_ln(less)) == (
+    assert fragment(cpp, pt.print_ln(less)) == (
         "std::cout << std::boolalpha << (1 < 2) << std::endl;")
-    assert cpp.render_stmt(pt.print_ln(plus)) == "std::cout << 1 + 2 << std::endl;"
+    assert fragment(cpp, pt.print_ln(plus)) == "std::cout << 1 + 2 << std::endl;"
 
 
 def test_python_int_division_nests_and_float_division_stays_true():
@@ -529,14 +531,14 @@ def test_state_vars_render_before_methods():
     ("cpp", 'throw std::runtime_error("bad \\"q\\"");'),
 ])
 def test_throw_message_is_escaped(target, expected):
-    assert get_backend(target).render_stmt(bd.throw('bad "q"')) == expected
+    assert fragment(get_backend(target), bd.throw('bad "q"')) == expected
 
 
 @pytest.mark.parametrize("target,marker", [
     ("python", "#"), ("java", "//"), ("csharp", "//"), ("cpp", "//"),
 ])
 def test_multiline_comment_comments_every_line(target, marker):
-    render = get_backend(target).render_stmt
+    render = partial(fragment, get_backend(target))
     assert render(bd.comment("a\nb = 1")) == f"{marker} a\n{marker} b = 1"
     assert render(bd.comment("a\r\nb\rc")) == f"{marker} a\n{marker} b\n{marker} c"
     assert render(bd.comment("one line")) == f"{marker} one line"
@@ -551,7 +553,7 @@ def test_multiline_comment_comments_every_line(target, marker):
     ("cpp", ["// path C:\\.", "// see C:\\users"]),
 ])
 def test_comment_backslashes_stay_inside_the_comment(target, expected):
-    render = get_backend(target).render_stmt
+    render = partial(fragment, get_backend(target))
     assert [render(bd.comment(t)) for t in ("path C:\\", "see C:\\users")] == expected
 
 
@@ -569,13 +571,13 @@ def _count_to_3(body_: ir.BodyRepr) -> ir.For:
 
 def test_python_suite_of_only_comments_gets_pass():
     only = bd.one_liner(bd.comment("only"))
-    rendered = get_backend("python").render_stmt(bd.if_cond([(bd.lit_bool(True), only)], only))
+    rendered = fragment(get_backend("python"), bd.if_cond([(bd.lit_bool(True), only)], only))
     assert rendered == "if True:\n    # only\n    pass\nelse:\n    # only\n    pass"
     compile(rendered, "<if>", "exec")
 
 
 def test_python_continue_in_a_for_loop_runs_the_update_first():
-    render = get_backend("python").render_stmt
+    render = partial(fragment, get_backend("python"))
     assert render(_count_to_3(bd.one_liner(bd.continue_stmt()))) == (
         "i = 0\nwhile i < 3:\n    i = i + 1\n    continue\n    i = i + 1")
     # a nested loop's continue belongs to that loop
@@ -594,7 +596,7 @@ def test_python_continue_in_a_for_loop_runs_the_update_first():
 def test_python_update_is_placed_before_continue_in_blocks_but_not_in_nested_loops():
     # the update runs before a continue in a block or a switch case, not in
     # any nested loop but a lowered one, which runs its own update
-    render, ok = get_backend("python").render_stmt, bd.var("ok", ir.BOOL)
+    render, ok = partial(fragment, get_backend("python")), bd.var("ok", ir.BOOL)
     skip, j = bd.one_liner(bd.continue_stmt()), bd.var("j", ir.INT)
     cases = [
         (pt.run_strategy("a", {"a": skip}),
@@ -621,7 +623,7 @@ def test_python_update_ends_the_last_block_even_one_that_renders_nothing():
     # A last block that renders nothing (it is empty, or holds only scalar
     # declarations, which Python drops) still holds the update, so the
     # blank line between blocks comes before it.
-    render, k = get_backend("python").render_stmt, bd.var("k", ir.INT)
+    render, k = partial(fragment, get_backend("python")), bd.var("k", ir.INT)
     show = bd.block([pt.print_ln(bd.value_of(I_VAR))])
     for last in (bd.block([]), bd.block([bd.var_dec(k)])):
         assert render(_count_to_3(bd.body([show, last]))) == (
@@ -635,4 +637,4 @@ def test_all_tags_python_compiles_and_its_for_loop_ends():
         compile(f.text, f.path, "exec")
     main = next(m for m in pkg.modules[0].functions if m.is_main)
     loop = next(s for blk in main.body.blocks for s in blk.statements if isinstance(s, ir.For))
-    subprocess.run([sys.executable, "-c", python.render_stmt(loop)], check=True, timeout=30)
+    subprocess.run([sys.executable, "-c", fragment(python, loop)], check=True, timeout=30)

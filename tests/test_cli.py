@@ -10,7 +10,6 @@ import pytest
 
 import oogen
 from oogen import builders as bd, cli, gallery, ir, jsonio, patterns as pt, verify
-from oogen.errors import UnsupportedConstruct
 
 
 def test_render_writes_files_and_prints_manifest(tmp_path, capsys, monkeypatch):
@@ -122,17 +121,6 @@ def test_render_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_unsupported_construct_exits_3(tmp_path, capsys, monkeypatch):
-    def boom(pkg, target):
-        raise UnsupportedConstruct("no makefile shape for target 'brainfuck'")
-
-    monkeypatch.setattr(cli, "assemble_package", boom)
-    rc = cli.main(["render", "--input", "example:helloWorld",
-                   "--target", "python", "--out", str(tmp_path)])
-    assert rc == 3
-    assert "unsupported construct" in capsys.readouterr().err
-
-
 def test_verify_agreeing_targets_exit_0(tmp_path, capsys):
     rc = cli.main(["verify", "--input", "example:addFunction",
                    "--target", "python", "--out", str(tmp_path)])
@@ -215,6 +203,20 @@ def test_an_input_file_that_is_not_utf8_exits_2_on_one_line(option, tmp_path, ca
                 "--stdin", str(bad)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"oogen: cannot read {bad}: not UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+def test_text_that_cannot_be_written_as_utf8_exits_2_on_one_line(command, tmp_path, capsys):
+    # A lone surrogate decodes from a JSON escape but has no UTF-8 encoding.
+    main = bd.main_function(bd.one_liner(bd.comment("\ud800")))
+    src = tmp_path / "pkg.json"
+    src.write_text(jsonio.dumps(bd.prog("p", [bd.build_module("Main", [], [main], [])])))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--input", str(src), "--target", "python", "--out", str(out)])
+    source = out / "python" / "Main.py"
+    assert rc == 2
+    assert capsys.readouterr().err == f"oogen: cannot write {source}: not UTF-8\n"
+    assert not source.exists()
 
 
 def test_verify_passes_program_args(tmp_path, capsys):

@@ -8,6 +8,7 @@ that ship, the smaller fragments are rebuilt inline.
 import pytest
 
 import golden_listings as gold
+from fragment import fragment
 from oogen import builders as bd, gallery, ir, patterns as pt
 from oogen.backends import TARGETS, get_backend
 
@@ -29,7 +30,7 @@ def test_for_each_header(target):
     ages = bd.value_of(bd.var("ages", ir.list_of(ir.INT)))
     stmt = bd.for_each(bd.var("age", ir.INT), ages,
                        bd.one_liner(pt.print_ln(bd.value_of(bd.var("age", ir.INT)))))
-    rendered = get_backend(target).render_stmt(stmt)
+    rendered = fragment(get_backend(target), stmt)
     assert rendered.splitlines()[0] == gold.FOREACH_FIRST_LINE[target]
 
 
@@ -51,28 +52,28 @@ def _slice_stmt() -> ir.ListSlice:
 
 
 def test_slice_python():
-    assert get_backend("python").render_stmt(_slice_stmt()) == gold.SLICE_PYTHON
+    assert fragment(get_backend("python"), _slice_stmt()) == gold.SLICE_PYTHON
 
 
 def test_slice_java():
-    assert get_backend("java").render_stmt(_slice_stmt()) == gold.SLICE_JAVA
+    assert fragment(get_backend("java"), _slice_stmt()) == gold.SLICE_JAVA
 
 
 def test_list_print_cpp():
     my_name = bd.value_of(bd.var("myName", ir.list_of(ir.INT)))
-    assert get_backend("cpp").render_stmt(pt.print_ln(my_name)) == gold.LIST_PRINT_CPP
+    assert fragment(get_backend("cpp"), pt.print_ln(my_name)) == gold.LIST_PRINT_CPP
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_apply_discount(target):
     func = _gallery_function("applyDiscount", "applyDiscount")
-    assert get_backend(target).render_method(func) == gold.APPLY_DISCOUNT[target]
+    assert fragment(get_backend(target), func) == gold.APPLY_DISCOUNT[target]
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_set_foo(target):
     method = _gallery_function("fooClassGetSet", "setFoo")
-    assert get_backend(target).render_method(method) == gold.SET_FOO[target]
+    assert fragment(get_backend(target), method) == gold.SET_FOO[target]
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -80,4 +81,4 @@ def test_add_return_line(target):
     num1 = bd.value_of(bd.var("num1", ir.INT))
     num2 = bd.value_of(bd.var("num2", ir.INT))
     stmt = bd.return_stmt(bd.apply_binary("#+", num1, num2))
-    assert get_backend(target).render_stmt(stmt) == gold.ADD_RETURN_LINE[target]
+    assert fragment(get_backend(target), stmt) == gold.ADD_RETURN_LINE[target]

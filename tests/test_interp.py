@@ -98,6 +98,31 @@ def test_uncaught_throw_escapes_as_program_throw():
         run_package(_main_package([bd.throw("boom")]))
 
 
+_XS = bd.var("xs", ir.list_of(ir.INT))
+# An index each way a program can take one: a list's element, an element
+# set, and an argument.
+INDEXED = {
+    "list access": lambda i: pt.print_ln(pt.list_access(bd.value_of(_XS), i)),
+    "list set": lambda i: pt.list_set(bd.value_of(_XS), i, bd.lit_int(7)),
+    "argument": lambda i: pt.print_ln(pt.arg_at(i)),
+}
+
+
+def _one_element_list_and(statement):
+    return [bd.var_dec(_XS), bd.call_stmt(pt.list_append(bd.value_of(_XS), bd.lit_int(5))),
+            statement]
+
+
+@pytest.mark.parametrize("place", INDEXED)
+def test_an_index_past_the_end_is_caught_as_a_throw_is(place):
+    # Python, Java and C++ print `caught` for an element past a list's end.
+    past = INDEXED[place](bd.lit_int(1))
+    caught = bd.try_catch(bd.one_liner(past), bd.one_liner(pt.print_str_ln("caught")))
+    assert run_package(_main_package(_one_element_list_and(caught)), args=("a",)) == "caught\n"
+    with pytest.raises(ProgramThrow):
+        run_package(_main_package(_one_element_list_and(past)), args=("a",))
+
+
 def test_switch_matches_and_falls_back():
     label = bd.var("label", ir.STRING)
     sw = bd.switch(
@@ -161,6 +186,14 @@ def test_index_of_missing_element_refused():
     ]
     with pytest.raises(InterpError):
         run_package(_main_package(stmts))
+
+
+@pytest.mark.parametrize("place", INDEXED)
+def test_a_negative_index_refused(place):
+    # Python counts from the end; Java and C++ throw.
+    negative = INDEXED[place](bd.apply_unary("#~", bd.lit_int(1)))
+    with pytest.raises(InterpError, match="negative index -1"):
+        run_package(_main_package(_one_element_list_and(negative)), args=("a",))
 
 
 def test_read_past_end_of_stdin_refused():

@@ -1,8 +1,9 @@
 """Rendering by table: every IR node class, variable form and call form
-has one handler per target, a handler a class does not define leaves its
-node unsupported, no function is a `raise NotImplementedError` stub, the
-all-tags package renders byte for byte as recorded, and no backend module
-but base.py lowers a pattern to IR.
+has one handler per target, so no target refuses a node at render time,
+a nested node renders as it does alone, no function is a
+`raise NotImplementedError` stub, the all-tags package
+renders byte for byte as recorded, and no backend module but base.py
+lowers a pattern to IR.
 
 all_tags_rendered.txt holds every file that `assemble_package` makes from
 `tests/all_tags.py` for each target, Makefile and Doxygen config included,
@@ -22,10 +23,9 @@ import pytest
 import all_tags
 import oogen
 from oogen import ir
-from oogen import builders as bd, patterns as pt
-from oogen.backends import TARGETS, PythonRenderer, assemble_package, csharp, get_backend
+from oogen import builders as bd
+from oogen.backends import TARGETS, assemble_package, csharp, get_backend
 from oogen.backends.base import ATOMIC_PRECEDENCE
-from oogen.errors import UnsupportedConstruct
 
 FIXTURE = Path(__file__).with_name("all_tags_rendered.txt")
 SRC = Path(oogen.__file__).parent
@@ -67,27 +67,16 @@ def test_handler_tables_hold_only_node_classes(target):
     assert set(expr_table) | set(stmt_table) == set(_concrete_nodes())
 
 
-class Strange(ir.ExprRepr):
-    pass
-
-
-class Odd(ir.StatementRepr):
-    pass
-
-
+# CPython specializes a subscript only on an exact dict, and every
+# operand of a render is one table subscript.
 @pytest.mark.parametrize("target", TARGETS)
-def test_unknown_node_names_the_target_and_the_class(target):
-    backend = get_backend(target)
-    with pytest.raises(UnsupportedConstruct) as expr_error:
-        backend.expr(Strange())
-    assert str(expr_error.value) == f"{target} backend cannot render expression Strange"
-    with pytest.raises(UnsupportedConstruct) as stmt_error:
-        backend.render_stmt(Odd())
-    assert str(stmt_error.value) == f"{target} backend cannot render statement Odd"
+def test_handler_tables_are_plain_dicts(target):
+    assert [type(table) for table in _tables(target)] == [dict, dict]
 
 
 _ONE, _XS = ir.Lit("int", 1), ir.ValueOf(ir.VariableRepr("xs", ir.list_of(ir.INT)))
-# An unknown class as each kind of operand a handler dispatches itself.
+# Each kind of operand a handler dispatches itself, by subscripting its
+# table rather than through `expr`.
 OPERAND_PLACES = {
     "binary left": lambda x: ir.Binary("#+", x, _ONE, ir.INT),
     "binary right": lambda x: ir.Binary("#+", _ONE, x, ir.INT),
@@ -102,21 +91,32 @@ OPERAND_PLACES = {
 }
 
 
+# The operand is a call around a list size, which each target spells its
+# own way, so the place must reach the target's handlers two levels down.
 @pytest.mark.parametrize("place", OPERAND_PLACES)
 @pytest.mark.parametrize("target", TARGETS)
-def test_an_unknown_operand_names_the_target_and_the_class(target, place):
-    with pytest.raises(UnsupportedConstruct) as error:
-        get_backend(target).expr(OPERAND_PLACES[place](Strange()))
-    assert str(error.value) == f"{target} backend cannot render expression Strange"
+def test_an_operand_in_each_place_renders_as_it_does_alone(target, place):
+    backend = get_backend(target)
+    size = ir.ListSize(ir.ValueOf(ir.VariableRepr("ys", ir.list_of(ir.INT))))
+    operand = ir.Call(ir.CallForm.FUNCTION, "g", (size,),
+                      ir.list_of(ir.INT) if place == "list receiver" else ir.INT)
+    alone = backend.expr(operand)
+    assert backend.expr(OPERAND_PLACES[place](operand)).count(alone) == 1
+    assert backend.expr(size) in alone
 
 
+# `body` and `block` subscript the statement table themselves, so a nested
+# statement must come out as `stmt` renders it alone.
 @pytest.mark.parametrize("target", TARGETS)
-def test_an_unknown_statement_in_a_body_or_block_names_the_target_and_the_class(target):
-    block = ir.BlockRepr((ir.Break(), Odd()))
-    for tree in (ir.If(((ir.Lit("bool", True), ir.BodyRepr((block,))),), None), block):
-        with pytest.raises(UnsupportedConstruct) as error:
-            get_backend(target).render_stmt(tree)
-        assert str(error.value) == f"{target} backend cannot render statement Odd"
+def test_a_statement_in_a_body_or_block_renders_as_it_does_alone(target):
+    backend = get_backend(target)
+    true = ir.Lit("bool", True)
+    inner = ir.If(((true, ir.BodyRepr((ir.BlockRepr((ir.Break(),)),))),), None)
+    block = ir.BlockRepr((ir.Break(), inner))
+    lines = backend.stmt(block)
+    assert lines == backend.stmt(ir.Break()) + backend.stmt(inner)
+    outer = backend.stmt(ir.If(((true, ir.BodyRepr((block,))),), None))
+    assert list(outer[1:1 + len(lines)]) == ["    " + line for line in lines]
 
 
 # A handler name a class does not define is left out of its tables, so a
@@ -157,18 +157,6 @@ def test_every_scalar_type_kind_is_spelled(target):
 
 def test_csharp_spells_every_math_function_and_no_other():
     assert set(csharp._MATH) == set(bd.MATH_FNS)
-
-
-class PythonWithoutListSize(PythonRenderer):
-    list_size = None
-
-
-def test_a_handler_the_class_does_not_define_leaves_its_node_unsupported():
-    size = pt.list_size(bd.value_of(bd.var("xs", ir.list_of(ir.INT))))
-    assert get_backend("python").expr(size) == "len(xs)"
-    with pytest.raises(UnsupportedConstruct) as error:
-        PythonWithoutListSize().expr(size)
-    assert str(error.value) == "python backend cannot render expression ListSize"
 
 
 # A target is one renderer class: its tables say what it renders, so no

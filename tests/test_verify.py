@@ -372,6 +372,21 @@ def test_quoted_throw_message_reaches_stderr_everywhere(tmp_path):
             assert 'bad "q"' in run.detail
 
 
+def test_text_that_is_not_ascii_prints_alike_under_the_c_locale(tmp_path, monkeypatch):
+    # javac reads a source, and java writes stdout, in the locale's charset
+    # unless told otherwise: under LC_ALL=C that is US-ASCII. The locale is
+    # set for the compilers and programs only, not for this process.
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: run(
+        *args, env={**os.environ, "LC_ALL": "C"}, **kwargs))
+    main = bd.main_function(bd.one_liner(pt.print_str_ln("h\u00e9llo \u2713")))
+    pkg = bd.prog("p", [bd.build_module("Main", [], [main], [])])
+    report = verify.verify_package(pkg, targets=("python", "java", "cpp"),
+                                   root_dir=str(tmp_path))
+    assert {r.status for r in report.runs} <= {"ok", "skipped"}, report.summary()
+    assert {r.stdout for r in report.executed} == {"h\u00e9llo \u2713"}
+
+
 def test_doc_text_cannot_close_the_doc_block_anywhere(tmp_path):
     x = bd.var("x", ir.INT)
     twice = bd.function("twice", ir.Scope.PUBLIC, ir.Binding.STATIC, ir.INT, [bd.param(x)],
