@@ -19,12 +19,13 @@ Inside a render, the operator, inline-if, call, math, list-access and
 argument handlers and `atom` look each operand up themselves,
 `self._expr_table[type(x)](self, x)`, as `body` and `block` do each
 statement; so an operator, math or inline-if level costs one Python
-frame, and such a chain renders as deep as it decodes. Variable and call
-forms dispatch the same way, through `var_forms` and `call_forms` keyed
-by the form's name, after an `==` test for the commonest form. A
-variable reference is one frame too: `value_of` reads a plain variable's
-name itself, and calls `var_ref` only in C++, whose `var_ref` holds its
-one rule for a plain name (a for-each variable is an iterator there).
+frame, and such a chain renders as deep as it decodes; a call renders its
+own arguments so, with no helper. Variable forms dispatch the same way,
+through `var_forms` keyed by the form's name, after an `==` test for the
+commonest form. A variable reference is one frame too: `value_of` reads a
+plain variable's name itself, and calls `var_ref` only in C++, whose
+`var_ref` holds its one rule for a plain name (a for-each variable is an
+iterator there).
 
 A node some target spells natively is lowered once, here, to core IR for
 the targets that do not, so every target accepts or refuses the same
@@ -242,8 +243,8 @@ class Renderer:
     }
     expr_handlers = {
         ir.Lit: "lit", ir.ValueOf: "value_of", ir.Unary: "unary", ir.Binary: "binary",
-        ir.InlineIf: "inline_if", ir.Call: "call",
-        ir.MathCall: "math_call",
+        ir.InlineIf: "inline_if", ir.Call: "call", ir.ExtCall: "external_call",
+        ir.MethodCall: "method_call", ir.NewObj: "constructor_call", ir.MathCall: "math_call",
         ir.ArgsList: "args_list", ir.ArgAt: "arg_at", ir.ArgExists: "arg_exists",
         ir.ListAccess: "list_access", ir.ListSize: "list_size", ir.ListAppend: "list_append",
         ir.ListIndexOf: "list_index_of",
@@ -270,19 +271,13 @@ class Renderer:
     # in its place, or to the node itself where the target spells it.
     lowerings: dict = {}
 
-    # How each variable form but PLAIN (a bare name) is referred to, and
-    # how each call form but FUNCTION (`name(args)`) is spelled: resolved
-    # like the handlers, each maps a form to a method name or a function
-    # `(renderer, variable)` / `(renderer, call, rendered args)`.
+    # How each variable form but PLAIN (a bare name) is referred to:
+    # resolved like the handlers, each maps a form to a method name or a
+    # function `(renderer, variable)`.
     var_forms: dict = {
         ir.VarForm.CLASS_MEMBER: qualified,
         ir.VarForm.OBJECT_MEMBER: qualified,
         ir.VarForm.EXTERNAL: qualified,
-    }
-    call_forms = {
-        ir.CallForm.EXTERNAL: "external_call",
-        ir.CallForm.CONSTRUCTOR: "constructor_call",
-        ir.CallForm.METHOD: "method_call_text",
     }
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -296,7 +291,6 @@ class Renderer:
             stmts[node_class] = lowered
         cls._stmt_table = stmts
         cls._var_table = _resolve(cls, cls.var_forms)
-        cls._call_table = _resolve(cls, cls.call_forms)
         # Precedence by node class (None for an operator node) and by
         # operator name, for this target.
         cls._prec = {**dict.fromkeys(cls._expr_table, ATOMIC_PRECEDENCE),
@@ -402,22 +396,29 @@ class Renderer:
     def ternary_text(self, cond: str, then: str, other: str) -> str:
         return f"{cond} ? {then} : {other}"
 
-    def call(self, e: ir.Call) -> str:
+    def call(self, e: ir.Call | ir.NewObj) -> str:
         render = self._expr_table
         args = ", ".join([render[type(a)](self, a) for a in e.args])
-        if e.form == ir.CallForm.FUNCTION:
-            return f"{e.name}({args})"
-        return self._call_table[e.form](self, e, args)
+        return f"{e.name}({args})"
+
+    def external_call(self, e: ir.ExtCall) -> str:
+        render = self._expr_table
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
+        return f"{e.library}.{e.name}({args})"
+
+    def method_call(self, e: ir.MethodCall) -> str:
+        render = self._expr_table
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
+        return f"{self.atom(e.receiver)}.{e.name}({args})"
+
+    def constructor_call(self, e: ir.NewObj) -> str:
+        render = self._expr_table
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
+        return f"new {e.name}({args})"
 
     def list_access(self, e: ir.ListAccess) -> str:
         i = e.index
         return self.list_access_text.format(self.atom(e.lst), self._expr_table[type(i)](self, i))
-
-    def external_call(self, e: ir.Call, args: str) -> str:
-        return f"{e.library}.{e.name}({args})"
-
-    def method_call_text(self, e: ir.Call, args: str) -> str:
-        return f"{self.atom(e.receiver)}.{e.name}({args})"
 
     def var_ref(self, v: ir.VariableRepr) -> str:
         if v.form == ir.VarForm.PLAIN:

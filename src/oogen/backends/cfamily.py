@@ -71,9 +71,6 @@ class CFamilyRenderer(Renderer):
 
     var_forms = {**Renderer.var_forms, ir.VarForm.SELF: lambda self, v: f"this.{v.name}"}
 
-    def constructor_call(self, e: ir.Call, args: str) -> str:
-        return f"new {e.name}({args})"
-
     def arg_at(self, e: ir.ArgAt) -> str:
         i = e.index
         return f"args[{self._expr_table[type(i)](self, i)}]"

@@ -36,6 +36,7 @@ class CppRenderer(CFamilyRenderer):
     list_type = "std::vector<{}>"
     empty_list_decl = "{t} {name}(0);"
     list_access_text = "{}.at({})"
+    expr_handlers = {**CFamilyRenderer.expr_handlers, ir.NewObj: "call"}  # `Foo()` makes a Foo
 
     # no switch on std::string
     lowerings = {**CFamilyRenderer.lowerings,
@@ -72,17 +73,12 @@ class CppRenderer(CFamilyRenderer):
         self.needs.add("math.h")
         return f"{'fabs' if e.fn == 'abs' else e.fn}({', '.join(rendered)})"
 
-    def constructor_call(self, e: ir.Call, args: str) -> str:
-        return f"{e.name}({args})"
-
-    def method_call_text(self, e: ir.Call, args: str) -> str:
-        receiver = e.receiver
-        if (
-            isinstance(receiver, ir.ValueOf)
-            and receiver.var.form == ir.VarForm.PLAIN
-            and receiver.var.name in self._iter_vars
-        ):
-            return f"{receiver.var.name}->{e.name}({args})"
+    def method_call(self, e: ir.MethodCall) -> str:
+        render, receiver = self._expr_table, e.receiver
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
+        var = receiver.var if type(receiver) is ir.ValueOf else None
+        if var is not None and var.form == ir.VarForm.PLAIN and var.name in self._iter_vars:
+            return f"{var.name}->{e.name}({args})"  # an iterator
         return f"{self.atom(receiver)}.{e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:

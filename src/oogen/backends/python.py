@@ -33,6 +33,7 @@ class PythonRenderer(Renderer):
     # and the comparisons, and ==/!= sit *at* comparison level.
     op_precedence = {"?!": 3.5, "?==": 5, "?!=": 5}
     op_tokens = {**Renderer.op_tokens, "?!": "not", "?&&": "and", "?||": "or"}
+    expr_handlers = {**Renderer.expr_handlers, ir.NewObj: "call"}  # `Foo()` makes a Foo
 
     def char_lit(self, value: str) -> str:
         return self.string_lit(value)  # no char type; one-character string
@@ -63,12 +64,11 @@ class PythonRenderer(Renderer):
         # Python's floor and ceil give an int; the IR and the other targets a double.
         return f"float({call})" if e.fn == "floor" or e.fn == "ceil" else call
 
-    def external_call(self, e: ir.Call, args: str) -> str:
+    def external_call(self, e: ir.ExtCall) -> str:
+        render = self._expr_table
+        args = ", ".join([render[type(a)](self, a) for a in e.args])
         self.needs.add(e.library)
         return f"{e.library}.{e.name}({args})"
-
-    def constructor_call(self, e: ir.Call, args: str) -> str:
-        return f"{e.name}({args})"
 
     def args_list(self, e: ir.ArgsList) -> str:
         self.needs.add("sys")

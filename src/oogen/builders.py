@@ -88,15 +88,16 @@ _EQUALITY = ("?==", "?!=")
 _LOGICAL = ("?&&", "?||")
 _STEP_NAMES = {ir.AssignMode.INC: "&++", ir.AssignMode.DEC: "&~-"}
 _SCOPES, _BINDINGS = ir.names(ir.Scope), ir.names(ir.Binding)
-_VAR_FORMS, _CALL_FORMS = ir.names(ir.VarForm), ir.names(ir.CallForm)
+_VAR_FORMS = ir.names(ir.VarForm)
 _OWNERLESS = (ir.VarForm.PLAIN, ir.VarForm.SELF)
 _NAMED_KINDS = ("list", "object")  # the kinds of type that hold a class name
 _ASSIGN_MODES, _AUX_KINDS = ir.names(ir.AssignMode), ("makefile", "doxygen")
 _UNARY, _BINARY = (tuple(op for op, n in ir.OPERATORS.items() if n == arity) for arity in (1, 2))
-# The statements a for header takes as its update and its init, and the
-# expressions a statement may be.
+# The statements a for header takes as its update and its init, the
+# expressions a statement may be, and every statement class.
 _FOR_UPDATES, _FOR_INITS = (ir.Assign, ir.ExprStmt), (ir.VarDecDef, ir.Assign, ir.ExprStmt)
-_STATEMENT_EXPRS = (ir.Call, ir.ListAppend)
+_STATEMENT_EXPRS = (ir.Call, ir.ExtCall, ir.MethodCall, ir.NewObj, ir.ListAppend)
+_STATEMENTS = frozenset(ir.StatementRepr.__subclasses__())
 # Functions every target's math namespace provides under some spelling, by arity.
 MATH_FNS = {"sin": 1, "cos": 1, "tan": 1, "sqrt": 1, "abs": 1, "floor": 1, "ceil": 1,
             "log": 1, "exp": 1, "pow": 2}
@@ -214,8 +215,8 @@ def _int_index(op: str, node):
 # an int to Python, so no other kind takes one.
 LIT_PAYLOADS = {"bool": bool, "int": int, "float": (int, float), "char": str, "string": str}
 _LIT_KINDS = tuple(LIT_PAYLOADS)
-ENUMERATED = (*_SCOPES, *_BINDINGS, *_VAR_FORMS, *_CALL_FORMS, *_ASSIGN_MODES, *_AUX_KINDS,
-              *_LIT_KINDS, *ir.OPERATORS)  # every enumerated field's values, for `oogen.jsonio`
+ENUMERATED = (*_SCOPES, *_BINDINGS, *_VAR_FORMS, *_ASSIGN_MODES, *_AUX_KINDS, *_LIT_KINDS,
+              *ir.OPERATORS)  # every enumerated field's values, for `oogen.jsonio`
 
 
 def _check_lit(lit: ir.Lit) -> ir.Lit:
@@ -257,32 +258,17 @@ def _check_inline_if(node: ir.InlineIf) -> ir.InlineIf:
         "inlineIf else", "then", then, other)
 
 
-def _form_field(form: str, key: str, needed: bool):
-    _refuse(f"{form} call {'requires a' if needed else 'takes no'} {key!r}", BuildError)
-
-
-def _check_call(node: ir.Call) -> ir.Call:
-    """Legal names; a receiver on a method call only, a library on an external call only."""
-    form = node.form
-    if form not in _CALL_FORMS:
-        _one_of("form", _CALL_FORMS)
+def _check_call(node: ir.Call | ir.ExtCall | ir.MethodCall):
+    """A legal name, library and return type; a method call's receiver an
+    object (`1.f()` compiles nowhere)."""
     check_identifier(node.name)
-    # A class of the call's name (a constructor's) passed with the name.
-    if node.type.kind in _NAMED_KINDS and node.type.class_name != node.name:
+    if node.type.kind in _NAMED_KINDS:
         check_type(node.type)
-    method, external = form == ir.CallForm.METHOD, form == ir.CallForm.EXTERNAL
-    if (node.receiver is None) == method:
-        _form_field(form, "receiver", method)
-    if method and node.receiver.type.kind != "object":  # `1.f()` compiles nowhere
-        _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
-    if (node.library is None) == external:
-        _form_field(form, "library", external)
-    if external:
+    cls = type(node)
+    if cls is ir.ExtCall:
         check_identifier(node.library)
-    if form == ir.CallForm.CONSTRUCTOR and node.type.class_name != node.name:
-        _refuse(f"constructor {node.name} gives {node.name}, not {_type_name(node.type)}")
-    if form == ir.CallForm.CONSTRUCTOR and node.args:  # no IR class declares a constructor
-        _refuse(f"constructor {node.name} takes no arguments", SignatureMismatch)
+    if cls is ir.MethodCall and node.receiver.type.kind != "object":
+        _refuse(f"method call receiver must be an object, got {_type_name(node.receiver.type)}")
     return node
 
 
@@ -568,7 +554,10 @@ def _check_doc(doc: ir.DocSpec) -> ir.DocSpec:
 RULES = {
     ir.VariableRepr: _check_var,
     ir.Lit: _check_lit, ir.Unary: _check_operator, ir.Binary: _check_operator,
-    ir.InlineIf: _check_inline_if, ir.Call: _check_call, ir.MathCall: _check_math,
+    ir.InlineIf: _check_inline_if, ir.MathCall: _check_math,
+    ir.Call: _check_call, ir.ExtCall: _check_call, ir.MethodCall: _check_call,
+    ir.NewObj: lambda n: check_identifier(n.name) and (n if not n.args else _refuse(
+        f"constructor {n.name} takes no arguments", SignatureMismatch)),  # no class declares one
     # One lambda a line: cProfile labels a function by its line, and keeps
     # one of the functions that share a label.
     ir.ArgAt: lambda n: _int_index("argAt", n),
@@ -686,23 +675,21 @@ def inline_if(cond: ir.ExprRepr, then: ir.ExprRepr, other: ir.ExprRepr) -> ir.In
 
 
 def func_app(name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](ir.Call(ir.CallForm.FUNCTION, name, tuple(args), return_type))
+    return _check_call(ir.Call(name, tuple(args), return_type))
 
 
-def ext_func_app(library: str, name: str, return_type: ir.TypeRepr, args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](
-        ir.Call(ir.CallForm.EXTERNAL, name, tuple(args), return_type, library=library))
+def ext_func_app(library: str, name: str, return_type: ir.TypeRepr,
+                 args: list[ir.ExprRepr]) -> ir.ExtCall:
+    return _check_call(ir.ExtCall(name, tuple(args), return_type, library))
 
 
-def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](
-        ir.Call(ir.CallForm.CONSTRUCTOR, class_name, tuple(args), ir.obj_of(class_name)))
+def new_obj(class_name: str, args: list[ir.ExprRepr]) -> ir.NewObj:
+    return RULES[ir.NewObj](ir.NewObj(class_name, tuple(args)))
 
 
 def method_call(receiver: ir.ExprRepr, name: str, return_type: ir.TypeRepr,
-                args: list[ir.ExprRepr]) -> ir.Call:
-    return RULES[ir.Call](
-        ir.Call(ir.CallForm.METHOD, name, tuple(args), return_type, receiver=receiver))
+                args: list[ir.ExprRepr]) -> ir.MethodCall:
+    return _check_call(ir.MethodCall(name, tuple(args), return_type, receiver))
 
 
 # ---------------------------------------------------------------------------
@@ -798,11 +785,19 @@ def try_catch(try_body: ir.BodyRepr, catch_body: ir.BodyRepr) -> ir.TryCatch:
 
 
 def block(statements: list[ir.StatementRepr]) -> ir.BlockRepr:
-    return ir.BlockRepr(tuple(statements))
+    statements = tuple(statements)
+    for s in statements:
+        if type(s) not in _STATEMENTS:  # no call per statement, nor per block below
+            _refuse(f"a block holds statements, not {type(s).__name__}", BuildError)
+    return ir.BlockRepr(statements)
 
 
 def body(blocks: list[ir.BlockRepr]) -> ir.BodyRepr:
-    return ir.BodyRepr(tuple(blocks))
+    blocks = tuple(blocks)
+    for b in blocks:
+        if type(b) is not ir.BlockRepr:
+            _refuse(f"a body holds blocks, not {type(b).__name__}", BuildError)
+    return ir.BodyRepr(blocks)
 
 
 def body_statements(statements: list[ir.StatementRepr]) -> ir.BodyRepr:

@@ -41,7 +41,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import gallery, ir, jsonio, verify
+from . import builders, gallery, ir, jsonio, verify
 from .backends import TARGETS, assemble_package
 from .errors import BuildError, DecodeError, FileAccessError
 
@@ -200,9 +200,7 @@ def _with_aux_flags(pkg: ir.PackageTree, makefile: bool, doc: bool) -> ir.Packag
         aux.append(ir.AuxFileSpec("makefile", with_doc_rule=doc))
     if doc and "doxygen" not in kinds:
         aux.append(ir.AuxFileSpec("doxygen"))
-    if tuple(aux) == pkg.aux:
-        return pkg
-    return ir.PackageTree(pkg.name, pkg.modules, tuple(aux))
+    return pkg if tuple(aux) == pkg.aux else builders.package(pkg, aux)
 
 
 def _cmd_render(opts: SimpleNamespace) -> int:

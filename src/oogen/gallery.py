@@ -18,7 +18,6 @@ from ._record import record
 
 class GalleryEntry(metaclass=record):
     name: str
-    description: str
     package: ir.PackageTree
     args: tuple[str, ...] = ()
     stdin: str = ""
@@ -37,8 +36,7 @@ def _single_module(name: str, main_body: ir.BodyRepr,
 def _hello_world() -> GalleryEntry:
     body = bd.body_statements([pt.print_str_ln("Hello, world!")])
     return GalleryEntry(
-        "helloWorld", "smallest possible program: print one line",
-        _single_module("HelloWorld", body),
+        "helloWorld", _single_module("HelloWorld", body),
         expected_stdout="Hello, world!\n",
     )
 
@@ -64,8 +62,7 @@ def _add_function() -> GalleryEntry:
         pt.print_ln(bd.value_of(result)),
     ])
     return GalleryEntry(
-        "addFunction", "documented free function returning a sum",
-        _single_module("AddFunction", body, functions=[add]),
+        "addFunction", _single_module("AddFunction", body, functions=[add]),
         expected_stdout="5\n",
     )
 
@@ -86,8 +83,7 @@ def _sign_test() -> GalleryEntry:
         ),
     ])
     return GalleryEntry(
-        "signTest", "read an int from stdin and classify its sign",
-        _single_module("SignTest", body),
+        "signTest", _single_module("SignTest", body),
         stdin="-7\n",
         expected_stdout="foo is negative\n",
     )
@@ -110,8 +106,7 @@ def _slice_demo() -> GalleryEntry:
         bd.block([pt.print_ln(bd.value_of(some_ages))]),
     ])
     return GalleryEntry(
-        "sliceDemo", "take elements 1..2 of a float list and print them",
-        _single_module("SliceDemo", body),
+        "sliceDemo", _single_module("SliceDemo", body),
         expected_stdout="[20.25, 21.75]\n",
     )
 
@@ -127,8 +122,7 @@ def _list_print_demo() -> GalleryEntry:
         bd.block([pt.print_ln(bd.value_of(my_name))]),
     ])
     return GalleryEntry(
-        "listPrintDemo", "print a whole list in bracketed form",
-        _single_module("ListPrintDemo", body),
+        "listPrintDemo", _single_module("ListPrintDemo", body),
         expected_stdout="[1, 2, 3]\n",
     )
 
@@ -154,8 +148,7 @@ def _apply_discount() -> GalleryEntry:
         pt.print_ln(bd.value_of(is_affordable)),
     ])
     return GalleryEntry(
-        "applyDiscount", "procedure with in, out, and in-out parameters",
-        _single_module("ApplyDiscount", body, functions=[apply_discount]),
+        "applyDiscount", _single_module("ApplyDiscount", body, functions=[apply_discount]),
         expected_stdout="15\ntrue\n",
     )
 
@@ -174,8 +167,7 @@ def _foo_class_get_set() -> GalleryEntry:
         pt.print_ln(pt.get(bd.value_of(fc), foo)),
     ])
     return GalleryEntry(
-        "fooClassGetSet", "class with generated getter and setter",
-        _single_module("FooClassGetSet", body, classes=[foo_class]),
+        "fooClassGetSet", _single_module("FooClassGetSet", body, classes=[foo_class]),
         expected_stdout="5\n",
     )
 
@@ -214,8 +206,7 @@ def _pattern_test() -> GalleryEntry:
     ])
     body = bd.body([state_block, obs_decls, obs_use])
     return GalleryEntry(
-        "patternTest", "state machine plus observer list in one main",
-        _single_module("PatternTest", body, classes=[observer_class]),
+        "patternTest", _single_module("PatternTest", body, classes=[observer_class]),
         expected_stdout="On\nprintNum\nprintNum\n",
     )
 
@@ -229,8 +220,7 @@ def _args_echo() -> GalleryEntry:
         ),
     ])
     return GalleryEntry(
-        "argsEcho", "echo the first command-line argument",
-        _single_module("ArgsEcho", body),
+        "argsEcho", _single_module("ArgsEcho", body),
         args=("hello",),
         expected_stdout="hello\n",
     )

@@ -14,11 +14,11 @@ Shape of a program:
 An operator node (`Unary`, `Binary`) holds its operator's name, a key of
 `OPERATORS`, which gives only its arity: how each target spells it and
 where it needs parentheses is that target's renderer's. So a binding,
-scope, variable form, call form or assignment mode is its name too, the
-string the JSON writes: `Binding`, `Scope`, `VarForm`, `CallForm` and
-`AssignMode` are plain namespaces of those strings (`Binding.STATIC` is
-"static"), listed in order by `names`. A field annotated with one holds
-one of its strings; compare it with `==`.
+scope, variable form or assignment mode is its name too, the string the
+JSON writes: `Binding`, `Scope`, `VarForm` and `AssignMode` are plain
+namespaces of those strings (`Binding.STATIC` is "static"), listed in
+order by `names`. A field annotated with one holds one of its strings;
+compare it with `==`. A kind of call is its class (see `Call`).
 
 An expression's type is said once, as its `type`: a field, a class
 constant or a property of its parts (see `ExprRepr`).
@@ -125,8 +125,8 @@ class ExprRepr(metaclass=record):
     """Base expression node. Every node has an IR `type`: a field where the
     builder states it (an operator, math or call node), a class constant
     where it never varies (`ListSize.type` is `INT`), and a property only
-    where it follows from the node's parts. How tightly a node binds is the
-    renderer's (`Renderer.prec_of`)."""
+    where it follows from the node's parts (`NewObj`'s class name). How
+    tightly a node binds is the renderer's (`Renderer.prec_of`)."""
 
 
 class Lit(ExprRepr, metaclass=record):
@@ -169,20 +169,39 @@ class InlineIf(ExprRepr, metaclass=record):
         return self.then.type
 
 
-class CallForm:
-    FUNCTION, EXTERNAL, CONSTRUCTOR, METHOD = "function", "external", "constructor", "method"
-
-
 class Call(ExprRepr, metaclass=record):
-    """Any kind of application. `receiver` is set for METHOD calls,
-    `library` for EXTERNAL ones. Constructors type as the built object."""
+    """`name(args)`, a function of the program. Each kind of call is its own
+    class holding only what it renders, as GOOL gives each its own
+    function: `ExtCall` is `library.name(args)`, `MethodCall`
+    `receiver.name(args)` and `NewObj` `new name(args)`, an object of class
+    `name`. `type` is the return type (JSON "returnType")."""
 
-    form: CallForm
     name: str
     args: tuple[ExprRepr, ...]
-    type: TypeRepr  # the return type; JSON "returnType"
-    receiver: ExprRepr | None = None
-    library: str | None = None
+    type: TypeRepr
+
+
+class ExtCall(ExprRepr, metaclass=record):
+    name: str
+    args: tuple[ExprRepr, ...]
+    type: TypeRepr
+    library: str
+
+
+class MethodCall(ExprRepr, metaclass=record):
+    name: str
+    args: tuple[ExprRepr, ...]
+    type: TypeRepr
+    receiver: ExprRepr
+
+
+class NewObj(ExprRepr, metaclass=record):
+    name: str
+    args: tuple[ExprRepr, ...]
+
+    @property
+    def type(self) -> TypeRepr:
+        return TypeRepr("object", class_name=self.name)
 
 
 class MathCall(ExprRepr, metaclass=record):

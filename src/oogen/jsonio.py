@@ -1,6 +1,6 @@
 """Versioned JSON interchange format for package trees.
 
-The document shape is {"version": 5, "program": {"name", "modules": [...]},
+The document shape is {"version": 6, "program": {"name", "modules": [...]},
 "aux": [...]}. Expressions are tagged objects {"op": ..., fields}, statements
 {"stmt": ..., fields}; bodies are lists of blocks, blocks lists of
 statements, and a block used as a statement is {"stmt": "block",
@@ -67,7 +67,7 @@ from . import ir
 from .builders import ENUMERATED, RULES, package
 from .errors import BuildError, DecodeError, NestingTooDeep
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _REQUIRED = object()
 _ROW_OF: dict[type, _Row] = {}  # record class -> its row, for the encoder
@@ -350,6 +350,7 @@ _BODY = _list(_list(_STMT, ir.BlockRepr), ir.BodyRepr)
 _VAR = _Row(ir.VariableRepr, F("name"), F("type", _TYPE), F("form", _ENUM), F("owner"),
             share=_var_key)
 _VARS = _list(_VAR)
+_CALL = (F("name"), F("args", _EXPRS), F("returnType", _TYPE, "type"))  # a `newObj` has no type
 
 _EXPR.define({
     "lit": _Row(ir.Lit, F("kind", _ENUM), F("value"), share=_lit_key),
@@ -358,8 +359,10 @@ _EXPR.define({
     "binary": _Row(ir.Binary, F("name", _ENUM, "op"), F("left", _EXPR), F("right", _EXPR),
                    F("type", _TYPE)),
     "inlineIf": _Row(ir.InlineIf, F("cond", _EXPR), F("then", _EXPR), F("else", _EXPR, "other")),
-    "call": _Row(ir.Call, F("form", _ENUM), F("name"), F("args", _EXPRS),
-                 F("returnType", _TYPE, "type"), F("receiver", _EXPR), F("library")),
+    "call": _Row(ir.Call, *_CALL),
+    "extCall": _Row(ir.ExtCall, *_CALL, F("library")),
+    "methodCall": _Row(ir.MethodCall, *_CALL, F("receiver", _EXPR)),
+    "newObj": _Row(ir.NewObj, *_CALL[:2]),
     "math": _Row(ir.MathCall, F("fn"), F("args", _EXPRS), F("type", _TYPE)),
     "argsList": _Row(ir.ArgsList),
     "argAt": _Row(ir.ArgAt, F("index", _EXPR)),

@@ -1,5 +1,5 @@
 """A package, built through the builders and patterns, that uses every
-expression and statement tag of the JSON schema (36) and every optional
+expression and statement tag of the JSON schema (39) and every optional
 field in both its default and non-default form. It pins the schema and
 each target's spelling of every construct, and is not meant to run: only
 its Python is compiled."""

@@ -191,15 +191,12 @@ class Interpreter:
             # a float, as the IR types each but abs (Python's floor and ceil give an int)
             return float(getattr(math, e.fn)(*args))
         if isinstance(e, ir.Call):
-            if e.form == ir.CallForm.FUNCTION:
-                return self._call_function(self.functions[e.name],
-                                           [ev(a) for a in e.args])
-            if e.form == ir.CallForm.CONSTRUCTOR:
-                return self._construct(e.name, [ev(a) for a in e.args])
-            if e.form == ir.CallForm.METHOD:
-                receiver = ev(e.receiver)
-                return self._call_method(receiver, e.name, [ev(a) for a in e.args])
-            raise InterpError(f"call form {e.form}")
+            return self._call_function(self.functions[e.name], [ev(a) for a in e.args])
+        if isinstance(e, ir.NewObj):
+            return self._construct(e.name, [ev(a) for a in e.args])
+        if isinstance(e, ir.MethodCall):
+            receiver = ev(e.receiver)
+            return self._call_method(receiver, e.name, [ev(a) for a in e.args])
         if isinstance(e, ir.ArgsList):
             return list(self.args)  # a new list each time, as on every target
         if isinstance(e, ir.ArgAt):

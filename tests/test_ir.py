@@ -338,8 +338,11 @@ def test_list_ops_type_check():
 
 
 def test_an_expression_type_is_a_field_or_one_shared_constant():
-    for cls in (ir.Unary, ir.Binary, ir.MathCall, ir.Call):
+    for cls in (ir.Unary, ir.Binary, ir.MathCall, ir.Call, ir.ExtCall, ir.MethodCall):
         assert "type" in cls.__match_args__, cls
+    # A constructor's type follows from its class name.
+    assert "type" not in ir.NewObj.__match_args__
+    assert bd.new_obj("Box", []).type == ir.obj_of("Box")
     lst, i = bd.value_of(_float_list_var()), _i()
     made = [(ir.ArgsList, ()), (ir.ArgAt, (i,)), (ir.ArgExists, (i,)), (ir.ListSize, (lst,)),
             (ir.ListIndexOf, (lst, bd.lit_float(1.5)))]
@@ -507,7 +510,7 @@ def test_package_rejects_duplicate_aux_kinds():
 
 # -- a binding, scope, form or mode is its name ----------------------------------
 
-NAMESPACES = (ir.Binding, ir.Scope, ir.VarForm, ir.CallForm, ir.AssignMode)
+NAMESPACES = (ir.Binding, ir.Scope, ir.VarForm, ir.AssignMode)
 
 
 def _records(value):
@@ -545,10 +548,9 @@ def test_names_are_the_strings_the_json_writes():
     assert [ir.names(ns) for ns in NAMESPACES] == [
         ("static", "dynamic"), ("public", "private"),
         ("plain", "self", "classMember", "objectMember", "external"),
-        ("function", "external", "constructor", "method"),
         ("set", "addEq", "subEq", "inc", "dec")]
-    assert (ir.Binding.STATIC, ir.Scope.PUBLIC, ir.VarForm.SELF, ir.CallForm.METHOD,
-            ir.AssignMode.INC) == ("static", "public", "self", "method", "inc")
+    assert (ir.Binding.STATIC, ir.Scope.PUBLIC, ir.VarForm.SELF, ir.AssignMode.INC) == (
+        "static", "public", "self", "inc")
 
 
 def test_names_made_at_run_time_render_as_the_constants():
@@ -579,7 +581,7 @@ def test_every_ir_class_is_a_record():
     classes = [c for c in vars(ir).values()
                if isinstance(c, type) and c.__module__ == ir.__name__
                and c not in NAMESPACES]
-    assert len(classes) == 49
+    assert len(classes) == 52
     others = [layout.RenderedFile, layout.FileSet,
               verify.ToolReport, verify.VerifyReport, gallery.GalleryEntry]
     for cls in classes + others:
@@ -706,7 +708,7 @@ def _record_classes():
 
 def test_every_record_builds_by_keyword():
     classes = _record_classes()
-    assert len(classes) == 54
+    assert len(classes) == 57
     for cls in classes:
         values = [object() for _ in cls.__match_args__]
         made = cls(**dict(zip(cls.__match_args__, values)))

@@ -122,7 +122,7 @@ def test_gallery_mutations_raise_only_decode_error(entry):
 _MAIN = ["program", "modules", 0, "functions", 2]
 _USE = _MAIN + ["body", 0, 1, "expr"]  # the call use(...) in all_tags
 _OBS = _MAIN + ["body", 0, 0, "var", "type", "class"]  # `Obs o = new Obs()`
-_NEW_OBS = _MAIN + ["body", 0, 0, "value", "returnType", "class"]
+_NEW_OBS = _MAIN + ["body", 0, 0, "value", "name"]
 _OBSERVERS = _MAIN + ["body", 1, 14, "statements", 0, "var", "type", "elem", "class"]
 _UPDATE = ["program", "modules", 0, "classes", 0, "methods", 0]  # Obs.update
 NAME_STEPS = [
@@ -150,7 +150,7 @@ _NAME_KEYS = ("name", "parent", "library", "owner", "class", "elem", "type", "re
 # What the legal class name y gives where a class Obs is expected.
 _MISFITS = {
     tuple(_OBS): f"{_where(_OBS[:-3])}: varDecDef o: variable type y, value type Obs",
-    tuple(_NEW_OBS): f"{_where(_NEW_OBS[:-2])}: constructor Obs gives Obs, not y",
+    tuple(_NEW_OBS): f"{_where(_NEW_OBS[:-2])}: varDecDef o: variable type Obs, value type y",
     tuple(_OBSERVERS): f"{_where(_MAIN)}: addObserver: element type y, value type Obs",
 }
 

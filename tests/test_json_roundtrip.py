@@ -48,7 +48,7 @@ def test_all_tags_package_uses_every_tag_and_roundtrips():
     pkg = all_tags.package()
     assert all_tags.tags(jsonio.encode_package(pkg)) == (
         set(jsonio._EXPR.rows) | set(jsonio._STMT.rows))
-    assert len(set(jsonio._EXPR.rows) | set(jsonio._STMT.rows)) == 36
+    assert len(set(jsonio._EXPR.rows) | set(jsonio._STMT.rows)) == 39
     for indent in (None, 2):
         assert jsonio.loads(jsonio.dumps(pkg, indent=indent)) == pkg
 
@@ -96,11 +96,12 @@ def _expect_error(doc, path_fragment, message_fragment=None):
 
 
 def test_version_field_checked():
+    # Every earlier version is refused at `$.version`, as README says.
     doc = _doc()
-    old = jsonio.SCHEMA_VERSION - 1
-    doc["version"] = old
-    _expect_error(doc, "$.version",
-                  f"unsupported version {old}; this reader handles version {jsonio.SCHEMA_VERSION}")
+    for old in range(1, jsonio.SCHEMA_VERSION):
+        doc["version"] = old
+        _expect_error(doc, "$.version", f"unsupported version {old}; this reader handles"
+                                        f" version {jsonio.SCHEMA_VERSION}")
 
 
 @pytest.mark.parametrize("version", [float(jsonio.SCHEMA_VERSION), str(jsonio.SCHEMA_VERSION),

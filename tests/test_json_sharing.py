@@ -279,7 +279,7 @@ def test_every_decoded_enumerated_value_is_the_builders_own_string():
     table = {v: v for v in bd.ENUMERATED}
     found = _enumerated(jsonio.loads(jsonio.dumps(all_tags.package())), {})
     assert {("MethodRepr", "scope"), ("StateVarRepr", "binding"), ("ClassDeclRepr", "scope"),
-            ("VariableRepr", "form"), ("Call", "form"), ("Assign", "mode"), ("Binary", "op"),
+            ("VariableRepr", "form"), ("Assign", "mode"), ("Binary", "op"),
             ("Lit", "kind"), ("AuxFileSpec", "kind")} <= set(found)
     for field, values in found.items():
         assert all(v is table[v] for v in values), field

@@ -1,5 +1,5 @@
-"""Rendering by table: every IR node class, variable form and call form
-has one handler per target, so no target refuses a node at render time,
+"""Rendering by table: every IR node class and variable form has one
+handler per target, so no target refuses a node at render time,
 a nested node renders as it does alone, no function is a
 `raise NotImplementedError` stub, the all-tags package
 renders byte for byte as recorded, and no backend module but base.py
@@ -75,6 +75,7 @@ def test_handler_tables_are_plain_dicts(target):
 
 
 _ONE, _XS = ir.Lit("int", 1), ir.ValueOf(ir.VariableRepr("xs", ir.list_of(ir.INT)))
+_BOX = ir.ValueOf(ir.VariableRepr("box", ir.obj_of("Box")))
 # Each kind of operand a handler dispatches itself, by subscripting its
 # table rather than through `expr`.
 OPERAND_PLACES = {
@@ -82,7 +83,11 @@ OPERAND_PLACES = {
     "binary right": lambda x: ir.Binary("#+", _ONE, x, ir.INT),
     "unary": lambda x: ir.Unary("#~", x, ir.INT),
     "inline-if else": lambda x: ir.InlineIf(ir.Lit("bool", True), _ONE, x),
-    "call argument": lambda x: ir.Call(ir.CallForm.FUNCTION, "f", (x,), ir.INT),
+    "call argument": lambda x: ir.Call("f", (x,), ir.INT),
+    "external call argument": lambda x: ir.ExtCall("f", (x,), ir.INT, "lib"),
+    "method call argument": lambda x: ir.MethodCall("f", (x,), ir.INT, _BOX),
+    "method call receiver": lambda x: ir.MethodCall("f", (), ir.INT, x),
+    "constructor argument": lambda x: ir.NewObj("Box", (x,)),
     "math argument": lambda x: ir.MathCall("sin", (x,), ir.FLOAT),
     "power left": lambda x: ir.MathCall("pow", (x, _ONE), ir.FLOAT),
     "power right": lambda x: ir.MathCall("pow", (_ONE, x), ir.FLOAT),
@@ -98,8 +103,7 @@ OPERAND_PLACES = {
 def test_an_operand_in_each_place_renders_as_it_does_alone(target, place):
     backend = get_backend(target)
     size = ir.ListSize(ir.ValueOf(ir.VariableRepr("ys", ir.list_of(ir.INT))))
-    operand = ir.Call(ir.CallForm.FUNCTION, "g", (size,),
-                      ir.list_of(ir.INT) if place == "list receiver" else ir.INT)
+    operand = ir.Call("g", (size,), ir.list_of(ir.INT) if place == "list receiver" else ir.INT)
     alone = backend.expr(operand)
     assert backend.expr(OPERAND_PLACES[place](operand)).count(alone) == 1
     assert backend.expr(size) in alone
@@ -123,12 +127,10 @@ def test_a_statement_in_a_body_or_block_renders_as_it_does_alone(target):
 # misspelt name would drop its node or form without a sound; these tests
 # would hear it.
 @pytest.mark.parametrize("target", TARGETS)
-def test_every_variable_and_call_form_has_a_handler(target):
+def test_every_variable_form_has_a_handler(target):
     renderer = type(get_backend(target))
     assert set(renderer._var_table) == set(ir.names(ir.VarForm)) - {ir.VarForm.PLAIN}
-    assert set(renderer._call_table) == set(ir.names(ir.CallForm)) - {ir.CallForm.FUNCTION}
-    assert all(callable(h) for h in [*renderer._var_table.values(),
-                                     *renderer._call_table.values()])
+    assert all(callable(h) for h in renderer._var_table.values())
 
 
 # The IR names each operator and gives its arity; the renderer ranks and

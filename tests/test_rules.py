@@ -91,8 +91,8 @@ def _print_of(expr):
     return {"stmt": "print", "expr": expr, "newline": True}
 
 
-BOX = {"op": "call", "form": "constructor", "name": "Box", "args": [],
-       "returnType": {"kind": "object", "class": "Box"}}
+BOX_TYPE = {"kind": "object", "class": "Box"}
+BOX = {"op": "newObj", "name": "Box", "args": []}
 _METHOD = dict(FUNCTION, name="m", binding="dynamic")
 _X = bd.var("x", ir.INT)
 _EMPTY = bd.body([])
@@ -116,9 +116,15 @@ CASES = {
                 lambda: bd.apply_binary("#+", bd.lit_bool(True), bd.lit_string("s"))),
     ir.InlineIf: (_expr({"op": "inlineIf", "cond": ONE, "then": ONE, "else": ONE}),
                   lambda: bd.inline_if(bd.lit_int(1), bd.lit_int(1), bd.lit_int(1))),
-    ir.Call: (_expr({"op": "call", "form": "method", "name": "f", "args": [],
-                     "returnType": "int"}),
-              lambda: bd.method_call(None, "f", ir.INT, [])),
+    ir.Call: (_expr({"op": "call", "name": "2x", "args": [], "returnType": "int"}),
+              lambda: bd.func_app("2x", ir.INT, [])),
+    ir.ExtCall: (_expr({"op": "extCall", "name": "f", "args": [], "returnType": "int",
+                        "library": "class"}),
+                 lambda: bd.ext_func_app("class", "f", ir.INT, [])),
+    ir.MethodCall: (_expr({"op": "methodCall", "name": "f", "args": [], "returnType": "int",
+                           "receiver": TEXT}),
+                    lambda: bd.method_call(bd.lit_string("s"), "f", ir.INT, [])),
+    ir.NewObj: (_expr({"op": "newObj", "name": "", "args": []}), lambda: bd.new_obj("", [])),
     ir.MathCall: (_expr({"op": "math", "fn": "sin", "args": [TEXT], "type": "float"}),
                   lambda: pt.math_fn("sin", bd.lit_string("s"))),
     ir.ArgAt: (_expr({"op": "argAt", "index": TEXT}), lambda: pt.arg_at(bd.lit_string("s"))),
@@ -213,12 +219,12 @@ MORE_CASES = {
                                   # A C++ char is one byte: g++ printed 'é' as 50089.
                                   ("char", bd.lit_char, "é")]},
     # Python prints None; javac says "'void' type not allowed here".
-    "print of void": (_stmt(_print_of({"op": "call", "form": "function", "name": "f",
-                                       "args": [], "returnType": "void"})),
+    "print of void": (_stmt(_print_of({"op": "call", "name": "f", "args": [],
+                                       "returnType": "void"})),
                       lambda: pt.print_expr(bd.func_app("f", ir.VOID, []))),
     "print of a list of lists of objects": (
         _stmt(_print_of({"op": "var", "var": {"name": "bs", "type": {
-            "kind": "list", "elem": {"kind": "list", "elem": BOX["returnType"]}}}})),
+            "kind": "list", "elem": {"kind": "list", "elem": BOX_TYPE}}}})),
         lambda: pt.print_ln(bd.value_of(bd.var("bs", ir.list_of(ir.list_of(ir.obj_of("Box"))))))),
     # Java, C# and C++ read it as a constructor: javac says "missing return
     # statement", and g++ "return type specification for constructor invalid".
@@ -302,9 +308,6 @@ ENUMERATED = {
         lambda v: _stmt({"stmt": "varDec", "var": {"name": "x", "type": "int", "form": v}},
                         ".var"),
         lambda v: bd.RULES[ir.VariableRepr](ir.VariableRepr("x", ir.INT, v))),
-    "call form": (
-        lambda v: _expr({"op": "call", "form": v, "name": "f", "args": [], "returnType": "int"}),
-        lambda v: bd.RULES[ir.Call](ir.Call(v, "f", (), ir.INT))),
     "assign mode": (
         lambda v: _stmt({"stmt": "assign", "mode": v, "var": {"name": "x", "type": "int"},
                          "value": ONE}),
@@ -889,13 +892,9 @@ def test_a_value_fills_a_slot_only_of_exactly_its_type_built_and_decoded(site):
 
 _S = bd.var("s", ir.STRING)
 _ONE_INT = bd.lit_int(1)
-# A field on a form that never reads it: an owner on a plain or self
-# variable, a receiver on a call not a method's, a library on a call not
-# external.
+# A field on a form that never reads it: an owner on a plain or self variable.
 _OWNED = ir.VariableRepr("x", ir.INT, owner="o")
 _SELF_OWNED = ir.VariableRepr("x", ir.INT, ir.VarForm.SELF, "o")
-_RECEIVED = ir.Call(ir.CallForm.FUNCTION, "f", (), ir.INT, receiver=_v(ir.obj_of("A")))
-_NEW_FROM_LIB = ir.Call(ir.CallForm.CONSTRUCTOR, "A", (), ir.obj_of("A"), library="lib")
 
 
 def _print(expr) -> ir.Print:
@@ -939,7 +938,7 @@ _MORE_REFUSALS = {
     # "expression cannot be used as a function".
     "a method of an int": (
         lambda: bd.method_call(_ONE_INT, "f", ir.INT, []),
-        lambda: _main_doc(ir.Print(ir.Call(ir.CallForm.METHOD, "f", (), ir.INT, _ONE_INT), True)),
+        lambda: _main_doc(ir.Print(ir.MethodCall("f", (), ir.INT, _ONE_INT), True)),
         _STMT + ".expr", "method call receiver must be an object, got int"),
     # Each once decoded, rendered without the field, and compared unequal
     # to the tree the builders make.
@@ -950,13 +949,6 @@ _MORE_REFUSALS = {
         lambda: bd.RULES[ir.VariableRepr](_SELF_OWNED),
         lambda: _main_doc(_print(ir.ValueOf(_SELF_OWNED))), _STMT + ".expr.var",
         "form 'self' takes no 'owner'"),
-    "a receiver on a function call": (
-        lambda: bd.RULES[ir.Call](_RECEIVED), lambda: _main_doc(_print(_RECEIVED)),
-        _STMT + ".expr", "function call takes no 'receiver'"),
-    "a library on a constructor call": (
-        lambda: bd.RULES[ir.Call](_NEW_FROM_LIB),
-        lambda: _main_doc(ir.VarDecDef(_x(ir.obj_of("A")), _NEW_FROM_LIB)), _STMT + ".value",
-        "constructor call takes no 'library'"),
     "a main in two modules": (
         lambda: bd.prog("p", _two_mains()),
         lambda: jsonio.encode_package(ir.PackageTree("p", tuple(_two_mains()))), "$.program",
@@ -998,18 +990,67 @@ def test_the_builders_type_a_sum_and_a_sine_as_the_rules_ask():
     assert pt.math_fn("sin", _ONE_INT).type == ir.FLOAT
 
 
-# A constructor's type is its own class. Decoded, `int o = new Foo();` and
-# `new Bar()` typed Foo rendered on every target; the builders type a
-# constructor call themselves, so only a document can break the rule.
+# A block holds statements and a body blocks. `bd.block([5])` once built,
+# and then every render raised `KeyError: <class 'int'>`, and `bd.body([5])`
+# an `AttributeError`.
 
-@pytest.mark.parametrize("name, type_", [("Foo", ir.INT), ("Bar", ir.obj_of("Foo"))],
+@pytest.mark.parametrize("build, message", [
+    (lambda: bd.block([bd.break_stmt(), 5]), "a block holds statements, not int"),
+    (lambda: bd.body_statements([bd.lit_int(1)]), "a block holds statements, not Lit"),
+    (lambda: bd.body([5]), "a body holds blocks, not int"),
+    (lambda: bd.body([bd.break_stmt()]), "a body holds blocks, not Break"),
+], ids=["int in a block", "expression in a block", "int in a body", "statement in a body"])
+def test_a_block_of_non_statements_or_a_body_of_non_blocks_does_not_build(build, message):
+    with pytest.raises(BuildError, match=f"^{message}$"):
+        build()
+
+
+# A constructor's type is its own class. Decoded, `int o = new Foo();` and
+# `new Bar()` typed Foo once rendered on every target; a `newObj` now holds
+# no type to get wrong, so a document that gives it one is refused.
+
+def _main_holding(statement: dict) -> dict:
+    doc = _main_doc()
+    doc["program"]["modules"][0]["functions"][0]["body"] = [[statement]]
+    return doc
+
+
+_FOO = {"kind": "object", "class": "Foo"}
+
+
+@pytest.mark.parametrize("name, type_", [("Foo", "int"), ("Bar", _FOO)],
                          ids=["int", "another-class"])
 def test_a_constructor_typed_other_than_its_class_does_not_decode(name, type_):
-    new = ir.Call(ir.CallForm.CONSTRUCTOR, name, (), type_)
+    new = {"op": "newObj", "name": name, "args": [], "returnType": type_}
     with pytest.raises(DecodeError) as err:
-        jsonio.decode_package(_main_doc(ir.VarDecDef(bd.var("o", type_), new)))
-    assert str(err.value) == (
-        f"{_STMT}.value: constructor {name} gives {name}, not {type_.class_name or type_.kind}")
+        jsonio.decode_package(_main_holding(
+            {"stmt": "varDecDef", "var": {"name": "o", "type": type_}, "value": new}))
+    assert str(err.value) == f"{_STMT}.value: unknown field(s) 'returnType'"
+
+
+# Each kind of call holds only the fields it renders. Decoded, a receiver on
+# a function call and a library on a constructor call were once dropped
+# unseen; a field of another kind of call is now an unknown field.
+
+_NEW_A = {"op": "newObj", "name": "A", "args": []}
+_CALLS = {"call": {"op": "call", "name": "f", "args": [], "returnType": "void"},
+          "extCall": {"op": "extCall", "name": "f", "args": [], "returnType": "void",
+                      "library": "lib"},
+          "methodCall": {"op": "methodCall", "name": "f", "args": [], "returnType": "void",
+                         "receiver": _NEW_A},
+          "newObj": _NEW_A}
+
+
+@pytest.mark.parametrize("tag, key", [("call", "receiver"), ("call", "library"),
+                                      ("extCall", "receiver"), ("methodCall", "library"),
+                                      ("newObj", "library")])
+def test_a_call_holding_another_kind_of_call_s_field_does_not_decode(tag, key):
+    jsonio.decode_package(_main_holding({"stmt": "expr", "expr": _CALLS[tag]}))
+    value = _CALLS["extCall"]["library"] if key == "library" else _NEW_A
+    with pytest.raises(DecodeError) as err:
+        jsonio.decode_package(_main_holding(
+            {"stmt": "expr", "expr": dict(_CALLS[tag], **{key: value})}))
+    assert str(err.value) == f"{_STMT}.expr: unknown field(s) {key!r}"
 
 
 # No IR class declares a constructor, so a `new` takes no argument. Built
@@ -1020,8 +1061,7 @@ def test_a_constructor_typed_other_than_its_class_does_not_decode(name, type_):
 def test_a_new_with_arguments_is_refused_built_and_decoded():
     with pytest.raises(SignatureMismatch, match="^constructor Box takes no arguments$"):
         bd.new_obj("Box", [bd.lit_int(5)])
-    box = BOX["returnType"]
-    _refused_alike(_stmt({"stmt": "varDecDef", "var": {"name": "b", "type": box},
+    _refused_alike(_stmt({"stmt": "varDecDef", "var": {"name": "b", "type": BOX_TYPE},
                           "value": dict(BOX, args=[ONE])}, ".value"),
                    lambda: bd.new_obj("Box", [bd.lit_int(5)]))
     assert bd.new_obj("Box", []).args == ()
